@@ -139,6 +139,13 @@ pub fn may_alias(
 ) -> bool {
     let pa = resolve_pointer(module, func, a);
     let pb = resolve_pointer(module, func, b);
+    ranges_may_alias(&pa, size_a, &pb, size_b)
+}
+
+/// [`may_alias`] over already-resolved pointers: may `[pa, pa+size_a)` and
+/// `[pb, pb+size_b)` overlap? Lets a caller comparing many accesses
+/// resolve each pointer once instead of once per pair.
+pub(crate) fn ranges_may_alias(pa: &PtrInfo, size_a: u64, pb: &PtrInfo, size_b: u64) -> bool {
     if pa.base != pb.base {
         // Two *different identified* objects never alias; an identified
         // object also cannot alias an unrelated alloca. Anything involving

@@ -1,15 +1,16 @@
 //! Block-level dependence information.
 //!
-//! For a single basic block this computes, per instruction, its memory
-//! access summary and its intra-block SSA dependences, plus the pairwise
-//! "must keep order" conflicts between memory operations. This is the
-//! foundation of the loop-rolling scheduling analysis (§IV-D).
+//! For a single basic block this computes, per instruction, its transitive
+//! intra-block SSA dependences and — for memory operations — the other
+//! memory operations it must keep its order with, both as bitset rows over
+//! block positions. This is the foundation of the loop-rolling scheduling
+//! analysis (§IV-D), which works on whole rows with word-level operations.
 
 use std::collections::HashMap;
 
 use rolag_ir::{BlockId, Effects, Function, InstExtra, InstId, Module, Opcode, ValueDef, ValueId};
 
-use crate::alias::may_alias;
+use crate::alias::{may_alias, ranges_may_alias, resolve_pointer, PtrInfo};
 
 /// Memory behaviour of one instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,15 +111,44 @@ impl PosSet {
         }
         changed
     }
+    /// True when the two sets share a position.
+    pub fn intersects(&self, other: &PosSet) -> bool {
+        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
+    }
+    /// The smallest position in both sets.
+    pub fn first_common(&self, other: &PosSet) -> Option<usize> {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .find_map(|(w, (a, b))| {
+                let both = a & b;
+                (both != 0).then(|| w * 64 + both.trailing_zeros() as usize)
+            })
+    }
+    /// The largest position in both sets.
+    pub fn last_common(&self, other: &PosSet) -> Option<usize> {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .rev()
+            .find_map(|(w, (a, b))| {
+                let both = a & b;
+                (both != 0).then(|| w * 64 + 63 - both.leading_zeros() as usize)
+            })
+    }
     /// Iterates set positions in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &bits)| {
-            (0..64).filter_map(move |b| {
-                if bits >> b & 1 == 1 {
-                    Some(w * 64 + b)
-                } else {
-                    None
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
                 }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + b)
             })
         })
     }
@@ -133,58 +163,93 @@ pub struct BlockDeps {
     /// `deps[i]` = positions that instruction `i` transitively depends on
     /// (SSA operands within the block, closed transitively).
     deps: Vec<PosSet>,
-    /// Conflicting memory-op position pairs `(earlier, later)`.
-    mem_conflicts: Vec<(usize, usize)>,
+    /// `conflicts[i]` = for a memory operation, the positions of every
+    /// memory operation it conflicts with, earlier or later (the relation
+    /// is symmetric); `None` for positions that do not touch memory, so the
+    /// rows never outgrow `deps`.
+    conflicts: Vec<Option<PosSet>>,
+}
+
+/// One memory operation of a block, its pointer resolved once.
+struct ResolvedAccess {
+    pos: usize,
+    writes: bool,
+    /// Resolved footprint; `None` = the whole world.
+    loc: Option<(PtrInfo, u64)>,
 }
 
 impl BlockDeps {
     /// Computes dependences for `block` of `func`.
+    ///
+    /// Each memory operation's pointer is resolved once, so the pairwise
+    /// conflict test compares resolved [`PtrInfo`]s instead of re-walking
+    /// `gep` chains per pair; the result equals [`conflicts`] on every
+    /// pair.
     pub fn compute(module: &Module, func: &Function, block: BlockId) -> Self {
         let insts: Vec<InstId> = func.block(block).insts.clone();
         let n = insts.len();
-        let mut pos = HashMap::with_capacity(n);
+        let pos: HashMap<InstId, usize> = insts
+            .iter()
+            .enumerate()
+            .map(|(i, &inst)| (inst, i))
+            .collect();
+        let mut deps = vec![PosSet::new(n); n];
         for (i, &inst) in insts.iter().enumerate() {
-            pos.insert(inst, i);
-        }
-        // Map result value -> position for intra-block defs.
-        let mut def_pos: HashMap<ValueId, usize> = HashMap::with_capacity(n);
-        for (i, &inst) in insts.iter().enumerate() {
-            def_pos.insert(func.inst_result(inst), i);
-        }
-        let mut deps: Vec<PosSet> = Vec::with_capacity(n);
-        for (i, &inst) in insts.iter().enumerate() {
-            let mut set = PosSet::new(n);
+            // Defs are processed in order, so every earlier row is already
+            // closed: split the borrow to union them in without cloning.
+            let (done, rest) = deps.split_at_mut(i);
+            let row = &mut rest[0];
             for &op in &func.inst(inst).operands {
-                if let ValueDef::Inst(_) = func.value(op) {
-                    if let Some(&p) = def_pos.get(&op) {
+                if let ValueDef::Inst(def) = func.value(op) {
+                    if let Some(&p) = pos.get(def) {
                         if p < i {
-                            set.insert(p);
-                            // Transitive closure: defs are processed in
-                            // order, so deps[p] is already complete.
-                            let prior = deps[p].clone();
-                            set.union_with(&prior);
+                            row.insert(p);
+                            row.union_with(&done[p]);
                         }
                     }
                 }
             }
-            deps.push(set);
         }
-        let mut mem_conflicts = Vec::new();
-        let mem_positions: Vec<usize> = (0..n)
-            .filter(|&i| mem_access(module, func, insts[i]).is_some())
+
+        let accesses: Vec<ResolvedAccess> = insts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &inst)| {
+                let ma = mem_access(module, func, inst)?;
+                Some(ResolvedAccess {
+                    pos: i,
+                    writes: ma.writes,
+                    loc: ma
+                        .loc
+                        .map(|(ptr, size)| (resolve_pointer(module, func, ptr), size)),
+                })
+            })
             .collect();
-        for (k, &i) in mem_positions.iter().enumerate() {
-            for &j in &mem_positions[k + 1..] {
-                if conflicts(module, func, insts[i], insts[j]) {
-                    mem_conflicts.push((i, j));
+        let mut rows = vec![PosSet::new(n); accesses.len()];
+        for (k, a) in accesses.iter().enumerate() {
+            for (l, b) in accesses.iter().enumerate().skip(k + 1) {
+                if !(a.writes || b.writes) {
+                    continue;
+                }
+                let conflict = match (&a.loc, &b.loc) {
+                    (Some((pa, sa)), Some((pb, sb))) => ranges_may_alias(pa, *sa, pb, *sb),
+                    _ => true, // unknown footprint conflicts with everything
+                };
+                if conflict {
+                    rows[k].insert(b.pos);
+                    rows[l].insert(a.pos);
                 }
             }
+        }
+        let mut conflicts = vec![None; n];
+        for (a, row) in accesses.iter().zip(rows) {
+            conflicts[a.pos] = Some(row);
         }
         BlockDeps {
             insts,
             pos,
             deps,
-            mem_conflicts,
+            conflicts,
         }
     }
 
@@ -209,14 +274,25 @@ impl BlockDeps {
         self.deps[later].contains(earlier)
     }
 
-    /// All `(earlier, later)` conflicting memory-op position pairs.
-    pub fn mem_conflicts(&self) -> &[(usize, usize)] {
-        &self.mem_conflicts
+    /// All `(earlier, later)` conflicting memory-op position pairs, sorted.
+    pub fn mem_conflicts(&self) -> Vec<(usize, usize)> {
+        self.conflicts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, row)| row.as_ref().map(|row| (i, row)))
+            .flat_map(|(i, row)| row.iter().filter(move |&j| j > i).map(move |j| (i, j)))
+            .collect()
     }
 
     /// The transitive SSA dependence set of position `i`.
     pub fn dep_set(&self, i: usize) -> &PosSet {
         &self.deps[i]
+    }
+
+    /// The memory operations position `i` conflicts with, in either
+    /// direction; `None` when `i` does not touch memory.
+    pub fn conflict_row(&self, i: usize) -> Option<&PosSet> {
+        self.conflicts[i].as_ref()
     }
 }
 
@@ -340,6 +416,100 @@ entry:
         assert_eq!(pairs, vec![(1, 2), (1, 4), (2, 4)]);
     }
 
+    /// Checks the conflict rows against the pairwise reference: symmetric,
+    /// `None` exactly off memory, and equal to `mem_conflicts()` and to
+    /// [`conflicts`] on every pair.
+    fn assert_rows_match_pairwise(m: &Module, func: &Function, d: &BlockDeps) {
+        let n = d.len();
+        let mut pairs = Vec::new();
+        for i in 0..n {
+            let is_mem = mem_access(m, func, d.insts[i]).is_some();
+            assert_eq!(d.conflict_row(i).is_some(), is_mem, "row presence at {i}");
+            for j in 0..n {
+                let row_hit = d.conflict_row(i).is_some_and(|r| r.contains(j));
+                let sym_hit = d.conflict_row(j).is_some_and(|r| r.contains(i));
+                assert_eq!(row_hit, sym_hit, "asymmetric rows at ({i}, {j})");
+                let reference = i != j && conflicts(m, func, d.insts[i], d.insts[j]);
+                assert_eq!(row_hit, reference, "row vs pairwise at ({i}, {j})");
+                if row_hit && i < j {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        assert_eq!(d.mem_conflicts(), pairs);
+    }
+
+    #[test]
+    fn conflict_rows_are_symmetric_and_match_pairs() {
+        let text = r#"
+module "t"
+declare @ext() -> void readwrite
+declare @peek() -> i32 readonly
+global @g : [4 x i32] = zero
+global @h : [4 x i32] = zero
+func @f(ptr %p0) -> void {
+entry:
+  %a = gep i32, @g, i32 0
+  %b = gep i32, @g, i32 1
+  %c = gep i32, @h, i32 0
+  store i32 1, %a
+  %v = load i32, %b
+  store %v, %c
+  %w = call i32 @peek()
+  store %w, %p0
+  call void @ext()
+  %x = load i32, %a
+  store %x, %b
+  ret
+}
+"#;
+        let m = parse_module(text).unwrap();
+        let func = m.func(m.func_by_name("f").unwrap());
+        let d = BlockDeps::compute(&m, func, func.entry_block());
+        assert!(!d.mem_conflicts().is_empty());
+        assert_rows_match_pairwise(&m, func, &d);
+    }
+
+    #[test]
+    fn rows_straddle_word_boundaries() {
+        // Memory ops and an SSA chain at positions 63, 64, 127 and 128: the
+        // last bit of a word and the first of the next, twice over.
+        let mut text = String::from(
+            "module \"t\"\nglobal @g : [4 x i32] = zero\nglobal @h : [4 x i32] = zero\n\
+             func @f(i32 %p0) -> void {\nentry:\n  %q = gep i32, @h, i32 1\n",
+        );
+        let mut prev = "%p0".to_string();
+        for pos in 1..130 {
+            let line = match pos {
+                63 => format!("  store {prev}, @g\n"),
+                64 => "  %l64 = load i32, @g\n".to_string(),
+                127 => "  store %l64, %q\n".to_string(),
+                128 => "  %l128 = load i32, %q\n".to_string(),
+                _ => {
+                    let line = format!("  %v{pos} = add i32 {prev}, i32 1\n");
+                    prev = format!("%v{pos}");
+                    line
+                }
+            };
+            text.push_str(&line);
+        }
+        text.push_str("  ret\n}\n");
+        let m = parse_module(&text).unwrap();
+        let func = m.func(m.func_by_name("f").unwrap());
+        let d = BlockDeps::compute(&m, func, func.entry_block());
+        assert_eq!(d.len(), 131);
+        assert_eq!(d.mem_conflicts(), vec![(63, 64), (127, 128)]);
+        assert!(d.depends_on(127, 64), "store of %l64 across the boundary");
+        assert!(d.depends_on(63, 1), "the add chain reaches the first word");
+        assert!(d.depends_on(129, 62));
+        assert!(!d.depends_on(129, 64), "the chain skips the loads");
+        assert!(d.depends_on(128, 0), "load through %q at position 0");
+        assert_rows_match_pairwise(&m, func, &d);
+        let row = d.conflict_row(64).unwrap();
+        assert_eq!(row.first_common(row), Some(63));
+        assert_eq!(row.last_common(row), Some(63));
+    }
+
     #[test]
     fn pos_set_basics() {
         let mut s = PosSet::new(130);
@@ -355,5 +525,8 @@ entry:
         assert!(t.union_with(&s));
         assert!(!t.union_with(&s));
         assert!(t.contains(0) && t.contains(5));
+        assert!(t.intersects(&s) && !PosSet::new(130).intersects(&s));
+        assert_eq!(t.first_common(&s), Some(0));
+        assert_eq!(t.last_common(&s), Some(129));
     }
 }

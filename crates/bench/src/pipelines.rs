@@ -78,7 +78,7 @@ fn run_pipeline_inner(
 
 /// Header matching [`analysis_csv_row`], for the `*-analysis.csv` dumps.
 pub fn analysis_csv_header() -> &'static str {
-    "label,dom_hits,dom_misses,loops_hits,loops_misses,deps_hits,deps_misses,\
+    "label,dom_hits,dom_misses,loops_hits,loops_misses,\
      alias_hits,alias_misses,effects_hits,effects_misses,hit_rate"
 }
 

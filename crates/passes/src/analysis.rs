@@ -16,8 +16,8 @@ use std::fmt;
 use std::ops::AddAssign;
 use std::rc::Rc;
 
-use rolag_analysis::{find_loops, resolve_pointer, BlockDeps, DomTree, Loop, PtrInfo};
-use rolag_ir::{BlockId, Effects, FuncId, Module, ValueId};
+use rolag_analysis::{find_loops, resolve_pointer, DomTree, Loop, PtrInfo};
+use rolag_ir::{Effects, FuncId, Module, ValueId};
 use rolag_transforms::effects_table;
 
 /// The analyses the manager caches.
@@ -27,8 +27,6 @@ pub enum AnalysisKind {
     Dominators,
     /// Natural-loop forest ([`find_loops`]), per function.
     Loops,
-    /// Block dependence graph ([`BlockDeps`]), per (function, block).
-    DepGraph,
     /// Base+offset pointer resolution ([`resolve_pointer`]), per
     /// (function, value).
     Alias,
@@ -39,10 +37,9 @@ pub enum AnalysisKind {
 
 impl AnalysisKind {
     /// Every cached analysis kind.
-    pub const ALL: [AnalysisKind; 5] = [
+    pub const ALL: [AnalysisKind; 4] = [
         AnalysisKind::Dominators,
         AnalysisKind::Loops,
-        AnalysisKind::DepGraph,
         AnalysisKind::Alias,
         AnalysisKind::EffectsTable,
     ];
@@ -56,7 +53,6 @@ impl AnalysisKind {
         match self {
             AnalysisKind::Dominators => "dom",
             AnalysisKind::Loops => "loops",
-            AnalysisKind::DepGraph => "deps",
             AnalysisKind::Alias => "alias",
             AnalysisKind::EffectsTable => "effects",
         }
@@ -122,10 +118,6 @@ pub struct AnalysisCacheStats {
     pub loops_hits: u64,
     /// Loop forests computed fresh.
     pub loops_misses: u64,
-    /// Block dependence graphs served from cache.
-    pub deps_hits: u64,
-    /// Block dependence graphs computed fresh.
-    pub deps_misses: u64,
     /// Pointer resolutions served from cache.
     pub alias_hits: u64,
     /// Pointer resolutions computed fresh.
@@ -145,8 +137,6 @@ impl AnalysisCacheStats {
             ("dom_misses", self.dom_misses),
             ("loops_hits", self.loops_hits),
             ("loops_misses", self.loops_misses),
-            ("deps_hits", self.deps_hits),
-            ("deps_misses", self.deps_misses),
             ("alias_hits", self.alias_hits),
             ("alias_misses", self.alias_misses),
             ("effects_hits", self.effects_hits),
@@ -159,7 +149,6 @@ impl AnalysisCacheStats {
         vec![
             ("dom", self.dom_hits, self.dom_misses),
             ("loops", self.loops_hits, self.loops_misses),
-            ("deps", self.deps_hits, self.deps_misses),
             ("alias", self.alias_hits, self.alias_misses),
             ("effects", self.effects_hits, self.effects_misses),
         ]
@@ -167,16 +156,12 @@ impl AnalysisCacheStats {
 
     /// Total queries served from cache.
     pub fn total_hits(&self) -> u64 {
-        self.dom_hits + self.loops_hits + self.deps_hits + self.alias_hits + self.effects_hits
+        self.dom_hits + self.loops_hits + self.alias_hits + self.effects_hits
     }
 
     /// Total queries computed fresh.
     pub fn total_misses(&self) -> u64 {
-        self.dom_misses
-            + self.loops_misses
-            + self.deps_misses
-            + self.alias_misses
-            + self.effects_misses
+        self.dom_misses + self.loops_misses + self.alias_misses + self.effects_misses
     }
 
     /// Fraction of all analysis queries served from cache, `0.0..=1.0`.
@@ -195,8 +180,6 @@ impl AddAssign for AnalysisCacheStats {
         self.dom_misses += rhs.dom_misses;
         self.loops_hits += rhs.loops_hits;
         self.loops_misses += rhs.loops_misses;
-        self.deps_hits += rhs.deps_hits;
-        self.deps_misses += rhs.deps_misses;
         self.alias_hits += rhs.alias_hits;
         self.alias_misses += rhs.alias_misses;
         self.effects_hits += rhs.effects_hits;
@@ -216,8 +199,8 @@ impl fmt::Display for AnalysisCacheStats {
     }
 }
 
-/// Caches dominators, loops, dependence graphs, pointer resolutions, and
-/// the call-effects table across the passes of one pipeline run.
+/// Caches dominators, loops, pointer resolutions, and the call-effects
+/// table across the passes of one pipeline run.
 ///
 /// Per-function entries carry the revision they were computed at and are
 /// only served while the function still has that revision; the
@@ -228,7 +211,6 @@ impl fmt::Display for AnalysisCacheStats {
 pub struct AnalysisManager {
     dom: HashMap<FuncId, (u64, Rc<DomTree>)>,
     loops: HashMap<FuncId, (u64, Rc<Vec<Loop>>)>,
-    deps: HashMap<(FuncId, BlockId), (u64, Rc<BlockDeps>)>,
     alias: HashMap<(FuncId, ValueId), (u64, Rc<PtrInfo>)>,
     effects: Option<Rc<Vec<Effects>>>,
     /// Hit/miss counters, cumulative over the manager's lifetime.
@@ -285,28 +267,6 @@ impl AnalysisManager {
         let loops = Rc::new(find_loops(module.func(id), &dom));
         self.loops.insert(id, (rev, Rc::clone(&loops)));
         loops
-    }
-
-    /// The dependence graph of `block` in `id`.
-    pub fn deps(&mut self, module: &Module, id: FuncId, block: BlockId) -> Rc<BlockDeps> {
-        let rev = module.func(id).revision();
-        if let Some((cached_rev, deps)) = self.deps.get(&(id, block)) {
-            if *cached_rev == rev {
-                self.stats.deps_hits += 1;
-                debug_assert_eq!(
-                    **deps,
-                    BlockDeps::compute(module, module.func(id), block),
-                    "stale dependence graph served for `{}` — a pass over-claimed \
-                     PreservedAnalyses::DepGraph",
-                    module.func(id).name
-                );
-                return Rc::clone(deps);
-            }
-        }
-        self.stats.deps_misses += 1;
-        let deps = Rc::new(BlockDeps::compute(module, module.func(id), block));
-        self.deps.insert((id, block), (rev, Rc::clone(&deps)));
-        deps
     }
 
     /// The base+offset resolution of pointer value `v` in `id`.
@@ -385,21 +345,6 @@ impl AnalysisManager {
                 ));
             }
         }
-        for (&(id, block), (rev, deps)) in &self.deps {
-            if id.index() >= nfuncs
-                || module.func(id).revision() != *rev
-                || block.index() >= module.func(id).num_blocks()
-            {
-                continue;
-            }
-            if **deps != BlockDeps::compute(module, module.func(id), block) {
-                return Err(format!(
-                    "dependence graph cached for `{}` block {} diverges from recomputation",
-                    module.func(id).name,
-                    block.index()
-                ));
-            }
-        }
         for (&(id, v), (rev, info)) in &self.alias {
             if id.index() >= nfuncs
                 || module.func(id).revision() != *rev
@@ -424,15 +369,14 @@ impl AnalysisManager {
     }
 
     /// How many per-function/per-key entries are currently cached, per
-    /// analysis kind (`dom`, `loops`, `deps`, `alias`, `effects`). Test
+    /// analysis kind (`dom`, `loops`, `alias`, `effects`). Test
     /// observability: the contract test uses it to prove a preserved
     /// analysis actually *survived* invalidation rather than being
     /// silently dropped.
-    pub fn cached_counts(&self) -> [(&'static str, usize); 5] {
+    pub fn cached_counts(&self) -> [(&'static str, usize); 4] {
         [
             ("dom", self.dom.len()),
             ("loops", self.loops.len()),
-            ("deps", self.deps.len()),
             ("alias", self.alias.len()),
             ("effects", usize::from(self.effects.is_some())),
         ]
@@ -468,17 +412,6 @@ impl AnalysisManager {
         } else {
             self.loops.clear();
         }
-        if preserved.preserves(AnalysisKind::DepGraph) {
-            self.deps.retain(|&(id, block), entry| {
-                let keep = valid(id) && block.index() < module.func(id).num_blocks();
-                if keep {
-                    entry.0 = module.func(id).revision();
-                }
-                keep
-            });
-        } else {
-            self.deps.clear();
-        }
         if preserved.preserves(AnalysisKind::Alias) {
             self.alias.retain(|&(id, v), entry| {
                 let keep = valid(id) && v.index() < module.func(id).num_values();
@@ -500,7 +433,7 @@ impl AnalysisManager {
     /// counterpart of [`AnalysisManager::invalidate`]. A
     /// [`FunctionPass`](crate::FunctionPass) only mutates the definition
     /// it was handed, so dropping just that function's entries keeps the
-    /// neighbours' cached dominator trees and dependence graphs serving
+    /// neighbours' cached dominator trees and pointer resolutions serving
     /// hits instead of paying for one changed function with a module-wide
     /// flush.
     ///
@@ -529,21 +462,6 @@ impl AnalysisManager {
             }
         } else {
             self.loops.remove(&id);
-        }
-        if preserved.preserves(AnalysisKind::DepGraph) {
-            let nblocks = module.func(id).num_blocks();
-            self.deps.retain(|&(f, block), entry| {
-                if f != id {
-                    return true;
-                }
-                let keep = block.index() < nblocks;
-                if keep {
-                    entry.0 = rev;
-                }
-                keep
-            });
-        } else {
-            self.deps.retain(|&(f, _), _| f != id);
         }
         if preserved.preserves(AnalysisKind::Alias) {
             let nvalues = module.func(id).num_values();
@@ -646,15 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn deps_and_alias_queries_cache_per_key() {
+    fn alias_queries_cache_per_key() {
         let m = sample();
         let id = m.func_by_name("f").unwrap();
         let f = m.func(id);
-        let entry = f.entry_block();
         let mut am = AnalysisManager::new();
-        am.deps(&m, id, entry);
-        am.deps(&m, id, entry);
-        assert_eq!((am.stats.deps_hits, am.stats.deps_misses), (1, 1));
         let v = f.param(0);
         am.pointer(&m, id, v);
         am.pointer(&m, id, v);
@@ -668,8 +582,8 @@ mod tests {
             dom_misses: 1,
             ..Default::default()
         };
-        assert_eq!(s.rows().len(), 10);
-        assert_eq!(s.per_kind().len(), 5);
+        assert_eq!(s.rows().len(), 8);
+        assert_eq!(s.per_kind().len(), 4);
         assert!((s.hit_rate() - 0.75).abs() < 1e-9);
         let mut t = s;
         t += s;

@@ -175,7 +175,6 @@ impl<P: FunctionPass> ModulePass for ForEach<P> {
         let mut preserved = PreservedAnalyses::none()
             .preserve(AnalysisKind::Dominators)
             .preserve(AnalysisKind::Loops)
-            .preserve(AnalysisKind::DepGraph)
             .preserve(AnalysisKind::Alias);
         if effects_preserved {
             preserved = preserved.preserve(AnalysisKind::EffectsTable);

@@ -52,6 +52,7 @@ use rolag_analysis::cost::BlockSizeCache;
 use rolag_ir::{BlockId, Function, ValueDef, ValueId};
 use rolag_lower::SizeSketch;
 
+use crate::schedule::ScheduleCache;
 use crate::seeds::Candidate;
 
 /// A memoized reject verdict for a candidate attempt.
@@ -96,6 +97,10 @@ pub(crate) struct FunctionCache {
     pub cands: HashMap<BlockId, Vec<Candidate>>,
     /// Reject verdicts keyed by the structural candidate itself.
     pub memo: HashMap<Candidate, MemoEntry>,
+    /// Block dependences and the use map of the scheduling analysis, kept
+    /// across a sweep's candidates (keyed by block and revision, so a
+    /// commit drops them without help from [`FunctionCache::invalidate`]).
+    pub sched: ScheduleCache,
 }
 
 impl FunctionCache {

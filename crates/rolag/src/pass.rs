@@ -25,7 +25,7 @@ use crate::incremental::{
     FunctionCache, MemoEntry, MemoVerdict,
 };
 use crate::options::RolagOptions;
-use crate::schedule::{self, Schedule};
+use crate::schedule::{self, Schedule, ScheduleCache};
 use crate::seeds::{collect_block_candidates, collect_candidates, Candidate};
 use crate::stats::RolagStats;
 
@@ -398,16 +398,20 @@ pub(crate) fn build_graph(
     })
 }
 
-/// Scheduling stage, shared by both engines.
+/// Scheduling stage, shared by every engine. `cache` serves the block's
+/// dependences and the use map across a sweep's candidates; the full-rescan
+/// reference passes `None` and recomputes them per candidate.
 pub(crate) fn analyze_schedule(
     module: &Module,
     work: &Function,
     block: BlockId,
     graph: &AlignGraph,
+    cache: Option<&mut ScheduleCache>,
     stats: &mut RolagStats,
 ) -> Option<Schedule> {
-    timed(&mut stats.timings.schedule_ns, || {
-        schedule::analyze(module, work, block, graph)
+    timed(&mut stats.timings.schedule_ns, || match cache {
+        Some(cache) => cache.analyze(module, work, block, graph),
+        None => schedule::analyze(module, work, block, graph),
     })
 }
 
@@ -510,7 +514,7 @@ fn try_candidate(
     let Some(graph) = build_graph(module, work, cand, opts, stats) else {
         return Attempt::ScheduleRejected;
     };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, stats) else {
+    let Some(sched) = analyze_schedule(module, work, block, &graph, None, stats) else {
         return Attempt::ScheduleRejected;
     };
 
@@ -588,7 +592,8 @@ fn try_candidate_incremental(
     let Some(graph) = build_graph(module, work, cand, opts, stats) else {
         return IncrAttempt::ScheduleRejected;
     };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, stats) else {
+    let Some(sched) = analyze_schedule(module, work, block, &graph, Some(&mut cache.sched), stats)
+    else {
         return IncrAttempt::ScheduleRejected;
     };
 

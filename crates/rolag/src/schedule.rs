@@ -13,21 +13,18 @@
 //! * the values consumed by mismatching/identical/recurrence-init lanes
 //!   must be available in the preheader (in particular, they must not
 //!   themselves be rolled away).
+//!
+//! Every check works on the bitset rows of [`BlockDeps`], so a candidate
+//! costs O(n · n/64) word operations for an `n`-instruction block (see
+//! DESIGN.md, *Scheduling analysis*).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-use rolag_analysis::depgraph::BlockDeps;
-use rolag_ir::{BlockId, Function, InstId, Module, Opcode};
+use rolag_analysis::depgraph::{BlockDeps, PosSet};
+use rolag_ir::{BlockId, Function, InstId, Module, Opcode, UseMap};
 
 use crate::align::{AlignGraph, NodeKind};
-
-/// Where an external instruction is placed relative to the rolled loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Unknown,
-    Before,
-    After,
-}
 
 /// A valid placement produced by the analysis.
 #[derive(Debug, Clone)]
@@ -43,6 +40,10 @@ pub struct Schedule {
 
 /// Runs the scheduling analysis. Returns `None` when the rearrangement
 /// would break semantics.
+///
+/// Computes the block's [`BlockDeps`] and the function's use map from
+/// scratch; a caller analysing many candidates of one function state
+/// should go through a [`ScheduleCache`] instead.
 pub fn analyze(
     module: &Module,
     func: &Function,
@@ -54,15 +55,79 @@ pub fn analyze(
         return None;
     }
     let deps = BlockDeps::compute(module, func, block);
+    analyze_with(func, block, graph, graph_insts, &deps, &func.compute_uses())
+}
+
+/// The inputs of [`analyze`] that depend only on the function state, kept
+/// across the candidates of one fixpoint sweep: per-block [`BlockDeps`] and
+/// the function's [`UseMap`], keyed by `(block, Function::revision())`.
+///
+/// The key is sound because the states a sweep passes between candidates
+/// all carry the same revision *and* the same block contents: a rejected
+/// candidate rolls its speculation window back, which restores the
+/// pre-window revision together with the arenas, and interning constants
+/// during graph construction never bumps the revision — it appends values
+/// no instruction uses, which changes no dependence row and no use list.
+/// A commit takes a fresh revision, so the next lookup drops every entry.
+#[derive(Debug, Default)]
+pub struct ScheduleCache {
+    revision: Option<u64>,
+    uses: Option<UseMap>,
+    deps: HashMap<BlockId, BlockDeps>,
+}
+
+impl ScheduleCache {
+    /// [`analyze`] with the block's dependences and the function's use map
+    /// served from the cache when `func` still has the revision they were
+    /// computed at.
+    pub fn analyze(
+        &mut self,
+        module: &Module,
+        func: &Function,
+        block: BlockId,
+        graph: &AlignGraph,
+    ) -> Option<Schedule> {
+        let graph_insts = graph.graph_insts();
+        if graph_insts.is_empty() {
+            return None;
+        }
+        if self.revision != Some(func.revision()) {
+            self.revision = Some(func.revision());
+            self.uses = None;
+            self.deps.clear();
+        }
+        let deps = match self.deps.entry(block) {
+            Entry::Occupied(hit) => {
+                let deps = hit.into_mut();
+                debug_assert_eq!(
+                    *deps,
+                    BlockDeps::compute(module, func, block),
+                    "cached block dependences diverged from a fresh compute"
+                );
+                deps
+            }
+            Entry::Vacant(miss) => miss.insert(BlockDeps::compute(module, func, block)),
+        };
+        let uses = self.uses.get_or_insert_with(|| func.compute_uses());
+        analyze_with(func, block, graph, graph_insts, deps, uses)
+    }
+}
+
+/// The analysis proper, over precomputed dependences and uses.
+fn analyze_with(
+    func: &Function,
+    block: BlockId,
+    graph: &AlignGraph,
+    graph_insts: HashSet<InstId>,
+    deps: &BlockDeps,
+    uses: &UseMap,
+) -> Option<Schedule> {
     let n = deps.len();
-    let conflict_set: HashSet<(usize, usize)> = deps.mem_conflicts().iter().copied().collect();
-    let pos_of = |inst: InstId| deps.position(inst);
 
     // Sanity: every graph instruction is in this block.
-    let mut in_graph = vec![false; n];
+    let mut in_graph = PosSet::new(n);
     for &g in &graph_insts {
-        let p = pos_of(g)?;
-        in_graph[p] = true;
+        in_graph.insert(deps.position(g)?);
     }
 
     // --- availability of loop inputs ---------------------------------------
@@ -70,14 +135,14 @@ pub fn analyze(
     // recurrence inits) must not be instructions we are deleting.
     for node in graph.node_ids() {
         let data = graph.node(node);
-        let feeds: Vec<rolag_ir::ValueId> = match &data.kind {
-            NodeKind::Mismatch => data.lanes.clone(),
-            NodeKind::Identical => vec![data.lanes[0]],
-            NodeKind::Recurrence { init, .. } => vec![*init],
-            NodeKind::Reduction { carry: Some(v), .. } => vec![*v],
+        let feeds: &[rolag_ir::ValueId] = match &data.kind {
+            NodeKind::Mismatch => &data.lanes,
+            NodeKind::Identical => &data.lanes[..1],
+            NodeKind::Recurrence { init, .. } => std::slice::from_ref(init),
+            NodeKind::Reduction { carry: Some(v), .. } => std::slice::from_ref(v),
             _ => continue,
         };
-        for v in feeds {
+        for &v in feeds {
             if let Some(inst) = func.value(v).as_inst() {
                 if graph_insts.contains(&inst) {
                     return None;
@@ -105,7 +170,6 @@ pub fn analyze(
             }
         }
     }
-    let uses = func.compute_uses();
     for (&inst, &(node, lane)) in &graph.claimed {
         let result = func.inst_result(inst);
         for &(user, _) in uses.of(result) {
@@ -144,131 +208,102 @@ pub fn analyze(
         .enumerate()
         .map(|(k, &id)| (id, k))
         .collect();
-    let mut new_key: HashMap<usize, (usize, usize)> = HashMap::new();
+    let mut new_key: Vec<Option<(usize, usize)>> = vec![None; n];
     for (&inst, &(node, lane)) in &graph.claimed {
-        if let Some(p) = pos_of(inst) {
-            new_key.insert(p, (lane, node_order[&node]));
+        if let Some(p) = deps.position(inst) {
+            new_key[p] = Some((lane, node_order[&node]));
         }
     }
-    for &(a, b) in deps.mem_conflicts() {
-        match (new_key.get(&a), new_key.get(&b)) {
-            (Some(ka), Some(kb))
-                // a < b originally; the rolled order must agree.
-                if ka >= kb => {
-                    return None;
-                }
-            _ => {} // handled by the external classification below
+    for a in in_graph.iter() {
+        let (Some(row), Some(ka)) = (deps.conflict_row(a), new_key[a]) else {
+            continue;
+        };
+        for b in row.iter().filter(|&b| b > a) {
+            // a < b originally; the rolled order must agree.
+            if new_key[b].is_some_and(|kb| ka >= kb) {
+                return None;
+            }
         }
     }
 
     // --- classify external instructions -------------------------------------
-    let mut side = vec![Side::Unknown; n];
+    // An external instruction goes *before* the loop when the graph depends
+    // on it (it is in the union of the graph's dependence rows) or it
+    // conflicts with a later graph memory operation, and *after* when it
+    // depends on the graph (its own row meets the graph) or conflicts with an
+    // earlier one. Phis stay at the block head; the terminator goes last.
     let term = *func.block(block).insts.last()?;
+    let mut graph_needs = PosSet::new(n);
+    for g in in_graph.iter() {
+        graph_needs.union_with(deps.dep_set(g));
+    }
+    let mut before = PosSet::new(n);
+    let mut after = PosSet::new(n);
+    let mut external = Vec::with_capacity(n);
     for p in 0..n {
-        if in_graph[p] {
+        if in_graph.contains(p) {
             continue;
         }
+        external.push(p);
         let inst = deps.insts[p];
-        let data = func.inst(inst);
         if inst == term {
-            side[p] = Side::After;
+            after.insert(p);
             continue;
         }
-        if data.opcode == Opcode::Phi {
-            side[p] = Side::Before; // phis must stay at the block head
-        }
-        let mut before = side[p] == Side::Before;
-        let mut after = false;
-        #[allow(clippy::needless_range_loop)] // parallel index into two tables
-        for g in 0..n {
-            if !in_graph[g] {
-                continue;
-            }
-            // SSA: graph depends on external -> external goes before;
-            //      external depends on graph -> external goes after.
-            if g > p && deps.depends_on(g, p) {
-                before = true;
-            }
-            if p > g && deps.depends_on(p, g) {
-                after = true;
-            }
-            // Memory: conflicting pairs keep their original order.
-            let conflict = conflict_set.contains(&(p.min(g), p.max(g)));
-            if conflict {
-                if p < g {
-                    before = true;
-                } else {
-                    after = true;
-                }
-            }
-        }
-        side[p] = match (before, after) {
+        let conflicts = deps.conflict_row(p);
+        let pulled_before = func.inst(inst).opcode == Opcode::Phi
+            || graph_needs.contains(p)
+            || conflicts.is_some_and(|row| row.last_common(&in_graph).is_some_and(|g| g > p));
+        let pulled_after = deps.dep_set(p).intersects(&in_graph)
+            || conflicts.is_some_and(|row| row.first_common(&in_graph).is_some_and(|g| g < p));
+        match (pulled_before, pulled_after) {
             (true, true) => return None, // pulled both ways
-            (true, false) => Side::Before,
-            (false, true) => Side::After,
-            (false, false) => Side::Unknown,
-        };
+            (true, false) => before.insert(p),
+            (false, true) => after.insert(p),
+            (false, false) => {}
+        }
     }
 
     // --- propagate constraints among externals -------------------------------
-    // For external p < q with q depending on p (SSA) or conflicting memory:
-    // placement must keep p before q, so (After, Before) is impossible and
-    // Before pulls its suppliers Before / After pushes its dependents After.
-    let ext_pairs: Vec<(usize, usize)> = {
-        let mut pairs = Vec::new();
-        for q in 0..n {
-            if in_graph[q] {
-                continue;
-            }
-            #[allow(clippy::needless_range_loop)] // parallel index
-            for p in 0..q {
-                if in_graph[p] {
-                    continue;
-                }
-                let dep = deps.depends_on(q, p) || conflict_set.contains(&(p, q));
-                if dep {
-                    pairs.push((p, q));
-                }
-            }
+    // For external p < q with q depending on p (SSA) or conflicting memory,
+    // placement must keep p before q: everything reachable from an `after`
+    // instruction along such edges goes after too, everything that reaches a
+    // `before` instruction goes before too. Edges only run forward in the
+    // block, so one ascending sweep closes `after` and one descending sweep
+    // closes `before`; the placement is impossible exactly when the two
+    // closures meet (an after-instruction would have to precede a
+    // before-instruction).
+    // Conflict rows are symmetric, so only their part below `q` counts.
+    for &q in &external {
+        if !after.contains(q)
+            && (deps.dep_set(q).intersects(&after)
+                || deps
+                    .conflict_row(q)
+                    .is_some_and(|row| row.first_common(&after).is_some_and(|p| p < q)))
+        {
+            after.insert(q);
         }
-        pairs
-    };
-    loop {
-        let mut changed = false;
-        for &(p, q) in &ext_pairs {
-            match (side[p], side[q]) {
-                (Side::After, Side::Before) => return None,
-                (Side::After, Side::Unknown) => {
-                    side[q] = Side::After;
-                    changed = true;
-                }
-                (Side::Unknown, Side::Before) => {
-                    side[p] = Side::Before;
-                    changed = true;
-                }
-                _ => {}
+    }
+    let mut needed_by_before = PosSet::new(n);
+    for &p in external.iter().rev() {
+        if before.contains(p) || needed_by_before.contains(p) {
+            if after.contains(p) {
+                return None;
             }
-        }
-        if !changed {
-            break;
+            before.insert(p);
+            needed_by_before.union_with(deps.dep_set(p));
+            if let Some(row) = deps.conflict_row(p) {
+                needed_by_before.union_with(row);
+            }
         }
     }
 
     // Independent leftovers go after the loop (Fig. 13).
-    let mut before = Vec::new();
-    let mut after = Vec::new();
-    for p in 0..n {
-        if in_graph[p] {
-            continue;
-        }
-        match side[p] {
-            Side::Before => before.push(deps.insts[p]),
-            _ => after.push(deps.insts[p]),
-        }
-    }
+    let (before, after): (Vec<usize>, Vec<usize>) =
+        external.into_iter().partition(|&p| before.contains(p));
     Some(Schedule {
-        before,
-        after,
+        before: before.into_iter().map(|p| deps.insts[p]).collect(),
+        after: after.into_iter().map(|p| deps.insts[p]).collect(),
         graph_insts,
     })
 }

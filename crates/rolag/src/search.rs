@@ -44,6 +44,7 @@ use crate::options::{RolagOptions, SearchConfig};
 use crate::pass::{
     analyze_schedule, build_graph, fresh_function_size, rewrite_hints, rollback_globals, timed,
 };
+use crate::schedule::ScheduleCache;
 use crate::seeds::{candidate_variants, collect_candidates, Candidate};
 use crate::stats::RolagStats;
 
@@ -208,6 +209,7 @@ fn beam_roll(
     // *commit* (not per candidate) stands in for it, caught up on interned
     // constants before each speculation window.
     let mut reference = work.clone();
+    let mut sched = ScheduleCache::default();
     stats.size_before = timed(&mut stats.timings.cost_ns, || {
         fresh_function_size(module, &work, opts)
     });
@@ -244,6 +246,7 @@ fn beam_roll(
                 module,
                 &mut work,
                 &mut reference,
+                &mut sched,
                 &cand,
                 cx,
                 &mut stats,
@@ -293,6 +296,7 @@ fn beam_roll(
                 module,
                 &mut work,
                 &mut reference,
+                &mut sched,
                 &scored[i].cand,
                 cx,
                 &mut stats,
@@ -327,10 +331,12 @@ enum Speculation {
 /// generate, validate, clean up, score — then rolls everything back
 /// (function and globals). `work` is byte-identical afterwards except for
 /// inert interned constants, which `reference` absorbs before the window.
+#[allow(clippy::too_many_arguments)] // one slot per engine input
 fn speculate(
     module: &mut Module,
     work: &mut Function,
     reference: &mut Function,
+    sched_cache: &mut ScheduleCache,
     cand: &Candidate,
     cx: &SearchCx,
     stats: &mut RolagStats,
@@ -341,7 +347,8 @@ fn speculate(
     let Some(graph) = build_graph(module, work, cand, opts, stats) else {
         return Speculation::ScheduleRejected;
     };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, stats) else {
+    let Some(sched) = analyze_schedule(module, work, block, &graph, Some(sched_cache), stats)
+    else {
         return Speculation::ScheduleRejected;
     };
     reference.absorb_interned_values(work);
@@ -416,6 +423,7 @@ fn commit_candidate(
     module: &mut Module,
     work: &mut Function,
     reference: &mut Function,
+    sched_cache: &mut ScheduleCache,
     cand: &Candidate,
     cx: &SearchCx,
     stats: &mut RolagStats,
@@ -429,7 +437,9 @@ fn commit_candidate(
         stats.timings += scratch.timings;
         return false;
     };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, &mut scratch) else {
+    let Some(sched) =
+        analyze_schedule(module, work, block, &graph, Some(sched_cache), &mut scratch)
+    else {
         stats.timings += scratch.timings;
         return false;
     };
@@ -487,12 +497,14 @@ fn rollout_score(
     let base_globals = module.num_globals();
     let mut sim = work.clone();
     let mut sim_ref = reference.clone();
+    let mut sim_sched = ScheduleCache::default();
     let mut scratch = RolagStats::default();
 
     if !commit_candidate(
         module,
         &mut sim,
         &mut sim_ref,
+        &mut sim_sched,
         &scored.cand,
         cx,
         &mut scratch,
@@ -516,6 +528,7 @@ fn rollout_score(
                 module,
                 &mut sim,
                 &mut sim_ref,
+                &mut sim_sched,
                 &cand,
                 cx,
                 &mut scratch,
@@ -523,7 +536,15 @@ fn rollout_score(
             );
             if let Speculation::Scored { new_size } = spec {
                 if new_size < old_size
-                    && commit_candidate(module, &mut sim, &mut sim_ref, &cand, cx, &mut scratch)
+                    && commit_candidate(
+                        module,
+                        &mut sim,
+                        &mut sim_ref,
+                        &mut sim_sched,
+                        &cand,
+                        cx,
+                        &mut scratch,
+                    )
                 {
                     commits += 1;
                     continue 'sweeps;

@@ -5,7 +5,7 @@
 //! grouped by callee, and roots of reduction trees. Alternating groups are
 //! additionally proposed as joint candidates (§IV-C6).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use rolag_analysis::alias::{resolve_pointer, BaseObject};
 use rolag_ir::{BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, ValueDef, ValueId};
@@ -224,9 +224,10 @@ pub fn collect_in_block(
 
     // --- joint candidates: alternating groups of equal size (§IV-C6) -------
     // All maximal k-way round-robins are proposed first (k >= 2), then the
-    // pairwise ones not subsumed by a larger joint.
+    // pairwise ones not subsumed by a larger joint. Group sizes are visited
+    // in ascending order, so the candidate order is deterministic.
     if opts.enable_joint {
-        let mut by_size: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut by_size: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (idx, (_, seeds)) in big.iter().enumerate() {
             by_size.entry(seeds.len()).or_default().push(idx);
         }
@@ -384,7 +385,13 @@ fn collect_reductions(
 ) {
     let uses = func.compute_uses();
     let insts = &func.block(block).insts;
-    let in_block: std::collections::HashSet<InstId> = insts.iter().copied().collect();
+    // Block position of every instruction; doubles as the membership test.
+    let pos_map: HashMap<InstId, usize> = insts
+        .iter()
+        .enumerate()
+        .map(|(p, &inst)| (inst, p))
+        .collect();
+    let in_block = |inst: &InstId| pos_map.contains_key(inst);
     for &i in insts {
         let data = func.inst(i);
         let opcode = data.opcode;
@@ -398,7 +405,7 @@ fn collect_reductions(
         let is_root = !uses
             .of(result)
             .iter()
-            .any(|&(user, _)| in_block.contains(&user) && func.inst(user).opcode == opcode);
+            .any(|&(user, _)| in_block(&user) && func.inst(user).opcode == opcode);
         if !is_root {
             continue;
         }
@@ -411,7 +418,7 @@ fn collect_reductions(
             for &op in &func.inst(n).operands {
                 let as_internal = match func.value(op) {
                     ValueDef::Inst(inner)
-                        if in_block.contains(inner)
+                        if in_block(inner)
                             && func.inst(*inner).opcode == opcode
                             && uses.count(op) == 1 =>
                     {
@@ -435,11 +442,6 @@ fn collect_reductions(
         // Canonicalize leaf order by block position (associativity and
         // commutativity allow it): this lets strided leaves align their
         // index groups into sequences rather than shuffled mismatch arrays.
-        let pos_map: HashMap<InstId, usize> = insts
-            .iter()
-            .enumerate()
-            .map(|(p, &inst)| (inst, p))
-            .collect();
         let leaf_pos = |v: ValueId, func: &Function| match func.value(v) {
             ValueDef::Inst(inner) => {
                 if func.inst(*inner).opcode == Opcode::Phi {
@@ -456,9 +458,7 @@ fn collect_reductions(
         // outside) is the accumulator carried into a partially unrolled
         // reduction; split it off as the chain's entry value.
         let is_plain = |v: ValueId| match func.value(v) {
-            ValueDef::Inst(inner) => {
-                in_block.contains(inner) && func.inst(*inner).opcode != Opcode::Phi
-            }
+            ValueDef::Inst(inner) => in_block(inner) && func.inst(*inner).opcode != Opcode::Phi,
             _ => false,
         };
         let odd: Vec<usize> = (0..leaves.len())
@@ -565,6 +565,54 @@ entry:
             .filter(|c| matches!(c, Candidate::Seeds { groups, .. } if groups.len() == 1))
             .count();
         assert_eq!(plains, 2);
+    }
+
+    /// Two sizes of alternating groups in one block: 2-lane stores to @a
+    /// and @b, then 3-lane stores to @c and @d. Their joint candidates come
+    /// out smallest size first, on every collection.
+    #[test]
+    fn joint_candidates_are_ordered_by_group_size() {
+        let text = r#"
+module "t"
+global @a : [4 x i32] = zero
+global @b : [4 x i32] = zero
+global @c : [4 x i32] = zero
+global @d : [4 x i32] = zero
+func @f() -> void {
+entry:
+  store i32 1, @a
+  store i32 2, @b
+  %a1 = gep i32, @a, i64 1
+  store i32 3, %a1
+  %b1 = gep i32, @b, i64 1
+  store i32 4, %b1
+  store i32 5, @c
+  store i32 6, @d
+  %c1 = gep i32, @c, i64 1
+  store i32 7, %c1
+  %d1 = gep i32, @d, i64 1
+  store i32 8, %d1
+  %c2 = gep i32, @c, i64 2
+  store i32 9, %c2
+  %d2 = gep i32, @d, i64 2
+  store i32 10, %d2
+  ret
+}
+"#;
+        let (_m, first) = candidates(text);
+        let joint_lanes: Vec<(usize, usize)> = first
+            .iter()
+            .filter_map(|c| match c {
+                Candidate::Seeds { groups, .. } if groups.len() > 1 => {
+                    Some((groups.len(), groups[0].len()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(joint_lanes, vec![(2, 2), (2, 3)], "ascending group size");
+        for _ in 0..16 {
+            assert_eq!(candidates(text).1, first, "candidate order must not vary");
+        }
     }
 
     #[test]

@@ -764,7 +764,7 @@ impl<'a> Validator<'a> {
             .enumerate()
             .map(|(k, &i)| (i, k))
             .collect();
-        for &(a, b) in conflicts {
+        for (a, b) in conflicts {
             let (ia, ib) = (deps.insts[a], deps.insts[b]);
             let (Some(&pa), Some(&pb)) = (pos.get(&ia), pos.get(&ib)) else {
                 return Err(TvError::MemoryOrder(format!(

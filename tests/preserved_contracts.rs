@@ -16,8 +16,8 @@ use rolag_suites::tsvc::build_suite_module;
 use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 
 /// Fills the cache with every analysis kind for every definition:
-/// dominators, loop forests, per-block dependence graphs, pointer
-/// resolutions for every `gep` result, and the effects table.
+/// dominators, loop forests, pointer resolutions for every `gep` result,
+/// and the effects table.
 fn prime(am: &mut AnalysisManager, m: &Module) {
     am.effects(m);
     for id in m.func_ids() {
@@ -27,9 +27,6 @@ fn prime(am: &mut AnalysisManager, m: &Module) {
         am.dom(m, id);
         am.loops(m, id);
         let f = m.func(id);
-        for b in f.block_ids() {
-            am.deps(m, id, b);
-        }
         for inst in f.live_insts() {
             if f.inst(inst).opcode == Opcode::Gep {
                 am.pointer(m, id, f.inst_result(inst));
@@ -250,9 +247,9 @@ fn instruction_level_passes_keep_cfg_analyses() {
             "`{name}` drops the effects table"
         );
         assert_eq!(
-            cached(&am, "deps"),
+            cached(&am, "alias"),
             0,
-            "`{name}` rewrote instructions; dependence graphs must not survive"
+            "`{name}` rewrote instructions; pointer resolutions must not survive"
         );
     }
 }
@@ -286,8 +283,8 @@ fn cfg_restructuring_passes_drop_cfg_analyses() {
 }
 
 /// A pass that changes nothing preserves *everything* — the second
-/// cleanup of an already-clean module keeps even the dependence graphs
-/// and pointer resolutions alive.
+/// cleanup of an already-clean module keeps the effects table and the CFG
+/// analyses alive.
 #[test]
 fn no_change_runs_preserve_everything() {
     let mut m = parse_module(CLEANUPABLE).unwrap();
@@ -295,7 +292,7 @@ fn no_change_runs_preserve_everything() {
     let (changed, am) = run_one("cleanup", None, &mut m);
     assert!(!changed, "module was pre-cleaned");
     assert!(
-        cached(&am, "deps") > 0 && cached(&am, "dom") > 0 && cached(&am, "loops") > 0,
+        cached(&am, "effects") == 1 && cached(&am, "dom") > 0 && cached(&am, "loops") > 0,
         "a no-op run must keep every cached analysis, counts: {:?}",
         am.cached_counts()
     );
@@ -304,8 +301,8 @@ fn no_change_runs_preserve_everything() {
 /// Per-function preservation: a function pass that rewrites only one
 /// function must not drop its neighbours' cached analyses. `@cold` here is
 /// already CSE-clean, so after a `cse` run that rewrites only `@hot`,
-/// `@cold`'s dominator tree, loop forest, dependence graph, and pointer
-/// resolutions all keep serving hits — while `@hot` pays exactly its own
+/// `@cold`'s dominator tree, loop forest, and pointer resolutions all keep
+/// serving hits — while `@hot` pays exactly its own
 /// contract (CFG analyses survive, instruction-level ones are dropped).
 #[test]
 fn function_pass_keeps_neighbour_caches() {
@@ -317,6 +314,8 @@ entry:
   %1 = add i32 %p0, i32 5
   %2 = add i32 %p0, i32 5
   %3 = mul i32 %1, %2
+  %g = gep i32, @a, i64 1
+  store %3, %g
   ret %3
 }
 func @cold() -> i32 {
@@ -335,39 +334,32 @@ entry:
     let before = am.stats;
     am.dom(&m, cold);
     am.loops(&m, cold);
-    am.deps(&m, cold, m.func(cold).entry_block());
-    let cold_gep = {
-        let f = m.func(cold);
+    let gep_of = |id| {
+        let f = m.func(id);
         f.live_insts()
             .find(|&i| f.inst(i).opcode == Opcode::Gep)
             .map(|i| f.inst_result(i))
-            .expect("cold has a gep")
+            .expect("fixture function has a gep")
     };
-    am.pointer(&m, cold, cold_gep);
+    am.pointer(&m, cold, gep_of(cold));
     assert_eq!(
         (
             am.stats.dom_misses,
             am.stats.loops_misses,
-            am.stats.deps_misses,
             am.stats.alias_misses,
         ),
-        (
-            before.dom_misses,
-            before.loops_misses,
-            before.deps_misses,
-            before.alias_misses,
-        ),
+        (before.dom_misses, before.loops_misses, before.alias_misses,),
         "the untouched neighbour's analyses must all survive a cse run \
          that changed only @hot"
     );
 
     // The changed function's instruction-level entries were dropped by its
     // own contract...
-    am.deps(&m, hot, m.func(hot).entry_block());
+    am.pointer(&m, hot, gep_of(hot));
     assert_eq!(
-        am.stats.deps_misses,
-        before.deps_misses + 1,
-        "@hot's dependence graph must be recomputed after cse rewrote it"
+        am.stats.alias_misses,
+        before.alias_misses + 1,
+        "@hot's pointer resolutions must be recomputed after cse rewrote it"
     );
     // ...while its CFG analyses survived (cse never touches blocks/edges).
     am.dom(&m, hot);
