@@ -5,15 +5,19 @@
 //! Besides the usual min/median/mean table this bench writes
 //! `BENCH_search.json` at the repository root: per-strategy wall time,
 //! total measured text bytes per corpus and strategy, and the beam's
-//! search counters (explored/pruned/tv-rejected/adopted). CI re-reads the
-//! checked-in JSON with `--check-bench <path>` and fails when the beam's
-//! recorded tsvc24 total exceeds greedy's — the monotonicity the search
-//! engine promises by construction.
+//! search counters (explored/pruned/tv-rejected/adopted).
+//!
+//! `--check-bench <path>` re-rolls both corpora under both strategies and
+//! fails when the text totals or the search counters differ from the ones
+//! recorded in the checked-in JSON, or when beam:4 measures larger than
+//! greedy on either corpus (the monotonicity the search engine promises by
+//! construction). Only deterministic fields are compared; timings are not
+//! gated.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use rolag::{roll_module, RolagOptions, RolagStats, SearchConfig};
+use rolag::{roll_module, RolagOptions, RolagStats, SearchConfig, SearchStats};
 use rolag_bench::harness::{BenchGroup, Measurement};
 use rolag_ir::Module;
 use rolag_lower::measure_module;
@@ -69,6 +73,43 @@ fn roll_corpus(inputs: &[Module], opts: &RolagOptions) -> (u64, RolagStats) {
     (text, stats)
 }
 
+/// The deterministic results on one corpus: summed post-roll text bytes
+/// under greedy and beam:4, and the beam's search counters.
+struct Outcome {
+    corpus: &'static str,
+    greedy_text: u64,
+    beam_text: u64,
+    search: SearchStats,
+}
+
+impl Outcome {
+    fn measure(corpus: &'static str, inputs: &[Module]) -> Outcome {
+        let (greedy_text, _) = roll_corpus(inputs, &RolagOptions::default());
+        let (beam_text, beam_stats) = roll_corpus(inputs, &beam4());
+        Outcome {
+            corpus,
+            greedy_text,
+            beam_text,
+            search: beam_stats.search,
+        }
+    }
+
+    /// `(key, bytes)` entries of the report's `sizes` object.
+    fn sizes(&self) -> [(String, u64); 2] {
+        [
+            (format!("greedy_text_{}", self.corpus), self.greedy_text),
+            (format!("beam4_text_{}", self.corpus), self.beam_text),
+        ]
+    }
+}
+
+fn outcomes(tsvc: &[Module], angha: &[Module]) -> [Outcome; 2] {
+    [
+        Outcome::measure("tsvc24", tsvc),
+        Outcome::measure("angha64", angha),
+    ]
+}
+
 /// `"label": {...}` JSON object for one measurement.
 fn bench_json(m: &Measurement) -> String {
     format!(
@@ -79,19 +120,24 @@ fn bench_json(m: &Measurement) -> String {
     )
 }
 
-/// Extracts the integer value of `"key": N` from hand-rolled JSON. The
-/// schema keeps every checked key globally unique, so plain text search
-/// is exact.
-fn json_u64(text: &str, key: &str) -> Result<u64, String> {
-    let needle = format!("\"{key}\":");
-    let at = text
-        .find(&needle)
-        .ok_or_else(|| format!("key \"{key}\" not found"))?;
-    let rest = text[at + needle.len()..].trim_start();
+/// Extracts the integer value of `"key": N` from the flat object that
+/// follows `"scope":` in hand-rolled JSON. The schema keeps every scope
+/// name globally unique and every key unique within its scope, so plain
+/// text search is exact.
+fn json_u64(text: &str, scope: &str, key: &str) -> Result<u64, String> {
+    let find = |text: &str, name: &str| {
+        let needle = format!("\"{name}\":");
+        text.find(&needle)
+            .map(|at| at + needle.len())
+            .ok_or_else(|| format!("key \"{scope}.{key}\" not found"))
+    };
+    let body = &text[find(text, scope)?..];
+    let body = &body[..body.find('}').unwrap_or(body.len())];
+    let rest = body[find(body, key)?..].trim_start();
     let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
     digits
         .parse()
-        .map_err(|_| format!("key \"{key}\" has no integer value"))
+        .map_err(|_| format!("key \"{scope}.{key}\" has no integer value"))
 }
 
 /// The workspace root, where `BENCH_search.json` lives.
@@ -103,28 +149,53 @@ fn repo_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// `--check-bench <path>`: re-reads a previously written
-/// `BENCH_search.json` and enforces the size gate — the beam:4 total on
-/// tsvc24 must not exceed greedy's. Exits non-zero on violation.
-/// Relative paths resolve against the workspace root (where the bench
-/// writes the JSON), since `cargo bench` runs with the package as cwd.
+/// `--check-bench <path>`: re-rolls tsvc24 and angha64 greedily and
+/// with beam:4 and compares the text totals and search counters with the
+/// ones recorded in a previously written `BENCH_search.json`; also
+/// enforces that beam:4 never measures larger than greedy. Relative paths
+/// resolve against the workspace root (where the bench writes the JSON),
+/// since `cargo bench` runs with the package as cwd.
 fn check_bench(path: &Path) -> Result<(), String> {
     let path = if path.is_relative() {
         repo_root().join(path)
     } else {
         path.to_path_buf()
     };
-    let path = path.as_path();
     let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let greedy = json_u64(&text, "greedy_text_tsvc24")?;
-    let beam = json_u64(&text, "beam4_text_tsvc24")?;
-    if beam > greedy {
+        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let mut diffs = Vec::new();
+    for o in outcomes(&tsvc_inputs(24), &angha_inputs(64)) {
+        let counters = o
+            .search
+            .rows()
+            .into_iter()
+            .map(|(k, n)| (o.corpus, k.to_string(), n));
+        let sizes = o.sizes().into_iter().map(|(k, n)| ("sizes", k, n));
+        for (scope, key, now) in sizes.chain(counters) {
+            let recorded = json_u64(&text, scope, &key)?;
+            if recorded != now {
+                diffs.push(format!("{scope}.{key}: recorded {recorded}, now {now}"));
+            }
+        }
+        if o.beam_text > o.greedy_text {
+            diffs.push(format!(
+                "beam:4 rolled {} to {} text bytes, more than greedy's {}",
+                o.corpus, o.beam_text, o.greedy_text
+            ));
+        }
+        println!(
+            "{:<8} text: greedy {} B, beam:4 {} B",
+            o.corpus, o.greedy_text, o.beam_text
+        );
+    }
+    if !diffs.is_empty() {
         return Err(format!(
-            "beam:4 rolled tsvc24 to {beam} text bytes, more than greedy's {greedy}"
+            "{} does not match this build:\n  {}",
+            path.display(),
+            diffs.join("\n  ")
         ));
     }
-    println!("check-bench ok: tsvc24 beam:4 {beam} B <= greedy {greedy} B");
+    println!("check-bench ok: sizes and search counters match the record");
     Ok(())
 }
 
@@ -188,16 +259,14 @@ fn main() {
 
     // One instrumented run per corpus and strategy for the size totals
     // and the beam's search counters.
-    let (greedy_text_tsvc, _) = roll_corpus(&tsvc, &greedy_opts);
-    let (beam_text_tsvc, beam_stats_tsvc) = roll_corpus(&tsvc, &beam_opts);
-    let (greedy_text_angha, _) = roll_corpus(&angha, &greedy_opts);
-    let (beam_text_angha, beam_stats_angha) = roll_corpus(&angha, &beam_opts);
-
-    println!("tsvc24  text: greedy {greedy_text_tsvc} B, beam:4 {beam_text_tsvc} B");
-    println!("angha64 text: greedy {greedy_text_angha} B, beam:4 {beam_text_angha} B");
-    for (corpus, s) in [("tsvc24", &beam_stats_tsvc), ("angha64", &beam_stats_angha)] {
-        for (counter, n) in s.search.rows() {
-            println!("search {corpus} {counter:<14} {n:>8}");
+    let outcomes = outcomes(&tsvc, &angha);
+    for o in &outcomes {
+        println!(
+            "{:<8} text: greedy {} B, beam:4 {} B",
+            o.corpus, o.greedy_text, o.beam_text
+        );
+        for (counter, n) in o.search.rows() {
+            println!("search {} {counter:<14} {n:>8}", o.corpus);
         }
     }
 
@@ -208,30 +277,29 @@ fn main() {
         let _ = writeln!(json, "    \"{}\": {}{sep}", m.label, bench_json(m));
     }
     json.push_str("  },\n");
-    json.push_str("  \"sizes\": {\n");
+    let sizes: Vec<String> = outcomes
+        .iter()
+        .flat_map(Outcome::sizes)
+        .map(|(key, n)| format!("    \"{key}\": {n}"))
+        .collect();
+    let _ = writeln!(json, "  \"sizes\": {{\n{}\n  }},", sizes.join(",\n"));
+    let search: Vec<String> = outcomes
+        .iter()
+        .map(|o| {
+            let rows: Vec<String> = o
+                .search
+                .rows()
+                .iter()
+                .map(|(counter, n)| format!("\"{counter}\": {n}"))
+                .collect();
+            format!("    \"{}\": {{{}}}", o.corpus, rows.join(", "))
+        })
+        .collect();
     let _ = writeln!(
         json,
-        "    \"greedy_text_tsvc24\": {greedy_text_tsvc},\n    \
-         \"beam4_text_tsvc24\": {beam_text_tsvc},\n    \
-         \"greedy_text_angha64\": {greedy_text_angha},\n    \
-         \"beam4_text_angha64\": {beam_text_angha}"
+        "  \"search_stats\": {{\n{}\n  }}\n}}",
+        search.join(",\n")
     );
-    json.push_str("  },\n");
-    json.push_str("  \"search_stats\": {\n");
-    for (i, (corpus, s)) in [("tsvc24", &beam_stats_tsvc), ("angha64", &beam_stats_angha)]
-        .iter()
-        .enumerate()
-    {
-        let rows = s.search.rows();
-        let _ = write!(json, "    \"{corpus}\": {{");
-        for (j, (counter, n)) in rows.iter().enumerate() {
-            let sep = if j + 1 < rows.len() { ", " } else { "" };
-            let _ = write!(json, "\"{counter}\": {n}{sep}");
-        }
-        let sep = if i == 0 { "," } else { "" };
-        let _ = writeln!(json, "}}{sep}");
-    }
-    json.push_str("  }\n}\n");
 
     let path = repo_root().join("BENCH_search.json");
     match std::fs::write(&path, &json) {

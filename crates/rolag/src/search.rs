@@ -15,14 +15,27 @@
 //!    ([`rolag_ir::Function::snapshot`] / `rollback` — no clone per
 //!    candidate), validate it, and score the survivor with the cost model
 //!    (`new text size + added rodata`).
-//! 2. **Shortlist** the `k` best profitable candidates (ties broken by
-//!    enumeration order; dropped profitable candidates count as beam
-//!    prunes).
-//! 3. **Roll out** each shortlisted candidate on a clone: commit it, then
-//!    run up to `d` greedy continuation commits, and score the end state
-//!    (`d = 0` means roll out to the dry fixpoint).
-//! 4. **Commit** the candidate with the best rollout score on the real
-//!    working function.
+//! 2. **Capture** the `k` best profitable candidates as trials while their
+//!    speculation window is still open: the validated, cleaned-up function,
+//!    the globals it appended, and its node-kind counts (ties broken by
+//!    enumeration order; profitable candidates beyond `k` are beam prunes
+//!    and are never cloned, so trial memory is bounded by `k`).
+//! 3. **Roll out** each trial from its captured state: up to `d` greedy
+//!    continuation commits, each committed in place from its own
+//!    speculation window, then score the end state (`d = 0` means roll
+//!    out to the dry fixpoint).
+//! 4. **Install** the trial with the best rollout score as the working
+//!    function, with its globals re-added in order.
+//!
+//! So every candidate runs graph → schedule → codegen → validator →
+//! cleanup at most once per pre-state, and the committed function *is* the
+//! one the validator checked. A trial is captured before later candidates
+//! of its sweep intern their constants into the working function, so its
+//! value arena can lack constants a re-run would have found interned.
+//! That is inert: constants print inline at their uses, and the stages
+//! order their work by instructions, never by a constant's arena index, so
+//! the output is byte-identical to re-running the winner, as
+//! `beam4_outputs_are_pinned` in `tests/search_conformance.rs` checks.
 //!
 //! The search is deterministic end to end: candidate enumeration order,
 //! shortlist ordering, and tie-breaks are all fixed, so `rolag-serve` and
@@ -36,7 +49,7 @@
 //! rodata as a tie-break). A beam can therefore explore aggressively and
 //! still never regress a function (`tests/search_conformance.rs`).
 
-use rolag_ir::{Effects, FuncId, Function, GlobalData, GlobalId, Module};
+use rolag_ir::{Effects, FuncId, Function, GlobalData, GlobalId, Module, SnapshotToken};
 use rolag_transforms::cleanup_in_place;
 
 use crate::codegen;
@@ -46,7 +59,7 @@ use crate::pass::{
 };
 use crate::schedule::ScheduleCache;
 use crate::seeds::{candidate_variants, collect_candidates, Candidate};
-use crate::stats::RolagStats;
+use crate::stats::{NodeKindCounts, RolagStats};
 
 /// One beam-explored speculation the translation validator refused,
 /// captured as printed modules for the dynamic cross-check in
@@ -160,6 +173,7 @@ fn search_function_impl(
         beam_text < greedy_text || (beam_text == greedy_text && beam_rodata < greedy_rodata);
     if adopt {
         beam_stats.search.adopted += 1;
+        beam_stats.timings += greedy_stats.timings;
         return beam_stats;
     }
     // Reinstall the greedy result. Globals are positional and append-only,
@@ -184,13 +198,17 @@ fn added_rodata(module: &Module, base: usize) -> u64 {
         .sum()
 }
 
-/// A profitable, validated speculation kept for rollout scoring.
-struct Scored {
-    cand: Candidate,
+/// A profitable, validated speculation captured for rollout scoring and,
+/// if it wins, for installation: the cleaned-up function and the globals
+/// it appended, exactly as the validator and the cost model saw them.
+struct Trial {
+    func: Function,
+    /// Globals the candidate appended, in id order. Globals are positional,
+    /// so re-adding them on the same base reproduces their ids and names.
+    globals: Vec<GlobalData>,
+    kinds: NodeKindCounts,
     /// Speculated size (`new text + added rodata`); the shortlist key.
     new_size: u64,
-    /// Enumeration index; the deterministic tie-break.
-    seq: usize,
 }
 
 /// The beam fixpoint over one function.
@@ -233,9 +251,13 @@ fn beam_roll(
             fresh_function_size(module, &work, opts)
         });
 
-        // Phase 1: speculate and score every candidate.
-        let mut scored: Vec<Scored> = Vec::new();
-        for (seq, cand) in candidates.into_iter().enumerate() {
+        // Phases 1 and 2: speculate and score every candidate, capturing
+        // the best `width` profitable ones as trials, ranked by size and
+        // then enumeration order. Profitable candidates beyond the beam
+        // are prunes.
+        let mut trials: Vec<Trial> = Vec::with_capacity(width + 1);
+        let mut profitable = 0usize;
+        for cand in candidates {
             if cand.lanes() < opts.min_lanes {
                 stats.rejected_lanes += 1;
                 continue;
@@ -252,62 +274,58 @@ fn beam_roll(
                 &mut stats,
                 audit.as_deref_mut(),
             ) {
-                Speculation::Scored { new_size } if new_size < old_size => {
-                    scored.push(Scored {
-                        cand,
-                        new_size,
-                        seq,
-                    });
+                Speculation::Scored { new_size, window } => {
+                    if new_size >= old_size {
+                        stats.rejected_profit += 1;
+                    } else {
+                        profitable += 1;
+                        let at = trials.partition_point(|t| t.new_size <= new_size);
+                        if at < width {
+                            let globals = (window.base_globals..module.num_globals())
+                                .map(|i| module.global(GlobalId::from_index(i)).clone())
+                                .collect();
+                            let trial = Trial {
+                                func: work.clone(),
+                                globals,
+                                kinds: window.kinds,
+                                new_size,
+                            };
+                            trials.insert(at, trial);
+                            trials.truncate(width);
+                        }
+                    }
+                    window.rollback(module, &mut work);
                 }
-                Speculation::Scored { .. } => stats.rejected_profit += 1,
                 Speculation::ScheduleRejected => stats.rejected_schedule += 1,
                 // `speculate` already counted the reject (tv_rejected and
                 // the search counter) when it fired the validator.
                 Speculation::ValidatorRejected => {}
             }
         }
-        if scored.is_empty() {
+        if trials.is_empty() {
             break;
         }
+        stats.search.pruned += profitable.saturating_sub(width) as u64;
 
-        // Phase 2: shortlist the beam, dropped profitable candidates are
-        // prunes.
-        scored.sort_by_key(|s| (s.new_size, s.seq));
-        stats.search.pruned += scored.len().saturating_sub(width) as u64;
-        scored.truncate(width);
-
-        // Phase 3: rollout-score each survivor on a clone.
+        // Phase 3: rollout-score each trial.
         let mut best: Option<(usize, u64)> = None;
-        for (i, s) in scored.iter().enumerate() {
-            let score = rollout_score(module, &work, &reference, s, cx, depth, &mut stats.timings);
+        for (i, trial) in trials.iter().enumerate() {
+            let score = rollout_score(module, trial, cx, depth, &mut stats.timings);
             if best.is_none_or(|(_, b)| score < b) {
                 best = Some((i, score));
             }
         }
 
-        // Phase 4: commit the winner for real; on the (defensive) chance
-        // re-execution diverges, fall through the shortlist in score order.
+        // Phase 4: install the winner's validated state.
         let (best_idx, _) = best.expect("non-empty shortlist always scores");
-        let mut order: Vec<usize> = (0..scored.len()).collect();
-        order.swap(0, best_idx);
-        let mut committed = false;
-        for &i in &order {
-            if commit_candidate(
-                module,
-                &mut work,
-                &mut reference,
-                &mut sched,
-                &scored[i].cand,
-                cx,
-                &mut stats,
-            ) {
-                committed = true;
-                break;
-            }
+        let winner = trials.swap_remove(best_idx);
+        for g in winner.globals {
+            module.add_global(g);
         }
-        if !committed {
-            break;
-        }
+        work = winner.func;
+        reference = work.clone();
+        stats.rolled += 1;
+        stats.nodes += winner.kinds;
     }
 
     stats.size_after = timed(&mut stats.timings.cost_ns, || {
@@ -317,19 +335,49 @@ fn beam_roll(
     stats
 }
 
+/// An open speculation window: the candidate's rewrite is live in the
+/// working function and its globals in the module until the window is
+/// rolled back or committed. `speculate` hands windows out only for
+/// validated, cleaned-up candidates.
+#[must_use]
+struct Window {
+    token: SnapshotToken,
+    base_globals: usize,
+    kinds: NodeKindCounts,
+}
+
+impl Window {
+    /// Discards the rewrite: the function and the globals return to the
+    /// pre-speculation state (up to inert interned constants).
+    fn rollback(self, module: &mut Module, work: &mut Function) {
+        work.rollback(self.token);
+        rollback_globals(module, self.base_globals);
+    }
+
+    /// Keeps the rewrite and makes it the validator's new reference.
+    fn commit(self, work: &mut Function, reference: &mut Function) {
+        work.commit(self.token);
+        *reference = work.clone();
+    }
+}
+
 enum Speculation {
     /// The candidate generated, validated, and cleaned up; `new_size` is
-    /// the speculated function size plus the rodata it would add.
+    /// the speculated function size plus the rodata it adds. The window is
+    /// still open.
     Scored {
         new_size: u64,
+        window: Window,
     },
     ScheduleRejected,
     ValidatorRejected,
 }
 
 /// Speculates one candidate on `work`'s journal — align, schedule,
-/// generate, validate, clean up, score — then rolls everything back
-/// (function and globals). `work` is byte-identical afterwards except for
+/// generate, validate, clean up, score. Rejected candidates are rolled
+/// back (function and globals) before returning; a scored one comes back
+/// with its window open, for the caller to capture, commit or roll back.
+/// A rolled-back `work` is byte-identical to its pre-state except for
 /// inert interned constants, which `reference` absorbs before the window.
 #[allow(clippy::too_many_arguments)] // one slot per engine input
 fn speculate(
@@ -353,20 +401,22 @@ fn speculate(
     };
     reference.absorb_interned_values(work);
 
-    let before_globals = module.num_globals();
-    let token = work.snapshot();
+    let window = Window {
+        token: work.snapshot(),
+        base_globals: module.num_globals(),
+        kinds: graph.count_kinds(),
+    };
     let outcome = timed(&mut stats.timings.codegen_ns, || {
         codegen::generate(module, work, block, &graph, &sched)
     });
     let Some(outcome) = outcome else {
-        work.rollback(token);
-        rollback_globals(module, before_globals);
+        window.rollback(module, work);
         return Speculation::ScheduleRejected;
     };
 
     // The validator gate is unconditional in the beam engine: aggressive
     // variants ride on proofs, not on enumeration conservatism.
-    let hints = rewrite_hints(&graph, block, &outcome, opts, before_globals);
+    let hints = rewrite_hints(&graph, block, &outcome, opts, window.base_globals);
     let verdict = timed(&mut stats.timings.tv_ns, || {
         rolag_tv::validate_rewrite(module, reference, work, &hints)
     });
@@ -391,8 +441,7 @@ fn speculate(
                 dot: graph.to_dot_with(&info),
             });
         }
-        work.rollback(token);
-        rollback_globals(module, before_globals);
+        window.rollback(module, work);
         return Speculation::ValidatorRejected;
     }
     stats.tv_validated += 1;
@@ -410,110 +459,31 @@ fn speculate(
             .sum();
         fresh_function_size(module, work, opts) + rodata
     });
-    work.rollback(token);
-    rollback_globals(module, before_globals);
-    Speculation::Scored { new_size }
+    Speculation::Scored { new_size, window }
 }
 
-/// Re-executes a previously speculated candidate on `work` and commits it.
-/// Counts the roll and refreshes the validator reference. Returns false if
-/// re-execution diverges from the speculation (defensive; the stages are
-/// deterministic).
-fn commit_candidate(
-    module: &mut Module,
-    work: &mut Function,
-    reference: &mut Function,
-    sched_cache: &mut ScheduleCache,
-    cand: &Candidate,
-    cx: &SearchCx,
-    stats: &mut RolagStats,
-) -> bool {
-    let opts = cx.opts;
-    let block = cand.block();
-    // Stage counters already ticked during speculation; only the clock
-    // keeps running here.
-    let mut scratch = RolagStats::default();
-    let Some(graph) = build_graph(module, work, cand, opts, &mut scratch) else {
-        stats.timings += scratch.timings;
-        return false;
-    };
-    let Some(sched) =
-        analyze_schedule(module, work, block, &graph, Some(sched_cache), &mut scratch)
-    else {
-        stats.timings += scratch.timings;
-        return false;
-    };
-    reference.absorb_interned_values(work);
-
-    let before_globals = module.num_globals();
-    let token = work.snapshot();
-    let outcome = timed(&mut scratch.timings.codegen_ns, || {
-        codegen::generate(module, work, block, &graph, &sched)
-    });
-    let Some(outcome) = outcome else {
-        work.rollback(token);
-        rollback_globals(module, before_globals);
-        stats.timings += scratch.timings;
-        return false;
-    };
-    let hints = rewrite_hints(&graph, block, &outcome, opts, before_globals);
-    let verdict = timed(&mut scratch.timings.tv_ns, || {
-        rolag_tv::validate_rewrite(module, reference, work, &hints)
-    });
-    if verdict.is_err() {
-        work.rollback(token);
-        rollback_globals(module, before_globals);
-        stats.timings += scratch.timings;
-        return false;
-    }
-    if opts.cleanup {
-        timed(&mut scratch.timings.cleanup_ns, || {
-            cleanup_in_place(work, &mut module.types, cx.effects)
-        });
-    }
-    work.commit(token);
-    stats.rolled += 1;
-    stats.nodes += graph.count_kinds();
-    stats.timings += scratch.timings;
-    *reference = work.clone();
-    true
-}
-
-/// Scores a shortlisted candidate by committing it on a clone of the
-/// working function and running up to `depth` greedy continuation commits
-/// (`depth == 0`: to the dry fixpoint). Returns the end-state size (text
-/// plus all rodata added during the rollout). All rollout globals are
-/// popped before returning; rollouts never touch the outcome stats.
+/// Scores a trial by continuing from its captured state with up to
+/// `depth` greedy continuation commits (`depth == 0`: to the dry
+/// fixpoint). Returns the end-state size (text plus all rodata added
+/// since the trial's pre-state, the trial's own included). All rollout
+/// globals are popped before returning; rollouts never touch the outcome
+/// stats.
 fn rollout_score(
     module: &mut Module,
-    work: &Function,
-    reference: &Function,
-    scored: &Scored,
+    trial: &Trial,
     cx: &SearchCx,
     depth: usize,
     timings: &mut crate::stats::StageTimings,
 ) -> u64 {
     let opts = cx.opts;
     let base_globals = module.num_globals();
-    let mut sim = work.clone();
-    let mut sim_ref = reference.clone();
+    for g in &trial.globals {
+        module.add_global(g.clone());
+    }
+    let mut sim = trial.func.clone();
+    let mut sim_ref = sim.clone();
     let mut sim_sched = ScheduleCache::default();
     let mut scratch = RolagStats::default();
-
-    if !commit_candidate(
-        module,
-        &mut sim,
-        &mut sim_ref,
-        &mut sim_sched,
-        &scored.cand,
-        cx,
-        &mut scratch,
-    ) {
-        // Re-execution diverged: fall back to the speculation's own score.
-        rollback_globals(module, base_globals);
-        *timings += scratch.timings;
-        return scored.new_size;
-    }
 
     // Greedy continuation: first profitable validated candidate per sweep.
     let mut commits = 0usize;
@@ -534,21 +504,13 @@ fn rollout_score(
                 &mut scratch,
                 None,
             );
-            if let Speculation::Scored { new_size } = spec {
-                if new_size < old_size
-                    && commit_candidate(
-                        module,
-                        &mut sim,
-                        &mut sim_ref,
-                        &mut sim_sched,
-                        &cand,
-                        cx,
-                        &mut scratch,
-                    )
-                {
+            if let Speculation::Scored { new_size, window } = spec {
+                if new_size < old_size {
+                    window.commit(&mut sim, &mut sim_ref);
                     commits += 1;
                     continue 'sweeps;
                 }
+                window.rollback(module, &mut sim);
             }
         }
         break;

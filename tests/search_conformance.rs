@@ -12,16 +12,22 @@
 //!   smaller*, so for every function the measured text bytes under
 //!   `beam:k` are at most the greedy result's — per-function
 //!   monotonicity, checked here for k = 2 and k = 4.
+//!
+//! On top of those two properties, `beam4_outputs_are_pinned` pins the
+//! exact `beam:4` output and counters on three corpora, so an engine
+//! refactor that is meant to be behaviour-neutral has to prove it.
 
 use std::path::Path;
 
-use rolag::{roll_module, RolagOptions, SearchConfig};
+use rolag::{roll_module, RolagOptions, RolagStats, SearchConfig};
 use rolag_difftest::generate_module;
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::Module;
 use rolag_lower::measure_function;
+use rolag_suites::angha::{stream, AnghaConfig};
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
+use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 
 fn beam(width: usize) -> RolagOptions {
     RolagOptions {
@@ -206,3 +212,152 @@ entry:
         "the adopted roll must measure strictly smaller"
     );
 }
+
+/// The pinned `beam:4` result of one corpus: an FNV-1a-64 digest of the
+/// printed modules (concatenated in corpus order) and the summed outcome
+/// and search counters.
+#[derive(Debug, PartialEq, Eq)]
+struct BeamPin {
+    corpus: &'static str,
+    digest: u64,
+    attempted: u64,
+    rejected_lanes: u64,
+    rejected_schedule: u64,
+    rejected_profit: u64,
+    tv_validated: u64,
+    tv_rejected: u64,
+    rolled: u64,
+    nodes: u64,
+    size_before: u64,
+    size_after: u64,
+    explored: u64,
+    pruned: u64,
+    search_tv_rejected: u64,
+    adopted: u64,
+}
+
+fn fnv1a(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Rolls every module of a corpus with `beam:4` and summarises the result.
+fn beam4_pin(corpus: &'static str, modules: impl IntoIterator<Item = Module>) -> BeamPin {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut s = RolagStats::default();
+    for mut m in modules {
+        s += roll_module(&mut m, &beam(4));
+        fnv1a(&mut digest, print_module(&m).as_bytes());
+    }
+    BeamPin {
+        corpus,
+        digest,
+        attempted: s.attempted,
+        rejected_lanes: s.rejected_lanes,
+        rejected_schedule: s.rejected_schedule,
+        rejected_profit: s.rejected_profit,
+        tv_validated: s.tv_validated,
+        tv_rejected: s.tv_rejected,
+        rolled: s.rolled,
+        nodes: s.nodes.total(),
+        size_before: s.size_before,
+        size_after: s.size_after,
+        explored: s.search.explored,
+        pruned: s.search.pruned,
+        search_tv_rejected: s.search.tv_rejected,
+        adopted: s.search.adopted,
+    }
+}
+
+/// Pins the `beam:4` output and counters on the 151 TSVC kernels
+/// (unrolled x8, CSE'd and cleaned up, as the `tsvc-beam4` benchmark
+/// workload feeds them), 128 AnghaBench-like functions (generator seed
+/// `0x0a17_4a90`) and the 256-module generator sweep (seed 0). A change
+/// to the engine that is meant to keep its decisions must leave this
+/// table alone.
+///
+/// To regenerate after an intended behaviour change, run
+/// `cargo test --release --test search_conformance beam4_outputs_are_pinned -- --nocapture`
+/// and paste the printed table over `PINNED`.
+#[test]
+fn beam4_outputs_are_pinned() {
+    let tsvc = all_kernels().into_iter().map(|spec| {
+        let mut m = build_kernel_module(&spec);
+        unroll_module(&mut m, 8);
+        cse_module(&mut m);
+        cleanup_module(&mut m);
+        m
+    });
+    let angha = stream(&AnghaConfig {
+        seed: 0x0a17_4a90,
+        functions: 128,
+    })
+    .map(|(_, _, m)| m);
+    let generated = (0..256).map(|i| generate_module(0, i));
+    let actual = [
+        beam4_pin("tsvc", tsvc),
+        beam4_pin("angha128", angha),
+        beam4_pin("generated256", generated),
+    ];
+    println!("const PINNED: &[BeamPin] = &{actual:#?};");
+    assert_eq!(actual.as_slice(), PINNED, "beam:4 output or counters moved");
+}
+
+const PINNED: &[BeamPin] = &[
+    BeamPin {
+        corpus: "tsvc",
+        digest: 4496206065103095943,
+        attempted: 495,
+        rejected_lanes: 0,
+        rejected_schedule: 310,
+        rejected_profit: 34,
+        tv_validated: 103,
+        tv_rejected: 0,
+        rolled: 136,
+        nodes: 2056,
+        size_before: 30116,
+        size_after: 14843,
+        explored: 967,
+        pruned: 112,
+        search_tv_rejected: 0,
+        adopted: 27,
+    },
+    BeamPin {
+        corpus: "angha128",
+        digest: 3176075740459675357,
+        attempted: 4622,
+        rejected_lanes: 0,
+        rejected_schedule: 4402,
+        rejected_profit: 102,
+        tv_validated: 7,
+        tv_rejected: 0,
+        rolled: 118,
+        nodes: 830,
+        size_before: 164617,
+        size_after: 153044,
+        explored: 8702,
+        pruned: 49,
+        search_tv_rejected: 0,
+        adopted: 1,
+    },
+    BeamPin {
+        corpus: "generated256",
+        digest: 17285605686668699022,
+        attempted: 560,
+        rejected_lanes: 0,
+        rejected_schedule: 12,
+        rejected_profit: 296,
+        tv_validated: 133,
+        tv_rejected: 0,
+        rolled: 244,
+        nodes: 1389,
+        size_before: 24313,
+        size_after: 18199,
+        explored: 1848,
+        pruned: 59,
+        search_tv_rejected: 0,
+        adopted: 11,
+    },
+];
