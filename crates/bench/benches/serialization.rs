@@ -1,6 +1,7 @@
 //! Module load-time benchmark: the compact binary format
 //! (`rolag_ir::serialization`) against the textual parser on the TSVC
-//! suite and a large synthetic program.
+//! suite and a large synthetic program, plus the textual printer that
+//! every memo key, store key and emitted module goes through.
 //!
 //! Besides the min/median/mean table this bench writes
 //! `BENCH_serialization.json` at the repository root: per-format mean
@@ -84,6 +85,9 @@ fn main() {
 
         group.bench(&format!("parse_text_{}", c.label), || {
             parse_module(&text).expect("parses")
+        });
+        group.bench(&format!("print_text_{}", c.label), || {
+            print_module(&c.module)
         });
         group.bench(&format!("decode_binary_{}", c.label), || {
             decode_module(&bytes).expect("decodes")

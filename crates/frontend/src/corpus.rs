@@ -321,14 +321,10 @@ impl Default for CorpusOptions {
 }
 
 impl CorpusOptions {
-    /// Worker count the driver will actually use.
+    /// Worker count the driver will actually use: the size of the
+    /// [`WorkerPool`] that [`roll_corpus`] spawns for `jobs`.
     pub fn effective_jobs(&self) -> u64 {
-        if self.jobs > 0 {
-            return self.jobs as u64;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get() as u64)
-            .unwrap_or(1)
+        rolag_par::requested_jobs(self.jobs) as u64
     }
 
     /// Input bytes per batch. Every driver worker clones the whole batch
@@ -683,6 +679,18 @@ mod tests {
         }
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], small_module(0).as_bytes());
+    }
+
+    #[test]
+    fn batch_sizing_counts_the_workers_the_pool_spawns() {
+        let copts = CorpusOptions {
+            jobs: 0,
+            ..CorpusOptions::default()
+        };
+        assert_eq!(
+            copts.effective_jobs(),
+            WorkerPool::new(0).worker_count() as u64
+        );
     }
 
     #[test]

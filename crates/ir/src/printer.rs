@@ -18,20 +18,25 @@
 //!
 //! Instruction results are numbered sequentially per function (parameters
 //! first), so printing is stable across parse/print round trips.
+//!
+//! Everything is written straight into one output `String`: operands,
+//! symbols and types are appended in place rather than built as strings of
+//! their own. The numbering lives in a `Vec` indexed by [`ValueId`] — a
+//! value's printed number, or a sentinel for values no definition numbered
+//! — which [`print_module`] allocates once and reuses for every function.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::function::Function;
 use crate::inst::{InstExtra, InstId, Opcode};
 use crate::module::{GlobalInit, Module};
 use crate::parser::is_plain_symbol;
-use crate::value::{ValueDef, ValueId};
+use crate::types::{TypeId, TypeKind};
+use crate::value::{GlobalId, ValueDef, ValueId};
 
-/// Escapes a string for a double-quoted literal, inverting the lexer's
+/// Appends `s` escaped for a double-quoted literal, inverting the lexer's
 /// escape decoding.
-fn escape_str(s: &str) -> String {
-    let mut out = String::new();
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -45,273 +50,355 @@ fn escape_str(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Prints a symbol name for use after `@`/`%`: bare when it is a plain
+/// Appends a symbol name for use after `@`/`%`: bare when it is a plain
 /// identifier, quoted (with escapes) otherwise.
-fn sym(name: &str) -> String {
+fn sym_into(out: &mut String, name: &str) {
     if is_plain_symbol(name) {
-        name.to_string()
+        out.push_str(name);
     } else {
-        format!("\"{}\"", escape_str(name))
+        out.push('"');
+        escape_into(out, name);
+        out.push('"');
     }
 }
 
-/// Prints a float constant from its bit pattern. Finite values use the
+/// Appends a float constant from its bit pattern. Finite values use the
 /// shortest decimal that round-trips; non-finite values (infinities, NaNs
 /// with payloads) use a bit-exact `0x...` spelling the parser understands.
-fn float_literal(bits: u64) -> String {
+fn float_into(out: &mut String, bits: u64) {
     let value = f64::from_bits(bits);
     if value.is_finite() {
         // `{:?}` keeps a trailing `.0` so the parser can tell floats from
         // ints, and prints the shortest decimal that parses back to the
         // same bits.
-        format!("{value:?}")
+        let _ = write!(out, "{value:?}");
     } else {
-        format!("0x{bits:016x}")
+        let _ = write!(out, "0x{bits:016x}");
+    }
+}
+
+/// Marks a value slot that no parameter or instruction result numbered.
+const UNNUMBERED: u32 = u32::MAX;
+
+/// The output buffer plus the per-function numbering it is written with.
+struct Printer<'m> {
+    module: &'m Module,
+    out: String,
+    /// `numbers[v]`: the printed number of value `v` — parameters take
+    /// `0..params` (printed `%p<n>`), instruction results count up from
+    /// `params` (printed `%<n>`) — or [`UNNUMBERED`].
+    numbers: Vec<u32>,
+    params: u32,
+}
+
+impl<'m> Printer<'m> {
+    fn new(module: &'m Module) -> Self {
+        Printer {
+            module,
+            out: String::new(),
+            numbers: Vec::new(),
+            params: 0,
+        }
+    }
+
+    fn ty(&mut self, ty: TypeId) {
+        self.module.types.write_type(ty, &mut self.out);
+    }
+
+    fn global(&mut self, g: GlobalId) {
+        let data = self.module.global(g);
+        self.out
+            .push_str(if data.is_const { "const @" } else { "global @" });
+        sym_into(&mut self.out, &data.name);
+        self.out.push_str(" : ");
+        self.ty(data.ty);
+        self.out.push_str(" = ");
+        match &data.init {
+            GlobalInit::Zero => self.out.push_str("zero"),
+            GlobalInit::Ints { elem_ty, values } => {
+                self.out.push_str("ints ");
+                self.ty(*elem_ty);
+                self.out.push(' ');
+                self.literals(values);
+            }
+            GlobalInit::Bytes(bytes) => {
+                self.out.push_str("bytes ");
+                self.literals(bytes);
+            }
+        }
+    }
+
+    /// Appends `[a, b, ...]`.
+    fn literals<T: std::fmt::Display>(&mut self, items: &[T]) {
+        self.out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(self.out, "{sep}{item}");
+        }
+        self.out.push(']');
+    }
+
+    fn function(&mut self, func: &Function) {
+        self.out.push_str(if func.is_declaration {
+            "declare @"
+        } else {
+            "func @"
+        });
+        sym_into(&mut self.out, &func.name);
+        self.out.push('(');
+        for (i, &ty) in func.param_tys().iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.ty(ty);
+            let _ = write!(self.out, " %p{i}");
+        }
+        self.out.push_str(") -> ");
+        self.ty(func.ret_ty);
+        if func.is_declaration {
+            self.out.push(' ');
+            self.out.push_str(func.effects.mnemonic());
+            self.out.push('\n');
+            return;
+        }
+        self.out.push_str(" {\n");
+
+        // Sequential numbering: parameters take 0..n, instruction results follow.
+        let types = &self.module.types;
+        self.numbers.clear();
+        self.numbers.resize(func.num_values(), UNNUMBERED);
+        for (i, &p) in func.params().iter().enumerate() {
+            self.numbers[p.index()] = i as u32;
+        }
+        self.params = func.params().len() as u32;
+        let mut next = self.params;
+        for b in func.block_ids() {
+            for &i in &func.block(b).insts {
+                if !matches!(types.kind(func.inst(i).ty), TypeKind::Void) {
+                    self.numbers[func.inst_result(i).index()] = next;
+                    next += 1;
+                }
+            }
+        }
+
+        for b in func.block_ids() {
+            let block = func.block(b);
+            self.out.push_str(&block.name);
+            self.out.push_str(":\n");
+            for &i in &block.insts {
+                self.out.push_str("  ");
+                self.inst(func, i);
+                self.out.push('\n');
+            }
+        }
+        self.out.push_str("}\n");
+    }
+
+    /// Appends a numbered value as `%p<n>`/`%<n>` and returns true, or
+    /// returns false (appending nothing) for an unnumbered one.
+    fn local(&mut self, v: ValueId) -> bool {
+        match self.numbers.get(v.index()).copied() {
+            Some(n) if n != UNNUMBERED => {
+                let prefix = if n < self.params { "%p" } else { "%" };
+                let _ = write!(self.out, "{prefix}{n}");
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn operand(&mut self, func: &Function, v: ValueId) {
+        match func.value(v) {
+            ValueDef::Inst(_) | ValueDef::Param { .. } => {
+                if !self.local(v) {
+                    let _ = write!(self.out, "%?{}", v.index());
+                }
+            }
+            ValueDef::ConstInt { ty, value } => {
+                self.ty(*ty);
+                let _ = write!(self.out, " {value}");
+            }
+            ValueDef::ConstFloat { ty, bits } => {
+                self.ty(*ty);
+                self.out.push(' ');
+                float_into(&mut self.out, *bits);
+            }
+            ValueDef::GlobalAddr(g) => {
+                self.out.push('@');
+                sym_into(&mut self.out, &self.module.global(*g).name);
+            }
+            ValueDef::FuncAddr(f) => {
+                self.out.push('@');
+                sym_into(&mut self.out, &self.module.func(*f).name);
+            }
+            ValueDef::Undef(ty) => {
+                self.ty(*ty);
+                self.out.push_str(" undef");
+            }
+        }
+    }
+
+    /// Appends `operands` separated by `, `.
+    fn operands(&mut self, func: &Function, operands: &[ValueId]) {
+        for (i, &v) in operands.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.operand(func, v);
+        }
+    }
+
+    /// Appends one instruction (without trailing newline).
+    fn inst(&mut self, func: &Function, inst: InstId) {
+        let data = func.inst(inst);
+        let ops = &data.operands[..];
+        if self.local(func.inst_result(inst)) {
+            self.out.push_str(" = ");
+        }
+        match (&data.opcode, &data.extra) {
+            (Opcode::Icmp, InstExtra::Icmp(p)) => {
+                self.out.push_str("icmp ");
+                self.out.push_str(p.mnemonic());
+                self.out.push(' ');
+                self.operands(func, &ops[..2]);
+            }
+            (Opcode::Fcmp, InstExtra::Fcmp(p)) => {
+                self.out.push_str("fcmp ");
+                self.out.push_str(p.mnemonic());
+                self.out.push(' ');
+                self.operands(func, &ops[..2]);
+            }
+            (Opcode::Gep, InstExtra::Gep { elem_ty }) => {
+                self.out.push_str("gep ");
+                self.ty(*elem_ty);
+                self.out.push_str(", ");
+                self.operand(func, ops[0]);
+                self.out.push_str(", ");
+                self.operands(func, &ops[1..]);
+            }
+            (Opcode::Call, InstExtra::Call { callee }) => {
+                self.out.push_str("call ");
+                self.ty(data.ty);
+                self.out.push_str(" @");
+                sym_into(&mut self.out, &self.module.func(*callee).name);
+                self.out.push('(');
+                self.operands(func, ops);
+                self.out.push(')');
+            }
+            (Opcode::Phi, InstExtra::Phi { incoming }) => {
+                self.out.push_str("phi ");
+                self.ty(data.ty);
+                self.out.push(' ');
+                for (i, (&v, &b)) in ops.iter().zip(incoming).enumerate() {
+                    self.out.push_str(if i > 0 { ", [ " } else { "[ " });
+                    self.operand(func, v);
+                    self.out.push_str(", ");
+                    self.out.push_str(&func.block(b).name);
+                    self.out.push_str(" ]");
+                }
+            }
+            (Opcode::Br, InstExtra::Br { dest }) => {
+                self.out.push_str("br ");
+                self.out.push_str(&func.block(*dest).name);
+            }
+            (
+                Opcode::CondBr,
+                InstExtra::CondBr {
+                    then_dest,
+                    else_dest,
+                },
+            ) => {
+                self.out.push_str("condbr ");
+                self.operand(func, ops[0]);
+                self.out.push_str(", ");
+                self.out.push_str(&func.block(*then_dest).name);
+                self.out.push_str(", ");
+                self.out.push_str(&func.block(*else_dest).name);
+            }
+            (Opcode::Alloca, InstExtra::Alloca { elem_ty }) => {
+                self.out.push_str("alloca ");
+                self.ty(*elem_ty);
+                if let Some(&count) = ops.first() {
+                    self.out.push_str(", ");
+                    self.operand(func, count);
+                }
+            }
+            (Opcode::Load, _) => {
+                self.out.push_str("load ");
+                self.ty(data.ty);
+                self.out.push_str(", ");
+                self.operand(func, ops[0]);
+            }
+            (Opcode::Store, _) => {
+                self.out.push_str("store ");
+                self.operands(func, &ops[..2]);
+            }
+            (Opcode::Select, _) => {
+                self.out.push_str("select ");
+                self.ty(data.ty);
+                self.out.push(' ');
+                self.operands(func, &ops[..3]);
+            }
+            (Opcode::Ret, _) => {
+                self.out.push_str("ret");
+                if let Some(&v) = ops.first() {
+                    self.out.push(' ');
+                    self.operand(func, v);
+                }
+            }
+            (Opcode::Unreachable, _) => self.out.push_str("unreachable"),
+            (opcode, _) if opcode.is_cast() => {
+                self.out.push_str(opcode.mnemonic());
+                self.out.push(' ');
+                self.ty(data.ty);
+                self.out.push(' ');
+                self.operand(func, ops[0]);
+            }
+            (opcode, _) if opcode.is_binop() => {
+                self.out.push_str(opcode.mnemonic());
+                self.out.push(' ');
+                self.ty(data.ty);
+                self.out.push(' ');
+                self.operands(func, &ops[..2]);
+            }
+            (opcode, extra) => panic!("cannot print {opcode:?} with extra {extra:?}"),
+        }
     }
 }
 
 /// Prints a whole module as parseable IR text.
 pub fn print_module(module: &Module) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "module \"{}\"", escape_str(&module.name));
+    let mut p = Printer::new(module);
+    p.out.push_str("module \"");
+    escape_into(&mut p.out, &module.name);
+    p.out.push_str("\"\n");
     for g in module.global_ids() {
-        let _ = writeln!(out, "{}", print_global(module, g));
+        p.global(g);
+        p.out.push('\n');
     }
     for f in module.func_ids() {
-        out.push('\n');
-        out.push_str(&print_function(module, module.func(f)));
+        p.out.push('\n');
+        p.function(module.func(f));
     }
-    out
+    p.out
 }
 
 /// Prints one global definition as a single parseable IR line (no trailing
 /// newline). Stable by construction — cache keys content-address globals
 /// through this rendering.
-pub fn print_global(module: &Module, g: crate::GlobalId) -> String {
-    let data = module.global(g);
-    let kind = if data.is_const { "const" } else { "global" };
-    let init = match &data.init {
-        GlobalInit::Zero => "zero".to_string(),
-        GlobalInit::Ints { elem_ty, values } => {
-            let vals: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-            format!(
-                "ints {} [{}]",
-                module.types.display(*elem_ty),
-                vals.join(", ")
-            )
-        }
-        GlobalInit::Bytes(bytes) => {
-            let vals: Vec<String> = bytes.iter().map(|b| b.to_string()).collect();
-            format!("bytes [{}]", vals.join(", "))
-        }
-    };
-    format!(
-        "{kind} @{} : {} = {init}",
-        sym(&data.name),
-        module.types.display(data.ty)
-    )
+pub fn print_global(module: &Module, g: GlobalId) -> String {
+    let mut p = Printer::new(module);
+    p.global(g);
+    p.out
 }
 
 /// Prints one function (or declaration) as parseable IR text.
 pub fn print_function(module: &Module, func: &Function) -> String {
-    let types = &module.types;
-    let mut out = String::new();
-    let params: Vec<String> = func
-        .param_tys()
-        .iter()
-        .enumerate()
-        .map(|(i, &ty)| format!("{} %p{}", types.display(ty), i))
-        .collect();
-    if func.is_declaration {
-        let _ = writeln!(
-            out,
-            "declare @{}({}) -> {} {}",
-            sym(&func.name),
-            params.join(", "),
-            types.display(func.ret_ty),
-            func.effects.mnemonic()
-        );
-        return out;
-    }
-    let _ = writeln!(
-        out,
-        "func @{}({}) -> {} {{",
-        sym(&func.name),
-        params.join(", "),
-        types.display(func.ret_ty)
-    );
-
-    // Sequential numbering: parameters take 0..n, instruction results follow.
-    let mut names: HashMap<ValueId, String> = HashMap::new();
-    for (i, &p) in func.params().iter().enumerate() {
-        names.insert(p, format!("%p{i}"));
-    }
-    let mut next = func.params().len();
-    for b in func.block_ids() {
-        for &i in &func.block(b).insts {
-            let ty = func.inst(i).ty;
-            if !matches!(types.kind(ty), crate::types::TypeKind::Void) {
-                names.insert(func.inst_result(i), format!("%{next}"));
-                next += 1;
-            }
-        }
-    }
-
-    for b in func.block_ids() {
-        let _ = writeln!(out, "{}:", func.block(b).name);
-        for &i in &func.block(b).insts {
-            let _ = writeln!(out, "  {}", print_inst(module, func, i, &names));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-fn operand(
-    module: &Module,
-    func: &Function,
-    v: ValueId,
-    names: &HashMap<ValueId, String>,
-) -> String {
-    match func.value(v) {
-        ValueDef::Inst(_) | ValueDef::Param { .. } => names
-            .get(&v)
-            .cloned()
-            .unwrap_or_else(|| format!("%?{}", v.index())),
-        ValueDef::ConstInt { ty, value } => {
-            format!("{} {}", module.types.display(*ty), value)
-        }
-        ValueDef::ConstFloat { ty, bits } => {
-            format!("{} {}", module.types.display(*ty), float_literal(*bits))
-        }
-        ValueDef::GlobalAddr(g) => format!("@{}", sym(&module.global(*g).name)),
-        ValueDef::FuncAddr(f) => format!("@{}", sym(&module.func(*f).name)),
-        ValueDef::Undef(ty) => format!("{} undef", module.types.display(*ty)),
-    }
-}
-
-/// Prints a single instruction (without trailing newline).
-pub fn print_inst(
-    module: &Module,
-    func: &Function,
-    inst: InstId,
-    names: &HashMap<ValueId, String>,
-) -> String {
-    let types = &module.types;
-    let data = func.inst(inst);
-    let op = |v: ValueId| operand(module, func, v, names);
-    let result = names.get(&func.inst_result(inst));
-    let prefix = match result {
-        Some(name) => format!("{name} = "),
-        None => String::new(),
-    };
-    let body = match (&data.opcode, &data.extra) {
-        (Opcode::Icmp, InstExtra::Icmp(p)) => format!(
-            "icmp {} {}, {}",
-            p.mnemonic(),
-            op(data.operands[0]),
-            op(data.operands[1])
-        ),
-        (Opcode::Fcmp, InstExtra::Fcmp(p)) => format!(
-            "fcmp {} {}, {}",
-            p.mnemonic(),
-            op(data.operands[0]),
-            op(data.operands[1])
-        ),
-        (Opcode::Gep, InstExtra::Gep { elem_ty }) => {
-            let idx: Vec<String> = data.operands[1..].iter().map(|&v| op(v)).collect();
-            format!(
-                "gep {}, {}, {}",
-                types.display(*elem_ty),
-                op(data.operands[0]),
-                idx.join(", ")
-            )
-        }
-        (Opcode::Call, InstExtra::Call { callee }) => {
-            let args: Vec<String> = data.operands.iter().map(|&v| op(v)).collect();
-            format!(
-                "call {} @{}({})",
-                types.display(data.ty),
-                sym(&module.func(*callee).name),
-                args.join(", ")
-            )
-        }
-        (Opcode::Phi, InstExtra::Phi { incoming }) => {
-            let arms: Vec<String> = data
-                .operands
-                .iter()
-                .zip(incoming)
-                .map(|(&v, &b)| format!("[ {}, {} ]", op(v), func.block(b).name))
-                .collect();
-            format!("phi {} {}", types.display(data.ty), arms.join(", "))
-        }
-        (Opcode::Br, InstExtra::Br { dest }) => {
-            format!("br {}", func.block(*dest).name)
-        }
-        (
-            Opcode::CondBr,
-            InstExtra::CondBr {
-                then_dest,
-                else_dest,
-            },
-        ) => format!(
-            "condbr {}, {}, {}",
-            op(data.operands[0]),
-            func.block(*then_dest).name,
-            func.block(*else_dest).name
-        ),
-        (Opcode::Alloca, InstExtra::Alloca { elem_ty }) => {
-            if data.operands.is_empty() {
-                format!("alloca {}", types.display(*elem_ty))
-            } else {
-                format!(
-                    "alloca {}, {}",
-                    types.display(*elem_ty),
-                    op(data.operands[0])
-                )
-            }
-        }
-        (Opcode::Load, _) => format!("load {}, {}", types.display(data.ty), op(data.operands[0])),
-        (Opcode::Store, _) => format!("store {}, {}", op(data.operands[0]), op(data.operands[1])),
-        (Opcode::Select, _) => format!(
-            "select {} {}, {}, {}",
-            types.display(data.ty),
-            op(data.operands[0]),
-            op(data.operands[1]),
-            op(data.operands[2])
-        ),
-        (Opcode::Ret, _) => {
-            if data.operands.is_empty() {
-                "ret".to_string()
-            } else {
-                format!("ret {}", op(data.operands[0]))
-            }
-        }
-        (Opcode::Unreachable, _) => "unreachable".to_string(),
-        (opcode, _) if opcode.is_cast() => format!(
-            "{} {} {}",
-            opcode.mnemonic(),
-            types.display(data.ty),
-            op(data.operands[0])
-        ),
-        (opcode, _) if opcode.is_binop() => format!(
-            "{} {} {}, {}",
-            opcode.mnemonic(),
-            types.display(data.ty),
-            op(data.operands[0]),
-            op(data.operands[1])
-        ),
-        (opcode, extra) => panic!("cannot print {opcode:?} with extra {extra:?}"),
-    };
-    format!("{prefix}{body}")
-}
-
-/// Convenience: prints a function with fresh numbering (for debugging).
-pub fn dump_function(module: &Module, func: &Function) -> String {
-    print_function(module, func)
+    let mut p = Printer::new(module);
+    p.function(func);
+    p.out
 }
 
 #[cfg(test)]

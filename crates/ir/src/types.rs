@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// An interned reference to a type inside a [`TypeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -319,23 +320,47 @@ impl TypeStore {
 
     /// Renders `id` as IR text (e.g. `i32`, `[4 x i32]`).
     pub fn display(&self, id: TypeId) -> String {
+        let mut out = String::new();
+        self.write_type(id, &mut out);
+        out
+    }
+
+    /// Appends the IR text of `id` to `out` — [`display`](Self::display)
+    /// without a `String` per (nested) type, for the printer's buffer.
+    pub(crate) fn write_type(&self, id: TypeId, out: &mut String) {
         match self.kind(id) {
-            TypeKind::Void => "void".to_string(),
-            TypeKind::Int(w) => format!("i{w}"),
-            TypeKind::Float => "float".to_string(),
-            TypeKind::Double => "double".to_string(),
-            TypeKind::Ptr => "ptr".to_string(),
+            TypeKind::Void => out.push_str("void"),
+            TypeKind::Int(w) => {
+                let _ = write!(out, "i{w}");
+            }
+            TypeKind::Float => out.push_str("float"),
+            TypeKind::Double => out.push_str("double"),
+            TypeKind::Ptr => out.push_str("ptr"),
             TypeKind::Array { elem, len } => {
-                format!("[{} x {}]", len, self.display(*elem))
+                let _ = write!(out, "[{len} x ");
+                self.write_type(*elem, out);
+                out.push(']');
             }
             TypeKind::Struct { fields } => {
-                let fields: Vec<String> = fields.iter().map(|&f| self.display(f)).collect();
-                format!("{{ {} }}", fields.join(", "))
+                out.push_str("{ ");
+                self.write_list(fields, out);
+                out.push_str(" }");
             }
             TypeKind::Func { ret, params } => {
-                let params: Vec<String> = params.iter().map(|&p| self.display(p)).collect();
-                format!("fn({}) -> {}", params.join(", "), self.display(*ret))
+                out.push_str("fn(");
+                self.write_list(params, out);
+                out.push_str(") -> ");
+                self.write_type(*ret, out);
             }
+        }
+    }
+
+    fn write_list(&self, ids: &[TypeId], out: &mut String) {
+        for (i, &id) in ids.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            self.write_type(id, out);
         }
     }
 }

@@ -19,6 +19,18 @@
 //! * **Per-worker state.** [`par_map_with`] gives every worker a private
 //!   state value built by an `init` closure (e.g. a scratch module clone)
 //!   and hands the states back to the caller for deterministic merging.
+//! * **No thread that cannot pay off.** When only one worker would run
+//!   (one item, or `jobs == 1`), [`par_map_with`] runs `init` and then
+//!   every job on the calling thread, in item order, and returns exactly
+//!   one state. The contract is the same as the threaded path: ordered
+//!   results, the state handed back, and a panicking job's original payload
+//!   reaching the caller (it simply unwinds through). [`WorkerPool`] has no
+//!   such shortcut: its tasks always run on pool threads, which is what
+//!   bounds concurrency across the pool's submitters.
+//! * **One hardware query per process.** `jobs == 0` means one worker per
+//!   available core; [`requested_jobs`] asks the OS once (on Linux the
+//!   query reads cgroup files) and caches the answer, and explicit job
+//!   counts never ask at all.
 
 #![warn(missing_docs)]
 
@@ -26,16 +38,29 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+/// Workers a `jobs` request asks for: `jobs` itself, or for `0` the
+/// available parallelism the OS reports (4 when it cannot tell), queried
+/// once per process. Every `jobs` knob in the workspace (the scoped maps,
+/// [`WorkerPool::new`], the corpus batch sizing) resolves through here, so
+/// they agree on what `0` means.
+pub fn requested_jobs(jobs: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    if jobs > 0 {
+        return jobs;
+    }
+    *AVAILABLE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+}
 
 /// Number of workers to use for `len` items when the caller asked for
 /// `jobs` (`0` = one per available core). Always in `1..=len.max(1)`.
 pub fn effective_jobs(jobs: usize, len: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let requested = if jobs == 0 { hw } else { jobs };
-    requested.clamp(1, len.max(1))
+    requested_jobs(jobs).clamp(1, len.max(1))
 }
 
 /// Runs `job` over `items` on a pool of workers, preserving item order.
@@ -62,6 +87,9 @@ where
 /// workers is nondeterministic — callers that need determinism must make
 /// `job`'s result independent of the worker state's history, or merge the
 /// returned states in a canonical order.
+///
+/// When a single worker would run, no thread is spawned: `init` and the
+/// jobs run on the calling thread, in item order, and one state comes back.
 pub fn par_map_with<T, R, S, I, F>(items: &[T], jobs: usize, init: I, job: F) -> (Vec<R>, Vec<S>)
 where
     T: Sync,
@@ -70,9 +98,18 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let workers = effective_jobs(jobs, items.len());
     if items.is_empty() {
         return (Vec::new(), Vec::new());
+    }
+    let workers = effective_jobs(jobs, items.len());
+    if workers == 1 {
+        let mut state = init();
+        let results = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| job(&mut state, i, item))
+            .collect();
+        return (results, vec![state]);
     }
 
     let next = AtomicUsize::new(0);
@@ -170,10 +207,7 @@ type WorkerYield<S, R> = (S, Vec<(usize, R)>);
 impl WorkerPool {
     /// Spawns a pool of `jobs` workers (`0` = one per available core).
     pub fn new(jobs: usize) -> Self {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let count = if jobs == 0 { hw } else { jobs };
+        let count = requested_jobs(jobs);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
@@ -371,41 +405,61 @@ mod tests {
 
     #[test]
     fn propagates_the_original_panic_payload() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map((0..64).collect::<Vec<u32>>(), |&x| {
-                if x == 13 {
-                    panic!("unlucky item 13");
-                }
-                x
-            });
-        }));
-        let payload = result.expect_err("must panic");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("<non-string payload>");
-        assert!(
-            msg.contains("unlucky item 13"),
-            "original payload lost: {msg}"
-        );
+        // 64 items spread over every available core; one item runs inline.
+        for items in [(0..64).collect::<Vec<u32>>(), vec![13]] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                par_map(items, |&x| {
+                    if x == 13 {
+                        panic!("unlucky item 13");
+                    }
+                    x
+                });
+            }));
+            let payload = result.expect_err("must panic");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("<non-string payload>");
+            assert!(
+                msg.contains("unlucky item 13"),
+                "original payload lost: {msg}"
+            );
+        }
     }
 
     #[test]
     fn worker_states_are_returned() {
         let items: Vec<usize> = (0..100).collect();
-        let (results, states) = par_map_with(
-            &items,
-            4,
-            || 0usize,
-            |count, _i, &x| {
-                *count += 1;
-                x + 1
-            },
-        );
-        assert_eq!(results, (1..=100).collect::<Vec<_>>());
-        assert_eq!(states.iter().sum::<usize>(), 100, "every item counted once");
-        assert!(states.len() <= 4);
+        for (jobs, max_states) in [(4, 4), (1, 1)] {
+            let (results, states) = par_map_with(
+                &items,
+                jobs,
+                || 0usize,
+                |count, _i, &x| {
+                    *count += 1;
+                    x + 1
+                },
+            );
+            assert_eq!(results, (1..=100).collect::<Vec<_>>());
+            assert_eq!(states.iter().sum::<usize>(), 100, "every item counted once");
+            assert!(!states.is_empty() && states.len() <= max_states);
+        }
+    }
+
+    #[test]
+    fn single_worker_maps_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |_: &mut (), _: usize, _: &u8| std::thread::current().id() == caller;
+        // One item under an explicit job count, and many items with jobs = 1.
+        for (items, jobs) in [(vec![0u8], 2), (vec![0u8; 16], 1)] {
+            let (results, states) = par_map_with(&items, jobs, || (), on_caller);
+            assert!(results.iter().all(|&same| same), "jobs={jobs}");
+            assert_eq!(states.len(), 1);
+        }
+        // The threaded path runs every job on a spawned worker.
+        let (results, _) = par_map_with(&[0u8; 64], 2, || (), on_caller);
+        assert!(results.iter().all(|&same| !same));
     }
 
     #[test]
@@ -483,5 +537,7 @@ mod tests {
         assert_eq!(effective_jobs(2, 100), 2);
         assert_eq!(effective_jobs(0, 0), 1);
         assert!(effective_jobs(0, 100) >= 1);
+        assert_eq!(effective_jobs(0, usize::MAX), requested_jobs(0));
+        assert_eq!(requested_jobs(3), 3);
     }
 }

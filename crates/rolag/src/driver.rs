@@ -54,6 +54,18 @@
 //! and anything looser would diverge from what a serial run produces. The
 //! TSVC kernels therefore never share — they are structurally distinct,
 //! not spuriously split by naming.
+//!
+//! # Per-module fixed costs
+//!
+//! A module with fewer than two definitions has nothing to share a memo
+//! slot with, so without a store its definition is not printed as a
+//! canonical key at all; the grouping it would get is the trivial one.
+//! With a [`MemoStore`] attached every representative is still keyed,
+//! because the store's closure key starts from the canonical text — the
+//! corpus and serve paths key exactly as before. And when only one worker
+//! would run (one definition to roll, or `jobs == 1`), the scoped fan-outs
+//! run on the calling thread ([`rolag_par::par_map_with`]); a persistent
+//! [`WorkerPool`] always runs its tasks on its own threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -275,11 +287,14 @@ pub fn roll_module_par_with(
     // the merge below walks them in serial order. The printed keys are kept
     // alive past grouping: the store-key pass below reuses each
     // representative's canonical text instead of printing it a second time.
+    // A lone definition has nothing to share a memo slot with, so it is
+    // only keyed when a store needs its canonical text for the closure key.
     let shared: &Module = module;
+    let keyed = driver.memoize && (ids.len() > 1 || store.is_some());
     let mut groups: Vec<(FuncId, Vec<FuncId>)> = Vec::new();
     let mut canon_keys: Vec<String> = Vec::new();
     let mut rep_canon: Vec<usize> = Vec::new();
-    if driver.memoize {
+    if keyed {
         canon_keys = fan_out(
             pool,
             &ids,
@@ -318,7 +333,7 @@ pub fn roll_module_par_with(
     // memoization on, the grouping pass already printed each representative
     // canonically — only the context sections remain to be rendered.
     let store_keys: Vec<String> = match store {
-        Some(_) if driver.memoize => {
+        Some(_) if keyed => {
             let canon: Vec<&str> = rep_canon.iter().map(|&i| canon_keys[i].as_str()).collect();
             fan_out(
                 pool,
@@ -544,31 +559,40 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bytes_and_stats() {
-        let original = duplicated_module(5);
-        let opts = RolagOptions::default();
+        // Five duplicates plus a distinct function, and a lone definition
+        // (never keyed without a store, rolled inline).
+        for (dups, unique_memo) in [(5, 2), (0, 1)] {
+            let original = duplicated_module(dups);
+            let functions = dups + 1;
+            let opts = RolagOptions::default();
 
-        let mut serial = original.clone();
-        let serial_stats = roll_module(&mut serial, &opts);
-        assert!(serial_stats.rolled >= 6, "fixture must actually roll");
+            let mut serial = original.clone();
+            let serial_stats = roll_module(&mut serial, &opts);
+            assert!(
+                serial_stats.rolled > dups as u64,
+                "fixture must actually roll"
+            );
 
-        for memoize in [false, true] {
-            for jobs in [1, 4] {
-                let mut par = original.clone();
-                let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs, memoize });
-                verify_module(&par).expect("merged module verifies");
-                assert_eq!(
-                    print_module(&serial),
-                    print_module(&par),
-                    "jobs={jobs} memoize={memoize} must be byte-identical"
-                );
-                assert_eq!(report.stats, serial_stats);
-                assert_eq!(report.functions, 6);
-                if memoize {
-                    assert_eq!(report.unique, 2);
-                    assert_eq!(report.cache_hits, 4);
-                } else {
-                    assert_eq!(report.unique, 6);
-                    assert_eq!(report.cache_hits, 0);
+            for memoize in [false, true] {
+                for jobs in [1, 4] {
+                    let mut par = original.clone();
+                    let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs, memoize });
+                    verify_module(&par).expect("merged module verifies");
+                    assert_eq!(
+                        print_module(&serial),
+                        print_module(&par),
+                        "dups={dups} jobs={jobs} memoize={memoize} must be byte-identical"
+                    );
+                    assert_eq!(report.stats, serial_stats);
+                    assert_eq!(report.functions, functions);
+                    assert_eq!(report.changed, functions);
+                    if memoize {
+                        assert_eq!(report.unique, unique_memo);
+                        assert_eq!(report.cache_hits, (functions - unique_memo) as u64);
+                    } else {
+                        assert_eq!(report.unique, functions);
+                        assert_eq!(report.cache_hits, 0);
+                    }
                 }
             }
         }
@@ -615,51 +639,62 @@ mod tests {
     /// Cross-request store: a second request with structurally identical
     /// functions must replay entirely from the store and still be
     /// byte-identical (and outcome-stats-identical) to a cold serial roll.
+    /// A lone definition is keyed too when a store is attached.
     #[test]
     fn store_replay_is_byte_identical_to_cold_roll() {
         let opts = RolagOptions::default();
-        let store = crate::memo::MemoStore::new(64);
+        for dups in [3, 0] {
+            let functions = dups as u64 + 1;
+            let store = crate::memo::MemoStore::new(64);
 
-        let first = duplicated_module(3);
-        let mut warmup = first.clone();
-        let warm_report = roll_module_par_with(
-            &mut warmup,
-            &opts,
-            &DriverOptions::default(),
-            None,
-            Some(&store),
-        );
-        assert_eq!(warm_report.store_hits, 0);
-        assert_eq!(warm_report.store_misses, 4, "every definition missed");
-        assert!(!store.is_empty());
+            let first = duplicated_module(dups);
+            let mut warmup = first.clone();
+            let warm_report = roll_module_par_with(
+                &mut warmup,
+                &opts,
+                &DriverOptions::default(),
+                None,
+                Some(&store),
+            );
+            assert_eq!(warm_report.store_hits, 0);
+            assert_eq!(
+                warm_report.store_misses, functions,
+                "every definition missed"
+            );
+            assert!(!store.is_empty());
 
-        // Same functions arriving from a "different client": new module
-        // name, same bodies.
-        let mut second_text = print_module(&duplicated_module(3)).replace("\"dup\"", "\"client2\"");
-        second_text.push('\n');
-        let second = rolag_ir::parser::parse_module(&second_text).unwrap();
+            // Same functions arriving from a "different client": new module
+            // name, same bodies.
+            let mut second_text =
+                print_module(&duplicated_module(dups)).replace("\"dup\"", "\"client2\"");
+            second_text.push('\n');
+            let second = rolag_ir::parser::parse_module(&second_text).unwrap();
 
-        let mut cold = second.clone();
-        let cold_stats = roll_module(&mut cold, &opts);
+            let mut cold = second.clone();
+            let cold_stats = roll_module(&mut cold, &opts);
 
-        let mut warm = second.clone();
-        let report = roll_module_par_with(
-            &mut warm,
-            &opts,
-            &DriverOptions::default(),
-            None,
-            Some(&store),
-        );
-        verify_module(&warm).expect("replayed module verifies");
-        assert_eq!(report.store_hits, 4, "all definitions replay: {report:?}");
-        assert_eq!(report.store_misses, 0);
-        assert_eq!(report.stats, cold_stats, "replayed stats diverged");
-        assert_eq!(
-            print_module(&cold),
-            print_module(&warm),
-            "store replay must be byte-identical to a cold roll"
-        );
-        assert!(store.stats().hit_rate() > 0.0);
+            let mut warm = second.clone();
+            let report = roll_module_par_with(
+                &mut warm,
+                &opts,
+                &DriverOptions::default(),
+                None,
+                Some(&store),
+            );
+            verify_module(&warm).expect("replayed module verifies");
+            assert_eq!(
+                report.store_hits, functions,
+                "all definitions replay: {report:?}"
+            );
+            assert_eq!(report.store_misses, 0);
+            assert_eq!(report.stats, cold_stats, "replayed stats diverged");
+            assert_eq!(
+                print_module(&cold),
+                print_module(&warm),
+                "store replay must be byte-identical to a cold roll"
+            );
+            assert!(store.stats().hit_rate() > 0.0);
+        }
     }
 
     /// The persistent pool path produces the same bytes and stats as the

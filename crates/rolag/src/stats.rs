@@ -72,6 +72,13 @@ impl AddAssign for NodeKindCounts {
 /// Timings are observability data, not results: they are carried inside
 /// [`RolagStats`] but deliberately excluded from its [`PartialEq`], so a
 /// parallel run with identical outcomes compares equal to a serial one.
+///
+/// Each stage is wall time measured on the worker that ran it, and the
+/// parallel driver sums them over workers. On an oversubscribed CPU (more
+/// driver workers than free cores) a stage therefore also counts the time
+/// its worker spent descheduled, and the summed stages of a parallel run
+/// can exceed both a serial run's stages for the same work and the
+/// driver's own wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Seed collection (candidate discovery per block).
