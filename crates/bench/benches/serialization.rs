@@ -74,12 +74,20 @@ fn main() {
             bytes.len() / funcs,
         ));
 
-        // Round-trip sanity: a bench over a broken codec is worthless.
+        // Round-trip sanity: a bench over a broken codec or parser is
+        // worthless.
         let decoded = decode_module(&bytes).expect("bench corpus decodes");
         assert_eq!(
             print_module(&decoded),
             text,
             "binary round-trip diverged on {}",
+            c.label
+        );
+        let parsed = parse_module(&text).expect("bench corpus parses");
+        assert_eq!(
+            print_module(&parsed),
+            text,
+            "text round-trip diverged on {}",
             c.label
         );
 
