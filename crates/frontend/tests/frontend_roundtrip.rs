@@ -62,3 +62,58 @@ fn tsvc_llvm_roundtrip_rolls_identically() {
         "expected the full kernel suite, got {checked}"
     );
 }
+
+/// An imported module whose block labels are not bare identifiers —
+/// LLVM's numbered blocks, including the implicit entry block, and a
+/// quoted label — prints to text that parses back to the same module:
+/// `.ll` → import → print → parse → print is a fixed point.
+#[test]
+fn numbered_and_quoted_block_labels_round_trip_through_text() {
+    let ll = r#"
+define i32 @abs(i32 %0) {
+  %2 = icmp slt i32 %0, 0
+  br i1 %2, label %3, label %5
+3:
+  %4 = sub i32 0, %0
+  br label %6
+5:
+  br label %6
+6:
+  %7 = phi i32 [ %4, %3 ], [ %0, %5 ]
+  ret i32 %7
+}
+
+define void @quoted() {
+entry:
+  br label %"odd label"
+"odd label":
+  ret void
+}
+"#;
+    let imported = LlvmFrontend
+        .parse(ll.as_bytes(), "labels.ll")
+        .unwrap_or_else(|e| panic!("import failed: {e}"));
+    assert!(
+        imported.skips.is_empty(),
+        "importer skipped {:?}",
+        imported
+            .skips
+            .iter()
+            .map(|s| format!("{}: {}", s.symbol, s.detail))
+            .collect::<Vec<_>>()
+    );
+    let text = print_module(&imported.module);
+    for label in [
+        "\"0\":",
+        "\"3\":",
+        "\"5\":",
+        "\"6\":",
+        "\"odd label\":",
+        "entry:",
+    ] {
+        assert!(text.contains(label), "{label} missing from:\n{text}");
+    }
+    let reparsed = parse_module(&text)
+        .unwrap_or_else(|e| panic!("printed module does not parse: {e}\n{text}"));
+    assert_eq!(print_module(&reparsed), text, "print is not a fixed point");
+}
