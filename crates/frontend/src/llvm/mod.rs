@@ -18,6 +18,7 @@ mod lexer;
 
 use std::collections::HashMap;
 
+use rolag_ir::parser::MAX_TYPE_DEPTH;
 use rolag_ir::types::TypeId;
 use rolag_ir::{Effects, Function, Module};
 
@@ -232,10 +233,27 @@ pub(crate) fn parse_type(
     module: &mut Module,
     named: &HashMap<String, Result<TypeId, SkipErr>>,
 ) -> Result<TypeId, TyErr> {
+    parse_type_at(c, module, named, 0)
+}
+
+/// [`parse_type`] inside `depth` enclosing array and struct types. The
+/// depth is capped as in the native parser, so a hostile type cannot
+/// recurse the importer off its stack.
+fn parse_type_at(
+    c: &mut Cursor,
+    module: &mut Module,
+    named: &HashMap<String, Result<TypeId, SkipErr>>,
+    depth: usize,
+) -> Result<TypeId, TyErr> {
     let (line, col) = (c.line(), c.col());
     let unsup =
         |detail: String| TyErr::Skip(SkipErr::new(SkipCode::UnsupportedType, detail, line, col));
     let mut base = match c.peek().clone() {
+        Tok::LBracket | Tok::LBrace if depth == MAX_TYPE_DEPTH => {
+            return Err(unsup(format!(
+                "type nesting deeper than {MAX_TYPE_DEPTH} levels"
+            )))
+        }
         Tok::Word(w) => {
             c.bump();
             match w.as_str() {
@@ -267,7 +285,7 @@ pub(crate) fn parse_type(
                     )))
                 }
             }
-            let elem = parse_type(c, module, named)?;
+            let elem = parse_type_at(c, module, named, depth + 1)?;
             if !matches!(c.next(), Tok::RBracket) {
                 return Err(unsup("unterminated array type".into()));
             }
@@ -278,7 +296,7 @@ pub(crate) fn parse_type(
             let mut fields = Vec::new();
             if !matches!(c.peek(), Tok::RBrace) {
                 loop {
-                    fields.push(parse_type(c, module, named)?);
+                    fields.push(parse_type_at(c, module, named, depth + 1)?);
                     if matches!(c.peek(), Tok::Comma) {
                         c.bump();
                     } else {
@@ -1163,4 +1181,60 @@ fn global_symbol(toks: &[Sp], start: usize) -> String {
         }
     }
     "<unknown>".to_string()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested_array(depth: usize) -> String {
+        format!("{}i32{}", "[1 x ".repeat(depth), "]".repeat(depth))
+    }
+
+    fn skips_of(source: &str) -> Vec<String> {
+        let result = LlvmFrontend
+            .parse(source.as_bytes(), "t.ll")
+            .expect("imports");
+        result
+            .skips
+            .iter()
+            .map(|s| {
+                format!(
+                    "{}:{}: {} {}: {}",
+                    s.line,
+                    s.col,
+                    s.code.code(),
+                    s.symbol,
+                    s.detail
+                )
+            })
+            .collect()
+    }
+
+    /// A type nested one level past the cap skips its symbol with a pinned
+    /// message at the first bracket past the cap, however deep it goes.
+    #[test]
+    fn type_nesting_is_capped() {
+        let ok = format!(
+            "@a = global {} zeroinitializer\n",
+            nested_array(MAX_TYPE_DEPTH)
+        );
+        assert_eq!(skips_of(&ok), Vec::<String>::new());
+        for depth in [MAX_TYPE_DEPTH + 1, 200_000] {
+            let global = format!("@a = global {} zeroinitializer\n", nested_array(depth));
+            assert_eq!(
+                skips_of(&global),
+                ["1:1293: unsupported-type <global:a>: @a: type nesting deeper than 256 levels"]
+            );
+            let body = format!(
+                "define void @f() {{\nentry:\n  %p = alloca {}i8{}\n  ret void\n}}\n",
+                "{ ".repeat(depth),
+                " }".repeat(depth)
+            );
+            assert_eq!(
+                skips_of(&body),
+                ["3:527: unsupported-type f: type nesting deeper than 256 levels"]
+            );
+        }
+    }
 }

@@ -880,17 +880,39 @@ impl Function {
     }
 
     /// Computes the def-use map: for every value, the list of
-    /// `(user instruction, operand index)` pairs among live instructions.
+    /// `(user instruction, operand index)` pairs among live instructions,
+    /// in layout order.
+    ///
+    /// The map is two flat arrays (compressed sparse rows): one pass counts
+    /// each value's uses, a prefix sum turns the counts into offsets, and a
+    /// second pass fills the users in, so a call allocates twice however
+    /// many values have uses.
     pub fn compute_uses(&self) -> UseMap {
-        let mut uses: Vec<Vec<(InstId, usize)>> = vec![Vec::new(); self.values.len()];
-        for b in self.block_ids() {
-            for &i in &self.block(b).insts {
-                for (op_idx, &op) in self.inst(i).operands.iter().enumerate() {
-                    uses[op.index()].push((i, op_idx));
-                }
+        let n = self.values.len();
+        // Count: `offsets[v + 1]` is the number of uses of value `v`.
+        let mut offsets = vec![0u32; n + 1];
+        for i in self.live_insts() {
+            for &op in &self.inst(i).operands {
+                offsets[op.index() + 1] += 1;
             }
         }
-        UseMap { uses }
+        // Prefix sum: `offsets[v]` is where the users of `v` start.
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        // Fill, advancing `offsets[v]` as the write cursor of `v`: it ends
+        // at the start of `v + 1`, so one shift restores the starts.
+        let mut users = vec![(InstId(0), 0); offsets[n] as usize];
+        for i in self.live_insts() {
+            for (op_idx, &op) in self.inst(i).operands.iter().enumerate() {
+                let slot = &mut offsets[op.index()];
+                users[*slot as usize] = (i, op_idx);
+                *slot += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        UseMap { offsets, users }
     }
 
     /// Iterates over all live instructions in layout order.
@@ -1043,20 +1065,27 @@ fn const_key_of(def: &ValueDef) -> Option<ConstKey> {
 }
 
 /// Def-use information computed by [`Function::compute_uses`].
+///
+/// The map covers the values that existed when it was computed; asking
+/// about a value appended later (a constant interned since) panics.
 #[derive(Debug, Clone)]
 pub struct UseMap {
-    uses: Vec<Vec<(InstId, usize)>>,
+    /// `users[offsets[v]..offsets[v + 1]]` are the uses of value `v`.
+    offsets: Vec<u32>,
+    users: Vec<(InstId, usize)>,
 }
 
 impl UseMap {
     /// Users of value `v` as `(instruction, operand index)` pairs.
     pub fn of(&self, v: ValueId) -> &[(InstId, usize)] {
-        &self.uses[v.index()]
+        let k = v.index();
+        &self.users[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
     /// Number of uses of `v`.
     pub fn count(&self, v: ValueId) -> usize {
-        self.uses[v.index()].len()
+        let k = v.index();
+        (self.offsets[k + 1] - self.offsets[k]) as usize
     }
 }
 

@@ -53,6 +53,9 @@ use crate::types::TypeId;
 
 use lexer::{Lexer, Tok};
 
+/// How deeply array and struct types may nest.
+pub const MAX_TYPE_DEPTH: usize = 256;
+
 /// Error produced when parsing IR text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -370,7 +373,17 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_type(&mut self) -> Result<TypeId> {
+        self.parse_type_at(0)
+    }
+
+    /// [`Parser::parse_type`] inside `depth` enclosing array and struct
+    /// types. The depth is capped, so a hostile type cannot recurse the
+    /// parser off its stack.
+    fn parse_type_at(&mut self, depth: usize) -> Result<TypeId> {
         match self.tok {
+            Tok::LBracket | Tok::LBrace if depth == MAX_TYPE_DEPTH => {
+                self.err(format!("type nesting deeper than {MAX_TYPE_DEPTH} levels"))
+            }
             Tok::Ident(s) => {
                 self.bump()?;
                 let types = &self.module.types;
@@ -407,7 +420,7 @@ impl<'a> Parser<'a> {
                 if x != "x" {
                     return self.err(format!("expected 'x' in array type, found {x}"));
                 }
-                let elem = self.parse_type()?;
+                let elem = self.parse_type_at(depth + 1)?;
                 self.expect(&Tok::RBracket)?;
                 Ok(self.module.types.array(elem, len as u64))
             }
@@ -415,7 +428,7 @@ impl<'a> Parser<'a> {
                 self.bump()?;
                 let mut fields = Vec::new();
                 loop {
-                    fields.push(self.parse_type()?);
+                    fields.push(self.parse_type_at(depth + 1)?);
                     if !self.eat(&Tok::Comma)? {
                         break;
                     }

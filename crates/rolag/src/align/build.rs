@@ -18,6 +18,10 @@ use crate::seeds::Candidate;
 /// Builds the alignment graph of a collected [`Candidate`] against `func`,
 /// returning `None` when any root fails to build.
 ///
+/// The first root group (the seed group `groups[0]`, or the reduction
+/// leaves) must pass [`GraphBuilder::root_can_match`] before anything is
+/// built; most reduction candidates fail there, without a graph.
+///
 /// The builder mutates `func` only to intern constants, which is inert for
 /// printing (the printer numbers instruction results by block layout and
 /// prints constants by content) and idempotent, so callers may build
@@ -29,6 +33,13 @@ pub fn build_candidate_graph(
     opts: &RolagOptions,
 ) -> Option<AlignGraph> {
     let mut builder = GraphBuilder::new(module, func, cand.block(), opts, cand.lanes());
+    let first_root = match cand {
+        Candidate::Seeds { groups, .. } => &groups[0],
+        Candidate::Reduction { leaves, .. } => leaves,
+    };
+    if !builder.root_can_match(first_root) {
+        return None;
+    }
     let built = match cand {
         Candidate::Seeds { groups, .. } => {
             groups.iter().all(|g| builder.build_seed_root(g).is_some())
@@ -79,6 +90,24 @@ impl<'a> GraphBuilder<'a> {
     /// Consumes the builder, returning the graph.
     pub fn finish(self) -> AlignGraph {
         self.graph
+    }
+
+    /// Whether `group` can become a `Match` node as the first root of an
+    /// empty graph: the structural gate of `try_match` (distinct rollable
+    /// instructions of the block that agree on opcode, type, operand
+    /// count, extras and operand types).
+    ///
+    /// A refusal is exact. With no node built and nothing claimed, the
+    /// steps of `build_group` before `try_match` (identical lanes, integer
+    /// constants, recurrences) cannot yield a `Match`, and the steps after
+    /// it never do, so a group this refuses never roots a graph. Refusing
+    /// it here skips the whole build and leaves `func` untouched.
+    pub fn root_can_match(&self, group: &[ValueId]) -> bool {
+        debug_assert!(
+            self.graph.node_ids().next().is_none(),
+            "the root gate is exact only for the first root"
+        );
+        self.match_gate(group).is_some()
     }
 
     /// Builds the graph rooted at a seed group (one value per lane) and
@@ -248,7 +277,10 @@ impl<'a> GraphBuilder<'a> {
         Some(inst)
     }
 
-    fn try_match(&mut self, group: &[ValueId]) -> Option<NodeId> {
+    /// The lanes' instructions when `group` is made of distinct rollable
+    /// instructions that agree on opcode, type, operand count, extras and
+    /// operand types; `None` otherwise.
+    fn match_gate(&self, group: &[ValueId]) -> Option<Vec<InstId>> {
         let insts: Vec<InstId> = group
             .iter()
             .map(|&v| self.rollable_inst(v))
@@ -261,11 +293,10 @@ impl<'a> GraphBuilder<'a> {
                 }
             }
         }
-        let first = self.func.inst(insts[0]).clone();
-        let opcode = first.opcode;
+        let first = self.func.inst(insts[0]);
         for &i in &insts[1..] {
             let data = self.func.inst(i);
-            if data.opcode != opcode
+            if data.opcode != first.opcode
                 || data.ty != first.ty
                 || data.operands.len() != first.operands.len()
                 || !extras_compatible(&first.extra, &data.extra)
@@ -280,6 +311,12 @@ impl<'a> GraphBuilder<'a> {
                 }
             }
         }
+        Some(insts)
+    }
+
+    fn try_match(&mut self, group: &[ValueId]) -> Option<NodeId> {
+        let insts = self.match_gate(group)?;
+        let opcode = self.func.inst(insts[0]).opcode;
 
         // Create the node first so claims and recurrence detection can see
         // it while the children are built.

@@ -100,6 +100,7 @@ pub(crate) struct FunctionCache {
     /// Block dependences and the use map of the scheduling analysis, kept
     /// across a sweep's candidates (keyed by block and revision, so a
     /// commit drops them without help from [`FunctionCache::invalidate`]).
+    /// The use map is also lent to seed collection.
     pub sched: ScheduleCache,
 }
 

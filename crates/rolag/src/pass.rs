@@ -142,7 +142,8 @@ pub fn roll_function_with(
                 candidates.extend(list.iter().cloned());
             } else {
                 stats.cache.cand_blocks_scanned += 1;
-                let list = collect_block_candidates(module, &work, b, opts);
+                let uses = cache.sched.uses(&work);
+                let list = collect_block_candidates(module, &work, uses, b, opts);
                 candidates.extend(list.iter().cloned());
                 cache.cands.insert(b, list);
             }

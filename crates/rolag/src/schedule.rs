@@ -91,11 +91,7 @@ impl ScheduleCache {
         if graph_insts.is_empty() {
             return None;
         }
-        if self.revision != Some(func.revision()) {
-            self.revision = Some(func.revision());
-            self.uses = None;
-            self.deps.clear();
-        }
+        self.sync(func);
         let deps = match self.deps.entry(block) {
             Entry::Occupied(hit) => {
                 let deps = hit.into_mut();
@@ -110,6 +106,28 @@ impl ScheduleCache {
         };
         let uses = self.uses.get_or_insert_with(|| func.compute_uses());
         analyze_with(func, block, graph, graph_insts, deps, uses)
+    }
+
+    /// The use map of `func` at its current revision, computed on first
+    /// request and shared with [`ScheduleCache::analyze`]: the incremental
+    /// engine lends it to seed collection, so a sweep builds one map for
+    /// every block it scans and every candidate it schedules.
+    ///
+    /// Read it only for values that existed at that revision. Constants
+    /// interned by graph builds since then are not in it, because interning
+    /// does not bump the revision; seed collection never asks about them.
+    pub fn uses(&mut self, func: &Function) -> &UseMap {
+        self.sync(func);
+        self.uses.get_or_insert_with(|| func.compute_uses())
+    }
+
+    /// Drops every entry computed at another revision of `func`.
+    fn sync(&mut self, func: &Function) {
+        if self.revision != Some(func.revision()) {
+            self.revision = Some(func.revision());
+            self.uses = None;
+            self.deps.clear();
+        }
     }
 }
 

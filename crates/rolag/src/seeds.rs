@@ -4,11 +4,21 @@
 //! isomorphic code: stores grouped by base address and stored type, calls
 //! grouped by callee, and roots of reduction trees. Alternating groups are
 //! additionally proposed as joint candidates (§IV-C6).
+//!
+//! Reduction roots, single-use tree nodes and value-chain links are read
+//! from a [`UseMap`] the caller passes in, one per function revision: the
+//! incremental engine lends the map its `ScheduleCache` keeps for the
+//! sweep, and [`collect_candidates`] computes one per call. Collection does
+//! not test whether a group can align. Reduction trees whose leaves never
+//! match are still proposed, and `build_candidate_graph` refuses them at its
+//! root gate before building any graph.
 
 use std::collections::{BTreeMap, HashMap};
 
 use rolag_analysis::alias::{resolve_pointer, BaseObject};
-use rolag_ir::{BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, ValueDef, ValueId};
+use rolag_ir::{
+    BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
+};
 
 use crate::options::RolagOptions;
 
@@ -161,11 +171,13 @@ pub fn candidate_variants(
     out
 }
 
-/// Collects rolling candidates for every block of `func`.
+/// Collects rolling candidates for every block of `func`, computing the
+/// function's use map once for all of them.
 pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions) -> Vec<Candidate> {
+    let uses = func.compute_uses();
     let mut out = Vec::new();
     for block in func.block_ids() {
-        collect_in_block(module, func, block, opts, &mut out);
+        collect_in_block(module, func, &uses, block, opts, &mut out);
     }
     out
 }
@@ -173,21 +185,30 @@ pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions)
 /// Collects the candidates of one block into a fresh vector — the unit of
 /// caching for the incremental fixpoint engine ([`collect_candidates`] is
 /// exactly the per-block lists concatenated in block order).
+///
+/// `uses` is a use map of `func` at its current revision, such as the one
+/// [`ScheduleCache::uses`](crate::schedule::ScheduleCache::uses) lends. It
+/// may predate constants interned since (graph builds intern without
+/// bumping the revision): collection only asks about instruction results,
+/// which all existed when the map was computed.
 pub fn collect_block_candidates(
     module: &Module,
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
     opts: &RolagOptions,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
-    collect_in_block(module, func, block, opts, &mut out);
+    collect_in_block(module, func, uses, block, opts, &mut out);
     out
 }
 
 /// Collects rolling candidates inside one block, appending to `out`.
+/// `uses` is as for [`collect_block_candidates`].
 pub fn collect_in_block(
     module: &Module,
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
@@ -282,12 +303,12 @@ pub fn collect_in_block(
 
     // --- reduction trees (§IV-C5) -------------------------------------------
     if opts.enable_reductions {
-        collect_reductions(module, func, block, opts, out);
+        collect_reductions(func, uses, block, opts, out);
     }
 
     // --- value chains (EXTENSION: paper future work, Fig. 20b) --------------
     if opts.enable_value_chains {
-        collect_value_chains(func, block, opts, out);
+        collect_value_chains(func, uses, block, opts, out);
     }
 }
 
@@ -298,11 +319,11 @@ pub fn collect_in_block(
 /// node during alignment.
 fn collect_value_chains(
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
 ) {
-    let uses = func.compute_uses();
     let insts = &func.block(block).insts;
     let in_block: std::collections::HashSet<InstId> = insts.iter().copied().collect();
     let eligible = |op: Opcode| {
@@ -377,13 +398,12 @@ fn alternation_k<'g>(groups: &[&'g Vec<(usize, InstId)>]) -> Option<Vec<&'g Vec<
 }
 
 fn collect_reductions(
-    _module: &Module,
     func: &Function,
+    uses: &UseMap,
     block: BlockId,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
 ) {
-    let uses = func.compute_uses();
     let insts = &func.block(block).insts;
     // Block position of every instruction; doubles as the membership test.
     let pos_map: HashMap<InstId, usize> = insts
@@ -392,6 +412,9 @@ fn collect_reductions(
         .map(|(p, &inst)| (inst, p))
         .collect();
     let in_block = |inst: &InstId| pos_map.contains_key(inst);
+    // Tree buffers, reused across roots: a tree too small to propose is
+    // dropped without allocating, and a proposed one takes the vectors.
+    let (mut internal, mut leaves, mut stack) = (Vec::new(), Vec::new(), Vec::new());
     for &i in insts {
         let data = func.inst(i);
         let opcode = data.opcode;
@@ -411,9 +434,10 @@ fn collect_reductions(
         }
         // Gather the tree: internal nodes are same-opcode, single-use
         // instructions of this block.
-        let mut internal = vec![i];
-        let mut leaves: Vec<ValueId> = Vec::new();
-        let mut stack = vec![i];
+        internal.clear();
+        leaves.clear();
+        internal.push(i);
+        stack.push(i);
         while let Some(n) = stack.pop() {
             for &op in &func.inst(n).operands {
                 let as_internal = match func.value(op) {
@@ -472,8 +496,8 @@ fn collect_reductions(
         out.push(Candidate::Reduction {
             block,
             opcode,
-            internal,
-            leaves,
+            internal: std::mem::take(&mut internal),
+            leaves: std::mem::take(&mut leaves),
             carry,
             ty: data.ty,
         });

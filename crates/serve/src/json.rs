@@ -87,11 +87,14 @@ pub fn escaped(s: &str) -> String {
     out
 }
 
+/// How deeply arrays and objects may nest in a parsed document.
+const MAX_DEPTH: usize = 256;
+
 /// Parses one JSON document. Trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(text, bytes, &mut pos)?;
+    let value = parse_value(text, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -114,11 +117,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+/// The depth is capped, so a hostile document cannot recurse the parser
+/// off its stack.
+fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(text, bytes, pos),
-        Some(b'[') => parse_array(text, bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_object(text, bytes, pos, depth + 1),
+        Some(b'[') => parse_array(text, bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(text, bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -219,7 +228,7 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
     }
 }
 
-fn parse_object(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -232,7 +241,7 @@ fn parse_object(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
         let key = parse_string(text, bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(text, bytes, pos)?;
+        let value = parse_value(text, bytes, pos, depth)?;
         members.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -246,7 +255,7 @@ fn parse_object(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
     }
 }
 
-fn parse_array(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -255,7 +264,7 @@ fn parse_array(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(text, bytes, pos)?);
+        items.push(parse_value(text, bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -292,6 +301,22 @@ mod tests {
         assert_eq!(items[2].as_str(), Some("xA"));
         assert!(parse("{} junk").is_err());
         assert!(parse("{\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(300_000);
+        assert_eq!(
+            parse(&deep),
+            Err("nesting deeper than 256 levels at byte 256".to_string())
+        );
+        let objects = format!("{}1", "{\"k\": ".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            parse(&objects),
+            Err("nesting deeper than 256 levels at byte 1536".to_string())
+        );
     }
 
     #[test]

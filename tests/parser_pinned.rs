@@ -463,7 +463,27 @@ fn error_cases() -> Vec<(String, &'static str)> {
         (f("  ret @nope\n  ret %nope"), "4:3: unknown reference @nope"),
         (m("func @f() -> void {\nentry:\n  ret\nentry:\n  br nowhere\n}"), "2:6: duplicate block label entry"),
         (m("func @f() -> void {\nentry:\n  br nowhere\n}\nfunc @f() -> void {\nentry:\n  ret\n}\n5"), "10:1: expected top-level item, found 5"),
+        // ---- type nesting cap: the first bracket past 256 levels ----
+        (m(&format!("global @a : {} = zero", nested("[1 x ", "i32", "]", 257))), "2:1293: type nesting deeper than 256 levels"),
+        (m(&format!("global @a : {} = zero", nested("[1 x ", "i32", "]", 200_000))), "2:1293: type nesting deeper than 256 levels"),
+        (f(&format!("  %2 = alloca {}", nested("{", "i8", "}", 257))), "4:271: type nesting deeper than 256 levels"),
+        (f(&format!("  %2 = alloca {}", nested("{i8, ", "i8", "}", 200_000))), "4:1295: type nesting deeper than 256 levels"),
     ]
+}
+
+/// `depth` copies of `open`, then `inner`, then `depth` copies of `close`.
+fn nested(open: &str, inner: &str, close: &str, depth: usize) -> String {
+    format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+}
+
+/// A type nested exactly to the cap still parses.
+#[test]
+fn type_nesting_cap_is_exact() {
+    let text = format!(
+        "{H}global @a : {} = zero\n",
+        nested("[1 x ", "i32", "]", 256)
+    );
+    assert!(parse_module(&text).is_ok());
 }
 
 #[test]
