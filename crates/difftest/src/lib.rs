@@ -15,7 +15,7 @@
 //!   configurations) and interprets original vs. transformed modules over
 //!   deterministic argument sets, comparing return values, effectful call
 //!   traces, final global memory, and trap classes;
-//! * [`shrink`] — a greedy structural shrinker that reduces any failure
+//! * [`shrink`](mod@shrink) — a greedy structural shrinker that reduces any failure
 //!   to a minimal `.rir` reproducer suitable for `tests/repros/`.
 //!
 //! ```

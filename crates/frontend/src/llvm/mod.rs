@@ -324,6 +324,14 @@ fn parse_type_at(
         c.bump();
         base = module.types.ptr();
     }
+    // A named type brings its own nesting (inline brackets are capped
+    // above): refuse it where it would push this type past the cap, before
+    // anything deeper is interned.
+    if depth + module.types.depth(base) > MAX_TYPE_DEPTH {
+        return Err(unsup(format!(
+            "type nesting deeper than {MAX_TYPE_DEPTH} levels"
+        )));
+    }
     Ok(base)
 }
 
@@ -1191,6 +1199,17 @@ mod tests {
         format!("{}i32{}", "[1 x ".repeat(depth), "]".repeat(depth))
     }
 
+    /// `levels` named types, each an array of the one before, and a global
+    /// of the last: no bracket nests, yet the type is `levels` deep.
+    fn named_chain(levels: usize) -> String {
+        let mut s = String::from("%t1 = type [1 x i32]\n");
+        for n in 2..=levels {
+            s.push_str(&format!("%t{n} = type [1 x %t{}]\n", n - 1));
+        }
+        s.push_str(&format!("@g = global %t{levels} zeroinitializer\n"));
+        s
+    }
+
     fn skips_of(source: &str) -> Vec<String> {
         let result = LlvmFrontend
             .parse(source.as_bytes(), "t.ll")
@@ -1220,6 +1239,19 @@ mod tests {
             nested_array(MAX_TYPE_DEPTH)
         );
         assert_eq!(skips_of(&ok), Vec::<String>::new());
+        // A chain of named types nests without brackets; the cap still
+        // holds, and a type at the cap prints text the native parser reads.
+        let at_cap = named_chain(MAX_TYPE_DEPTH);
+        assert_eq!(skips_of(&at_cap), Vec::<String>::new());
+        let imported = LlvmFrontend.parse(at_cap.as_bytes(), "t.ll").unwrap();
+        let text = rolag_ir::printer::print_module(&imported.module);
+        rolag_ir::parser::parse_module(&text).expect("reparses");
+        for levels in [MAX_TYPE_DEPTH + 1, 100_000] {
+            assert_eq!(
+                skips_of(&named_chain(levels)),
+                ["257:19: unsupported-type <global:g>: @g: type nesting deeper than 256 levels"]
+            );
+        }
         for depth in [MAX_TYPE_DEPTH + 1, 200_000] {
             let global = format!("@a = global {} zeroinitializer\n", nested_array(depth));
             assert_eq!(

@@ -38,6 +38,7 @@ use crate::block::{BlockData, BlockId};
 use crate::function::{Effects, Function};
 use crate::inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, Opcode};
 use crate::module::{GlobalData, GlobalInit, Module};
+use crate::parser::MAX_TYPE_DEPTH;
 use crate::types::{TypeId, TypeKind, TypeStore};
 use crate::value::{FuncId, GlobalId, ValueDef, ValueId};
 
@@ -45,6 +46,11 @@ use crate::value::{FuncId, GlobalId, ValueDef, ValueId};
 pub const MAGIC: [u8; 4] = *b"RLIR";
 /// Current format version.
 pub const VERSION: u16 = 1;
+
+/// The [`DecodeError::Malformed`] detail of a type nested deeper than
+/// [`MAX_TYPE_DEPTH`] levels.
+const TOO_DEEP: &str = "type nesting deeper than 256 levels";
+const _: () = assert!(MAX_TYPE_DEPTH == 256, "TOO_DEEP names the cap");
 
 /// Why a byte buffer failed to decode as a module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -844,6 +850,11 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
         if id.index() != idx {
             return Err(DecodeError::Malformed("type store prelude"));
         }
+        // The printer and the layout queries recurse through a type, so a
+        // type the text parser would refuse is refused here too.
+        if types.depth(id) > MAX_TYPE_DEPTH {
+            return Err(DecodeError::Malformed(TOO_DEEP));
+        }
     }
     let name = c.str()?;
     let num_globals = c.count(4)?;
@@ -978,6 +989,32 @@ done:
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode_module(&bytes).err(), Some(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn over_deep_types_are_rejected() {
+        let deep = |levels: usize| {
+            let mut m = Module::new("deep");
+            let mut ty = m.types.i32();
+            for _ in 0..levels {
+                ty = m.types.array(ty, 1);
+            }
+            m.add_global(GlobalData {
+                name: "g".into(),
+                ty,
+                init: GlobalInit::Zero,
+                is_const: false,
+            });
+            encode_module(&m)
+        };
+        let at_cap = decode_module(&deep(MAX_TYPE_DEPTH)).expect("decodes");
+        assert!(print_module(&at_cap).contains("[1 x [1 x"));
+        for levels in [MAX_TYPE_DEPTH + 1, 100_000] {
+            assert_eq!(
+                decode_module(&deep(levels)).err(),
+                Some(DecodeError::Malformed(TOO_DEEP))
+            );
+        }
     }
 
     #[test]

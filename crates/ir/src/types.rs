@@ -49,6 +49,8 @@ pub enum TypeKind {
 #[derive(Debug, Clone)]
 pub struct TypeStore {
     kinds: Vec<TypeKind>,
+    /// Array and struct nesting depth of each type, parallel to `kinds`.
+    depths: Vec<u32>,
     map: HashMap<TypeKind, TypeId>,
     void: TypeId,
     i1: TypeId,
@@ -72,6 +74,7 @@ impl TypeStore {
     pub fn new() -> Self {
         let mut store = TypeStore {
             kinds: Vec::new(),
+            depths: Vec::new(),
             map: HashMap::new(),
             void: TypeId(0),
             i1: TypeId(0),
@@ -101,6 +104,26 @@ impl TypeStore {
             return id;
         }
         let id = TypeId(self.kinds.len() as u32);
+        // A compound kind only references ids interned before it, so the
+        // depth is one lookup per child, never a recursive walk.
+        let depth = match &kind {
+            TypeKind::Array { elem, .. } => 1 + self.depths[elem.index()],
+            TypeKind::Struct { fields } => {
+                1 + fields
+                    .iter()
+                    .map(|f| self.depths[f.index()])
+                    .max()
+                    .unwrap_or(0)
+            }
+            TypeKind::Func { ret, params } => params
+                .iter()
+                .chain([ret])
+                .map(|t| self.depths[t.index()])
+                .max()
+                .unwrap_or(0),
+            _ => 0,
+        };
+        self.depths.push(depth);
         self.kinds.push(kind.clone());
         self.map.insert(kind, id);
         id
@@ -113,6 +136,15 @@ impl TypeStore {
     /// Panics if `id` does not belong to this store.
     pub fn kind(&self, id: TypeId) -> &TypeKind {
         &self.kinds[id.index()]
+    }
+
+    /// How many array and struct types enclose one another in `id`: 0 for
+    /// a scalar, 1 for `[4 x i32]`, 2 for `{ [4 x i32] }`. The text
+    /// parser refuses a type deeper than
+    /// [`MAX_TYPE_DEPTH`](crate::parser::MAX_TYPE_DEPTH), and the printer
+    /// and the layout queries recurse this deep.
+    pub fn depth(&self, id: TypeId) -> usize {
+        self.depths[id.index()] as usize
     }
 
     /// `void`
@@ -399,6 +431,26 @@ mod tests {
         let mut store = TypeStore::new();
         assert_ne!(store.int(32), store.int(64));
         assert_ne!(store.float(), store.double());
+    }
+
+    #[test]
+    fn depth_counts_enclosing_aggregates() {
+        let mut store = TypeStore::new();
+        let i32_ = store.i32();
+        assert_eq!(store.depth(i32_), 0);
+        let arr = store.array(i32_, 4);
+        assert_eq!(store.depth(arr), 1);
+        let empty = store.struct_(vec![]);
+        assert_eq!(store.depth(empty), 1);
+        let outer = store.struct_(vec![i32_, arr]);
+        assert_eq!(store.depth(outer), 2);
+        let sig = store.func(i32_, vec![outer]);
+        assert_eq!(store.depth(sig), 2);
+        let mut deep = i32_;
+        for _ in 0..100_000 {
+            deep = store.array(deep, 1);
+        }
+        assert_eq!(store.depth(deep), 100_000);
     }
 
     #[test]

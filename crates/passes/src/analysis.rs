@@ -16,8 +16,8 @@ use std::fmt;
 use std::ops::AddAssign;
 use std::rc::Rc;
 
-use rolag_analysis::{find_loops, resolve_pointer, DomTree, Loop, PtrInfo};
-use rolag_ir::{Effects, FuncId, Module, ValueId};
+use rolag_analysis::{find_loops, DomTree, Loop};
+use rolag_ir::{Effects, FuncId, Module};
 use rolag_transforms::effects_table;
 
 /// The analyses the manager caches.
@@ -27,9 +27,6 @@ pub enum AnalysisKind {
     Dominators,
     /// Natural-loop forest ([`find_loops`]), per function.
     Loops,
-    /// Base+offset pointer resolution ([`resolve_pointer`]), per
-    /// (function, value).
-    Alias,
     /// Module-wide call-effects table ([`effects_table`]), indexed by
     /// [`FuncId`].
     EffectsTable,
@@ -37,10 +34,9 @@ pub enum AnalysisKind {
 
 impl AnalysisKind {
     /// Every cached analysis kind.
-    pub const ALL: [AnalysisKind; 4] = [
+    pub const ALL: [AnalysisKind; 3] = [
         AnalysisKind::Dominators,
         AnalysisKind::Loops,
-        AnalysisKind::Alias,
         AnalysisKind::EffectsTable,
     ];
 
@@ -53,7 +49,6 @@ impl AnalysisKind {
         match self {
             AnalysisKind::Dominators => "dom",
             AnalysisKind::Loops => "loops",
-            AnalysisKind::Alias => "alias",
             AnalysisKind::EffectsTable => "effects",
         }
     }
@@ -118,10 +113,6 @@ pub struct AnalysisCacheStats {
     pub loops_hits: u64,
     /// Loop forests computed fresh.
     pub loops_misses: u64,
-    /// Pointer resolutions served from cache.
-    pub alias_hits: u64,
-    /// Pointer resolutions computed fresh.
-    pub alias_misses: u64,
     /// Effects tables served from cache.
     pub effects_hits: u64,
     /// Effects tables computed fresh.
@@ -137,8 +128,6 @@ impl AnalysisCacheStats {
             ("dom_misses", self.dom_misses),
             ("loops_hits", self.loops_hits),
             ("loops_misses", self.loops_misses),
-            ("alias_hits", self.alias_hits),
-            ("alias_misses", self.alias_misses),
             ("effects_hits", self.effects_hits),
             ("effects_misses", self.effects_misses),
         ]
@@ -149,19 +138,18 @@ impl AnalysisCacheStats {
         vec![
             ("dom", self.dom_hits, self.dom_misses),
             ("loops", self.loops_hits, self.loops_misses),
-            ("alias", self.alias_hits, self.alias_misses),
             ("effects", self.effects_hits, self.effects_misses),
         ]
     }
 
     /// Total queries served from cache.
     pub fn total_hits(&self) -> u64 {
-        self.dom_hits + self.loops_hits + self.alias_hits + self.effects_hits
+        self.dom_hits + self.loops_hits + self.effects_hits
     }
 
     /// Total queries computed fresh.
     pub fn total_misses(&self) -> u64 {
-        self.dom_misses + self.loops_misses + self.alias_misses + self.effects_misses
+        self.dom_misses + self.loops_misses + self.effects_misses
     }
 
     /// Fraction of all analysis queries served from cache, `0.0..=1.0`.
@@ -180,8 +168,6 @@ impl AddAssign for AnalysisCacheStats {
         self.dom_misses += rhs.dom_misses;
         self.loops_hits += rhs.loops_hits;
         self.loops_misses += rhs.loops_misses;
-        self.alias_hits += rhs.alias_hits;
-        self.alias_misses += rhs.alias_misses;
         self.effects_hits += rhs.effects_hits;
         self.effects_misses += rhs.effects_misses;
     }
@@ -199,8 +185,7 @@ impl fmt::Display for AnalysisCacheStats {
     }
 }
 
-/// Caches dominators, loops, pointer resolutions, and the call-effects
-/// table across the passes of one pipeline run.
+/// Caches dominators, loops, and the call-effects table across the passes of one pipeline run.
 ///
 /// Per-function entries carry the revision they were computed at and are
 /// only served while the function still has that revision; the
@@ -211,7 +196,6 @@ impl fmt::Display for AnalysisCacheStats {
 pub struct AnalysisManager {
     dom: HashMap<FuncId, (u64, Rc<DomTree>)>,
     loops: HashMap<FuncId, (u64, Rc<Vec<Loop>>)>,
-    alias: HashMap<(FuncId, ValueId), (u64, Rc<PtrInfo>)>,
     effects: Option<Rc<Vec<Effects>>>,
     /// Hit/miss counters, cumulative over the manager's lifetime.
     pub stats: AnalysisCacheStats,
@@ -269,28 +253,6 @@ impl AnalysisManager {
         loops
     }
 
-    /// The base+offset resolution of pointer value `v` in `id`.
-    pub fn pointer(&mut self, module: &Module, id: FuncId, v: ValueId) -> Rc<PtrInfo> {
-        let rev = module.func(id).revision();
-        if let Some((cached_rev, info)) = self.alias.get(&(id, v)) {
-            if *cached_rev == rev {
-                self.stats.alias_hits += 1;
-                debug_assert_eq!(
-                    **info,
-                    resolve_pointer(module, module.func(id), v),
-                    "stale pointer resolution served for `{}` — a pass over-claimed \
-                     PreservedAnalyses::Alias",
-                    module.func(id).name
-                );
-                return Rc::clone(info);
-            }
-        }
-        self.stats.alias_misses += 1;
-        let info = Rc::new(resolve_pointer(module, module.func(id), v));
-        self.alias.insert((id, v), (rev, Rc::clone(&info)));
-        info
-    }
-
     /// The module-wide call-effects table, computed once and shared until
     /// a pass declines to preserve [`AnalysisKind::EffectsTable`].
     pub fn effects(&mut self, module: &Module) -> Rc<Vec<Effects>> {
@@ -345,21 +307,6 @@ impl AnalysisManager {
                 ));
             }
         }
-        for (&(id, v), (rev, info)) in &self.alias {
-            if id.index() >= nfuncs
-                || module.func(id).revision() != *rev
-                || v.index() >= module.func(id).num_values()
-            {
-                continue;
-            }
-            if **info != resolve_pointer(module, module.func(id), v) {
-                return Err(format!(
-                    "pointer resolution cached for `{}` value {} diverges from recomputation",
-                    module.func(id).name,
-                    v.index()
-                ));
-            }
-        }
         if let Some(table) = &self.effects {
             if **table != effects_table(module) {
                 return Err("effects table cache diverges from recomputation".into());
@@ -368,16 +315,15 @@ impl AnalysisManager {
         Ok(())
     }
 
-    /// How many per-function/per-key entries are currently cached, per
-    /// analysis kind (`dom`, `loops`, `alias`, `effects`). Test
+    /// How many per-function entries are currently cached, per analysis
+    /// kind (`dom`, `loops`, `effects`). Test
     /// observability: the contract test uses it to prove a preserved
     /// analysis actually *survived* invalidation rather than being
     /// silently dropped.
-    pub fn cached_counts(&self) -> [(&'static str, usize); 4] {
+    pub fn cached_counts(&self) -> [(&'static str, usize); 3] {
         [
             ("dom", self.dom.len()),
             ("loops", self.loops.len()),
-            ("alias", self.alias.len()),
             ("effects", usize::from(self.effects.is_some())),
         ]
     }
@@ -412,17 +358,6 @@ impl AnalysisManager {
         } else {
             self.loops.clear();
         }
-        if preserved.preserves(AnalysisKind::Alias) {
-            self.alias.retain(|&(id, v), entry| {
-                let keep = valid(id) && v.index() < module.func(id).num_values();
-                if keep {
-                    entry.0 = module.func(id).revision();
-                }
-                keep
-            });
-        } else {
-            self.alias.clear();
-        }
         if !preserved.preserves(AnalysisKind::EffectsTable) {
             self.effects = None;
         }
@@ -433,7 +368,7 @@ impl AnalysisManager {
     /// counterpart of [`AnalysisManager::invalidate`]. A
     /// [`FunctionPass`](crate::FunctionPass) only mutates the definition
     /// it was handed, so dropping just that function's entries keeps the
-    /// neighbours' cached dominator trees and pointer resolutions serving
+    /// neighbours' cached dominator trees and loop forests serving
     /// hits instead of paying for one changed function with a module-wide
     /// flush.
     ///
@@ -462,21 +397,6 @@ impl AnalysisManager {
             }
         } else {
             self.loops.remove(&id);
-        }
-        if preserved.preserves(AnalysisKind::Alias) {
-            let nvalues = module.func(id).num_values();
-            self.alias.retain(|&(f, v), entry| {
-                if f != id {
-                    return true;
-                }
-                let keep = v.index() < nvalues;
-                if keep {
-                    entry.0 = rev;
-                }
-                keep
-            });
-        } else {
-            self.alias.retain(|&(f, _), _| f != id);
         }
         if !preserved.preserves(AnalysisKind::EffectsTable) {
             self.effects = None;
@@ -508,7 +428,7 @@ mod tests {
             .preserve(AnalysisKind::Dominators)
             .preserve(AnalysisKind::Loops);
         assert!(cfg.preserves(AnalysisKind::Loops));
-        assert!(!cfg.preserves(AnalysisKind::Alias));
+        assert!(!cfg.preserves(AnalysisKind::EffectsTable));
         let both = cfg.intersect(PreservedAnalyses::all().preserve(AnalysisKind::Dominators));
         assert!(both.preserves(AnalysisKind::Dominators));
         assert_eq!(all.intersect(none), none);
@@ -564,26 +484,14 @@ mod tests {
     }
 
     #[test]
-    fn alias_queries_cache_per_key() {
-        let m = sample();
-        let id = m.func_by_name("f").unwrap();
-        let f = m.func(id);
-        let mut am = AnalysisManager::new();
-        let v = f.param(0);
-        am.pointer(&m, id, v);
-        am.pointer(&m, id, v);
-        assert_eq!((am.stats.alias_hits, am.stats.alias_misses), (1, 1));
-    }
-
-    #[test]
     fn cache_stats_rows_and_rates() {
         let s = AnalysisCacheStats {
             dom_hits: 3,
             dom_misses: 1,
             ..Default::default()
         };
-        assert_eq!(s.rows().len(), 8);
-        assert_eq!(s.per_kind().len(), 4);
+        assert_eq!(s.rows().len(), 6);
+        assert_eq!(s.per_kind().len(), 3);
         assert!((s.hit_rate() - 0.75).abs() < 1e-9);
         let mut t = s;
         t += s;

@@ -12,8 +12,8 @@
 //!   [`PassManager`] that can verify between passes and track per-pass
 //!   wall time and IR changes.
 //! * **Cached analyses** ([`analysis`]) — an [`AnalysisManager`] caching
-//!   dominators, loop forests, pointer resolutions, and the call-effects
-//!   table, keyed by each function's structural
+//!   dominators, loop forests, and the call-effects table, keyed by each
+//!   function's structural
 //!   revision counter so stale results can never be served.
 //! * **Registry + textual pipelines** ([`registry`], [`spec`]) —
 //!   `"unroll<4>,cleanup,rolag,flatten,cleanup"` parses into a pipeline

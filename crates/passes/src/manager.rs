@@ -174,8 +174,7 @@ impl<P: FunctionPass> ModulePass for ForEach<P> {
         // every function's run preserved it.
         let mut preserved = PreservedAnalyses::none()
             .preserve(AnalysisKind::Dominators)
-            .preserve(AnalysisKind::Loops)
-            .preserve(AnalysisKind::Alias);
+            .preserve(AnalysisKind::Loops);
         if effects_preserved {
             preserved = preserved.preserve(AnalysisKind::EffectsTable);
         }

@@ -304,12 +304,12 @@ impl ModulePass for RerollPass {
 /// Which rolag fixpoint engine a [`RolagPass`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RolagEngine {
-    /// The incremental dirty-block worklist ([`roll_module`]); honours
+    /// The incremental dirty-block worklist ([`rolag::roll_module`]); honours
     /// [`PassContext::jobs`] by switching to the parallel memoizing
     /// driver ([`roll_module_par`]).
     Incremental,
     /// The non-incremental reference engine
-    /// ([`roll_module_full_rescan`]); always serial.
+    /// ([`rolag::roll_module_full_rescan`]); always serial.
     FullRescan,
 }
 
@@ -408,8 +408,8 @@ impl ModulePass for RolagPass {
         let rolled = stats.rolled;
         cx.record_rolag(stats);
         if rolled == 0 {
-            // No commit anywhere: uncommitted speculation happens on
-            // detached clones and rolled-back globals, so the module is
+            // No commit anywhere: every speculation was journaled and
+            // rolled back, globals included, so the module is
             // byte-identical to its pre-pass state.
             PreservedAnalyses::all()
         } else {

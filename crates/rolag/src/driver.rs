@@ -20,7 +20,7 @@
 //!   functions in the same order as the serial pass — reproducing the
 //!   serial names exactly. Rolled bodies are rewritten with
 //!   [`Function::remap_globals`].
-//! * **Types.** Worker stores are absorbed via [`TypeStore::absorb`] and
+//! * **Types.** Worker stores are absorbed via [`TypeStore::absorb`](rolag_ir::TypeStore::absorb) and
 //!   bodies rewritten with [`Function::remap_types`]. Interned type *ids*
 //!   may differ from a serial run, but ids are never printed — types
 //!   render structurally — so the output is unaffected.

@@ -49,10 +49,9 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use rolag_analysis::cost::BlockSizeCache;
-use rolag_ir::{BlockId, Function, ValueDef, ValueId};
+use rolag_ir::{BlockId, Function, Module, ValueDef, ValueId};
 use rolag_lower::SizeSketch;
 
-use crate::schedule::ScheduleCache;
 use crate::seeds::Candidate;
 
 /// A memoized reject verdict for a candidate attempt.
@@ -97,41 +96,62 @@ pub(crate) struct FunctionCache {
     pub cands: HashMap<BlockId, Vec<Candidate>>,
     /// Reject verdicts keyed by the structural candidate itself.
     pub memo: HashMap<Candidate, MemoEntry>,
-    /// Block dependences and the use map of the scheduling analysis, kept
-    /// across a sweep's candidates (keyed by block and revision, so a
-    /// commit drops them without help from [`FunctionCache::invalidate`]).
-    /// The use map is also lent to seed collection.
-    pub sched: ScheduleCache,
 }
 
 impl FunctionCache {
-    /// Drops every cached fact that may depend on a dirty block, then
-    /// re-keys the surviving per-block entries to `revision` — the
-    /// function's revision counter after the commit. Without the re-key the
-    /// revision-aware caches would self-heal by dropping *everything* on
-    /// their next sync (any structural mutation bumps the counter), which
-    /// is safe but defeats the point of computing a dirty set at all.
+    /// Brings the caches past a commit that turned `old` into `new` by
+    /// changing the blocks `changed`: drops every cached fact that may
+    /// depend on a block of the commit's [`dirty_closure`], then re-keys
+    /// the surviving per-block entries to `new`'s revision. Without the
+    /// re-key the revision-aware caches would self-heal by dropping
+    /// *everything* on their next sync (any structural mutation bumps the
+    /// counter), which is safe but defeats the point of a dirty set.
     ///
-    /// `sketch_adopted` says whether the commit installed the attempt's
-    /// trial sketch (measured-cost mode): its changed blocks were already
-    /// re-selected against the committed function, so per-block sketch
-    /// invalidation would only throw that work away and re-keying suffices.
-    /// Without an adopted sketch the dirty blocks' summaries are dropped —
-    /// sound because `dirty` ⊇ changed ∪ measure-affected (the def→use
-    /// closure plus the one-hop use→def hop covers both one-hop couplings
-    /// of the lowered size).
-    pub fn invalidate(&mut self, dirty: &HashSet<BlockId>, revision: u64, sketch_adopted: bool) {
-        for &b in dirty {
+    /// `sketch` is the commit's priced trial sketch (measured-cost mode),
+    /// exact for `new`: adopting it spares re-selecting the changed blocks,
+    /// and its clean-block summaries are Arc-shared with the sweep sketch,
+    /// so the carry copies pointers, not fragment vectors. Without one the
+    /// dirty blocks' summaries are dropped — sound because `dirty` ⊇
+    /// changed ∪ measure-affected (the def→use closure plus the one-hop
+    /// use→def hop covers both one-hop couplings of the lowered size).
+    pub fn commit(
+        &mut self,
+        module: &Module,
+        old: &Function,
+        new: &Function,
+        changed: &[BlockId],
+        sketch: Option<SizeSketch>,
+    ) {
+        let dirty = dirty_closure(old, new, changed);
+        for &b in &dirty {
             self.sizes.invalidate(b);
             self.cands.remove(&b);
         }
-        self.sizes.carry_to(revision);
-        if !sketch_adopted {
-            for &b in dirty {
-                self.sketch.invalidate(b);
+        self.sizes.carry_to(new.revision());
+        match sketch {
+            Some(s) => {
+                self.sketch = s;
+                if cfg!(debug_assertions) {
+                    // Counters are saved around the audit so debug and
+                    // release report identical cache stats.
+                    let (hits, misses) = (self.sketch.hits, self.sketch.misses);
+                    let carried = self.sketch.measure(module, new);
+                    debug_assert_eq!(
+                        carried,
+                        rolag_lower::measure_function(module, new),
+                        "sketch carried across a commit diverged from a full lowering"
+                    );
+                    self.sketch.hits = hits;
+                    self.sketch.misses = misses;
+                }
+            }
+            None => {
+                for &b in &dirty {
+                    self.sketch.invalidate(b);
+                }
             }
         }
-        self.sketch.carry_to(revision);
+        self.sketch.carry_to(new.revision());
         self.memo.retain(|cand, entry| {
             !dirty.contains(&cand.block()) && entry.deps.iter().all(|d| !dirty.contains(d))
         });
@@ -233,11 +253,7 @@ fn add_value_flow_edges(f: &Function, users: &mut [HashSet<usize>], defs: &mut [
 /// Edges from either function version count (a deleted use is as
 /// significant as an added one). Sibling users of a shared definition stay
 /// clean — the old undirected closure dirtied them for nothing.
-pub(crate) fn dirty_closure(
-    old: &Function,
-    new: &Function,
-    changed: &[BlockId],
-) -> HashSet<BlockId> {
+fn dirty_closure(old: &Function, new: &Function, changed: &[BlockId]) -> HashSet<BlockId> {
     let n = old.num_blocks().max(new.num_blocks());
     let mut users: Vec<HashSet<usize>> = vec![HashSet::new(); n];
     let mut defs: Vec<HashSet<usize>> = vec![HashSet::new(); n];

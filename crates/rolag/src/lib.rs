@@ -55,6 +55,7 @@ pub mod pass;
 pub mod schedule;
 pub mod search;
 pub mod seeds;
+mod speculate;
 pub mod stats;
 
 pub use align::{
@@ -64,10 +65,10 @@ pub use driver::{roll_module_par, roll_module_par_with, DriverOptions, DriverRep
 pub use memo::{store_key, MemoStore, MemoStoreStats, StoreEntry};
 pub use options::{RolagOptions, SearchConfig};
 pub use pass::{
-    roll_function, roll_function_full_rescan, roll_function_rescued, roll_function_with,
-    roll_module, roll_module_full_rescan, roll_module_full_rescan_with, roll_module_with,
+    roll_function_rescued, roll_function_with, roll_module, roll_module_full_rescan,
+    roll_module_full_rescan_with, roll_module_with,
 };
 pub use schedule::Schedule;
-pub use search::{search_function_audited, search_function_with, RejectedSpeculation, SearchAudit};
+pub use search::{search_function_audited, RejectedSpeculation, SearchAudit};
 pub use seeds::{candidate_variants, collect_block_candidates, collect_candidates, Candidate};
 pub use stats::{FixpointCacheStats, NodeKindCounts, RolagStats, SearchStats, StageTimings};

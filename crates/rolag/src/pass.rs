@@ -5,665 +5,323 @@
 //! keep whichever version the code-size cost model says is smaller. Commits
 //! strictly decrease the size estimate, so the pass terminates.
 //!
-//! The fixpoint runs on an **incremental engine**: after a commit, only the
-//! dirty blocks (see [`crate::incremental`]) are re-scanned for candidates,
-//! profitability works on per-block size deltas instead of whole-function
-//! walks, and reject verdicts are memoized so a failed candidate is not
-//! rebuilt on every sweep. The engine is byte-identical and
-//! outcome-stats-identical to the retained full-rescan reference
-//! ([`roll_function_full_rescan`]), enforced by `tests/incremental_fixpoint.rs`.
+//! Every candidate runs through the one speculation core (`speculate.rs`);
+//! this module is the **greedy policy** over it, which commits the first
+//! profitable candidate of each sweep. With a function cache it is the
+//! incremental engine: after a commit only the dirty blocks (see
+//! `incremental.rs`) are re-scanned for candidates, profitability works on
+//! per-block size deltas instead of whole-function walks, and reject
+//! verdicts are memoized so a failed candidate is not rebuilt on every
+//! sweep. Without one it is the full-rescan reference
+//! ([`roll_module_full_rescan`]); the two are byte-identical and
+//! outcome-stats-identical, enforced by `tests/incremental_fixpoint.rs`.
 
+use std::collections::hash_map::Entry;
 use std::time::Instant;
 
-use rolag_ir::{BlockId, Effects, FuncId, Function, GlobalId, Module};
-use rolag_transforms::{cleanup_in_place, effects_table};
+use rolag_ir::{BlockId, Effects, FuncId, Function, Module};
+use rolag_transforms::effects_table;
 
-use crate::align::{build_candidate_graph, AlignGraph};
-use crate::codegen::{self, RollOutcome};
 use crate::incremental::{
-    dirty_closure, measure_affected_blocks, size_affected_blocks, speculated_changed_blocks,
-    FunctionCache, MemoEntry, MemoVerdict,
+    measure_affected_blocks, size_affected_blocks, speculated_changed_blocks, FunctionCache,
+    MemoEntry, MemoVerdict,
 };
 use crate::options::RolagOptions;
-use crate::schedule::{self, Schedule, ScheduleCache};
 use crate::seeds::{collect_block_candidates, collect_candidates, Candidate};
+use crate::speculate::{fresh_function_size, rollback_globals, timed, Speculator, Verdict};
 use crate::stats::RolagStats;
 
-/// Runs `f`, adding its wall-clock to `slot`.
-pub(crate) fn timed<R>(slot: &mut u64, f: impl FnOnce() -> R) -> R {
-    let start = Instant::now();
-    let result = f();
-    *slot += start.elapsed().as_nanos() as u64;
-    result
-}
-
-/// The sweep-boundary function size under the engine's cost regime:
-/// the incremental caches in release, cross-checked against a fresh
-/// full computation in debug builds — every debug-mode test corpus
-/// thereby audits the incremental engine's bookkeeping for free.
-fn cached_function_size(
+/// The sweep-boundary function size: fresh without a cache; otherwise from
+/// the incremental caches in release, cross-checked against a fresh full
+/// computation in debug builds — every debug-mode test corpus thereby
+/// audits the incremental engine's bookkeeping for free.
+fn function_size(
     module: &Module,
     work: &Function,
     opts: &RolagOptions,
-    cache: &mut FunctionCache,
+    cache: Option<&mut FunctionCache>,
 ) -> u64 {
-    if opts.measured_cost {
-        let size = cache.sketch.measure(module, work) as u64;
-        debug_assert_eq!(
-            size,
-            rolag_lower::measure_function(module, work) as u64,
-            "incremental size sketch diverged from a full lowering"
-        );
-        size
+    let Some(cache) = cache else {
+        return fresh_function_size(module, work, opts);
+    };
+    let size = if opts.measured_cost {
+        cache.sketch.measure(module, work) as u64
     } else {
-        let size = cache.sizes.function_estimate(opts.target, module, work) as u64;
-        debug_assert_eq!(
-            size,
-            opts.target.function_estimate(module, work) as u64,
-            "block size cache diverged from a fresh estimate"
-        );
-        size
-    }
+        cache.sizes.function_estimate(opts.target, module, work) as u64
+    };
+    debug_assert_eq!(
+        size,
+        fresh_function_size(module, work, opts),
+        "incremental size caches diverged from a fresh computation"
+    );
+    size
 }
 
-/// The full-rescan reference engine's function size: always computed from
-/// scratch.
-pub(crate) fn fresh_function_size(module: &Module, work: &Function, opts: &RolagOptions) -> u64 {
-    if opts.measured_cost {
-        rolag_lower::measure_function(module, work) as u64
-    } else {
-        opts.target.function_estimate(module, work) as u64
-    }
-}
-
-/// Runs RoLAG on one function. Returns per-function statistics.
+/// Runs RoLAG on one function using a pre-computed call-effects table
+/// (compute it once per module with [`rolag_transforms::effects_table`];
+/// rolling never changes a function's effects annotation).
 ///
-/// Convenience wrapper around [`roll_function_with`] that snapshots the
-/// module's call-effects table itself. When rolling many functions, compute
-/// the table once with [`rolag_transforms::effects_table`] and call
-/// [`roll_function_with`] directly — the table is loop-invariant (rolling
-/// never changes a function's effects annotation).
-pub fn roll_function(module: &mut Module, id: FuncId, opts: &RolagOptions) -> RolagStats {
-    let effects = effects_table(module);
-    roll_function_with(module, id, opts, &effects)
-}
-
-/// Runs RoLAG on one function using a pre-computed call-effects table.
-///
-/// This is the incremental engine: identical decisions and output to
-/// [`roll_function_full_rescan`], with per-block caches carrying candidate
-/// lists, size estimates, and reject verdicts across fixpoint sweeps.
+/// This is the incremental engine: identical decisions and output to the
+/// full-rescan reference, with per-block caches carrying candidate lists,
+/// size estimates, and reject verdicts across fixpoint sweeps. Beams of
+/// width >= 2 run the beam policy instead; `beam:1` stays here, which makes
+/// it byte- and stats-identical to greedy by construction.
 pub fn roll_function_with(
     module: &mut Module,
     id: FuncId,
     opts: &RolagOptions,
     effects: &[Effects],
 ) -> RolagStats {
-    // Beam search (width >= 2) runs its own engine; width-1 beams fall
-    // through to the greedy body below, which makes `beam:1` byte- and
-    // stats-identical to greedy by construction (tests/search_conformance).
     if opts.search.is_beam() {
-        return crate::search::search_function_with(module, id, opts, effects);
+        return crate::search::search_function(module, id, opts, effects, None);
     }
-    let mut stats = RolagStats::default();
-    if module.func(id).is_declaration {
-        return stats;
-    }
-    let mut work = module.func(id).clone();
-    // At most one more clone per *function* (not per candidate): candidates
-    // speculate on `work` in place under a snapshot journal, and the shadow
-    // stays byte-identical to the pre-candidate state — the validator's
-    // reference and the old side of change tracking and size deltas. A
-    // commit syncs it from the journal's log in O(touched). Materialized
-    // lazily by the first candidate that reaches codegen, so functions
-    // whose candidates never pass the cheap gates stay clone-free — and the
-    // post-commit sync is deferred the same way: the commit stashes its log
-    // in `pending_log`, and the next codegen-reaching candidate replays it
-    // before opening its window. A function whose sweep ends after a commit
-    // never pays for the sync at all.
-    let mut shadow: Option<Function> = None;
-    let mut pending_log: Option<rolag_ir::SpeculationLog> = None;
-    let mut cache = FunctionCache::default();
-
-    let cost_start = Instant::now();
-    stats.size_before = cached_function_size(module, &work, opts, &mut cache);
-    stats.timings.cost_ns += cost_start.elapsed().as_nanos() as u64;
-    let mut old_size = stats.size_before;
-
-    loop {
-        // Assemble the sweep's candidates: cached per-block lists for clean
-        // blocks, fresh collection for dirty or new ones, concatenated in
-        // block order — exactly the list `collect_candidates` would build.
-        let seeds_start = Instant::now();
-        let mut candidates: Vec<Candidate> = Vec::new();
-        for b in work.block_ids() {
-            if let Some(list) = cache.cands.get(&b) {
-                stats.cache.cand_blocks_reused += 1;
-                candidates.extend(list.iter().cloned());
-            } else {
-                stats.cache.cand_blocks_scanned += 1;
-                let uses = cache.sched.uses(&work);
-                let list = collect_block_candidates(module, &work, uses, b, opts);
-                candidates.extend(list.iter().cloned());
-                cache.cands.insert(b, list);
-            }
-        }
-        stats.timings.seeds_ns += seeds_start.elapsed().as_nanos() as u64;
-
-        let mut committed = false;
-        for cand in candidates {
-            stats.attempted += 1;
-            // Replay a memoized reject without rebuilding the attempt. The
-            // first (executed) attempt already interned its constants and
-            // rolled back its globals, so skipping the re-run leaves the
-            // module exactly as the reference engine would.
-            if let Some(entry) = cache.memo.get(&cand) {
-                stats.cache.memo_hits += 1;
-                match entry.verdict {
-                    MemoVerdict::Schedule => stats.rejected_schedule += 1,
-                    MemoVerdict::Unprofitable => {
-                        stats.rejected_profit += 1;
-                        // The executed attempt validated before the cost
-                        // model rejected it; the reference engine re-runs
-                        // (and re-validates) it every sweep.
-                        if opts.validate {
-                            stats.tv_validated += 1;
-                        }
-                    }
-                    MemoVerdict::Validator => stats.tv_rejected += 1,
-                }
-                continue;
-            }
-            stats.cache.memo_misses += 1;
-            let block = cand.block();
-            match try_candidate_incremental(
-                module,
-                &mut work,
-                &mut shadow,
-                &mut pending_log,
-                &cand,
-                opts,
-                effects,
-                &mut stats,
-                old_size,
-                &mut cache,
-            ) {
-                IncrAttempt::Committed {
-                    log,
-                    kinds,
-                    changed,
-                    sketch,
-                } => {
-                    // `work` already holds the committed state; the shadow
-                    // still holds the pre-candidate state until the stashed
-                    // log is replayed onto it lazily, which is exactly the
-                    // old/new pair the dirty closure wants.
-                    let shadow = shadow
-                        .as_mut()
-                        .expect("a committed attempt materialized the shadow");
-                    let track_start = Instant::now();
-                    let dirty = dirty_closure(shadow, &work, &changed);
-                    let sketch_adopted = sketch.is_some();
-                    if let Some(s) = sketch {
-                        // The attempt's trial sketch is exact for the
-                        // committed function; adopt it instead of
-                        // re-selecting the changed blocks next sweep. Its
-                        // clean-block summaries are Arc-shared with the
-                        // sweep sketch, so the carry copies pointers, not
-                        // fragment vectors.
-                        cache.sketch = s;
-                        #[cfg(debug_assertions)]
-                        {
-                            // Counters are saved around the audit so debug
-                            // and release report identical cache stats.
-                            let (hits, misses) = (cache.sketch.hits, cache.sketch.misses);
-                            let carried = cache.sketch.measure(module, &work);
-                            debug_assert_eq!(
-                                carried,
-                                rolag_lower::measure_function(module, &work),
-                                "sketch carried across a commit diverged from a full lowering"
-                            );
-                            cache.sketch.hits = hits;
-                            cache.sketch.misses = misses;
-                        }
-                    }
-                    cache.invalidate(&dirty, work.revision(), sketch_adopted);
-                    pending_log = Some(log);
-                    stats.timings.track_ns += track_start.elapsed().as_nanos() as u64;
-                    stats.rolled += 1;
-                    stats.nodes += kinds;
-                    committed = true;
-                    break;
-                }
-                // The lane gate is cheaper than a memo lookup; never cached.
-                IncrAttempt::LanesRejected => stats.rejected_lanes += 1,
-                IncrAttempt::ScheduleRejected => {
-                    stats.rejected_schedule += 1;
-                    cache.memo.insert(
-                        cand,
-                        MemoEntry {
-                            verdict: MemoVerdict::Schedule,
-                            deps: vec![block],
-                        },
-                    );
-                }
-                IncrAttempt::Unprofitable { deps } => {
-                    stats.rejected_profit += 1;
-                    cache.memo.insert(
-                        cand,
-                        MemoEntry {
-                            verdict: MemoVerdict::Unprofitable,
-                            deps,
-                        },
-                    );
-                }
-                IncrAttempt::ValidatorRejected => {
-                    stats.tv_rejected += 1;
-                    // The validator reads other blocks only through
-                    // def-use edges, the same cross-block inputs as the
-                    // scheduling verdict, so the dirty closure covers it.
-                    cache.memo.insert(
-                        cand,
-                        MemoEntry {
-                            verdict: MemoVerdict::Validator,
-                            deps: vec![block],
-                        },
-                    );
-                }
-            }
-        }
-        if !committed {
-            break;
-        }
-        let cost_start = Instant::now();
-        old_size = cached_function_size(module, &work, opts, &mut cache);
-        stats.timings.cost_ns += cost_start.elapsed().as_nanos() as u64;
-    }
-
-    // `work` did not change since `old_size` was last computed (constant
-    // interning during rejected graph builds never alters block content).
-    stats.size_after = old_size;
-    stats.cache.size_blocks_reused += cache.sizes.hits + cache.sketch.hits;
-    stats.cache.size_blocks_computed += cache.sizes.misses + cache.sketch.misses;
-    module.replace_func(id, work);
-    stats
+    roll_greedy(
+        module,
+        id,
+        opts,
+        effects,
+        Some(&mut FunctionCache::default()),
+    )
 }
 
-/// Runs RoLAG on one function with the pre-incremental full-rescan loop:
-/// every sweep re-collects all candidates and every profitability decision
-/// walks the whole function. Retained as the executable specification the
-/// incremental engine is tested against; prefer [`roll_function_with`].
-pub fn roll_function_full_rescan(
+/// The greedy policy over function `id`: the incremental engine with a
+/// cache, the full-rescan reference without one.
+fn roll_greedy(
     module: &mut Module,
     id: FuncId,
     opts: &RolagOptions,
     effects: &[Effects],
+    cache: Option<&mut FunctionCache>,
 ) -> RolagStats {
     let mut stats = RolagStats::default();
     if module.func(id).is_declaration {
         return stats;
     }
-    let mut work = module.func(id).clone();
-    stats.size_before = timed(&mut stats.timings.cost_ns, || {
-        fresh_function_size(module, &work, opts)
-    });
+    let mut spec = Speculator::new(id, module.func(id).clone());
+    greedy(
+        module,
+        &mut spec,
+        opts,
+        effects,
+        cache,
+        usize::MAX,
+        &mut stats,
+    );
+    module.replace_func(id, spec.work);
+    stats
+}
 
-    loop {
-        let candidates = timed(&mut stats.timings.seeds_ns, || {
-            collect_candidates(module, &work, opts)
-        });
-        // `work` is invariant within a sweep, so the profitability baseline
-        // is too: compute it once per sweep, not once per candidate.
-        let old_size = timed(&mut stats.timings.cost_ns, || {
-            fresh_function_size(module, &work, opts)
-        });
+/// The greedy fixpoint on `spec.work`: each sweep tries its candidates in
+/// order and commits the first profitable one, until a sweep commits
+/// nothing or `max_commits` commits were made.
+///
+/// `Some(cache)` is the incremental engine: per-block candidate lists,
+/// memoized rejects, per-block size deltas. `None` is the full-rescan
+/// reference: every sweep collects every candidate, every window is priced
+/// by sizing the whole function afresh, and nothing is memoized.
+pub(crate) fn greedy(
+    module: &mut Module,
+    spec: &mut Speculator,
+    opts: &RolagOptions,
+    effects: &[Effects],
+    mut cache: Option<&mut FunctionCache>,
+    max_commits: usize,
+    stats: &mut RolagStats,
+) {
+    stats.size_before = timed(&mut stats.timings.cost_ns, || {
+        function_size(module, &spec.work, opts, cache.as_deref_mut())
+    });
+    let mut old_size = stats.size_before;
+    let mut commits = 0;
+    while commits < max_commits {
+        let seeds_start = Instant::now();
+        let candidates = match cache.as_deref_mut() {
+            Some(cache) => sweep_candidates(module, spec, opts, cache, stats),
+            None => collect_candidates(module, &spec.work, opts),
+        };
+        stats.timings.seeds_ns += seeds_start.elapsed().as_nanos() as u64;
+
         let mut committed = false;
         for cand in candidates {
             stats.attempted += 1;
-            match try_candidate(
-                module, &mut work, &cand, opts, effects, &mut stats, old_size,
-            ) {
-                Attempt::Committed { func, kinds } => {
-                    work = func;
-                    stats.rolled += 1;
-                    stats.nodes += kinds;
-                    committed = true;
-                    break;
+            if let Some(cache) = cache.as_deref_mut() {
+                // Replay a memoized reject without rebuilding the attempt.
+                // The executed attempt already interned its constants and
+                // rolled back its globals, so skipping the re-run leaves
+                // the module exactly as the reference would.
+                if let Some(entry) = cache.memo.get(&cand) {
+                    stats.cache.memo_hits += 1;
+                    match entry.verdict {
+                        MemoVerdict::Schedule => stats.rejected_schedule += 1,
+                        MemoVerdict::Unprofitable => {
+                            stats.rejected_profit += 1;
+                            // The executed attempt validated before the
+                            // cost model rejected it; the reference re-runs
+                            // (and re-validates) it every sweep.
+                            if opts.validate {
+                                stats.tv_validated += 1;
+                            }
+                        }
+                        MemoVerdict::Validator => stats.tv_rejected += 1,
+                    }
+                    continue;
                 }
-                Attempt::LanesRejected => stats.rejected_lanes += 1,
-                Attempt::ScheduleRejected => stats.rejected_schedule += 1,
-                Attempt::ValidatorRejected => stats.tv_rejected += 1,
-                Attempt::Unprofitable => stats.rejected_profit += 1,
+                stats.cache.memo_misses += 1;
+            }
+            // The lane gate needs no IR and is never memoized.
+            if cand.lanes() < opts.min_lanes {
+                stats.rejected_lanes += 1;
+                continue;
+            }
+            let block = cand.block();
+            let (verdict, deps) = match spec.speculate(module, &cand, opts, effects, stats, None) {
+                Verdict::Schedule => (MemoVerdict::Schedule, vec![block]),
+                // The validator reads other blocks only through def-use
+                // edges, the same cross-block inputs as the scheduling
+                // verdict, so the dirty closure covers it.
+                Verdict::Validator => (MemoVerdict::Validator, vec![block]),
+                Verdict::Open(window) => {
+                    let delta = price(
+                        module,
+                        spec,
+                        opts,
+                        cache.as_deref_mut(),
+                        block,
+                        old_size,
+                        window.rodata,
+                        stats,
+                    );
+                    if delta.new_size >= old_size {
+                        spec.rollback(module, window);
+                        stats.rejected_profit += 1;
+                        (MemoVerdict::Unprofitable, delta.deps)
+                    } else {
+                        stats.rolled += 1;
+                        stats.nodes += window.kinds;
+                        spec.commit(window);
+                        if let Some(cache) = cache.as_deref_mut() {
+                            // The shadow still holds the pre-candidate
+                            // state: exactly the old side the dirty
+                            // closure wants.
+                            timed(&mut stats.timings.track_ns, || {
+                                cache.commit(
+                                    module,
+                                    spec.shadow(),
+                                    &spec.work,
+                                    &delta.changed,
+                                    delta.sketch,
+                                )
+                            });
+                        }
+                        committed = true;
+                        break;
+                    }
+                }
+            };
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.memo.insert(cand, MemoEntry { verdict, deps });
             }
         }
         if !committed {
             break;
         }
-    }
-
-    stats.size_after = timed(&mut stats.timings.cost_ns, || {
-        fresh_function_size(module, &work, opts)
-    });
-    module.replace_func(id, work);
-    stats
-}
-
-#[allow(clippy::large_enum_variant)] // transient, one per candidate
-enum Attempt {
-    Committed {
-        func: Function,
-        kinds: crate::stats::NodeKindCounts,
-    },
-    LanesRejected,
-    ScheduleRejected,
-    ValidatorRejected,
-    Unprofitable,
-}
-
-enum IncrAttempt {
-    Committed {
-        /// The committed speculation window's touch set: `work` already
-        /// holds the new state in place; the caller replays the log onto
-        /// the shadow clone.
-        log: rolag_ir::SpeculationLog,
-        kinds: crate::stats::NodeKindCounts,
-        /// Blocks of the pre-candidate state the attempt changed, plus the
-        /// attempt's new blocks (the commit's change set, reused for
-        /// invalidation).
-        changed: Vec<BlockId>,
-        /// `measured_cost` only: the trial size sketch, already exact for
-        /// the committed state (the commit adopts it wholesale).
-        sketch: Option<rolag_lower::SizeSketch>,
-    },
-    LanesRejected,
-    ScheduleRejected,
-    ValidatorRejected,
-    Unprofitable {
-        /// Blocks the profitability verdict depends on.
-        deps: Vec<BlockId>,
-    },
-}
-
-/// Graph build stage, shared by both engines. Builds against the *shared*
-/// working function (cheap-reject: no clone yet); interning synthetic
-/// constants into it is inert (see [`build_candidate_graph`]).
-pub(crate) fn build_graph(
-    module: &Module,
-    work: &mut Function,
-    cand: &Candidate,
-    opts: &RolagOptions,
-    stats: &mut RolagStats,
-) -> Option<AlignGraph> {
-    timed(&mut stats.timings.align_ns, || {
-        build_candidate_graph(module, work, cand, opts)
-    })
-}
-
-/// Scheduling stage, shared by every engine. `cache` serves the block's
-/// dependences and the use map across a sweep's candidates; the full-rescan
-/// reference passes `None` and recomputes them per candidate.
-pub(crate) fn analyze_schedule(
-    module: &Module,
-    work: &Function,
-    block: BlockId,
-    graph: &AlignGraph,
-    cache: Option<&mut ScheduleCache>,
-    stats: &mut RolagStats,
-) -> Option<Schedule> {
-    timed(&mut stats.timings.schedule_ns, || match cache {
-        Some(cache) => cache.analyze(module, work, block, graph),
-        None => schedule::analyze(module, work, block, graph),
-    })
-}
-
-/// Why [`generate_and_cleanup`] bailed on an attempt.
-enum GenReject {
-    /// The code generator refused the schedule.
-    Codegen,
-    /// The translation validator refused to prove the generated rewrite.
-    Validator,
-}
-
-/// Builds the untrusted hint packet [`validate_rewrite`] needs: the lane
-/// count, the generated block ids, the first rewrite-created global, and
-/// the lane every claimed instruction was assigned to.
-pub(crate) fn rewrite_hints(
-    graph: &AlignGraph,
-    block: BlockId,
-    outcome: &RollOutcome,
-    opts: &RolagOptions,
-    before_globals: usize,
-) -> rolag_tv::RewriteHints {
-    rolag_tv::RewriteHints {
-        lanes: graph.lanes,
-        block,
-        loop_block: outcome.loop_block,
-        exit_block: outcome.exit_block,
-        first_new_global: before_globals,
-        fast_math: opts.fast_math,
-        claimed_lanes: graph
-            .claimed
-            .iter()
-            .map(|(&i, &(_, lane))| (i, lane))
-            .collect(),
-    }
-}
-
-/// Codegen + (optional) translation validation + cleanup on the cloned
-/// attempt, shared by both engines. Rolls back any globals the generator
-/// created before bailing. Validation runs on the raw generated code,
-/// before cleanup, so the validator sees exactly what codegen emitted.
-#[allow(clippy::too_many_arguments)] // one slot per pipeline stage input
-fn generate_and_cleanup(
-    module: &mut Module,
-    orig: &Function,
-    attempt: &mut Function,
-    block: BlockId,
-    graph: &AlignGraph,
-    sched: &Schedule,
-    opts: &RolagOptions,
-    effects: &[Effects],
-    stats: &mut RolagStats,
-    before_globals: usize,
-) -> Result<RollOutcome, GenReject> {
-    let outcome = timed(&mut stats.timings.codegen_ns, || {
-        codegen::generate(module, attempt, block, graph, sched)
-    });
-    let Some(outcome) = outcome else {
-        rollback_globals(module, before_globals);
-        return Err(GenReject::Codegen);
-    };
-    if opts.validate {
-        let hints = rewrite_hints(graph, block, &outcome, opts, before_globals);
-        let verdict = timed(&mut stats.timings.tv_ns, || {
-            rolag_tv::validate_rewrite(module, orig, attempt, &hints)
-        });
-        match verdict {
-            Ok(()) => stats.tv_validated += 1,
-            Err(_) => {
-                rollback_globals(module, before_globals);
-                return Err(GenReject::Validator);
-            }
-        }
-    }
-    if opts.cleanup {
-        timed(&mut stats.timings.cleanup_ns, || {
-            cleanup_in_place(attempt, &mut module.types, effects)
+        commits += 1;
+        old_size = timed(&mut stats.timings.cost_ns, || {
+            function_size(module, &spec.work, opts, cache.as_deref_mut())
         });
     }
-    Ok(outcome)
-}
 
-fn try_candidate(
-    module: &mut Module,
-    work: &mut Function,
-    cand: &Candidate,
-    opts: &RolagOptions,
-    effects: &[Effects],
-    stats: &mut RolagStats,
-    old_size: u64,
-) -> Attempt {
-    let block = cand.block();
-
-    // Lane gate first: it needs no IR at all, so reject before any work.
-    if cand.lanes() < opts.min_lanes {
-        return Attempt::LanesRejected;
-    }
-
-    // Cheap-reject: graph build and scheduling read the shared working
-    // function; the function clone is deferred to scheduling survivors.
-    let Some(graph) = build_graph(module, work, cand, opts, stats) else {
-        return Attempt::ScheduleRejected;
-    };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, None, stats) else {
-        return Attempt::ScheduleRejected;
-    };
-
-    let mut attempt = work.clone();
-    let before_globals = module.num_globals();
-    let outcome = match generate_and_cleanup(
-        module,
-        work,
-        &mut attempt,
-        block,
-        &graph,
-        &sched,
-        opts,
-        effects,
-        stats,
-        before_globals,
-    ) {
-        Ok(outcome) => outcome,
-        Err(GenReject::Codegen) => return Attempt::ScheduleRejected,
-        Err(GenReject::Validator) => return Attempt::ValidatorRejected,
-    };
-
-    // Profitability (§IV-F): text size plus the constant data the roll
-    // added to `.rodata`. The baseline `old_size` comes in from the sweep.
-    let profitable = timed(&mut stats.timings.cost_ns, || {
-        let rodata: u64 = outcome
-            .new_globals
-            .iter()
-            .map(|&g| module.global_size(g))
-            .sum();
-        let new_size = fresh_function_size(module, &attempt, opts) + rodata;
-        new_size < old_size
-    });
-
-    if profitable {
-        Attempt::Committed {
-            func: attempt,
-            kinds: graph.count_kinds(),
-        }
-    } else {
-        rollback_globals(module, before_globals);
-        Attempt::Unprofitable
+    // `work` did not change since `old_size` was last computed (constant
+    // interning during rejected graph builds never alters block content).
+    stats.size_after = old_size;
+    if let Some(cache) = cache {
+        stats.cache.size_blocks_reused += cache.sizes.hits + cache.sketch.hits;
+        stats.cache.size_blocks_computed += cache.sizes.misses + cache.sketch.misses;
     }
 }
 
-/// The incremental engine's candidate attempt: identical stages and
-/// decisions to [`try_candidate`], but the speculative rewrite mutates
-/// `work` **in place** under a [`rolag_ir::Function::snapshot`] journal —
-/// no body clone per candidate — with `shadow` (a clone of the pre-candidate
-/// state, maintained by the caller via [`rolag_ir::Function::apply_log`])
-/// standing in for the original wherever both versions are needed at once:
-/// the translation validator's reference, the old side of the change
-/// tracking, and the old-side terms of the size delta. Profitability is a
-/// per-block size delta against the sweep's cached estimates, and rejects
-/// report the blocks their verdict depends on for memoization.
-#[allow(clippy::too_many_arguments)] // mirror of try_candidate + cache
-fn try_candidate_incremental(
-    module: &mut Module,
-    work: &mut Function,
-    shadow: &mut Option<Function>,
-    pending_log: &mut Option<rolag_ir::SpeculationLog>,
-    cand: &Candidate,
+/// The sweep's candidates: cached per-block lists for clean blocks, fresh
+/// collection (over the speculator's use map) for dirty or new ones,
+/// concatenated in block order — exactly the list `collect_candidates`
+/// would build.
+fn sweep_candidates(
+    module: &Module,
+    spec: &mut Speculator,
     opts: &RolagOptions,
-    effects: &[Effects],
-    stats: &mut RolagStats,
-    old_size: u64,
     cache: &mut FunctionCache,
-) -> IncrAttempt {
-    let block = cand.block();
-
-    if cand.lanes() < opts.min_lanes {
-        return IncrAttempt::LanesRejected;
+    stats: &mut RolagStats,
+) -> Vec<Candidate> {
+    let mut candidates = Vec::new();
+    for b in spec.work.block_ids() {
+        let list = match cache.cands.entry(b) {
+            Entry::Occupied(hit) => {
+                stats.cache.cand_blocks_reused += 1;
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                stats.cache.cand_blocks_scanned += 1;
+                let uses = spec.sched.uses(&spec.work);
+                miss.insert(collect_block_candidates(module, &spec.work, uses, b, opts))
+            }
+        };
+        candidates.extend_from_slice(list);
     }
+    candidates
+}
 
-    let Some(graph) = build_graph(module, work, cand, opts, stats) else {
-        return IncrAttempt::ScheduleRejected;
-    };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, Some(&mut cache.sched), stats)
-    else {
-        return IncrAttempt::ScheduleRejected;
-    };
+/// How an open window was priced.
+#[derive(Default)]
+struct Delta {
+    /// Speculated function size plus the rodata the rewrite adds.
+    new_size: u64,
+    /// Blocks the rewrite changed, new blocks included.
+    changed: Vec<BlockId>,
+    /// Blocks an `Unprofitable` verdict depends on.
+    deps: Vec<BlockId>,
+    /// `measured_cost` only: the trial size sketch, already exact for the
+    /// speculated state (a commit adopts it wholesale).
+    sketch: Option<rolag_lower::SizeSketch>,
+}
 
-    // Graph builds intern synthetic constants into the shared `work` —
-    // inert, and deliberately persistent across rejected candidates (memo
-    // replay relies on it). Materialize the shadow on first use (a fresh
-    // clone already carries them); on reuse, catch it up so the two are
-    // exact clones when the speculation window opens: replaying a stashed
-    // commit log brings over the commit's touches *and* everything interned
-    // since (apply_log copies the whole appended value tail), otherwise
-    // only the interned constants need absorbing. Rejected candidates roll
-    // `work` back in full, so a single pending log always bridges the gap.
-    match shadow.as_mut() {
-        Some(s) => match pending_log.take() {
-            Some(log) => s.apply_log(work, &log),
-            None => s.absorb_interned_values(work),
-        },
-        None => {
-            *pending_log = None;
-            *shadow = Some(work.clone());
-        }
-    }
-    let shadow = shadow.as_mut().expect("just materialized");
-    let num_work_blocks = work.num_blocks();
-
-    let before_globals = module.num_globals();
-    let token = work.snapshot();
-    let outcome = match generate_and_cleanup(
-        module,
-        shadow,
-        work,
-        block,
-        &graph,
-        &sched,
-        opts,
-        effects,
-        stats,
-        before_globals,
-    ) {
-        Ok(outcome) => outcome,
-        Err(GenReject::Codegen) => {
-            work.rollback(token);
-            return IncrAttempt::ScheduleRejected;
-        }
-        Err(GenReject::Validator) => {
-            work.rollback(token);
-            return IncrAttempt::ValidatorRejected;
-        }
+/// Prices the open window. Without a cache: by sizing the whole function
+/// afresh. With one: against the sweep's cached per-block sizes, over the
+/// blocks the rewrite changed (read off the journal in O(touched)) plus
+/// the clean blocks the cost regime's one-hop couplings drag in.
+#[allow(clippy::too_many_arguments)] // one slot per pricing input
+fn price(
+    module: &Module,
+    spec: &Speculator,
+    opts: &RolagOptions,
+    cache: Option<&mut FunctionCache>,
+    block: BlockId,
+    old_size: u64,
+    rodata: u64,
+    stats: &mut RolagStats,
+) -> Delta {
+    let work = &spec.work;
+    let Some(cache) = cache else {
+        let new_size = timed(&mut stats.timings.cost_ns, || {
+            fresh_function_size(module, work, opts) + rodata
+        });
+        return Delta {
+            new_size,
+            ..Delta::default()
+        };
     };
-
-    // Change tracking: which blocks the attempt rewrote (read off the
-    // journal in O(touched)), and which clean blocks the cost regime's
-    // one-hop couplings drag in.
-    let track_start = Instant::now();
-    let changed = speculated_changed_blocks(shadow, work);
-    let affected = if opts.measured_cost {
-        measure_affected_blocks(shadow, work, &changed)
-    } else {
-        size_affected_blocks(shadow, work, &changed)
-    };
-    stats.timings.track_ns += track_start.elapsed().as_nanos() as u64;
+    let shadow = spec.shadow();
+    let (changed, affected) = timed(&mut stats.timings.track_ns, || {
+        let changed = speculated_changed_blocks(shadow, work);
+        let affected = if opts.measured_cost {
+            measure_affected_blocks(shadow, work, &changed)
+        } else {
+            size_affected_blocks(shadow, work, &changed)
+        };
+        (changed, affected)
+    });
 
     let cost_start = Instant::now();
-    let rodata: u64 = outcome
-        .new_globals
-        .iter()
-        .map(|&g| module.global_size(g))
-        .sum();
-    let (profitable, trial_sketch) = if opts.measured_cost {
+    let old_blocks = shadow.num_blocks();
+    let (new_size, sketch) = if opts.measured_cost {
         // Measured delta: clone the sweep's sketch, drop exactly the
         // summaries the attempt can have perturbed, and recombine. Clean
         // blocks keep their machine code verbatim; the global spill scan
@@ -674,8 +332,7 @@ fn try_candidate_incremental(
             trial.invalidate(b);
         }
         trial.carry_to(work.revision());
-        let new_size = trial.measure(module, work) as u64 + rodata;
-        (new_size < old_size, Some(trial))
+        (trial.measure(module, work) as u64 + rodata, Some(trial))
     } else {
         // Estimated delta: `new_size = old_size − Σ old(changed ∪ affected)
         // + Σ new(changed ∪ affected) + rodata`. Blocks outside the two
@@ -686,7 +343,7 @@ fn try_candidate_incremental(
         // the new-side terms share one use map of the speculative state.
         let uses = work.compute_uses();
         let mut delta = 0i64;
-        for &b in changed.iter().filter(|b| b.index() < num_work_blocks) {
+        for &b in changed.iter().filter(|b| b.index() < old_blocks) {
             delta -= cache.sizes.get(opts.target, module, shadow, b) as i64;
         }
         for &b in &affected {
@@ -702,50 +359,39 @@ fn try_candidate_incremental(
             opts.target.function_estimate(module, work) as u64 + rodata,
             "per-block size delta diverged from the full walk"
         );
-        (new_size < old_size, None)
+        (new_size, None)
     };
     stats.timings.cost_ns += cost_start.elapsed().as_nanos() as u64;
 
-    if profitable {
-        let log = work.commit(token);
-        IncrAttempt::Committed {
-            log,
-            kinds: graph.count_kinds(),
-            changed,
-            sketch: trial_sketch,
-        }
+    // Only a reject is memoized, so only a reject needs its dependences.
+    let deps = if new_size < old_size {
+        Vec::new()
+    } else if opts.measured_cost {
+        // The measured verdict hangs off the *global* spill scan: a content
+        // change anywhere in the function can shift register pressure
+        // under the attempt. Depend on every block.
+        shadow.block_ids().collect()
     } else {
-        work.rollback(token);
-        rollback_globals(module, before_globals);
-        let deps = if opts.measured_cost {
-            // The measured verdict hangs off the *global* spill scan: a
-            // content change anywhere in the function can shift register
-            // pressure under the attempt. Depend on every block.
-            work.block_ids().collect()
-        } else {
-            // The estimated verdict depends on the candidate block, every
-            // pre-existing block the attempt rewrote, and every block
-            // whose size fed the delta: `old_size` and the would-be
-            // `new_size` shift by the same amount under commits outside
-            // these blocks, so the sign of the delta is stable.
-            let mut deps = vec![block];
-            deps.extend(
-                changed
-                    .iter()
-                    .copied()
-                    .filter(|b| b.index() < num_work_blocks && *b != block),
-            );
-            deps.extend(affected.iter().copied().filter(|b| *b != block));
-            deps
-        };
-        IncrAttempt::Unprofitable { deps }
-    }
-}
-
-pub(crate) fn rollback_globals(module: &mut Module, keep: usize) {
-    while module.num_globals() > keep {
-        let last = rolag_ir::GlobalId::from_index(module.num_globals() - 1);
-        module.pop_global(last);
+        // The estimated verdict depends on the candidate block, every
+        // pre-existing block the attempt rewrote, and every block whose
+        // size fed the delta: `old_size` and the would-be `new_size` shift
+        // by the same amount under commits outside these blocks, so the
+        // sign of the delta is stable.
+        let mut deps = vec![block];
+        deps.extend(
+            changed
+                .iter()
+                .copied()
+                .filter(|b| b.index() < old_blocks && *b != block),
+        );
+        deps.extend(affected.iter().copied().filter(|b| *b != block));
+        deps
+    };
+    Delta {
+        new_size,
+        changed,
+        deps,
+        sketch,
     }
 }
 
@@ -790,9 +436,7 @@ pub(crate) fn rescue_panics(
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine(module))) {
         Ok(stats) => stats,
         Err(_) => {
-            while module.num_globals() > globals_snapshot {
-                module.pop_global(GlobalId::from_index(module.num_globals() - 1));
-            }
+            rollback_globals(module, globals_snapshot);
             module.replace_func(id, func_snapshot);
             RolagStats {
                 rescued: 1,
@@ -802,9 +446,9 @@ pub(crate) fn rescue_panics(
     }
 }
 
-/// [`roll_function_with`] wrapped in [`rescue_panics`]: an engine panic
-/// keeps the original function and counts `rescued` instead of unwinding
-/// out of the module driver.
+/// [`roll_function_with`] with per-function panic isolation: an engine
+/// panic restores the original function and the module's globals and
+/// counts `rescued` instead of unwinding out of the module driver.
 pub fn roll_function_rescued(
     module: &mut Module,
     id: FuncId,
@@ -814,9 +458,10 @@ pub fn roll_function_rescued(
     rescue_panics(module, id, |m| roll_function_with(m, id, opts, effects))
 }
 
-/// [`roll_module`] on the full-rescan reference engine
-/// ([`roll_function_full_rescan`]); used by the equivalence tests and the
-/// `fixpoint` bench.
+/// [`roll_module`] on the full-rescan reference: the greedy policy without
+/// the incremental caches, which every sweep re-collects all candidates
+/// and sizes the whole function afresh. Used by the equivalence tests and
+/// the `fixpoint` bench.
 pub fn roll_module_full_rescan(module: &mut Module, opts: &RolagOptions) -> RolagStats {
     let effects = effects_table(module);
     roll_module_full_rescan_with(module, opts, &effects)
@@ -832,9 +477,7 @@ pub fn roll_module_full_rescan_with(
     let ids: Vec<FuncId> = module.func_ids().collect();
     let mut total = RolagStats::default();
     for id in ids {
-        total += rescue_panics(module, id, |m| {
-            roll_function_full_rescan(m, id, opts, effects)
-        });
+        total += rescue_panics(module, id, |m| roll_greedy(m, id, opts, effects, None));
     }
     total
 }

@@ -1,29 +1,28 @@
-//! Validator-gated beam search over rolling alignments (ROADMAP item 5).
+//! Validator-gated beam search over rolling alignments.
 //!
 //! The paper's engine is greedy: one seed grouping per region, first
-//! profitable candidate wins. This module drives a bounded beam over
+//! profitable candidate wins. This module is the **beam policy** over the
+//! same speculation core (`speculate.rs`): a bounded beam over
 //! *alternative* alignment choices — the base groupings plus the
 //! permutations, splits, and trims enumerated by
-//! [`crate::seeds::candidate_variants`] — and lets verification, not
-//! conservatism, guarantee safety: every speculated candidate is gated
+//! [`crate::seeds::candidate_variants`] — where verification, not
+//! conservatism, guarantees safety: every speculated candidate is gated
 //! through the `rolag-tv` translation validator before the cost model may
 //! shortlist it, regardless of `RolagOptions::validate`.
 //!
 //! Shape of one fixpoint step (width `k`, rollout depth `d`):
 //!
 //! 1. **Speculate** every candidate on the working function's journal
-//!    ([`rolag_ir::Function::snapshot`] / `rollback` — no clone per
-//!    candidate), validate it, and score the survivor with the cost model
-//!    (`new text size + added rodata`).
+//!    (no clone per candidate), validated, and score the survivor with
+//!    the cost model (`new text size + added rodata`).
 //! 2. **Capture** the `k` best profitable candidates as trials while their
 //!    speculation window is still open: the validated, cleaned-up function,
 //!    the globals it appended, and its node-kind counts (ties broken by
 //!    enumeration order; profitable candidates beyond `k` are beam prunes
 //!    and are never cloned, so trial memory is bounded by `k`).
-//! 3. **Roll out** each trial from its captured state: up to `d` greedy
-//!    continuation commits, each committed in place from its own
-//!    speculation window, then score the end state (`d = 0` means roll
-//!    out to the dry fixpoint).
+//! 3. **Roll out** each trial from its captured state: the full-rescan
+//!    greedy policy with up to `d` commits, then score the end state
+//!    (`d = 0` means roll out to the dry fixpoint).
 //! 4. **Install** the trial with the best rollout score as the working
 //!    function, with its globals re-added in order.
 //!
@@ -49,17 +48,13 @@
 //! rodata as a tie-break). A beam can therefore explore aggressively and
 //! still never regress a function (`tests/search_conformance.rs`).
 
-use rolag_ir::{Effects, FuncId, Function, GlobalData, GlobalId, Module, SnapshotToken};
-use rolag_transforms::cleanup_in_place;
+use rolag_ir::{Effects, FuncId, Function, GlobalData, GlobalId, Module};
 
-use crate::codegen;
 use crate::options::{RolagOptions, SearchConfig};
-use crate::pass::{
-    analyze_schedule, build_graph, fresh_function_size, rewrite_hints, rollback_globals, timed,
-};
-use crate::schedule::ScheduleCache;
-use crate::seeds::{candidate_variants, collect_candidates, Candidate};
-use crate::stats::{NodeKindCounts, RolagStats};
+use crate::pass::{greedy, roll_function_with};
+use crate::seeds::{candidate_variants, collect_candidates};
+use crate::speculate::{fresh_function_size, rollback_globals, timed, Speculator, Verdict};
+use crate::stats::{NodeKindCounts, RolagStats, StageTimings};
 
 /// One beam-explored speculation the translation validator refused,
 /// captured as printed modules for the dynamic cross-check in
@@ -83,7 +78,7 @@ pub struct RejectedSpeculation {
 }
 
 /// Collects every TV-rejected beam speculation for offline auditing. Only
-/// the audited entry points pay the capture cost (two module clones and
+/// the audited entry point pays the capture cost (two module clones and
 /// prints per reject); the production engine skips it entirely.
 #[derive(Default)]
 pub struct SearchAudit {
@@ -91,30 +86,11 @@ pub struct SearchAudit {
     pub rejects: Vec<RejectedSpeculation>,
 }
 
-/// Per-function context threaded through the search stages.
-struct SearchCx<'a> {
-    id: FuncId,
-    opts: &'a RolagOptions,
-    effects: &'a [Effects],
-}
-
-/// Runs the beam-search engine on one function. Called from
-/// [`crate::pass::roll_function_with`] when `opts.search` is a beam of
-/// width >= 2; width-1 beams never reach here (they fall through to the
-/// greedy body, which makes `beam:1` identical to greedy by construction).
-pub fn search_function_with(
-    module: &mut Module,
-    id: FuncId,
-    opts: &RolagOptions,
-    effects: &[Effects],
-) -> RolagStats {
-    search_function_impl(module, id, opts, effects, None)
-}
-
-/// [`search_function_with`] with TV-reject auditing: every beam-explored
-/// candidate the validator refuses is captured into `audit` for dynamic
-/// cross-checking. Test-facing; the result is byte-identical to the
-/// unaudited engine.
+/// The beam search on one function with TV-reject auditing: every
+/// beam-explored candidate the validator refuses is captured into `audit`
+/// for dynamic cross-checking. Test-facing; the result is byte-identical to
+/// the unaudited engine that [`crate::roll_function_with`] runs for beams
+/// of width >= 2.
 pub fn search_function_audited(
     module: &mut Module,
     id: FuncId,
@@ -122,10 +98,12 @@ pub fn search_function_audited(
     effects: &[Effects],
     audit: &mut SearchAudit,
 ) -> RolagStats {
-    search_function_impl(module, id, opts, effects, Some(audit))
+    search_function(module, id, opts, effects, Some(audit))
 }
 
-fn search_function_impl(
+/// The beam search on one function; greedy options delegate to the greedy
+/// engine.
+pub(crate) fn search_function(
     module: &mut Module,
     id: FuncId,
     opts: &RolagOptions,
@@ -133,8 +111,7 @@ fn search_function_impl(
     audit: Option<&mut SearchAudit>,
 ) -> RolagStats {
     let SearchConfig::Beam { width, depth } = opts.search else {
-        // Greedy spelled through the search entry point: delegate.
-        return crate::pass::roll_function_with(module, id, opts, effects);
+        return roll_function_with(module, id, opts, effects);
     };
     if module.func(id).is_declaration {
         return RolagStats::default();
@@ -148,7 +125,7 @@ fn search_function_impl(
         search: SearchConfig::Greedy,
         ..opts.clone()
     };
-    let greedy_stats = crate::pass::roll_function_with(module, id, &greedy_opts, effects);
+    let greedy_stats = roll_function_with(module, id, &greedy_opts, effects);
     let greedy_func = module.func(id).clone();
     let greedy_text = rolag_lower::measure_function(module, &greedy_func) as u64;
     let greedy_rodata = added_rodata(module, base_globals);
@@ -161,8 +138,7 @@ fn search_function_impl(
     rollback_globals(module, base_globals);
     module.replace_func(id, orig);
 
-    let cx = SearchCx { id, opts, effects };
-    let mut beam_stats = beam_roll(module, &cx, width, depth, audit);
+    let mut beam_stats = beam_roll(module, id, opts, effects, width, depth, audit);
     let beam_text = rolag_lower::measure_function(module, module.func(id)) as u64;
     let beam_rodata = added_rodata(module, base_globals);
 
@@ -214,30 +190,32 @@ struct Trial {
 /// The beam fixpoint over one function.
 fn beam_roll(
     module: &mut Module,
-    cx: &SearchCx,
+    id: FuncId,
+    opts: &RolagOptions,
+    effects: &[Effects],
     width: usize,
     depth: usize,
     mut audit: Option<&mut SearchAudit>,
 ) -> RolagStats {
-    let opts = cx.opts;
+    // The validator gate is unconditional in the beam: aggressive variants
+    // ride on proofs, not on enumeration conservatism.
+    let opts = &RolagOptions {
+        validate: true,
+        ..opts.clone()
+    };
     let mut stats = RolagStats::default();
-    let mut work = module.func(cx.id).clone();
-    // The validator needs the pre-speculation function while candidates
-    // mutate `work` in place under the journal; one reference clone per
-    // *commit* (not per candidate) stands in for it, caught up on interned
-    // constants before each speculation window.
-    let mut reference = work.clone();
-    let mut sched = ScheduleCache::default();
+    let mut spec = Speculator::new(id, module.func(id).clone());
     stats.size_before = timed(&mut stats.timings.cost_ns, || {
-        fresh_function_size(module, &work, opts)
+        fresh_function_size(module, &spec.work, opts)
     });
+    let mut old_size = stats.size_before;
 
     loop {
         let candidates = timed(&mut stats.timings.seeds_ns, || {
-            let base = collect_candidates(module, &work, opts);
+            let base = collect_candidates(module, &spec.work, opts);
             let mut all = Vec::with_capacity(base.len() * 2);
             for c in base {
-                let variants = candidate_variants(module, &work, &c, opts);
+                let variants = candidate_variants(module, &spec.work, &c, opts);
                 all.push(c);
                 for v in variants {
                     if !all.contains(&v) {
@@ -246,9 +224,6 @@ fn beam_roll(
                 }
             }
             all
-        });
-        let old_size = timed(&mut stats.timings.cost_ns, || {
-            fresh_function_size(module, &work, opts)
         });
 
         // Phases 1 and 2: speculate and score every candidate, capturing
@@ -264,43 +239,38 @@ fn beam_roll(
             }
             stats.attempted += 1;
             stats.search.explored += 1;
-            match speculate(
-                module,
-                &mut work,
-                &mut reference,
-                &mut sched,
-                &cand,
-                cx,
-                &mut stats,
-                audit.as_deref_mut(),
-            ) {
-                Speculation::Scored { new_size, window } => {
-                    if new_size >= old_size {
-                        stats.rejected_profit += 1;
-                    } else {
-                        profitable += 1;
-                        let at = trials.partition_point(|t| t.new_size <= new_size);
-                        if at < width {
-                            let globals = (window.base_globals..module.num_globals())
-                                .map(|i| module.global(GlobalId::from_index(i)).clone())
-                                .collect();
-                            let trial = Trial {
-                                func: work.clone(),
-                                globals,
-                                kinds: window.kinds,
-                                new_size,
-                            };
-                            trials.insert(at, trial);
-                            trials.truncate(width);
-                        }
-                    }
-                    window.rollback(module, &mut work);
+            let audit = audit.as_deref_mut();
+            let window = match spec.speculate(module, &cand, opts, effects, &mut stats, audit) {
+                Verdict::Open(window) => window,
+                Verdict::Validator => {
+                    stats.search.tv_rejected += 1;
+                    continue;
                 }
-                Speculation::ScheduleRejected => stats.rejected_schedule += 1,
-                // `speculate` already counted the reject (tv_rejected and
-                // the search counter) when it fired the validator.
-                Speculation::ValidatorRejected => {}
+                Verdict::Schedule => continue,
+            };
+            let new_size = timed(&mut stats.timings.cost_ns, || {
+                fresh_function_size(module, &spec.work, opts) + window.rodata
+            });
+            if new_size >= old_size {
+                stats.rejected_profit += 1;
+            } else {
+                profitable += 1;
+                let at = trials.partition_point(|t| t.new_size <= new_size);
+                if at < width {
+                    let globals = (window.base_globals..module.num_globals())
+                        .map(|i| module.global(GlobalId::from_index(i)).clone())
+                        .collect();
+                    let trial = Trial {
+                        func: spec.work.clone(),
+                        globals,
+                        kinds: window.kinds,
+                        new_size,
+                    };
+                    trials.insert(at, trial);
+                    trials.truncate(width);
+                }
             }
+            spec.rollback(module, window);
         }
         if trials.is_empty() {
             break;
@@ -310,7 +280,7 @@ fn beam_roll(
         // Phase 3: rollout-score each trial.
         let mut best: Option<(usize, u64)> = None;
         for (i, trial) in trials.iter().enumerate() {
-            let score = rollout_score(module, trial, cx, depth, &mut stats.timings);
+            let score = rollout_score(module, trial, id, opts, effects, depth, &mut stats.timings);
             if best.is_none_or(|(_, b)| score < b) {
                 best = Some((i, score));
             }
@@ -322,201 +292,51 @@ fn beam_roll(
         for g in winner.globals {
             module.add_global(g);
         }
-        work = winner.func;
-        reference = work.clone();
+        spec.install(winner.func);
         stats.rolled += 1;
         stats.nodes += winner.kinds;
+        old_size = timed(&mut stats.timings.cost_ns, || {
+            fresh_function_size(module, &spec.work, opts)
+        });
     }
 
-    stats.size_after = timed(&mut stats.timings.cost_ns, || {
-        fresh_function_size(module, &work, opts)
-    });
-    module.replace_func(cx.id, work);
+    stats.size_after = old_size;
+    module.replace_func(id, spec.work);
     stats
 }
 
-/// An open speculation window: the candidate's rewrite is live in the
-/// working function and its globals in the module until the window is
-/// rolled back or committed. `speculate` hands windows out only for
-/// validated, cleaned-up candidates.
-#[must_use]
-struct Window {
-    token: SnapshotToken,
-    base_globals: usize,
-    kinds: NodeKindCounts,
-}
-
-impl Window {
-    /// Discards the rewrite: the function and the globals return to the
-    /// pre-speculation state (up to inert interned constants).
-    fn rollback(self, module: &mut Module, work: &mut Function) {
-        work.rollback(self.token);
-        rollback_globals(module, self.base_globals);
-    }
-
-    /// Keeps the rewrite and makes it the validator's new reference.
-    fn commit(self, work: &mut Function, reference: &mut Function) {
-        work.commit(self.token);
-        *reference = work.clone();
-    }
-}
-
-enum Speculation {
-    /// The candidate generated, validated, and cleaned up; `new_size` is
-    /// the speculated function size plus the rodata it adds. The window is
-    /// still open.
-    Scored {
-        new_size: u64,
-        window: Window,
-    },
-    ScheduleRejected,
-    ValidatorRejected,
-}
-
-/// Speculates one candidate on `work`'s journal — align, schedule,
-/// generate, validate, clean up, score. Rejected candidates are rolled
-/// back (function and globals) before returning; a scored one comes back
-/// with its window open, for the caller to capture, commit or roll back.
-/// A rolled-back `work` is byte-identical to its pre-state except for
-/// inert interned constants, which `reference` absorbs before the window.
-#[allow(clippy::too_many_arguments)] // one slot per engine input
-fn speculate(
-    module: &mut Module,
-    work: &mut Function,
-    reference: &mut Function,
-    sched_cache: &mut ScheduleCache,
-    cand: &Candidate,
-    cx: &SearchCx,
-    stats: &mut RolagStats,
-    audit: Option<&mut SearchAudit>,
-) -> Speculation {
-    let opts = cx.opts;
-    let block = cand.block();
-    let Some(graph) = build_graph(module, work, cand, opts, stats) else {
-        return Speculation::ScheduleRejected;
-    };
-    let Some(sched) = analyze_schedule(module, work, block, &graph, Some(sched_cache), stats)
-    else {
-        return Speculation::ScheduleRejected;
-    };
-    reference.absorb_interned_values(work);
-
-    let window = Window {
-        token: work.snapshot(),
-        base_globals: module.num_globals(),
-        kinds: graph.count_kinds(),
-    };
-    let outcome = timed(&mut stats.timings.codegen_ns, || {
-        codegen::generate(module, work, block, &graph, &sched)
-    });
-    let Some(outcome) = outcome else {
-        window.rollback(module, work);
-        return Speculation::ScheduleRejected;
-    };
-
-    // The validator gate is unconditional in the beam engine: aggressive
-    // variants ride on proofs, not on enumeration conservatism.
-    let hints = rewrite_hints(&graph, block, &outcome, opts, window.base_globals);
-    let verdict = timed(&mut stats.timings.tv_ns, || {
-        rolag_tv::validate_rewrite(module, reference, work, &hints)
-    });
-    if let Err(why) = verdict {
-        stats.tv_rejected += 1;
-        stats.search.tv_rejected += 1;
-        if let Some(audit) = audit {
-            // Capture before/after prints while the speculative globals are
-            // still live, so the rejected rewrite can be interpreted.
-            let mut before_m = module.clone();
-            before_m.replace_func(cx.id, reference.clone());
-            let mut after_m = module.clone();
-            after_m.replace_func(cx.id, work.clone());
-            let info = crate::align::DotInfo {
-                score: Some(fresh_function_size(module, work, opts)),
-                verdict: Some(why.to_string()),
-            };
-            audit.rejects.push(RejectedSpeculation {
-                func: reference.name.clone(),
-                before: rolag_ir::printer::print_module(&before_m),
-                after: rolag_ir::printer::print_module(&after_m),
-                dot: graph.to_dot_with(&info),
-            });
-        }
-        window.rollback(module, work);
-        return Speculation::ValidatorRejected;
-    }
-    stats.tv_validated += 1;
-
-    if opts.cleanup {
-        timed(&mut stats.timings.cleanup_ns, || {
-            cleanup_in_place(work, &mut module.types, cx.effects)
-        });
-    }
-    let new_size = timed(&mut stats.timings.cost_ns, || {
-        let rodata: u64 = outcome
-            .new_globals
-            .iter()
-            .map(|&g| module.global_size(g))
-            .sum();
-        fresh_function_size(module, work, opts) + rodata
-    });
-    Speculation::Scored { new_size, window }
-}
-
-/// Scores a trial by continuing from its captured state with up to
-/// `depth` greedy continuation commits (`depth == 0`: to the dry
-/// fixpoint). Returns the end-state size (text plus all rodata added
+/// Scores a trial by continuing from its captured state with the
+/// full-rescan greedy policy, up to `depth` commits (`depth == 0`: to the
+/// dry fixpoint). Returns the end-state size (text plus all rodata added
 /// since the trial's pre-state, the trial's own included). All rollout
-/// globals are popped before returning; rollouts never touch the outcome
-/// stats.
+/// globals are popped before returning; rollouts add only their timings to
+/// the outcome stats.
 fn rollout_score(
     module: &mut Module,
     trial: &Trial,
-    cx: &SearchCx,
+    id: FuncId,
+    opts: &RolagOptions,
+    effects: &[Effects],
     depth: usize,
-    timings: &mut crate::stats::StageTimings,
+    timings: &mut StageTimings,
 ) -> u64 {
-    let opts = cx.opts;
     let base_globals = module.num_globals();
     for g in &trial.globals {
         module.add_global(g.clone());
     }
-    let mut sim = trial.func.clone();
-    let mut sim_ref = sim.clone();
-    let mut sim_sched = ScheduleCache::default();
+    let mut sim = Speculator::new(id, trial.func.clone());
     let mut scratch = RolagStats::default();
-
-    // Greedy continuation: first profitable validated candidate per sweep.
-    let mut commits = 0usize;
-    'sweeps: while depth == 0 || commits < depth {
-        let candidates = collect_candidates(module, &sim, opts);
-        let old_size = fresh_function_size(module, &sim, opts);
-        for cand in candidates {
-            if cand.lanes() < opts.min_lanes {
-                continue;
-            }
-            let spec = speculate(
-                module,
-                &mut sim,
-                &mut sim_ref,
-                &mut sim_sched,
-                &cand,
-                cx,
-                &mut scratch,
-                None,
-            );
-            if let Speculation::Scored { new_size, window } = spec {
-                if new_size < old_size {
-                    window.commit(&mut sim, &mut sim_ref);
-                    commits += 1;
-                    continue 'sweeps;
-                }
-                window.rollback(module, &mut sim);
-            }
-        }
-        break;
-    }
-
-    let score = fresh_function_size(module, &sim, opts) + added_rodata(module, base_globals);
+    let max_commits = if depth == 0 { usize::MAX } else { depth };
+    greedy(
+        module,
+        &mut sim,
+        opts,
+        effects,
+        None,
+        max_commits,
+        &mut scratch,
+    );
+    let score = scratch.size_after + added_rodata(module, base_globals);
     rollback_globals(module, base_globals);
     *timings += scratch.timings;
     score

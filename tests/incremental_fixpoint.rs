@@ -257,9 +257,17 @@ entry:
     let before_revision = module.func(id).revision();
     let before_values = module.func(id).num_values();
 
-    for opts in [RolagOptions::default(), RolagOptions::measured()] {
+    type Engine = fn(&mut Module, &RolagOptions) -> rolag::RolagStats;
+    let runs: [(Engine, RolagOptions); 5] = [
+        (roll_module, RolagOptions::default()),
+        (roll_module, RolagOptions::measured()),
+        (roll_module_full_rescan, RolagOptions::default()),
+        (roll_module, RolagOptions::validated()),
+        (roll_module, RolagOptions::searched(4)),
+    ];
+    for (engine, opts) in runs {
         let mut rolled = module.clone();
-        let stats = roll_module(&mut rolled, &opts);
+        let stats = engine(&mut rolled, &opts);
         assert!(stats.attempted > 0, "the candidate must at least be tried");
         assert_eq!(stats.rolled, 0, "the candidate must be rejected");
         assert_eq!(print_module(&rolled), before_print, "bytes changed");

@@ -10,14 +10,13 @@
 use rolag::{roll_module, RolagOptions};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
-use rolag_ir::{Module, Opcode};
+use rolag_ir::Module;
 use rolag_passes::{AnalysisManager, PassContext, PassManager, PassRegistry, TargetKind};
 use rolag_suites::tsvc::build_suite_module;
 use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 
 /// Fills the cache with every analysis kind for every definition:
-/// dominators, loop forests, pointer resolutions for every `gep` result,
-/// and the effects table.
+/// dominators, loop forests, and the effects table.
 fn prime(am: &mut AnalysisManager, m: &Module) {
     am.effects(m);
     for id in m.func_ids() {
@@ -26,12 +25,6 @@ fn prime(am: &mut AnalysisManager, m: &Module) {
         }
         am.dom(m, id);
         am.loops(m, id);
-        let f = m.func(id);
-        for inst in f.live_insts() {
-            if f.inst(inst).opcode == Opcode::Gep {
-                am.pointer(m, id, f.inst_result(inst));
-            }
-        }
     }
 }
 
@@ -246,11 +239,6 @@ fn instruction_level_passes_keep_cfg_analyses() {
             1,
             "`{name}` drops the effects table"
         );
-        assert_eq!(
-            cached(&am, "alias"),
-            0,
-            "`{name}` rewrote instructions; pointer resolutions must not survive"
-        );
     }
 }
 
@@ -301,9 +289,8 @@ fn no_change_runs_preserve_everything() {
 /// Per-function preservation: a function pass that rewrites only one
 /// function must not drop its neighbours' cached analyses. `@cold` here is
 /// already CSE-clean, so after a `cse` run that rewrites only `@hot`,
-/// `@cold`'s dominator tree, loop forest, and pointer resolutions all keep
-/// serving hits — while `@hot` pays exactly its own
-/// contract (CFG analyses survive, instruction-level ones are dropped).
+/// `@cold`'s dominator tree and loop forest keep serving hits — while
+/// `@hot` pays exactly its own contract (CFG analyses survive).
 #[test]
 fn function_pass_keeps_neighbour_caches() {
     let text = r#"
@@ -334,34 +321,15 @@ entry:
     let before = am.stats;
     am.dom(&m, cold);
     am.loops(&m, cold);
-    let gep_of = |id| {
-        let f = m.func(id);
-        f.live_insts()
-            .find(|&i| f.inst(i).opcode == Opcode::Gep)
-            .map(|i| f.inst_result(i))
-            .expect("fixture function has a gep")
-    };
-    am.pointer(&m, cold, gep_of(cold));
     assert_eq!(
-        (
-            am.stats.dom_misses,
-            am.stats.loops_misses,
-            am.stats.alias_misses,
-        ),
-        (before.dom_misses, before.loops_misses, before.alias_misses,),
+        (am.stats.dom_misses, am.stats.loops_misses),
+        (before.dom_misses, before.loops_misses),
         "the untouched neighbour's analyses must all survive a cse run \
          that changed only @hot"
     );
 
-    // The changed function's instruction-level entries were dropped by its
-    // own contract...
-    am.pointer(&m, hot, gep_of(hot));
-    assert_eq!(
-        am.stats.alias_misses,
-        before.alias_misses + 1,
-        "@hot's pointer resolutions must be recomputed after cse rewrote it"
-    );
-    // ...while its CFG analyses survived (cse never touches blocks/edges).
+    // The changed function's CFG analyses survived its own contract (cse
+    // never touches blocks/edges).
     am.dom(&m, hot);
     am.loops(&m, hot);
     assert_eq!(
