@@ -96,21 +96,12 @@ fn main() {
         group.bench_batched(
             &format!("driver_par{jobs}_suite"),
             || suite.clone(),
-            |mut m| {
-                roll_module_par(
-                    &mut m,
-                    &RolagOptions::default(),
-                    &DriverOptions {
-                        jobs,
-                        memoize: true,
-                    },
-                )
-            },
+            |mut m| roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions { jobs }),
         );
     }
 
-    // Memoization benefit: the unrolled suite with every kernel duplicated
-    // 3x under fresh names — the structural-duplicate population the cache
+    // Memoization: the unrolled suite with every kernel duplicated 3x
+    // under fresh names — the structural-duplicate population the cache
     // targets (75% hit rate).
     let mut dup_suite = suite.clone();
     let ids: Vec<_> = dup_suite.func_ids().collect();
@@ -124,19 +115,11 @@ fn main() {
             dup_suite.add_func(f);
         }
     }
-    for (label, memoize) in [("driver_nomemo_dup4", false), ("driver_memo_dup4", true)] {
-        group.bench_batched(
-            label,
-            || dup_suite.clone(),
-            |mut m| {
-                roll_module_par(
-                    &mut m,
-                    &RolagOptions::default(),
-                    &DriverOptions { jobs: 1, memoize },
-                )
-            },
-        );
-    }
+    group.bench_batched(
+        "driver_memo_dup4",
+        || dup_suite.clone(),
+        |mut m| roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions { jobs: 1 }),
+    );
 
     group.finish();
 }

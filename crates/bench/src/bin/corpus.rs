@@ -19,7 +19,9 @@
 //! PATH` writes the generated corpus to an `RLCP` container and exits.
 //! `--check-bench PATH` validates a previously written
 //! `BENCH_corpus.json` against the schema and acceptance floors and
-//! exits nonzero on violation (the CI gate).
+//! exits nonzero on violation (the CI gate). `--no-memoize` leaves the
+//! cross-batch store unattached; duplicates within one batch still share
+//! a roll.
 
 use std::io::{self, Write};
 use std::path::Path;

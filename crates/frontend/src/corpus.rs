@@ -303,7 +303,9 @@ pub struct CorpusOptions {
     pub mem_budget: u64,
     /// Worker count for the parallel driver; `0` means one per core.
     pub jobs: usize,
-    /// Structural memoization within and across batches.
+    /// Attach the cross-batch [`MemoStore`], so a definition whose closure
+    /// key an earlier batch already rolled is replayed instead of rolled.
+    /// Duplicates within one batch share a roll either way.
     pub memoize: bool,
     /// Frontend selection for corpus items.
     pub frontend: FrontendKind,
@@ -551,8 +553,9 @@ impl BatchBuilder {
 /// Items are parsed with the configured frontend, merged into a batch
 /// module until the batch's input-byte budget fills, and each batch is
 /// rolled through [`roll_module_par_with`] with one persistent worker
-/// pool and a cross-batch [`MemoStore`]. `on_batch` sees every rolled
-/// batch (for output emission) before its memory is released.
+/// pool and, with [`CorpusOptions::memoize`], a cross-batch
+/// [`MemoStore`]. `on_batch` sees every rolled batch (for output
+/// emission) before its memory is released.
 pub fn roll_corpus<I, F>(
     items: I,
     opts: &RolagOptions,
@@ -564,10 +567,7 @@ where
     F: FnMut(&Module, &DriverReport),
 {
     let start = Instant::now();
-    let driver = DriverOptions {
-        jobs: copts.jobs,
-        memoize: copts.memoize,
-    };
+    let driver = DriverOptions { jobs: copts.jobs };
     let pool = WorkerPool::new(copts.jobs);
     let store = MemoStore::new(copts.store_capacity());
     let mut report = CorpusReport::default();
@@ -750,5 +750,62 @@ mod tests {
         assert_eq!(report.batches, batches as u64);
         assert!(report.parse_failures == 0);
         assert!(report.wall_ns > 0);
+    }
+
+    /// Replay from the cross-batch store is byte-identical to rolling each
+    /// batch without it. Three bodies — one spilling irregular constants
+    /// into a fresh `rolag.cdata` table — repeat across items that fill
+    /// several batches, so later batches are served from the store.
+    #[test]
+    fn store_replay_matches_storeless_batches() {
+        const SCATTER: [usize; 12] = [9, 2, 7, 1, 8, 3, 6, 4, 11, 5, 10, 0];
+        let item = |i: usize| {
+            let mut text = format!(
+                "module \"m{i}\"\nglobal @a : [12 x i32] = zero\nfunc @f{i}() -> void {{\nentry:\n"
+            );
+            for (k, scattered) in SCATTER.iter().enumerate() {
+                let value = match i % 3 {
+                    0 => 7 * k,
+                    1 => 7 * k + 3,
+                    _ => *scattered,
+                };
+                text.push_str(&format!(
+                    "  %g{k} = gep i32, @a, i64 {k}\n  store i32 {value}, %g{k}\n"
+                ));
+            }
+            text.push_str("  ret\n}\n");
+            Ok(CorpusItem {
+                origin: format!("mem#{i}"),
+                bytes: text.into_bytes(),
+            })
+        };
+        let roll = |memoize| {
+            let copts = CorpusOptions {
+                mem_budget: 1 << 20, // clamps to the 128 KiB batch floor
+                jobs: 2,
+                memoize,
+                ..CorpusOptions::default()
+            };
+            let mut batches = Vec::new();
+            let report = roll_corpus(
+                (0..500).map(item),
+                &RolagOptions::default(),
+                &copts,
+                |m, _| batches.push(print_module(m)),
+            )
+            .unwrap();
+            (report, batches)
+        };
+        let (plain, plain_batches) = roll(false);
+        let (stored, stored_batches) = roll(true);
+        assert!(stored.batches >= 2, "{} batches", stored.batches);
+        assert!(stored.store_hits > 0);
+        assert_eq!(plain.store_hits, 0);
+        assert!(stored_batches[0].contains("const @rolag.cdata."));
+        assert_eq!(stored_batches.len(), plain_batches.len());
+        for (n, (a, b)) in stored_batches.iter().zip(&plain_batches).enumerate() {
+            assert!(a == b, "batch {n} differs with the store attached");
+        }
+        assert_eq!(stored.stats, plain.stats);
     }
 }

@@ -363,14 +363,7 @@ impl ModulePass for RolagPass {
         };
         let stats = match (self.engine, cx.jobs) {
             (RolagEngine::Incremental, Some(n)) => {
-                let report = roll_module_par(
-                    module,
-                    &opts,
-                    &DriverOptions {
-                        jobs: n,
-                        memoize: true,
-                    },
-                );
+                let report = roll_module_par(module, &opts, &DriverOptions { jobs: n });
                 cx.note(format!(
                     "driver: {} functions, {} unique, {} cache hits ({:.1}%), {} workers, {:.2} ms wall",
                     report.functions,

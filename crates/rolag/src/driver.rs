@@ -11,19 +11,19 @@
 //! The pass only reads the module for *shared context*: the type store,
 //! globals, function signatures, and call effects. It never inspects the
 //! body of any function other than the one being rolled. Each worker
-//! therefore rolls its assigned functions inside a private module clone,
-//! and the driver merges the pieces back serially in function-id order:
+//! therefore rolls its assigned functions inside a private module clone
+//! and captures each roll as a [`StoreEntry`] in the clone's id spaces; the
+//! driver then replays an entry onto every definition serially, in
+//! function-id order (`StoreEntry::replay`, the one splice path):
 //!
 //! * **Globals.** Constant arrays minted by codegen get worker-local names.
-//!   At merge time each one is renamed through
-//!   [`Module::fresh_global_name`] against the *merged* module, which walks
-//!   functions in the same order as the serial pass — reproducing the
-//!   serial names exactly. Rolled bodies are rewritten with
-//!   [`Function::remap_globals`].
-//! * **Types.** Worker stores are absorbed via [`TypeStore::absorb`](rolag_ir::TypeStore::absorb) and
-//!   bodies rewritten with [`Function::remap_types`]. Interned type *ids*
-//!   may differ from a serial run, but ids are never printed — types
-//!   render structurally — so the output is unaffected.
+//!   Replay renames each one through [`Module::fresh_global_name`] against
+//!   the *merged* module, which walks functions in the same order as the
+//!   serial pass — reproducing the serial names exactly.
+//! * **Types.** Replay absorbs each worker's type store once per run via
+//!   [`TypeStore::absorb`](rolag_ir::TypeStore::absorb) and remaps bodies.
+//!   Interned type *ids* may differ from a serial run, but ids are never
+//!   printed — types render structurally — so the output is unaffected.
 //! * **Stats.** Per-function statistics are summed in function-id order.
 //!   Wall-clock [`StageTimings`](crate::stats::StageTimings) are excluded
 //!   from `RolagStats` equality, so outcome comparison is exact.
@@ -31,40 +31,33 @@
 //! # Memoization
 //!
 //! Large modules (e.g. AnghaBench translation units) contain many
-//! structurally identical functions. With [`DriverOptions::memoize`] the
-//! driver groups definitions by a canonical key — the printed function with
-//! its own symbol name normalized out — rolls one representative per
-//! group, and replays the result onto every duplicate: fresh constant
-//! arrays are minted per duplicate (matching what the serial pass would
-//! have created) and self-references are remapped, so even cache hits are
-//! byte-identical to the serial output.
-//!
+//! structurally identical functions. The driver keys every definition with
+//! its closure key ([`crate::memo`]: canonical text plus everything else
+//! the pass reads, the function's own effects included), rolls the first
+//! definition of each key, and replays that roll onto the others — the
+//! replay mints fresh constant arrays per definition and re-targets
+//! self-calls, so even cache hits are byte-identical to the serial output.
 //! Replayed stats include the representative's
-//! [`FixpointCacheStats`](crate::stats::FixpointCacheStats) — duplicates
-//! report the same fixpoint cache counters their representative's actual
-//! run produced, keeping aggregate counters identical to a serial run.
+//! [`FixpointCacheStats`](crate::stats::FixpointCacheStats), keeping
+//! aggregate counters identical to a serial run.
 //!
 //! Local value names never block sharing: the printer renumbers temps
 //! canonically (`%0`, `%1`, ...), so two functions that differ only in
-//! source-level temp names produce identical keys — and replaying one's
-//! body onto the other is still byte-identical, for the same reason.
-//! Beyond that the key is deliberately byte-strict: any structural
-//! difference (an opcode, a constant, a referenced global) separates the
-//! slots, because replay splices the representative's rolled body verbatim
-//! and anything looser would diverge from what a serial run produces. The
-//! TSVC kernels therefore never share — they are structurally distinct,
-//! not spuriously split by naming.
+//! source-level temp names produce identical keys. Beyond that the key is
+//! deliberately byte-strict: any structural difference (an opcode, a
+//! constant, a referenced global, an effects annotation) separates the
+//! definitions. The TSVC kernels therefore never share — they are
+//! structurally distinct, not spuriously split by naming.
+//!
+//! With a [`MemoStore`] attached, the same keys are looked up in it first:
+//! a hit serves its whole group, and every fresh roll is inserted.
 //!
 //! # Per-module fixed costs
 //!
-//! A module with fewer than two definitions has nothing to share a memo
-//! slot with, so without a store its definition is not printed as a
-//! canonical key at all; the grouping it would get is the trivial one.
-//! With a [`MemoStore`] attached every representative is still keyed,
-//! because the store's closure key starts from the canonical text — the
-//! corpus and serve paths key exactly as before. And when only one worker
-//! would run (one definition to roll, or `jobs == 1`), the scoped fan-outs
-//! run on the calling thread ([`rolag_par::par_map_with`]); a persistent
+//! A lone definition without a store has nothing to share a key with, so
+//! it is not keyed at all. And when only one worker would run (one
+//! definition to roll, or `jobs == 1`), the scoped fan-outs run on the
+//! calling thread ([`rolag_par::par_map_with`]); a persistent
 //! [`WorkerPool`] always runs its tasks on its own threads.
 
 use std::collections::HashMap;
@@ -72,33 +65,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rolag_ir::printer::print_function;
-use rolag_ir::{FuncId, Function, GlobalData, GlobalId, Module};
-use rolag_par::{effective_jobs, par_map_with, WorkerPool};
+use rolag_ir::{FuncId, Module};
+use rolag_par::{par_map_with, WorkerPool};
 use rolag_transforms::effects_table;
 
-use crate::memo::{store_key, store_key_from, MemoStore, StoreEntry};
+use crate::memo::{ClosureKeys, MemoStore, StoreEntry, TypeMaps};
 use crate::options::RolagOptions;
 use crate::pass::roll_function_rescued;
 use crate::stats::RolagStats;
 
 /// Configuration of the parallel driver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DriverOptions {
     /// Worker count; `0` means one per available core.
     pub jobs: usize,
-    /// Roll one representative per structurally identical group of
-    /// functions and replay the result onto the duplicates.
-    pub memoize: bool,
-}
-
-impl Default for DriverOptions {
-    fn default() -> Self {
-        DriverOptions {
-            jobs: 0,
-            memoize: true,
-        }
-    }
 }
 
 /// What one [`roll_module_par`] run did, beyond the pass statistics.
@@ -108,9 +88,11 @@ pub struct DriverReport {
     pub stats: RolagStats,
     /// Function definitions processed.
     pub functions: usize,
-    /// Structurally distinct definitions actually rolled.
+    /// Distinct closure keys among the definitions: groups rolled in this
+    /// run plus groups served by the store.
     pub unique: usize,
-    /// Definitions served from the memoization cache.
+    /// Definitions that took the roll of an earlier definition with the
+    /// same key in this module.
     pub cache_hits: u64,
     /// Definitions whose body the pass rewrote — including duplicates
     /// that received a rewritten representative's body and store-replayed
@@ -122,7 +104,8 @@ pub struct DriverReport {
     /// Definitions rolled because the cross-request store missed (always
     /// `0` without one).
     pub store_misses: u64,
-    /// Worker count actually used.
+    /// Workers the roll fan-out started: `0` when nothing needed rolling
+    /// (no definitions, or the store served every group).
     pub jobs: usize,
     /// End-to-end wall-clock of the driver, in nanoseconds.
     pub wall_ns: u64,
@@ -145,80 +128,6 @@ impl DriverReport {
         }
         self.store_hits as f64 / self.functions as f64
     }
-}
-
-/// Canonical cache key of a definition: its printed form with the
-/// function's own `@name` tokens normalized, so structurally identical
-/// functions under different symbols compare equal (including
-/// self-recursive ones).
-///
-/// If a *global* shares the function's name, `@name` tokens in the body are
-/// ambiguous and normalization is skipped — the function simply won't
-/// share a cache slot, which is always safe.
-pub(crate) fn canonical_key(module: &Module, id: FuncId) -> String {
-    let func = module.func(id);
-    let printed = print_function(module, func);
-    if module.global_by_name(&func.name).is_some() {
-        return printed;
-    }
-    normalize_own_name(&printed, &func.name)
-}
-
-fn is_symbol_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '$')
-}
-
-/// Replaces exact `@name` tokens with a placeholder that no parsed symbol
-/// can collide with. Token-boundary checked, so `@f` inside `@f2` is left
-/// alone.
-fn normalize_own_name(printed: &str, name: &str) -> String {
-    let needle = format!("@{name}");
-    let mut out = String::with_capacity(printed.len());
-    let mut rest = printed;
-    while let Some(pos) = rest.find(&needle) {
-        let tail = &rest[pos + needle.len()..];
-        let at_boundary = tail.chars().next().is_none_or(|c| !is_symbol_char(c));
-        out.push_str(&rest[..pos]);
-        out.push_str(if at_boundary { "@\u{1}self" } else { &needle });
-        rest = tail;
-    }
-    out.push_str(rest);
-    out
-}
-
-/// `prefix` such that `fresh_global_name(prefix)` can reproduce `name`:
-/// the name with a trailing `.<digits>` counter stripped.
-pub(crate) fn name_prefix(name: &str) -> &str {
-    match name.rfind('.') {
-        Some(pos)
-            if pos > 0
-                && !name[pos + 1..].is_empty()
-                && name[pos + 1..].chars().all(|c| c.is_ascii_digit()) =>
-        {
-            &name[..pos]
-        }
-        _ => name,
-    }
-}
-
-/// Outcome of rolling one representative inside a worker's module clone.
-struct RepRoll {
-    /// Rolled body, in the worker's id spaces — `None` when the pass
-    /// committed nothing, so the function (and any structural duplicate of
-    /// it) is byte-identical to the input and needs no merge work.
-    func: Option<Function>,
-    stats: RolagStats,
-    /// Constant-array globals the roll committed, in creation order.
-    new_globals: Vec<GlobalData>,
-    /// Worker-module index of the first entry of `new_globals`.
-    first_new_global: usize,
-    /// Which worker produced this (indexes the returned states).
-    worker: usize,
-}
-
-struct WorkerState {
-    module: Module,
-    id: usize,
 }
 
 /// Fans `job` out over `items`: on the persistent `pool` when one is given
@@ -260,12 +169,11 @@ pub fn roll_module_par(
 /// [`WorkerPool`] (reused across calls instead of spawning a scoped pool
 /// per module) and an optional cross-request [`MemoStore`].
 ///
-/// With a store, each group representative's closure key
-/// ([`store_key`]) is consulted first: hits replay a previously rolled body
-/// into this module — byte-identical to rolling it cold, because replay
-/// re-mints constant-array names through the same serial-order
-/// [`Module::fresh_global_name`] walk — and only misses are rolled. Freshly
-/// rolled representatives are captured back into the store after the merge.
+/// With a store, each group's closure key is looked up first: a hit
+/// replays a previously rolled body into this module — byte-identical to
+/// rolling it cold, because replay re-mints constant-array names through
+/// the same serial-order [`Module::fresh_global_name`] walk — and only
+/// misses are rolled. Fresh rolls are inserted into the store.
 pub fn roll_module_par_with(
     module: &mut Module,
     opts: &RolagOptions,
@@ -278,249 +186,106 @@ pub fn roll_module_par_with(
         .func_ids()
         .filter(|&id| !module.func(id).is_declaration)
         .collect();
-    let base_globals = module.num_globals();
-    let base_types = module.types.num_types();
     let effects = effects_table(module);
-
-    // Group definitions by canonical key (everything is its own group when
-    // memoization is off). Representatives keep the lowest function id so
-    // the merge below walks them in serial order. The printed keys are kept
-    // alive past grouping: the store-key pass below reuses each
-    // representative's canonical text instead of printing it a second time.
-    // A lone definition has nothing to share a memo slot with, so it is
-    // only keyed when a store needs its canonical text for the closure key.
     let shared: &Module = module;
-    let keyed = driver.memoize && (ids.len() > 1 || store.is_some());
-    let mut groups: Vec<(FuncId, Vec<FuncId>)> = Vec::new();
-    let mut canon_keys: Vec<String> = Vec::new();
-    let mut rep_canon: Vec<usize> = Vec::new();
-    if keyed {
-        canon_keys = fan_out(
+
+    // One closure key per definition; a lone definition without a store
+    // has nothing to share a key with and is not keyed.
+    let mut keys: Vec<String> = Vec::new();
+    if ids.len() > 1 || store.is_some() {
+        let keyer = ClosureKeys::new(opts);
+        keys = fan_out(
             pool,
             &ids,
             driver.jobs,
             || (),
-            |(), _, &id| canonical_key(shared, id),
+            |(), _, &id| keyer.key(shared, id),
         )
         .0;
-        let mut by_key: HashMap<&str, usize> = HashMap::new();
-        for (i, &id) in ids.iter().enumerate() {
-            match by_key.entry(canon_keys[i].as_str()) {
-                std::collections::hash_map::Entry::Occupied(slot) => {
-                    groups[*slot.get()].1.push(id);
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(groups.len());
-                    rep_canon.push(i);
-                    groups.push((id, Vec::new()));
-                }
-            }
-        }
-    } else {
-        groups = ids.iter().map(|&id| (id, Vec::new())).collect();
     }
-    let group_of: HashMap<FuncId, usize> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(gi, (rep, dups))| {
-            std::iter::once((*rep, gi)).chain(dups.iter().map(move |&d| (d, gi)))
-        })
-        .collect();
-    let reps: Vec<FuncId> = groups.iter().map(|&(rep, _)| rep).collect();
+    // Group equal keys: definition `i` belongs to group `group[i]`, whose
+    // representative — its lowest function id — is definition `reps[g]`.
+    let mut group: Vec<usize> = Vec::with_capacity(ids.len());
+    let mut reps: Vec<usize> = Vec::new();
+    let mut by_key: HashMap<&str, usize> = HashMap::new();
+    for i in 0..ids.len() {
+        let g = match keys.get(i) {
+            Some(key) => *by_key.entry(key).or_insert(reps.len()),
+            None => reps.len(),
+        };
+        if g == reps.len() {
+            reps.push(i);
+        }
+        group.push(g);
+    }
 
-    // Cross-request store: closure-key every representative and consult the
-    // store before rolling anything. A hit retires the whole group. With
-    // memoization on, the grouping pass already printed each representative
-    // canonically — only the context sections remain to be rendered.
-    let store_keys: Vec<String> = match store {
-        Some(_) if keyed => {
-            let canon: Vec<&str> = rep_canon.iter().map(|&i| canon_keys[i].as_str()).collect();
-            fan_out(
-                pool,
-                &canon,
-                driver.jobs,
-                || (),
-                |(), gi, &text| store_key_from(text, shared, reps[gi], opts),
-            )
-            .0
-        }
-        Some(_) => {
-            fan_out(
-                pool,
-                &reps,
-                driver.jobs,
-                || (),
-                |(), _, &fid| store_key(shared, fid, opts),
-            )
-            .0
-        }
-        None => Vec::new(),
-    };
-    let store_entries: Vec<Option<Arc<StoreEntry>>> = match store {
-        Some(s) => store_keys.iter().map(|k| s.get(k)).collect(),
+    // Consult the store before rolling anything: a hit serves its group.
+    let mut entries: Vec<Option<Arc<StoreEntry>>> = match store {
+        Some(s) => reps.iter().map(|&i| s.get(&keys[i])).collect(),
         None => vec![None; reps.len()],
     };
-    let to_roll: Vec<FuncId> = reps
-        .iter()
-        .enumerate()
-        .filter(|&(gi, _)| store_entries[gi].is_none())
-        .map(|(_, &fid)| fid)
-        .collect();
-    let mut roll_of: Vec<Option<usize>> = vec![None; reps.len()];
-    {
-        let mut next = 0;
-        for (gi, entry) in store_entries.iter().enumerate() {
-            if entry.is_none() {
-                roll_of[gi] = Some(next);
-                next += 1;
-            }
-        }
-    }
+    let from_store: Vec<bool> = entries.iter().map(Option::is_some).collect();
+    let to_roll: Vec<usize> = (0..reps.len()).filter(|&g| !from_store[g]).collect();
 
-    // Roll one representative per store-missed group, each worker inside
-    // its own module clone. Dynamic scheduling decides *which* worker rolls
-    // *what*, but every result is independent of that choice.
-    let jobs = match pool {
-        Some(p) => p.worker_count().clamp(1, reps.len().max(1)),
-        None => effective_jobs(driver.jobs, reps.len()),
-    };
+    // Roll one representative per missed group, each worker inside its own
+    // module clone, and capture each roll in the clone's id spaces. Dynamic
+    // scheduling decides *which* worker rolls *what*, but every result is
+    // independent of that choice.
     let worker_tag = AtomicUsize::new(0);
-    let (rolls, states) = fan_out(
+    let (captures, workers) = fan_out(
         pool,
         &to_roll,
         driver.jobs,
-        || WorkerState {
-            module: shared.clone(),
-            id: worker_tag.fetch_add(1, Ordering::Relaxed),
-        },
-        |state, _idx, &fid| {
-            let before = state.module.num_globals();
-            let stats = roll_function_rescued(&mut state.module, fid, opts, &effects);
-            let changed = stats.rolled > 0 || state.module.num_globals() != before;
-            let new_globals = (before..state.module.num_globals())
-                .map(|g| state.module.global(GlobalId::from_index(g)).clone())
-                .collect();
-            RepRoll {
-                func: changed.then(|| state.module.func(fid).clone()),
-                stats,
-                new_globals,
-                first_new_global: before,
-                worker: state.id,
-            }
+        || (worker_tag.fetch_add(1, Ordering::Relaxed), shared.clone()),
+        |(worker, clone), _, &g| {
+            let fid = ids[reps[g]];
+            let first_new = clone.num_globals();
+            let stats = roll_function_rescued(clone, fid, opts, &effects);
+            (*worker, StoreEntry::capture(clone, fid, first_new, stats))
         },
     );
-
-    // Absorb every worker's type store into the merged module, recording
-    // the per-worker id translation.
-    let mut type_maps: Vec<Vec<rolag_ir::TypeId>> = vec![Vec::new(); states.len()];
-    for state in &states {
-        type_maps[state.id] = module.types.absorb(&state.module.types, base_types);
-    }
-    let identity_map: Vec<bool> = type_maps
-        .iter()
-        .map(|m| m.iter().enumerate().all(|(i, t)| t.index() == i))
+    // A worker's type store is final after its last roll: every entry the
+    // worker captured shares it.
+    let jobs = workers.len();
+    let mut worker_types: Vec<_> = workers
+        .into_iter()
+        .map(|(worker, clone)| (worker, Arc::new(clone.types)))
         .collect();
+    worker_types.sort_unstable_by_key(|&(worker, _)| worker);
+    for (&g, (worker, finish)) in to_roll.iter().zip(captures) {
+        let entry = Arc::new(finish(&worker_types[worker].1));
+        if let Some(s) = store {
+            s.insert(std::mem::take(&mut keys[reps[g]]), Arc::clone(&entry));
+        }
+        entries[g] = Some(entry);
+    }
 
-    // Merge serially in function-id order — the order the serial pass
-    // walks — so fresh global names come out identical, whether a body is
-    // spliced from this request's rolls or replayed from the store.
+    // Replay serially in function-id order — the order the serial pass
+    // walks — so fresh global names come out identical, whether a body was
+    // rolled in this run or served by the store.
     let mut report = DriverReport {
         functions: ids.len(),
         unique: reps.len(),
         jobs,
         ..Default::default()
     };
-    let mut minted_for_rep: Vec<Vec<GlobalId>> = vec![Vec::new(); reps.len()];
-    for &fid in &ids {
-        let gi = group_of[&fid];
-        let rep = reps[gi];
-        if fid != rep {
+    let mut type_maps = TypeMaps::default();
+    for (i, &fid) in ids.iter().enumerate() {
+        let g = group[i];
+        let entry = entries[g]
+            .as_ref()
+            .expect("every group was served or rolled");
+        if reps[g] != i {
             report.cache_hits += 1;
         }
-        if let Some(entry) = &store_entries[gi] {
-            report.stats += entry.stats;
+        if from_store[g] {
             report.store_hits += 1;
-            if entry.replay(module, fid) {
-                report.changed += 1;
-            }
-            continue;
-        }
-        if store.is_some() {
+        } else if store.is_some() {
             report.store_misses += 1;
         }
-        let roll = &rolls[roll_of[gi].expect("missed groups were rolled")];
-        report.stats += roll.stats;
-        // Nothing committed: the input body (and any duplicate of it) is
-        // already what the serial pass would produce.
-        let Some(rolled) = &roll.func else {
-            continue;
-        };
-        report.changed += 1;
-        let type_map = &type_maps[roll.worker];
-        let mut func = rolled.clone();
-
-        // Mint this function's constant arrays with serial-order names and
-        // point the body at them.
-        let mut global_map: HashMap<GlobalId, GlobalId> = HashMap::new();
-        let mut minted: Vec<GlobalId> = Vec::with_capacity(roll.new_globals.len());
-        for (offset, data) in roll.new_globals.iter().enumerate() {
-            let name = module.fresh_global_name(name_prefix(&data.name));
-            let mut data = data.clone();
-            data.ty = type_map[data.ty.index()];
-            data.name = name;
-            let merged_id = module.add_global(data);
-            minted.push(merged_id);
-            global_map.insert(
-                GlobalId::from_index(roll.first_new_global + offset),
-                merged_id,
-            );
-        }
-        func.remap_globals(|g| {
-            if g.index() < base_globals {
-                g
-            } else {
-                *global_map
-                    .get(&g)
-                    .expect("rolled function references a global outside its own roll")
-            }
-        });
-        if !identity_map[roll.worker] {
-            func.remap_types(|t| type_map[t.index()]);
-        }
-
-        // Cache hit: retarget the representative's body onto the duplicate.
-        if fid != rep {
-            let target = module.func(fid);
-            func.name = target.name.clone();
-            // The annotation is caller-facing metadata the printer may not
-            // show; keep the duplicate's own.
-            func.effects = target.effects;
-            func.remap_funcs(|f| if f == rep { fid } else { f });
-        } else {
-            minted_for_rep[gi] = minted;
-        }
-        module.replace_func(fid, func);
-    }
-
-    // Capture freshly rolled representatives into the store, in their
-    // final merged form (so replay needs no per-request translation state
-    // beyond the entry itself).
-    if let Some(s) = store {
-        let types = Arc::new(module.types.clone());
-        for (gi, &rep) in reps.iter().enumerate() {
-            if store_entries[gi].is_some() {
-                continue;
-            }
-            let roll = &rolls[roll_of[gi].expect("missed groups were rolled")];
-            let entry = StoreEntry::capture(
-                module,
-                rep,
-                &minted_for_rep[gi],
-                roll.func.is_some(),
-                roll.stats,
-                &types,
-            );
-            s.insert(store_keys[gi].clone(), Arc::new(entry));
+        report.stats += entry.stats;
+        if entry.replay(module, fid, &mut type_maps) {
+            report.changed += 1;
         }
     }
     report.wall_ns = start.elapsed().as_nanos() as u64;
@@ -560,8 +325,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bytes_and_stats() {
         // Five duplicates plus a distinct function, and a lone definition
-        // (never keyed without a store, rolled inline).
-        for (dups, unique_memo) in [(5, 2), (0, 1)] {
+        // (never keyed without a store).
+        for (dups, unique) in [(5, 2), (0, 1)] {
             let original = duplicated_module(dups);
             let functions = dups + 1;
             let opts = RolagOptions::default();
@@ -573,27 +338,20 @@ mod tests {
                 "fixture must actually roll"
             );
 
-            for memoize in [false, true] {
-                for jobs in [1, 4] {
-                    let mut par = original.clone();
-                    let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs, memoize });
-                    verify_module(&par).expect("merged module verifies");
-                    assert_eq!(
-                        print_module(&serial),
-                        print_module(&par),
-                        "dups={dups} jobs={jobs} memoize={memoize} must be byte-identical"
-                    );
-                    assert_eq!(report.stats, serial_stats);
-                    assert_eq!(report.functions, functions);
-                    assert_eq!(report.changed, functions);
-                    if memoize {
-                        assert_eq!(report.unique, unique_memo);
-                        assert_eq!(report.cache_hits, (functions - unique_memo) as u64);
-                    } else {
-                        assert_eq!(report.unique, functions);
-                        assert_eq!(report.cache_hits, 0);
-                    }
-                }
+            for jobs in [1, 4] {
+                let mut par = original.clone();
+                let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs });
+                verify_module(&par).expect("merged module verifies");
+                assert_eq!(
+                    print_module(&serial),
+                    print_module(&par),
+                    "dups={dups} jobs={jobs} must be byte-identical"
+                );
+                assert_eq!(report.stats, serial_stats);
+                assert_eq!(report.functions, functions);
+                assert_eq!(report.changed, functions);
+                assert_eq!(report.unique, unique);
+                assert_eq!(report.cache_hits, (functions - unique) as u64);
             }
         }
     }
@@ -618,11 +376,11 @@ mod tests {
             text.push_str("  ret\n}\n");
         }
         let original = rolag_ir::parser::parse_module(&text).unwrap();
-        let key0 = canonical_key(&original, original.func_by_name("f0").unwrap());
-        let key1 = canonical_key(&original, original.func_by_name("f1").unwrap());
-        assert_eq!(key0, key1, "canonical printing erases temp names");
-
         let opts = RolagOptions::default();
+        let key =
+            |name| crate::memo::store_key(&original, original.func_by_name(name).unwrap(), &opts);
+        assert_eq!(key("f0"), key("f1"), "canonical printing erases temp names");
+
         let mut serial = original.clone();
         roll_module(&mut serial, &opts);
         let mut par = original.clone();
@@ -697,6 +455,31 @@ mod tests {
         }
     }
 
+    /// A request the store serves entirely starts no roll workers; `unique`
+    /// still counts the groups the store served.
+    #[test]
+    fn all_hit_run_starts_no_workers() {
+        let opts = RolagOptions::default();
+        let pool = WorkerPool::new(2);
+        for pool in [None, Some(&pool)] {
+            let store = MemoStore::new(64);
+            let driver = DriverOptions { jobs: 2 };
+            let mut cold = duplicated_module(3);
+            let report = roll_module_par_with(&mut cold, &opts, &driver, pool, Some(&store));
+            assert_eq!((report.jobs, report.unique), (2, 2), "two groups rolled");
+            let mut warm = duplicated_module(3);
+            let report = roll_module_par_with(&mut warm, &opts, &driver, pool, Some(&store));
+            assert_eq!(report.store_hits, 4);
+            assert_eq!((report.jobs, report.unique), (0, 2), "nothing rolled");
+            assert_eq!(print_module(&cold), print_module(&warm));
+        }
+        let mut empty = Module::new("empty");
+        assert_eq!(
+            roll_module_par(&mut empty, &opts, &DriverOptions::default()).jobs,
+            0
+        );
+    }
+
     /// The persistent pool path produces the same bytes and stats as the
     /// scoped-pool path.
     #[test]
@@ -706,7 +489,7 @@ mod tests {
         let mut scoped = original.clone();
         let scoped_report = roll_module_par(&mut scoped, &opts, &DriverOptions::default());
 
-        let pool = rolag_par::WorkerPool::new(3);
+        let pool = WorkerPool::new(3);
         let mut pooled = original.clone();
         let report = roll_module_par_with(
             &mut pooled,
@@ -720,21 +503,43 @@ mod tests {
         assert_eq!(report.jobs, 2, "3 pool workers clamped to 2 unique groups");
     }
 
+    /// Self-recursive twins whose only difference is their own effects
+    /// annotation, which the printer does not show: `@x` is `readnone`,
+    /// so its unused self-call is dead; `@y` is `readwrite`, so its
+    /// self-call must survive. Sharing one roll between them would drop
+    /// `@y`'s call.
     #[test]
-    fn own_name_normalization_is_token_exact() {
-        let s = "func @f(i32 %p0) -> void {\n  call @f2(%p0)\n  call @f(%p0)\n";
-        let n = normalize_own_name(s, "f");
-        assert!(n.contains("@f2"), "prefix symbol must survive");
-        assert!(n.contains("@\u{1}self"), "own tokens replaced");
-        assert!(!n.contains("call @f("), "own call site normalized");
-    }
+    fn effects_twins_do_not_share_a_roll() {
+        let mut text = String::from("module \"twins\"\nglobal @a : [8 x i32] = zero\n");
+        for name in ["x", "y"] {
+            text.push_str(&format!("func @{name}(i32 %p0) -> i32 {{\nentry:\n"));
+            text.push_str(&format!("  %r = call i32 @{name}(%p0)\n"));
+            text.push_str(&rollable_body(0));
+            text.push_str("  ret %p0\n}\n");
+        }
+        let mut original = rolag_ir::parser::parse_module(&text).unwrap();
+        let x = original.func_by_name("x").unwrap();
+        original.func_mut(x).effects = rolag_ir::Effects::ReadNone;
+        let y = original.func_by_name("y").unwrap();
+        original.func_mut(y).effects = rolag_ir::Effects::ReadWrite;
 
-    #[test]
-    fn name_prefix_strips_counters() {
-        assert_eq!(name_prefix("rolag.cdata.17"), "rolag.cdata");
-        assert_eq!(name_prefix("rolag.cdata"), "rolag.cdata");
-        assert_eq!(name_prefix("plain"), "plain");
-        assert_eq!(name_prefix("dotted.name"), "dotted.name");
+        let opts = RolagOptions::default();
+        let mut serial = original.clone();
+        let serial_stats = roll_module(&mut serial, &opts);
+        let expected = print_module(&serial);
+        assert!(
+            expected.contains("call i32 @y(%p0)"),
+            "@y keeps its self-call:\n{expected}"
+        );
+        let store = MemoStore::new(64);
+        for store in [None, Some(&store)] {
+            let mut par = original.clone();
+            let report =
+                roll_module_par_with(&mut par, &opts, &DriverOptions::default(), None, store);
+            assert_eq!(print_module(&par), expected, "store={}", store.is_some());
+            assert_eq!(report.stats, serial_stats);
+            assert_eq!(report.cache_hits, 0, "the twins have different keys");
+        }
     }
 
     #[test]

@@ -1,34 +1,40 @@
-//! Cross-request content-addressed rolling cache.
+//! Content-addressed rolling: the one key and the one replay path.
 //!
-//! [`roll_module_par`](crate::driver::roll_module_par) memoizes structurally
-//! identical functions *within* one module; everything it learns dies with
-//! the call. The [`MemoStore`] generalizes that memo across requests: a
-//! sharded, capacity-bounded (clock / second-chance eviction) map from a
-//! function's **closure key** to its rolled body, [`RolagStats`], and — via
-//! those stats — its translation-validation verdict, so a long-lived service
-//! (`rolag-serve`) compiles identical code from different clients once.
+//! [`roll_module_par`](crate::driver::roll_module_par) keys every
+//! definition with its **closure key**, rolls one definition per key, and
+//! replays that roll onto every definition with the key through
+//! `StoreEntry::replay` — the only code that writes a rolled body into a
+//! module. A [`MemoStore`] keeps the entries across calls: a sharded,
+//! capacity-bounded (clock / second-chance eviction) map from closure key
+//! to rolled body and [`RolagStats`] — and, via those stats, the
+//! translation-validation verdict — so a long-lived service (`rolag-serve`)
+//! or a corpus stream rolls identical code once.
 //!
 //! # Soundness: the closure key
 //!
-//! The per-module memo can key on the canonical printed function alone
-//! because duplicates live in the *same* module — every `@symbol` in the
-//! body resolves to the same definition. Across requests that assumption is
-//! gone: two clients can both define `@tab` with different initializers.
-//! [`store_key`] therefore extends the canonical text with everything the
-//! pass is allowed to read outside the function
-//! ([`crate::driver`] invariant: shared context only, never another
-//! function's body):
+//! Replay splices a rolled body verbatim, so two definitions may share a
+//! roll only if the pass reads the same things rolling either. The pass
+//! reads the function's own body plus shared context, never another
+//! function's body ([`crate::driver`] invariant), so the key is the
+//! function's canonical text — printed with temps renumbered and its own
+//! `@name` normalized — followed by everything else the pass may read:
 //!
 //! * the printed definition of every global the function references,
 //! * the name, signature, and effects annotation of every callee,
 //! * the function's own effects annotation (self-calls read it),
 //! * a fingerprint of the [`RolagOptions`] in force.
 //!
-//! A hit therefore guarantees the requesting module contains identically
-//! defined referenced symbols, which makes replay sound — and byte-identical
-//! to a cold roll, because replay re-mints constant-array names with the
-//! same [`fresh_global_name`](Module::fresh_global_name) walk a cold run
-//! would perform (enforced by `tests/serve_determinism.rs`).
+//! Canonical text alone is not enough even inside one module: the printer
+//! does not show a definition's own effects, so self-recursive twins that
+//! differ only there print identically. Across modules, two clients can
+//! both define `@tab` with different initializers.
+//!
+//! A hit therefore guarantees the requesting module defines every
+//! referenced symbol identically, which makes replay sound — and
+//! byte-identical to a cold roll, because replay re-mints constant-array
+//! names with the same [`fresh_global_name`](Module::fresh_global_name)
+//! walk a cold run would perform (enforced by `tests/driver_par.rs` and
+//! `tests/serve_determinism.rs`).
 //!
 //! Keys are compared as full strings, never as hashes, so a (astronomically
 //! unlikely, but catastrophic) hash collision degrades into shard imbalance
@@ -40,12 +46,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rolag_ir::printer::print_global;
+use rolag_ir::printer::{print_function, print_global};
 use rolag_ir::{
-    FuncId, Function, GlobalData, GlobalId, InstExtra, Module, TypeStore, ValueDef, ValueId,
+    FuncId, Function, GlobalData, GlobalId, InstExtra, Module, TypeId, TypeStore, ValueDef, ValueId,
 };
 
-use crate::driver::{canonical_key, name_prefix};
 use crate::options::RolagOptions;
 use crate::stats::RolagStats;
 
@@ -94,64 +99,114 @@ fn callee_line(module: &Module, f: FuncId) -> String {
     )
 }
 
-/// The cross-request closure key of function `id` under `opts`: canonical
-/// function text plus the referenced-context and options sections described
-/// in the module docs. Deterministic for structurally identical functions
-/// regardless of arena layout (context sections are name-sorted).
-pub fn store_key(module: &Module, id: FuncId, opts: &RolagOptions) -> String {
-    store_key_from(&canonical_key(module, id), module, id, opts)
+fn is_symbol_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-' | '$')
 }
 
-/// [`store_key`] with the canonical function text already in hand. The
-/// driver's grouping pass prints every function once to build its memo
-/// groups; threading that text through here means the service's warm path
-/// prints each function once per request instead of twice — the context
-/// sections appended below are cheap next to a full function print.
-pub(crate) fn store_key_from(
-    canonical: &str,
-    module: &Module,
-    id: FuncId,
-    opts: &RolagOptions,
-) -> String {
-    let func = module.func(id);
-    let (globals, funcs) = referenced_symbols(func);
+/// Replaces exact `@name` tokens with a placeholder that no parsed symbol
+/// can collide with. Token-boundary checked, so `@f` inside `@f2` is left
+/// alone.
+fn normalize_own_name(printed: &str, name: &str) -> String {
+    let needle = format!("@{name}");
+    let mut out = String::with_capacity(printed.len());
+    let mut rest = printed;
+    while let Some(pos) = rest.find(&needle) {
+        let tail = &rest[pos + needle.len()..];
+        let at_boundary = tail.chars().next().is_none_or(|c| !is_symbol_char(c));
+        out.push_str(&rest[..pos]);
+        out.push_str(if at_boundary { "@\u{1}self" } else { &needle });
+        rest = tail;
+    }
+    out.push_str(rest);
+    out
+}
 
-    let mut key = String::with_capacity(canonical.len() + 256);
-    key.push_str(canonical);
-    key.push_str("\n--context--\nself ");
-    key.push_str(func.effects.mnemonic());
-    key.push('\n');
-    let global_lines: BTreeMap<&str, GlobalId> = globals
-        .iter()
-        .map(|&g| (module.global(g).name.as_str(), g))
-        .collect();
-    for (_, g) in global_lines {
-        key.push_str(&print_global(module, g));
-        key.push('\n');
+/// `prefix` such that `fresh_global_name(prefix)` can reproduce `name`:
+/// the name with a trailing `.<digits>` counter stripped.
+fn name_prefix(name: &str) -> &str {
+    match name.rfind('.') {
+        Some(pos)
+            if pos > 0
+                && !name[pos + 1..].is_empty()
+                && name[pos + 1..].chars().all(|c| c.is_ascii_digit()) =>
+        {
+            &name[..pos]
+        }
+        _ => name,
     }
-    let callee_lines: BTreeMap<&str, FuncId> = funcs
-        .iter()
-        .filter(|&&f| f != id)
-        .map(|&f| (module.func(f).name.as_str(), f))
-        .collect();
-    for (_, f) in callee_lines {
-        key.push_str(&callee_line(module, f));
-        key.push('\n');
+}
+
+/// Builds closure keys under one [`RolagOptions`], whose fingerprint is
+/// formatted once rather than once per key.
+pub(crate) struct ClosureKeys {
+    options: String,
+}
+
+impl ClosureKeys {
+    pub(crate) fn new(opts: &RolagOptions) -> Self {
+        ClosureKeys {
+            options: format!("{opts:?}"),
+        }
     }
-    key.push_str("--options--\n");
-    key.push_str(&format!("{opts:?}"));
-    key
+
+    /// The closure key of function `id`: canonical function text plus the
+    /// referenced-context and options sections described in the module
+    /// docs. Deterministic for structurally identical functions regardless
+    /// of arena layout (context sections are name-sorted).
+    pub(crate) fn key(&self, module: &Module, id: FuncId) -> String {
+        let func = module.func(id);
+        // Temps print canonically (`%0`, `%1`, ...), so only the function's
+        // own name needs normalizing. If a global shares that name, `@name`
+        // tokens are ambiguous and the text is kept as printed: the
+        // function then shares a key with nothing, which is always safe.
+        let printed = print_function(module, func);
+        let mut key = if module.global_by_name(&func.name).is_some() {
+            printed
+        } else {
+            normalize_own_name(&printed, &func.name)
+        };
+        key.push_str("\n--context--\nself ");
+        key.push_str(func.effects.mnemonic());
+        key.push('\n');
+        let (globals, funcs) = referenced_symbols(func);
+        let global_lines: BTreeMap<&str, GlobalId> = globals
+            .iter()
+            .map(|&g| (module.global(g).name.as_str(), g))
+            .collect();
+        for (_, g) in global_lines {
+            key.push_str(&print_global(module, g));
+            key.push('\n');
+        }
+        let callee_lines: BTreeMap<&str, FuncId> = funcs
+            .iter()
+            .filter(|&&f| f != id)
+            .map(|&f| (module.func(f).name.as_str(), f))
+            .collect();
+        for (_, f) in callee_lines {
+            key.push_str(&callee_line(module, f));
+            key.push('\n');
+        }
+        key.push_str("--options--\n");
+        key.push_str(&self.options);
+        key
+    }
+}
+
+/// The closure key of function `id` under `opts`, as the driver and the
+/// [`MemoStore`] use it.
+pub fn store_key(module: &Module, id: FuncId, opts: &RolagOptions) -> String {
+    ClosureKeys::new(opts).key(module, id)
 }
 
 /// A rolled function body in its donor module's id spaces, plus the name
-/// maps replay needs to re-target it into an arbitrary module that matched
-/// the same closure key.
+/// maps replay needs to re-target it into any module whose definition
+/// matched the same closure key.
 #[derive(Debug, Clone)]
 pub struct RolledBody {
     /// The rolled function (donor value/type/global/function id spaces).
     func: Function,
-    /// Snapshot of the donor module's type store (shared across the
-    /// entries captured from one request).
+    /// The donor's type store: a driver worker's whole store, shared by
+    /// every entry that worker captured.
     types: Arc<TypeStore>,
     /// Pre-existing globals the body references: donor id → name. The key
     /// guarantees a hit's module defines each name identically.
@@ -178,42 +233,60 @@ pub struct StoreEntry {
     pub stats: RolagStats,
 }
 
+/// The type-id translations of the donor stores replayed into one module.
+/// Each donor store is absorbed once, however many bodies it donates; the
+/// map holds the donor's `Arc`, so its pointer key stays unique while
+/// cached.
+#[derive(Default)]
+pub(crate) struct TypeMaps(HashMap<*const TypeStore, (Arc<TypeStore>, Option<Vec<TypeId>>)>);
+
+impl TypeMaps {
+    /// `donor`'s id translation into `into`, absorbing `donor` on first
+    /// sight; `None` when the translation is the identity.
+    fn absorb(&mut self, into: &mut TypeStore, donor: &Arc<TypeStore>) -> Option<&[TypeId]> {
+        let (_, map) = self.0.entry(Arc::as_ptr(donor)).or_insert_with(|| {
+            let map = into.absorb(donor, 0);
+            let identity = map.iter().enumerate().all(|(i, t)| t.index() == i);
+            (Arc::clone(donor), (!identity).then_some(map))
+        });
+        map.as_deref()
+    }
+}
+
 impl StoreEntry {
-    /// Captures a replayable entry for `id` from a *merged* module (the
-    /// function already holds its final body and global references).
-    /// `minted` are the globals the roll created for this function, in
-    /// minting order; `rolled` distinguishes a committed roll from a
-    /// no-change run.
+    /// Captures the roll a driver worker just ran on `id` inside its
+    /// private module clone. Globals from index `first_new` on are the ones
+    /// the roll minted, in minting order. The body keeps the worker's type
+    /// ids, and the worker's type store grows until its last roll, so the
+    /// returned closure finishes the entry once it is given that store.
     pub(crate) fn capture(
         module: &Module,
         id: FuncId,
-        minted: &[GlobalId],
-        rolled: bool,
+        first_new: usize,
         stats: RolagStats,
-        types: &Arc<TypeStore>,
-    ) -> StoreEntry {
-        if !rolled {
-            return StoreEntry { body: None, stats };
-        }
-        let func = module.func(id).clone();
-        let (globals, funcs) = referenced_symbols(&func);
-        let minted_set: HashSet<GlobalId> = minted.iter().copied().collect();
-        let base_globals = globals
-            .iter()
-            .filter(|g| !minted_set.contains(g))
-            .map(|&g| (g, module.global(g).name.clone()))
-            .collect();
-        let new_globals = minted
-            .iter()
-            .map(|&g| (g, module.global(g).clone()))
-            .collect();
-        let callees = funcs
-            .iter()
-            .filter(|&&f| f != id)
-            .map(|&f| (f, module.func(f).name.clone()))
-            .collect();
-        StoreEntry {
-            body: Some(RolledBody {
+    ) -> impl FnOnce(&Arc<TypeStore>) -> StoreEntry + Send {
+        let rolled = stats.rolled > 0 || module.num_globals() != first_new;
+        let parts = rolled.then(|| {
+            let func = module.func(id).clone();
+            let (globals, funcs) = referenced_symbols(&func);
+            let base_globals: Vec<_> = globals
+                .into_iter()
+                .filter(|g| g.index() < first_new)
+                .map(|g| (g, module.global(g).name.clone()))
+                .collect();
+            let new_globals: Vec<_> = (first_new..module.num_globals())
+                .map(GlobalId::from_index)
+                .map(|g| (g, module.global(g).clone()))
+                .collect();
+            let callees: Vec<_> = funcs
+                .into_iter()
+                .filter(|&f| f != id)
+                .map(|f| (f, module.func(f).name.clone()))
+                .collect();
+            (func, base_globals, new_globals, callees)
+        });
+        move |types| StoreEntry {
+            body: parts.map(|(func, base_globals, new_globals, callees)| RolledBody {
                 func,
                 types: Arc::clone(types),
                 base_globals,
@@ -227,15 +300,15 @@ impl StoreEntry {
 
     /// Replays this entry onto function `id` of `module`, which must have
     /// matched the entry's closure key. Mints fresh constant-array names
-    /// against `module` in donor order, so the result is byte-identical to
-    /// a cold roll of the same module. Returns `true` when a body was
-    /// spliced (`false` = no-change entry).
-    pub(crate) fn replay(&self, module: &mut Module, id: FuncId) -> bool {
+    /// against `module` in donor order, so replaying in function-id order
+    /// is byte-identical to a cold roll of the module. `type_maps` carries
+    /// the donor stores already absorbed into `module`. Returns `true` when
+    /// a body was spliced (`false` = no-change entry).
+    pub(crate) fn replay(&self, module: &mut Module, id: FuncId, type_maps: &mut TypeMaps) -> bool {
         let Some(body) = &self.body else {
             return false;
         };
-        let type_map = module.types.absorb(&body.types, 0);
-        let identity = type_map.iter().enumerate().all(|(i, t)| t.index() == i);
+        let type_map = type_maps.absorb(&mut module.types, &body.types);
         let mut func = body.func.clone();
 
         let mut global_map: HashMap<GlobalId, GlobalId> = HashMap::new();
@@ -247,18 +320,19 @@ impl StoreEntry {
         }
         for (donor, data) in &body.new_globals {
             let mut data = data.clone();
-            data.ty = type_map[data.ty.index()];
+            if let Some(map) = type_map {
+                data.ty = map[data.ty.index()];
+            }
             data.name = module.fresh_global_name(name_prefix(&data.name));
-            let merged = module.add_global(data);
-            global_map.insert(*donor, merged);
+            global_map.insert(*donor, module.add_global(data));
         }
         func.remap_globals(|g| {
             *global_map
                 .get(&g)
                 .expect("replayed body references an unmapped global")
         });
-        if !identity {
-            func.remap_types(|t| type_map[t.index()]);
+        if let Some(map) = type_map {
+            func.remap_types(|t| map[t.index()]);
         }
 
         let mut func_map: HashMap<FuncId, FuncId> = HashMap::new();
@@ -571,6 +645,23 @@ mod tests {
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn own_name_normalization_is_token_exact() {
+        let s = "func @f(i32 %p0) -> void {\n  call @f2(%p0)\n  call @f(%p0)\n";
+        let n = normalize_own_name(s, "f");
+        assert!(n.contains("@f2"), "prefix symbol must survive");
+        assert!(n.contains("@\u{1}self"), "own tokens replaced");
+        assert!(!n.contains("call @f("), "own call site normalized");
+    }
+
+    #[test]
+    fn name_prefix_strips_counters() {
+        assert_eq!(name_prefix("rolag.cdata.17"), "rolag.cdata");
+        assert_eq!(name_prefix("rolag.cdata"), "rolag.cdata");
+        assert_eq!(name_prefix("plain"), "plain");
+        assert_eq!(name_prefix("dotted.name"), "dotted.name");
     }
 
     /// Same canonical body, different context: the closure key must keep

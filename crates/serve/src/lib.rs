@@ -21,11 +21,14 @@
 //!
 //! The cache is keyed by the *closure key* of [`rolag::store_key`]:
 //! canonical function text plus the printed definitions of every
-//! referenced global, the signature/effects of every callee, and the
-//! options fingerprint. A hit therefore guarantees the cached rolled body
-//! is byte-identical to what rolling the request cold would produce —
-//! the property `tests/serve_determinism.rs` pins over the repro corpus
-//! and a generator sweep.
+//! referenced global, the signature/effects of every callee, the
+//! function's own effects, and the options fingerprint. It is the same key
+//! the driver groups a module's definitions by, and a hit replays through
+//! the same `StoreEntry` replay that serves in-module duplicates. A hit
+//! therefore guarantees the cached rolled body is byte-identical to what
+//! rolling the request cold would produce — the property
+//! `tests/serve_determinism.rs` pins over the repro corpus and a generator
+//! sweep.
 //!
 //! ```
 //! use rolag_serve::{Server, ServerConfig};

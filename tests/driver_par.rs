@@ -1,8 +1,8 @@
 //! Integration tests for the parallel memoizing module driver
 //! (`rolag::roll_module_par`): on whole benchmark suites the driver must
 //! produce byte-identical modules and identical statistics to the serial
-//! pass for every worker count, with or without memoization — and cached
-//! results must stay behaviourally equivalent under the interpreter.
+//! pass for every worker count — and cached results must stay
+//! behaviourally equivalent under the interpreter.
 
 use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions};
 use rolag_ir::interp::{check_equivalence, IValue, Interpreter};
@@ -22,20 +22,15 @@ fn assert_parallel_matches_serial(module: &Module) {
     let serial_text = print_module(&serial);
 
     for jobs in [0usize, 2, 3] {
-        for memoize in [false, true] {
-            let mut par = module.clone();
-            let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs, memoize });
-            verify_module(&par).expect("driver output verifies");
-            assert_eq!(
-                print_module(&par),
-                serial_text,
-                "module bytes diverged (jobs={jobs}, memoize={memoize})"
-            );
-            assert_eq!(
-                report.stats, serial_stats,
-                "stats diverged (jobs={jobs}, memoize={memoize})"
-            );
-        }
+        let mut par = module.clone();
+        let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs });
+        verify_module(&par).expect("driver output verifies");
+        assert_eq!(
+            print_module(&par),
+            serial_text,
+            "module bytes diverged (jobs={jobs})"
+        );
+        assert_eq!(report.stats, serial_stats, "stats diverged (jobs={jobs})");
     }
 }
 
@@ -122,14 +117,8 @@ fn memoized_duplicates_preserve_behaviour() {
             verify_module(&m).expect("duplicated module verifies");
 
             let original = m.clone();
-            let report = roll_module_par(
-                &mut m,
-                &RolagOptions::default(),
-                &DriverOptions {
-                    jobs: 2,
-                    memoize: true,
-                },
-            );
+            let report =
+                roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions { jobs: 2 });
             verify_module(&m).expect("rolled module verifies");
             assert!(
                 report.cache_hits >= dups as u64,

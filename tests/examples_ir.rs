@@ -46,3 +46,37 @@ fn axpy_sample_survives_the_full_pipeline() {
     verify_module(&v).expect("verifies");
     check_equivalence(&m, &v, "axpy", &[rolag_ir::interp::IValue::Float(2.5)]).expect("equivalent");
 }
+
+/// Two pairs of structural twins: the driver rolls one definition of each
+/// pair and replays it onto the other, matching the serial pass byte for
+/// byte. The recursive twins keep calling themselves, and each scatter
+/// twin gets a constant table of its own.
+#[test]
+fn twins_sample_replays_through_the_driver() {
+    let m = load("twins.rir");
+    let mut serial = m.clone();
+    let stats = roll_module(&mut serial, &RolagOptions::default());
+    assert_eq!(stats.rolled, 4);
+    let mut par = m.clone();
+    let report = rolag::roll_module_par(
+        &mut par,
+        &RolagOptions::default(),
+        &rolag::DriverOptions { jobs: 2 },
+    );
+    assert_eq!((report.unique, report.cache_hits), (2, 2));
+    let text = rolag_ir::printer::print_module(&par);
+    assert_eq!(text, rolag_ir::printer::print_module(&serial));
+    for twin in ["a", "b"] {
+        assert!(text.contains(&format!("call i32 @countdown_{twin}(")));
+    }
+    assert_eq!(text.matches("const @rolag.cdata.").count(), 2);
+    let five = [rolag_ir::interp::IValue::Int(5)];
+    for (name, args) in [
+        ("countdown_a", &five[..]),
+        ("countdown_b", &five[..]),
+        ("scatter_a", &[][..]),
+        ("scatter_b", &[][..]),
+    ] {
+        check_equivalence(&m, &par, name, args).expect("equivalent");
+    }
+}
