@@ -96,7 +96,13 @@ fn main() {
         group.bench_batched(
             &format!("driver_par{jobs}_suite"),
             || suite.clone(),
-            |mut m| roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions { jobs }),
+            |mut m| {
+                roll_module_par(
+                    &mut m,
+                    &RolagOptions::default(),
+                    &DriverOptions::scoped(jobs),
+                )
+            },
         );
     }
 
@@ -118,7 +124,7 @@ fn main() {
     group.bench_batched(
         "driver_memo_dup4",
         || dup_suite.clone(),
-        |mut m| roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions { jobs: 1 }),
+        |mut m| roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions::scoped(1)),
     );
 
     group.finish();

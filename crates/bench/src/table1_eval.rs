@@ -62,7 +62,7 @@ pub fn evaluate_program(
     let llvm_stats = reroll_module(&mut llvm_m);
 
     let mut rolag_m = module;
-    let report = roll_module_par(&mut rolag_m, opts, &DriverOptions { jobs: 1 });
+    let report = roll_module_par(&mut rolag_m, opts, &DriverOptions::scoped(1));
     let after = measure_module(&rolag_m).code_footprint();
 
     let reduction = base as f64 - after as f64;

@@ -22,7 +22,7 @@
 //! re-encode byte-stably.
 
 use crate::gen::args_for;
-use rolag::RolagStats;
+use rolag::{roll_module_full_rescan, RolagOptions, RolagStats};
 use rolag_ir::interp::{IValue, Interpreter, Outcome};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
@@ -197,6 +197,12 @@ impl fmt::Display for Failure {
     }
 }
 
+/// Verifier errors as one `; `-separated detail line.
+fn joined(errors: &[rolag_ir::verify::VerifyError]) -> String {
+    let errors: Vec<String> = errors.iter().map(ToString::to_string).collect();
+    errors.join("; ")
+}
+
 /// Runs a `rolag-passes` pipeline spec over a copy of `module` through
 /// the shared pass manager — the one piece of dispatch every consumer of
 /// the oracle now goes through. Returns the transformed module plus the
@@ -315,11 +321,18 @@ pub fn apply_pipeline_checked(
         }
         Pipeline::RolagIncremental => {
             let (m, incr_stats) = run_spec(module, "rolag", None, verify_each)?;
-            let (full, full_stats) = run_spec(module, "rolag-rescan", None, verify_each)?;
-            let (incr_stats, full_stats) = (
-                incr_stats.unwrap_or_default(),
-                full_stats.unwrap_or_default(),
-            );
+            let mut full = module.clone();
+            let full_stats = roll_module_full_rescan(&mut full, &RolagOptions::default());
+            if verify_each {
+                if let Err(errors) = verify_module(&full) {
+                    let detail = joined(&errors);
+                    return Err((
+                        FailureKind::Verify,
+                        format!("verify after `roll_module_full_rescan`: {detail}"),
+                    ));
+                }
+            }
+            let incr_stats = incr_stats.unwrap_or_default();
             if incr_stats.rescued + full_stats.rescued > 0 {
                 return diverge(
                     "engine panicked during the incremental cross-check (rescued)".into(),
@@ -544,12 +557,7 @@ fn check_pipeline(
         Err(payload) => return fail(FailureKind::Panic, panic_message(&payload)),
     };
     if let Err(errors) = verify_module(&transformed) {
-        let detail = errors
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join("; ");
-        return fail(FailureKind::Verify, detail);
+        return fail(FailureKind::Verify, joined(&errors));
     }
     for entry in interpretable_entries(module) {
         for k in 0..runs {

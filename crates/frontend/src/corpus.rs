@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rolag::{
-    roll_module_par_with, DriverOptions, DriverReport, MemoStore, RolagOptions, RolagStats,
+    roll_module_par, DriverOptions, DriverReport, MemoStore, RolagOptions, RolagStats, Workers,
 };
 use rolag_ir::module::{GlobalData, GlobalInit};
 use rolag_ir::{Effects, Function, Module};
@@ -552,7 +552,7 @@ impl BatchBuilder {
 ///
 /// Items are parsed with the configured frontend, merged into a batch
 /// module until the batch's input-byte budget fills, and each batch is
-/// rolled through [`roll_module_par_with`] with one persistent worker
+/// rolled through [`roll_module_par`] with one persistent worker
 /// pool and, with [`CorpusOptions::memoize`], a cross-batch
 /// [`MemoStore`]. `on_batch` sees every rolled batch (for output
 /// emission) before its memory is released.
@@ -567,9 +567,12 @@ where
     F: FnMut(&Module, &DriverReport),
 {
     let start = Instant::now();
-    let driver = DriverOptions { jobs: copts.jobs };
     let pool = WorkerPool::new(copts.jobs);
     let store = MemoStore::new(copts.store_capacity());
+    let driver = DriverOptions {
+        workers: Workers::Pool(&pool),
+        store: copts.memoize.then_some(&store),
+    };
     let mut report = CorpusReport::default();
     let batch_budget = copts.batch_budget();
     let mut batch = BatchBuilder::new(0);
@@ -578,13 +581,7 @@ where
         if batch.merged == 0 {
             return;
         }
-        let dr = roll_module_par_with(
-            &mut batch.module,
-            opts,
-            &driver,
-            Some(&pool),
-            copts.memoize.then_some(&store),
-        );
+        let dr = roll_module_par(&mut batch.module, opts, &driver);
         report.batches += 1;
         report.functions += dr.functions as u64;
         report.changed += dr.changed as u64;

@@ -45,8 +45,12 @@
 //!   --serve <socket>           client mode: submit the module to a running
 //!                              rolag-serve daemon instead of rolling
 //!                              locally, and print the returned module
-//!   --serve-options <preset>   options preset for --serve (default,
-//!                              extended, no-special, validated, measured)
+//!                              (the preset is the only roll setting it
+//!                              sends, so local passes, --jobs, --search,
+//!                              --target and --validate-rewrites are
+//!                              refused with it)
+//!   --serve-options <preset>   options preset for --serve: the presets of
+//!                              the `rolag<preset>` pass (absent: default)
 //!   --validate-rewrites        prove every rolling rewrite with the
 //!                              rolag-tv translation validator before the
 //!                              cost model may commit it
@@ -101,7 +105,7 @@ struct Cli {
     /// The `--passes` spec, verbatim.
     spec: Option<String>,
     input: Option<String>,
-    target: TargetKind,
+    target: Option<TargetKind>,
     jobs: Option<usize>,
     search: Option<SearchConfig>,
     serve: Option<String>,
@@ -181,11 +185,11 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--target" => {
                 let t = it.next().ok_or("--target needs a value")?;
-                cli.target = match t.as_str() {
+                cli.target = Some(match t.as_str() {
                     "x86-64" | "x86_64" => TargetKind::X86_64,
                     "thumb2" | "thumb" => TargetKind::Thumb2,
                     other => return Err(format!("unknown target {other}")),
-                };
+                });
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -202,9 +206,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--serve-options" => {
                 let preset = it.next().ok_or("--serve-options needs a preset")?;
-                if rolag_serve::proto::options_preset(preset).is_none() {
-                    return Err(format!("unknown options preset {preset}"));
-                }
+                RolagOptions::preset(preset)?;
                 cli.serve_options = Some(preset.clone());
             }
             "--validate-rewrites" => cli.validate_rewrites = true,
@@ -255,10 +257,26 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             cli.legacy[0]
         ));
     }
-    if cli.serve.is_some() && (cli.spec.is_some() || !cli.legacy.is_empty()) {
-        return Err("--serve submits to the daemon's rolag pipeline; \
-                    it cannot be combined with local passes"
-            .into());
+    if cli.serve.is_some() {
+        if cli.spec.is_some() || !cli.legacy.is_empty() {
+            return Err("--serve submits to the daemon's rolag pipeline; \
+                        it cannot be combined with local passes"
+                .into());
+        }
+        // A request carries only the module and a preset: refuse every
+        // roll setting the daemon would silently drop.
+        let dropped = [
+            ("--jobs", cli.jobs.is_some()),
+            ("--search", cli.search.is_some()),
+            ("--target", cli.target.is_some()),
+            ("--validate-rewrites", cli.validate_rewrites),
+        ];
+        if let Some((flag, _)) = dropped.iter().find(|(_, given)| *given) {
+            return Err(format!(
+                "{flag} cannot be combined with --serve: a request carries only \
+                 the module and an options preset (--serve-options)"
+            ));
+        }
     }
     if cli.serve_options.is_some() && cli.serve.is_none() {
         return Err("--serve-options needs --serve".into());
@@ -559,7 +577,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(socket) = &cli.serve {
-        let preset = cli.serve_options.as_deref().unwrap_or("default");
+        let preset = cli
+            .serve_options
+            .as_deref()
+            .unwrap_or(RolagOptions::DEFAULT_PRESET);
         // The daemon speaks native text; render whatever frontend parsed.
         let text = print_module(&module);
         match serve_client(socket, &text, preset) {
@@ -588,7 +609,7 @@ fn main() -> ExitCode {
     });
     pm.add_all(pipeline);
     let mut am = AnalysisManager::new();
-    let mut cx = PassContext::new(cli.target);
+    let mut cx = PassContext::new(cli.target.unwrap_or_default());
     cx.jobs = cli.jobs;
     cx.validate_rewrites = cli.validate_rewrites;
     cx.search = cli.search;
@@ -702,7 +723,7 @@ fn main() -> ExitCode {
 fn run_corpus(cli: &Cli, path: &str) -> ExitCode {
     let opts = RolagOptions {
         validate: cli.validate_rewrites,
-        target: cli.target,
+        target: cli.target.unwrap_or_default(),
         search: cli.search.unwrap_or_default(),
         ..Default::default()
     };

@@ -147,6 +147,46 @@ fn unknown_flags_and_missing_input_fail_cleanly() {
     assert!(stderr.contains("usage:"));
 }
 
+/// A serve request carries only the module and a preset, so every roll
+/// setting the daemon would drop is refused up front. The socket path
+/// names no daemon: the flags fail in argument parsing, before any
+/// connection.
+#[test]
+fn serve_refuses_roll_settings_it_cannot_send() {
+    for extra in [
+        &["--search", "beam:4"][..],
+        &["--target", "thumb2"],
+        &["--validate-rewrites"],
+        &["--jobs", "2"],
+    ] {
+        let mut args = vec!["--serve", "/nonexistent/rolag.sock"];
+        args.extend_from_slice(extra);
+        args.push("-");
+        let (stdout, stderr, code) = run(&args, SAMPLE);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?}");
+        assert!(
+            stderr.contains(&format!("{} cannot be combined with --serve", extra[0])),
+            "{args:?}: {stderr}"
+        );
+    }
+    let (_, stderr, code) = run(
+        &[
+            "--serve",
+            "/nonexistent/rolag.sock",
+            "--serve-options",
+            "turbo",
+            "-",
+        ],
+        SAMPLE,
+    );
+    assert_eq!(code, Some(1));
+    assert!(
+        stderr.contains("unknown options preset `turbo`"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn thumb_target_is_accepted() {
     let (_, stderr, code) = run(

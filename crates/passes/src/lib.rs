@@ -53,9 +53,7 @@ pub use manager::{
     structural_hash, ForEach, FuncResult, FunctionPass, ModulePass, PassContext, PassError,
     PassManager, PassManagerOptions, PassOutcome, RunReport,
 };
-pub use ports::{
-    CleanupPass, CsePass, FlattenPass, RerollPass, RolagEngine, RolagPass, UnrollPass,
-};
+pub use ports::{CleanupPass, CsePass, FlattenPass, RerollPass, RolagPass, UnrollPass};
 pub use registry::{PassInfo, PassRegistry};
 pub use spec::{PipelineSpec, SpecElement, SpecError};
 

@@ -46,9 +46,7 @@
 //! No registered pass adds, removes, or re-annotates function
 //! declarations, so the effects table survives everything.
 
-use rolag::{
-    roll_module_full_rescan_with, roll_module_par, roll_module_with, DriverOptions, RolagOptions,
-};
+use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions};
 use rolag_analysis::{find_loops, DomTree};
 use rolag_ir::{FuncId, Module};
 use rolag_reroll::reroll_module;
@@ -301,47 +299,18 @@ impl ModulePass for RerollPass {
     }
 }
 
-/// Which rolag fixpoint engine a [`RolagPass`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RolagEngine {
-    /// The incremental dirty-block worklist ([`rolag::roll_module`]); honours
-    /// [`PassContext::jobs`] by switching to the parallel memoizing
-    /// driver ([`roll_module_par`]).
-    Incremental,
-    /// The non-incremental reference engine
-    /// ([`rolag::roll_module_full_rescan`]); always serial.
-    FullRescan,
-}
-
-/// RoLAG loop rolling — the paper's technique.
+/// RoLAG loop rolling — the paper's technique — under one options value.
+/// With [`PassContext::jobs`] set it runs the parallel memoizing driver
+/// ([`roll_module_par`]), otherwise the serial reference
+/// ([`roll_module`]); the two print identically.
 pub struct RolagPass {
-    name: String,
-    options: RolagOptions,
-    engine: RolagEngine,
-}
-
-impl RolagPass {
-    /// The default configuration (`rolag`).
-    pub fn new() -> Self {
-        RolagPass::with("rolag", RolagOptions::default(), RolagEngine::Incremental)
-    }
-
-    /// A named configuration. The stored options' target is overridden by
-    /// the [`PassContext`] target at run time, exactly as the legacy
-    /// driver did.
-    pub fn with(name: impl Into<String>, options: RolagOptions, engine: RolagEngine) -> Self {
-        RolagPass {
-            name: name.into(),
-            options,
-            engine,
-        }
-    }
-}
-
-impl Default for RolagPass {
-    fn default() -> Self {
-        RolagPass::new()
-    }
+    /// The name the pass reports: `rolag`, `rolag<preset>`, or the
+    /// registry alias row it was built from.
+    pub name: String,
+    /// The options to roll with. The [`PassContext`] target replaces their
+    /// target at run time, `--validate-rewrites` forces validation on, and
+    /// `--search` replaces their search strategy.
+    pub options: RolagOptions,
 }
 
 impl ModulePass for RolagPass {
@@ -352,7 +321,7 @@ impl ModulePass for RolagPass {
     fn run(
         &self,
         module: &mut Module,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
         cx: &mut PassContext,
     ) -> PreservedAnalyses {
         let opts = RolagOptions {
@@ -361,9 +330,9 @@ impl ModulePass for RolagPass {
             search: cx.search.unwrap_or(self.options.search),
             ..self.options.clone()
         };
-        let stats = match (self.engine, cx.jobs) {
-            (RolagEngine::Incremental, Some(n)) => {
-                let report = roll_module_par(module, &opts, &DriverOptions { jobs: n });
+        let stats = match cx.jobs {
+            Some(n) => {
+                let report = roll_module_par(module, &opts, &DriverOptions::scoped(n));
                 cx.note(format!(
                     "driver: {} functions, {} unique, {} cache hits ({:.1}%), {} workers, {:.2} ms wall",
                     report.functions,
@@ -377,14 +346,7 @@ impl ModulePass for RolagPass {
                 cx.record_driver(report);
                 stats
             }
-            (RolagEngine::Incremental, None) => {
-                let effects = am.effects(module);
-                roll_module_with(module, &opts, &effects)
-            }
-            (RolagEngine::FullRescan, _) => {
-                let effects = am.effects(module);
-                roll_module_full_rescan_with(module, &opts, &effects)
-            }
+            None => roll_module(module, &opts),
         };
         cx.note(format!("rolag: {stats}"));
         for (stage, ns) in stats.timings.rows() {

@@ -11,9 +11,7 @@ use std::sync::OnceLock;
 use rolag::RolagOptions;
 
 use crate::manager::{ForEach, ModulePass};
-use crate::ports::{
-    CleanupPass, CsePass, FlattenPass, RerollPass, RolagEngine, RolagPass, UnrollPass,
-};
+use crate::ports::{CleanupPass, CsePass, FlattenPass, RerollPass, RolagPass, UnrollPass};
 use crate::spec::{PipelineSpec, SpecError};
 
 /// Constructor signature stored in the registry: raw parameter text in,
@@ -67,6 +65,17 @@ fn build_unroll(param: Option<&str>) -> Result<Box<dyn ModulePass>, String> {
     Ok(Box::new(UnrollPass { factor }))
 }
 
+/// `rolag<preset>`: a bare `rolag` is the default preset.
+fn build_rolag(param: Option<&str>) -> Result<Box<dyn ModulePass>, String> {
+    let preset = param.map_or(RolagOptions::DEFAULT_PRESET, str::trim);
+    let options = RolagOptions::preset(preset)?;
+    let name = match param {
+        Some(_) => format!("rolag<{preset}>"),
+        None => "rolag".into(),
+    };
+    Ok(Box::new(RolagPass { name, options }))
+}
+
 fn build_search(param: Option<&str>) -> Result<Box<dyn ModulePass>, String> {
     let width: usize = match param {
         Some(text) => text
@@ -78,11 +87,29 @@ fn build_search(param: Option<&str>) -> Result<Box<dyn ModulePass>, String> {
     if width == 0 {
         return Err("beam width must be at least 1".to_string());
     }
-    Ok(Box::new(RolagPass::with(
-        format!("rolag-search<{width}>"),
-        RolagOptions::searched(width),
-        RolagEngine::Incremental,
-    )))
+    Ok(Box::new(RolagPass {
+        name: format!("rolag-search<{width}>"),
+        options: RolagOptions::searched(width),
+    }))
+}
+
+/// A legacy pass name kept as an alias of `rolag<preset>`, so `-name`
+/// flags and lit RUN lines keep their spelling.
+macro_rules! rolag_alias {
+    ($name:literal, $preset:literal, $summary:literal) => {
+        PassInfo {
+            name: $name,
+            param: None,
+            summary: concat!("alias of rolag<", $preset, ">: ", $summary),
+            build: |param| {
+                no_param($name, param)?;
+                Ok(Box::new(RolagPass {
+                    name: $name.into(),
+                    options: RolagOptions::preset($preset).expect("alias rows name a preset"),
+                }))
+            },
+        }
+    };
 }
 
 macro_rules! simple {
@@ -111,58 +138,14 @@ impl PassRegistry {
             infos: vec![
                 PassInfo {
                     name: "rolag",
-                    param: None,
-                    summary: "loop rolling (the paper's technique)",
-                    build: simple!("rolag", RolagPass::new()),
+                    param: Some("preset"),
+                    summary: "loop rolling (the paper's technique) under an options preset; \
+                              bare `rolag` is the default",
+                    build: build_rolag,
                 },
-                PassInfo {
-                    name: "rolag-ext",
-                    param: None,
-                    summary: "loop rolling with the future-work extensions",
-                    build: simple!(
-                        "rolag-ext",
-                        RolagPass::with(
-                            "rolag-ext",
-                            RolagOptions::with_extensions(),
-                            RolagEngine::Incremental
-                        )
-                    ),
-                },
-                PassInfo {
-                    name: "no-special",
-                    param: None,
-                    summary: "loop rolling with special nodes disabled",
-                    build: simple!(
-                        "no-special",
-                        RolagPass::with(
-                            "no-special",
-                            RolagOptions::no_special_nodes(),
-                            RolagEngine::Incremental
-                        )
-                    ),
-                },
-                PassInfo {
-                    name: "rolag-rescan",
-                    param: None,
-                    summary: "loop rolling via the non-incremental full-rescan engine",
-                    build: simple!(
-                        "rolag-rescan",
-                        RolagPass::with(
-                            "rolag-rescan",
-                            RolagOptions::default(),
-                            RolagEngine::FullRescan
-                        )
-                    ),
-                },
-                PassInfo {
-                    name: "tv",
-                    param: None,
-                    summary: "loop rolling with per-rewrite translation validation",
-                    build: simple!(
-                        "tv",
-                        RolagPass::with("tv", RolagOptions::validated(), RolagEngine::Incremental)
-                    ),
-                },
+                rolag_alias!("rolag-ext", "extended", "the future-work extensions"),
+                rolag_alias!("no-special", "no-special", "special nodes disabled"),
+                rolag_alias!("tv", "validated", "per-rewrite translation validation"),
                 PassInfo {
                     name: "rolag-search",
                     param: Some("k"),
@@ -329,7 +312,11 @@ mod tests {
     fn builtin_registry_builds_every_pass() {
         let reg = PassRegistry::builtin();
         for info in reg.infos() {
-            let param = info.param.map(|_| "4");
+            let param = match info.param {
+                Some("preset") => Some("extended"),
+                Some(_) => Some("4"),
+                None => None,
+            };
             let pass = info.build(param).expect("builds");
             let name = pass.name();
             assert!(

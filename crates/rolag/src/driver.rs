@@ -1,10 +1,11 @@
 //! Parallel, memoizing module driver.
 //!
-//! [`roll_module_par`] fans [`roll_function_rescued`] out over a scoped worker
-//! pool ([`rolag_par`]) and merges the results deterministically, so that a
-//! parallel run produces a **byte-identical printed module and identical
-//! [`RolagStats`]** to the serial [`roll_module`](crate::roll_module) —
-//! regardless of worker count or scheduling order.
+//! [`roll_module_par`], the crate's one driver entry point, fans the
+//! per-function engine out over [`Workers`] ([`rolag_par`]) and merges the
+//! results deterministically, so that a parallel run produces a
+//! **byte-identical printed module and identical [`RolagStats`]** to the
+//! serial [`roll_module`](crate::roll_module) — regardless of worker count
+//! or scheduling order.
 //!
 //! # How determinism is preserved
 //!
@@ -49,16 +50,17 @@
 //! definitions. The TSVC kernels therefore never share — they are
 //! structurally distinct, not spuriously split by naming.
 //!
-//! With a [`MemoStore`] attached, the same keys are looked up in it first:
+//! With a [`MemoStore`] attached ([`DriverOptions::store`]), the same keys
+//! are looked up in it first:
 //! a hit serves its whole group, and every fresh roll is inserted.
 //!
 //! # Per-module fixed costs
 //!
 //! A lone definition without a store has nothing to share a key with, so
 //! it is not keyed at all. And when only one worker would run (one
-//! definition to roll, or `jobs == 1`), the scoped fan-outs run on the
-//! calling thread ([`rolag_par::par_map_with`]); a persistent
-//! [`WorkerPool`] always runs its tasks on its own threads.
+//! definition to roll, or one [`Workers::Scoped`] worker), the fan-outs run
+//! on the calling thread ([`rolag_par::par_map_with`]); a persistent
+//! [`Workers::Pool`] always runs its tasks on its own threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,11 +76,62 @@ use crate::options::RolagOptions;
 use crate::pass::roll_function_rescued;
 use crate::stats::RolagStats;
 
-/// Configuration of the parallel driver.
-#[derive(Debug, Clone, Default)]
-pub struct DriverOptions {
-    /// Worker count; `0` means one per available core.
-    pub jobs: usize,
+/// Where the driver's workers come from: exactly one source per run.
+#[derive(Clone, Copy)]
+pub enum Workers<'a> {
+    /// A fresh scoped pool per fan-out with this many workers; `0` means
+    /// one per available core. A fan-out that would start one worker runs
+    /// on the calling thread instead.
+    Scoped(usize),
+    /// A persistent pool reused across runs (the `rolag-serve` daemon and
+    /// the corpus driver keep one for their lifetime). Its tasks always
+    /// run on its own threads.
+    Pool(&'a WorkerPool),
+}
+
+impl Workers<'_> {
+    /// Fans `job` out over `items` on these workers.
+    fn map_with<T, R, S, I, F>(self, items: &[T], init: I, job: F) -> (Vec<R>, Vec<S>)
+    where
+        T: Sync,
+        R: Send,
+        S: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
+        match self {
+            Workers::Scoped(jobs) => par_map_with(items, jobs, init, job),
+            Workers::Pool(pool) => pool.map_with(items, init, job),
+        }
+    }
+}
+
+/// Configuration of the module driver.
+#[derive(Clone, Copy)]
+pub struct DriverOptions<'a> {
+    /// Where the workers come from.
+    pub workers: Workers<'a>,
+    /// A cross-request store: each group's closure key is looked up first,
+    /// a hit replays a previously rolled body, and every fresh roll is
+    /// inserted.
+    pub store: Option<&'a MemoStore>,
+}
+
+impl DriverOptions<'_> {
+    /// `jobs` scoped workers (`0` = one per core) and no store.
+    pub fn scoped(jobs: usize) -> Self {
+        DriverOptions {
+            workers: Workers::Scoped(jobs),
+            store: None,
+        }
+    }
+}
+
+impl Default for DriverOptions<'_> {
+    /// One scoped worker per available core and no store.
+    fn default() -> Self {
+        DriverOptions::scoped(0)
+    }
 }
 
 /// What one [`roll_module_par`] run did, beyond the pass statistics.
@@ -130,56 +183,20 @@ impl DriverReport {
     }
 }
 
-/// Fans `job` out over `items`: on the persistent `pool` when one is given
-/// (the `rolag-serve` daemon reuses its threads across requests), else on a
-/// fresh scoped pool of `jobs` workers.
-fn fan_out<T, R, S, I, F>(
-    pool: Option<&WorkerPool>,
-    items: &[T],
-    jobs: usize,
-    init: I,
-    job: F,
-) -> (Vec<R>, Vec<S>)
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    match pool {
-        Some(p) => p.map_with(items, init, job),
-        None => par_map_with(items, jobs, init, job),
-    }
-}
-
 /// Rolls every function of the module on a worker pool, memoizing
 /// structurally identical definitions, and merges the results so the
 /// printed module and the statistics are identical to a serial
 /// [`roll_module`](crate::roll_module) run.
+///
+/// With a store ([`DriverOptions::store`]), a hit replays a previously
+/// rolled body into this module — byte-identical to rolling it cold,
+/// because replay re-mints constant-array names through the same
+/// serial-order [`Module::fresh_global_name`] walk — and only misses are
+/// rolled.
 pub fn roll_module_par(
     module: &mut Module,
     opts: &RolagOptions,
     driver: &DriverOptions,
-) -> DriverReport {
-    roll_module_par_with(module, opts, driver, None, None)
-}
-
-/// [`roll_module_par`] with service hooks: an optional persistent
-/// [`WorkerPool`] (reused across calls instead of spawning a scoped pool
-/// per module) and an optional cross-request [`MemoStore`].
-///
-/// With a store, each group's closure key is looked up first: a hit
-/// replays a previously rolled body into this module — byte-identical to
-/// rolling it cold, because replay re-mints constant-array names through
-/// the same serial-order [`Module::fresh_global_name`] walk — and only
-/// misses are rolled. Fresh rolls are inserted into the store.
-pub fn roll_module_par_with(
-    module: &mut Module,
-    opts: &RolagOptions,
-    driver: &DriverOptions,
-    pool: Option<&WorkerPool>,
-    store: Option<&MemoStore>,
 ) -> DriverReport {
     let start = Instant::now();
     let ids: Vec<FuncId> = module
@@ -188,20 +205,16 @@ pub fn roll_module_par_with(
         .collect();
     let effects = effects_table(module);
     let shared: &Module = module;
+    let (workers, store) = (driver.workers, driver.store);
 
     // One closure key per definition; a lone definition without a store
     // has nothing to share a key with and is not keyed.
     let mut keys: Vec<String> = Vec::new();
     if ids.len() > 1 || store.is_some() {
         let keyer = ClosureKeys::new(opts);
-        keys = fan_out(
-            pool,
-            &ids,
-            driver.jobs,
-            || (),
-            |(), _, &id| keyer.key(shared, id),
-        )
-        .0;
+        keys = workers
+            .map_with(&ids, || (), |(), _, &id| keyer.key(shared, id))
+            .0;
     }
     // Group equal keys: definition `i` belongs to group `group[i]`, whose
     // representative — its lowest function id — is definition `reps[g]`.
@@ -232,10 +245,8 @@ pub fn roll_module_par_with(
     // scheduling decides *which* worker rolls *what*, but every result is
     // independent of that choice.
     let worker_tag = AtomicUsize::new(0);
-    let (captures, workers) = fan_out(
-        pool,
+    let (captures, clones) = workers.map_with(
         &to_roll,
-        driver.jobs,
         || (worker_tag.fetch_add(1, Ordering::Relaxed), shared.clone()),
         |(worker, clone), _, &g| {
             let fid = ids[reps[g]];
@@ -246,8 +257,8 @@ pub fn roll_module_par_with(
     );
     // A worker's type store is final after its last roll: every entry the
     // worker captured shares it.
-    let jobs = workers.len();
-    let mut worker_types: Vec<_> = workers
+    let jobs = clones.len();
+    let mut worker_types: Vec<_> = clones
         .into_iter()
         .map(|(worker, clone)| (worker, Arc::new(clone.types)))
         .collect();
@@ -340,7 +351,7 @@ mod tests {
 
             for jobs in [1, 4] {
                 let mut par = original.clone();
-                let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs });
+                let report = roll_module_par(&mut par, &opts, &DriverOptions::scoped(jobs));
                 verify_module(&par).expect("merged module verifies");
                 assert_eq!(
                     print_module(&serial),
@@ -407,13 +418,11 @@ mod tests {
 
             let first = duplicated_module(dups);
             let mut warmup = first.clone();
-            let warm_report = roll_module_par_with(
-                &mut warmup,
-                &opts,
-                &DriverOptions::default(),
-                None,
-                Some(&store),
-            );
+            let with_store = DriverOptions {
+                store: Some(&store),
+                ..DriverOptions::default()
+            };
+            let warm_report = roll_module_par(&mut warmup, &opts, &with_store);
             assert_eq!(warm_report.store_hits, 0);
             assert_eq!(
                 warm_report.store_misses, functions,
@@ -432,13 +441,7 @@ mod tests {
             let cold_stats = roll_module(&mut cold, &opts);
 
             let mut warm = second.clone();
-            let report = roll_module_par_with(
-                &mut warm,
-                &opts,
-                &DriverOptions::default(),
-                None,
-                Some(&store),
-            );
+            let report = roll_module_par(&mut warm, &opts, &with_store);
             verify_module(&warm).expect("replayed module verifies");
             assert_eq!(
                 report.store_hits, functions,
@@ -461,14 +464,17 @@ mod tests {
     fn all_hit_run_starts_no_workers() {
         let opts = RolagOptions::default();
         let pool = WorkerPool::new(2);
-        for pool in [None, Some(&pool)] {
+        for workers in [Workers::Scoped(2), Workers::Pool(&pool)] {
             let store = MemoStore::new(64);
-            let driver = DriverOptions { jobs: 2 };
+            let driver = DriverOptions {
+                workers,
+                store: Some(&store),
+            };
             let mut cold = duplicated_module(3);
-            let report = roll_module_par_with(&mut cold, &opts, &driver, pool, Some(&store));
+            let report = roll_module_par(&mut cold, &opts, &driver);
             assert_eq!((report.jobs, report.unique), (2, 2), "two groups rolled");
             let mut warm = duplicated_module(3);
-            let report = roll_module_par_with(&mut warm, &opts, &driver, pool, Some(&store));
+            let report = roll_module_par(&mut warm, &opts, &driver);
             assert_eq!(report.store_hits, 4);
             assert_eq!((report.jobs, report.unique), (0, 2), "nothing rolled");
             assert_eq!(print_module(&cold), print_module(&warm));
@@ -491,12 +497,13 @@ mod tests {
 
         let pool = WorkerPool::new(3);
         let mut pooled = original.clone();
-        let report = roll_module_par_with(
+        let report = roll_module_par(
             &mut pooled,
             &opts,
-            &DriverOptions::default(),
-            Some(&pool),
-            None,
+            &DriverOptions {
+                workers: Workers::Pool(&pool),
+                store: None,
+            },
         );
         assert_eq!(print_module(&scoped), print_module(&pooled));
         assert_eq!(report.stats, scoped_report.stats);
@@ -534,8 +541,11 @@ mod tests {
         let store = MemoStore::new(64);
         for store in [None, Some(&store)] {
             let mut par = original.clone();
-            let report =
-                roll_module_par_with(&mut par, &opts, &DriverOptions::default(), None, store);
+            let driver = DriverOptions {
+                store,
+                ..DriverOptions::default()
+            };
+            let report = roll_module_par(&mut par, &opts, &driver);
             assert_eq!(print_module(&par), expected, "store={}", store.is_some());
             assert_eq!(report.stats, serial_stats);
             assert_eq!(report.cache_hits, 0, "the twins have different keys");

@@ -13,6 +13,26 @@
 //! ([`codegen`]), and keeps whichever version a code-size cost model says
 //! is smaller ([`pass`]).
 //!
+//! # Entry points
+//!
+//! There is one way to ask for a roll per purpose:
+//!
+//! * [`roll_module_par`] is the module driver: workers and an optional
+//!   cross-request store come from [`DriverOptions`], and structurally
+//!   identical definitions share one roll. Every production path
+//!   (`rolag-opt --jobs`, `rolag-serve`, the corpus driver) runs it.
+//! * [`roll_module`] is the serial reference the driver must match byte for
+//!   byte, stats included.
+//! * [`roll_module_full_rescan`] is the non-incremental reference the
+//!   incremental engine must match.
+//! * [`search_function_audited`] runs the beam search on one function and
+//!   captures every validator reject for dynamic cross-checking.
+//!
+//! What to roll with is one [`RolagOptions`] value. Its named presets
+//! ([`RolagOptions::preset`]) are the vocabulary shared by the pass
+//! registry's `rolag<preset>`, `rolag-serve` requests and
+//! `rolag-opt --serve-options`.
+//!
 //! ```
 //! use rolag::{roll_module, RolagOptions};
 //! use rolag_ir::parser::parse_module;
@@ -61,13 +81,10 @@ pub mod stats;
 pub use align::{
     build_candidate_graph, AlignGraph, AlignNode, DotInfo, GraphBuilder, NodeId, NodeKind,
 };
-pub use driver::{roll_module_par, roll_module_par_with, DriverOptions, DriverReport};
+pub use driver::{roll_module_par, DriverOptions, DriverReport, Workers};
 pub use memo::{store_key, MemoStore, MemoStoreStats, StoreEntry};
 pub use options::{RolagOptions, SearchConfig};
-pub use pass::{
-    roll_function_rescued, roll_function_with, roll_module, roll_module_full_rescan,
-    roll_module_full_rescan_with, roll_module_with,
-};
+pub use pass::{roll_module, roll_module_full_rescan};
 pub use schedule::Schedule;
 pub use search::{search_function_audited, RejectedSpeculation, SearchAudit};
 pub use seeds::{candidate_variants, collect_block_candidates, collect_candidates, Candidate};

@@ -160,7 +160,38 @@ impl Default for RolagOptions {
     }
 }
 
+/// Builds the options of one named preset.
+pub type Preset = fn() -> RolagOptions;
+
 impl RolagOptions {
+    /// The preset a request names when it names none.
+    pub const DEFAULT_PRESET: &'static str = "default";
+
+    /// The named presets [`RolagOptions::preset`] resolves, in the order
+    /// diagnostics list them. `tv` is an alias of `validated`.
+    pub const PRESETS: [(&'static str, Preset); 6] = [
+        (Self::DEFAULT_PRESET, RolagOptions::default),
+        ("extended", RolagOptions::with_extensions),
+        ("no-special", RolagOptions::no_special_nodes),
+        ("validated", RolagOptions::validated),
+        ("tv", RolagOptions::validated),
+        ("measured", RolagOptions::measured),
+    ];
+
+    /// Resolves a preset name: the one vocabulary behind the registry's
+    /// `rolag<preset>` pass, `rolag-serve` requests and
+    /// `rolag-opt --serve-options`. An unknown name is an error listing
+    /// the known ones.
+    pub fn preset(name: &str) -> Result<Self, String> {
+        match Self::PRESETS.iter().find(|(preset, _)| *preset == name) {
+            Some((_, make)) => Ok(make()),
+            None => Err(format!(
+                "unknown options preset `{name}`: expected one of {}",
+                Self::PRESETS.map(|(preset, _)| preset).join(", ")
+            )),
+        }
+    }
+
     /// The paper's future-work configuration: everything on, including the
     /// select/min-max chain extension.
     pub fn with_extensions() -> Self {
@@ -169,9 +200,7 @@ impl RolagOptions {
             ..RolagOptions::default()
         }
     }
-}
 
-impl RolagOptions {
     /// The ablation configuration used by Fig. 19's discussion: all special
     /// nodes disabled, leaving only exact matching.
     pub fn no_special_nodes() -> Self {
@@ -190,7 +219,7 @@ impl RolagOptions {
     }
 
     /// The default configuration with per-rewrite translation validation
-    /// switched on (the `tv` pass spelling).
+    /// switched on.
     pub fn validated() -> Self {
         RolagOptions {
             validate: true,
@@ -267,6 +296,24 @@ mod tests {
         assert!(!SearchConfig::Beam { width: 1, depth: 4 }.is_beam());
         assert!(SearchConfig::Beam { width: 2, depth: 4 }.is_beam());
         assert!(!SearchConfig::Greedy.is_beam());
+    }
+
+    #[test]
+    fn presets_resolve_every_name_and_only_those() {
+        for (name, _) in RolagOptions::PRESETS {
+            assert!(RolagOptions::preset(name).is_ok(), "{name}");
+        }
+        let err = RolagOptions::preset("turbo").unwrap_err();
+        assert!(err.contains("expected one of default, extended"), "{err}");
+        assert!(RolagOptions::preset("measured").unwrap().measured_cost);
+        assert!(RolagOptions::preset("validated").unwrap().validate);
+        assert!(RolagOptions::preset("tv").unwrap().validate);
+        assert!(
+            RolagOptions::preset("extended")
+                .unwrap()
+                .enable_value_chains
+        );
+        assert!(!RolagOptions::preset("no-special").unwrap().enable_joint);
     }
 
     #[test]

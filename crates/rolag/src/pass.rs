@@ -66,7 +66,7 @@ fn function_size(
 /// size estimates, and reject verdicts across fixpoint sweeps. Beams of
 /// width >= 2 run the beam policy instead; `beam:1` stays here, which makes
 /// it byte- and stats-identical to greedy by construction.
-pub fn roll_function_with(
+pub(crate) fn roll_function_with(
     module: &mut Module,
     id: FuncId,
     opts: &RolagOptions,
@@ -396,26 +396,26 @@ fn price(
 }
 
 /// Runs RoLAG on every function of the module, returning aggregate
-/// statistics. The call-effects table is computed once and shared across
-/// all functions.
+/// statistics: the serial reference the parallel driver
+/// ([`roll_module_par`](crate::roll_module_par)) must match. The
+/// call-effects table is computed once and shared across all functions.
 pub fn roll_module(module: &mut Module, opts: &RolagOptions) -> RolagStats {
-    let effects = effects_table(module);
-    roll_module_with(module, opts, &effects)
+    roll_each(module, |m, id, effects| {
+        roll_function_with(m, id, opts, effects)
+    })
 }
 
-/// [`roll_module`] with a caller-supplied call-effects table, e.g. one
-/// served from a pass manager's analysis cache. No registered pass changes
-/// a function's effects annotation, so a table computed earlier in the
-/// pipeline stays exact.
-pub fn roll_module_with(
+/// Runs `engine` on every function of the module under [`rescue_panics`],
+/// sharing one call-effects table, and sums the statistics.
+fn roll_each(
     module: &mut Module,
-    opts: &RolagOptions,
-    effects: &[Effects],
+    engine: impl Fn(&mut Module, FuncId, &[Effects]) -> RolagStats,
 ) -> RolagStats {
+    let effects = effects_table(module);
     let ids: Vec<FuncId> = module.func_ids().collect();
     let mut total = RolagStats::default();
     for id in ids {
-        total += roll_function_rescued(module, id, opts, effects);
+        total += rescue_panics(module, id, |m| engine(m, id, &effects));
     }
     total
 }
@@ -449,7 +449,7 @@ pub(crate) fn rescue_panics(
 /// [`roll_function_with`] with per-function panic isolation: an engine
 /// panic restores the original function and the module's globals and
 /// counts `rescued` instead of unwinding out of the module driver.
-pub fn roll_function_rescued(
+pub(crate) fn roll_function_rescued(
     module: &mut Module,
     id: FuncId,
     opts: &RolagOptions,
@@ -460,26 +460,12 @@ pub fn roll_function_rescued(
 
 /// [`roll_module`] on the full-rescan reference: the greedy policy without
 /// the incremental caches, which every sweep re-collects all candidates
-/// and sizes the whole function afresh. Used by the equivalence tests and
-/// the `fixpoint` bench.
+/// and sizes the whole function afresh. Used by the equivalence tests, the
+/// differential oracle and the `fixpoint` bench.
 pub fn roll_module_full_rescan(module: &mut Module, opts: &RolagOptions) -> RolagStats {
-    let effects = effects_table(module);
-    roll_module_full_rescan_with(module, opts, &effects)
-}
-
-/// [`roll_module_full_rescan`] with a caller-supplied call-effects table
-/// (the full-rescan twin of [`roll_module_with`]).
-pub fn roll_module_full_rescan_with(
-    module: &mut Module,
-    opts: &RolagOptions,
-    effects: &[Effects],
-) -> RolagStats {
-    let ids: Vec<FuncId> = module.func_ids().collect();
-    let mut total = RolagStats::default();
-    for id in ids {
-        total += rescue_panics(module, id, |m| roll_greedy(m, id, opts, effects, None));
-    }
-    total
+    roll_each(module, |m, id, effects| {
+        roll_greedy(m, id, opts, effects, None)
+    })
 }
 
 #[cfg(test)]

@@ -89,8 +89,8 @@ pub struct SearchAudit {
 /// The beam search on one function with TV-reject auditing: every
 /// beam-explored candidate the validator refuses is captured into `audit`
 /// for dynamic cross-checking. Test-facing; the result is byte-identical to
-/// the unaudited engine that [`crate::roll_function_with`] runs for beams
-/// of width >= 2.
+/// the unaudited engine that [`roll_module`](crate::roll_module) runs for
+/// beams of width >= 2.
 pub fn search_function_audited(
     module: &mut Module,
     id: FuncId,

@@ -11,8 +11,9 @@
 //!
 //! * [`json`] — a hand-rolled JSON codec (the workspace has no external
 //!   dependencies).
-//! * [`proto`] — the newline-delimited JSON request/response protocol and
-//!   the options presets.
+//! * [`proto`] — the newline-delimited JSON request/response protocol; a
+//!   request names an options preset, resolved by
+//!   [`RolagOptions::preset`](rolag::RolagOptions::preset).
 //! * [`server`] — the [`Server`]: one persistent
 //!   [`WorkerPool`](rolag_par::WorkerPool) plus one bounded
 //!   [`MemoStore`](rolag::MemoStore) shared by every connection, and the

@@ -13,7 +13,9 @@
 //!   parses, verifies, rolls it through the shared worker pool and
 //!   cross-request store, and answers with the transformed module plus
 //!   per-request and cumulative metrics. `options` names a preset
-//!   ([`options_preset`]); absent means `default`. `client` is an opaque
+//!   ([`RolagOptions::preset`], the vocabulary of the registry's
+//!   `rolag<preset>` pass); absent means
+//!   [`RolagOptions::DEFAULT_PRESET`]. `client` is an opaque
 //!   label echoed in logs — content addressing makes the cache shared
 //!   across clients by construction, so it carries no semantics.
 //! * `{"cmd": "stats"}` answers with cumulative metrics only.
@@ -39,7 +41,7 @@ pub enum Request {
         id: String,
         /// Textual IR of the module to roll.
         module: String,
-        /// Options preset name (see [`options_preset`]).
+        /// Options preset name (see [`RolagOptions::preset`]).
         options: String,
         /// Opaque client label.
         client: Option<String>,
@@ -116,7 +118,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let options = doc
         .get("options")
         .and_then(Json::as_str)
-        .unwrap_or("default")
+        .unwrap_or(RolagOptions::DEFAULT_PRESET)
         .to_string();
     let client = doc.get("client").and_then(Json::as_str).map(str::to_string);
     Ok(Request::Roll {
@@ -125,20 +127,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         options,
         client,
     })
-}
-
-/// Resolves an options preset name. The presets are the same spellings the
-/// pass registry exposes, so a service request and a `rolag-opt` run agree
-/// on what e.g. `"extended"` means.
-pub fn options_preset(name: &str) -> Option<RolagOptions> {
-    match name {
-        "default" => Some(RolagOptions::default()),
-        "extended" => Some(RolagOptions::with_extensions()),
-        "no-special" => Some(RolagOptions::no_special_nodes()),
-        "validated" | "tv" => Some(RolagOptions::validated()),
-        "measured" => Some(RolagOptions::measured()),
-        _ => None,
-    }
 }
 
 /// A parsed response line — the client-side view of what the server sent.
@@ -239,15 +227,5 @@ mod tests {
         assert!(parse_request("{\"module\": \"m\"}").is_err(), "missing id");
         assert!(parse_request("{\"id\": \"x\"}").is_err(), "missing body");
         assert!(parse_request("{\"id\": \"x\", \"cmd\": \"reboot\"}").is_err());
-    }
-
-    #[test]
-    fn presets_cover_the_registry_spellings() {
-        for name in ["default", "extended", "no-special", "validated", "measured"] {
-            assert!(options_preset(name).is_some(), "{name}");
-        }
-        assert!(options_preset("turbo").is_none());
-        assert!(options_preset("measured").unwrap().measured_cost);
-        assert!(options_preset("validated").unwrap().validate);
     }
 }

@@ -12,14 +12,16 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use rolag::{roll_module_par_with, DriverOptions, DriverReport, MemoStore, MemoStoreStats};
+use rolag::{
+    roll_module_par, DriverOptions, DriverReport, MemoStore, MemoStoreStats, RolagOptions, Workers,
+};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::verify::verify_module;
 use rolag_par::WorkerPool;
 
 use crate::json::escaped;
-use crate::proto::{options_preset, parse_request, Request};
+use crate::proto::{parse_request, Request};
 
 /// Service construction knobs.
 #[derive(Debug, Clone)]
@@ -237,19 +239,16 @@ impl Server {
 
     /// Parse → verify → roll → print, against the shared pool and store.
     fn roll_inner(&self, text: &str, options: &str) -> Result<(String, DriverReport), String> {
-        let opts =
-            options_preset(options).ok_or_else(|| format!("unknown options preset {options:?}"))?;
+        let opts = RolagOptions::preset(options)?;
         let mut module =
             parse_module(text).map_err(|e| format!("{}:{}: {}", e.line, e.col, e.message))?;
         verify_module(&module)
             .map_err(|errors| format!("module does not verify: {}", errors[0]))?;
-        let report = roll_module_par_with(
-            &mut module,
-            &opts,
-            &DriverOptions::default(),
-            Some(&self.pool),
-            Some(&self.store),
-        );
+        let driver = DriverOptions {
+            workers: Workers::Pool(&self.pool),
+            store: Some(&self.store),
+        };
+        let report = roll_module_par(&mut module, &opts, &driver);
         Ok((print_module(&module), report))
     }
 

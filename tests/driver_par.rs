@@ -23,7 +23,7 @@ fn assert_parallel_matches_serial(module: &Module) {
 
     for jobs in [0usize, 2, 3] {
         let mut par = module.clone();
-        let report = roll_module_par(&mut par, &opts, &DriverOptions { jobs });
+        let report = roll_module_par(&mut par, &opts, &DriverOptions::scoped(jobs));
         verify_module(&par).expect("driver output verifies");
         assert_eq!(
             print_module(&par),
@@ -118,7 +118,7 @@ fn memoized_duplicates_preserve_behaviour() {
 
             let original = m.clone();
             let report =
-                roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions { jobs: 2 });
+                roll_module_par(&mut m, &RolagOptions::default(), &DriverOptions::scoped(2));
             verify_module(&m).expect("rolled module verifies");
             assert!(
                 report.cache_hits >= dups as u64,

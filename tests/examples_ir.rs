@@ -61,7 +61,7 @@ fn twins_sample_replays_through_the_driver() {
     let report = rolag::roll_module_par(
         &mut par,
         &RolagOptions::default(),
-        &rolag::DriverOptions { jobs: 2 },
+        &rolag::DriverOptions::scoped(2),
     );
     assert_eq!((report.unique, report.cache_hits), (2, 2));
     let text = rolag_ir::printer::print_module(&par);

@@ -167,28 +167,59 @@ fn managed_pipelines_match_direct_calls_on_the_repro_corpus() {
     }
 }
 
-/// The ablation/extension engines are reachable through the registry and
-/// agree with their direct spellings.
+/// The registry's legacy rolag names and the preset each one aliases.
+const ALIAS_ROWS: [(&str, &str); 3] = [
+    ("rolag-ext", "extended"),
+    ("no-special", "no-special"),
+    ("tv", "validated"),
+];
+
+/// Every preset, spelled `rolag<name>` (and bare `rolag` for the default),
+/// every legacy alias row, and a direct `roll_module` under
+/// `RolagOptions::preset(name)` print identically on the repro corpus.
 #[test]
 fn registry_engine_variants_match_option_spellings() {
-    let variants: [(&str, RolagOptions); 3] = [
-        ("rolag-ext", RolagOptions::with_extensions()),
-        ("no-special", RolagOptions::no_special_nodes()),
-        ("rolag-rescan", RolagOptions::default()),
-    ];
+    let mut spellings: Vec<(String, &str)> = vec![("rolag".into(), RolagOptions::DEFAULT_PRESET)];
+    for (preset, _) in RolagOptions::PRESETS {
+        spellings.push((format!("rolag<{preset}>"), preset));
+    }
+    for (alias, preset) in ALIAS_ROWS {
+        spellings.push((alias.into(), preset));
+    }
+    // The alias list is the registry's: no row aliases a preset unchecked.
+    for info in PassRegistry::builtin().infos() {
+        if info.summary.starts_with("alias of rolag<") {
+            assert!(
+                ALIAS_ROWS.iter().any(|(alias, _)| *alias == info.name),
+                "alias row `{}` is not covered",
+                info.name
+            );
+        }
+    }
     for (name, module) in repro_modules() {
-        for (spec, opts) in &variants {
+        for (spec, preset) in &spellings {
             let mut a = module.clone();
-            roll_module(&mut a, opts);
+            roll_module(&mut a, &RolagOptions::preset(preset).unwrap());
             let mut b = module.clone();
             run_managed(&mut b, spec);
             assert_eq!(
                 print_module(&a),
                 print_module(&b),
-                "`{spec}` diverged on {name}"
+                "`{spec}` diverged from preset `{preset}` on {name}"
             );
         }
     }
+
+    let spec = "cse,rolag<turbo>";
+    let err = match PassRegistry::builtin().parse_pipeline(spec) {
+        Ok(_) => panic!("`{spec}` unexpectedly parsed"),
+        Err(e) => e,
+    };
+    assert_eq!(err.offset, spec.find("turbo").unwrap(), "{err}");
+    assert!(
+        err.message.contains("unknown options preset `turbo`"),
+        "{err}"
+    );
 }
 
 // ------------------------------------------------------------- drift guard

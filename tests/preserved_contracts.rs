@@ -250,7 +250,6 @@ fn cfg_restructuring_passes_drop_cfg_analyses() {
         ("rolag", None, parse_module(ROLLABLE).unwrap()),
         ("rolag-ext", None, parse_module(ROLLABLE).unwrap()),
         ("no-special", None, parse_module(NS_ROLLABLE).unwrap()),
-        ("rolag-rescan", None, parse_module(ROLLABLE).unwrap()),
         ("tv", None, parse_module(ROLLABLE).unwrap()),
         ("flatten", None, parse_module(NEST).unwrap()),
     ];

@@ -9,9 +9,10 @@
 //! [`Server`] and comparing the second (store-served) response against
 //! both the first response and a direct, store-less driver roll.
 
-use rolag::{roll_module_par_with, DriverOptions, RolagOptions};
+use rolag::{roll_module_par, DriverOptions, RolagOptions};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
+use rolag_passes::{AnalysisManager, PassContext, PassManager, PassRegistry, TargetKind};
 use rolag_serve::json::{parse, Json};
 use rolag_serve::proto::Request;
 use rolag_serve::{Server, ServerConfig};
@@ -55,7 +56,7 @@ fn counter(doc: &Json, section: &str, key: &str) -> f64 {
 /// the reference the service output must match byte for byte.
 fn direct_roll(text: &str, opts: &RolagOptions) -> String {
     let mut module = parse_module(text).expect("corpus parses");
-    roll_module_par_with(&mut module, opts, &DriverOptions::default(), None, None);
+    roll_module_par(&mut module, opts, &DriverOptions::default());
     print_module(&module)
 }
 
@@ -153,5 +154,40 @@ fn validated_preset_replays_byte_identical() {
             direct_roll(&text, &RolagOptions::validated()),
             "{tag}: validated service output diverged from a direct roll"
         );
+    }
+}
+
+/// Serve and the pass registry share one preset vocabulary: for every
+/// preset, a service request prints the same bytes as the registry's
+/// `rolag<preset>` pass run locally.
+#[test]
+fn every_preset_matches_its_registry_spelling() {
+    const SEED: u64 = 0x9e5e_7005;
+    let server = Server::new(&ServerConfig {
+        jobs: 2,
+        capacity: 256,
+    });
+    let texts: Vec<String> = (0..6)
+        .map(|index| rolag_difftest::gen::generate(SEED, index))
+        .collect();
+    for (preset, _) in RolagOptions::PRESETS {
+        let spec = format!("rolag<{preset}>");
+        for (index, text) in texts.iter().enumerate() {
+            let served = roll_via(&server, &format!("{preset}-{index}"), text, preset);
+            let mut module = parse_module(text).expect("corpus parses");
+            let mut pm = PassManager::new();
+            pm.add_all(PassRegistry::builtin().parse_pipeline(&spec).unwrap());
+            pm.run(
+                &mut module,
+                &mut AnalysisManager::new(),
+                &mut PassContext::new(TargetKind::default()),
+            )
+            .expect("registry pipeline verifies");
+            assert_eq!(
+                module_of(&served),
+                print_module(&module),
+                "{spec}: service output diverged from the registry pass on module {index}"
+            );
+        }
     }
 }
