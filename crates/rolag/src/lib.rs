@@ -77,6 +77,8 @@ pub mod search;
 pub mod seeds;
 mod speculate;
 pub mod stats;
+#[cfg(test)]
+mod tv_soundness;
 
 pub use align::{
     build_candidate_graph, AlignGraph, AlignNode, DotInfo, GraphBuilder, NodeId, NodeKind,

@@ -13,11 +13,14 @@
 
 use std::time::Instant;
 
-use rolag_ir::{Effects, FuncId, Function, GlobalId, Module, SnapshotToken, SpeculationLog};
+use rolag_ir::{
+    BlockId, Effects, FuncId, Function, GlobalId, Module, SnapshotToken, SpeculationLog,
+};
 use rolag_transforms::cleanup_in_place;
+use rolag_tv::RewriteHints;
 
-use crate::align::{build_candidate_graph, DotInfo};
-use crate::codegen;
+use crate::align::{build_candidate_graph, AlignGraph, DotInfo};
+use crate::codegen::{self, RollOutcome};
 use crate::options::RolagOptions;
 use crate::schedule::ScheduleCache;
 use crate::search::{RejectedSpeculation, SearchAudit};
@@ -46,6 +49,30 @@ pub(crate) fn fresh_function_size(module: &Module, work: &Function, opts: &Rolag
 pub(crate) fn rollback_globals(module: &mut Module, keep: usize) {
     while module.num_globals() > keep {
         module.pop_global(GlobalId::from_index(module.num_globals() - 1));
+    }
+}
+
+/// What the validator is told about the rewrite codegen made of `block`
+/// from `graph`; `base_globals` is the module's global count before it.
+pub(crate) fn rewrite_hints(
+    graph: &AlignGraph,
+    block: BlockId,
+    outcome: &RollOutcome,
+    base_globals: usize,
+    opts: &RolagOptions,
+) -> RewriteHints {
+    RewriteHints {
+        lanes: graph.lanes,
+        block,
+        loop_block: outcome.loop_block,
+        exit_block: outcome.exit_block,
+        first_new_global: base_globals,
+        fast_math: opts.fast_math,
+        claimed_lanes: graph
+            .claimed
+            .iter()
+            .map(|(&i, &(_, lane))| (i, lane))
+            .collect(),
     }
 }
 
@@ -177,19 +204,7 @@ impl Speculator {
         // validator sees exactly what codegen emitted.
         if opts.validate {
             let shadow = self.shadow.as_ref().expect("materialized above");
-            let hints = rolag_tv::RewriteHints {
-                lanes: graph.lanes,
-                block,
-                loop_block: outcome.loop_block,
-                exit_block: outcome.exit_block,
-                first_new_global: base_globals,
-                fast_math: opts.fast_math,
-                claimed_lanes: graph
-                    .claimed
-                    .iter()
-                    .map(|(&i, &(_, lane))| (i, lane))
-                    .collect(),
-            };
+            let hints = rewrite_hints(&graph, block, &outcome, base_globals, opts);
             let verdict = timed(&mut stats.timings.tv_ns, || {
                 rolag_tv::validate_rewrite(module, shadow, &self.work, &hints)
             });

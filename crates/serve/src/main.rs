@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use rolag_serve::json::{parse, Json};
+use rolag_serve::proto::{error_reply, read_line};
 use rolag_serve::{Server, ServerConfig};
 
 #[derive(Debug, Default)]
@@ -82,15 +83,16 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
 /// to `output`. Returns true if a shutdown request ended the stream.
 fn serve_stream(
     server: &Server,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<bool> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = server.handle_line(&line);
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut input, &mut buf)? {
+        let (response, shutdown) = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => server.handle_line(line),
+            Err(e) => (error_reply(None, &e), false),
+        };
         output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;

@@ -26,7 +26,11 @@
 //! telling the two shapes apart: `{"id", "ok": true, "module", "stats":
 //! {...}, "request": {...}, "cumulative": {...}}` on success and
 //! `{"id", "ok": false, "error": "..."}` on failure. Malformed request
-//! lines get an error response with `"id": null`.
+//! lines get an error response with `"id": null`; so do lines longer than
+//! [`MAX_LINE_BYTES`] and lines that are not UTF-8, and serving goes on
+//! with the next line.
+
+use std::io::{self, BufRead, Read};
 
 use rolag::RolagOptions;
 
@@ -93,6 +97,66 @@ impl Request {
             }
         }
     }
+}
+
+/// The longest request line [`read_line`] hands out, in bytes, not
+/// counting its `\n`. A longer line is skipped without being buffered, so
+/// no client can make a connection hold more than this in memory.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Reads the next line of a request stream into `buf`. Returns `None` at
+/// the end of the stream, the line's text without its `\n` or `\r\n`,
+/// or, for a line longer than [`MAX_LINE_BYTES`] or not in UTF-8, the
+/// error to answer it with. Only I/O errors end the stream.
+pub fn read_line<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        skip_line(input)?;
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
+}
+
+/// Consumes the rest of the current line, up to and including its `\n`.
+fn skip_line(input: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        if let Some(end) = chunk.iter().position(|&b| b == b'\n') {
+            input.consume(end + 1);
+            return Ok(());
+        }
+        let n = chunk.len();
+        input.consume(n);
+    }
+}
+
+/// Renders an error response line; `id` is `None` for a line that is not
+/// a request.
+pub fn error_reply(id: Option<&str>, error: &str) -> String {
+    let id = id.map_or_else(|| "null".to_string(), escaped);
+    format!(
+        "{{\"id\": {id}, \"ok\": false, \"error\": {}}}",
+        escaped(error)
+    )
 }
 
 /// Parses one request line.
@@ -219,6 +283,27 @@ mod tests {
             assert!(!line.contains('\n'), "one request per line");
             assert_eq!(parse_request(&line).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn read_line_strips_newlines_and_flags_non_utf8_lines() {
+        let mut input = io::Cursor::new(b"a\r\nb\n\xff\n\nc".to_vec());
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(line) = read_line(&mut input, &mut buf).unwrap() {
+            lines.push(line.map(str::to_string));
+        }
+        let not_utf8 = Err("request line is not valid UTF-8".to_string());
+        assert_eq!(
+            lines,
+            [
+                Ok("a".into()),
+                Ok("b".into()),
+                not_utf8,
+                Ok(String::new()),
+                Ok("c".into())
+            ]
+        );
     }
 
     #[test]

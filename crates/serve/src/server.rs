@@ -21,7 +21,7 @@ use rolag_ir::verify::verify_module;
 use rolag_par::WorkerPool;
 
 use crate::json::escaped;
-use crate::proto::{parse_request, Request};
+use crate::proto::{error_reply, parse_request, Request};
 
 /// Service construction knobs.
 #[derive(Debug, Clone)]
@@ -149,13 +149,7 @@ impl Server {
     pub fn handle_line(&self, line: &str) -> (String, bool) {
         match parse_request(line) {
             Ok(req) => self.handle(&req),
-            Err(e) => (
-                format!(
-                    "{{\"id\": null, \"ok\": false, \"error\": {}}}",
-                    escaped(&e)
-                ),
-                false,
-            ),
+            Err(e) => (error_reply(None, &e), false),
         }
     }
 
@@ -228,11 +222,7 @@ impl Server {
             Err(e) => {
                 m.errors += 1;
                 drop(m);
-                format!(
-                    "{{\"id\": {}, \"ok\": false, \"error\": {}}}",
-                    escaped(id),
-                    escaped(&e)
-                )
+                error_reply(Some(id), &e)
             }
         }
     }

@@ -12,13 +12,15 @@
 //! normalize stays symbolic, so a failed comparison can only reject a
 //! rewrite, never accept a wrong one.
 
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use rolag_ir::fold::{eval_icmp, eval_int_binop, normalize_int};
 use rolag_ir::{
     FloatPredicate, FuncId, GlobalId, InstId, IntPredicate, NeutralElement, Opcode, TypeId,
     TypeStore, ValueId,
 };
+
+use crate::fxhash::{FxBuildHasher, FxHashMap};
 
 /// Handle to an interned [`Expr`]. Equal ids mean structurally equal
 /// expressions after normalization.
@@ -111,7 +113,11 @@ pub enum Expr {
 /// listed in the module docs — receive equal [`ExprId`]s.
 pub struct ExprArena {
     exprs: Vec<Expr>,
-    interned: HashMap<Expr, ExprId>,
+    /// Hash of an interned expression -> the newest id with that hash.
+    /// Older ids sharing the hash chain through `next_same_hash`, so each
+    /// expression is stored once, in `exprs`.
+    by_hash: FxHashMap<u64, ExprId>,
+    next_same_hash: Vec<Option<ExprId>>,
     fast_math: bool,
 }
 
@@ -121,7 +127,8 @@ impl ExprArena {
     pub fn new(fast_math: bool) -> Self {
         ExprArena {
             exprs: Vec::new(),
-            interned: HashMap::new(),
+            by_hash: FxHashMap::default(),
+            next_same_hash: Vec::new(),
             fast_math,
         }
     }
@@ -133,12 +140,17 @@ impl ExprArena {
 
     /// Interns `e` as-is (no normalization).
     pub fn intern(&mut self, e: Expr) -> ExprId {
-        if let Some(&id) = self.interned.get(&e) {
-            return id;
+        let hash = FxBuildHasher::default().hash_one(&e);
+        let mut next = self.by_hash.get(&hash).copied();
+        while let Some(id) = next {
+            if self.exprs[id.index()] == e {
+                return id;
+            }
+            next = self.next_same_hash[id.index()];
         }
         let id = ExprId(u32::try_from(self.exprs.len()).expect("arena overflow"));
-        self.exprs.push(e.clone());
-        self.interned.insert(e, id);
+        self.exprs.push(e);
+        self.next_same_hash.push(self.by_hash.insert(hash, id));
         id
     }
 

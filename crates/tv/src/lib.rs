@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod expr;
+mod fxhash;
 mod sim;
 
 use std::collections::HashMap;

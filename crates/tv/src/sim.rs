@@ -27,15 +27,21 @@
 //! reject a correct rewrite (a false reject, which the property tests pin
 //! to zero on real corpora) but never accept a wrong one within the
 //! declared abstractions.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Effect matching costs O(effects of the lane) per generated effect: the
+//! structure check buckets the region's effects by claimed lane, keeping
+//! block order, so a match finds the same first original a scan of the
+//! whole block would. The survivor scan borrows instruction data and
+//! allocates nothing.
 
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::{
-    Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, TypeId, ValueDef, ValueId,
+    BlockId, Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, TypeId, ValueDef,
+    ValueId,
 };
 
 use crate::expr::{Expr, ExprArena, ExprId, ExtraKey};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::{RewriteHints, TvError};
 
 /// Which part of the rolled CFG an expression is being evaluated in.
@@ -48,12 +54,21 @@ enum Phase {
 }
 
 /// The rolled code's instruction layout discovered by the structure check.
-struct Layout {
+struct Layout<'a> {
     pre_surv: Vec<InstId>,
     pre_new: Vec<InstId>,
-    loop_list: Vec<InstId>,
+    loop_list: &'a [InstId],
     exit_new: Vec<InstId>,
     exit_surv: Vec<InstId>,
+}
+
+/// Whether `op` touches memory or the outside world, so that the rolled
+/// code must re-execute it rather than recompute it.
+fn is_effect(op: Opcode) -> bool {
+    matches!(
+        op,
+        Opcode::Load | Opcode::Store | Opcode::Call | Opcode::Alloca
+    )
 }
 
 pub(crate) struct Validator<'a> {
@@ -63,17 +78,21 @@ pub(crate) struct Validator<'a> {
     hints: &'a RewriteHints,
     arena: ExprArena,
     /// Original-block instructions the rewrite deleted (rolled away).
-    region: HashSet<InstId>,
-    orig_block_insts: Vec<InstId>,
-    orig_memo: HashMap<ValueId, ExprId>,
+    region: FxHashSet<InstId>,
+    orig_block_insts: &'a [InstId],
+    /// The region's effectful instructions claimed for each lane below
+    /// `hints.lanes`, in block order: the only originals a generated
+    /// effect at that lane may match.
+    lane_effects: Vec<Vec<InstId>>,
+    orig_memo: FxHashMap<ValueId, ExprId>,
     /// Current symbolic value of rolled-function SSA values.
-    bindings: HashMap<ValueId, ExprId>,
+    bindings: FxHashMap<ValueId, ExprId>,
     /// Scratch memory: `(allocation, constant index) -> stored value`.
-    heap: HashMap<(ExprId, i64), ExprId>,
+    heap: FxHashMap<(ExprId, i64), ExprId>,
     /// Allocations created by the rewrite (addresses disjoint from all
     /// original memory).
-    fresh: HashSet<ExprId>,
-    matched: HashSet<InstId>,
+    fresh: FxHashSet<ExprId>,
+    matched: FxHashSet<InstId>,
     match_order: Vec<InstId>,
     num_orig_insts: usize,
 }
@@ -91,13 +110,14 @@ impl<'a> Validator<'a> {
             rolled,
             hints,
             arena: ExprArena::new(hints.fast_math),
-            region: HashSet::new(),
-            orig_block_insts: Vec::new(),
-            orig_memo: HashMap::new(),
-            bindings: HashMap::new(),
-            heap: HashMap::new(),
-            fresh: HashSet::new(),
-            matched: HashSet::new(),
+            region: FxHashSet::default(),
+            orig_block_insts: &[],
+            lane_effects: Vec::new(),
+            orig_memo: FxHashMap::default(),
+            bindings: FxHashMap::default(),
+            heap: FxHashMap::default(),
+            fresh: FxHashSet::default(),
+            matched: FxHashSet::default(),
             match_order: Vec::new(),
             num_orig_insts: orig.num_insts(),
         }
@@ -106,7 +126,7 @@ impl<'a> Validator<'a> {
     pub(crate) fn run(mut self) -> Result<(), TvError> {
         let layout = self.check_structure()?;
         self.run_preheader(&layout.pre_new)?;
-        self.run_loop(&layout.loop_list)?;
+        self.run_loop(layout.loop_list)?;
         for &i in &layout.exit_new {
             self.exec_inst(i, Phase::Exit, 0)?;
         }
@@ -117,17 +137,17 @@ impl<'a> Validator<'a> {
 
     // ------------------------------------------------------------ structure
 
-    fn check_structure(&mut self) -> Result<Layout, TvError> {
-        let h = self.hints;
-        let nb = self.orig.num_blocks();
+    fn check_structure(&mut self) -> Result<Layout<'a>, TvError> {
+        let (h, orig, rolled) = (self.hints, self.orig, self.rolled);
+        let nb = orig.num_blocks();
         if h.lanes == 0 {
             return Err(TvError::Structure("zero-lane rewrite".into()));
         }
-        if self.rolled.num_blocks() != nb + 2 {
+        if rolled.num_blocks() != nb + 2 {
             return Err(TvError::Structure(format!(
                 "expected exactly two new blocks, found {} -> {}",
                 nb,
-                self.rolled.num_blocks()
+                rolled.num_blocks()
             )));
         }
         if h.loop_block.index() != nb || h.exit_block.index() != nb + 1 || h.block.index() >= nb {
@@ -135,14 +155,14 @@ impl<'a> Validator<'a> {
                 "loop/exit are not the appended blocks".into(),
             ));
         }
-        for b in self.orig.block_ids() {
+        for b in orig.block_ids() {
             if b == h.block {
                 continue;
             }
-            if self.orig.block(b).insts != self.rolled.block(b).insts {
+            if orig.block(b).insts != rolled.block(b).insts {
                 return Err(TvError::Structure(format!(
                     "untouched block `{}` changed its instruction list",
-                    self.orig.block(b).name
+                    orig.block(b).name
                 )));
             }
         }
@@ -150,7 +170,7 @@ impl<'a> Validator<'a> {
         let n = self.num_orig_insts;
         let mut pre_surv = Vec::new();
         let mut pre_new = Vec::new();
-        for &i in &self.rolled.block(h.block).insts {
+        for &i in &rolled.block(h.block).insts {
             if i.index() < n {
                 if !pre_new.is_empty() {
                     return Err(TvError::Structure(
@@ -162,7 +182,7 @@ impl<'a> Validator<'a> {
                 pre_new.push(i);
             }
         }
-        let loop_list = self.rolled.block(h.loop_block).insts.clone();
+        let loop_list = rolled.block(h.loop_block).insts.as_slice();
         if let Some(&i) = loop_list.iter().find(|i| i.index() < n) {
             return Err(TvError::Structure(format!(
                 "original instruction {} moved into the loop body",
@@ -171,7 +191,7 @@ impl<'a> Validator<'a> {
         }
         let mut exit_new = Vec::new();
         let mut exit_surv = Vec::new();
-        for &i in &self.rolled.block(h.exit_block).insts {
+        for &i in &rolled.block(h.exit_block).insts {
             if i.index() < n {
                 exit_surv.push(i);
             } else {
@@ -184,10 +204,10 @@ impl<'a> Validator<'a> {
             }
         }
 
-        let orig_list = self.orig.block(h.block).insts.clone();
-        let order: HashMap<InstId, usize> =
+        let orig_list = orig.block(h.block).insts.as_slice();
+        let order: FxHashMap<InstId, usize> =
             orig_list.iter().enumerate().map(|(k, &i)| (i, k)).collect();
-        let mut seen: HashSet<InstId> = HashSet::new();
+        let mut seen: FxHashSet<InstId> = FxHashSet::default();
         for &i in pre_surv.iter().chain(&exit_surv) {
             if !order.contains_key(&i) {
                 return Err(TvError::Structure(format!(
@@ -212,30 +232,43 @@ impl<'a> Validator<'a> {
             }
         }
 
-        self.region = orig_list
-            .iter()
-            .copied()
-            .filter(|i| !seen.contains(i))
-            .collect();
-        for &i in &self.region {
-            let op = self.orig.inst(i).opcode;
+        // Walk the block in order, so a rewrite that deleted several
+        // instructions it cannot re-express reports the first of them.
+        self.lane_effects = vec![Vec::new(); h.lanes];
+        for &i in orig_list {
+            if seen.contains(&i) {
+                continue;
+            }
+            let op = orig.inst(i).opcode;
             if op == Opcode::Phi || op.is_terminator() {
                 return Err(TvError::Unsupported(format!(
                     "rewrite deleted a {} it cannot re-express",
                     op.mnemonic()
                 )));
             }
+            if is_effect(op) {
+                // No lane at or past `lanes` ever runs, so an effect
+                // claimed for one stays unmatched and fails coverage.
+                if let Some(queue) = h
+                    .claimed_lanes
+                    .get(&i)
+                    .and_then(|&lane| self.lane_effects.get_mut(lane))
+                {
+                    queue.push(i);
+                }
+            }
+            self.region.insert(i);
         }
         if pre_surv
             .iter()
-            .any(|&i| self.orig.inst(i).opcode.is_terminator())
+            .any(|&i| orig.inst(i).opcode.is_terminator())
         {
             return Err(TvError::Structure(
                 "original terminator left in the preheader".into(),
             ));
         }
         match exit_surv.last() {
-            Some(&i) if self.orig.inst(i).opcode.is_terminator() => {}
+            Some(&i) if orig.inst(i).opcode.is_terminator() => {}
             _ => {
                 return Err(TvError::Structure(
                     "exit block does not end with the original terminator".into(),
@@ -362,16 +395,17 @@ impl<'a> Validator<'a> {
     }
 
     fn exec_inst(&mut self, i: InstId, phase: Phase, lane: usize) -> Result<(), TvError> {
-        let d = self.rolled.inst(i).clone();
+        let rolled = self.rolled;
+        let d = rolled.inst(i);
         match d.opcode {
             Opcode::Alloca => match phase {
                 Phase::Pre => {
                     let e = self.arena.intern(Expr::Fresh(i));
                     self.fresh.insert(e);
-                    self.bindings.insert(self.rolled.inst_result(i), e);
+                    self.bindings.insert(rolled.inst_result(i), e);
                     Ok(())
                 }
-                Phase::Loop => self.match_effect(i, &d, lane),
+                Phase::Loop => self.match_effect(i, d, lane),
                 Phase::Exit => Err(TvError::Structure(
                     "generated alloca in the exit block".into(),
                 )),
@@ -379,10 +413,10 @@ impl<'a> Validator<'a> {
             Opcode::Load => {
                 let addr = self.rolled_expr(d.operands[0], phase)?;
                 if let Some(v) = self.synthetic_load(addr, d.ty)? {
-                    self.bindings.insert(self.rolled.inst_result(i), v);
+                    self.bindings.insert(rolled.inst_result(i), v);
                     Ok(())
                 } else if phase == Phase::Loop {
-                    self.match_effect(i, &d, lane)
+                    self.match_effect(i, d, lane)
                 } else {
                     Err(TvError::Structure(
                         "generated load of original memory outside the loop".into(),
@@ -401,7 +435,7 @@ impl<'a> Validator<'a> {
                     self.heap.insert(slot, value);
                     Ok(())
                 } else if phase == Phase::Loop {
-                    self.match_effect(i, &d, lane)
+                    self.match_effect(i, d, lane)
                 } else {
                     Err(TvError::Structure(
                         "generated store to original memory outside the loop".into(),
@@ -410,7 +444,7 @@ impl<'a> Validator<'a> {
             }
             Opcode::Call => {
                 if phase == Phase::Loop {
-                    self.match_effect(i, &d, lane)
+                    self.match_effect(i, d, lane)
                 } else {
                     Err(TvError::Structure("generated call outside the loop".into()))
                 }
@@ -431,7 +465,7 @@ impl<'a> Validator<'a> {
                 let e = self
                     .arena
                     .op(&self.module.types, d.opcode, d.ty, extra, args);
-                self.bindings.insert(self.rolled.inst_result(i), e);
+                self.bindings.insert(rolled.inst_result(i), e);
                 Ok(())
             }
         }
@@ -511,26 +545,22 @@ impl<'a> Validator<'a> {
 
     // ------------------------------------------------------ effect matching
 
-    /// Matches a generated effectful instruction at `lane` against a
-    /// not-yet-matched rolled-away original claimed for the same lane.
+    /// Matches a generated effectful instruction at `lane` (below
+    /// `hints.lanes`) against the first not-yet-matched rolled-away
+    /// original claimed for the same lane, in block order.
     fn match_effect(&mut self, i: InstId, d: &InstData, lane: usize) -> Result<(), TvError> {
+        let orig = self.orig;
         let rextra = extra_key(&d.extra)?;
         let mut rargs = Vec::with_capacity(d.operands.len());
         for &v in &d.operands {
             rargs.push(self.rolled_expr(v, Phase::Loop)?);
         }
-        let cands: Vec<InstId> = self
-            .orig_block_insts
-            .iter()
-            .copied()
-            .filter(|c| {
-                self.region.contains(c)
-                    && !self.matched.contains(c)
-                    && self.hints.claimed_lanes.get(c) == Some(&lane)
-            })
-            .collect();
-        for c in cands {
-            let od = self.orig.inst(c).clone();
+        for k in 0..self.lane_effects[lane].len() {
+            let c = self.lane_effects[lane][k];
+            if self.matched.contains(&c) {
+                continue;
+            }
+            let od = orig.inst(c);
             if od.opcode != d.opcode
                 || od.ty != d.ty
                 || od.operands.len() != rargs.len()
@@ -551,7 +581,7 @@ impl<'a> Validator<'a> {
             self.matched.insert(c);
             self.match_order.push(c);
             if d.opcode != Opcode::Store {
-                let orig_res = self.orig.inst_result(c);
+                let orig_res = orig.inst_result(c);
                 let e = self.arena.intern(Expr::Orig(orig_res));
                 self.bindings.insert(self.rolled.inst_result(i), e);
             }
@@ -564,16 +594,12 @@ impl<'a> Validator<'a> {
     }
 
     fn check_effect_coverage(&self) -> Result<(), TvError> {
-        for &i in &self.orig_block_insts {
+        for &i in self.orig_block_insts {
             if !self.region.contains(&i) {
                 continue;
             }
             let op = self.orig.inst(i).opcode;
-            if matches!(
-                op,
-                Opcode::Load | Opcode::Store | Opcode::Call | Opcode::Alloca
-            ) && !self.matched.contains(&i)
-            {
+            if is_effect(op) && !self.matched.contains(&i) {
                 return Err(TvError::EffectMismatch(format!(
                     "rolled-away {} (instruction {}) is never re-executed",
                     op.mnemonic(),
@@ -593,7 +619,8 @@ impl<'a> Validator<'a> {
         if let Some(&e) = self.orig_memo.get(&v) {
             return Ok(e);
         }
-        let e = match self.orig.value(v).clone() {
+        let orig = self.orig;
+        let e = match *orig.value(v) {
             ValueDef::ConstInt { ty, value } => self.arena.int(&self.module.types, ty, value),
             ValueDef::ConstFloat { ty, bits } => self.arena.intern(Expr::Float { ty, bits }),
             ValueDef::GlobalAddr(g) => self.arena.intern(Expr::Global(g)),
@@ -601,7 +628,7 @@ impl<'a> Validator<'a> {
             ValueDef::Undef(ty) => self.arena.intern(Expr::Undef(ty)),
             ValueDef::Param { .. } => self.arena.intern(Expr::Orig(v)),
             ValueDef::Inst(i) if self.region.contains(&i) => {
-                let d = self.orig.inst(i).clone();
+                let d = orig.inst(i);
                 match d.opcode {
                     Opcode::Load | Opcode::Call | Opcode::Alloca => {
                         self.arena.intern(Expr::Orig(v))
@@ -634,7 +661,7 @@ impl<'a> Validator<'a> {
         if let Some(&e) = self.bindings.get(&v) {
             return Ok(e);
         }
-        let e = match self.rolled.value(v).clone() {
+        let e = match *self.rolled.value(v) {
             ValueDef::ConstInt { ty, value } => self.arena.int(&self.module.types, ty, value),
             ValueDef::ConstFloat { ty, bits } => self.arena.intern(Expr::Float { ty, bits }),
             ValueDef::GlobalAddr(g) => self.arena.intern(Expr::Global(g)),
@@ -666,15 +693,14 @@ impl<'a> Validator<'a> {
     // ------------------------------------------------------------ survivors
 
     fn check_survivors(&mut self) -> Result<(), TvError> {
-        let h = self.hints;
-        for b in self.rolled.block_ids() {
-            for idx in 0..self.rolled.block(b).insts.len() {
-                let i = self.rolled.block(b).insts[idx];
+        let (h, orig, rolled) = (self.hints, self.orig, self.rolled);
+        for b in rolled.block_ids() {
+            let in_pre = b == h.block;
+            for &i in &rolled.block(b).insts {
                 if i.index() >= self.num_orig_insts {
                     continue;
                 }
-                let od = self.orig.inst(i).clone();
-                let rd = self.rolled.inst(i).clone();
+                let (od, rd) = (orig.inst(i), rolled.inst(i));
                 if od.opcode != rd.opcode
                     || od.ty != rd.ty
                     || od.operands.len() != rd.operands.len()
@@ -688,22 +714,23 @@ impl<'a> Validator<'a> {
                 // incoming block was the candidate block itself (the block
                 // was its own latch). That edge now departs from the exit
                 // block, so the arm's value is evaluated there — it may be
-                // rewritten and is checked by simulation below.
-                let mut back_edge_arm = vec![false; od.operands.len()];
+                // rewritten and is checked by simulation below. `incoming`
+                // holds a phi's original arm blocks, to tell which.
+                let mut incoming: &[BlockId] = &[];
                 match (&od.extra, &rd.extra) {
                     (InstExtra::Phi { incoming: oi }, InstExtra::Phi { incoming: ri }) => {
                         if oi.len() != ri.len() {
                             return Err(TvError::Structure("phi arm count changed".into()));
                         }
-                        for (j, (ob, rb)) in oi.iter().zip(ri).enumerate() {
+                        for (ob, rb) in oi.iter().zip(ri) {
                             let want = if *ob == h.block { h.exit_block } else { *ob };
                             if *rb != want {
                                 return Err(TvError::ValueMismatch(
                                     "phi incoming edge not redirected to the exit block".into(),
                                 ));
                             }
-                            back_edge_arm[j] = *ob == h.block;
                         }
+                        incoming = oi;
                     }
                     (oe, re) => {
                         if oe != re {
@@ -714,10 +741,9 @@ impl<'a> Validator<'a> {
                         }
                     }
                 }
-                let in_pre = b == h.block;
                 for (j, (&ov, &rv)) in od.operands.iter().zip(&rd.operands).enumerate() {
                     if ov == rv {
-                        if let ValueDef::Inst(di) = self.orig.value(ov) {
+                        if let ValueDef::Inst(di) = orig.value(ov) {
                             if self.region.contains(di) {
                                 return Err(TvError::Structure(format!(
                                     "survivor {} still uses a deleted value",
@@ -727,7 +753,7 @@ impl<'a> Validator<'a> {
                         }
                         continue;
                     }
-                    if in_pre && !back_edge_arm[j] {
+                    if in_pre && incoming.get(j) != Some(&h.block) {
                         // Loop/exit values cannot flow backwards into the
                         // preheader; outside a redirected back-edge phi
                         // arm, a rewritten operand there is a bug.
@@ -757,7 +783,7 @@ impl<'a> Validator<'a> {
         if conflicts.is_empty() {
             return Ok(());
         }
-        let pos: HashMap<InstId, usize> = pre_surv
+        let pos: FxHashMap<InstId, usize> = pre_surv
             .iter()
             .chain(self.match_order.iter())
             .chain(exit_surv.iter())
@@ -801,4 +827,51 @@ fn extra_key(extra: &InstExtra) -> Result<ExtraKey, TvError> {
             ))
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use rolag_ir::parser::parse_module;
+
+    use crate::{validate_rewrite, RewriteHints, TvError};
+
+    const LOOP: &str = "module \"t\"\nglobal @x : [8 x i64] = zero\n\
+        func @f() -> void {\nentry:\n  br loop\nloop:\n\
+        \x20 %iv = phi i64 [ i64 0, entry ], [ %ivn, loop ]\n\
+        \x20 %p = gep i64, @x, %iv\n  store %iv, %p\n\
+        \x20 %ivn = add i64 %iv, i64 1\n  %c = icmp slt %ivn, i64 8\n\
+        \x20 condbr %c, loop, exit\nexit:\n  ret\n}\n";
+
+    /// A rewrite that deletes both a phi and the terminator of its block
+    /// must name the phi, the first of the two in block order, on every
+    /// run: the reason ends up in audit output that is compared by text.
+    #[test]
+    fn unsupported_deletions_report_the_first_offender_in_block_order() {
+        let module = parse_module(LOOP).unwrap();
+        let orig = module.func(module.func_by_name("f").unwrap());
+        let block = orig.block_by_name("loop").unwrap();
+        let mut rolled = orig.clone();
+        for &i in &orig.block(block).insts {
+            rolled.remove_inst(i);
+        }
+        let hints = RewriteHints {
+            lanes: 2,
+            block,
+            loop_block: rolled.add_block("rolag.loop"),
+            exit_block: rolled.add_block("rolag.exit"),
+            first_new_global: module.num_globals(),
+            fast_math: false,
+            claimed_lanes: HashMap::new(),
+        };
+        for _ in 0..16 {
+            assert_eq!(
+                validate_rewrite(&module, orig, &rolled, &hints),
+                Err(TvError::Unsupported(
+                    "rewrite deleted a phi it cannot re-express".into()
+                ))
+            );
+        }
+    }
 }
