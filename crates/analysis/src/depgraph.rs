@@ -1,12 +1,14 @@
 //! Block-level dependence information.
 //!
-//! For a single basic block this computes, per instruction, its transitive
-//! intra-block SSA dependences and — for memory operations — the other
-//! memory operations it must keep its order with, both as bitset rows over
-//! block positions. This is the foundation of the loop-rolling scheduling
-//! analysis (§IV-D), which works on whole rows with word-level operations.
+//! For a single basic block this records, per instruction, its direct
+//! intra-block SSA edges (operands and users, as compressed rows) and — for
+//! memory operations — the other memory operations it must keep its order
+//! with, as bitset rows over block positions. No transitive closure is
+//! stored: a question about what an instruction reaches is answered by
+//! walking the edges from it, so it costs what it reaches. This is the
+//! foundation of the loop-rolling scheduling analysis (§IV-D).
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use rolag_ir::{BlockId, Effects, Function, InstExtra, InstId, Module, Opcode, ValueDef, ValueId};
 
@@ -95,6 +97,24 @@ impl PosSet {
     pub fn insert(&mut self, i: usize) {
         self.words[i / 64] |= 1 << (i % 64);
     }
+    /// Removes position `i`.
+    pub fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+    /// Inserts position `i`; returns true if it was not already present.
+    pub fn insert_new(&mut self, i: usize) -> bool {
+        let word = &mut self.words[i / 64];
+        let bit = 1 << (i % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+    /// Removes every position of `other`.
+    pub fn subtract(&mut self, other: &PosSet) {
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= !b;
+        }
+    }
     /// Membership test.
     pub fn contains(&self, i: usize) -> bool {
         self.words[i / 64] >> (i % 64) & 1 == 1
@@ -154,19 +174,66 @@ impl PosSet {
     }
 }
 
+/// Where every live instruction of a function sits: its block and its
+/// position in that block, in one dense array indexed by [`InstId`].
+///
+/// One pass over the layout builds it, so a cache keyed by
+/// [`Function::revision`] builds it once per revision and shares it with
+/// every block of that revision.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InstPositions {
+    /// `(block index, position)` per instruction slot; the block index is
+    /// `u32::MAX` for a detached slot.
+    slots: Vec<(u32, u32)>,
+}
+
+impl InstPositions {
+    /// Indexes every live instruction of `func`.
+    pub fn compute(func: &Function) -> Self {
+        let mut slots = vec![(u32::MAX, 0); func.num_insts()];
+        for block in func.block_ids() {
+            for (p, &inst) in func.block(block).insts.iter().enumerate() {
+                slots[inst.index()] = (block.index() as u32, p as u32);
+            }
+        }
+        InstPositions { slots }
+    }
+
+    /// Position of `inst` within `block`; `None` when it lives in another
+    /// block, is detached, or was created after the index.
+    pub fn in_block(&self, inst: InstId, block: BlockId) -> Option<usize> {
+        match self.slots.get(inst.index()) {
+            Some(&(b, p)) if b as usize == block.index() => Some(p as usize),
+            _ => None,
+        }
+    }
+}
+
 /// Dependence information for one basic block.
+///
+/// Holds the direct SSA edges between the block's instructions and the
+/// memory conflict rows; transitive questions are answered by walking the
+/// edges from the positions asked about, so they cost what they reach.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockDeps {
     /// Instructions in block order.
     pub insts: Vec<InstId>,
-    pos: HashMap<InstId, usize>,
-    /// `deps[i]` = positions that instruction `i` transitively depends on
-    /// (SSA operands within the block, closed transitively).
-    deps: Vec<PosSet>,
+    block: BlockId,
+    /// The function-wide position index the block was read through.
+    index: Arc<InstPositions>,
+    /// `operands[operand_start[i]..operand_start[i + 1]]` are the positions
+    /// of the in-block instructions whose results `i` reads, all before `i`.
+    operand_start: Vec<u32>,
+    operands: Vec<u32>,
+    /// The same edges reversed: `users[user_start[p]..user_start[p + 1]]`
+    /// are the positions that read `p`'s result, ascending.
+    user_start: Vec<u32>,
+    users: Vec<u32>,
+    /// Positions of the block's phis.
+    phis: Vec<usize>,
     /// `conflicts[i]` = for a memory operation, the positions of every
     /// memory operation it conflicts with, earlier or later (the relation
-    /// is symmetric); `None` for positions that do not touch memory, so the
-    /// rows never outgrow `deps`.
+    /// is symmetric); `None` for positions that do not touch memory.
     conflicts: Vec<Option<PosSet>>,
 }
 
@@ -179,35 +246,58 @@ struct ResolvedAccess {
 }
 
 impl BlockDeps {
-    /// Computes dependences for `block` of `func`.
+    /// Computes dependences for `block` of `func`, indexing the function's
+    /// instruction positions first; see [`BlockDeps::compute_with`].
+    pub fn compute(module: &Module, func: &Function, block: BlockId) -> Self {
+        Self::compute_with(module, func, block, Arc::new(InstPositions::compute(func)))
+    }
+
+    /// Computes dependences for `block` of `func` through `index`, which
+    /// must describe `func`'s current layout.
     ///
     /// Each memory operation's pointer is resolved once, so the pairwise
     /// conflict test compares resolved [`PtrInfo`]s instead of re-walking
     /// `gep` chains per pair; the result equals [`conflicts`] on every
     /// pair.
-    pub fn compute(module: &Module, func: &Function, block: BlockId) -> Self {
+    pub fn compute_with(
+        module: &Module,
+        func: &Function,
+        block: BlockId,
+        index: Arc<InstPositions>,
+    ) -> Self {
         let insts: Vec<InstId> = func.block(block).insts.clone();
         let n = insts.len();
-        let pos: HashMap<InstId, usize> = insts
-            .iter()
-            .enumerate()
-            .map(|(i, &inst)| (inst, i))
-            .collect();
-        let mut deps = vec![PosSet::new(n); n];
+        let mut operand_start = Vec::with_capacity(n + 1);
+        operand_start.push(0);
+        let mut operands = Vec::new();
+        // `user_start[p + 1]` counts the users of `p` until the prefix sum.
+        let mut user_start = vec![0u32; n + 1];
+        let mut phis = Vec::new();
         for (i, &inst) in insts.iter().enumerate() {
-            // Defs are processed in order, so every earlier row is already
-            // closed: split the borrow to union them in without cloning.
-            let (done, rest) = deps.split_at_mut(i);
-            let row = &mut rest[0];
-            for &op in &func.inst(inst).operands {
+            let data = func.inst(inst);
+            if data.opcode == Opcode::Phi {
+                phis.push(i);
+            }
+            for &op in &data.operands {
                 if let ValueDef::Inst(def) = func.value(op) {
-                    if let Some(&p) = pos.get(def) {
-                        if p < i {
-                            row.insert(p);
-                            row.union_with(&done[p]);
-                        }
+                    if let Some(p) = index.in_block(*def, block).filter(|&p| p < i) {
+                        operands.push(p as u32);
+                        user_start[p + 1] += 1;
                     }
                 }
+            }
+            operand_start.push(operands.len() as u32);
+        }
+        for p in 1..=n {
+            user_start[p] += user_start[p - 1];
+        }
+        let mut cursor = user_start.clone();
+        let mut users = vec![0u32; operands.len()];
+        for i in 0..n {
+            for &p in &operands[operand_start[i] as usize..operand_start[i + 1] as usize] {
+                let slot = &mut cursor[p as usize];
+                users[*slot as usize] = i as u32;
+                *slot += 1;
             }
         }
 
@@ -247,8 +337,13 @@ impl BlockDeps {
         }
         BlockDeps {
             insts,
-            pos,
-            deps,
+            block,
+            index,
+            operand_start,
+            operands,
+            user_start,
+            users,
+            phis,
             conflicts,
         }
     }
@@ -265,13 +360,47 @@ impl BlockDeps {
 
     /// Position of `inst` within the block.
     pub fn position(&self, inst: InstId) -> Option<usize> {
-        self.pos.get(&inst).copied()
+        self.index.in_block(inst, self.block)
+    }
+
+    /// Positions of the in-block instructions whose results position `i`
+    /// reads (each earlier than `i`).
+    pub fn operands(&self, i: usize) -> &[u32] {
+        &self.operands[self.operand_start[i] as usize..self.operand_start[i + 1] as usize]
+    }
+
+    /// Positions of the in-block instructions that read position `p`'s
+    /// result (each later than `p`), ascending.
+    pub fn users(&self, p: usize) -> &[u32] {
+        &self.users[self.user_start[p] as usize..self.user_start[p + 1] as usize]
+    }
+
+    /// Positions of the block's phis, ascending.
+    pub fn phis(&self) -> &[usize] {
+        &self.phis
     }
 
     /// Does the instruction at `later` transitively depend (via SSA) on the
-    /// instruction at `earlier`?
+    /// instruction at `earlier`? Walks operand edges down from `later`,
+    /// never below `earlier`.
     pub fn depends_on(&self, later: usize, earlier: usize) -> bool {
-        self.deps[later].contains(earlier)
+        if later <= earlier {
+            return false;
+        }
+        let mut seen = PosSet::new(self.len());
+        let mut stack = vec![later];
+        while let Some(i) = stack.pop() {
+            for &p in self.operands(i) {
+                let p = p as usize;
+                if p == earlier {
+                    return true;
+                }
+                if p > earlier && seen.insert_new(p) {
+                    stack.push(p);
+                }
+            }
+        }
+        false
     }
 
     /// All `(earlier, later)` conflicting memory-op position pairs, sorted.
@@ -282,11 +411,6 @@ impl BlockDeps {
             .filter_map(|(i, row)| row.as_ref().map(|row| (i, row)))
             .flat_map(|(i, row)| row.iter().filter(move |&j| j > i).map(move |j| (i, j)))
             .collect()
-    }
-
-    /// The transitive SSA dependence set of position `i`.
-    pub fn dep_set(&self, i: usize) -> &PosSet {
-        &self.deps[i]
     }
 
     /// The memory operations position `i` conflicts with, in either

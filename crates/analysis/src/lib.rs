@@ -29,6 +29,6 @@ pub use cost::{
     function_size_estimate, module_text_estimate, SizeModel, TargetKind, Thumb2SizeModel,
     X86SizeModel,
 };
-pub use depgraph::{conflicts, mem_access, BlockDeps, MemAccess, PosSet};
+pub use depgraph::{conflicts, mem_access, BlockDeps, InstPositions, MemAccess, PosSet};
 pub use dom::DomTree;
 pub use loops::{find_induction_vars, find_loops, trip_count, IndVar, Loop, TripCount};

@@ -446,10 +446,10 @@ impl BatchBuilder {
         }
     }
 
-    /// Merges `m` into the batch. Declarations with a matching name and
-    /// signature are shared; colliding definitions and globals are
-    /// renamed with a `.m{n}` suffix.
-    fn merge(&mut self, m: &Module) {
+    /// Merges `m` into the batch, moving its function bodies in.
+    /// Declarations with a matching name and signature are shared;
+    /// colliding definitions and globals are renamed with a `.m{n}` suffix.
+    fn merge(&mut self, m: Module) {
         let tmap = self.module.types.absorb(&m.types, 0);
         let remap_t = |t: rolag_ir::TypeId| tmap[t.index()];
 
@@ -479,7 +479,8 @@ impl BatchBuilder {
         }
 
         let mut fmap = Vec::with_capacity(m.num_funcs());
-        let mut defs = Vec::new();
+        // The batch slot each source definition moves into.
+        let mut defs = vec![None; m.num_funcs()];
         for fid in m.func_ids() {
             let f = m.func(fid);
             let sig: Vec<_> = f.param_tys().iter().map(|&t| remap_t(t)).collect();
@@ -518,11 +519,13 @@ impl BatchBuilder {
                     self.module
                         .add_func(Function::declare(name, sig, ret, Effects::ReadWrite));
                 fmap.push(bid);
-                defs.push((bid, fid));
+                defs[fid.index()] = Some(bid);
             }
         }
-        for (bid, fid) in defs {
-            let mut func = m.func(fid).clone();
+        for (mut func, bid) in m.into_funcs().into_iter().zip(defs) {
+            let Some(bid) = bid else {
+                continue;
+            };
             func.name = self.module.func(bid).name.clone();
             func.is_declaration = false;
             func.effects = Effects::ReadWrite;
@@ -606,7 +609,7 @@ where
                         .entry(s.code.code().to_string())
                         .or_insert(0) += 1;
                 }
-                batch.merge(&res.module);
+                batch.merge(res.module);
                 batch.bytes += item.bytes.len() as u64;
             }
             Err(d) => {
@@ -713,8 +716,8 @@ mod tests {
             "module \"b\"\n\ndeclare @ext(i32 %p0) -> void readwrite\n\nfunc @f(i32 %p0) -> i32 {\nentry:\n  call void @ext(%p0)\n  ret %p0\n}\n",
         );
         let mut batch = BatchBuilder::new(0);
-        batch.merge(&a);
-        batch.merge(&b);
+        batch.merge(a);
+        batch.merge(b);
         // One shared declaration (weakened to readwrite), two defs.
         assert_eq!(batch.module.num_funcs(), 3);
         let ext = batch.module.func_by_name("ext").unwrap();

@@ -848,6 +848,25 @@ impl Function {
         self.live[inst.index()] = false;
     }
 
+    /// Detaches every instruction of `block`, leaving it empty: the state
+    /// [`Function::remove_inst`] on each of them would leave, in one pass
+    /// over the block instead of one list search per instruction. The
+    /// block is journaled once and the revision bumped once.
+    pub fn detach_block(&mut self, block: BlockId) {
+        if self.blocks[block.index()].insts.is_empty() {
+            return;
+        }
+        self.journal_save_block(block.index());
+        self.bump_revision();
+        let mut insts = std::mem::take(&mut self.blocks[block.index()].insts);
+        for &inst in &insts {
+            self.journal_save_placement(inst.index());
+            self.live[inst.index()] = false;
+        }
+        insts.clear();
+        self.blocks[block.index()].insts = insts;
+    }
+
     /// Position of `inst` within its block, or `None` if detached.
     pub fn position_in_block(&self, inst: InstId) -> Option<usize> {
         if !self.live[inst.index()] {
@@ -875,6 +894,27 @@ impl Function {
                 if *op == old {
                     *op = new;
                 }
+            }
+        }
+    }
+
+    /// Replaces `old` with `new` at `sites`, the `(user, operand index)`
+    /// pairs a [`UseMap`] lists for `old`, skipping users detached since
+    /// the map was computed. The same rewrite as
+    /// [`Function::replace_all_uses`] when no live instruction created
+    /// after the map uses `old`, in O(sites) instead of a scan of every
+    /// instruction.
+    pub fn replace_uses(&mut self, sites: &[(InstId, usize)], old: ValueId, new: ValueId) {
+        self.bump_revision();
+        for &(user, k) in sites {
+            let idx = user.index();
+            if !self.live[idx] {
+                continue;
+            }
+            debug_assert_eq!(self.insts[idx].operands[k], old, "stale use site");
+            if self.insts[idx].operands[k] == old {
+                self.journal_save_payload(idx);
+                self.insts[idx].operands[k] = new;
             }
         }
     }
@@ -1317,6 +1357,54 @@ mod tests {
         // slot while the pre-existing constant still hits its old slot.
         assert_eq!(f.const_int(types.i32(), 1), before_const);
         assert_eq!(f.const_int(types.i32(), 42).index(), f.num_values() - 1);
+    }
+
+    #[test]
+    fn detach_block_and_replace_uses_match_the_per_instruction_forms() {
+        let (types, mut f, i, v) = speculation_sample();
+        let entry = f.entry_block();
+        let (w, _) = f.create_inst(InstData {
+            opcode: Opcode::Mul,
+            ty: types.i32(),
+            operands: vec![v, v],
+            block: entry,
+            extra: crate::inst::InstExtra::None,
+        });
+        f.append_inst(entry, w);
+        let other = f.add_block("other");
+        let (x, _) = f.create_inst(InstData {
+            opcode: Opcode::Sub,
+            ty: types.i32(),
+            operands: vec![v, f.param(0)],
+            block: other,
+            extra: crate::inst::InstExtra::None,
+        });
+        f.append_inst(other, x);
+        let c = f.const_int(types.i32(), 9);
+        let uses = f.compute_uses();
+        let before = fingerprint(&f);
+
+        let mut reference = f.clone();
+        for inst in reference.block(entry).insts.clone() {
+            reference.remove_inst(inst);
+        }
+        reference.replace_all_uses(v, c);
+
+        let token = f.snapshot();
+        f.detach_block(entry);
+        f.replace_uses(uses.of(v), v, c);
+        assert!(f.block(entry).insts.is_empty());
+        assert!(!f.is_live(i) && !f.is_live(w));
+        assert_eq!(f.inst(w).operands, vec![v, v], "detached users keep theirs");
+        assert_eq!(f.inst(x).operands[0], c);
+        assert_eq!(f.inst(w).operands, reference.inst(w).operands);
+        assert_eq!(f.inst(x).operands, reference.inst(x).operands);
+        let (state, reference_state) = (fingerprint(&f), fingerprint(&reference));
+        assert_eq!(state.5, reference_state.5, "same block lists");
+        f.rollback(token);
+        assert_eq!(fingerprint(&f), before);
+        assert!(f.is_live(i) && f.is_live(w));
+        assert_eq!(f.inst(x).operands[0], v);
     }
 
     #[test]

@@ -167,6 +167,11 @@ impl Module {
         (0..self.funcs.len() as u32).map(FuncId::from_index_u32)
     }
 
+    /// Consumes the module, returning its functions in id order.
+    pub fn into_funcs(self) -> Vec<Function> {
+        self.funcs
+    }
+
     /// Number of functions.
     pub fn num_funcs(&self) -> usize {
         self.funcs.len()

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use rolag_ir::{
     BlockId, Builder, Function, GlobalData, GlobalId, GlobalInit, InstData, InstExtra, InstId,
-    IntPredicate, Module, Opcode, TypeId, ValueDef, ValueId,
+    IntPredicate, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
 };
 
 use crate::align::{AlignGraph, NodeId, NodeKind};
@@ -39,15 +39,22 @@ enum MismatchLowering {
 }
 
 /// Generates the rolled loop. Returns `None` (leaving `func` in an
-/// unspecified state — the caller works on a clone) when the graph contains
-/// shapes the generator cannot lower, e.g. mismatching lanes of differing
-/// types.
+/// unspecified state — the caller rolls its snapshot window back) when the
+/// graph contains shapes the generator cannot lower, e.g. mismatching lanes
+/// of differing types.
+///
+/// `uses` is the use map of `func` as it was scheduled, such as the one
+/// [`ScheduleCache::indexes`](crate::schedule::ScheduleCache::indexes)
+/// lends: the generator finds the surviving users of rolled values in it
+/// and rewrites them there, so its work follows the block and the rolled
+/// values' uses rather than the whole function.
 pub fn generate(
     module: &mut Module,
     func: &mut Function,
     block: BlockId,
     graph: &AlignGraph,
     schedule: &Schedule,
+    uses: &UseMap,
 ) -> Option<RollOutcome> {
     let lanes = graph.lanes as i64;
 
@@ -103,8 +110,7 @@ pub fn generate(
 
     // ---- external uses of rolled values ------------------------------------
     // Uses of a claimed lane value by instructions that survive (preheader,
-    // exit, or other blocks). Computed before the block is torn apart.
-    let uses = func.compute_uses();
+    // exit, or other blocks).
     // node -> lanes with external users (deterministically ordered).
     let mut ext_map: HashMap<NodeId, Vec<usize>> = HashMap::new();
     for (&inst, &(node, lane)) in &graph.claimed {
@@ -130,10 +136,7 @@ pub fn generate(
     }
 
     // ---- tear the block apart ----------------------------------------------
-    let original: Vec<InstId> = func.block(block).insts.clone();
-    for &i in &original {
-        func.remove_inst(i);
-    }
+    func.detach_block(block);
     let suffix = func.num_blocks();
     let loop_block = func.add_block(format!("rolag.loop.{suffix}"));
     let exit_block = func.add_block(format!("rolag.exit.{suffix}"));
@@ -284,8 +287,10 @@ pub fn generate(
     for &i in &schedule.after {
         b.func.append_inst(exit_block, i);
     }
+    // New instructions never read a rolled value, so the map lists every
+    // use to rewrite; the rolled instructions themselves stay detached.
     for (old, new) in replacements {
-        b.func.replace_all_uses(old, new);
+        b.func.replace_uses(uses.of(old), old, new);
     }
 
     // Successors' phis must see the exit block as their predecessor now.

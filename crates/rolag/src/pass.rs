@@ -260,8 +260,10 @@ fn sweep_candidates(
             }
             Entry::Vacant(miss) => {
                 stats.cache.cand_blocks_scanned += 1;
-                let uses = spec.sched.uses(&spec.work);
-                miss.insert(collect_block_candidates(module, &spec.work, uses, b, opts))
+                let (uses, positions) = spec.sched.indexes(&spec.work);
+                miss.insert(collect_block_candidates(
+                    module, &spec.work, uses, positions, b, opts,
+                ))
             }
         };
         candidates.extend_from_slice(list);

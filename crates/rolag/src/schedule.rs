@@ -14,15 +14,17 @@
 //!   must be available in the preheader (in particular, they must not
 //!   themselves be rolled away).
 //!
-//! Every check works on the bitset rows of [`BlockDeps`], so a candidate
-//! costs O(n · n/64) word operations for an `n`-instruction block (see
-//! DESIGN.md, *Scheduling analysis*).
+//! Every set the placement needs is found by walking the direct SSA edges
+//! and memory conflict rows of [`BlockDeps`] from the graph, so a candidate
+//! costs the instructions and rows those walks reach, plus one pass over
+//! the block to list the placement (see DESIGN.md, *Scheduling analysis*).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use rolag_analysis::depgraph::{BlockDeps, PosSet};
-use rolag_ir::{BlockId, Function, InstId, Module, Opcode, UseMap};
+use rolag_analysis::depgraph::{BlockDeps, InstPositions, PosSet};
+use rolag_ir::{BlockId, Function, InstId, Module, UseMap};
 
 use crate::align::{AlignGraph, NodeKind};
 
@@ -55,24 +57,26 @@ pub fn analyze(
         return None;
     }
     let deps = BlockDeps::compute(module, func, block);
-    analyze_with(func, block, graph, graph_insts, &deps, &func.compute_uses())
+    analyze_with(func, graph, graph_insts, &deps, &func.compute_uses())
 }
 
 /// The inputs of [`analyze`] that depend only on the function state, kept
-/// across the candidates of one fixpoint sweep: per-block [`BlockDeps`] and
-/// the function's [`UseMap`], keyed by `(block, Function::revision())`.
+/// across the candidates of one fixpoint sweep: per-block [`BlockDeps`],
+/// the function's [`UseMap`] and its [`InstPositions`], keyed by
+/// `(block, Function::revision())`.
 ///
 /// The key is sound because the states a sweep passes between candidates
 /// all carry the same revision *and* the same block contents: a rejected
 /// candidate rolls its speculation window back, which restores the
 /// pre-window revision together with the arenas, and interning constants
 /// during graph construction never bumps the revision — it appends values
-/// no instruction uses, which changes no dependence row and no use list.
+/// no instruction uses, which changes no dependence edge and no use list.
 /// A commit takes a fresh revision, so the next lookup drops every entry.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
     revision: Option<u64>,
     uses: Option<UseMap>,
+    positions: Option<Arc<InstPositions>>,
     deps: HashMap<BlockId, BlockDeps>,
 }
 
@@ -102,23 +106,39 @@ impl ScheduleCache {
                 );
                 deps
             }
-            Entry::Vacant(miss) => miss.insert(BlockDeps::compute(module, func, block)),
+            Entry::Vacant(miss) => {
+                let positions = self
+                    .positions
+                    .get_or_insert_with(|| Arc::new(InstPositions::compute(func)));
+                miss.insert(BlockDeps::compute_with(
+                    module,
+                    func,
+                    block,
+                    Arc::clone(positions),
+                ))
+            }
         };
         let uses = self.uses.get_or_insert_with(|| func.compute_uses());
-        analyze_with(func, block, graph, graph_insts, deps, uses)
+        analyze_with(func, graph, graph_insts, deps, uses)
     }
 
-    /// The use map of `func` at its current revision, computed on first
-    /// request and shared with [`ScheduleCache::analyze`]: the incremental
-    /// engine lends it to seed collection, so a sweep builds one map for
-    /// every block it scans and every candidate it schedules.
+    /// The use map and the instruction positions of `func` at its current
+    /// revision, computed on first request and shared with
+    /// [`ScheduleCache::analyze`]: the incremental engine lends them to
+    /// seed collection and code generation, so a sweep builds one of each
+    /// for every block it scans and every candidate it schedules and rolls.
     ///
-    /// Read it only for values that existed at that revision. Constants
-    /// interned by graph builds since then are not in it, because interning
-    /// does not bump the revision; seed collection never asks about them.
-    pub fn uses(&mut self, func: &Function) -> &UseMap {
+    /// Read them only for values and instructions that existed at that
+    /// revision. Constants interned by graph builds since then are not in
+    /// the use map, because interning does not bump the revision; neither
+    /// seed collection nor code generation asks about them.
+    pub fn indexes(&mut self, func: &Function) -> (&UseMap, &InstPositions) {
         self.sync(func);
-        self.uses.get_or_insert_with(|| func.compute_uses())
+        let uses = self.uses.get_or_insert_with(|| func.compute_uses());
+        let positions = self
+            .positions
+            .get_or_insert_with(|| Arc::new(InstPositions::compute(func)));
+        (uses, positions)
     }
 
     /// Drops every entry computed at another revision of `func`.
@@ -126,6 +146,7 @@ impl ScheduleCache {
         if self.revision != Some(func.revision()) {
             self.revision = Some(func.revision());
             self.uses = None;
+            self.positions = None;
             self.deps.clear();
         }
     }
@@ -134,7 +155,6 @@ impl ScheduleCache {
 /// The analysis proper, over precomputed dependences and uses.
 fn analyze_with(
     func: &Function,
-    block: BlockId,
     graph: &AlignGraph,
     graph_insts: HashSet<InstId>,
     deps: &BlockDeps,
@@ -144,8 +164,11 @@ fn analyze_with(
 
     // Sanity: every graph instruction is in this block.
     let mut in_graph = PosSet::new(n);
+    let mut graph_pos = Vec::with_capacity(graph_insts.len());
     for &g in &graph_insts {
-        in_graph.insert(deps.position(g)?);
+        let p = deps.position(g)?;
+        in_graph.insert(p);
+        graph_pos.push(p);
     }
 
     // --- availability of loop inputs ---------------------------------------
@@ -219,26 +242,34 @@ fn analyze_with(
 
     // --- memory order inside the graph --------------------------------------
     // New execution order: iterations (lanes) outermost, emission order of
-    // nodes within an iteration.
+    // nodes within an iteration. Keys are sorted by block position.
     let emission = graph.emission_order();
     let node_order: HashMap<_, _> = emission
         .iter()
         .enumerate()
         .map(|(k, &id)| (id, k))
         .collect();
-    let mut new_key: Vec<Option<(usize, usize)>> = vec![None; n];
-    for (&inst, &(node, lane)) in &graph.claimed {
-        if let Some(p) = deps.position(inst) {
-            new_key[p] = Some((lane, node_order[&node]));
-        }
-    }
-    for a in in_graph.iter() {
-        let (Some(row), Some(ka)) = (deps.conflict_row(a), new_key[a]) else {
+    let mut new_key: Vec<(usize, (usize, usize))> = graph
+        .claimed
+        .iter()
+        .filter_map(|(&inst, &(node, lane))| {
+            Some((deps.position(inst)?, (lane, node_order[&node])))
+        })
+        .collect();
+    new_key.sort_unstable_by_key(|&(p, _)| p);
+    let key_at = |p: usize| {
+        new_key
+            .binary_search_by_key(&p, |&(q, _)| q)
+            .ok()
+            .map(|k| new_key[k].1)
+    };
+    for &(a, ka) in &new_key {
+        let Some(row) = deps.conflict_row(a) else {
             continue;
         };
-        for b in row.iter().filter(|&b| b > a) {
+        for b in row.iter().filter(|&b| b > a && in_graph.contains(b)) {
             // a < b originally; the rolled order must agree.
-            if new_key[b].is_some_and(|kb| ka >= kb) {
+            if key_at(b).is_some_and(|kb| ka >= kb) {
                 return None;
             }
         }
@@ -246,84 +277,129 @@ fn analyze_with(
 
     // --- classify external instructions -------------------------------------
     // An external instruction goes *before* the loop when the graph depends
-    // on it (it is in the union of the graph's dependence rows) or it
+    // on it (a walk up the operand edges from the graph reaches it) or it
     // conflicts with a later graph memory operation, and *after* when it
-    // depends on the graph (its own row meets the graph) or conflicts with an
-    // earlier one. Phis stay at the block head; the terminator goes last.
-    let term = *func.block(block).insts.last()?;
-    let mut graph_needs = PosSet::new(n);
-    for g in in_graph.iter() {
-        graph_needs.union_with(deps.dep_set(g));
-    }
+    // depends on the graph (a walk down the user edges reaches it) or
+    // conflicts with an earlier one. Phis stay at the block head; the
+    // terminator goes last. The walks pass through every instruction, as
+    // transitive dependence does, and only externals are classified.
+    let term = n.checked_sub(1)?;
+    let edges = Edges {
+        deps,
+        in_graph: &in_graph,
+    };
     let mut before = PosSet::new(n);
     let mut after = PosSet::new(n);
-    let mut external = Vec::with_capacity(n);
-    for p in 0..n {
-        if in_graph.contains(p) {
-            continue;
+    edges.walk(graph_pos.clone(), &mut before, Walk::Up, false);
+    edges.walk(graph_pos.clone(), &mut after, Walk::Down, false);
+    for &p in deps.phis() {
+        before.insert(p);
+    }
+    for &g in &graph_pos {
+        if let Some(row) = deps.conflict_row(g) {
+            for p in row.iter() {
+                if p < g {
+                    before.insert(p);
+                } else {
+                    after.insert(p);
+                }
+            }
         }
-        external.push(p);
-        let inst = deps.insts[p];
-        if inst == term {
-            after.insert(p);
-            continue;
-        }
-        let conflicts = deps.conflict_row(p);
-        let pulled_before = func.inst(inst).opcode == Opcode::Phi
-            || graph_needs.contains(p)
-            || conflicts.is_some_and(|row| row.last_common(&in_graph).is_some_and(|g| g > p));
-        let pulled_after = deps.dep_set(p).intersects(&in_graph)
-            || conflicts.is_some_and(|row| row.first_common(&in_graph).is_some_and(|g| g < p));
-        match (pulled_before, pulled_after) {
-            (true, true) => return None, // pulled both ways
-            (true, false) => before.insert(p),
-            (false, true) => after.insert(p),
-            (false, false) => {}
-        }
+    }
+    before.subtract(&in_graph);
+    after.subtract(&in_graph);
+    if !in_graph.contains(term) {
+        before.remove(term);
+        after.insert(term);
+    }
+    if before.intersects(&after) {
+        return None; // pulled both ways
     }
 
     // --- propagate constraints among externals -------------------------------
     // For external p < q with q depending on p (SSA) or conflicting memory,
     // placement must keep p before q: everything reachable from an `after`
-    // instruction along such edges goes after too, everything that reaches a
-    // `before` instruction goes before too. Edges only run forward in the
-    // block, so one ascending sweep closes `after` and one descending sweep
-    // closes `before`; the placement is impossible exactly when the two
+    // instruction along such edges goes after too (the ascending closure),
+    // everything that reaches a `before` instruction goes before too (the
+    // descending closure). The placement is impossible exactly when the two
     // closures meet (an after-instruction would have to precede a
     // before-instruction).
-    // Conflict rows are symmetric, so only their part below `q` counts.
-    for &q in &external {
-        if !after.contains(q)
-            && (deps.dep_set(q).intersects(&after)
-                || deps
-                    .conflict_row(q)
-                    .is_some_and(|row| row.first_common(&after).is_some_and(|p| p < q)))
-        {
-            after.insert(q);
-        }
-    }
-    let mut needed_by_before = PosSet::new(n);
-    for &p in external.iter().rev() {
-        if before.contains(p) || needed_by_before.contains(p) {
-            if after.contains(p) {
-                return None;
-            }
-            before.insert(p);
-            needed_by_before.union_with(deps.dep_set(p));
-            if let Some(row) = deps.conflict_row(p) {
-                needed_by_before.union_with(row);
-            }
-        }
+    edges.walk(after.iter().collect(), &mut after, Walk::Down, true);
+    edges.walk(before.iter().collect(), &mut before, Walk::Up, true);
+    before.subtract(&in_graph);
+    after.subtract(&in_graph);
+    if before.intersects(&after) {
+        return None;
     }
 
     // Independent leftovers go after the loop (Fig. 13).
-    let (before, after): (Vec<usize>, Vec<usize>) =
-        external.into_iter().partition(|&p| before.contains(p));
+    let mut placed_before = Vec::new();
+    let mut placed_after = Vec::new();
+    for (p, &inst) in deps.insts.iter().enumerate() {
+        if before.contains(p) {
+            placed_before.push(inst);
+        } else if !in_graph.contains(p) {
+            placed_after.push(inst);
+        }
+    }
     Some(Schedule {
-        before: before.into_iter().map(|p| deps.insts[p]).collect(),
-        after: after.into_iter().map(|p| deps.insts[p]).collect(),
+        before: placed_before,
+        after: placed_after,
         graph_insts,
     })
+}
+
+/// Which SSA edges [`Edges::walk`] follows.
+#[derive(Clone, Copy, PartialEq)]
+enum Walk {
+    /// From an instruction to the in-block definitions it reads.
+    Up,
+    /// From an instruction to its in-block users.
+    Down,
+}
+
+/// The edges the scheduler walks: a block's dependences, and which of its
+/// positions belong to the graph.
+struct Edges<'a> {
+    deps: &'a BlockDeps,
+    in_graph: &'a PosSet,
+}
+
+impl Edges<'_> {
+    /// Marks in `reached` every position reachable from `seeds` along the
+    /// SSA edges of `dir`, through any instruction, as transitive
+    /// dependence runs. With `conflicts`, an external memory operation also
+    /// reaches the external ones it conflicts with on the same side (later
+    /// for [`Walk::Down`], earlier for [`Walk::Up`]). Each position is
+    /// entered once; the seeds are entered whether or not they are marked.
+    fn walk(&self, seeds: Vec<usize>, reached: &mut PosSet, dir: Walk, conflicts: bool) {
+        let mut stack = seeds;
+        while let Some(p) = stack.pop() {
+            let ssa = match dir {
+                Walk::Up => self.deps.operands(p),
+                Walk::Down => self.deps.users(p),
+            };
+            for &q in ssa {
+                if reached.insert_new(q as usize) {
+                    stack.push(q as usize);
+                }
+            }
+            if !conflicts || self.in_graph.contains(p) {
+                continue;
+            }
+            let Some(row) = self.deps.conflict_row(p) else {
+                continue;
+            };
+            for q in row.iter() {
+                if (q > p) == (dir == Walk::Down)
+                    && !self.in_graph.contains(q)
+                    && reached.insert_new(q)
+                {
+                    stack.push(q);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -332,7 +408,7 @@ mod tests {
     use crate::align::GraphBuilder;
     use crate::options::RolagOptions;
     use rolag_ir::parser::parse_module;
-    use rolag_ir::ValueId;
+    use rolag_ir::{Opcode, ValueId};
 
     /// Builds a graph from the store seeds of @f's entry block and runs the
     /// scheduling analysis.

@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use rolag_analysis::alias::{resolve_pointer, BaseObject};
+use rolag_analysis::depgraph::InstPositions;
 use rolag_ir::{
     BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
 };
@@ -172,12 +173,13 @@ pub fn candidate_variants(
 }
 
 /// Collects rolling candidates for every block of `func`, computing the
-/// function's use map once for all of them.
+/// function's use map and instruction positions once for all of them.
 pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions) -> Vec<Candidate> {
     let uses = func.compute_uses();
+    let positions = InstPositions::compute(func);
     let mut out = Vec::new();
     for block in func.block_ids() {
-        collect_in_block(module, func, &uses, block, opts, &mut out);
+        collect_in_block(module, func, &uses, &positions, block, opts, &mut out);
     }
     out
 }
@@ -186,29 +188,31 @@ pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions)
 /// caching for the incremental fixpoint engine ([`collect_candidates`] is
 /// exactly the per-block lists concatenated in block order).
 ///
-/// `uses` is a use map of `func` at its current revision, such as the one
-/// [`ScheduleCache::uses`](crate::schedule::ScheduleCache::uses) lends. It
-/// may predate constants interned since (graph builds intern without
-/// bumping the revision): collection only asks about instruction results,
-/// which all existed when the map was computed.
+/// `uses` and `positions` index `func` at its current revision, such as
+/// the pair [`ScheduleCache::indexes`](crate::schedule::ScheduleCache::indexes)
+/// lends. The use map may predate constants interned since (graph builds
+/// intern without bumping the revision): collection only asks about
+/// instruction results, which all existed when the map was computed.
 pub fn collect_block_candidates(
     module: &Module,
     func: &Function,
     uses: &UseMap,
+    positions: &InstPositions,
     block: BlockId,
     opts: &RolagOptions,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
-    collect_in_block(module, func, uses, block, opts, &mut out);
+    collect_in_block(module, func, uses, positions, block, opts, &mut out);
     out
 }
 
 /// Collects rolling candidates inside one block, appending to `out`.
-/// `uses` is as for [`collect_block_candidates`].
+/// `uses` and `positions` are as for [`collect_block_candidates`].
 pub fn collect_in_block(
     module: &Module,
     func: &Function,
     uses: &UseMap,
+    positions: &InstPositions,
     block: BlockId,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
@@ -303,7 +307,7 @@ pub fn collect_in_block(
 
     // --- reduction trees (§IV-C5) -------------------------------------------
     if opts.enable_reductions {
-        collect_reductions(func, uses, block, opts, out);
+        collect_reductions(func, uses, positions, block, opts, out);
     }
 
     // --- value chains (EXTENSION: paper future work, Fig. 20b) --------------
@@ -400,18 +404,13 @@ fn alternation_k<'g>(groups: &[&'g Vec<(usize, InstId)>]) -> Option<Vec<&'g Vec<
 fn collect_reductions(
     func: &Function,
     uses: &UseMap,
+    positions: &InstPositions,
     block: BlockId,
     opts: &RolagOptions,
     out: &mut Vec<Candidate>,
 ) {
     let insts = &func.block(block).insts;
-    // Block position of every instruction; doubles as the membership test.
-    let pos_map: HashMap<InstId, usize> = insts
-        .iter()
-        .enumerate()
-        .map(|(p, &inst)| (inst, p))
-        .collect();
-    let in_block = |inst: &InstId| pos_map.contains_key(inst);
+    let in_block = |inst: &InstId| positions.in_block(*inst, block).is_some();
     // Tree buffers, reused across roots: a tree too small to propose is
     // dropped without allocating, and a proposed one takes the vectors.
     let (mut internal, mut leaves, mut stack) = (Vec::new(), Vec::new(), Vec::new());
@@ -472,7 +471,7 @@ fn collect_reductions(
                     // Phis sort first: they are carry candidates.
                     0
                 } else {
-                    pos_map.get(inner).copied().unwrap_or(usize::MAX)
+                    positions.in_block(*inner, block).unwrap_or(usize::MAX)
                 }
             }
             _ => 0,

@@ -190,8 +190,9 @@ impl Speculator {
 
         let base_globals = module.num_globals();
         let token = self.work.snapshot();
+        let (uses, _) = self.sched.indexes(&self.work);
         let outcome = timed(&mut stats.timings.codegen_ns, || {
-            codegen::generate(module, &mut self.work, block, &graph, &sched)
+            codegen::generate(module, &mut self.work, block, &graph, &sched, uses)
         });
         let Some(outcome) = outcome else {
             self.work.rollback(token);

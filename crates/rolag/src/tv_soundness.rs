@@ -96,7 +96,9 @@ fn rewrites(what: &str, module: &Module, stores_conflict: bool) -> Vec<Rewrite> 
             };
             let orig = rolled.clone();
             let base_globals = m.num_globals();
-            let Some(outcome) = codegen::generate(&mut m, &mut rolled, block, &graph, &sched)
+            let uses = orig.compute_uses();
+            let Some(outcome) =
+                codegen::generate(&mut m, &mut rolled, block, &graph, &sched, &uses)
             else {
                 continue;
             };

@@ -97,7 +97,9 @@ fn pointer_mismatches_become_stack_arrays() {
     assert_eq!(graph.count_kinds().mismatching, 1, "the pointer group");
 
     let sched = rolag::schedule::analyze(&original, &attempt, block, &graph).expect("schedules");
-    rolag::codegen::generate(&mut rolled, &mut attempt, block, &graph, &sched).expect("generates");
+    let uses = attempt.compute_uses();
+    rolag::codegen::generate(&mut rolled, &mut attempt, block, &graph, &sched, &uses)
+        .expect("generates");
     rolled.replace_func(fid, attempt);
     rolag_ir::verify::verify_module(&rolled).expect("verifies");
 

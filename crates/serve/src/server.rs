@@ -51,8 +51,17 @@ struct Metrics {
     /// (service time, not elapsed time, so concurrent connections don't
     /// deflate it).
     busy_ns: u128,
-    /// Per-request latency samples for the percentile report.
+    /// Per-request latency samples for the percentile report, kept sorted
+    /// so a snapshot reads its percentiles by index.
     latency_ns: Vec<u64>,
+}
+
+impl Metrics {
+    /// Records one request latency in sorted position.
+    fn record_latency(&mut self, ns: u64) {
+        let at = self.latency_ns.partition_point(|&s| s <= ns);
+        self.latency_ns.insert(at, ns);
+    }
 }
 
 /// A point-in-time snapshot of the service metrics.
@@ -98,13 +107,11 @@ impl Snapshot {
     }
 }
 
-/// Nearest-rank percentile over an unsorted sample set.
-fn percentile_ns(samples: &[u64], pct: f64) -> u64 {
-    if samples.is_empty() {
+/// Nearest-rank percentile over an ascending sample set.
+fn percentile_ns(sorted: &[u64], pct: f64) -> u64 {
+    if sorted.is_empty() {
         return 0;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
     let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -188,7 +195,7 @@ impl Server {
         let mut m = self.metrics();
         m.requests += 1;
         m.busy_ns += wall_ns;
-        m.latency_ns.push(wall_ns as u64);
+        m.record_latency(wall_ns as u64);
         match result {
             Ok((printed, report)) => {
                 m.functions += report.functions as u64;
@@ -416,5 +423,29 @@ entry:
         assert_eq!(percentile_ns(&samples, 99.0), 99);
         assert_eq!(percentile_ns(&[7], 99.0), 7);
         assert_eq!(percentile_ns(&[], 50.0), 0);
+    }
+
+    #[test]
+    fn sorted_inserts_match_a_sorted_copy() {
+        // A seeded xorshift sequence with repeats, read after every insert.
+        let mut m = Metrics::default();
+        let mut samples = Vec::new();
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let ns = x % 5_000;
+            m.record_latency(ns);
+            samples.push(ns);
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            assert_eq!(m.latency_ns, sorted);
+            for pct in [50.0, 99.0] {
+                let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+                let want = sorted[rank.clamp(1, sorted.len()) - 1];
+                assert_eq!(percentile_ns(&m.latency_ns, pct), want);
+            }
+        }
     }
 }

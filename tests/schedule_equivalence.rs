@@ -1,5 +1,6 @@
-//! Equivalence of the bitset scheduling analysis with the quadratic
-//! formulation it replaced.
+//! Equivalence of the scheduling analysis, which walks direct dependence
+//! edges from the graph, with the quadratic formulation it replaced. (The
+//! `bitset_` test names date from the closed-row version in between.)
 //!
 //! `oracle` below is the quadratic formulation, kept here as the reference:
 //! it scans every external instruction against every graph position, looks
@@ -23,6 +24,7 @@ use rolag_analysis::depgraph::{conflicts, mem_access, PosSet};
 use rolag_ir::printer::print_module;
 use rolag_ir::{BlockId, Function, GlobalId, InstId, Module, Opcode, ValueDef, ValueId};
 use rolag_suites::angha::{stream, AnghaConfig};
+use rolag_suites::planted::big_block;
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
 use rolag_transforms::{
     cleanup_in_place, cleanup_module, cse_module, effects_table, unroll_module,
@@ -339,7 +341,9 @@ fn check_module(module: &Module, label: &str, tally: &mut Tally) {
                 tally.scheduled += 1;
                 let before_globals = m.num_globals();
                 let mut attempt = work.clone();
-                let Some(outcome) = codegen::generate(&mut m, &mut attempt, block, &graph, &sched)
+                let (uses, _) = cache.indexes(&work);
+                let Some(outcome) =
+                    codegen::generate(&mut m, &mut attempt, block, &graph, &sched, uses)
                 else {
                     pop_globals(&mut m, before_globals);
                     continue;
@@ -419,4 +423,14 @@ fn bitset_schedule_matches_quadratic_oracle_on_generated_modules() {
         check_module(&m, &format!("gen {index} unrolled"), &mut tally);
     }
     assert!(tally.rolled > 0, "{tally:?}");
+}
+
+/// The planted big-block shape: 64 independent groups of 8 stores, so
+/// almost every external of a candidate sits outside its span.
+#[test]
+fn schedule_matches_quadratic_oracle_on_planted_big_block() {
+    let mut tally = Tally::default();
+    check_module(&big_block(64), "planted", &mut tally);
+    assert_eq!(tally.graphs, 64, "{tally:?}");
+    assert_eq!(tally.scheduled, 64, "{tally:?}");
 }
