@@ -5,52 +5,33 @@
 //! concatenated text, or NDJSON manifest — see `rolag_frontend::corpus`)
 //! or a generated AnghaBench-like corpus streamed one function at a
 //! time, through the bounded-memory batch driver, then emits a
-//! dashboard to the terminal and as `results/corpus.{json,csv}` plus
-//! `BENCH_corpus.json`.
+//! dashboard to the terminal and as `results/corpus.{json,csv}`.
 //!
 //! Usage:
 //!   rolag-corpus [--generate N] [--seed S] [--corpus PATH]
 //!                [--mem-budget N[K|M|G]] [--jobs N] [--no-memoize]
-//!                [--write PATH] [--check-bench PATH]
+//!                [--write PATH]
 //!
 //! `--generate N` (default 1 000 000) streams N single-function modules
 //! from the seeded AnghaBench-like generator without ever materializing
 //! the corpus. `--corpus PATH` rolls external input instead. `--write
 //! PATH` writes the generated corpus to an `RLCP` container and exits.
-//! `--check-bench PATH` validates a previously written
-//! `BENCH_corpus.json` against the schema and acceptance floors and
-//! exits nonzero on violation (the CI gate). `--no-memoize` leaves the
-//! cross-batch store unattached; duplicates within one batch still share
-//! a roll.
+//! `--no-memoize` leaves the cross-batch store unattached; duplicates
+//! within one batch still share a roll.
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::process::ExitCode;
 
 use rolag::RolagOptions;
 use rolag_bench::report::{arg_flag, arg_value, write_csv};
 use rolag_frontend::corpus::{
-    open_corpus, roll_corpus, ContainerWriter, CorpusItem, CorpusIter, CorpusOptions, CorpusReport,
+    open_corpus, parse_mem_budget, roll_corpus, ContainerWriter, CorpusItem, CorpusIter,
+    CorpusOptions, CorpusReport,
 };
 use rolag_ir::printer::print_module;
-use rolag_serve::json::{escaped, parse, Json};
+use rolag_serve::json::escaped;
 use rolag_suites::angha::{stream, AnghaConfig};
-
-fn parse_mem_budget(s: &str) -> Result<u64, String> {
-    let s = s.trim();
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'K' | b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'M' | b'm') => (&s[..s.len() - 1], 1u64 << 20),
-        Some(b'G' | b'g') => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s, 1),
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("invalid memory budget {s:?}"))?;
-    n.checked_mul(mult)
-        .filter(|&b| b > 0)
-        .ok_or(format!("invalid memory budget {s:?}"))
-}
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
@@ -137,7 +118,7 @@ fn print_dashboard(source: &str, r: &CorpusReport, copts: &CorpusOptions) {
     }
 }
 
-fn bench_json(source: &str, r: &CorpusReport, copts: &CorpusOptions) -> String {
+fn report_json(source: &str, r: &CorpusReport, copts: &CorpusOptions) -> String {
     let mut skip = String::new();
     for (i, (code, n)) in r.skip_reasons.iter().enumerate() {
         if i > 0 {
@@ -218,100 +199,6 @@ fn csv_rows(r: &CorpusReport, copts: &CorpusOptions) -> Vec<String> {
     rows
 }
 
-/// Schema of `BENCH_corpus.json`: the members the acceptance criteria
-/// and the CI gate read, with their types, plus the floors. Extra
-/// members are allowed.
-fn check_bench(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if doc.get("bench").and_then(Json::as_str) != Some("corpus") {
-        return Err(format!("{path}: \"bench\" must be \"corpus\""));
-    }
-    let section = |name: &str| -> Result<&Json, String> {
-        doc.get(name).ok_or(format!("{path}: missing \"{name}\""))
-    };
-    let num = |obj: &Json, section: &str, key: &str| -> Result<f64, String> {
-        obj.get(key)
-            .and_then(Json::as_num)
-            .ok_or(format!("{path}: missing numeric {section}.{key}"))
-    };
-    let workload = section("workload")?;
-    workload
-        .get("source")
-        .and_then(Json::as_str)
-        .ok_or(format!("{path}: missing string workload.source"))?;
-    for key in ["modules", "functions", "bytes_in"] {
-        num(workload, "workload", key)?;
-    }
-    let config = section("config")?;
-    for key in ["jobs", "batches"] {
-        num(config, "config", key)?;
-    }
-    let mem_budget = num(config, "config", "mem_budget_bytes")?;
-    let rolling = section("rolling")?;
-    for key in [
-        "rolled_loops",
-        "attempted",
-        "tv_rejected",
-        "skipped_functions",
-        "cache_hits",
-        "store_hits",
-    ] {
-        num(rolling, "rolling", key)?;
-    }
-    let size = section("size")?;
-    for key in ["before", "after", "reduction_percent"] {
-        num(size, "size", key)?;
-    }
-    let perf = section("perf")?;
-    num(perf, "perf", "wall_ns")?;
-
-    // Floors: the run must have actually rolled something, panicked on
-    // nothing, parsed everything, saved bytes, and stayed inside the
-    // declared memory budget.
-    let changed = num(rolling, "rolling", "changed_functions")?;
-    if changed < 1.0 {
-        return Err(format!(
-            "{path}: rolling.changed_functions {changed} — at least one function must roll"
-        ));
-    }
-    let fraction = num(rolling, "rolling", "rolled_fraction")?;
-    if !(0.0..=1.0).contains(&fraction) {
-        return Err(format!(
-            "{path}: rolling.rolled_fraction {fraction} out of range"
-        ));
-    }
-    let rescued = num(rolling, "rolling", "rescued")?;
-    if rescued != 0.0 {
-        return Err(format!(
-            "{path}: rolling.rescued {rescued} — zero engine panics required"
-        ));
-    }
-    let parse_failures = num(rolling, "rolling", "parse_failures")?;
-    if parse_failures != 0.0 {
-        return Err(format!(
-            "{path}: rolling.parse_failures {parse_failures} — every module must parse"
-        ));
-    }
-    let saved = num(size, "size", "bytes_saved")?;
-    if saved < 1.0 {
-        return Err(format!(
-            "{path}: size.bytes_saved {saved} below the nonzero acceptance floor"
-        ));
-    }
-    let fps = num(perf, "perf", "funcs_per_sec")?;
-    if fps <= 0.0 {
-        return Err(format!("{path}: perf.funcs_per_sec {fps} must be positive"));
-    }
-    let rss = num(perf, "perf", "peak_rss_bytes")?;
-    if rss > 0.0 && rss > mem_budget {
-        return Err(format!(
-            "{path}: perf.peak_rss_bytes {rss} exceeds config.mem_budget_bytes {mem_budget}"
-        ));
-    }
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let mut config = AnghaConfig {
         functions: 1_000_000,
@@ -365,14 +252,11 @@ fn run() -> Result<(), String> {
 
     print_dashboard(&source, &report, &copts);
 
-    let json = bench_json(&source, &report, &copts);
+    let json = report_json(&source, &report, &copts);
     std::fs::create_dir_all("results").map_err(|e| format!("creating results/: {e}"))?;
-    for path in ["results/corpus.json", "BENCH_corpus.json"] {
-        let mut f = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        f.write_all(json.as_bytes())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
+    let path = "results/corpus.json";
+    std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+    println!("wrote {path}");
     match write_csv("corpus", "metric,value", &csv_rows(&report, &copts)) {
         Ok(path) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write CSV: {e}"),
@@ -381,18 +265,6 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    if let Some(path) = arg_value("--check-bench") {
-        return match check_bench(&path) {
-            Ok(()) => {
-                println!("{path}: OK");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("rolag-corpus: {e}");
-                ExitCode::from(1)
-            }
-        };
-    }
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -322,6 +322,26 @@ impl Default for CorpusOptions {
     }
 }
 
+/// Parses a [`CorpusOptions::mem_budget`] spelling: a byte count with an
+/// optional `K`, `M` or `G` suffix (either case, binary multiples), with
+/// surrounding whitespace ignored. Zero, a bare suffix and a product that
+/// overflows `u64` are errors.
+pub fn parse_mem_budget(s: &str) -> Result<u64, String> {
+    let s = s.trim();
+    let (digits, shift) = match s.as_bytes().last() {
+        Some(b'K' | b'k') => (&s[..s.len() - 1], 10),
+        Some(b'M' | b'm') => (&s[..s.len() - 1], 20),
+        Some(b'G' | b'g') => (&s[..s.len() - 1], 30),
+        _ => (s, 0),
+    };
+    digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(1 << shift))
+        .filter(|&b| b > 0)
+        .ok_or_else(|| format!("invalid memory budget {s:?}"))
+}
+
 impl CorpusOptions {
     /// Worker count the driver will actually use: the size of the
     /// [`WorkerPool`] that [`roll_corpus`] spawns for `jobs`.
@@ -529,9 +549,7 @@ impl BatchBuilder {
             func.name = self.module.func(bid).name.clone();
             func.is_declaration = false;
             func.effects = Effects::ReadWrite;
-            func.remap_types(remap_t);
-            func.remap_globals(|g| gmap[g.index()]);
-            func.remap_funcs(|f| fmap[f.index()]);
+            func.remap(Some(&tmap), |g| gmap[g.index()], |f| fmap[f.index()]);
             self.module.replace_func(bid, func);
         }
         self.merged += 1;
@@ -691,6 +709,36 @@ mod tests {
             copts.effective_jobs(),
             WorkerPool::new(0).worker_count() as u64
         );
+    }
+
+    #[test]
+    fn mem_budget_spellings() {
+        for (text, bytes) in [
+            ("4096", 4096),
+            ("3k", 3 << 10),
+            ("3K", 3 << 10),
+            ("256m", 256 << 20),
+            ("256M", 256 << 20),
+            ("2g", 2 << 30),
+            ("2G", 2 << 30),
+            (" 256M\t", 256 << 20),
+        ] {
+            assert_eq!(parse_mem_budget(text), Ok(bytes), "{text:?}");
+        }
+        for text in [
+            "0",
+            "0M",
+            "M",
+            "",
+            "  ",
+            "-1K",
+            "1.5G",
+            "256 M",
+            "99999999999G",
+        ] {
+            let err = parse_mem_budget(text).expect_err(text);
+            assert!(err.starts_with("invalid memory budget"), "{err}");
+        }
     }
 
     #[test]

@@ -1003,67 +1003,52 @@ impl Function {
         }
     }
 
-    /// Rewrites every [`TypeId`] stored in this function through `map`.
+    /// Rewrites the ids this function holds into another module's id
+    /// spaces, for a function transplanted between modules.
     ///
-    /// Covers the signature, value definitions, instruction result types,
-    /// and the `gep`/`alloca` element-type payloads, then rebuilds the
-    /// constant-interning map (whose keys embed type ids). Used when a
-    /// function is transplanted between modules whose type stores interned
-    /// types in a different order.
-    pub fn remap_types(&mut self, map: impl Fn(TypeId) -> TypeId) {
+    /// `types` maps old type indices to new type ids (`None` when both
+    /// modules share one type store); it covers the signature, value
+    /// definitions, instruction result types and the `gep`/`alloca`
+    /// element-type payloads. `globals` rewrites global-address constants,
+    /// and `funcs` rewrites function-address constants and direct call
+    /// callees. One revision bump and one rebuild of the
+    /// constant-interning map (whose keys embed all three kinds of id)
+    /// cover the whole remap.
+    pub fn remap(
+        &mut self,
+        types: Option<&[TypeId]>,
+        globals: impl Fn(GlobalId) -> GlobalId,
+        funcs: impl Fn(FuncId) -> FuncId,
+    ) {
         assert!(self.journal.is_none(), "remap during open snapshot");
         self.bump_revision();
-        for ty in self.param_tys.iter_mut() {
-            *ty = map(*ty);
+        let ty = |t: &mut TypeId| {
+            if let Some(map) = types {
+                *t = map[t.index()];
+            }
+        };
+        for t in self.param_tys.iter_mut() {
+            ty(t);
         }
-        self.ret_ty = map(self.ret_ty);
+        ty(&mut self.ret_ty);
         for def in self.values.iter_mut() {
             match def {
-                ValueDef::Param { ty, .. }
-                | ValueDef::ConstInt { ty, .. }
-                | ValueDef::Undef(ty) => *ty = map(*ty),
-                ValueDef::ConstFloat { ty, .. } => *ty = map(*ty),
-                ValueDef::Inst(_) | ValueDef::GlobalAddr(_) | ValueDef::FuncAddr(_) => {}
+                ValueDef::Param { ty: t, .. }
+                | ValueDef::ConstInt { ty: t, .. }
+                | ValueDef::ConstFloat { ty: t, .. }
+                | ValueDef::Undef(t) => ty(t),
+                ValueDef::GlobalAddr(g) => *g = globals(*g),
+                ValueDef::FuncAddr(f) => *f = funcs(*f),
+                ValueDef::Inst(_) => {}
             }
         }
         for inst in self.insts.iter_mut() {
-            inst.ty = map(inst.ty);
+            ty(&mut inst.ty);
             match &mut inst.extra {
                 crate::inst::InstExtra::Gep { elem_ty }
-                | crate::inst::InstExtra::Alloca { elem_ty } => *elem_ty = map(*elem_ty),
+                | crate::inst::InstExtra::Alloca { elem_ty } => ty(elem_ty),
+                crate::inst::InstExtra::Call { callee } => *callee = funcs(*callee),
                 _ => {}
-            }
-        }
-        self.rebuild_const_map();
-    }
-
-    /// Rewrites every [`GlobalId`] referenced by this function through
-    /// `map`, then rebuilds the constant-interning map.
-    pub fn remap_globals(&mut self, map: impl Fn(GlobalId) -> GlobalId) {
-        assert!(self.journal.is_none(), "remap during open snapshot");
-        self.bump_revision();
-        for def in self.values.iter_mut() {
-            if let ValueDef::GlobalAddr(g) = def {
-                *g = map(*g);
-            }
-        }
-        self.rebuild_const_map();
-    }
-
-    /// Rewrites every [`FuncId`] referenced by this function (direct call
-    /// callees and function-address constants) through `map`, then rebuilds
-    /// the constant-interning map.
-    pub fn remap_funcs(&mut self, map: impl Fn(FuncId) -> FuncId) {
-        assert!(self.journal.is_none(), "remap during open snapshot");
-        self.bump_revision();
-        for def in self.values.iter_mut() {
-            if let ValueDef::FuncAddr(f) = def {
-                *f = map(*f);
-            }
-        }
-        for inst in self.insts.iter_mut() {
-            if let crate::inst::InstExtra::Call { callee } = &mut inst.extra {
-                *callee = map(*callee);
             }
         }
         self.rebuild_const_map();
@@ -1223,8 +1208,14 @@ mod tests {
         });
         f.append_inst(bb, i);
 
-        f.remap_globals(|old| GlobalId::from_index(old.index() + 10));
-        f.remap_funcs(|old| FuncId::from_index(old.index() + 10));
+        let before = f.revision();
+        f.remap(
+            None,
+            |old| GlobalId::from_index(old.index() + 10),
+            |old| FuncId::from_index(old.index() + 10),
+        );
+        assert_ne!(f.revision(), before);
+        assert_eq!(f.inst(i).ty, types.i32(), "no type map, no type change");
         let shifted = GlobalId::from_index(12);
         assert_eq!(f.value(ga), &ValueDef::GlobalAddr(shifted));
         match &f.inst(i).extra {
@@ -1237,13 +1228,18 @@ mod tests {
         assert_eq!(f.global_addr(shifted), ga);
         assert_eq!(f.const_int(types.i32(), 5), c);
 
-        // Type remap rewrites result types, signature, and const keys.
-        let bump = |t: TypeId| TypeId(t.0 + 1);
+        // A type map rewrites result types, signature, and const keys.
+        let bump: Vec<TypeId> = (0..types.num_types() as u32)
+            .map(|t| TypeId(t + 1))
+            .collect();
+        let bumped = |t: TypeId| bump[t.index()];
         let old_ret = f.ret_ty;
-        f.remap_types(bump);
-        assert_eq!(f.ret_ty, bump(old_ret));
-        assert_eq!(f.inst(i).ty, bump(types.i32()));
-        assert_eq!(f.const_int(bump(types.i32()), 5), c);
+        f.remap(Some(&bump), |g| g, |callee| callee);
+        assert_eq!(f.ret_ty, bumped(old_ret));
+        assert_eq!(f.param_tys()[0], bumped(types.i32()));
+        assert_eq!(f.inst(i).ty, bumped(types.i32()));
+        assert_eq!(f.const_int(bumped(types.i32()), 5), c);
+        assert_eq!(f.global_addr(shifted), ga, "identity maps keep the ids");
     }
 
     #[test]

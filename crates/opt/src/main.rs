@@ -74,7 +74,9 @@ use std::process::ExitCode;
 
 use rolag::{RolagOptions, SearchConfig};
 use rolag_analysis::cost::TargetKind;
-use rolag_frontend::corpus::{open_corpus, roll_corpus, ContainerWriter, CorpusOptions};
+use rolag_frontend::corpus::{
+    open_corpus, parse_mem_budget, roll_corpus, ContainerWriter, CorpusOptions,
+};
 use rolag_frontend::{emit::emit_llvm, FrontendKind, Skip};
 use rolag_ir::interp::{check_equivalence, IValue, Interpreter};
 use rolag_ir::printer::print_module;
@@ -300,22 +302,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         return Err(usage());
     }
     Ok(cli)
-}
-
-/// Parses a byte count with an optional `K`/`M`/`G` suffix.
-fn parse_mem_budget(s: &str) -> Result<u64, String> {
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'K') | Some(b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'M') | Some(b'm') => (&s[..s.len() - 1], 1 << 20),
-        Some(b'G') | Some(b'g') => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("bad memory budget {s}"))?;
-    n.checked_mul(mult)
-        .filter(|&b| b > 0)
-        .ok_or_else(|| format!("bad memory budget {s}"))
 }
 
 fn read_input(path: &str) -> Result<Vec<u8>, String> {

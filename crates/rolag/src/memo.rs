@@ -326,15 +326,6 @@ impl StoreEntry {
             data.name = module.fresh_global_name(name_prefix(&data.name));
             global_map.insert(*donor, module.add_global(data));
         }
-        func.remap_globals(|g| {
-            *global_map
-                .get(&g)
-                .expect("replayed body references an unmapped global")
-        });
-        if let Some(map) = type_map {
-            func.remap_types(|t| map[t.index()]);
-        }
-
         let mut func_map: HashMap<FuncId, FuncId> = HashMap::new();
         func_map.insert(body.self_id, id);
         for (donor, name) in &body.callees {
@@ -345,7 +336,15 @@ impl StoreEntry {
         }
         // Dead arena entries can reference call sites outside the live
         // instruction stream; they never print, so identity is safe.
-        func.remap_funcs(|f| func_map.get(&f).copied().unwrap_or(f));
+        func.remap(
+            type_map,
+            |g| {
+                *global_map
+                    .get(&g)
+                    .expect("replayed body references an unmapped global")
+            },
+            |f| func_map.get(&f).copied().unwrap_or(f),
+        );
 
         let target = module.func(id);
         func.name = target.name.clone();

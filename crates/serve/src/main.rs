@@ -3,7 +3,6 @@
 //! ```text
 //! rolag-serve --stdio [--jobs N] [--capacity N]
 //! rolag-serve --socket <path> [--jobs N] [--capacity N]
-//! rolag-serve --check-bench <BENCH_serve.json>
 //! ```
 //!
 //! * `--stdio` — batch mode: read NDJSON requests from stdin, answer each
@@ -15,17 +14,14 @@
 //!   exits the process.
 //! * `--jobs N` — worker threads in the persistent pool (0 = all cores).
 //! * `--capacity N` — cross-request store capacity, in cached bodies.
-//! * `--check-bench <path>` — validate the schema of a `BENCH_serve.json`
-//!   produced by the serve bench and exit (0 valid, 1 not). Used by CI.
 //!
-//! Exit status: 0 on clean shutdown, 1 on usage/IO/schema errors.
+//! Exit status: 0 on clean shutdown, 1 on usage or IO errors.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use rolag_serve::json::{parse, Json};
 use rolag_serve::proto::{error_reply, read_line};
 use rolag_serve::{Server, ServerConfig};
 
@@ -33,13 +29,11 @@ use rolag_serve::{Server, ServerConfig};
 struct Cli {
     stdio: bool,
     socket: Option<String>,
-    check_bench: Option<String>,
     config: ServerConfig,
 }
 
 fn usage() -> &'static str {
-    "usage: rolag-serve (--stdio | --socket <path> | --check-bench <json>) \
-     [--jobs N] [--capacity N]"
+    "usage: rolag-serve (--stdio | --socket <path>) [--jobs N] [--capacity N]"
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -50,9 +44,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--stdio" => cli.stdio = true,
             "--socket" => {
                 cli.socket = Some(it.next().ok_or("--socket needs a path")?.clone());
-            }
-            "--check-bench" => {
-                cli.check_bench = Some(it.next().ok_or("--check-bench needs a path")?.clone());
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -70,10 +61,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
-    let modes = usize::from(cli.stdio)
-        + usize::from(cli.socket.is_some())
-        + usize::from(cli.check_bench.is_some());
-    if modes != 1 {
+    if cli.stdio == cli.socket.is_some() {
         return Err(usage().into());
     }
     Ok(cli)
@@ -170,78 +158,6 @@ fn run_socket(path: &str, config: &ServerConfig) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Schema of `BENCH_serve.json`: the members the acceptance criteria and
-/// the CI gate read, with their types. Extra members are allowed.
-fn check_bench(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let num = |key: &str| -> Result<f64, String> {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or(format!("{path}: missing numeric \"{key}\""))
-    };
-    if doc.get("bench").and_then(Json::as_str) != Some("serve") {
-        return Err(format!("{path}: \"bench\" must be \"serve\""));
-    }
-    let workload = doc
-        .get("workload")
-        .ok_or(format!("{path}: missing \"workload\""))?;
-    for key in ["modules", "functions", "duplication"] {
-        workload
-            .get(key)
-            .and_then(Json::as_num)
-            .ok_or(format!("{path}: missing numeric workload.{key}"))?;
-    }
-    for phase in ["cold", "warm"] {
-        let obj = doc
-            .get(phase)
-            .ok_or(format!("{path}: missing \"{phase}\""))?;
-        for key in ["p50_ns", "p99_ns", "mean_ns", "funcs_per_sec"] {
-            obj.get(key)
-                .and_then(Json::as_num)
-                .ok_or(format!("{path}: missing numeric {phase}.{key}"))?;
-        }
-    }
-    let pressure = doc
-        .get("pressure")
-        .ok_or(format!("{path}: missing \"pressure\""))?;
-    let evictions = pressure
-        .get("evictions")
-        .and_then(Json::as_num)
-        .ok_or(format!("{path}: missing numeric pressure.evictions"))?;
-    if evictions < 1.0 {
-        return Err(format!(
-            "{path}: pressure.evictions {evictions} — the pressure phase must \
-             actually exercise clock eviction"
-        ));
-    }
-    let pressure_hit_rate = pressure
-        .get("hit_rate")
-        .and_then(Json::as_num)
-        .ok_or(format!("{path}: missing numeric pressure.hit_rate"))?;
-    if !(0.0..=1.0).contains(&pressure_hit_rate) {
-        return Err(format!(
-            "{path}: pressure.hit_rate {pressure_hit_rate} out of range"
-        ));
-    }
-    let hit_rate = num("hit_rate")?;
-    let speedup = num("warm_speedup_p50")?;
-    if !(0.0..=1.0).contains(&hit_rate) {
-        return Err(format!("{path}: hit_rate {hit_rate} out of range"));
-    }
-    if hit_rate < 0.5 {
-        return Err(format!(
-            "{path}: hit_rate {hit_rate:.3} below the 0.5 acceptance floor"
-        ));
-    }
-    if speedup < 2.0 {
-        return Err(format!(
-            "{path}: warm_speedup_p50 {speedup:.2} below the 2x acceptance floor"
-        ));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_cli(&args) {
@@ -251,18 +167,6 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    if let Some(path) = &cli.check_bench {
-        return match check_bench(path) {
-            Ok(()) => {
-                println!("ok: {path} matches the serve bench schema");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(1)
-            }
-        };
-    }
     if let Some(path) = &cli.socket {
         return run_socket(path, &cli.config);
     }

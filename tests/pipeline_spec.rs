@@ -2,7 +2,7 @@
 //! parsing round-trips, pointed diagnostics, and — the refactor's core
 //! contract — byte-identical output between textual pipelines run under
 //! the pass manager and the legacy direct `*_module` call chains, over
-//! the checked-in difftest repro corpus.
+//! the checked-in difftest repro corpus and a TSVC slice.
 
 use std::path::Path;
 
@@ -15,6 +15,7 @@ use rolag_passes::{
     TargetKind,
 };
 use rolag_reroll::reroll_module;
+use rolag_suites::tsvc::{all_kernels, build_kernel_module};
 use rolag_transforms::{cleanup_module, cse_module, flatten_module, unroll_module};
 
 fn repro_modules() -> Vec<(String, Module)> {
@@ -126,11 +127,21 @@ fn registry_rejects_unknown_and_bad_parameters() {
 // ------------------------------------------------------- legacy equivalence
 
 /// Each textual pipeline, run under the manager with `verify_each`, must
-/// produce byte-for-byte the module the legacy direct calls produce.
+/// produce byte-for-byte the module the legacy direct calls produce, on
+/// the repro corpus and the first 24 TSVC kernels. The `unroll<8>` case is
+/// the evaluation pipeline the TSVC figures run.
 #[test]
 fn managed_pipelines_match_direct_calls_on_the_repro_corpus() {
     type Direct = fn(&mut Module);
-    let cases: [(&str, Direct); 4] = [
+    let cases: [(&str, Direct); 5] = [
+        ("unroll<8>,cse,cleanup,rolag,flatten,cleanup", |m| {
+            unroll_module(m, 8);
+            cse_module(m);
+            cleanup_module(m);
+            roll_module(m, &RolagOptions::default());
+            flatten_module(m);
+            cleanup_module(m);
+        }),
         ("rolag", |m| {
             roll_module(m, &RolagOptions::default());
         }),
@@ -152,7 +163,11 @@ fn managed_pipelines_match_direct_calls_on_the_repro_corpus() {
             roll_module(m, &RolagOptions::default());
         }),
     ];
-    for (name, module) in repro_modules() {
+    let tsvc = all_kernels()
+        .into_iter()
+        .take(24)
+        .map(|spec| (format!("tsvc.{}", spec.name), build_kernel_module(&spec)));
+    for (name, module) in repro_modules().into_iter().chain(tsvc) {
         for (spec, direct) in &cases {
             let mut a = module.clone();
             direct(&mut a);

@@ -11,7 +11,8 @@
 //!   first and only adopts a searched result that *measures strictly
 //!   smaller*, so for every function the measured text bytes under
 //!   `beam:k` are at most the greedy result's — per-function
-//!   monotonicity, checked here for k = 2 and k = 4.
+//!   monotonicity, checked here for k = 2 and k = 4 on raw and unrolled
+//!   TSVC kernels, generated modules and AnghaBench-like functions.
 //!
 //! On top of those two properties, `beam4_outputs_are_pinned` pins the
 //! exact `beam:4` output and counters on three corpora, so an engine
@@ -107,6 +108,28 @@ fn repro_modules() -> Vec<(String, Module)> {
         .collect()
 }
 
+/// The TSVC kernels unrolled x8, CSE'd and cleaned up, as the
+/// `tsvc-beam4` benchmark workload feeds them to the beam.
+fn unrolled_tsvc() -> impl Iterator<Item = (&'static str, Module)> {
+    all_kernels().into_iter().map(|spec| {
+        let mut m = build_kernel_module(&spec);
+        unroll_module(&mut m, 8);
+        cse_module(&mut m);
+        cleanup_module(&mut m);
+        (spec.name, m)
+    })
+}
+
+/// The first `functions` AnghaBench-like functions of generator seed
+/// `0x0a17_4a90`; every length is a prefix of the same stream.
+fn angha(functions: usize) -> impl Iterator<Item = Module> {
+    stream(&AnghaConfig {
+        seed: 0x0a17_4a90,
+        functions,
+    })
+    .map(|(_, _, m)| m)
+}
+
 #[test]
 fn beam1_matches_greedy_on_tsvc() {
     let mut rolled = 0u64;
@@ -137,25 +160,38 @@ fn beam1_matches_greedy_on_generated_corpus() {
     );
 }
 
+/// Over the raw TSVC kernels and their unrolled x8 forms.
 #[test]
 fn wider_beams_never_grow_a_function_on_tsvc() {
+    let raw = all_kernels()
+        .into_iter()
+        .map(|spec| (format!("tsvc.{}", spec.name), build_kernel_module(&spec)));
+    let unrolled = unrolled_tsvc().map(|(name, m)| (format!("tsvc-unrolled.{name}"), m));
+    let modules: Vec<_> = raw.chain(unrolled).collect();
     for width in [2, 4] {
         let mut rolled = 0u64;
-        for spec in all_kernels() {
-            let module = build_kernel_module(&spec);
-            let (r, _) = assert_beam_is_monotonic(&module, width, &format!("tsvc.{}", spec.name));
+        let mut adopted = 0u64;
+        for (what, module) in &modules {
+            let (r, a) = assert_beam_is_monotonic(module, width, what);
             rolled += r;
+            adopted += a;
         }
         assert!(rolled >= 1, "no TSVC kernel rolled at all");
+        assert!(adopted >= 1, "beam:{width} adopted nothing on TSVC");
     }
 }
 
+/// Over 64 generated modules and the first 64 AnghaBench-like functions.
 #[test]
 fn wider_beams_never_grow_a_function_on_generated_corpus() {
+    let generated = (0..64).map(|i| (format!("module (3,{i})"), generate_module(3, i)));
+    let angha = angha(64)
+        .enumerate()
+        .map(|(i, m)| (format!("angha64.{i}"), m));
+    let modules: Vec<_> = generated.chain(angha).collect();
     for width in [2, 4] {
-        for i in 0..64 {
-            let module = generate_module(3, i);
-            assert_beam_is_monotonic(&module, width, &format!("module (3,{i})"));
+        for (what, module) in &modules {
+            assert_beam_is_monotonic(module, width, what);
         }
     }
 }
@@ -283,22 +319,10 @@ fn beam4_pin(corpus: &'static str, modules: impl IntoIterator<Item = Module>) ->
 /// and paste the printed table over `PINNED`.
 #[test]
 fn beam4_outputs_are_pinned() {
-    let tsvc = all_kernels().into_iter().map(|spec| {
-        let mut m = build_kernel_module(&spec);
-        unroll_module(&mut m, 8);
-        cse_module(&mut m);
-        cleanup_module(&mut m);
-        m
-    });
-    let angha = stream(&AnghaConfig {
-        seed: 0x0a17_4a90,
-        functions: 128,
-    })
-    .map(|(_, _, m)| m);
     let generated = (0..256).map(|i| generate_module(0, i));
     let actual = [
-        beam4_pin("tsvc", tsvc),
-        beam4_pin("angha128", angha),
+        beam4_pin("tsvc", unrolled_tsvc().map(|(_, m)| m)),
+        beam4_pin("angha128", angha(128)),
         beam4_pin("generated256", generated),
     ];
     println!("const PINNED: &[BeamPin] = &{actual:#?};");

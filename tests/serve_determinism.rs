@@ -7,7 +7,8 @@
 //! through the service protocol — over the TSVC repro corpus and over a
 //! 128-module generator sweep — by submitting every module twice to one
 //! [`Server`] and comparing the second (store-served) response against
-//! both the first response and a direct, store-less driver roll.
+//! both the first response and a direct, store-less driver roll. Under
+//! eviction pressure the contract holds across evict → re-insert cycles.
 
 use rolag::{roll_module_par, DriverOptions, RolagOptions};
 use rolag_ir::parser::parse_module;
@@ -16,6 +17,9 @@ use rolag_passes::{AnalysisManager, PassContext, PassManager, PassRegistry, Targ
 use rolag_serve::json::{parse, Json};
 use rolag_serve::proto::Request;
 use rolag_serve::{Server, ServerConfig};
+use rolag_suites::angha::{stream, AnghaConfig};
+use rolag_suites::tsvc::{all_kernels, build_kernel_module};
+use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 
 /// Submits `text` as a roll request and returns the parsed response
 /// document. Panics on protocol- or request-level failure.
@@ -155,6 +159,74 @@ fn validated_preset_replays_byte_identical() {
             "{tag}: validated service output diverged from a direct roll"
         );
     }
+}
+
+/// `text` with one unused global declared ahead of the module's own, so
+/// every global id shifts by one while every store key stays the same: a
+/// hit across the two layouts must remap each global its body references.
+fn with_leading_global(text: &str) -> String {
+    let (header, body) = text.split_once('\n').expect("a module header line");
+    format!("{header}\nglobal @layout.pad : i32 = zero\n{body}")
+}
+
+/// Eviction pressure: a 16-entry store, far smaller than the working set,
+/// fed 80 modules in three rounds under the `validated` preset, so the
+/// clock hand sweeps every shard and keys are evicted and re-inserted.
+/// The modules are unrolled TSVC kernels, AnghaBench-like functions and
+/// generated multi-function modules. Each round submits every module and
+/// then the same module with its globals one id later, so the second
+/// request replays what the first inserted (and the store has not yet
+/// evicted) into another global layout. Every response must equal a cold
+/// store-less roll of its own text: a replayed, re-inserted entry is
+/// indistinguishable from rolling fresh.
+#[test]
+fn eviction_pressure_replays_byte_identical() {
+    let mut modules = Vec::new();
+    for spec in all_kernels().iter().take(24) {
+        let mut m = build_kernel_module(spec);
+        unroll_module(&mut m, 8);
+        cse_module(&mut m);
+        cleanup_module(&mut m);
+        modules.push(print_module(&m));
+    }
+    let angha = stream(&AnghaConfig {
+        seed: 0x5e7e,
+        functions: 40,
+    });
+    modules.extend(angha.map(|(_, _, m)| print_module(&m)));
+    modules.extend((0..16).map(|index| rolag_difftest::gen::generate(0x7a11_da7e, index)));
+    let requests: Vec<(String, String)> = modules
+        .iter()
+        .flat_map(|text| [text.clone(), with_leading_global(text)])
+        .map(|text| {
+            let cold = direct_roll(&text, &RolagOptions::validated());
+            (text, cold)
+        })
+        .collect();
+
+    let server = Server::new(&ServerConfig {
+        jobs: 2,
+        capacity: 16,
+    });
+    for round in 1..=3 {
+        for (index, (text, cold)) in requests.iter().enumerate() {
+            let id = format!("r{round}-{index}");
+            let served = roll_via(&server, &id, text, "validated");
+            assert_eq!(
+                module_of(&served),
+                cold,
+                "{id}: served output diverged from a cold roll"
+            );
+        }
+    }
+    let snap = server.snapshot();
+    assert!(
+        snap.store.evictions > 0,
+        "capacity 16 must evict under a {}-module working set: {:?}",
+        modules.len(),
+        snap.store
+    );
+    assert!(snap.store.hits > 0, "{:?}", snap.store);
 }
 
 /// Serve and the pass registry share one preset vocabulary: for every
