@@ -1,207 +1,6 @@
 //! Dominator tree (Cooper–Harvey–Kennedy algorithm).
+//!
+//! The tree lives in `rolag-ir`, whose verifier checks SSA dominance
+//! against it; this module re-exports it for the analyses built on it.
 
-use rolag_ir::{BlockId, Function};
-
-/// Immediate-dominator tree for a function's CFG.
-///
-/// `PartialEq` compares the full computed structure (idoms, RPO numbers,
-/// entry), so equality with a freshly computed tree means a cached copy is
-/// still exact — the pass manager's debug-mode invalidation checker relies
-/// on this.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomTree {
-    /// `idom[b]` is the immediate dominator of block `b` (`None` for the
-    /// entry and for unreachable blocks).
-    idom: Vec<Option<BlockId>>,
-    /// Reverse postorder number per block (`usize::MAX` when unreachable).
-    rpo_number: Vec<usize>,
-    entry: BlockId,
-}
-
-impl DomTree {
-    /// Computes the dominator tree of `func`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the function has no blocks.
-    pub fn compute(func: &Function) -> Self {
-        let n = func.num_blocks();
-        let entry = func.entry_block();
-
-        // Reverse postorder over reachable blocks.
-        let mut rpo: Vec<BlockId> = Vec::with_capacity(n);
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in stack, 2 = done
-        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-        state[entry.index()] = 1;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = func.successors(b);
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                if state[s.index()] == 0 {
-                    state[s.index()] = 1;
-                    stack.push((s, 0));
-                }
-            } else {
-                state[b.index()] = 2;
-                rpo.push(b);
-                stack.pop();
-            }
-        }
-        rpo.reverse();
-
-        let mut rpo_number = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_number[b.index()] = i;
-        }
-
-        let preds = func.predecessors();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[entry.index()] = Some(entry);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
-                    if idom[p.index()].is_none() {
-                        continue; // unreachable or not yet processed
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_number, p, cur),
-                    });
-                }
-                if let Some(nd) = new_idom {
-                    if idom[b.index()] != Some(nd) {
-                        idom[b.index()] = Some(nd);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        idom[entry.index()] = None;
-        DomTree {
-            idom,
-            rpo_number,
-            entry,
-        }
-    }
-
-    /// Immediate dominator of `b` (`None` for the entry or unreachable
-    /// blocks).
-    pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()]
-    }
-
-    /// True if `a` dominates `b` (reflexive).
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if self.rpo_number[b.index()] == usize::MAX {
-            return false; // unreachable blocks are dominated by nothing
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.index()] {
-                Some(next) => cur = next,
-                None => return cur == a,
-            }
-        }
-    }
-
-    /// True if `b` is reachable from the entry.
-    pub fn is_reachable(&self, b: BlockId) -> bool {
-        b == self.entry || self.rpo_number[b.index()] != usize::MAX
-    }
-}
-
-fn intersect(
-    idom: &[Option<BlockId>],
-    rpo_number: &[usize],
-    mut a: BlockId,
-    mut b: BlockId,
-) -> BlockId {
-    while a != b {
-        while rpo_number[a.index()] > rpo_number[b.index()] {
-            a = idom[a.index()].expect("walk past entry");
-        }
-        while rpo_number[b.index()] > rpo_number[a.index()] {
-            b = idom[b.index()].expect("walk past entry");
-        }
-    }
-    a
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rolag_ir::parser::parse_module;
-
-    fn blocks(text: &str) -> (rolag_ir::Module, rolag_ir::FuncId) {
-        let m = parse_module(text).unwrap();
-        let f = m.func_ids().next().unwrap();
-        (m, f)
-    }
-
-    #[test]
-    fn diamond_cfg() {
-        let (m, fid) = blocks(
-            r#"
-module "t"
-func @f(i1 %p0) -> i32 {
-entry:
-  condbr %p0, left, right
-left:
-  br join
-right:
-  br join
-join:
-  %1 = phi i32 [ i32 1, left ], [ i32 2, right ]
-  ret %1
-}
-"#,
-        );
-        let f = m.func(fid);
-        let dom = DomTree::compute(f);
-        let entry = f.block_by_name("entry").unwrap();
-        let left = f.block_by_name("left").unwrap();
-        let right = f.block_by_name("right").unwrap();
-        let join = f.block_by_name("join").unwrap();
-        assert!(dom.dominates(entry, join));
-        assert!(!dom.dominates(left, join));
-        assert!(!dom.dominates(right, join));
-        assert_eq!(dom.idom(join), Some(entry));
-        assert_eq!(dom.idom(left), Some(entry));
-        assert!(dom.dominates(join, join));
-    }
-
-    #[test]
-    fn loop_cfg() {
-        let (m, fid) = blocks(
-            r#"
-module "t"
-func @f(i32 %p0) -> i32 {
-entry:
-  br header
-header:
-  %1 = phi i32 [ i32 0, entry ], [ %2, header ]
-  %2 = add i32 %1, i32 1
-  %3 = icmp slt %2, %p0
-  condbr %3, header, exit
-exit:
-  ret %2
-}
-"#,
-        );
-        let f = m.func(fid);
-        let dom = DomTree::compute(f);
-        let entry = f.block_by_name("entry").unwrap();
-        let header = f.block_by_name("header").unwrap();
-        let exit = f.block_by_name("exit").unwrap();
-        assert!(dom.dominates(header, exit));
-        assert!(dom.dominates(entry, header));
-        assert_eq!(dom.idom(exit), Some(header));
-    }
-}
+pub use rolag_ir::dom::DomTree;

@@ -4,8 +4,6 @@
 //! unreachable blocks. Used as a cleanup after loop rolling and constant
 //! folding.
 
-use std::collections::HashSet;
-
 use crate::block::BlockId;
 use crate::fold::normalize_int;
 use crate::function::{Effects, Function};
@@ -84,10 +82,10 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
     if func.num_blocks() == 0 {
         return 0;
     }
-    let mut reachable: HashSet<BlockId> = HashSet::new();
+    let mut reachable = vec![false; func.num_blocks()];
     let mut work = vec![func.entry_block()];
     while let Some(b) = work.pop() {
-        if !reachable.insert(b) {
+        if std::mem::replace(&mut reachable[b.index()], true) {
             continue;
         }
         for s in func.successors(b) {
@@ -95,10 +93,7 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
         }
     }
     let mut dropped = 0;
-    let unreachable: Vec<BlockId> = func
-        .block_ids()
-        .filter(|b| !reachable.contains(b))
-        .collect();
+    let unreachable: Vec<BlockId> = func.block_ids().filter(|b| !reachable[b.index()]).collect();
     for b in unreachable {
         let insts: Vec<_> = func.block(b).insts.clone();
         // Already sealed: a lone `unreachable` contributes no code or

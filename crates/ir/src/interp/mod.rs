@@ -9,7 +9,6 @@ mod memory;
 
 pub use memory::Memory;
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::block::BlockId;
@@ -17,6 +16,7 @@ use crate::fold::{
     as_unsigned, eval_float_binop, eval_icmp, eval_int_binop, int_binop_trap, normalize_int,
 };
 use crate::function::{Effects, Function};
+use crate::fxhash::FxHashMap;
 use crate::inst::{FloatPredicate, InstExtra, Opcode};
 use crate::module::{GlobalInit, Module};
 use crate::types::TypeKind;
@@ -266,7 +266,7 @@ impl<'m> Interpreter<'m> {
         if func.is_declaration {
             return self.call_external(func, args);
         }
-        let mut frame: HashMap<ValueId, IValue> = HashMap::new();
+        let mut frame: FxHashMap<ValueId, IValue> = FxHashMap::default();
         for (i, &p) in func.params().iter().enumerate() {
             frame.insert(
                 p,
@@ -368,7 +368,7 @@ impl<'m> Interpreter<'m> {
     fn value_of(
         &self,
         func: &Function,
-        frame: &HashMap<ValueId, IValue>,
+        frame: &FxHashMap<ValueId, IValue>,
         v: ValueId,
     ) -> Result<IValue, ExecError> {
         match func.value(v) {
@@ -386,7 +386,7 @@ impl<'m> Interpreter<'m> {
     fn exec_inst(
         &mut self,
         func: &Function,
-        frame: &mut HashMap<ValueId, IValue>,
+        frame: &mut FxHashMap<ValueId, IValue>,
         inst: crate::inst::InstId,
     ) -> Result<IValue, ExecError> {
         let types = &self.module.types;

@@ -11,8 +11,10 @@
 //!   [`function`]);
 //! * an ergonomic [`builder`];
 //! * a textual [`printer`] and round-tripping [`parser`];
-//! * a structural/type/dominance [`verify`]er;
+//! * a structural/type/dominance [`verify`]er over the dominator tree in
+//!   [`dom`];
 //! * constant folding ([`fold`]) and dead-code elimination ([`dce`]);
+//! * the Fx hasher for maps keyed by arena ids ([`fxhash`]);
 //! * a reference [`interp`]reter used as the behavioural oracle by the
 //!   transformation crates;
 //! * a miniature [`filecheck`] matcher for golden tests over printed IR.
@@ -48,9 +50,11 @@
 pub mod block;
 pub mod builder;
 pub mod dce;
+pub mod dom;
 pub mod filecheck;
 pub mod fold;
 pub mod function;
+pub mod fxhash;
 pub mod inst;
 pub mod interp;
 pub mod module;

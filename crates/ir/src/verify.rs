@@ -3,11 +3,12 @@
 //! Checks structural invariants (terminators, phi placement), type
 //! correctness of operands, and SSA dominance of definitions over uses.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::block::BlockId;
+use crate::dom::DomTree;
 use crate::function::Function;
+use crate::fxhash::FxHashSet;
 use crate::inst::{InstExtra, InstId, Opcode};
 use crate::module::Module;
 use crate::types::TypeKind;
@@ -99,10 +100,10 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
         }
     }
 
-    // Phi incoming edges must match predecessors.
-    let preds = func.predecessors();
+    // Phi incoming edges must match predecessors (listed on the first phi).
+    let mut preds: Option<Vec<Vec<BlockId>>> = None;
     for b in func.block_ids() {
-        let pred_set: HashSet<BlockId> = preds[b.index()].iter().copied().collect();
+        let mut pred_set: Option<FxHashSet<BlockId>> = None;
         for &i in &func.block(b).insts {
             let data = func.inst(i);
             if data.opcode != Opcode::Phi {
@@ -113,8 +114,12 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
                     err("phi operand/incoming arity mismatch".into());
                     continue;
                 }
-                let in_set: HashSet<BlockId> = incoming.iter().copied().collect();
-                if in_set != pred_set {
+                let pred_set = pred_set.get_or_insert_with(|| {
+                    let preds = preds.get_or_insert_with(|| func.predecessors());
+                    preds[b.index()].iter().copied().collect()
+                });
+                let in_set: FxHashSet<BlockId> = incoming.iter().copied().collect();
+                if in_set != *pred_set {
                     err(format!(
                         "phi in block {} incoming blocks do not match predecessors",
                         func.block(b).name
@@ -131,12 +136,16 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
         }
     }
 
-    // Dominance: definitions must dominate uses.
-    let dom = simple_dominators(func);
-    let mut def_pos: HashMap<ValueId, (BlockId, usize)> = HashMap::new();
+    // Dominance: definitions must dominate uses. Blocks the entry does
+    // not reach are checked against the dominator forest rooted at the
+    // blocks no edge enters (`DomTree::forest`), and a block on a cycle no
+    // root reaches is taken as dominated by every block.
+    let dom = DomTree::forest(func);
+    let dominates = |a: BlockId, b: BlockId| !dom.is_reachable(b) || dom.dominates(a, b);
+    let mut def_pos: Vec<Option<(BlockId, usize)>> = vec![None; func.num_values()];
     for b in func.block_ids() {
         for (pos, &i) in func.block(b).insts.iter().enumerate() {
-            def_pos.insert(func.inst_result(i), (b, pos));
+            def_pos[func.inst_result(i).index()] = Some((b, pos));
         }
     }
     for b in func.block_ids() {
@@ -146,7 +155,7 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
                 if !matches!(func.value(op), ValueDef::Inst(_)) {
                     continue;
                 }
-                let Some(&(def_bb, def_pos_in_bb)) = def_pos.get(&op) else {
+                let Some((def_bb, def_pos_in_bb)) = def_pos[op.index()] else {
                     err(format!(
                         "operand of {} refers to a detached instruction",
                         data.opcode.mnemonic()
@@ -158,7 +167,7 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
                     // def must dominate the incoming block's terminator.
                     if let InstExtra::Phi { incoming } = &data.extra {
                         let in_bb = incoming[op_idx];
-                        if !dominates(&dom, def_bb, in_bb) {
+                        if !dominates(def_bb, in_bb) {
                             err(format!(
                                 "phi incoming value does not dominate edge from {}",
                                 func.block(in_bb).name
@@ -172,7 +181,7 @@ pub fn verify_function(module: &Module, func: &Function, errors: &mut Vec<Verify
                             func.block(b).name
                         ));
                     }
-                } else if !dominates(&dom, def_bb, b) {
+                } else if !dominates(def_bb, b) {
                     err(format!(
                         "definition in {} does not dominate use in {}",
                         func.block(def_bb).name,
@@ -310,44 +319,6 @@ fn check_inst_types(module: &Module, func: &Function, i: InstId, err: &mut impl 
     }
 }
 
-/// Computes the dominator sets of each block with the classic iterative
-/// dataflow algorithm. Suitable for the small CFGs in this project.
-fn simple_dominators(func: &Function) -> Vec<HashSet<BlockId>> {
-    let n = func.num_blocks();
-    let all: HashSet<BlockId> = func.block_ids().collect();
-    let entry = func.entry_block();
-    let preds = func.predecessors();
-    let mut dom: Vec<HashSet<BlockId>> = vec![all.clone(); n];
-    dom[entry.index()] = std::iter::once(entry).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in func.block_ids() {
-            if b == entry {
-                continue;
-            }
-            let mut new: Option<HashSet<BlockId>> = None;
-            for &p in &preds[b.index()] {
-                new = Some(match new {
-                    None => dom[p.index()].clone(),
-                    Some(acc) => acc.intersection(&dom[p.index()]).copied().collect(),
-                });
-            }
-            let mut new = new.unwrap_or_default();
-            new.insert(b);
-            if new != dom[b.index()] {
-                dom[b.index()] = new;
-                changed = true;
-            }
-        }
-    }
-    dom
-}
-
-fn dominates(dom: &[HashSet<BlockId>], a: BlockId, b: BlockId) -> bool {
-    dom[b.index()].contains(&a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,5 +451,35 @@ mod tests {
         fb.finish();
         let errs = check(&m);
         assert!(errs.iter().any(|e| e.message.contains("does not dominate")));
+    }
+
+    /// An edge from a block the entry does not reach must not hide the
+    /// entry's dominance over a reachable block.
+    #[test]
+    fn unreachable_predecessor_keeps_dominance() {
+        let text = "module \"t\"\nfunc @f(i32 %p0) -> i32 {\nentry:\n  %1 = add i32 %p0, i32 1\n  br join\norphan:\n  br join\njoin:\n  %2 = add i32 %1, i32 2\n  ret %2\n}\n";
+        let m = crate::parser::parse_module(text).unwrap();
+        assert_eq!(check(&m), Vec::new());
+    }
+
+    /// Uses inside unreachable blocks keep their verdicts: a block no edge
+    /// enters roots its own dominator tree, so the entry's definitions do
+    /// not reach below it while its own do; a cycle no root reaches is
+    /// dominated by every block.
+    #[test]
+    fn unreachable_uses_are_checked_from_their_own_roots() {
+        let verdict = |body: &str| {
+            let text = format!("module \"t\"\nfunc @f(i32 %p0) -> i32 {{\nentry:\n  %1 = add i32 %p0, i32 1\n  ret %1\n{body}}}\n");
+            check(&crate::parser::parse_module(&text).unwrap())
+        };
+        let errs = verdict("orphan:\n  br tail\ntail:\n  %2 = add i32 %1, i32 2\n  ret %2\n");
+        assert!(errs
+            .iter()
+            .any(|e| e.message.contains("does not dominate use in tail")));
+        let own = "orphan:\n  %2 = add i32 %p0, i32 2\n  br tail\ntail:\n  %3 = add i32 %2, i32 3\n  ret %3\n";
+        assert_eq!(verdict(own), Vec::new());
+        let cycle =
+            "spin:\n  %2 = add i32 %3, i32 2\n  br spun\nspun:\n  %3 = add i32 %2, %1\n  br spin\n";
+        assert_eq!(verdict(cycle), Vec::new());
     }
 }

@@ -1,7 +1,6 @@
 //! Alignment-graph data structures (§IV-B, Fig. 7).
 
-use std::collections::{HashMap, HashSet};
-
+use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{InstId, Opcode, TypeId, ValueId};
 
 use crate::stats::NodeKindCounts;
@@ -106,9 +105,9 @@ pub struct AlignGraph {
     nodes: Vec<AlignNode>,
     /// Roots in emission order.
     pub roots: Vec<NodeId>,
-    pub(crate) memo: HashMap<Vec<ValueId>, NodeId>,
+    pub(crate) memo: FxHashMap<Vec<ValueId>, NodeId>,
     /// Instructions claimed by a node lane: inst -> (node, lane index).
-    pub(crate) claimed: HashMap<InstId, (NodeId, usize)>,
+    pub(crate) claimed: FxHashMap<InstId, (NodeId, usize)>,
 }
 
 impl AlignGraph {
@@ -118,8 +117,8 @@ impl AlignGraph {
             lanes,
             nodes: Vec::new(),
             roots: Vec::new(),
-            memo: HashMap::new(),
-            claimed: HashMap::new(),
+            memo: FxHashMap::default(),
+            claimed: FxHashMap::default(),
         }
     }
 
@@ -157,8 +156,8 @@ impl AlignGraph {
 
     /// The set of instructions the rolled loop replaces (claimed lanes plus
     /// reduction-tree internals).
-    pub fn graph_insts(&self) -> HashSet<InstId> {
-        let mut set: HashSet<InstId> = self.claimed.keys().copied().collect();
+    pub fn graph_insts(&self) -> FxHashSet<InstId> {
+        let mut set: FxHashSet<InstId> = self.claimed.keys().copied().collect();
         for n in &self.nodes {
             if let NodeKind::Reduction { internal, .. } = &n.kind {
                 set.extend(internal.iter().copied());

@@ -7,8 +7,6 @@
 //! routes externally used values through exit-side arrays (or directly, when
 //! only the final iteration's value escapes).
 
-use std::collections::HashMap;
-
 use rolag_ir::{
     BlockId, Builder, Function, GlobalData, GlobalId, GlobalInit, InstData, InstExtra, InstId,
     IntPredicate, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
@@ -31,6 +29,7 @@ pub struct RollOutcome {
     pub new_globals: Vec<GlobalId>,
 }
 
+#[derive(Clone, Copy)]
 enum MismatchLowering {
     /// Global constant array in `.rodata`.
     Const(GlobalId),
@@ -91,7 +90,10 @@ pub fn generate(
         }
     }
     let mut new_globals = Vec::new();
-    let mut lowering: HashMap<NodeId, MismatchLowering> = HashMap::new();
+    // Per-node maps are indexed by node id: a graph has few nodes, and
+    // every map below has an entry for a good share of them.
+    let num_nodes = graph.num_nodes();
+    let mut lowering: Vec<Option<MismatchLowering>> = vec![None; num_nodes];
     for (node, ty, values) in const_plans {
         let name = module.fresh_global_name("rolag.cdata");
         let arr_ty = module.types.array(ty, values.len() as u64);
@@ -105,14 +107,14 @@ pub fn generate(
             is_const: true,
         });
         new_globals.push(gid);
-        lowering.insert(node, MismatchLowering::Const(gid));
+        lowering[node.index()] = Some(MismatchLowering::Const(gid));
     }
 
     // ---- external uses of rolled values ------------------------------------
     // Uses of a claimed lane value by instructions that survive (preheader,
     // exit, or other blocks).
     // node -> lanes with external users (deterministically ordered).
-    let mut ext_map: HashMap<NodeId, Vec<usize>> = HashMap::new();
+    let mut ext_map: Vec<Option<Vec<usize>>> = vec![None; num_nodes];
     for (&inst, &(node, lane)) in &graph.claimed {
         let result = func.inst_result(inst);
         let has_ext = uses
@@ -120,17 +122,20 @@ pub fn generate(
             .iter()
             .any(|&(user, _)| !schedule.graph_insts.contains(&user));
         if has_ext {
-            ext_map.entry(node).or_default().push(lane);
+            ext_map[node.index()].get_or_insert_default().push(lane);
         }
     }
     // Reduction roots always escape through their final accumulator.
     for node in graph.node_ids() {
         if let NodeKind::Reduction { .. } = graph.node(node).kind {
-            ext_map.entry(node).or_default();
+            ext_map[node.index()].get_or_insert_default();
         }
     }
-    let mut ext_lanes: Vec<(NodeId, Vec<usize>)> = ext_map.into_iter().collect();
-    ext_lanes.sort_by_key(|(n, _)| *n);
+    let mut ext_lanes: Vec<(NodeId, Vec<usize>)> = graph
+        .node_ids()
+        .zip(ext_map)
+        .filter_map(|(n, lanes)| Some((n, lanes?)))
+        .collect();
     for (_, lanes_used) in ext_lanes.iter_mut() {
         lanes_used.sort_unstable();
     }
@@ -152,7 +157,8 @@ pub fn generate(
     let mut b = Builder::on(func, &mut module.types);
     b.switch_to(block);
     for node in graph.node_ids() {
-        if lowering.contains_key(&node) || !matches!(graph.node(node).kind, NodeKind::Mismatch) {
+        if lowering[node.index()].is_some() || !matches!(graph.node(node).kind, NodeKind::Mismatch)
+        {
             continue;
         }
         let values = graph.node(node).lanes.clone();
@@ -164,10 +170,10 @@ pub fn generate(
             let slot = b.gep(ty, arr, &[idx]);
             b.store(v, slot);
         }
-        lowering.insert(node, MismatchLowering::Stack(arr));
+        lowering[node.index()] = Some(MismatchLowering::Stack(arr));
     }
     // Out-arrays for nodes where a non-final lane escapes.
-    let mut out_arrays: HashMap<NodeId, (ValueId, TypeId)> = HashMap::new();
+    let mut out_arrays: Vec<Option<(ValueId, TypeId)>> = vec![None; num_nodes];
     for (node, lanes_used) in &ext_lanes {
         let needs_array = lanes_used.iter().any(|&k| k + 1 < graph.lanes);
         if !needs_array {
@@ -176,7 +182,7 @@ pub fn generate(
         let node_ty = b.func.value_ty(graph.node(*node).lanes[0], b.types);
         let count = b.iconst(types_i64, lanes);
         let arr = b.alloca(node_ty, Some(count));
-        out_arrays.insert(*node, (arr, node_ty));
+        out_arrays[node.index()] = Some((arr, node_ty));
     }
     b.br(loop_block);
 
@@ -186,14 +192,14 @@ pub fn generate(
     let iv = b.phi(types_i64, &[(zero, block), (zero, loop_block)]);
 
     // Pre-create recurrence and reduction phis (phis must head the block).
-    let mut node_phi: HashMap<NodeId, ValueId> = HashMap::new();
+    let mut node_phi: Vec<Option<ValueId>> = vec![None; num_nodes];
     for node in graph.node_ids() {
         match &graph.node(node).kind {
             NodeKind::Recurrence { init, .. } => {
                 let init = *init;
                 let ty = b.func.value_ty(init, b.types);
                 let phi = b.phi(ty, &[(init, block), (init, loop_block)]);
-                node_phi.insert(node, phi);
+                node_phi[node.index()] = Some(phi);
             }
             NodeKind::Reduction {
                 opcode, ty, carry, ..
@@ -204,14 +210,14 @@ pub fn generate(
                     None => neutral_value(&mut b, opcode, ty)?,
                 };
                 let phi = b.phi(ty, &[(init, block), (init, loop_block)]);
-                node_phi.insert(node, phi);
+                node_phi[node.index()] = Some(phi);
             }
             _ => {}
         }
     }
 
     // ---- loop body -----------------------------------------------------------
-    let mut emitted: HashMap<NodeId, ValueId> = HashMap::new();
+    let mut emitted: Vec<Option<ValueId>> = vec![None; num_nodes];
     let mut phi_patches: Vec<(ValueId, ValueId)> = Vec::new(); // (phi, loop value)
     for node in graph.emission_order() {
         let value = emit_node(
@@ -224,25 +230,25 @@ pub fn generate(
             &emitted,
             &mut phi_patches,
         )?;
-        emitted.insert(node, value);
+        emitted[node.index()] = Some(value);
     }
     // Patch recurrence phis with their target's in-loop value; reductions
     // were patched during emission.
     for node in graph.node_ids() {
         if let NodeKind::Recurrence { target, .. } = graph.node(node).kind {
-            let phi = node_phi[&node];
-            let target_value = *emitted.get(&target)?;
+            let phi = node_phi[node.index()]?;
+            let target_value = emitted[target.index()]?;
             phi_patches.push((phi, target_value));
         }
     }
 
     // Out-array stores (ordered by node id for determinism).
-    let mut out_list: Vec<(NodeId, (ValueId, TypeId))> =
-        out_arrays.iter().map(|(&n, &a)| (n, a)).collect();
-    out_list.sort_by_key(|(n, _)| *n);
-    for (node, (arr, ty)) in &out_list {
-        let value = *emitted.get(node)?;
-        let slot = b.gep(*ty, *arr, &[iv]);
+    for (node, out) in graph.node_ids().zip(&out_arrays) {
+        let Some((arr, ty)) = *out else {
+            continue;
+        };
+        let value = emitted[node.index()]?;
+        let slot = b.gep(ty, arr, &[iv]);
         b.store(value, slot);
     }
 
@@ -268,15 +274,15 @@ pub fn generate(
         // Reduction: the escaped value is the accumulator's final value.
         if let NodeKind::Reduction { internal, .. } = &node_data.kind {
             let root_value = b.func.inst_result(internal[0]);
-            replacements.push((root_value, emitted[&node]));
+            replacements.push((root_value, emitted[node.index()]?));
             continue;
         }
         for &k in lanes_used {
             let old = lane_value(graph, node, k)?;
             let new = if k + 1 == graph.lanes {
-                emitted[&node] // final-iteration value flows out directly
+                emitted[node.index()]? // final-iteration value flows out directly
             } else {
-                let (arr, ty) = out_arrays[&node];
+                let (arr, ty) = out_arrays[node.index()]?;
                 let idx = b.iconst(types_i64, k as i64);
                 let slot = b.gep(ty, arr, &[idx]);
                 b.load(ty, slot)
@@ -357,9 +363,9 @@ fn emit_node(
     graph: &AlignGraph,
     node: NodeId,
     iv: ValueId,
-    lowering: &HashMap<NodeId, MismatchLowering>,
-    node_phi: &HashMap<NodeId, ValueId>,
-    emitted: &HashMap<NodeId, ValueId>,
+    lowering: &[Option<MismatchLowering>],
+    node_phi: &[Option<ValueId>],
+    emitted: &[Option<ValueId>],
     phi_patches: &mut Vec<(ValueId, ValueId)>,
 ) -> Option<ValueId> {
     let data = graph.node(node);
@@ -389,14 +395,13 @@ fn emit_node(
         }
         NodeKind::Mismatch => {
             let ty = b.func.value_ty(data.lanes[0], b.types);
-            match lowering.get(&node)? {
+            match lowering[node.index()]? {
                 MismatchLowering::Const(gid) => {
-                    let base = b.global(*gid);
+                    let base = b.global(gid);
                     let slot = b.gep(ty, base, &[iv]);
                     Some(b.load(ty, slot))
                 }
                 MismatchLowering::Stack(arr) => {
-                    let arr = *arr;
                     let slot = b.gep(ty, arr, &[iv]);
                     Some(b.load(ty, slot))
                 }
@@ -409,7 +414,7 @@ fn emit_node(
             let operands: Vec<ValueId> = data
                 .children
                 .iter()
-                .map(|c| emitted.get(c).copied())
+                .map(|c| emitted[c.index()])
                 .collect::<Option<Vec<_>>>()?;
             let (_, v) = b.emit_raw(InstData {
                 opcode,
@@ -422,21 +427,21 @@ fn emit_node(
         }
         NodeKind::GepNeutral { elem_ty } => {
             let elem_ty = *elem_ty;
-            let base = *emitted.get(&data.children[0])?;
-            let idx = *emitted.get(&data.children[1])?;
+            let base = emitted[data.children[0].index()]?;
+            let idx = emitted[data.children[1].index()]?;
             Some(b.gep(elem_ty, base, &[idx]))
         }
         NodeKind::BinOpNeutral { opcode, .. } => {
             let opcode = *opcode;
-            let lhs = *emitted.get(&data.children[0])?;
-            let rhs = *emitted.get(&data.children[1])?;
+            let lhs = emitted[data.children[0].index()]?;
+            let rhs = emitted[data.children[1].index()]?;
             Some(b.binop(opcode, lhs, rhs))
         }
-        NodeKind::Recurrence { .. } => Some(node_phi[&node]),
+        NodeKind::Recurrence { .. } => node_phi[node.index()],
         NodeKind::Reduction { opcode, .. } => {
             let opcode = *opcode;
-            let acc = node_phi[&node];
-            let leaf = *emitted.get(&data.children[0])?;
+            let acc = node_phi[node.index()]?;
+            let leaf = emitted[data.children[0].index()]?;
             let new = b.binop(opcode, acc, leaf);
             phi_patches.push((acc, new));
             Some(new)

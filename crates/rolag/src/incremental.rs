@@ -46,9 +46,10 @@
 //! engine's output is byte-identical to the full-rescan reference by
 //! construction, not probabilistically.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use rolag_analysis::cost::BlockSizeCache;
+use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{BlockId, Function, Module, ValueDef, ValueId};
 use rolag_lower::SizeSketch;
 
@@ -93,9 +94,9 @@ pub(crate) struct FunctionCache {
     /// blocks.
     pub sketch: SizeSketch,
     /// Per-block candidate lists (dirty-block worklist).
-    pub cands: HashMap<BlockId, Vec<Candidate>>,
+    pub cands: FxHashMap<BlockId, Vec<Candidate>>,
     /// Reject verdicts keyed by the structural candidate itself.
-    pub memo: HashMap<Candidate, MemoEntry>,
+    pub memo: FxHashMap<Candidate, MemoEntry>,
 }
 
 impl FunctionCache {
@@ -223,7 +224,11 @@ pub(crate) fn speculated_changed_blocks(old: &Function, new: &Function) -> Vec<B
 /// Records the directed block-level def-use edges of `f`: `users[d]` holds
 /// the blocks with an instruction whose operand is defined in block `d`,
 /// and `defs[b]` the defining blocks of block `b`'s operands.
-fn add_value_flow_edges(f: &Function, users: &mut [HashSet<usize>], defs: &mut [HashSet<usize>]) {
+fn add_value_flow_edges(
+    f: &Function,
+    users: &mut [FxHashSet<usize>],
+    defs: &mut [FxHashSet<usize>],
+) {
     for b in f.block_ids() {
         for &i in &f.block(b).insts {
             for &v in &f.inst(i).operands {
@@ -253,14 +258,14 @@ fn add_value_flow_edges(f: &Function, users: &mut [HashSet<usize>], defs: &mut [
 /// Edges from either function version count (a deleted use is as
 /// significant as an added one). Sibling users of a shared definition stay
 /// clean — the old undirected closure dirtied them for nothing.
-fn dirty_closure(old: &Function, new: &Function, changed: &[BlockId]) -> HashSet<BlockId> {
+fn dirty_closure(old: &Function, new: &Function, changed: &[BlockId]) -> FxHashSet<BlockId> {
     let n = old.num_blocks().max(new.num_blocks());
-    let mut users: Vec<HashSet<usize>> = vec![HashSet::new(); n];
-    let mut defs: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+    let mut users: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
+    let mut defs: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
     add_value_flow_edges(old, &mut users, &mut defs);
     add_value_flow_edges(new, &mut users, &mut defs);
 
-    let mut dirty: HashSet<BlockId> = HashSet::new();
+    let mut dirty: FxHashSet<BlockId> = FxHashSet::default();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for &b in changed {
         if dirty.insert(b) {
@@ -296,9 +301,9 @@ pub(crate) fn size_affected_blocks(
     old: &Function,
     new: &Function,
     changed: &[BlockId],
-) -> HashSet<BlockId> {
-    let changed_set: HashSet<BlockId> = changed.iter().copied().collect();
-    let mut out = HashSet::new();
+) -> FxHashSet<BlockId> {
+    let changed_set: FxHashSet<BlockId> = changed.iter().copied().collect();
+    let mut out = FxHashSet::default();
     for f in [old, new] {
         for &b in changed {
             if b.index() >= f.num_blocks() {
@@ -333,8 +338,8 @@ pub(crate) fn measure_affected_blocks(
     old: &Function,
     new: &Function,
     changed: &[BlockId],
-) -> HashSet<BlockId> {
-    let changed_set: HashSet<BlockId> = changed.iter().copied().collect();
+) -> FxHashSet<BlockId> {
+    let changed_set: FxHashSet<BlockId> = changed.iter().copied().collect();
     let mut out = size_affected_blocks(old, new, changed);
     for f in [old, new] {
         for b in f.block_ids() {

@@ -41,11 +41,12 @@
 //! rather than a wrong replay.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::printer::{print_function, print_global};
 use rolag_ir::{
     FuncId, Function, GlobalData, GlobalId, InstExtra, Module, TypeId, TypeStore, ValueDef, ValueId,
@@ -58,9 +59,9 @@ use crate::stats::RolagStats;
 /// Walks the full value arena (dead entries included — replay splices the
 /// arena verbatim, so every id it holds must be remappable) and the live
 /// instruction stream for call sites.
-fn referenced_symbols(func: &Function) -> (HashSet<GlobalId>, HashSet<FuncId>) {
-    let mut globals = HashSet::new();
-    let mut funcs = HashSet::new();
+fn referenced_symbols(func: &Function) -> (FxHashSet<GlobalId>, FxHashSet<FuncId>) {
+    let mut globals = FxHashSet::default();
+    let mut funcs = FxHashSet::default();
     for i in 0..func.num_values() {
         match func.value(ValueId::from_index(i)) {
             ValueDef::GlobalAddr(g) => {
@@ -238,7 +239,7 @@ pub struct StoreEntry {
 /// map holds the donor's `Arc`, so its pointer key stays unique while
 /// cached.
 #[derive(Default)]
-pub(crate) struct TypeMaps(HashMap<*const TypeStore, (Arc<TypeStore>, Option<Vec<TypeId>>)>);
+pub(crate) struct TypeMaps(FxHashMap<*const TypeStore, (Arc<TypeStore>, Option<Vec<TypeId>>)>);
 
 impl TypeMaps {
     /// `donor`'s id translation into `into`, absorbing `donor` on first
@@ -311,7 +312,7 @@ impl StoreEntry {
         let type_map = type_maps.absorb(&mut module.types, &body.types);
         let mut func = body.func.clone();
 
-        let mut global_map: HashMap<GlobalId, GlobalId> = HashMap::new();
+        let mut global_map: FxHashMap<GlobalId, GlobalId> = FxHashMap::default();
         for (donor, name) in &body.base_globals {
             let target = module
                 .global_by_name(name)
@@ -326,7 +327,7 @@ impl StoreEntry {
             data.name = module.fresh_global_name(name_prefix(&data.name));
             global_map.insert(*donor, module.add_global(data));
         }
-        let mut func_map: HashMap<FuncId, FuncId> = HashMap::new();
+        let mut func_map: FxHashMap<FuncId, FuncId> = FxHashMap::default();
         func_map.insert(body.self_id, id);
         for (donor, name) in &body.callees {
             let target = module
@@ -367,7 +368,7 @@ pub struct MemoStoreStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Total capacity across shards.
+    /// Entries the store holds before it evicts.
     pub capacity: usize,
 }
 
@@ -396,16 +397,48 @@ struct Shard {
     ring: VecDeque<String>,
 }
 
+impl Shard {
+    /// Sweeps the clock ring once around at most: demotes referenced
+    /// slots and evicts the first unreferenced one. `false` when the shard
+    /// holds no entry.
+    fn evict_one(&mut self) -> bool {
+        while let Some(victim) = self.ring.pop_front() {
+            let Some(slot) = self.slots.get_mut(&victim) else {
+                // A panic between the ring push and the slot insert of a
+                // previous call (recovered by `MemoStore::lock`) leaves a
+                // ring entry with no resident slot; drop it and keep
+                // sweeping. Panicking here instead would poison the shard
+                // all over again.
+                continue;
+            };
+            if slot.referenced {
+                slot.referenced = false;
+                self.ring.push_back(victim);
+            } else {
+                self.slots.remove(&victim);
+                return true;
+            }
+        }
+        false
+    }
+}
+
 /// Sharded, capacity-bounded cross-request cache of rolled functions.
 ///
 /// Lookup and insert lock one shard; the shard is chosen by key hash, so
-/// concurrent connections rarely contend. Eviction is clock (second
-/// chance): a hit sets the slot's referenced bit, and an insert into a full
-/// shard sweeps the ring, demoting referenced slots and evicting the first
-/// unreferenced one.
+/// concurrent connections rarely contend. The capacity is the store's: an
+/// insert evicts only when `capacity` entries are resident, however the
+/// keys spread over the shards. Eviction is clock (second chance) within a
+/// shard: a hit sets the slot's referenced bit, and an eviction sweeps the
+/// shard's ring, demoting referenced slots and evicting the first
+/// unreferenced one. Successive evictions visit the shards round-robin.
 pub struct MemoStore {
     shards: Vec<Mutex<Shard>>,
-    shard_capacity: usize,
+    capacity: usize,
+    /// Entries resident across all shards.
+    resident: AtomicUsize,
+    /// The shard the next eviction looks at first.
+    hand: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -413,8 +446,8 @@ pub struct MemoStore {
 }
 
 impl MemoStore {
-    /// A store holding at most (approximately) `capacity` entries across
-    /// 16 shards. A zero capacity is promoted to one entry per shard.
+    /// A store holding up to `capacity` entries (at least one) across 16
+    /// shards.
     pub fn new(capacity: usize) -> Self {
         Self::with_shards(capacity, 16)
     }
@@ -423,10 +456,11 @@ impl MemoStore {
     /// eviction order deterministic).
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let shard_capacity = capacity.div_ceil(shards).max(1);
         MemoStore {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity,
+            capacity: capacity.max(1),
+            resident: AtomicUsize::new(0),
+            hand: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -469,34 +503,22 @@ impl MemoStore {
         }
     }
 
-    /// Inserts (or replaces) `key`, evicting with second chance if the
-    /// shard is full.
+    /// Inserts (or replaces) `key`, first evicting with second chance if
+    /// the store is full.
     pub fn insert(&self, key: String, entry: Arc<StoreEntry>) {
-        let mut shard = Self::lock(self.shard_of(&key));
+        let shard = self.shard_of(&key);
         self.inserts.fetch_add(1, Ordering::Relaxed);
+        if !Self::lock(shard).slots.contains_key(&key) {
+            // Room is made before the insert, so a new key is never its
+            // own victim. Eviction locks one shard at a time and never
+            // while this insert holds its own, so inserts cannot deadlock.
+            while self.resident.load(Ordering::Relaxed) >= self.capacity && self.evict_one() {}
+        }
+        let mut shard = Self::lock(shard);
         if let Some(slot) = shard.slots.get_mut(&key) {
             slot.entry = entry;
             slot.referenced = true;
             return;
-        }
-        while shard.slots.len() >= self.shard_capacity {
-            let Some(victim) = shard.ring.pop_front() else {
-                break;
-            };
-            let Some(slot) = shard.slots.get_mut(&victim) else {
-                // A panic between the ring push and the slot insert of a
-                // previous call (recovered above) leaves a ring entry with
-                // no resident slot; drop it and keep sweeping. Panicking
-                // here instead would poison the shard all over again.
-                continue;
-            };
-            if slot.referenced {
-                slot.referenced = false;
-                shard.ring.push_back(victim);
-            } else {
-                shard.slots.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
         }
         shard.ring.push_back(key.clone());
         shard.slots.insert(
@@ -506,6 +528,22 @@ impl MemoStore {
                 referenced: false,
             },
         );
+        self.resident.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Evicts one entry from the first non-empty shard at or after the
+    /// hand. `false` when every shard is empty.
+    fn evict_one(&self) -> bool {
+        let n = self.shards.len();
+        let start = self.hand.fetch_add(1, Ordering::Relaxed);
+        for k in 0..n {
+            if Self::lock(&self.shards[(start + k) % n]).evict_one() {
+                self.resident.fetch_sub(1, Ordering::Relaxed);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                return true;
+            }
+        }
+        false
     }
 
     /// Entries currently resident across all shards.
@@ -526,7 +564,7 @@ impl MemoStore {
             inserts: self.inserts.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len(),
-            capacity: self.shard_capacity * self.shards.len(),
+            capacity: self.capacity,
         }
     }
 }
@@ -561,6 +599,25 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.inserts, 3);
+    }
+
+    /// The capacity bounds the store, not each shard: `C` distinct keys
+    /// fit before the first eviction whichever shards they hash to, and
+    /// one more key evicts exactly one.
+    #[test]
+    fn store_fills_to_capacity_before_evicting() {
+        for capacity in [1, 5, 16, 128] {
+            let store = MemoStore::new(capacity);
+            for i in 0..capacity {
+                store.insert(format!("key-{i}"), entry(i as u64));
+            }
+            let stats = store.stats();
+            assert_eq!((stats.evictions, stats.entries), (0, capacity), "{stats:?}");
+            store.insert("one-more".into(), entry(0));
+            let stats = store.stats();
+            assert_eq!((stats.evictions, stats.entries), (1, capacity), "{stats:?}");
+            assert!(store.get("one-more").is_some());
+        }
     }
 
     #[test]

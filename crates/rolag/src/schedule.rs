@@ -20,10 +20,10 @@
 //! the block to list the placement (see DESIGN.md, *Scheduling analysis*).
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use rolag_analysis::depgraph::{BlockDeps, InstPositions, PosSet};
+use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{BlockId, Function, InstId, Module, UseMap};
 
 use crate::align::{AlignGraph, NodeKind};
@@ -37,7 +37,7 @@ pub struct Schedule {
     /// original terminator is last).
     pub after: Vec<InstId>,
     /// The instructions the rolled loop replaces.
-    pub graph_insts: HashSet<InstId>,
+    pub graph_insts: FxHashSet<InstId>,
 }
 
 /// Runs the scheduling analysis. Returns `None` when the rearrangement
@@ -77,7 +77,7 @@ pub struct ScheduleCache {
     revision: Option<u64>,
     uses: Option<UseMap>,
     positions: Option<Arc<InstPositions>>,
-    deps: HashMap<BlockId, BlockDeps>,
+    deps: FxHashMap<BlockId, BlockDeps>,
 }
 
 impl ScheduleCache {
@@ -156,7 +156,7 @@ impl ScheduleCache {
 fn analyze_with(
     func: &Function,
     graph: &AlignGraph,
-    graph_insts: HashSet<InstId>,
+    graph_insts: FxHashSet<InstId>,
     deps: &BlockDeps,
     uses: &UseMap,
 ) -> Option<Schedule> {
@@ -200,7 +200,8 @@ fn analyze_with(
     // (target-of-recurrence, consumer-of-recurrence) pairs: a use of the
     // target's lane k by the consumer's lane k+1 flows through the
     // recurrence phi and is legal.
-    let mut shift_ok: HashSet<(crate::align::NodeId, crate::align::NodeId)> = HashSet::new();
+    let mut shift_ok: FxHashSet<(crate::align::NodeId, crate::align::NodeId)> =
+        FxHashSet::default();
     for rec in graph.node_ids() {
         let NodeKind::Recurrence { target, .. } = graph.node(rec).kind else {
             continue;
@@ -244,16 +245,15 @@ fn analyze_with(
     // New execution order: iterations (lanes) outermost, emission order of
     // nodes within an iteration. Keys are sorted by block position.
     let emission = graph.emission_order();
-    let node_order: HashMap<_, _> = emission
-        .iter()
-        .enumerate()
-        .map(|(k, &id)| (id, k))
-        .collect();
+    let mut node_order = vec![0; graph.num_nodes()];
+    for (k, &id) in emission.iter().enumerate() {
+        node_order[id.index()] = k;
+    }
     let mut new_key: Vec<(usize, (usize, usize))> = graph
         .claimed
         .iter()
         .filter_map(|(&inst, &(node, lane))| {
-            Some((deps.position(inst)?, (lane, node_order[&node])))
+            Some((deps.position(inst)?, (lane, node_order[node.index()])))
         })
         .collect();
     new_key.sort_unstable_by_key(|&(p, _)| p);

@@ -13,10 +13,11 @@
 //! match are still proposed, and `build_candidate_graph` refuses them at its
 //! root gate before building any graph.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rolag_analysis::alias::{resolve_pointer, BaseObject};
 use rolag_analysis::depgraph::InstPositions;
+use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{
     BlockId, Function, InstExtra, InstId, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
 };
@@ -219,7 +220,7 @@ pub fn collect_in_block(
 ) {
     // --- store and call groups, with their positions -----------------------
     let mut groups: Vec<(GroupKey, Vec<(usize, InstId)>)> = Vec::new();
-    let mut index: HashMap<GroupKey, usize> = HashMap::new();
+    let mut index: FxHashMap<GroupKey, usize> = FxHashMap::default();
     for (pos, &i) in func.block(block).insts.iter().enumerate() {
         let data = func.inst(i);
         let key = match data.opcode {
@@ -329,7 +330,7 @@ fn collect_value_chains(
     out: &mut Vec<Candidate>,
 ) {
     let insts = &func.block(block).insts;
-    let in_block: std::collections::HashSet<InstId> = insts.iter().copied().collect();
+    let in_block: FxHashSet<InstId> = insts.iter().copied().collect();
     let eligible = |op: Opcode| {
         matches!(op, Opcode::Select) || (op.is_binop() && !op.is_associative(opts.fast_math))
     };
@@ -352,7 +353,7 @@ fn collect_value_chains(
         }
     };
     // Heads: eligible instructions not linked from an earlier chain member.
-    let mut linked: std::collections::HashSet<InstId> = std::collections::HashSet::new();
+    let mut linked: FxHashSet<InstId> = FxHashSet::default();
     for &i in insts {
         if eligible(func.inst(i).opcode) {
             if let Some(n) = link_of(i) {

@@ -15,12 +15,11 @@
 use std::hash::BuildHasher;
 
 use rolag_ir::fold::{eval_icmp, eval_int_binop, normalize_int};
+use rolag_ir::fxhash::{FxBuildHasher, FxHashMap};
 use rolag_ir::{
     FloatPredicate, FuncId, GlobalId, InstId, IntPredicate, NeutralElement, Opcode, TypeId,
     TypeStore, ValueId,
 };
-
-use crate::fxhash::{FxBuildHasher, FxHashMap};
 
 /// Handle to an interned [`Expr`]. Equal ids mean structurally equal
 /// expressions after normalization.

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod expr;
-mod fxhash;
 mod sim;
 
 use std::collections::HashMap;

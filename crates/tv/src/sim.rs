@@ -35,13 +35,13 @@
 //! allocates nothing.
 
 use rolag_analysis::depgraph::BlockDeps;
+use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{
     BlockId, Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, TypeId, ValueDef,
     ValueId,
 };
 
 use crate::expr::{Expr, ExprArena, ExprId, ExtraKey};
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::{RewriteHints, TvError};
 
 /// Which part of the rolled CFG an expression is being evaluated in.
