@@ -349,12 +349,12 @@ impl CorpusOptions {
         rolag_par::requested_jobs(self.jobs) as u64
     }
 
-    /// Input bytes per batch. Every driver worker clones the whole batch
-    /// module, and in-memory IR expands the text by more than an order
-    /// of magnitude (measured ~30x peak including driver scratch), so
-    /// the budget is divided by an expansion factor times the worker
-    /// count (plus the merged original), clamped to stay useful at both
-    /// extremes.
+    /// Input bytes per batch. In-memory IR expands the text by more than
+    /// an order of magnitude (measured ~30x peak including driver
+    /// scratch), so the budget is divided by an expansion factor times
+    /// one share for the merged batch module and one per worker (a
+    /// body-less copy of the batch plus the bodies the worker rolls and
+    /// the entries it captures), clamped to stay useful at both extremes.
     pub fn batch_budget(&self) -> u64 {
         let denom = 64 * (self.effective_jobs() + 1);
         (self.mem_budget / denom).clamp(1 << 17, 1 << 23)

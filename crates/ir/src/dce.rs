@@ -92,21 +92,26 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
             work.push(s);
         }
     }
+    // Seal every dead block first, in block order (the seals' arena ids
+    // follow that order), then prune the phi incomings that named a block
+    // sealed here in one pass over the blocks: linear in the function, not
+    // one pass over it per dead block.
     let mut dropped = 0;
-    let unreachable: Vec<BlockId> = func.block_ids().filter(|b| !reachable[b.index()]).collect();
-    for b in unreachable {
-        let insts: Vec<_> = func.block(b).insts.clone();
+    let blocks: Vec<BlockId> = func.block_ids().collect();
+    let mut sealed_now = vec![false; blocks.len()];
+    for &b in &blocks {
+        if reachable[b.index()] {
+            continue;
+        }
+        let insts = &func.block(b).insts;
         // Already sealed: a lone `unreachable` contributes no code or
-        // edges, and no phi can still name the block. Re-sealing would
-        // count as progress every time and spin the cleanup fixpoint
-        // forever.
+        // edges, and its incomings are left alone. Re-sealing would count
+        // as progress every time and spin the cleanup fixpoint forever.
         if insts.len() == 1 && func.inst(insts[0]).opcode == Opcode::Unreachable {
             continue;
         }
-        for i in insts {
-            func.remove_inst(i);
-            dropped += 1;
-        }
+        dropped += insts.len();
+        func.detach_block(b);
         // Keep the block well formed: it still exists (ids are stable) but
         // is sealed off with `unreachable`, contributing no code or edges.
         let (seal, _) = func.create_inst(crate::inst::InstData {
@@ -117,27 +122,33 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
             extra: InstExtra::None,
         });
         func.append_inst(b, seal);
-        // Remove phi incomings that referenced the dead block.
-        let live_blocks: Vec<BlockId> = func.block_ids().collect();
-        for live_b in live_blocks {
-            let phis: Vec<_> = func.block(live_b).insts.clone();
-            for i in phis {
-                let data = func.inst_mut(i);
-                if data.opcode != Opcode::Phi {
-                    continue;
-                }
-                if let InstExtra::Phi { incoming } = &mut data.extra {
-                    let mut keep_ops = Vec::new();
-                    let mut keep_in = Vec::new();
-                    for (k, &inb) in incoming.iter().enumerate() {
-                        if inb != b {
-                            keep_in.push(inb);
-                            keep_ops.push(data.operands[k]);
-                        }
+        sealed_now[b.index()] = true;
+    }
+    if !sealed_now.contains(&true) {
+        return dropped;
+    }
+    for &b in &blocks {
+        for k in 0..func.block(b).insts.len() {
+            let i = func.block(b).insts[k];
+            let names_sealed = match &func.inst(i).extra {
+                InstExtra::Phi { incoming } => incoming.iter().any(|p| sealed_now[p.index()]),
+                _ => false,
+            };
+            if !names_sealed {
+                continue;
+            }
+            let data = func.inst_mut(i);
+            if let InstExtra::Phi { incoming } = &mut data.extra {
+                let mut kept = 0;
+                for j in 0..incoming.len() {
+                    if !sealed_now[incoming[j].index()] {
+                        incoming[kept] = incoming[j];
+                        data.operands[kept] = data.operands[j];
+                        kept += 1;
                     }
-                    *incoming = keep_in;
-                    data.operands = keep_ops;
                 }
+                incoming.truncate(kept);
+                data.operands.truncate(kept);
             }
         }
     }
@@ -153,9 +164,9 @@ pub fn run_dce(module: &mut Module) -> usize {
         if module.func(id).is_declaration {
             continue;
         }
-        // Clone-free split: take the function out, run against the module,
-        // and put it back.
-        let mut func = module.func(id).clone();
+        // Clone-free split: take the function out, run against the module
+        // (its stub keeps the effects self-calls read), and put it back.
+        let mut func = module.take_func(id);
         removed += run_dce_on(module, &mut func);
         module.replace_func(id, func);
     }

@@ -13,7 +13,7 @@ fn next_revision() -> u64 {
 }
 
 use crate::block::{BlockData, BlockId};
-use crate::inst::{InstData, InstId, Opcode};
+use crate::inst::{InstData, InstExtra, InstId, Opcode};
 use crate::types::{TypeId, TypeStore};
 use crate::value::{ConstKey, FuncId, GlobalId, ValueDef, ValueId};
 
@@ -227,6 +227,43 @@ impl Function {
         f.is_declaration = true;
         f.effects = effects;
         f
+    }
+
+    /// A body-less copy: the name, signature, effects and `is_declaration`
+    /// of this function, with its parameters materialized and no blocks or
+    /// instructions. It is what callers and the rest of a module read of a
+    /// function they do not transform.
+    pub fn stub(&self) -> Self {
+        let mut f = Function::new(self.name.clone(), self.param_tys.clone(), self.ret_ty);
+        f.is_declaration = self.is_declaration;
+        f.effects = self.effects;
+        f
+    }
+
+    /// Releases the arenas' spare capacity, so a function kept long after
+    /// its last mutation holds no more memory than a fresh clone of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a speculation window is open.
+    pub fn shrink_to_fit(&mut self) {
+        assert!(self.journal.is_none(), "shrink_to_fit inside a speculation");
+        self.values.shrink_to_fit();
+        for inst in &mut self.insts {
+            inst.operands.shrink_to_fit();
+            if let InstExtra::Phi { incoming } = &mut inst.extra {
+                incoming.shrink_to_fit();
+            }
+        }
+        self.insts.shrink_to_fit();
+        self.inst_results.shrink_to_fit();
+        self.live.shrink_to_fit();
+        for block in &mut self.blocks {
+            block.insts.shrink_to_fit();
+        }
+        self.blocks.shrink_to_fit();
+        self.params.shrink_to_fit();
+        self.const_map.shrink_to_fit();
     }
 
     /// Current structural revision. Two functions with equal revisions are

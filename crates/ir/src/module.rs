@@ -151,6 +151,29 @@ impl Module {
         self.funcs[id.index()] = func;
     }
 
+    /// Moves the body of function `id` out, leaving its [`Function::stub`]
+    /// in the slot, so the signature stays readable while the caller
+    /// transforms the body. Put it back with [`Module::replace_func`].
+    pub fn take_func(&mut self, id: FuncId) -> Function {
+        let stub = self.funcs[id.index()].stub();
+        std::mem::replace(&mut self.funcs[id.index()], stub)
+    }
+
+    /// A copy of the module without function bodies: the types, globals
+    /// and name maps, and a [`Function::stub`] in every function slot. It
+    /// is the context an intraprocedural pass reads while it transforms
+    /// one body, which the caller moves in with [`Module::replace_func`].
+    pub fn without_bodies(&self) -> Module {
+        Module {
+            name: self.name.clone(),
+            types: self.types.clone(),
+            funcs: self.funcs.iter().map(Function::stub).collect(),
+            globals: self.globals.clone(),
+            func_map: self.func_map.clone(),
+            global_map: self.global_map.clone(),
+        }
+    }
+
     /// Splits the borrow so a function body and the type store can be
     /// mutated together (as transformation passes need).
     pub fn func_and_types_mut(&mut self, id: FuncId) -> (&mut Function, &mut TypeStore) {
@@ -251,6 +274,67 @@ mod tests {
         let void = m.types.void();
         m.declare_func("f", vec![], void, Effects::ReadWrite);
         m.declare_func("f", vec![], void, Effects::ReadWrite);
+    }
+
+    /// The body-less context keeps everything a pass reads of the rest of
+    /// the module and no instruction.
+    #[test]
+    fn without_bodies_keeps_the_context_and_no_instruction() {
+        let text = r#"
+module "ctx"
+global @tab : [4 x i32] = ints i32 [1, 2, 3, 4]
+global @buf : [8 x i8] = zero
+declare @ext(i32 %p0, ptr %p1) -> i64 readonly
+func @f(i32 %p0) -> i32 {
+entry:
+  %g = gep i32, @tab, i64 1
+  %v = load i32, %g
+  %s = add i32 %v, %p0
+  ret %s
+}
+func @g() -> void {
+entry:
+  %r = call i32 @f(i32 3)
+  ret
+}
+"#;
+        let mut m = crate::parser::parse_module(text).unwrap();
+        let f = m.func_by_name("f").unwrap();
+        m.func_mut(f).effects = Effects::ReadNone;
+        let ctx = m.without_bodies();
+        assert_eq!(ctx.name, m.name);
+        assert_eq!(ctx.num_funcs(), m.num_funcs());
+        for id in m.func_ids() {
+            let (full, stub) = (m.func(id), ctx.func(id));
+            assert_eq!(stub.name, full.name);
+            assert_eq!(ctx.func_by_name(&full.name), Some(id));
+            assert_eq!(stub.param_tys(), full.param_tys());
+            assert_eq!(stub.params().len(), full.params().len());
+            assert_eq!(stub.ret_ty, full.ret_ty);
+            assert_eq!(stub.effects, full.effects);
+            assert_eq!(stub.is_declaration, full.is_declaration);
+            assert_eq!((stub.num_blocks(), stub.num_insts()), (0, 0));
+        }
+        assert_eq!(ctx.num_globals(), m.num_globals());
+        for g in m.global_ids() {
+            assert_eq!(ctx.global(g), m.global(g));
+            assert_eq!(ctx.global_by_name(&m.global(g).name), Some(g));
+        }
+        assert_eq!(ctx.types.num_types(), m.types.num_types());
+        for i in 0..m.types.num_types() {
+            let t = TypeId(i as u32);
+            assert_eq!(ctx.types.kind(t), m.types.kind(t));
+        }
+
+        // Taking a body out leaves the same stub behind.
+        let body = m.take_func(f);
+        assert_eq!(body.num_insts(), 4);
+        assert_eq!(
+            (m.func(f).num_insts(), m.func(f).effects),
+            (0, Effects::ReadNone)
+        );
+        m.replace_func(f, body);
+        assert_eq!(m.func(f).num_insts(), 4);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   stopped, instead of dying later on a misleading "slot unfilled"
 //!   expectation.
 //! * **Per-worker state.** [`par_map_with`] gives every worker a private
-//!   state value built by an `init` closure (e.g. a scratch module clone)
+//!   state value built by an `init` closure (e.g. a body-less module context)
 //!   and hands the states back to the caller for deterministic merging.
 //! * **No thread that cannot pay off.** When only one worker would run
 //!   (one item, or `jobs == 1`), [`par_map_with`] runs `init` and then

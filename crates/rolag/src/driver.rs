@@ -12,8 +12,15 @@
 //! The pass only reads the module for *shared context*: the type store,
 //! globals, function signatures, and call effects. It never inspects the
 //! body of any function other than the one being rolled. Each worker
-//! therefore rolls its assigned functions inside a private module clone
-//! and captures each roll as a [`StoreEntry`] in the clone's id spaces; the
+//! therefore holds a body-less context of the module
+//! ([`Module::without_bodies`]: types, globals, name maps and a signature
+//! stub per function), seeds it with one copy of each body it rolls, and
+//! captures each roll as a [`StoreEntry`] in the context's id spaces,
+//! moving the rolled body out again; a panicking roll is restored from the
+//! shared module. The engine moves the body too, rather than cloning it,
+//! so a rolled definition is copied three times on its way to the output:
+//! the seed copy, the speculator's shadow of the pre-candidate state
+//! (taken once a candidate reaches codegen), and the replay copy. The
 //! driver then replays an entry onto every definition serially, in
 //! function-id order (`StoreEntry::replay`, the one splice path):
 //!
@@ -73,7 +80,7 @@ use rolag_transforms::effects_table;
 
 use crate::memo::{ClosureKeys, MemoStore, StoreEntry, TypeMaps};
 use crate::options::RolagOptions;
-use crate::pass::roll_function_rescued;
+use crate::pass::{rescue_panics, roll_function_with};
 use crate::stats::RolagStats;
 
 /// Where the driver's workers come from: exactly one source per run.
@@ -207,14 +214,30 @@ pub fn roll_module_par(
     let shared: &Module = module;
     let (workers, store) = (driver.workers, driver.store);
 
-    // One closure key per definition; a lone definition without a store
-    // has nothing to share a key with and is not keyed.
+    // One closure key per definition, with its store hash when a store is
+    // attached; a lone definition without a store has nothing to share a
+    // key with and is not keyed.
     let mut keys: Vec<String> = Vec::new();
+    let mut hashes: Vec<u64> = Vec::new();
     if ids.len() > 1 || store.is_some() {
         let keyer = ClosureKeys::new(opts);
-        keys = workers
-            .map_with(&ids, || (), |(), _, &id| keyer.key(shared, id))
-            .0;
+        (keys, hashes) = workers
+            .map_with(
+                &ids,
+                || (),
+                |(), _, &id| {
+                    let key = keyer.key(shared, id);
+                    let hash = if store.is_some() {
+                        MemoStore::hash(&key)
+                    } else {
+                        0
+                    };
+                    (key, hash)
+                },
+            )
+            .0
+            .into_iter()
+            .unzip();
     }
     // Group equal keys: definition `i` belongs to group `group[i]`, whose
     // representative — its lowest function id — is definition `reps[g]`.
@@ -234,39 +257,57 @@ pub fn roll_module_par(
 
     // Consult the store before rolling anything: a hit serves its group.
     let mut entries: Vec<Option<Arc<StoreEntry>>> = match store {
-        Some(s) => reps.iter().map(|&i| s.get(&keys[i])).collect(),
+        Some(s) => reps
+            .iter()
+            .map(|&i| s.get_hashed(hashes[i], &keys[i]))
+            .collect(),
         None => vec![None; reps.len()],
     };
     let from_store: Vec<bool> = entries.iter().map(Option::is_some).collect();
     let to_roll: Vec<usize> = (0..reps.len()).filter(|&g| !from_store[g]).collect();
 
-    // Roll one representative per missed group, each worker inside its own
-    // module clone, and capture each roll in the clone's id spaces. Dynamic
-    // scheduling decides *which* worker rolls *what*, but every result is
-    // independent of that choice.
+    // Roll one representative per missed group. Each worker holds a
+    // body-less context of the module and seeds it with one copy of the
+    // body it rolls; capture moves the rolled body back out, so a worker
+    // never holds a body it is not rolling. A panicking roll is restored
+    // from the shared module. Dynamic scheduling decides *which* worker
+    // rolls *what*, but every result is independent of that choice.
     let worker_tag = AtomicUsize::new(0);
-    let (captures, clones) = workers.map_with(
+    let (captures, contexts) = workers.map_with(
         &to_roll,
-        || (worker_tag.fetch_add(1, Ordering::Relaxed), shared.clone()),
-        |(worker, clone), _, &g| {
+        || {
+            (
+                worker_tag.fetch_add(1, Ordering::Relaxed),
+                shared.without_bodies(),
+            )
+        },
+        |(worker, ctx), _, &g| {
             let fid = ids[reps[g]];
-            let first_new = clone.num_globals();
-            let stats = roll_function_rescued(clone, fid, opts, &effects);
-            (*worker, StoreEntry::capture(clone, fid, first_new, stats))
+            let pristine = shared.func(fid);
+            let first_new = ctx.num_globals();
+            ctx.replace_func(fid, pristine.clone());
+            let stats = rescue_panics(
+                ctx,
+                fid,
+                || pristine.clone(),
+                |m| roll_function_with(m, fid, opts, &effects),
+            );
+            (*worker, StoreEntry::capture(ctx, fid, first_new, stats))
         },
     );
     // A worker's type store is final after its last roll: every entry the
     // worker captured shares it.
-    let jobs = clones.len();
-    let mut worker_types: Vec<_> = clones
+    let jobs = contexts.len();
+    let mut worker_types: Vec<_> = contexts
         .into_iter()
-        .map(|(worker, clone)| (worker, Arc::new(clone.types)))
+        .map(|(worker, ctx)| (worker, Arc::new(ctx.types)))
         .collect();
     worker_types.sort_unstable_by_key(|&(worker, _)| worker);
     for (&g, (worker, finish)) in to_roll.iter().zip(captures) {
         let entry = Arc::new(finish(&worker_types[worker].1));
         if let Some(s) = store {
-            s.insert(std::mem::take(&mut keys[reps[g]]), Arc::clone(&entry));
+            let i = reps[g];
+            s.insert_hashed(hashes[i], std::mem::take(&mut keys[i]), Arc::clone(&entry));
         }
         entries[g] = Some(entry);
     }
@@ -363,6 +404,84 @@ mod tests {
                 assert_eq!(report.changed, functions);
                 assert_eq!(report.unique, unique);
                 assert_eq!(report.cache_hits, (functions - unique) as u64);
+            }
+        }
+    }
+
+    /// Sixteen stores of irregular constants: rolling them needs a constant
+    /// array, so codegen mints a global before the cost model sees them.
+    fn irregular_body(last: i64) -> String {
+        let mut body = String::new();
+        let values = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, last];
+        for (i, v) in values.iter().enumerate() {
+            body.push_str(&format!("  %g{i} = gep i32, @a, i64 {i}\n"));
+            body.push_str(&format!("  store i32 {v}, %g{i}\n"));
+        }
+        body
+    }
+
+    /// A roll that panics (injected for `@rolag_test_injected_panic` in
+    /// test builds, once codegen has minted a constant array) is rescued
+    /// by the driver exactly as by the serial pass: at 1 and 2 workers,
+    /// with and without a store, the function comes back as it went in,
+    /// `rescued == 1`, no speculative global is left behind, and the bytes
+    /// and every counter match the serial run.
+    #[test]
+    fn panicking_roll_is_rescued_like_serial() {
+        use crate::pass::INJECTED_PANIC;
+        let mut text = String::from("module \"rescue\"\nglobal @a : [16 x i32] = zero\n");
+        // `@twin` differs in one constant, so it shares no key with the
+        // panicking function; its roll shows the array a roll mints.
+        for (name, last) in [("f0", None), (INJECTED_PANIC, Some(3)), ("twin", Some(4))] {
+            text.push_str(&format!("func @{name}() -> void {{\nentry:\n"));
+            text.push_str(&match last {
+                Some(last) => irregular_body(last),
+                None => rollable_body(0),
+            });
+            text.push_str("  ret\n}\n");
+        }
+        text.push_str("func @f1() -> void {\nentry:\n");
+        text.push_str(&rollable_body(0));
+        text.push_str("  ret\n}\n");
+        let original = rolag_ir::parser::parse_module(&text).unwrap();
+        let panicking = original.func_by_name(INJECTED_PANIC).unwrap();
+        let opts = RolagOptions::default();
+
+        let mut serial = original.clone();
+        let serial_stats = roll_module(&mut serial, &opts);
+        assert_eq!(serial_stats.rescued, 1);
+        assert_eq!(serial_stats.rolled, 3, "@f0, @twin and @f1 roll");
+        let print_panicking = |m: &Module| rolag_ir::printer::print_function(m, m.func(panicking));
+        assert_eq!(print_panicking(&serial), print_panicking(&original));
+        assert_eq!(
+            serial.num_globals(),
+            original.num_globals() + 1,
+            "only @twin's constant array is left"
+        );
+        let expected = print_module(&serial);
+
+        let store = MemoStore::new(64);
+        for jobs in [1, 2] {
+            for store in [None, Some(&store)] {
+                let mut par = original.clone();
+                let driver = DriverOptions {
+                    workers: Workers::Scoped(jobs),
+                    store,
+                };
+                let report = roll_module_par(&mut par, &opts, &driver);
+                let at = format!("jobs={jobs} store={}", store.is_some());
+                assert_eq!(print_module(&par), expected, "{at}");
+                assert_eq!(report.stats, serial_stats, "{at}");
+                assert_eq!(report.stats.rescued, 1, "{at}");
+                assert_eq!(report.stats.cache, serial_stats.cache, "{at}");
+                assert_eq!(
+                    (report.functions, report.unique, report.cache_hits),
+                    (4, 3, 1),
+                    "{at}: @f1 replays @f0"
+                );
+                assert_eq!(report.changed, 3, "{at}");
+                assert_eq!(print_panicking(&par), print_panicking(&original), "{at}");
+                assert_eq!(par.num_globals(), serial.num_globals(), "{at}");
             }
         }
     }

@@ -36,9 +36,13 @@
 //! walk a cold run would perform (enforced by `tests/driver_par.rs` and
 //! `tests/serve_determinism.rs`).
 //!
-//! Keys are compared as full strings, never as hashes, so a (astronomically
-//! unlikely, but catastrophic) hash collision degrades into shard imbalance
-//! rather than a wrong replay.
+//! A key is hashed once per store operation, and that 64-bit hash picks
+//! both the shard and the slot. The hash is SipHash under fixed keys, so a
+//! key lands in the same shard in every process and the store's counters
+//! repeat exactly run to run; the slot table re-hashes the 64-bit value
+//! under a per-process random key, so no input can aim its keys at one
+//! bucket. A slot serves a lookup only when its full key matches, so a
+//! hash collision degrades into a miss rather than a wrong replay.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -256,19 +260,24 @@ impl TypeMaps {
 
 impl StoreEntry {
     /// Captures the roll a driver worker just ran on `id` inside its
-    /// private module clone. Globals from index `first_new` on are the ones
-    /// the roll minted, in minting order. The body keeps the worker's type
-    /// ids, and the worker's type store grows until its last roll, so the
-    /// returned closure finishes the entry once it is given that store.
+    /// body-less context, moving the rolled body out of the context (its
+    /// stub stays behind) and trimming its arenas, so an entry holds no
+    /// more than a fresh copy would. Globals from index `first_new` on are
+    /// the ones the roll minted, in minting order. The body keeps the
+    /// worker's type ids, and the worker's type store grows until its last
+    /// roll, so the returned closure finishes the entry once it is given
+    /// that store.
     pub(crate) fn capture(
-        module: &Module,
+        module: &mut Module,
         id: FuncId,
         first_new: usize,
         stats: RolagStats,
     ) -> impl FnOnce(&Arc<TypeStore>) -> StoreEntry + Send {
+        let func = module.take_func(id);
         let rolled = stats.rolled > 0 || module.num_globals() != first_new;
         let parts = rolled.then(|| {
-            let func = module.func(id).clone();
+            let mut func = func;
+            func.shrink_to_fit();
             let (globals, funcs) = referenced_symbols(&func);
             let base_globals: Vec<_> = globals
                 .into_iter()
@@ -384,6 +393,8 @@ impl MemoStoreStats {
 }
 
 struct Slot {
+    /// The full key, one allocation shared with the clock ring.
+    key: Arc<String>,
     entry: Arc<StoreEntry>,
     /// Second-chance bit: set on every hit, cleared when the clock hand
     /// passes over the slot.
@@ -392,30 +403,41 @@ struct Slot {
 
 #[derive(Default)]
 struct Shard {
-    slots: HashMap<String, Slot>,
-    /// Clock ring over resident keys.
-    ring: VecDeque<String>,
+    /// Resident slots by key hash, itself hashed with std's `RandomState`
+    /// (DESIGN.md, *Hashing*). Two keys with one 64-bit hash share a slot,
+    /// the later insert replacing the earlier key.
+    slots: HashMap<u64, Slot>,
+    /// Clock ring over resident keys, with their hashes.
+    ring: VecDeque<(u64, Arc<String>)>,
 }
 
 impl Shard {
+    /// The slot holding exactly `key`.
+    fn slot_mut(&mut self, hash: u64, key: &str) -> Option<&mut Slot> {
+        self.slots
+            .get_mut(&hash)
+            .filter(|slot| slot.key.as_str() == key)
+    }
+
     /// Sweeps the clock ring once around at most: demotes referenced
     /// slots and evicts the first unreferenced one. `false` when the shard
     /// holds no entry.
     fn evict_one(&mut self) -> bool {
-        while let Some(victim) = self.ring.pop_front() {
-            let Some(slot) = self.slots.get_mut(&victim) else {
-                // A panic between the ring push and the slot insert of a
-                // previous call (recovered by `MemoStore::lock`) leaves a
-                // ring entry with no resident slot; drop it and keep
-                // sweeping. Panicking here instead would poison the shard
-                // all over again.
+        while let Some((hash, victim)) = self.ring.pop_front() {
+            let resident = self.slots.get_mut(&hash);
+            let Some(slot) = resident.filter(|slot| Arc::ptr_eq(&slot.key, &victim)) else {
+                // The ring entry outlived its slot: a colliding key replaced
+                // it, or a panic between the ring push and the slot insert
+                // of a previous call (recovered by `MemoStore::lock`) left
+                // it behind. Drop it and keep sweeping; panicking here
+                // instead would poison the shard all over again.
                 continue;
             };
             if slot.referenced {
                 slot.referenced = false;
-                self.ring.push_back(victim);
+                self.ring.push_back((hash, victim));
             } else {
-                self.slots.remove(&victim);
+                self.slots.remove(&hash);
                 return true;
             }
         }
@@ -468,10 +490,16 @@ impl MemoStore {
         }
     }
 
-    fn shard_of(&self, key: &str) -> &Mutex<Shard> {
+    /// The hash [`MemoStore::get_hashed`] and [`MemoStore::insert_hashed`]
+    /// take for `key`: SipHash under fixed keys, the same in every process.
+    pub(crate) fn hash(key: &str) -> u64 {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+        hasher.finish()
+    }
+
+    fn shard_of(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[hash as usize % self.shards.len()]
     }
 
     /// Locks `shard`, recovering from poisoning. A request thread that
@@ -489,8 +517,13 @@ impl MemoStore {
 
     /// Looks `key` up, marking the entry recently used on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<StoreEntry>> {
-        let mut shard = Self::lock(self.shard_of(key));
-        match shard.slots.get_mut(key) {
+        self.get_hashed(Self::hash(key), key)
+    }
+
+    /// [`MemoStore::get`] of a key whose [`MemoStore::hash`] is known.
+    pub(crate) fn get_hashed(&self, hash: u64, key: &str) -> Option<Arc<StoreEntry>> {
+        let mut shard = Self::lock(self.shard_of(hash));
+        match shard.slot_mut(hash, key) {
             Some(slot) => {
                 slot.referenced = true;
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -506,29 +539,35 @@ impl MemoStore {
     /// Inserts (or replaces) `key`, first evicting with second chance if
     /// the store is full.
     pub fn insert(&self, key: String, entry: Arc<StoreEntry>) {
-        let shard = self.shard_of(&key);
+        self.insert_hashed(Self::hash(&key), key, entry);
+    }
+
+    /// [`MemoStore::insert`] of a key whose [`MemoStore::hash`] is known.
+    pub(crate) fn insert_hashed(&self, hash: u64, key: String, entry: Arc<StoreEntry>) {
+        let shard = self.shard_of(hash);
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if !Self::lock(shard).slots.contains_key(&key) {
+        if !Self::lock(shard).slots.contains_key(&hash) {
             // Room is made before the insert, so a new key is never its
             // own victim. Eviction locks one shard at a time and never
             // while this insert holds its own, so inserts cannot deadlock.
             while self.resident.load(Ordering::Relaxed) >= self.capacity && self.evict_one() {}
         }
         let mut shard = Self::lock(shard);
-        if let Some(slot) = shard.slots.get_mut(&key) {
+        if let Some(slot) = shard.slot_mut(hash, &key) {
             slot.entry = entry;
             slot.referenced = true;
             return;
         }
-        shard.ring.push_back(key.clone());
-        shard.slots.insert(
+        let key = Arc::new(key);
+        shard.ring.push_back((hash, Arc::clone(&key)));
+        let slot = Slot {
             key,
-            Slot {
-                entry,
-                referenced: false,
-            },
-        );
-        self.resident.fetch_add(1, Ordering::Relaxed);
+            entry,
+            referenced: false,
+        };
+        if shard.slots.insert(hash, slot).is_none() {
+            self.resident.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Evicts one entry from the first non-empty shard at or after the
@@ -690,6 +729,31 @@ mod tests {
         store.insert("after".into(), entry(2));
         assert_eq!(store.get("after").unwrap().stats.attempted, 2);
         assert_eq!(store.len(), 2);
+    }
+
+    /// Two keys forced onto one hash: the store compares keys in full, so
+    /// neither serves the other, the later insert takes the slot, and the
+    /// ring entry it orphaned is skipped by the clock.
+    #[test]
+    fn colliding_hashes_never_serve_the_wrong_key() {
+        let store = MemoStore::with_shards(2, 1);
+        store.insert_hashed(7, "a".into(), entry(1));
+        assert!(store.get_hashed(7, "b").is_none(), "same hash, other key");
+        store.insert_hashed(7, "b".into(), entry(2));
+        assert!(
+            store.get_hashed(7, "a").is_none(),
+            "replaced by the collision"
+        );
+        assert_eq!(store.get_hashed(7, "b").unwrap().stats.attempted, 2);
+        assert_eq!(store.len(), 1);
+        store.insert("c".into(), entry(3));
+        store.insert("d".into(), entry(4));
+        let stats = store.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 1), "{stats:?}");
+        assert!(
+            store.get("d").is_some(),
+            "a new key is never its own victim"
+        );
     }
 
     #[test]

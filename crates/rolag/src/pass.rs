@@ -97,7 +97,9 @@ fn roll_greedy(
     if module.func(id).is_declaration {
         return stats;
     }
-    let mut spec = Speculator::new(id, module.func(id).clone());
+    // The body moves into the speculator; its signature stub stays behind
+    // for the callers and self-calls the engine reads.
+    let mut spec = Speculator::new(id, module.take_func(id));
     greedy(
         module,
         &mut spec,
@@ -110,6 +112,12 @@ fn roll_greedy(
     module.replace_func(id, spec.work);
     stats
 }
+
+/// In test builds, the greedy engine panics on a function of this name at
+/// its first open window, after codegen minted the window's globals: the
+/// injection point of the panic-rescue tests.
+#[cfg(test)]
+pub(crate) const INJECTED_PANIC: &str = "rolag_test_injected_panic";
 
 /// The greedy fixpoint on `spec.work`: each sweep tries its candidates in
 /// order and commits the first profitable one, until a sweep commits
@@ -181,6 +189,10 @@ pub(crate) fn greedy(
                 // verdict, so the dirty closure covers it.
                 Verdict::Validator => (MemoVerdict::Validator, vec![block]),
                 Verdict::Open(window) => {
+                    #[cfg(test)]
+                    if spec.work.name == INJECTED_PANIC {
+                        panic!("injected panic in @{INJECTED_PANIC}");
+                    }
                     let delta = price(
                         module,
                         spec,
@@ -408,7 +420,8 @@ pub fn roll_module(module: &mut Module, opts: &RolagOptions) -> RolagStats {
 }
 
 /// Runs `engine` on every function of the module under [`rescue_panics`],
-/// sharing one call-effects table, and sums the statistics.
+/// sharing one call-effects table, and sums the statistics. Each function
+/// is copied once before its roll, as the pristine body a panic restores.
 fn roll_each(
     module: &mut Module,
     engine: impl Fn(&mut Module, FuncId, &[Effects]) -> RolagStats,
@@ -417,47 +430,38 @@ fn roll_each(
     let ids: Vec<FuncId> = module.func_ids().collect();
     let mut total = RolagStats::default();
     for id in ids {
-        total += rescue_panics(module, id, |m| engine(m, id, &effects));
+        let pristine = module.func(id).clone();
+        total += rescue_panics(module, id, move || pristine, |m| engine(m, id, &effects));
     }
     total
 }
 
 /// Runs `engine` on function `id` with per-function panic isolation: if the
-/// engine panics, the module is restored to its pre-call state (the
-/// original function kept verbatim, speculative globals rolled back) and
-/// the returned stats count one `rescued` function. One pathological
-/// function thus degrades into a skipped roll instead of killing the whole
-/// module run.
+/// engine panics, the module is restored to its pre-call state (function
+/// `id` set back to the body `pristine` yields, speculative globals rolled
+/// back) and the returned stats count one `rescued` function. One
+/// pathological function thus degrades into a skipped roll instead of
+/// killing the whole module run. The engine moves the body out of the
+/// module while it rolls, so the pristine copy is the caller's: the module
+/// driver's is the shared input module, the serial loop's a clone.
 pub(crate) fn rescue_panics(
     module: &mut Module,
     id: FuncId,
+    pristine: impl FnOnce() -> Function,
     engine: impl FnOnce(&mut Module) -> RolagStats,
 ) -> RolagStats {
-    let func_snapshot = module.func(id).clone();
-    let globals_snapshot = module.num_globals();
+    let globals_before = module.num_globals();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine(module))) {
         Ok(stats) => stats,
         Err(_) => {
-            rollback_globals(module, globals_snapshot);
-            module.replace_func(id, func_snapshot);
+            rollback_globals(module, globals_before);
+            module.replace_func(id, pristine());
             RolagStats {
                 rescued: 1,
                 ..Default::default()
             }
         }
     }
-}
-
-/// [`roll_function_with`] with per-function panic isolation: an engine
-/// panic restores the original function and the module's globals and
-/// counts `rescued` instead of unwinding out of the module driver.
-pub(crate) fn roll_function_rescued(
-    module: &mut Module,
-    id: FuncId,
-    opts: &RolagOptions,
-    effects: &[Effects],
-) -> RolagStats {
-    rescue_panics(module, id, |m| roll_function_with(m, id, opts, effects))
 }
 
 /// [`roll_module`] on the full-rescan reference: the greedy policy without
@@ -757,18 +761,26 @@ entry:
         let mut module = parse_module(text).unwrap();
         let id = module.func_ids().next().unwrap();
         let before = rolag_ir::printer::print_module(&module);
+        let pristine = module.func(id).clone();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let stats = rescue_panics(&mut module, id, |m| {
-            let word = m.types.int(32);
-            m.add_global(rolag_ir::GlobalData {
-                name: "speculative".into(),
-                ty: word,
-                init: rolag_ir::GlobalInit::Zero,
-                is_const: true,
-            });
-            panic!("boom");
-        });
+        let stats = rescue_panics(
+            &mut module,
+            id,
+            move || pristine,
+            |m| {
+                // Like the engine, move the body out before panicking.
+                drop(m.take_func(id));
+                let word = m.types.int(32);
+                m.add_global(rolag_ir::GlobalData {
+                    name: "speculative".into(),
+                    ty: word,
+                    init: rolag_ir::GlobalInit::Zero,
+                    is_const: true,
+                });
+                panic!("boom");
+            },
+        );
         std::panic::set_hook(hook);
         assert_eq!(stats.rescued, 1);
         assert_eq!(stats.rolled, 0);

@@ -285,7 +285,7 @@ pub struct RolagStats {
     /// Estimated text size after the pass.
     pub size_after: u64,
     /// Functions skipped because the engine panicked on them; the original
-    /// function was kept verbatim (see `roll_function_rescued`).
+    /// function was kept verbatim (see `rescue_panics`).
     pub rescued: u64,
     /// Per-stage wall-clock breakdown (excluded from equality).
     pub timings: StageTimings,
