@@ -390,12 +390,18 @@ fn serve_client(socket: &str, text: &str, options: &str) -> Result<(String, Stri
         return Err(reply.error.unwrap_or_else(|| "request failed".into()));
     }
     let module = reply.module.ok_or("response has no module")?;
+    let cache = if reply.request_hit {
+        "request-layer hit".to_string()
+    } else {
+        format!(
+            "{} store hits, {} misses",
+            reply.store_hits, reply.store_misses
+        )
+    };
     let stats = format!(
-        "serve: {} functions, {} store hits, {} misses, rolled {}, {:.2} ms \
+        "serve: {} functions, {cache}, rolled {}, {:.2} ms \
          (cumulative hit rate {:.1}%)",
         reply.functions,
-        reply.store_hits,
-        reply.store_misses,
         reply.rolled,
         reply.wall_ns as f64 / 1e6,
         100.0 * reply.cumulative_hit_rate

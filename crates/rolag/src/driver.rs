@@ -78,7 +78,7 @@ use rolag_ir::{FuncId, Module};
 use rolag_par::{par_map_with, WorkerPool};
 use rolag_transforms::effects_table;
 
-use crate::memo::{ClosureKeys, MemoStore, StoreEntry, TypeMaps};
+use crate::memo::{key_hash, ClosureKeys, MemoStore, StoreEntry, TypeMaps};
 use crate::options::RolagOptions;
 use crate::pass::{rescue_panics, roll_function_with};
 use crate::stats::RolagStats;
@@ -227,11 +227,7 @@ pub fn roll_module_par(
                 || (),
                 |(), _, &id| {
                     let key = keyer.key(shared, id);
-                    let hash = if store.is_some() {
-                        MemoStore::hash(&key)
-                    } else {
-                        0
-                    };
+                    let hash = if store.is_some() { key_hash(&key) } else { 0 };
                     (key, hash)
                 },
             )

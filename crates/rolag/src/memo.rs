@@ -392,28 +392,36 @@ impl MemoStoreStats {
     }
 }
 
-struct Slot {
+struct Slot<V> {
     /// The full key, one allocation shared with the clock ring.
     key: Arc<String>,
-    entry: Arc<StoreEntry>,
+    entry: Arc<V>,
     /// Second-chance bit: set on every hit, cleared when the clock hand
     /// passes over the slot.
     referenced: bool,
 }
 
-#[derive(Default)]
-struct Shard {
+struct Shard<V> {
     /// Resident slots by key hash, itself hashed with std's `RandomState`
     /// (DESIGN.md, *Hashing*). Two keys with one 64-bit hash share a slot,
     /// the later insert replacing the earlier key.
-    slots: HashMap<u64, Slot>,
+    slots: HashMap<u64, Slot<V>>,
     /// Clock ring over resident keys, with their hashes.
     ring: VecDeque<(u64, Arc<String>)>,
 }
 
-impl Shard {
+impl<V> Default for Shard<V> {
+    fn default() -> Self {
+        Shard {
+            slots: HashMap::new(),
+            ring: VecDeque::new(),
+        }
+    }
+}
+
+impl<V> Shard<V> {
     /// The slot holding exactly `key`.
-    fn slot_mut(&mut self, hash: u64, key: &str) -> Option<&mut Slot> {
+    fn slot_mut(&mut self, hash: u64, key: &str) -> Option<&mut Slot<V>> {
         self.slots
             .get_mut(&hash)
             .filter(|slot| slot.key.as_str() == key)
@@ -445,7 +453,18 @@ impl Shard {
     }
 }
 
-/// Sharded, capacity-bounded cross-request cache of rolled functions.
+/// The hash [`MemoStore::get_hashed`] and [`MemoStore::insert_hashed`]
+/// take for `key`: SipHash under fixed keys, the same in every process.
+pub(crate) fn key_hash(key: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Sharded, capacity-bounded cross-request cache from string keys to
+/// shared values: rolled functions by default ([`StoreEntry`]), or any
+/// other value a caller keys by content (`rolag-serve` keeps its replies
+/// in one).
 ///
 /// Lookup and insert lock one shard; the shard is chosen by key hash, so
 /// concurrent connections rarely contend. The capacity is the store's: an
@@ -454,8 +473,8 @@ impl Shard {
 /// shard: a hit sets the slot's referenced bit, and an eviction sweeps the
 /// shard's ring, demoting referenced slots and evicting the first
 /// unreferenced one. Successive evictions visit the shards round-robin.
-pub struct MemoStore {
-    shards: Vec<Mutex<Shard>>,
+pub struct MemoStore<V = StoreEntry> {
+    shards: Vec<Mutex<Shard<V>>>,
     capacity: usize,
     /// Entries resident across all shards.
     resident: AtomicUsize,
@@ -467,7 +486,7 @@ pub struct MemoStore {
     evictions: AtomicU64,
 }
 
-impl MemoStore {
+impl<V> MemoStore<V> {
     /// A store holding up to `capacity` entries (at least one) across 16
     /// shards.
     pub fn new(capacity: usize) -> Self {
@@ -490,15 +509,7 @@ impl MemoStore {
         }
     }
 
-    /// The hash [`MemoStore::get_hashed`] and [`MemoStore::insert_hashed`]
-    /// take for `key`: SipHash under fixed keys, the same in every process.
-    pub(crate) fn hash(key: &str) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    fn shard_of(&self, hash: u64) -> &Mutex<Shard> {
+    fn shard_of(&self, hash: u64) -> &Mutex<Shard<V>> {
         &self.shards[hash as usize % self.shards.len()]
     }
 
@@ -509,19 +520,19 @@ impl MemoStore {
     /// sections keep `slots` coherent at every step — the one structure
     /// a panic can leave stale is the clock `ring`, and the eviction
     /// sweep skips ring entries with no resident slot.
-    fn lock(shard: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
+    fn lock(shard: &Mutex<Shard<V>>) -> std::sync::MutexGuard<'_, Shard<V>> {
         shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Looks `key` up, marking the entry recently used on a hit.
-    pub fn get(&self, key: &str) -> Option<Arc<StoreEntry>> {
-        self.get_hashed(Self::hash(key), key)
+    pub fn get(&self, key: &str) -> Option<Arc<V>> {
+        self.get_hashed(key_hash(key), key)
     }
 
-    /// [`MemoStore::get`] of a key whose [`MemoStore::hash`] is known.
-    pub(crate) fn get_hashed(&self, hash: u64, key: &str) -> Option<Arc<StoreEntry>> {
+    /// [`MemoStore::get`] of a key whose [`key_hash`] is known.
+    pub(crate) fn get_hashed(&self, hash: u64, key: &str) -> Option<Arc<V>> {
         let mut shard = Self::lock(self.shard_of(hash));
         match shard.slot_mut(hash, key) {
             Some(slot) => {
@@ -538,12 +549,12 @@ impl MemoStore {
 
     /// Inserts (or replaces) `key`, first evicting with second chance if
     /// the store is full.
-    pub fn insert(&self, key: String, entry: Arc<StoreEntry>) {
-        self.insert_hashed(Self::hash(&key), key, entry);
+    pub fn insert(&self, key: String, entry: Arc<V>) {
+        self.insert_hashed(key_hash(&key), key, entry);
     }
 
-    /// [`MemoStore::insert`] of a key whose [`MemoStore::hash`] is known.
-    pub(crate) fn insert_hashed(&self, hash: u64, key: String, entry: Arc<StoreEntry>) {
+    /// [`MemoStore::insert`] of a key whose [`key_hash`] is known.
+    pub(crate) fn insert_hashed(&self, hash: u64, key: String, entry: Arc<V>) {
         let shard = self.shard_of(hash);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if !Self::lock(shard).slots.contains_key(&hash) {
@@ -754,6 +765,34 @@ mod tests {
             store.get("d").is_some(),
             "a new key is never its own victim"
         );
+    }
+
+    /// The same guarantee for any value type. Request-level replies keyed
+    /// by preset and module text are forced onto one hash; the keys differ
+    /// in the preset only, in one byte of the text, and in length only.
+    /// Each slot serves exactly its own key's value.
+    #[test]
+    fn generic_values_never_serve_a_colliding_key() {
+        let store: MemoStore<String> = MemoStore::with_shards(4, 1);
+        let keys = [
+            "default\nmodule \"m\"\n",
+            "validated\nmodule \"m\"\n",
+            "default\nmodule \"n\"\n",
+            "default\nmodule \"m\"\n\n",
+        ];
+        for (i, key) in keys.iter().enumerate() {
+            for other in &keys[i..] {
+                assert!(store.get_hashed(7, other).is_none(), "{other:?}");
+            }
+            store.insert_hashed(7, key.to_string(), Arc::new(format!("reply {i}")));
+            assert_eq!(*store.get_hashed(7, key).unwrap(), format!("reply {i}"));
+            for earlier in &keys[..i] {
+                assert!(store.get_hashed(7, earlier).is_none(), "{earlier:?}");
+            }
+        }
+        let stats = store.stats();
+        assert_eq!((stats.entries, stats.hits), (1, keys.len() as u64));
+        assert_eq!(store.get(keys[3]), None, "the real hash finds no slot");
     }
 
     #[test]

@@ -61,28 +61,47 @@ impl Json {
     }
 }
 
+/// The bytes `b` takes inside a JSON string literal: more than one for a
+/// quote, a backslash or a control byte, which are escaped. Every such
+/// byte is ASCII, so it never falls inside a multi-byte UTF-8 sequence.
+fn literal_len(b: u8) -> usize {
+    match b {
+        b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+        0..=0x1f => 6,
+        _ => 1,
+    }
+}
+
 /// Renders `s` as a JSON string literal (quotes included) into `out`.
+/// Each run of bytes that need no escape is copied in one piece.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if literal_len(b) == 1 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{:04x}", b);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-/// `s` as a JSON string literal.
+/// `s` as a JSON string literal, allocated at its exact length.
 pub fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let mut out = String::with_capacity(2 + s.bytes().map(literal_len).sum::<usize>());
     write_escaped(&mut out, s);
     out
 }
@@ -163,69 +182,72 @@ fn parse_number(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
         .map_err(|_| format!("bad number at byte {start}"))
 }
 
+/// Parses the string literal at `pos`. Each run between a quote or a
+/// backslash is copied in one piece, raw control bytes included.
 fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        // Quotes and backslashes are ASCII, so `*pos` is a char boundary.
+        out.push_str(&text[run..*pos]);
         let Some(&b) = bytes.get(*pos) else {
             return Err("unterminated string".into());
         };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                let Some(&esc) = bytes.get(*pos) else {
-                    return Err("unterminated escape".into());
-                };
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = text.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        *pos += 4;
-                        // Surrogate pairs: only needed for astral-plane
-                        // text, which IR never contains, but handled so
-                        // the codec is complete.
-                        let c = if (0xd800..0xdc00).contains(&code) {
-                            if !text[*pos..].starts_with("\\u") {
-                                return Err("lone high surrogate".into());
-                            }
-                            let low = text
-                                .get(*pos + 2..*pos + 6)
-                                .ok_or("truncated low surrogate")?;
-                            let low = u32::from_str_radix(low, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            *pos += 6;
-                            0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
-                        } else {
-                            code
-                        };
-                        out.push(char::from_u32(c).ok_or("invalid \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape \\{}", other as char)),
-                }
-            }
-            _ => {
-                // Consume one UTF-8 character (multi-byte sequences are
-                // copied verbatim).
-                let c = text[*pos..].chars().next().ok_or("bad UTF-8")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        *pos += 1;
+        if b == b'"' {
+            return Ok(out);
+        }
+        let Some(&esc) = bytes.get(*pos) else {
+            return Err("unterminated escape".into());
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => out.push(parse_unicode_escape(text, pos)?),
+            other => return Err(format!("bad escape \\{}", other as char)),
         }
     }
+}
+
+/// Four hex digits of a `\u` escape, `pos` just past the `u`.
+fn hex4(text: &str, pos: &mut usize, truncated: &str) -> Result<u32, String> {
+    let hex = text.get(*pos..*pos + 4).ok_or(truncated)?;
+    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+    *pos += 4;
+    Ok(code)
+}
+
+/// The character of a `\u` escape, `pos` just past the `u`. A high
+/// surrogate must be followed by an escaped low one.
+fn parse_unicode_escape(text: &str, pos: &mut usize) -> Result<char, String> {
+    let code = hex4(text, pos, "truncated \\u escape")?;
+    // Surrogate pairs: only needed for astral-plane text, which IR never
+    // contains, but handled so the codec is complete.
+    let c = if (0xd800..0xdc00).contains(&code) {
+        if !text[*pos..].starts_with("\\u") {
+            return Err("lone high surrogate".into());
+        }
+        *pos += 2;
+        let low = hex4(text, pos, "truncated low surrogate")?;
+        if !(0xdc00..0xe000).contains(&low) {
+            return Err("high surrogate without a low one".into());
+        }
+        0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+    } else {
+        code
+    };
+    char::from_u32(c).ok_or_else(|| "invalid \\u code point".to_string())
 }
 
 fn parse_object(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -317,6 +339,209 @@ mod tests {
             parse(&objects),
             Err("nesting deeper than 256 levels at byte 1536".to_string())
         );
+    }
+
+    /// The char-at-a-time codec the bulk copies replaced, kept as the
+    /// reference. Its one change: a high surrogate followed by anything
+    /// but a low one is an error (it used to underflow).
+    mod reference {
+        use std::fmt::Write as _;
+
+        pub fn escape(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        /// The string literal at the start of `text` and the byte after it.
+        pub fn parse(text: &str) -> Result<(String, usize), String> {
+            let mut pos = 1;
+            let mut out = String::new();
+            loop {
+                let Some(&b) = text.as_bytes().get(pos) else {
+                    return Err("unterminated string".into());
+                };
+                match b {
+                    b'"' => return Ok((out, pos + 1)),
+                    b'\\' => {
+                        pos += 1;
+                        let Some(&esc) = text.as_bytes().get(pos) else {
+                            return Err("unterminated escape".into());
+                        };
+                        pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let hex = text.get(pos..pos + 4).ok_or("truncated \\u escape")?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| "bad \\u escape".to_string())?;
+                                pos += 4;
+                                let c = if (0xd800..0xdc00).contains(&code) {
+                                    if !text[pos..].starts_with("\\u") {
+                                        return Err("lone high surrogate".into());
+                                    }
+                                    let low = text
+                                        .get(pos + 2..pos + 6)
+                                        .ok_or("truncated low surrogate")?;
+                                    let low = u32::from_str_radix(low, 16)
+                                        .map_err(|_| "bad \\u escape".to_string())?;
+                                    pos += 6;
+                                    if !(0xdc00..0xe000).contains(&low) {
+                                        return Err("high surrogate without a low one".into());
+                                    }
+                                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
+                                } else {
+                                    code
+                                };
+                                out.push(char::from_u32(c).ok_or("invalid \\u code point")?);
+                            }
+                            other => return Err(format!("bad escape \\{}", other as char)),
+                        }
+                    }
+                    _ => {
+                        let c = text[pos..].chars().next().unwrap();
+                        out.push(c);
+                        pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+    }
+
+    /// A seeded xorshift stream for the equivalence sweeps.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Unescaped text: every byte below 0x20, quotes, backslashes, a slash,
+    /// ASCII, DEL and multi-byte UTF-8 of two, three and four bytes.
+    fn raw_pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        for p in [
+            "\"",
+            "\\",
+            "/",
+            "a",
+            "module \"m\"",
+            "  ret",
+            "\u{7f}",
+            "é",
+            "中",
+            "\u{2028}",
+            "💥",
+        ] {
+            pieces.push(p.to_string());
+        }
+        pieces
+    }
+
+    /// Escape sequences, valid and not: every short escape, `\u00XX` for
+    /// every byte below 0x20 in both hex cases, BMP and surrogate-pair
+    /// `\u` escapes, and the malformed ones (lone, unpaired and truncated
+    /// surrogates, short and non-hex `\u` digits, an unknown escape).
+    fn escape_pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b", "\\f"]
+            .iter()
+            .map(|p| p.to_string())
+            .collect();
+        for b in 0..0x20 {
+            pieces.push(format!("\\u{b:04x}"));
+            pieces.push(format!("\\u{b:04X}"));
+        }
+        for p in [
+            "\\u0041",
+            "\\u00e9",
+            "\\u4e2d",
+            "\\uffff",
+            "\\ud83d\\udca5",
+            "\\uD83D\\uDE00",
+            "\\udbff\\udfff",
+            "\\ud800",
+            "\\ud800x",
+            "\\ud800\\u0041",
+            "\\ud800\\ue000",
+            "\\ud800\\udc",
+            "\\udc00",
+            "\\u12",
+            "\\u12g4",
+            "\\u+041",
+            "\\x",
+            "\\u00é",
+        ] {
+            pieces.push(p.to_string());
+        }
+        pieces
+    }
+
+    #[test]
+    fn bulk_codec_matches_the_char_at_a_time_reference() {
+        let raw = raw_pieces();
+        let escapes = escape_pieces();
+        // Every piece alone, then seeded concatenations.
+        let mut texts: Vec<String> = raw.clone();
+        let mut literals: Vec<String> = raw.iter().chain(&escapes).cloned().collect();
+        let mut rng = XorShift(0x5e12_7e5e_c0de_c0de);
+        for _ in 0..4_000 {
+            let len = rng.below(12);
+            let text: String = (0..len)
+                .map(|_| raw[rng.below(raw.len())].as_str())
+                .collect();
+            let literal: String = (0..len)
+                .map(|_| {
+                    if rng.below(3) == 0 {
+                        escapes[rng.below(escapes.len())].as_str()
+                    } else {
+                        raw[rng.below(raw.len())].as_str()
+                    }
+                })
+                .collect();
+            texts.push(text);
+            literals.push(literal);
+        }
+        for text in &texts {
+            let out = escaped(text);
+            assert_eq!(out, reference::escape(text), "escaping {text:?}");
+            assert_eq!(parse(&out).unwrap().as_str(), Some(text.as_str()));
+        }
+        for body in &literals {
+            // Closed, followed by more input, and unterminated.
+            for literal in [
+                format!("\"{body}\""),
+                format!("\"{body}\": 1"),
+                format!("\"{body}"),
+            ] {
+                let mut pos = 0;
+                let bulk = parse_string(&literal, literal.as_bytes(), &mut pos).map(|s| (s, pos));
+                assert_eq!(bulk, reference::parse(&literal), "parsing {literal:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A persistent compilation service for the RoLAG IR: a long-lived daemon
 //! that accepts streams of textual-IR modules — over a unix socket or as
 //! a stdin batch — rolls them through the parallel memoizing driver, and
-//! **content-addresses every function** so structurally identical code
+//! **content-addresses every request and every function**, so a repeated
+//! request is answered without compiling and structurally identical code
 //! arriving from different clients (or different requests of the same
 //! client) compiles exactly once.
 //!
@@ -15,12 +16,15 @@
 //!   request names an options preset, resolved by
 //!   [`RolagOptions::preset`](rolag::RolagOptions::preset).
 //! * [`server`] — the [`Server`]: one persistent
-//!   [`WorkerPool`](rolag_par::WorkerPool) plus one bounded
-//!   [`MemoStore`](rolag::MemoStore) shared by every connection, and the
-//!   cumulative metrics (per-request and cumulative hit rates, funcs/sec,
-//!   p50/p99 latency).
+//!   [`WorkerPool`](rolag_par::WorkerPool) plus two bounded
+//!   [`MemoStore`](rolag::MemoStore)s shared by every connection, and the
+//!   cumulative metrics (request hits, per-request and cumulative store
+//!   hit rates, funcs/sec, p50/p99 latency).
 //!
-//! The cache is keyed by the *closure key* of [`rolag::store_key`]:
+//! The first cache holds whole replies, keyed by the preset name and the
+//! full module text. A reply is a pure function of the two, so a repeated
+//! request is answered from it without touching the IR. The second, the
+//! store, is keyed by the *closure key* of [`rolag::store_key`]:
 //! canonical function text plus the printed definitions of every
 //! referenced global, the signature/effects of every callee, the
 //! function's own effects, and the options fingerprint. It is the same key
@@ -28,8 +32,8 @@
 //! the same `StoreEntry` replay that serves in-module duplicates. A hit
 //! therefore guarantees the cached rolled body is byte-identical to what
 //! rolling the request cold would produce — the property
-//! `tests/serve_determinism.rs` pins over the repro corpus and a generator
-//! sweep.
+//! `tests/serve_determinism.rs` pins for both caches over the repro corpus
+//! and a generator sweep.
 //!
 //! ```
 //! use rolag_serve::{Server, ServerConfig};

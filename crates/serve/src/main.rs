@@ -9,11 +9,12 @@
 //!   on stdout, exit at EOF or on a `shutdown` command. A final metrics
 //!   snapshot goes to stderr.
 //! * `--socket <path>` — daemon mode: bind a unix socket and serve one
-//!   thread per connection, all sharing one worker pool and one
-//!   content-addressed store. A `shutdown` request acknowledges, then
+//!   thread per connection, all sharing one worker pool and both
+//!   content-addressed caches. A `shutdown` request acknowledges, then
 //!   exits the process.
 //! * `--jobs N` — worker threads in the persistent pool (0 = all cores).
-//! * `--capacity N` — cross-request store capacity, in cached bodies.
+//! * `--capacity N` — capacity of each cache: replies in the request-level
+//!   layer, function bodies in the cross-request store.
 //!
 //! Exit status: 0 on clean shutdown, 1 on usage or IO errors.
 

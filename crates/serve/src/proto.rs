@@ -12,8 +12,10 @@
 //! * A **roll** request carries a full textual-IR module. The service
 //!   parses, verifies, rolls it through the shared worker pool and
 //!   cross-request store, and answers with the transformed module plus
-//!   per-request and cumulative metrics. `options` names a preset
-//!   ([`RolagOptions::preset`], the vocabulary of the registry's
+//!   per-request and cumulative metrics. A request whose preset and module
+//!   text were answered before, and whose reply is still cached, gets the
+//!   cached module and `stats` without any of that work. `options` names a
+//!   preset ([`RolagOptions::preset`], the vocabulary of the registry's
 //!   `rolag<preset>` pass); absent means
 //!   [`RolagOptions::DEFAULT_PRESET`]. `client` is an opaque
 //!   label echoed in logs — content addressing makes the cache shared
@@ -25,10 +27,19 @@
 //! Responses are single-line JSON objects echoing `id`, with `"ok"`
 //! telling the two shapes apart: `{"id", "ok": true, "module", "stats":
 //! {...}, "request": {...}, "cumulative": {...}}` on success and
-//! `{"id", "ok": false, "error": "..."}` on failure. Malformed request
-//! lines get an error response with `"id": null`; so do lines longer than
-//! [`MAX_LINE_BYTES`] and lines that are not UTF-8, and serving goes on
-//! with the next line.
+//! `{"id", "ok": false, "error": "..."}` on failure.
+//!
+//! * `request` holds this request's counters. `request_hit` is `true` when
+//!   the reply came from the request-level cache; such a request never
+//!   reached the store, so its `store_hits` and `store_misses` are `0`.
+//! * `cumulative` holds the server's totals. `request_hits` counts the
+//!   requests the request-level cache answered; `store_hits`,
+//!   `store_misses` and `hit_rate` count only the lookups of requests that
+//!   reached the driver.
+//!
+//! Malformed request lines get an error response with `"id": null`; so do
+//! lines longer than [`MAX_LINE_BYTES`] and lines that are not UTF-8, and
+//! serving goes on with the next line.
 
 use std::io::{self, BufRead, Read};
 
@@ -161,30 +172,26 @@ pub fn error_reply(id: Option<&str>, error: &str) -> String {
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = parse(line)?;
-    let id = doc
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("request is missing a string \"id\"")?
-        .to_string();
-    if let Some(cmd) = doc.get("cmd").and_then(Json::as_str) {
-        return match cmd {
+    let mut members = match parse(line)? {
+        Json::Obj(members) => members,
+        _ => Default::default(),
+    };
+    // String members are moved out, so the module text is not copied.
+    let mut take = |key: &str| match members.remove(key) {
+        Some(Json::Str(s)) => Some(s),
+        _ => None,
+    };
+    let id = take("id").ok_or("request is missing a string \"id\"")?;
+    if let Some(cmd) = take("cmd") {
+        return match cmd.as_str() {
             "stats" => Ok(Request::Stats { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
             other => Err(format!("unknown cmd {other:?}")),
         };
     }
-    let module = doc
-        .get("module")
-        .and_then(Json::as_str)
-        .ok_or("request has neither \"cmd\" nor a string \"module\"")?
-        .to_string();
-    let options = doc
-        .get("options")
-        .and_then(Json::as_str)
-        .unwrap_or(RolagOptions::DEFAULT_PRESET)
-        .to_string();
-    let client = doc.get("client").and_then(Json::as_str).map(str::to_string);
+    let module = take("module").ok_or("request has neither \"cmd\" nor a string \"module\"")?;
+    let options = take("options").unwrap_or_else(|| RolagOptions::DEFAULT_PRESET.to_string());
+    let client = take("client");
     Ok(Request::Roll {
         id,
         module,
@@ -208,9 +215,13 @@ pub struct Reply {
     pub rolled: u64,
     /// Function definitions in this request.
     pub functions: u64,
-    /// Definitions replayed from the cross-request store.
+    /// Whether the request-level layer answered the request, so it never
+    /// reached the driver or the store.
+    pub request_hit: bool,
+    /// Definitions replayed from the cross-request store (`0` on a
+    /// request hit).
     pub store_hits: u64,
-    /// Definitions rolled because the store missed.
+    /// Definitions rolled because the store missed (`0` on a request hit).
     pub store_misses: u64,
     /// This request's wall-clock in the server, nanoseconds.
     pub wall_ns: u64,
@@ -246,6 +257,10 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
             .map(|s| num(s, "rolled"))
             .unwrap_or_default(),
         functions: request.map(|r| num(r, "functions")).unwrap_or_default(),
+        request_hit: request
+            .and_then(|r| r.get("request_hit"))
+            .and_then(Json::as_bool)
+            .unwrap_or_default(),
         store_hits: request.map(|r| num(r, "store_hits")).unwrap_or_default(),
         store_misses: request.map(|r| num(r, "store_misses")).unwrap_or_default(),
         wall_ns: request.map(|r| num(r, "wall_ns")).unwrap_or_default(),

@@ -1,14 +1,18 @@
 //! Serve determinism: a cache-served request must be byte-identical to a
 //! cold roll.
 //!
-//! The cross-request store's whole contract is that replaying a cached
-//! body is indistinguishable from compiling it fresh: same printed module,
-//! same outcome statistics. These tests pin that contract end to end
-//! through the service protocol — over the TSVC repro corpus and over a
-//! 128-module generator sweep — by submitting every module twice to one
-//! [`Server`] and comparing the second (store-served) response against
-//! both the first response and a direct, store-less driver roll. Under
-//! eviction pressure the contract holds across evict → re-insert cycles.
+//! The server answers from two caches: a request-level layer keyed by
+//! preset and module text, and the cross-request store keyed by each
+//! function's closure key. The contract of both is that a cached answer is
+//! indistinguishable from compiling fresh: same printed module, same
+//! outcome statistics. These tests pin that contract end to end through
+//! the service protocol — over the TSVC repro corpus and over a 128-module
+//! generator sweep — by submitting every module cold, then again (served
+//! by the request layer), then with its globals shifted (a different text
+//! whose functions the store replays), and comparing each response against
+//! a direct, store-less driver roll. Under eviction pressure, and through
+//! a capacity-1 server, the contract holds across evict → re-insert
+//! cycles; and no two presets or texts ever share a reply.
 
 use rolag::{roll_module_par, DriverOptions, RolagOptions};
 use rolag_ir::parser::parse_module;
@@ -64,30 +68,57 @@ fn direct_roll(text: &str, opts: &RolagOptions) -> String {
     print_module(&module)
 }
 
-/// First request, repeat request: the repeat must be served entirely from
-/// the store, with the same bytes and the same outcome stats. (The first
-/// request may itself hit entries seeded by earlier modules — generated
-/// corpora contain cross-module duplicates — which is fine: a hit is
-/// byte-identical by contract, which is exactly what this checks.)
-/// Returns the first response for further assertions.
+fn request_hit(doc: &Json) -> bool {
+    doc.get("request")
+        .and_then(|r| r.get("request_hit"))
+        .and_then(Json::as_bool)
+        .expect("missing request.request_hit")
+}
+
+/// Three requests per module. The cold request must equal a store-less
+/// roll when nothing was cached for it. (It may itself hit entries seeded
+/// by earlier modules — generated corpora contain cross-module duplicates
+/// — which is fine: a hit is byte-identical by contract, which is exactly
+/// what this checks.) The exact repeat must be a request hit that never
+/// reaches the store, with the same bytes and the same outcome stats. The
+/// [`with_leading_global`] twin is another text, so it reaches the driver,
+/// and the store must replay every one of its functions into the shifted
+/// global layout, byte-identical to a cold roll of the twin. Returns the
+/// cold response for further assertions.
 fn assert_replay_identical(server: &Server, tag: &str, text: &str, preset: &str) -> Json {
     let cold = roll_via(server, &format!("{tag}-cold"), text, preset);
     let warm = roll_via(server, &format!("{tag}-warm"), text, preset);
 
+    assert!(!request_hit(&cold), "{tag}: first request of its text");
+    assert!(
+        request_hit(&warm),
+        "{tag}: exact repeat must be a request hit"
+    );
     assert_eq!(
         module_of(&cold),
         module_of(&warm),
-        "{tag}: store-served module diverged from the cold roll"
+        "{tag}: request-layer module diverged from the cold roll"
     );
     assert_eq!(
         cold.get("stats"),
         warm.get("stats"),
-        "{tag}: outcome stats diverged between cold and replay"
+        "{tag}: outcome stats diverged between cold and repeat"
     );
-
     let functions = counter(&cold, "request", "functions");
-    assert_eq!(counter(&warm, "request", "store_hits"), functions, "{tag}");
+    assert_eq!(counter(&warm, "request", "functions"), functions, "{tag}");
+    assert_eq!(counter(&warm, "request", "store_hits"), 0.0, "{tag}");
     assert_eq!(counter(&warm, "request", "store_misses"), 0.0, "{tag}");
+
+    let twin_text = with_leading_global(text);
+    let twin = roll_via(server, &format!("{tag}-twin"), &twin_text, preset);
+    assert!(!request_hit(&twin), "{tag}: the twin is another text");
+    assert_eq!(counter(&twin, "request", "store_hits"), functions, "{tag}");
+    assert_eq!(counter(&twin, "request", "store_misses"), 0.0, "{tag}");
+    assert_eq!(
+        module_of(&twin),
+        direct_roll(&twin_text, &RolagOptions::preset(preset).unwrap()),
+        "{tag}: store-served twin diverged from a cold roll"
+    );
     cold
 }
 
@@ -126,10 +157,14 @@ fn generator_sweep_replays_byte_identical() {
         let text = rolag_difftest::gen::generate(SEED, index);
         assert_replay_identical(&server, &format!("gen-{index}"), &text, "default");
     }
-    // Every module was submitted exactly twice, so at least half of all
-    // store lookups hit (more when the corpus duplicates across modules).
+    // Every module was submitted three times: once cold, once answered by
+    // the request layer, and once as a twin the store replays. So the
+    // request layer served a third of the requests, and at least half of
+    // all store lookups hit (more when the corpus duplicates across
+    // modules).
     let snap = server.snapshot();
-    assert_eq!(snap.requests, 2 * MODULES);
+    assert_eq!(snap.requests, 3 * MODULES);
+    assert_eq!(snap.request_hits, MODULES);
     assert_eq!(snap.errors, 0);
     assert!(
         snap.store.hit_rate() >= 0.5,
@@ -169,18 +204,19 @@ fn with_leading_global(text: &str) -> String {
     format!("{header}\nglobal @layout.pad : i32 = zero\n{body}")
 }
 
-/// Eviction pressure: a 16-entry store, far smaller than the working set,
-/// fed 80 modules in three rounds under the `validated` preset, so the
-/// clock hand sweeps every shard and keys are evicted and re-inserted.
-/// The modules are unrolled TSVC kernels, AnghaBench-like functions and
-/// generated multi-function modules. Each round submits every module and
+/// Eviction pressure: a 16-entry store and request layer, far smaller than
+/// the working set, fed the 80 modules of [`mixed_corpus`] in three rounds
+/// under the `validated` preset, so the clock hand sweeps every shard and
+/// keys are evicted and re-inserted. No request repeats while its reply
+/// is still cached, so every request reaches the driver. Each round submits every module and
 /// then the same module with its globals one id later, so the second
 /// request replays what the first inserted (and the store has not yet
 /// evicted) into another global layout. Every response must equal a cold
 /// store-less roll of its own text: a replayed, re-inserted entry is
 /// indistinguishable from rolling fresh.
-#[test]
-fn eviction_pressure_replays_byte_identical() {
+/// 80 modules: unrolled TSVC kernels, AnghaBench-like functions and
+/// generated multi-function modules.
+fn mixed_corpus() -> Vec<String> {
     let mut modules = Vec::new();
     for spec in all_kernels().iter().take(24) {
         let mut m = build_kernel_module(spec);
@@ -195,6 +231,12 @@ fn eviction_pressure_replays_byte_identical() {
     });
     modules.extend(angha.map(|(_, _, m)| print_module(&m)));
     modules.extend((0..16).map(|index| rolag_difftest::gen::generate(0x7a11_da7e, index)));
+    modules
+}
+
+#[test]
+fn eviction_pressure_replays_byte_identical() {
+    let modules = mixed_corpus();
     let requests: Vec<(String, String)> = modules
         .iter()
         .flat_map(|text| [text.clone(), with_leading_global(text)])
@@ -262,4 +304,104 @@ fn every_preset_matches_its_registry_spelling() {
             );
         }
     }
+}
+
+/// A capacity-1 server: the request layer and the store hold one entry
+/// each, so every new request evicts the last one's reply and almost
+/// every function entry. Each request of [`mixed_corpus`] and its twin is
+/// sent twice in a row. The first must equal a cold roll; the second must
+/// be a request hit with the same bytes and stats.
+#[test]
+fn every_request_replays_twice_through_a_capacity_one_server() {
+    let server = Server::new(&ServerConfig {
+        jobs: 2,
+        capacity: 1,
+    });
+    let texts = mixed_corpus()
+        .into_iter()
+        .flat_map(|text| [with_leading_global(&text), text]);
+    for (index, text) in texts.enumerate() {
+        let first = roll_via(&server, &format!("c{index}-first"), &text, "default");
+        let second = roll_via(&server, &format!("c{index}-second"), &text, "default");
+        assert!(
+            !request_hit(&first),
+            "c{index}: the last reply was another text's"
+        );
+        assert!(
+            request_hit(&second),
+            "c{index}: the repeat must be a request hit"
+        );
+        assert_eq!(
+            module_of(&first),
+            direct_roll(&text, &RolagOptions::default()),
+            "c{index}: served output diverged from a cold roll"
+        );
+        assert_eq!(module_of(&first), module_of(&second), "c{index}");
+        assert_eq!(first.get("stats"), second.get("stats"), "c{index}");
+    }
+    let snap = server.snapshot();
+    assert_eq!((snap.requests, snap.request_hits), (320, 160));
+    assert_eq!(snap.store.entries, 1);
+    assert!(snap.store.evictions > 0, "{:?}", snap.store);
+}
+
+/// A module whose one loop rolls only while its stored values stay an
+/// arithmetic sequence.
+const ROLLABLE: &str = r#"module "m"
+global @a : [8 x i32] = zero
+func @fill() -> void {
+entry:
+  %g0 = gep i32, @a, i64 0
+  store i32 0, %g0
+  %g1 = gep i32, @a, i64 1
+  store i32 5, %g1
+  %g2 = gep i32, @a, i64 2
+  store i32 10, %g2
+  %g3 = gep i32, @a, i64 3
+  store i32 15, %g3
+  ret
+}
+"#;
+
+/// The request layer keys a reply by the preset and the whole text: one
+/// text under every preset, and texts one byte apart, each get their own
+/// reply, equal to their own cold roll. Afterwards each original is
+/// answered from the layer with its own bytes.
+#[test]
+fn presets_and_texts_one_byte_apart_never_share_a_reply() {
+    let server = Server::new(&ServerConfig {
+        jobs: 2,
+        capacity: 64,
+    });
+    let gen = rolag_difftest::gen::generate(0x0b1e_5a7e, 3);
+    let texts = [
+        ROLLABLE.to_string(),
+        // One byte changed: the stores stop being a sequence.
+        ROLLABLE.replacen("store i32 15", "store i32 16", 1),
+        // One byte appended: the same module, another text.
+        format!("{ROLLABLE}\n"),
+        gen.clone(),
+        format!("{gen}\n"),
+    ];
+    let mut answers = Vec::new();
+    for (t, text) in texts.iter().enumerate() {
+        for (preset, make) in RolagOptions::PRESETS {
+            let id = format!("t{t}-{preset}");
+            let served = roll_via(&server, &id, text, preset);
+            assert!(!request_hit(&served), "{id} must not share a reply");
+            let module = module_of(&served).to_string();
+            assert_eq!(module, direct_roll(text, &make()), "{id}");
+            answers.push((id, text, preset, module));
+        }
+    }
+    let rolled = |t: usize| answers[t * RolagOptions::PRESETS.len()].3.clone();
+    assert_ne!(rolled(0), rolled(1), "the one-byte change must show");
+    assert!(rolled(0).contains("phi"), "ROLLABLE rolls");
+    for (id, text, preset, module) in &answers {
+        let again = roll_via(&server, &format!("{id}-again"), text, preset);
+        assert!(request_hit(&again), "{id}");
+        assert_eq!(module_of(&again), module, "{id}: another text's reply");
+    }
+    let snap = server.snapshot();
+    assert_eq!(snap.request_hits, answers.len() as u64);
 }
