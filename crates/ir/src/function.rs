@@ -447,7 +447,7 @@ impl Function {
         self.blocks
             .extend(src.blocks[log.base_blocks..].iter().cloned());
         for idx in log.base_values..self.values.len() {
-            if let Some(key) = const_key_of(&self.values[idx]) {
+            if let Some(key) = self.values[idx].const_key() {
                 self.const_map.insert(key, ValueId(idx as u32));
             }
         }
@@ -493,7 +493,8 @@ impl Function {
         assert!(self.values.len() <= src.values.len());
         for idx in self.values.len()..src.values.len() {
             let def = src.values[idx].clone();
-            let key = const_key_of(&def)
+            let key = def
+                .const_key()
                 .expect("absorb_interned_values: appended value is not an interned constant");
             self.const_map.insert(key, ValueId(idx as u32));
             self.values.push(def);
@@ -522,10 +523,14 @@ impl Function {
         &self.blocks
     }
 
-    /// Reassembles a function from decoded arenas. The constant-interning
-    /// map and per-instruction result values are derived (every instruction
-    /// slot must have exactly one `ValueDef::Inst` result in `values`); the
-    /// revision is freshly minted — a decoded function is a new structure.
+    /// Reassembles a function from arenas the text parser or the binary
+    /// decoder built. `const_map` is the constant-interning map of
+    /// `values`, which both callers fill while they lay the values out:
+    /// every constant's key maps to its slot, the later slot winning when
+    /// two share a key. The per-instruction result values are derived
+    /// (every instruction slot must have exactly one `ValueDef::Inst`
+    /// result in `values`); the revision is freshly minted — a decoded
+    /// function is a new structure.
     ///
     /// Returns `None` when an instruction slot has no result value, a
     /// second result value, or `live`'s length disagrees with the arena.
@@ -537,11 +542,16 @@ impl Function {
         is_declaration: bool,
         effects: Effects,
         values: Vec<ValueDef>,
+        const_map: HashMap<ConstKey, ValueId>,
         insts: Vec<InstData>,
         live: Vec<bool>,
         blocks: Vec<BlockData>,
         params: Vec<ValueId>,
     ) -> Option<Self> {
+        debug_assert!(
+            const_map == const_map_of(&values),
+            "const_map is not the interning map of values"
+        );
         if live.len() != insts.len() {
             return None;
         }
@@ -558,7 +568,7 @@ impl Function {
         if inst_results.contains(&ValueId(u32::MAX)) {
             return None;
         }
-        let mut f = Function {
+        Some(Function {
             name,
             param_tys,
             ret_ty,
@@ -570,12 +580,10 @@ impl Function {
             live,
             blocks,
             params,
-            const_map: HashMap::new(),
+            const_map,
             revision: next_revision(),
             journal: None,
-        };
-        f.rebuild_const_map();
-        Some(f)
+        })
     }
 
     /// Journals the pre-mutation placement (block membership + liveness)
@@ -1098,32 +1106,20 @@ impl Function {
     /// later value slot wins future interning lookups; existing operands
     /// keep referring to their original slots, which stay valid.
     fn rebuild_const_map(&mut self) {
-        self.const_map.clear();
-        for (idx, def) in self.values.iter().enumerate() {
-            let key = match def {
-                ValueDef::ConstInt { ty, value } => ConstKey::Int(*ty, *value),
-                ValueDef::ConstFloat { ty, bits } => ConstKey::Float(*ty, *bits),
-                ValueDef::GlobalAddr(g) => ConstKey::Global(*g),
-                ValueDef::FuncAddr(f) => ConstKey::Func(*f),
-                ValueDef::Undef(ty) => ConstKey::Undef(*ty),
-                ValueDef::Inst(_) | ValueDef::Param { .. } => continue,
-            };
-            self.const_map.insert(key, ValueId(idx as u32));
-        }
+        self.const_map = const_map_of(&self.values);
     }
 }
 
-/// The interning key a constant value definition corresponds to, or `None`
-/// for instruction results and parameters.
-fn const_key_of(def: &ValueDef) -> Option<ConstKey> {
-    Some(match def {
-        ValueDef::ConstInt { ty, value } => ConstKey::Int(*ty, *value),
-        ValueDef::ConstFloat { ty, bits } => ConstKey::Float(*ty, *bits),
-        ValueDef::GlobalAddr(g) => ConstKey::Global(*g),
-        ValueDef::FuncAddr(f) => ConstKey::Func(*f),
-        ValueDef::Undef(ty) => ConstKey::Undef(*ty),
-        ValueDef::Inst(_) | ValueDef::Param { .. } => return None,
-    })
+/// The constant-interning map of a value table: each constant's key maps
+/// to its slot, the later slot winning when two constants share a key.
+fn const_map_of(values: &[ValueDef]) -> HashMap<ConstKey, ValueId> {
+    let mut map = HashMap::new();
+    for (idx, def) in values.iter().enumerate() {
+        if let Some(key) = def.const_key() {
+            map.insert(key, ValueId(idx as u32));
+        }
+    }
+    map
 }
 
 /// Def-use information computed by [`Function::compute_uses`].

@@ -76,8 +76,21 @@ fn is_ident_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_' || b == b'.'
 }
 
+/// `IDENT_CONTINUE[b]`: `b` may continue an identifier (a letter, a
+/// digit, `_` or `.`). One load per byte on the lexer's hottest scan.
+const IDENT_CONTINUE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || c == b'_' || c == b'.';
+        b += 1;
+    }
+    table
+};
+
 fn is_ident_continue(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_' || b == b'.'
+    IDENT_CONTINUE[usize::from(b)]
 }
 
 /// True when `name` can be printed bare after `@`/`%` (no quoting needed).
@@ -336,8 +349,19 @@ impl<'a> Lexer<'a> {
             };
         }
         let mut is_float = false;
+        // The magnitude of an integer literal, read while scanning (no
+        // second pass over the digits); `None` once it passes `u64::MAX`.
+        let negative = bytes[start] == b'-';
+        let mut magnitude = if negative {
+            Some(0u64)
+        } else {
+            Some(u64::from(bytes[start] - b'0'))
+        };
         while let Some(b) = self.byte(self.pos) {
             if b.is_ascii_digit() {
+                magnitude = magnitude
+                    .and_then(|m| m.checked_mul(10))
+                    .and_then(|m| m.checked_add(u64::from(b - b'0')));
                 self.pos += 1;
             } else if matches!(b, b'.' | b'e' | b'E') {
                 is_float = true;
@@ -356,9 +380,21 @@ impl<'a> Lexer<'a> {
                 Err(_) => self.err(self.pos, format!("bad float literal {text:?}")),
             }
         } else {
-            match text.parse::<i64>() {
-                Ok(v) => Ok(Tok::Int(v)),
-                Err(_) => self.err(self.pos, format!("bad int literal {text:?}")),
+            // Accept what `parse::<i64>()` accepts: a lone `-` has no
+            // digits, and a magnitude past `i64`'s range is an error.
+            let value = match magnitude {
+                Some(m) if text.len() > 1 || !negative => {
+                    if negative {
+                        0i64.checked_sub_unsigned(m)
+                    } else {
+                        i64::try_from(m).ok()
+                    }
+                }
+                _ => None,
+            };
+            match value {
+                Some(v) => Ok(Tok::Int(v)),
+                None => self.err(self.pos, format!("bad int literal {text:?}")),
             }
         }
     }
@@ -491,6 +527,36 @@ mod tests {
             toks("; RUN: rolag\na ; trailing\n; CHECK: b\nb"),
             vec![Tok::Ident("a"), Tok::Newline, Tok::Ident("b"), Tok::Eof]
         );
+    }
+
+    #[test]
+    fn int_literals_read_as_str_parse_reads_them() {
+        for text in [
+            "0",
+            "-0",
+            "007",
+            "-007",
+            "9223372036854775807",
+            "9223372036854775808",
+            "-9223372036854775808",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "18446744073709551616",
+            "-18446744073709551616",
+            "99999999999999999999999999",
+            "-",
+        ] {
+            let mut lexer = Lexer::new(text);
+            let lexed = lexer
+                .next_token()
+                .map(|(tok, _)| tok)
+                .map_err(|e| e.0.message);
+            let expected = match text.parse::<i64>() {
+                Ok(v) => Ok(Tok::Int(v)),
+                Err(_) => Err(format!("bad int literal {text:?}")),
+            };
+            assert_eq!(lexed, expected, "{text}");
+        }
     }
 
     #[test]

@@ -7,16 +7,21 @@
 //! start, a second one. No token vector and no owned name is built:
 //! identifiers and unquoted `%`/`@` names are slices of the input.
 //!
-//! * **Phase 1** reads the whole module into a flat, borrowed AST. Each
-//!   function gets one `Vec` of instructions; their operands and branch
-//!   labels are ranges into two arrays shared by the whole module. Types
-//!   and globals are interned into the [`Module`] as they are read.
-//! * **Phase 2** (`parser/resolve.rs`) registers every function name (so
-//!   calls and `@f` references may point forwards), then, function by
-//!   function, lays out the instructions in block order and resolves
-//!   their operands in instruction order. Locals and labels in the
-//!   printer's own spellings (`%7`, `%p0`) resolve through dense
-//!   per-function tables; any other spelling goes through a hash map.
+//! * **Phase 1** reads the module, interning types and globals into the
+//!   [`Module`] as they are read. Each definition's body goes into a
+//!   borrowed AST — a `Vec` of instructions whose operands and branch
+//!   labels are ranges into two more arrays — that is emptied and reused
+//!   for the next definition, so it stays the size of one function.
+//! * **Phase 2** (`parser/resolve.rs`) builds a definition as soon as
+//!   phase 1 has read its closing brace, while its AST is still in cache:
+//!   it lays out the instructions in block order, resolves their operands
+//!   in instruction order, and fills the function's constant map on the
+//!   way (the function keeps that map; nothing rebuilds it). Locals and
+//!   labels in the printer's own spellings (`%7`, `%p0`) resolve through
+//!   dense per-function tables; any other spelling goes through a hash
+//!   map. Callees and `@name` operands may point forwards, so they are
+//!   resolved once the whole module is read, after every function name is
+//!   registered.
 //!
 //! # Same module, same errors
 //!
@@ -33,10 +38,12 @@
 //! Errors are precedence-ordered the way a lex-everything-first parser
 //! orders them: any lex error in the module beats any syntax error (after
 //! a syntax error the rest of the input is still lexed, looking for one),
-//! and every syntax error beats every resolution error, which phase 2
-//! reports in the order it meets them. Positions are byte offsets while
-//! parsing and turn into a 1-based line and a column in characters only
-//! when an error is reported.
+//! and every syntax error beats every resolution error. Of those, the
+//! first in module order is reported: all function-name clashes first,
+//! then each function's errors in the order a function-at-a-time build
+//! meets them. Positions are byte offsets while parsing and turn into a
+//! 1-based line and a column in characters only when an error is
+//! reported.
 
 mod lexer;
 mod resolve;
@@ -52,6 +59,7 @@ use crate::module::{GlobalData, GlobalInit, Module};
 use crate::types::TypeId;
 
 use lexer::{Lexer, Tok};
+use resolve::{FuncDef, Resolver};
 
 /// How deeply array and struct types may nest.
 pub const MAX_TYPE_DEPTH: usize = 256;
@@ -133,13 +141,7 @@ pub fn parse_module(input: &str) -> std::result::Result<Module, ParseError> {
         Ok(funcs) => funcs,
         Err(e) => return Err(parser.first_lex_error(e).located(input)),
     };
-    let Parser {
-        module,
-        operands,
-        labels,
-        ..
-    } = parser;
-    resolve::build(module, &funcs, &operands, &labels).map_err(|e| e.located(input))
+    resolve::link(parser.module, funcs).map_err(|e| e.located(input))
 }
 
 /// A name as written after `%`/`@` or as a label: a slice of the input
@@ -168,7 +170,7 @@ enum ExtraAst<'a> {
     Callee(Name<'a>),
 }
 
-/// A `start..end` range into one of the module-wide arrays.
+/// A `start..end` range into one of the arrays of a `BodyAst`.
 type Span = (u32, u32);
 
 #[derive(Debug)]
@@ -178,25 +180,24 @@ struct InstAst<'a> {
     opcode: Opcode,
     ty: TypeId,
     extra: ExtraAst<'a>,
-    /// Into the module-wide operand array.
+    /// Into the body's operand array.
     operands: Span,
-    /// Into the module-wide label array: phi incoming blocks, branch
+    /// Into the body's label array: phi incoming blocks, branch
     /// targets.
     labels: Span,
 }
 
-#[derive(Debug)]
-struct FuncAst<'a> {
-    offset: usize,
-    name: Name<'a>,
-    param_tys: Vec<TypeId>,
+/// The AST of the definition being read: the parameter names, each
+/// block's label and the end of its instructions, and the instructions,
+/// whose operands and labels are ranges into the last two arrays. Cleared
+/// and refilled for each definition.
+#[derive(Debug, Default)]
+struct BodyAst<'a> {
     param_names: Vec<Name<'a>>,
-    ret_ty: TypeId,
-    is_decl: bool,
-    effects: Effects,
-    /// Each block's label and the end of its instructions in `insts`.
     blocks: Vec<(Name<'a>, u32)>,
     insts: Vec<InstAst<'a>>,
+    operands: Vec<OperandAst<'a>>,
+    labels: Vec<Name<'a>>,
 }
 
 struct Parser<'a> {
@@ -207,12 +208,29 @@ struct Parser<'a> {
     /// The token after `tok`, once something peeked at it.
     ahead: Option<(Tok<'a>, usize)>,
     module: Module,
-    operands: Vec<OperandAst<'a>>,
-    labels: Vec<Name<'a>>,
+    body: BodyAst<'a>,
+    resolver: Resolver<'a>,
 }
 
 fn span(start: usize, end: usize) -> Span {
     (start as u32, end as u32)
+}
+
+/// The width `digits` spells after the `i` of an integer type name, as
+/// `u16::from_str` reads it (an identifier holds no sign): `None` unless
+/// it is one or more decimal digits below 65,536.
+fn int_width(digits: &[u8]) -> Option<u16> {
+    if digits.is_empty() {
+        return None;
+    }
+    let mut width: u16 = 0;
+    for &d in digits {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        width = width.checked_mul(10)?.checked_add(u16::from(d - b'0'))?;
+    }
+    Some(width)
 }
 
 impl<'a> Parser<'a> {
@@ -223,19 +241,27 @@ impl<'a> Parser<'a> {
             offset: 0,
             ahead: None,
             module: Module::new(""),
-            operands: Vec::new(),
-            labels: Vec::new(),
+            body: BodyAst::default(),
+            resolver: Resolver::default(),
         }
     }
 
-    /// Makes the next token current and returns the previous one.
-    fn bump(&mut self) -> Result<Tok<'a>> {
+    /// Makes the next token current.
+    fn advance(&mut self) -> Result<()> {
         let (tok, offset) = match self.ahead.take() {
             Some(next) => next,
             None => self.lexer.next_token()?,
         };
         self.offset = offset;
-        Ok(std::mem::replace(&mut self.tok, tok))
+        self.tok = tok;
+        Ok(())
+    }
+
+    /// Makes the next token current and returns the previous one.
+    fn bump(&mut self) -> Result<Tok<'a>> {
+        let tok = std::mem::replace(&mut self.tok, Tok::Eof);
+        self.advance()?;
+        Ok(tok)
     }
 
     /// The token after the current one.
@@ -272,7 +298,7 @@ impl<'a> Parser<'a> {
     fn eat(&mut self, tok: &Tok<'_>) -> Result<bool> {
         let hit = self.at(tok);
         if hit {
-            self.bump()?;
+            self.advance()?;
         }
         Ok(hit)
     }
@@ -289,7 +315,7 @@ impl<'a> Parser<'a> {
     fn expect_ident(&mut self) -> Result<&'a str> {
         match self.tok {
             Tok::Ident(s) => {
-                self.bump()?;
+                self.advance()?;
                 Ok(s)
             }
             ref other => self.err(format!("expected identifier, found {other}")),
@@ -322,7 +348,7 @@ impl<'a> Parser<'a> {
     fn expect_int(&mut self) -> Result<i64> {
         match self.tok {
             Tok::Int(v) => {
-                self.bump()?;
+                self.advance()?;
                 Ok(v)
             }
             ref other => self.err(format!("expected integer, found {other}")),
@@ -333,7 +359,7 @@ impl<'a> Parser<'a> {
     fn expect_label(&mut self) -> Result<Name<'a>> {
         match self.tok {
             Tok::Ident(s) => {
-                self.bump()?;
+                self.advance()?;
                 Ok(Cow::Borrowed(s))
             }
             Tok::Str(_) => self.take_text(),
@@ -343,7 +369,7 @@ impl<'a> Parser<'a> {
 
     fn skip_newlines(&mut self) -> Result<()> {
         while let Tok::Newline = self.tok {
-            self.bump()?;
+            self.advance()?;
         }
         Ok(())
     }
@@ -351,7 +377,7 @@ impl<'a> Parser<'a> {
     fn expect_end_of_stmt(&mut self) -> Result<()> {
         match self.tok {
             Tok::Newline => {
-                self.bump()?;
+                self.advance()?;
                 Ok(())
             }
             Tok::Eof | Tok::RBrace => Ok(()),
@@ -362,12 +388,11 @@ impl<'a> Parser<'a> {
     fn at_type_start(&self) -> bool {
         match self.tok {
             Tok::LBracket | Tok::LBrace => true,
-            Tok::Ident(s) => {
-                matches!(s, "void" | "ptr" | "float" | "double")
-                    || (s.len() > 1
-                        && s.starts_with('i')
-                        && s[1..].bytes().all(|b| b.is_ascii_digit()))
-            }
+            Tok::Ident(s) => match s.as_bytes() {
+                [b'i', digits @ ..] => !digits.is_empty() && digits.iter().all(u8::is_ascii_digit),
+                b"void" | b"ptr" | b"float" | b"double" => true,
+                _ => false,
+            },
             _ => false,
         }
     }
@@ -385,15 +410,15 @@ impl<'a> Parser<'a> {
                 self.err(format!("type nesting deeper than {MAX_TYPE_DEPTH} levels"))
             }
             Tok::Ident(s) => {
-                self.bump()?;
+                self.advance()?;
                 let types = &self.module.types;
-                match s {
-                    "void" => Ok(types.void()),
-                    "ptr" => Ok(types.ptr()),
-                    "float" => Ok(types.float()),
-                    "double" => Ok(types.double()),
-                    _ if s.starts_with('i') => {
-                        let Ok(width) = s[1..].parse::<u16>() else {
+                match s.as_bytes() {
+                    b"void" => Ok(types.void()),
+                    b"ptr" => Ok(types.ptr()),
+                    b"float" => Ok(types.float()),
+                    b"double" => Ok(types.double()),
+                    [b'i', digits @ ..] => {
+                        let Some(width) = int_width(digits) else {
                             return self.err(format!("bad type name {s}"));
                         };
                         // The common widths are pre-interned: skip the hash.
@@ -411,7 +436,7 @@ impl<'a> Parser<'a> {
                 }
             }
             Tok::LBracket => {
-                self.bump()?;
+                self.advance()?;
                 let len = self.expect_int()?;
                 if len < 0 {
                     return self.err("negative array length");
@@ -425,7 +450,7 @@ impl<'a> Parser<'a> {
                 Ok(self.module.types.array(elem, len as u64))
             }
             Tok::LBrace => {
-                self.bump()?;
+                self.advance()?;
                 let mut fields = Vec::new();
                 loop {
                     fields.push(self.parse_type_at(depth + 1)?);
@@ -458,21 +483,21 @@ impl<'a> Parser<'a> {
                         return self.err(format!("expected constant after type, found {other}"))
                     }
                 };
-                self.bump()?;
+                self.advance()?;
                 Ok(operand)
             }
             ref other => self.err(format!("expected operand, found {other}")),
         }
     }
 
-    /// Parses an operand into the shared operand array.
+    /// Parses an operand into the body's operand array.
     fn push_operand(&mut self) -> Result<()> {
         let operand = self.parse_operand()?;
-        self.operands.push(operand);
+        self.body.operands.push(operand);
         Ok(())
     }
 
-    /// `a, b` into the shared operand array.
+    /// `a, b` into the body's operand array.
     fn push_operand_pair(&mut self) -> Result<()> {
         self.push_operand()?;
         self.expect(&Tok::Comma)?;
@@ -481,19 +506,20 @@ impl<'a> Parser<'a> {
 
     fn push_label(&mut self) -> Result<()> {
         let label = self.expect_label()?;
-        self.labels.push(label);
+        self.body.labels.push(label);
         Ok(())
     }
 
-    /// Phase 1: the whole module, syntax only. Globals and types go
-    /// straight into `self.module`; functions come back as ASTs.
-    fn module(&mut self) -> Result<Vec<FuncAst<'a>>> {
-        self.bump()?;
+    /// Phase 1: the whole module. Globals and types go straight into
+    /// `self.module`; each definition's body is built as soon as it is
+    /// read, and functions come back as headers with their bodies.
+    fn module(&mut self) -> Result<Vec<FuncDef<'a>>> {
+        self.advance()?;
         self.skip_newlines()?;
         if self.tok != Tok::Ident("module") {
             return self.err(format!("expected module, found {}", self.tok));
         }
-        self.bump()?;
+        self.advance()?;
         // A bad name is reported at the token after it, unlike the other
         // "expected" errors (`tests/parser_pinned.rs` pins the position).
         let name = match self.bump()? {
@@ -509,18 +535,19 @@ impl<'a> Parser<'a> {
             match self.tok {
                 Tok::Eof => break,
                 Tok::Ident(kw @ ("global" | "const")) => {
-                    self.bump()?;
+                    self.advance()?;
                     self.parse_global(kw == "const")?;
                 }
                 Tok::Ident("declare") => {
-                    self.bump()?;
+                    self.advance()?;
                     funcs.push(self.parse_func_header(true)?);
                 }
                 Tok::Ident("func") => {
-                    self.bump()?;
-                    let mut ast = self.parse_func_header(false)?;
-                    self.parse_func_body(&mut ast)?;
-                    funcs.push(ast);
+                    self.advance()?;
+                    let mut def = self.parse_func_header(false)?;
+                    self.parse_func_body()?;
+                    def.body = Some(self.resolver.body(&self.body, &def.param_tys, def.offset));
+                    funcs.push(def);
                 }
                 ref other => return self.err(format!("expected top-level item, found {other}")),
             }
@@ -589,25 +616,26 @@ impl<'a> Parser<'a> {
         Ok(values)
     }
 
-    fn parse_func_header(&mut self, is_decl: bool) -> Result<FuncAst<'a>> {
+    /// A function header; its parameter names go to `self.body`.
+    fn parse_func_header(&mut self, is_decl: bool) -> Result<FuncDef<'a>> {
         let offset = self.offset;
         let name = self.expect_global()?;
         self.expect(&Tok::LParen)?;
         let mut param_tys = Vec::new();
-        let mut param_names: Vec<Name<'a>> = Vec::new();
+        self.body.param_names.clear();
         if !self.at(&Tok::RParen) {
             loop {
                 let ty = self.parse_type()?;
                 let param_offset = self.offset;
                 let pname = self.expect_local()?;
-                if param_names.contains(&pname) {
+                if self.body.param_names.contains(&pname) {
                     return Err(Error::at(
                         param_offset,
                         format!("parameter %{pname} defined twice"),
                     ));
                 }
                 param_tys.push(ty);
-                param_names.push(pname);
+                self.body.param_names.push(pname);
                 if !self.eat(&Tok::Comma)? {
                     break;
                 }
@@ -620,22 +648,19 @@ impl<'a> Parser<'a> {
         if is_decl {
             if let Tok::Ident(s) = self.tok {
                 if let Some(e) = Effects::from_mnemonic(s) {
-                    self.bump()?;
+                    self.advance()?;
                     effects = e;
                 }
             }
             self.expect_end_of_stmt()?;
         }
-        Ok(FuncAst {
+        Ok(FuncDef {
             offset,
             name,
             param_tys,
-            param_names,
             ret_ty,
-            is_decl,
             effects,
-            blocks: Vec::new(),
-            insts: Vec::new(),
+            body: None,
         })
     }
 
@@ -644,8 +669,14 @@ impl<'a> Parser<'a> {
         Ok(matches!(self.tok, Tok::Ident(_) | Tok::Str(_)) && matches!(self.peek2()?, Tok::Colon))
     }
 
-    fn parse_func_body(&mut self, ast: &mut FuncAst<'a>) -> Result<()> {
+    /// A definition's body, into `self.body`.
+    fn parse_func_body(&mut self) -> Result<()> {
         self.expect(&Tok::LBrace)?;
+        let body = &mut self.body;
+        body.blocks.clear();
+        body.insts.clear();
+        body.operands.clear();
+        body.labels.clear();
         loop {
             self.skip_newlines()?;
             if self.eat(&Tok::RBrace)? {
@@ -660,9 +691,10 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 let inst = self.parse_inst()?;
-                ast.insts.push(inst);
+                self.body.insts.push(inst);
             }
-            ast.blocks.push((label, ast.insts.len() as u32));
+            let end = self.body.insts.len() as u32;
+            self.body.blocks.push((label, end));
         }
     }
 
@@ -680,7 +712,7 @@ impl<'a> Parser<'a> {
         let Some(opcode) = Opcode::from_mnemonic(mnemonic) else {
             return Err(Error::at(offset, format!("unknown opcode {mnemonic}")));
         };
-        let (operands, labels) = (self.operands.len(), self.labels.len());
+        let (operands, labels) = (self.body.operands.len(), self.body.labels.len());
         let types = &self.module.types;
         let (void, i1, ptr) = (types.void(), types.i1(), types.ptr());
         let mut extra = ExtraAst::None;
@@ -805,8 +837,8 @@ impl<'a> Parser<'a> {
             opcode,
             ty,
             extra,
-            operands: span(operands, self.operands.len()),
-            labels: span(labels, self.labels.len()),
+            operands: span(operands, self.body.operands.len()),
+            labels: span(labels, self.body.labels.len()),
         })
     }
 }
@@ -837,6 +869,32 @@ exit:
   ret %5
 }
 "#;
+
+    #[test]
+    fn int_widths_read_as_u16_parse_reads_them() {
+        let mut names: Vec<String> = (0..=70_000).step_by(7).map(|w| w.to_string()).collect();
+        names.extend(
+            [
+                "",
+                "0",
+                "00032",
+                "65535",
+                "65536",
+                "99999999999",
+                "3x",
+                "x3",
+                "1.5",
+            ]
+            .map(String::from),
+        );
+        for digits in names {
+            assert_eq!(
+                int_width(digits.as_bytes()),
+                digits.parse::<u16>().ok(),
+                "{digits:?}"
+            );
+        }
+    }
 
     #[test]
     fn parse_and_reprint_round_trip() {

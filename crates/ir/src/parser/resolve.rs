@@ -1,64 +1,66 @@
-//! Phase 2: turns the borrowed phase-1 AST into functions.
+//! Phase 2: turns each definition's borrowed AST into arenas, then links
+//! the module.
 //!
-//! Function names are registered first, so calls and `@f` operands may
-//! refer forwards. Each definition is then built in two sweeps: the
-//! first creates every instruction (operands still empty) in block
-//! order, binding result names, so that a use may precede its definition
-//! (phis); the second resolves operands in instruction order, interning
-//! constants and addresses as it meets them.
+//! Phase 1 hands a definition to [`Resolver::body`] as soon as it has read
+//! the closing brace, while the AST is still in cache, and then reuses the
+//! AST buffers for the next definition. A body is built in two sweeps: the
+//! first creates every instruction (operands still empty) in block order,
+//! binding result names, so that a use may precede its definition (phis);
+//! the second resolves operands in instruction order, interning constants
+//! as it meets them into the map the function keeps.
+//!
+//! A callee or an `@name` operand may name a function or global defined
+//! further down, so those wait for [`link`], which runs once phase 1 has
+//! read the whole module. An `@name` operand still takes its value slot at
+//! first use, keyed by the name: a name stands for one global or one
+//! function, so this gives the slots that keying by id would. `link`
+//! registers every function name, then resolves each body's pending names
+//! and fills in their slots and callees.
+//!
+//! Errors keep the order a function-at-a-time build met them in: a body
+//! records only its first error together with its place in that order
+//! ([`Order`]), and `link` reports it unless an unresolved name comes
+//! first.
 
 use std::collections::HashMap;
 
-use super::{Error, ExtraAst, FuncAst, InstAst, Name, OperandAst, Result};
+use super::{BodyAst, Error, ExtraAst, InstAst, Name, OperandAst, Result};
 use crate::block::{BlockData, BlockId};
 use crate::function::{Effects, Function};
 use crate::inst::{InstData, InstExtra, InstId, Opcode};
 use crate::module::Module;
-use crate::value::{ConstKey, ValueDef, ValueId};
+use crate::types::TypeId;
+use crate::value::{ConstKey, FuncId, ValueDef, ValueId};
 
-/// Builds every function of `funcs` into `module`.
-pub(super) fn build(
-    mut module: Module,
-    funcs: &[FuncAst<'_>],
-    operands: &[OperandAst<'_>],
-    labels: &[Name<'_>],
-) -> Result<Module> {
-    let mut ids = Vec::with_capacity(funcs.len());
-    for ast in funcs {
-        if module.func_by_name(&ast.name).is_some() {
-            return Err(Error::at(
-                ast.offset,
-                format!("function @{} defined twice", ast.name),
-            ));
-        }
-        if module.global_by_name(&ast.name).is_some() {
-            return Err(Error::at(
-                ast.offset,
-                format!("@{} defined as both a global and a function", ast.name),
-            ));
-        }
-        let decl = Function::declare(
-            ast.name.as_ref(),
-            ast.param_tys.clone(),
-            ast.ret_ty,
-            ast.effects,
-        );
-        ids.push(module.add_func(decl));
-    }
-    let mut builder = Builder {
-        operands,
-        labels,
-        locals: NameTable::default(),
-        blocks: NameTable::default(),
-        consts: HashMap::new(),
-    };
-    for (ast, id) in funcs.iter().zip(ids) {
-        if !ast.is_decl {
-            let func = builder.function(&module, ast)?;
-            module.replace_func(id, func);
-        }
-    }
-    Ok(module)
+/// Where in a body's build an error falls: duplicate labels first
+/// (`(0, 0, 0)`), then the first sweep (`(1, instruction, 0)` for a label
+/// or callee, `(1, instruction, 1)` for a result bound twice), then the
+/// second (`(2, instruction, operand)`).
+type Order = (u8, u32, u32);
+
+/// A name a body could not resolve on its own.
+struct Pending<'a> {
+    /// The value slot (an `@name` operand) or instruction (a callee) the
+    /// name fills in.
+    index: u32,
+    name: Name<'a>,
+    offset: usize,
+    order: Order,
+}
+
+/// One definition's arenas, with callees and `@name` operands not yet
+/// resolved.
+pub(super) struct Body<'a> {
+    values: Vec<ValueDef>,
+    consts: HashMap<ConstKey, ValueId>,
+    insts: Vec<InstData>,
+    blocks: Vec<BlockData>,
+    /// The first use of each `@name` operand, in the second sweep's order.
+    refs: Vec<Pending<'a>>,
+    /// Every call, in the first sweep's order.
+    callees: Vec<Pending<'a>>,
+    /// The first error the build met, which stopped it.
+    error: Option<(Order, Error)>,
 }
 
 /// An empty [`NameTable`] slot.
@@ -89,13 +91,13 @@ enum Slot {
 /// slot depends only on its spelling and the table sizes, so `%01` and
 /// `%1` stay distinct names, and a name always finds its own binding.
 #[derive(Default)]
-struct NameTable<'s> {
+struct NameTable<'a> {
     dense: Vec<u32>,
     prefixed: Vec<u32>,
-    other: HashMap<&'s str, u32>,
+    other: HashMap<Name<'a>, u32>,
 }
 
-impl<'s> NameTable<'s> {
+impl<'a> NameTable<'a> {
     fn reset(&mut self, dense: usize, prefixed: usize) {
         self.dense.clear();
         self.dense.resize(dense, UNBOUND);
@@ -127,11 +129,11 @@ impl<'s> NameTable<'s> {
     }
 
     /// Binds `name` to `id`; false when it was already bound.
-    fn bind(&mut self, name: &'s str, id: u32) -> bool {
+    fn bind(&mut self, name: &Name<'a>, id: u32) -> bool {
         let cell = match self.slot(name) {
             Slot::Dense(n) => &mut self.dense[n],
             Slot::Prefixed(n) => &mut self.prefixed[n],
-            Slot::Other => return self.other.insert(name, id).is_none(),
+            Slot::Other => return self.other.insert(name.clone(), id).is_none(),
         };
         let fresh = *cell == UNBOUND;
         *cell = id;
@@ -139,24 +141,54 @@ impl<'s> NameTable<'s> {
     }
 }
 
-/// Phase-2 state, reused from one function to the next.
-struct Builder<'s, 'a> {
-    operands: &'s [OperandAst<'a>],
-    labels: &'s [Name<'a>],
-    locals: NameTable<'s>,
-    blocks: NameTable<'s>,
-    /// The function's interned constants and addresses so far.
-    consts: HashMap<ConstKey, ValueId>,
+/// Body-building state, reused from one definition to the next.
+#[derive(Default)]
+pub(super) struct Resolver<'a> {
+    locals: NameTable<'a>,
+    blocks: NameTable<'a>,
+    /// The value slot of each `@name` operand of the current body.
+    refs: HashMap<Name<'a>, ValueId>,
 }
 
-impl<'s, 'a> Builder<'s, 'a> {
-    /// Builds one definition straight into value, instruction and block
-    /// arenas, laid out as `Function::new` plus `create_inst` /
-    /// `append_inst` / `const_*` calls in the same order would lay them
-    /// out: parameters, then one result slot per instruction in block
-    /// order, then constants in first-use order.
-    fn function(&mut self, module: &Module, ast: &'s FuncAst<'a>) -> Result<Function> {
-        let params = ast.param_tys.len();
+/// Stands in for an `@name` operand's value until [`link`] resolves it.
+const UNRESOLVED: ValueDef = ValueDef::Undef(TypeId(u32::MAX));
+
+impl<'a> Resolver<'a> {
+    /// Builds the definition in `ast` (whose header starts at byte
+    /// `offset`) straight into value, instruction and block arenas, laid
+    /// out as `Function::new` plus `create_inst` / `append_inst` /
+    /// `const_*` calls in the same order would lay them out: parameters,
+    /// then one result slot per instruction in block order, then constants
+    /// in first-use order.
+    pub(super) fn body(
+        &mut self,
+        ast: &BodyAst<'a>,
+        param_tys: &[TypeId],
+        offset: usize,
+    ) -> Body<'a> {
+        let mut body = Body {
+            values: Vec::new(),
+            consts: HashMap::new(),
+            insts: Vec::with_capacity(ast.insts.len()),
+            blocks: Vec::with_capacity(ast.blocks.len()),
+            refs: Vec::new(),
+            callees: Vec::new(),
+            error: None,
+        };
+        if let Err(error) = self.build(ast, param_tys, offset, &mut body) {
+            body.error = Some(error);
+        }
+        body
+    }
+
+    fn build(
+        &mut self,
+        ast: &BodyAst<'a>,
+        param_tys: &[TypeId],
+        offset: usize,
+        body: &mut Body<'a>,
+    ) -> std::result::Result<(), (Order, Error)> {
+        let params = param_tys.len();
         let count = ast.insts.len();
         // Printed results are numbered after the parameters, so
         // `params + count` covers every printer-canonical `%N`.
@@ -166,36 +198,33 @@ impl<'s, 'a> Builder<'s, 'a> {
         }
         // Imported LLVM labels count arguments, values and blocks alike.
         self.blocks.reset(ast.blocks.len() + count + params, 0);
-        let mut blocks = Vec::with_capacity(ast.blocks.len());
         for (label, _) in &ast.blocks {
-            if !self.blocks.bind(label, blocks.len() as u32) {
-                return Err(Error::at(
-                    ast.offset,
-                    format!("duplicate block label {label}"),
-                ));
+            if !self.blocks.bind(label, body.blocks.len() as u32) {
+                let error = Error::at(offset, format!("duplicate block label {label}"));
+                return Err(((0, 0, 0), error));
             }
-            blocks.push(BlockData::new(label.as_ref()));
+            body.blocks.push(BlockData::new(label.as_ref()));
         }
 
         // First sweep: every instruction's payload and result name, so
         // that forward value references (e.g. phis) resolve. Instruction
         // `k` defines value `params + k`.
-        let mut insts = Vec::with_capacity(count);
         let mut start = 0;
         for (b, &(_, end)) in ast.blocks.iter().enumerate() {
             let end = end as usize;
-            blocks[b].insts = (start..end).map(InstId::from_index).collect();
+            body.blocks[b].insts = (start..end).map(InstId::from_index).collect();
             for inst in &ast.insts[start..end] {
-                let extra = self.extra(module, inst)?;
+                let k = body.insts.len() as u32;
+                let extra = self
+                    .extra(ast, inst, k, &mut body.callees)
+                    .map_err(|e| ((1, k, 0), e))?;
                 if let Some(name) = &inst.result {
-                    if !self.locals.bind(name, (params + insts.len()) as u32) {
-                        return Err(Error::at(
-                            inst.offset,
-                            format!("value %{name} defined twice"),
-                        ));
+                    if !self.locals.bind(name, params as u32 + k) {
+                        let error = Error::at(inst.offset, format!("value %{name} defined twice"));
+                        return Err(((1, k, 1), error));
                     }
                 }
-                insts.push(InstData {
+                body.insts.push(InstData {
                     opcode: inst.opcode,
                     ty: inst.ty,
                     operands: Vec::new(),
@@ -207,10 +236,17 @@ impl<'s, 'a> Builder<'s, 'a> {
         }
 
         // Second sweep: resolve operands in instruction order, interning
-        // constants and addresses as they first appear.
-        let mut values = Vec::with_capacity(params + count);
+        // constants as they first appear.
+        let values = &mut body.values;
+        // Each operand that is not a local may intern one more value.
+        let interned = ast
+            .operands
+            .iter()
+            .filter(|op| !matches!(op, OperandAst::Local(_)))
+            .count();
+        values.reserve_exact(params + count + interned);
         values.extend(
-            ast.param_tys
+            param_tys
                 .iter()
                 .enumerate()
                 .map(|(i, &ty)| ValueDef::Param {
@@ -219,17 +255,33 @@ impl<'s, 'a> Builder<'s, 'a> {
                 }),
         );
         values.extend((0..count).map(|k| ValueDef::Inst(InstId::from_index(k))));
-        self.consts.clear();
-        for (inst, data) in ast.insts.iter().zip(&mut insts) {
+        self.refs.clear();
+        for (k, (inst, data)) in ast.insts.iter().zip(&mut body.insts).enumerate() {
             let (lo, hi) = inst.operands;
             let mut operands = Vec::with_capacity((hi - lo) as usize);
-            for op in &self.operands[lo as usize..hi as usize] {
+            for (j, op) in ast.operands[lo as usize..hi as usize].iter().enumerate() {
+                let next = ValueId::from_index(values.len());
                 let (key, def) = match *op {
                     OperandAst::Local(ref name) => {
                         let Some(v) = self.locals.get(name) else {
-                            return Err(Error::at(inst.offset, format!("unknown value %{name}")));
+                            let error = Error::at(inst.offset, format!("unknown value %{name}"));
+                            return Err(((2, k as u32, j as u32), error));
                         };
                         operands.push(ValueId::from_index(v as usize));
+                        continue;
+                    }
+                    OperandAst::Ref(ref name) => {
+                        let v = *self.refs.entry(name.clone()).or_insert(next);
+                        if v == next {
+                            values.push(UNRESOLVED);
+                            body.refs.push(Pending {
+                                index: v.0,
+                                name: name.clone(),
+                                offset: inst.offset,
+                                order: (2, k as u32, j as u32),
+                            });
+                        }
+                        operands.push(v);
                         continue;
                     }
                     OperandAst::CInt(ty, value) => {
@@ -242,22 +294,9 @@ impl<'s, 'a> Builder<'s, 'a> {
                     OperandAst::CFloatBits(ty, bits) => {
                         (ConstKey::Float(ty, bits), ValueDef::ConstFloat { ty, bits })
                     }
-                    OperandAst::Ref(ref name) => {
-                        if let Some(g) = module.global_by_name(name) {
-                            (ConstKey::Global(g), ValueDef::GlobalAddr(g))
-                        } else if let Some(f) = module.func_by_name(name) {
-                            (ConstKey::Func(f), ValueDef::FuncAddr(f))
-                        } else {
-                            return Err(Error::at(
-                                inst.offset,
-                                format!("unknown reference @{name}"),
-                            ));
-                        }
-                    }
                     OperandAst::Undef(ty) => (ConstKey::Undef(ty), ValueDef::Undef(ty)),
                 };
-                let next = ValueId::from_index(values.len());
-                let v = *self.consts.entry(key).or_insert(next);
+                let v = *body.consts.entry(key).or_insert(next);
                 if v == next {
                     values.push(def);
                 }
@@ -265,27 +304,20 @@ impl<'s, 'a> Builder<'s, 'a> {
             }
             data.operands = operands;
         }
-
-        let func = Function::from_raw_parts(
-            ast.name.to_string(),
-            ast.param_tys.clone(),
-            ast.ret_ty,
-            false,
-            Effects::ReadWrite,
-            values,
-            insts,
-            vec![true; count],
-            blocks,
-            (0..params).map(ValueId::from_index).collect(),
-        )
-        .expect("every instruction has exactly one result slot");
-        Ok(func)
+        Ok(())
     }
 
-    /// The opcode payload of `inst`, resolving its callee and labels.
-    fn extra(&self, module: &Module, inst: &InstAst<'a>) -> Result<InstExtra> {
+    /// The opcode payload of `inst`, the `k`th instruction, resolving its
+    /// labels; a callee is left to [`link`] through `callees`.
+    fn extra(
+        &self,
+        ast: &BodyAst<'a>,
+        inst: &InstAst<'a>,
+        k: u32,
+        callees: &mut Vec<Pending<'a>>,
+    ) -> Result<InstExtra> {
         let label = |i: u32| -> Result<BlockId> {
-            let name = &self.labels[i as usize];
+            let name = &ast.labels[i as usize];
             match self.blocks.get(name) {
                 Some(b) => Ok(BlockId::from_index(b as usize)),
                 None => Err(Error::at(
@@ -300,10 +332,17 @@ impl<'s, 'a> Builder<'s, 'a> {
             (ExtraAst::Fcmp(p), _) => InstExtra::Fcmp(*p),
             (ExtraAst::ElemTy(elem_ty), Opcode::Gep) => InstExtra::Gep { elem_ty: *elem_ty },
             (ExtraAst::ElemTy(elem_ty), _) => InstExtra::Alloca { elem_ty: *elem_ty },
-            (ExtraAst::Callee(name), _) => match module.func_by_name(name) {
-                Some(callee) => InstExtra::Call { callee },
-                None => return Err(Error::at(inst.offset, format!("unknown callee @{name}"))),
-            },
+            (ExtraAst::Callee(name), _) => {
+                callees.push(Pending {
+                    index: k,
+                    name: name.clone(),
+                    offset: inst.offset,
+                    order: (1, k, 0),
+                });
+                InstExtra::Call {
+                    callee: FuncId(u32::MAX),
+                }
+            }
             (ExtraAst::None, Opcode::Phi) => InstExtra::Phi {
                 incoming: (lo..hi).map(label).collect::<Result<_>>()?,
             },
@@ -314,5 +353,116 @@ impl<'s, 'a> Builder<'s, 'a> {
             },
             (ExtraAst::None, _) => InstExtra::None,
         })
+    }
+}
+
+/// A function as phase 1 read it: its header, and its body when it is a
+/// definition.
+pub(super) struct FuncDef<'a> {
+    pub(super) offset: usize,
+    pub(super) name: Name<'a>,
+    pub(super) param_tys: Vec<TypeId>,
+    pub(super) ret_ty: TypeId,
+    pub(super) effects: Effects,
+    pub(super) body: Option<Body<'a>>,
+}
+
+/// Registers every function of `funcs` in `module` (so calls and `@f`
+/// operands may point forwards), then resolves each body's pending names
+/// and puts the definitions in place.
+pub(super) fn link(mut module: Module, funcs: Vec<FuncDef<'_>>) -> Result<Module> {
+    let mut ids = Vec::with_capacity(funcs.len());
+    for def in &funcs {
+        if module.func_by_name(&def.name).is_some() {
+            return Err(Error::at(
+                def.offset,
+                format!("function @{} defined twice", def.name),
+            ));
+        }
+        if module.global_by_name(&def.name).is_some() {
+            return Err(Error::at(
+                def.offset,
+                format!("@{} defined as both a global and a function", def.name),
+            ));
+        }
+        // A definition's stub only holds its name until `finish` replaces
+        // it, so it needs no parameters.
+        let param_tys = match def.body {
+            None => def.param_tys.clone(),
+            Some(_) => Vec::new(),
+        };
+        let decl = Function::declare(def.name.as_ref(), param_tys, def.ret_ty, def.effects);
+        ids.push(module.add_func(decl));
+    }
+    for (def, id) in funcs.into_iter().zip(ids) {
+        if let Some(body) = def.body {
+            let func = body.finish(&module, def.name.into_owned(), def.param_tys, def.ret_ty)?;
+            module.replace_func(id, func);
+        }
+    }
+    Ok(module)
+}
+
+impl Body<'_> {
+    /// Resolves the pending names against `module` and assembles the
+    /// function, or returns the first error in build order.
+    fn finish(
+        mut self,
+        module: &Module,
+        name: String,
+        param_tys: Vec<TypeId>,
+        ret_ty: TypeId,
+    ) -> Result<Function> {
+        let mut first = self.error.take();
+        let before = |order: Order, first: &Option<(Order, Error)>| {
+            first.as_ref().is_none_or(|(at, _)| order < *at)
+        };
+        for call in &self.callees {
+            if !before(call.order, &first) {
+                break;
+            }
+            let Some(callee) = module.func_by_name(&call.name) else {
+                let error = Error::at(call.offset, format!("unknown callee @{}", call.name));
+                first = Some((call.order, error));
+                break;
+            };
+            self.insts[call.index as usize].extra = InstExtra::Call { callee };
+        }
+        for r in &self.refs {
+            if !before(r.order, &first) {
+                break;
+            }
+            let (key, def) = if let Some(g) = module.global_by_name(&r.name) {
+                (ConstKey::Global(g), ValueDef::GlobalAddr(g))
+            } else if let Some(f) = module.func_by_name(&r.name) {
+                (ConstKey::Func(f), ValueDef::FuncAddr(f))
+            } else {
+                let error = Error::at(r.offset, format!("unknown reference @{}", r.name));
+                first = Some((r.order, error));
+                break;
+            };
+            self.values[r.index as usize] = def;
+            self.consts.insert(key, ValueId(r.index));
+        }
+        if let Some((_, error)) = first {
+            return Err(error);
+        }
+        let count = self.insts.len();
+        let params = param_tys.len();
+        let func = Function::from_raw_parts(
+            name,
+            param_tys,
+            ret_ty,
+            false,
+            Effects::ReadWrite,
+            self.values,
+            self.consts,
+            self.insts,
+            vec![true; count],
+            self.blocks,
+            (0..params).map(ValueId::from_index).collect(),
+        )
+        .expect("every instruction has exactly one result slot");
+        Ok(func)
     }
 }

@@ -24,6 +24,15 @@
 //! their own. The numbering lives in a `Vec` indexed by [`ValueId`] — a
 //! value's printed number, or a sentinel for values no definition numbered
 //! — which [`print_module`] allocates once and reuses for every function.
+//!
+//! Nothing on the hot path goes through `core::fmt`. Value numbers,
+//! integer constants, `iN` widths, array lengths and `ints`/`bytes`
+//! elements are written by a small decimal writer (`push_u64`, two
+//! digits per division); a float constant that `{:?}` would spell as an
+//! integer plus `.0` (integral, below 1e16 in magnitude, `-0.0` included)
+//! is written by the same writer, and only other finite floats take `{:?}`;
+//! names that need no escaping are copied in one piece. The writers are
+//! checked against `format!` in this module's tests.
 
 use std::fmt::Write as _;
 
@@ -31,25 +40,81 @@ use crate::function::Function;
 use crate::inst::{InstExtra, InstId, Opcode};
 use crate::module::{GlobalInit, Module};
 use crate::parser::{is_bare_label, is_plain_symbol};
-use crate::types::{TypeId, TypeKind};
+use crate::types::TypeId;
 use crate::value::{GlobalId, ValueDef, ValueId};
 
-/// Appends `s` escaped for a double-quoted literal, inverting the lexer's
-/// escape decoding.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\0' => out.push_str("\\0"),
-            c if (c as u32) < 0x20 || c as u32 == 0x7f => {
-                let _ = write!(out, "\\x{:02x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// `00` to `99`: the two digits of each number below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, as `write!(out, "{v}")` would, without going
+/// through `core::fmt`: two digits per division, lowest first, into a
+/// buffer that is then appended a byte at a time (the bytes are ASCII, so
+/// no UTF-8 check is needed).
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    if v < 10 {
+        out.push(char::from(b'0' + v as u8));
+        return;
     }
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = 2 * (v % 100) as usize;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = 2 * v as usize;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    out.reserve(buf.len() - i);
+    for &digit in &buf[i..] {
+        out.push(char::from(digit));
+    }
+}
+
+/// Appends `v` in decimal, as `write!(out, "{v}")` would.
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Appends `s` escaped for a double-quoted literal, inverting the lexer's
+/// escape decoding. Runs of bytes that need no escape are copied whole.
+fn escape_into(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\0' => "\\0",
+            _ if b < 0x20 || b == 0x7f => "\\x",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(escape);
+        if escape == "\\x" {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Appends `name` bare when `bare`, else quoted with escapes.
@@ -81,6 +146,20 @@ fn label_into(out: &mut String, name: &str) {
 /// with payloads) use a bit-exact `0x...` spelling the parser understands.
 fn float_into(out: &mut String, bits: u64) {
     let value = f64::from_bits(bits);
+    // An integral value below 1e16 in magnitude is exactly an `i64`, and
+    // `{:?}` spells it as its integer digits plus `.0` (`-0.0` included),
+    // so the digit writer can spell it without the shortest-decimal search.
+    if value.abs() < 1e16 {
+        let int = value as i64;
+        if int as f64 == value {
+            if value.is_sign_negative() {
+                out.push('-');
+            }
+            push_u64(out, int.unsigned_abs());
+            out.push_str(".0");
+            return;
+        }
+    }
     if value.is_finite() {
         // `{:?}` keeps a trailing `.0` so the parser can tell floats from
         // ints, and prints the shortest decimal that parses back to the
@@ -133,21 +212,23 @@ impl<'m> Printer<'m> {
                 self.out.push_str("ints ");
                 self.ty(*elem_ty);
                 self.out.push(' ');
-                self.literals(values);
+                self.literals(values, |out, &v| push_i64(out, v));
             }
             GlobalInit::Bytes(bytes) => {
                 self.out.push_str("bytes ");
-                self.literals(bytes);
+                self.literals(bytes, |out, &b| push_u64(out, u64::from(b)));
             }
         }
     }
 
-    /// Appends `[a, b, ...]`.
-    fn literals<T: std::fmt::Display>(&mut self, items: &[T]) {
+    /// Appends `[a, b, ...]`, each item written by `write`.
+    fn literals<T>(&mut self, items: &[T], write: impl Fn(&mut String, &T)) {
         self.out.push('[');
         for (i, item) in items.iter().enumerate() {
-            let sep = if i > 0 { ", " } else { "" };
-            let _ = write!(self.out, "{sep}{item}");
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            write(&mut self.out, item);
         }
         self.out.push(']');
     }
@@ -165,7 +246,8 @@ impl<'m> Printer<'m> {
                 self.out.push_str(", ");
             }
             self.ty(ty);
-            let _ = write!(self.out, " %p{i}");
+            self.out.push_str(" %p");
+            push_u64(&mut self.out, i as u64);
         }
         self.out.push_str(") -> ");
         self.ty(func.ret_ty);
@@ -178,7 +260,7 @@ impl<'m> Printer<'m> {
         self.out.push_str(" {\n");
 
         // Sequential numbering: parameters take 0..n, instruction results follow.
-        let types = &self.module.types;
+        let void = self.module.types.void();
         self.numbers.clear();
         self.numbers.resize(func.num_values(), UNNUMBERED);
         for (i, &p) in func.params().iter().enumerate() {
@@ -188,7 +270,8 @@ impl<'m> Printer<'m> {
         let mut next = self.params;
         for b in func.block_ids() {
             for &i in &func.block(b).insts {
-                if !matches!(types.kind(func.inst(i).ty), TypeKind::Void) {
+                // Types are interned, so `void` has this one id.
+                if func.inst(i).ty != void {
                     self.numbers[func.inst_result(i).index()] = next;
                     next += 1;
                 }
@@ -213,8 +296,8 @@ impl<'m> Printer<'m> {
     fn local(&mut self, v: ValueId) -> bool {
         match self.numbers.get(v.index()).copied() {
             Some(n) if n != UNNUMBERED => {
-                let prefix = if n < self.params { "%p" } else { "%" };
-                let _ = write!(self.out, "{prefix}{n}");
+                self.out.push_str(if n < self.params { "%p" } else { "%" });
+                push_u64(&mut self.out, u64::from(n));
                 true
             }
             _ => false,
@@ -225,12 +308,14 @@ impl<'m> Printer<'m> {
         match func.value(v) {
             ValueDef::Inst(_) | ValueDef::Param { .. } => {
                 if !self.local(v) {
-                    let _ = write!(self.out, "%?{}", v.index());
+                    self.out.push_str("%?");
+                    push_u64(&mut self.out, v.index() as u64);
                 }
             }
             ValueDef::ConstInt { ty, value } => {
                 self.ty(*ty);
-                let _ = write!(self.out, " {value}");
+                self.out.push(' ');
+                push_i64(&mut self.out, *value);
             }
             ValueDef::ConstFloat { ty, bits } => {
                 self.ty(*ty);
@@ -419,6 +504,141 @@ mod tests {
     use crate::builder::FuncBuilder;
     use crate::function::Effects;
     use crate::inst::IntPredicate;
+    use rolag_prng::{ChaCha8Rng, Rng, RngCore, SeedableRng};
+
+    fn int_text(v: i64) -> String {
+        let mut out = String::new();
+        push_i64(&mut out, v);
+        out
+    }
+
+    fn float_text(bits: u64) -> String {
+        let mut out = String::new();
+        float_into(&mut out, bits);
+        out
+    }
+
+    /// The spelling `float_into` replaces: `{:?}`, or `0x...` when not
+    /// finite.
+    fn float_reference(bits: u64) -> String {
+        let value = f64::from_bits(bits);
+        if value.is_finite() {
+            format!("{value:?}")
+        } else {
+            format!("0x{bits:016x}")
+        }
+    }
+
+    #[test]
+    fn digit_writer_matches_display() {
+        let mut values = vec![0, 1, -1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+        let mut power: i64 = 1;
+        for _ in 0..=18 {
+            for v in [power - 1, power, power + 1] {
+                values.extend([v, -v]);
+            }
+            power = power.saturating_mul(10);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0d16_17e5);
+        for _ in 0..10_000 {
+            // Every magnitude, not just the 19-digit ones a uniform draw
+            // gives.
+            values.push((rng.next_u64() >> rng.gen_range(0..64u32)) as i64);
+        }
+        for v in values {
+            assert_eq!(int_text(v), format!("{v}"), "{v}");
+        }
+        let mut out = String::new();
+        for v in [
+            u64::MAX,
+            u64::MAX - 1,
+            10_000_000_000_000_000_000,
+            9_999_999_999_999_999_999,
+        ] {
+            out.clear();
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("{v}"));
+        }
+    }
+
+    #[test]
+    fn float_writer_matches_debug() {
+        let two53 = (1u64 << 53) as f64;
+        let mut values = vec![0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e16, -1e16, 1e17, 1e300];
+        for center in [1e15, 1e16, two53] {
+            for k in -64..=64 {
+                let v = center + k as f64;
+                values.extend([v, -v]);
+            }
+            // The neighbouring bit patterns, integral and not.
+            for k in 1..=64 {
+                values.extend([
+                    f64::from_bits(center.to_bits() + k),
+                    f64::from_bits(center.to_bits() - k),
+                ]);
+            }
+        }
+        let mut bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        // Subnormals, both signs.
+        for m in [1, 2, 3, 0x8_0000_0000_0000, 0xf_ffff_ffff_ffff] {
+            bits.extend([m, m | 1 << 63]);
+        }
+        // Non-finite values keep the bit-exact spelling.
+        bits.extend([
+            f64::INFINITY.to_bits(),
+            f64::NEG_INFINITY.to_bits(),
+            0x7ff8_0000_0000_0dea,
+        ]);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xf10a_7b17);
+        for _ in 0..10_000 {
+            bits.push(rng.next_u64());
+            // Integral values of every magnitude up to 2^62.
+            let int = (rng.next_u64() >> rng.gen_range(1..64u32)) as i64;
+            let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+            bits.push((sign * int as f64).to_bits());
+        }
+        for b in bits {
+            assert_eq!(float_text(b), float_reference(b), "{:?}", f64::from_bits(b));
+        }
+    }
+
+    #[test]
+    fn escaping_matches_the_char_at_a_time_spelling() {
+        fn reference(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\0' => out.push_str("\\0"),
+                    c if (c as u32) < 0x20 || c as u32 == 0x7f => {
+                        out.push_str(&format!("\\x{:02x}", c as u32))
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        let mut texts: Vec<String> = (0..0x80u8).map(|b| char::from(b).to_string()).collect();
+        texts.extend(
+            [
+                "",
+                "plain",
+                "a\"b\\c\nd\te\0f\x7f",
+                "é中💥\u{1}",
+                "\x01\x02tail",
+            ]
+            .map(String::from),
+        );
+        texts.push((0..0x80u8).map(char::from).chain("é中💥".chars()).collect());
+        for text in texts {
+            let mut out = String::new();
+            escape_into(&mut out, &text);
+            assert_eq!(out, reference(&text), "{text:?}");
+        }
+    }
 
     #[test]
     fn print_simple_module() {

@@ -34,6 +34,8 @@
 //! range-checked before the module is assembled. Corrupted input yields a
 //! [`DecodeError`], never a panic.
 
+use std::collections::HashMap;
+
 use crate::block::{BlockData, BlockId};
 use crate::function::{Effects, Function};
 use crate::inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, Opcode};
@@ -738,8 +740,13 @@ fn decode_function(c: &mut Cursor<'_>, lim: &Limits) -> Result<Function, DecodeE
     // re-checked once the referenced arena's size is read.
     let num_values = c.count(2)?;
     let mut values = Vec::with_capacity(num_values.min(1 << 20));
-    for _ in 0..num_values {
-        values.push(decode_value(c, lim, u32::MAX as usize)?);
+    let mut const_map = HashMap::new();
+    for idx in 0..num_values {
+        let def = decode_value(c, lim, u32::MAX as usize)?;
+        if let Some(key) = def.const_key() {
+            const_map.insert(key, ValueId(idx as u32));
+        }
+        values.push(def);
     }
     let num_insts = c.count(5)?;
     // Re-check instruction references now that the arena size is known.
@@ -813,6 +820,7 @@ fn decode_function(c: &mut Cursor<'_>, lim: &Limits) -> Result<Function, DecodeE
         is_declaration,
         effects,
         values,
+        const_map,
         insts,
         live,
         blocks,

@@ -7,7 +7,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
+
+use crate::printer::push_u64;
 
 /// An interned reference to a type inside a [`TypeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -363,13 +364,16 @@ impl TypeStore {
         match self.kind(id) {
             TypeKind::Void => out.push_str("void"),
             TypeKind::Int(w) => {
-                let _ = write!(out, "i{w}");
+                out.push('i');
+                push_u64(out, u64::from(*w));
             }
             TypeKind::Float => out.push_str("float"),
             TypeKind::Double => out.push_str("double"),
             TypeKind::Ptr => out.push_str("ptr"),
             TypeKind::Array { elem, len } => {
-                let _ = write!(out, "[{len} x ");
+                out.push('[');
+                push_u64(out, *len);
+                out.push_str(" x ");
                 self.write_type(*elem, out);
                 out.push(']');
             }

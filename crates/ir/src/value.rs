@@ -114,6 +114,21 @@ pub(crate) enum ConstKey {
     Undef(TypeId),
 }
 
+impl ValueDef {
+    /// The interning key of a constant definition, or `None` for
+    /// instruction results and parameters.
+    pub(crate) fn const_key(&self) -> Option<ConstKey> {
+        Some(match *self {
+            ValueDef::ConstInt { ty, value } => ConstKey::Int(ty, value),
+            ValueDef::ConstFloat { ty, bits } => ConstKey::Float(ty, bits),
+            ValueDef::GlobalAddr(g) => ConstKey::Global(g),
+            ValueDef::FuncAddr(f) => ConstKey::Func(f),
+            ValueDef::Undef(ty) => ConstKey::Undef(ty),
+            ValueDef::Inst(_) | ValueDef::Param { .. } => return None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -220,12 +220,19 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
     }
 }
 
-/// Four hex digits of a `\u` escape, `pos` just past the `u`.
+/// Four hex digits of a `\u` escape, `pos` just past the `u`. Only ASCII
+/// hex digits count: no sign, no space.
 fn hex4(text: &str, pos: &mut usize, truncated: &str) -> Result<u32, String> {
     let hex = text.get(*pos..*pos + 4).ok_or(truncated)?;
-    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+    let code = hex4_value(hex).ok_or("bad \\u escape")?;
     *pos += 4;
     Ok(code)
+}
+
+/// The value of `hex` when it is four ASCII hex digits.
+fn hex4_value(hex: &str) -> Option<u32> {
+    hex.bytes()
+        .try_fold(0, |code, b| Some(code * 16 + char::from(b).to_digit(16)?))
 }
 
 /// The character of a `\u` escape, `pos` just past the `u`. A high
@@ -347,6 +354,15 @@ mod tests {
     mod reference {
         use std::fmt::Write as _;
 
+        /// `hex` as a number when every byte is an ASCII hex digit
+        /// (`from_str_radix` alone would also take a sign).
+        fn hex_digits(hex: &str) -> Option<u32> {
+            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
+            u32::from_str_radix(hex, 16).ok()
+        }
+
         pub fn escape(s: &str) -> String {
             let mut out = String::from('"');
             for c in s.chars() {
@@ -393,8 +409,7 @@ mod tests {
                             b'f' => out.push('\u{c}'),
                             b'u' => {
                                 let hex = text.get(pos..pos + 4).ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
+                                let code = hex_digits(hex).ok_or("bad \\u escape")?;
                                 pos += 4;
                                 let c = if (0xd800..0xdc00).contains(&code) {
                                     if !text[pos..].starts_with("\\u") {
@@ -403,8 +418,7 @@ mod tests {
                                     let low = text
                                         .get(pos + 2..pos + 6)
                                         .ok_or("truncated low surrogate")?;
-                                    let low = u32::from_str_radix(low, 16)
-                                        .map_err(|_| "bad \\u escape".to_string())?;
+                                    let low = hex_digits(low).ok_or("bad \\u escape")?;
                                     pos += 6;
                                     if !(0xdc00..0xe000).contains(&low) {
                                         return Err("high surrogate without a low one".into());
@@ -492,6 +506,9 @@ mod tests {
             "\\u12",
             "\\u12g4",
             "\\u+041",
+            "\\u-041",
+            "\\u 041",
+            "\\ud800\\u+c00",
             "\\x",
             "\\u00é",
         ] {
@@ -541,6 +558,18 @@ mod tests {
                 let bulk = parse_string(&literal, literal.as_bytes(), &mut pos).map(|s| (s, pos));
                 assert_eq!(bulk, reference::parse(&literal), "parsing {literal:?}");
             }
+        }
+        // `from_str_radix` takes a sign; a JSON `\u` escape does not.
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\ud800\\u+c00\"",
+        ] {
+            let mut pos = 0;
+            let err = Err("bad \\u escape".to_string());
+            assert_eq!(parse_string(bad, bad.as_bytes(), &mut pos), err, "{bad}");
+            assert_eq!(reference::parse(bad).map(|(s, _)| s), err, "{bad}");
         }
     }
 
