@@ -7,7 +7,7 @@
 //! the gap between the two is what produces profitability false positives,
 //! as discussed in §V-A of the paper.
 
-use rolag_ir::{BlockId, Function, InstExtra, InstId, Module, Opcode, TypeKind, UseMap, ValueDef};
+use rolag_ir::{Function, InstExtra, InstId, Module, Opcode, TypeKind, UseMap, ValueDef};
 
 /// A target-specific code-size model.
 ///
@@ -207,33 +207,6 @@ impl TargetKind {
         }
     }
 
-    /// Estimated size of one block under this target's model. Computes the
-    /// function's use map internally — for repeated per-block queries over
-    /// the same function revision, use [`TargetKind::block_estimate_with`]
-    /// (or a [`BlockSizeCache`]) so the map is built only once.
-    pub fn block_estimate(self, module: &Module, func: &Function, block: BlockId) -> u32 {
-        self.block_estimate_with(module, func, &func.compute_uses(), block)
-    }
-
-    /// Estimated size of one block, with a caller-provided use map for
-    /// `func`'s current revision.
-    pub fn block_estimate_with(
-        self,
-        module: &Module,
-        func: &Function,
-        uses: &UseMap,
-        block: BlockId,
-    ) -> u32 {
-        match self {
-            TargetKind::X86_64 => {
-                block_size_estimate_with(&X86SizeModel, module, func, uses, block)
-            }
-            TargetKind::Thumb2 => {
-                block_size_estimate_with(&Thumb2SizeModel, module, func, uses, block)
-            }
-        }
-    }
-
     /// Fixed per-function overhead under this target's model.
     pub fn function_overhead(self) -> u32 {
         match self {
@@ -241,161 +214,6 @@ impl TargetKind {
             TargetKind::Thumb2 => Thumb2SizeModel.function_overhead(),
         }
     }
-}
-
-/// Per-block memo over [`block_size_estimate`], keyed by the function's
-/// stable [`BlockId`]s.
-///
-/// [`function_size_estimate`] is a plain sum of block estimates plus the
-/// fixed overhead, so as long as stale entries are [invalidated] whenever a
-/// block's estimate could change, summing cached entries reproduces the
-/// whole-function walk exactly. Note that a block's estimate depends on
-/// slightly more than the block's own content: `gep`s are free when every
-/// *user* folds them into an addressing mode, so editing a block can change
-/// the estimate of the blocks defining the `gep`s it uses — callers must
-/// invalidate those too (see `rolag::incremental`).
-///
-/// The cache records the [`Function::revision`] it was filled against.
-/// Serving a lookup for a function whose revision differs from the recorded
-/// one drops every entry first: a mutation that bypassed
-/// [`invalidate`](BlockSizeCache::invalidate) can therefore never yield a
-/// stale estimate, only a recomputation. Callers that *have* performed the
-/// per-block invalidation for a mutation (the incremental rolling engine)
-/// call [`carry_to`](BlockSizeCache::carry_to) to re-key the surviving
-/// entries to the new revision instead of losing them.
-///
-/// The cache also snapshots the function's use map per revision, so gep
-/// foldability checks cost one whole-function `compute_uses` per revision
-/// instead of one per gep.
-///
-/// [invalidated]: BlockSizeCache::invalidate
-#[derive(Debug, Clone, Default)]
-pub struct BlockSizeCache {
-    /// Revision of the function the entries (and use map) describe.
-    revision: Option<u64>,
-    sizes: Vec<Option<u32>>,
-    uses: Option<UseMap>,
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that computed (and cached) a fresh estimate.
-    pub misses: u64,
-}
-
-impl BlockSizeCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops every entry if `func`'s revision does not match the one the
-    /// cache was filled against, then binds the cache to `func`'s revision.
-    fn sync(&mut self, func: &Function) {
-        if self.revision != Some(func.revision()) {
-            self.sizes.clear();
-            self.uses = None;
-            self.revision = Some(func.revision());
-        }
-    }
-
-    /// Cached estimate of `block`, computing and caching it on miss.
-    pub fn get(
-        &mut self,
-        target: TargetKind,
-        module: &Module,
-        func: &Function,
-        block: BlockId,
-    ) -> u32 {
-        self.sync(func);
-        let i = block.index();
-        if i >= self.sizes.len() {
-            self.sizes.resize(i + 1, None);
-        }
-        if let Some(size) = self.sizes[i] {
-            self.hits += 1;
-            return size;
-        }
-        self.misses += 1;
-        if self.uses.is_none() {
-            self.uses = Some(func.compute_uses());
-        }
-        let uses = self.uses.as_ref().expect("use map just populated");
-        let size = target.block_estimate_with(module, func, uses, block);
-        self.sizes[i] = Some(size);
-        size
-    }
-
-    /// Peeks at the cached estimate of `block` without computing on miss.
-    /// Returns `None` when the entry is absent or the cache is bound to a
-    /// different function revision.
-    pub fn peek(&self, func: &Function, block: BlockId) -> Option<u32> {
-        if self.revision != Some(func.revision()) {
-            return None;
-        }
-        self.sizes.get(block.index()).copied().flatten()
-    }
-
-    /// Drops the cached estimate of `block`.
-    pub fn invalidate(&mut self, block: BlockId) {
-        let i = block.index();
-        if i < self.sizes.len() {
-            self.sizes[i] = None;
-        }
-    }
-
-    /// Re-keys the surviving entries to `revision`, asserting that every
-    /// entry whose block changed since the previously recorded revision has
-    /// already been [`invalidate`](BlockSizeCache::invalidate)d. The use-map
-    /// snapshot is always dropped — it describes the whole function and is
-    /// rebuilt on the next miss.
-    pub fn carry_to(&mut self, revision: u64) {
-        self.uses = None;
-        self.revision = Some(revision);
-    }
-
-    /// Cached whole-function estimate: the sum of per-block estimates plus
-    /// the fixed overhead — identical to [`TargetKind::function_estimate`].
-    pub fn function_estimate(
-        &mut self,
-        target: TargetKind,
-        module: &Module,
-        func: &Function,
-    ) -> u32 {
-        if func.is_declaration {
-            return 0;
-        }
-        let body: u32 = func
-            .block_ids()
-            .map(|b| self.get(target, module, func, b))
-            .sum();
-        body + target.function_overhead()
-    }
-}
-
-/// Estimated size of one block under `model`. Builds `func`'s use map
-/// internally; for repeated queries prefer [`block_size_estimate_with`].
-pub fn block_size_estimate<M: SizeModel>(
-    model: &M,
-    module: &Module,
-    func: &Function,
-    block: BlockId,
-) -> u32 {
-    block_size_estimate_with(model, module, func, &func.compute_uses(), block)
-}
-
-/// Estimated size of one block under `model`, with a caller-provided use
-/// map for `func`'s current revision.
-pub fn block_size_estimate_with<M: SizeModel>(
-    model: &M,
-    module: &Module,
-    func: &Function,
-    uses: &UseMap,
-    block: BlockId,
-) -> u32 {
-    func.block(block)
-        .insts
-        .iter()
-        .map(|&i| model.inst_size(module, func, uses, i))
-        .sum()
 }
 
 /// Estimated `.text` size of one function under `model`. The use map is
@@ -407,7 +225,8 @@ pub fn function_size_estimate<M: SizeModel>(model: &M, module: &Module, func: &F
     let uses = func.compute_uses();
     let body: u32 = func
         .block_ids()
-        .map(|b| block_size_estimate_with(model, module, func, &uses, b))
+        .flat_map(|b| &func.block(b).insts)
+        .map(|&i| model.inst_size(module, func, &uses, i))
         .sum();
     body + model.function_overhead()
 }
@@ -541,108 +360,6 @@ exit:
         );
         // br 2 + phi 0 + add 4 + icmp 3 + condbr 2 + ret 1 + overhead 4.
         assert_eq!(loop_fn, 16);
-    }
-
-    #[test]
-    fn block_size_cache_matches_full_walk() {
-        let m = parse_module(
-            r#"
-module "t"
-global @g : [8 x i32] = zero
-func @f(i64 %p0) -> i32 {
-entry:
-  %p = gep i32, @g, %p0
-  %v = load i32, %p
-  br exit
-exit:
-  ret %v
-}
-"#,
-        )
-        .unwrap();
-        let f = m.func(m.func_by_name("f").unwrap());
-        let mut cache = BlockSizeCache::new();
-        let full = TargetKind::X86_64.function_estimate(&m, f);
-        assert_eq!(cache.function_estimate(TargetKind::X86_64, &m, f), full);
-        assert_eq!(cache.hits, 0);
-        // Second walk is served entirely from the cache.
-        assert_eq!(cache.function_estimate(TargetKind::X86_64, &m, f), full);
-        assert_eq!(cache.hits, 2);
-        // Invalidation forces exactly one recomputation.
-        cache.invalidate(rolag_ir::BlockId::from_index(0));
-        assert_eq!(cache.function_estimate(TargetKind::X86_64, &m, f), full);
-        assert_eq!(cache.misses, 3);
-    }
-
-    #[test]
-    fn mutation_without_invalidate_cannot_serve_stale_sizes() {
-        let mut m = parse_module(
-            r#"
-module "t"
-func @f(i32 %p0) -> i32 {
-entry:
-  %1 = add i32 %p0, %p0
-  %2 = mul i32 %1, %1
-  ret %2
-}
-"#,
-        )
-        .unwrap();
-        let id = m.func_by_name("f").unwrap();
-        let mut cache = BlockSizeCache::new();
-        let entry = rolag_ir::BlockId::from_index(0);
-        let before = cache.get(TargetKind::X86_64, &m, m.func(id), entry);
-        // Mutate the block but "forget" to call `invalidate`: the revision
-        // check must force a recomputation instead of serving `before`.
-        let mul = m.func(id).block(entry).insts[1];
-        m.func_mut(id).remove_inst(mul);
-        let after = cache.get(TargetKind::X86_64, &m, m.func(id), entry);
-        assert_eq!(
-            after,
-            TargetKind::X86_64.block_estimate(&m, m.func(id), entry)
-        );
-        assert!(
-            after < before,
-            "removing an instruction must shrink the estimate"
-        );
-        // The mismatched revision also drops sibling entries and the use map.
-        assert_eq!(cache.peek(m.func(id), entry), Some(after));
-    }
-
-    #[test]
-    fn carry_to_rekeys_surviving_entries() {
-        let mut m = parse_module(
-            r#"
-module "t"
-func @f(i32 %p0) -> i32 {
-entry:
-  %1 = add i32 %p0, %p0
-  %2 = mul i32 %1, %1
-  br exit
-exit:
-  ret %1
-}
-"#,
-        )
-        .unwrap();
-        let id = m.func_by_name("f").unwrap();
-        let mut cache = BlockSizeCache::new();
-        let entry = rolag_ir::BlockId::from_index(0);
-        let full = cache.function_estimate(TargetKind::X86_64, &m, m.func(id));
-        // Drop the (unused) mul, invalidate its block, carry the exit entry.
-        let mul = m.func(id).block(entry).insts[1];
-        m.func_mut(id).remove_inst(mul);
-        cache.invalidate(entry);
-        cache.carry_to(m.func(id).revision());
-        let misses_before = cache.misses;
-        let fresh = TargetKind::X86_64.function_estimate(&m, m.func(id));
-        assert_eq!(
-            cache.function_estimate(TargetKind::X86_64, &m, m.func(id)),
-            fresh
-        );
-        assert!(fresh < full);
-        // Only the invalidated entry recomputed; the exit entry survived.
-        assert_eq!(cache.misses, misses_before + 1);
     }
 
     #[test]

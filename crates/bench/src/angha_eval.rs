@@ -1,6 +1,6 @@
 //! AnghaBench evaluation driver (§V-A, Figs. 15–16).
 
-use rolag::{roll_module, FixpointCacheStats, NodeKindCounts, RolagOptions, StageTimings};
+use rolag::{roll_module, NodeKindCounts, RolagOptions, StageTimings};
 use rolag_lower::measure_module;
 use rolag_reroll::reroll_module;
 use rolag_suites::angha::{generate, AnghaConfig, PatternKind};
@@ -25,8 +25,6 @@ pub struct AnghaRow {
     pub nodes: NodeKindCounts,
     /// Per-stage wall-clock breakdown of the RoLAG run.
     pub timings: StageTimings,
-    /// Fixpoint cache counters of the RoLAG run.
-    pub cache: FixpointCacheStats,
 }
 
 impl AnghaRow {
@@ -68,7 +66,6 @@ pub fn evaluate_angha(config: &AnghaConfig, opts: &RolagOptions) -> Vec<AnghaRow
                 llvm_rerolled: llvm_stats.rerolled,
                 nodes: stats.nodes,
                 timings: stats.timings,
-                cache: stats.cache,
             }
         }
     })

@@ -11,8 +11,7 @@
 use rolag::RolagOptions;
 use rolag_bench::angha_eval::{evaluate_angha, summarize};
 use rolag_bench::report::{
-    arg_value, cache_csv_header, cache_csv_row, render_curve, sorted_desc, stage_csv_header,
-    stage_csv_row, write_csv,
+    arg_value, render_curve, sorted_desc, stage_csv_header, stage_csv_row, write_csv,
 };
 use rolag_suites::angha::AnghaConfig;
 
@@ -71,20 +70,5 @@ fn main() {
     match write_csv("fig15-stages", stage_csv_header(), &stage_rows) {
         Ok(path) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write stage CSV: {e}"),
-    }
-
-    // Fixpoint cache counters, aggregated the same way.
-    let mut cache_by_kind: std::collections::BTreeMap<String, rolag::FixpointCacheStats> =
-        std::collections::BTreeMap::new();
-    for r in &rows {
-        *cache_by_kind.entry(format!("{:?}", r.kind)).or_default() += r.cache;
-    }
-    let cache_rows: Vec<String> = cache_by_kind
-        .iter()
-        .map(|(kind, c)| cache_csv_row(kind, c))
-        .collect();
-    match write_csv("fig15-cache", cache_csv_header(), &cache_rows) {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write cache CSV: {e}"),
     }
 }

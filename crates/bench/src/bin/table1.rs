@@ -11,9 +11,7 @@
 //! preserving per-program proportions.
 
 use rolag::RolagOptions;
-use rolag_bench::report::{
-    arg_value, cache_csv_header, cache_csv_row, stage_csv_header, stage_csv_row, write_csv,
-};
+use rolag_bench::report::{arg_value, stage_csv_header, stage_csv_row, write_csv};
 use rolag_bench::table1_eval::evaluate_table1;
 
 fn main() {
@@ -102,14 +100,5 @@ fn main() {
     match write_csv("table1-stages", stage_csv_header(), &stage_rows) {
         Ok(path) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write stage CSV: {e}"),
-    }
-
-    let cache_rows: Vec<String> = rows
-        .iter()
-        .map(|r| cache_csv_row(&format!("{}/{}", r.suite, r.name), &r.fixpoint_cache))
-        .collect();
-    match write_csv("table1-cache", cache_csv_header(), &cache_rows) {
-        Ok(path) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write cache CSV: {e}"),
     }
 }

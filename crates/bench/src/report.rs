@@ -78,25 +78,6 @@ pub fn stage_csv_row(label: &str, t: &rolag::StageTimings) -> String {
     )
 }
 
-/// Header matching [`cache_csv_row`], for the `*-cache.csv` dumps.
-pub fn cache_csv_header() -> &'static str {
-    "label,cand_blocks_reused,cand_blocks_scanned,size_blocks_reused,\
-     size_blocks_computed,memo_hits,memo_misses"
-}
-
-/// One fixpoint-cache counter row keyed by `label`.
-pub fn cache_csv_row(label: &str, c: &rolag::FixpointCacheStats) -> String {
-    format!(
-        "{label},{},{},{},{},{},{}",
-        c.cand_blocks_reused,
-        c.cand_blocks_scanned,
-        c.size_blocks_reused,
-        c.size_blocks_computed,
-        c.memo_hits,
-        c.memo_misses
-    )
-}
-
 /// Simple command-line flag lookup: `--key value`.
 pub fn arg_value(key: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();

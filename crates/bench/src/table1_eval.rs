@@ -1,6 +1,6 @@
 //! Full-program evaluation driver (Table I: MiBench + SPEC CPU 2017).
 
-use rolag::{roll_module_par, DriverOptions, FixpointCacheStats, RolagOptions, StageTimings};
+use rolag::{roll_module_par, DriverOptions, RolagOptions, StageTimings};
 use rolag_lower::measure_module;
 use rolag_reroll::reroll_module;
 use rolag_suites::programs::{build_program, ProgramSpec, TABLE1};
@@ -30,8 +30,6 @@ pub struct Table1Row {
     pub cache_hits: u64,
     /// Per-stage wall-clock breakdown of the RoLAG run.
     pub timings: StageTimings,
-    /// Fixpoint cache counters of the RoLAG run.
-    pub fixpoint_cache: FixpointCacheStats,
 }
 
 impl Table1Row {
@@ -82,7 +80,6 @@ pub fn evaluate_program(
         unique: report.unique,
         cache_hits: report.cache_hits,
         timings: report.stats.timings,
-        fixpoint_cache: report.stats.cache,
     }
 }
 

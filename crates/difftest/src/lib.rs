@@ -11,8 +11,7 @@
 //!   counted loops, mixed widths, commutative orders, division edges);
 //! * [`oracle`] — applies every pipeline under test (parse/print
 //!   round-trip, unroll, CSE, flatten, cleanup, reroll, and the rolling
-//!   engine in its serial, parallel, and incremental-vs-full-rescan
-//!   configurations) and interprets original vs. transformed modules over
+//!   engine serial, parallel, validated and searched) and interprets original vs. transformed modules over
 //!   deterministic argument sets, comparing return values, effectful call
 //!   traces, final global memory, and trap classes;
 //! * [`shrink`](mod@shrink) — a greedy structural shrinker that reduces any failure

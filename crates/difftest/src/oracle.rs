@@ -15,14 +15,14 @@
 //!   must not turn a division-by-zero into a clean return, or vice versa.
 //!
 //! Meta-pipelines also cross-check the engine against itself: the parallel
-//! driver and the incremental fixpoint must produce byte-identical printed
-//! modules and equal statistics to the serial / full-rescan references,
-//! a printed module must re-parse to its own fixed point, and the compact
+//! driver must produce a byte-identical printed module and equal
+//! statistics to the serial pass, a printed module must re-parse to its
+//! own fixed point, and the compact
 //! binary serialization must round-trip print-identically and
 //! re-encode byte-stably.
 
 use crate::gen::args_for;
-use rolag::{roll_module_full_rescan, RolagOptions, RolagStats};
+use rolag::RolagStats;
 use rolag_ir::interp::{IValue, Interpreter, Outcome};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
@@ -59,12 +59,10 @@ pub enum Pipeline {
     Cleanup,
     /// The baseline rerolling pass.
     Reroll,
-    /// The serial loop-rolling pass (incremental engine).
+    /// The serial loop-rolling pass.
     Rolag,
     /// The parallel memoizing driver, cross-checked against serial.
     RolagPar,
-    /// The incremental engine cross-checked against the full rescan.
-    RolagIncremental,
     /// The rolling pass gated by the `rolag-tv` static translation
     /// validator, cross-checked against the unvalidated pass: the
     /// validator must accept every rewrite the engine accepts (zero
@@ -83,7 +81,7 @@ pub enum Pipeline {
 
 impl Pipeline {
     /// Every pipeline, in the order `--pipelines all` runs them.
-    pub const ALL: [Pipeline; 12] = [
+    pub const ALL: [Pipeline; 11] = [
         Pipeline::RoundTrip,
         Pipeline::BinaryRoundTrip,
         Pipeline::Unroll,
@@ -93,7 +91,6 @@ impl Pipeline {
         Pipeline::Reroll,
         Pipeline::Rolag,
         Pipeline::RolagPar,
-        Pipeline::RolagIncremental,
         Pipeline::RolagTv,
         Pipeline::RolagSearch,
     ];
@@ -110,7 +107,6 @@ impl Pipeline {
             Pipeline::Reroll => "reroll",
             Pipeline::Rolag => "rolag",
             Pipeline::RolagPar => "rolag-par",
-            Pipeline::RolagIncremental => "rolag-incremental",
             Pipeline::RolagTv => "rolag-tv",
             Pipeline::RolagSearch => "rolag-search",
         }
@@ -131,7 +127,6 @@ impl Pipeline {
             Pipeline::RoundTrip
             | Pipeline::BinaryRoundTrip
             | Pipeline::RolagPar
-            | Pipeline::RolagIncremental
             | Pipeline::RolagTv
             | Pipeline::RolagSearch => None,
         }
@@ -243,7 +238,7 @@ fn run_spec(
 
 /// Applies `pipeline` to a copy of `module`. `Err` carries an *internal
 /// consistency* divergence (round-trip not a fixed point, parallel/serial
-/// or incremental/full mismatch, engine panic rescued mid-module).
+/// mismatch, engine panic rescued mid-module).
 /// Transform panics unwind out of this function; [`check_module`] catches
 /// them.
 pub fn apply_pipeline(pipeline: Pipeline, module: &Module) -> Result<Module, String> {
@@ -315,36 +310,6 @@ pub fn apply_pipeline_checked(
                 return diverge(format!(
                     "parallel driver stats differ from serial: {} vs {}",
                     par_stats, serial_stats
-                ));
-            }
-            Ok(m)
-        }
-        Pipeline::RolagIncremental => {
-            let (m, incr_stats) = run_spec(module, "rolag", None, verify_each)?;
-            let mut full = module.clone();
-            let full_stats = roll_module_full_rescan(&mut full, &RolagOptions::default());
-            if verify_each {
-                if let Err(errors) = verify_module(&full) {
-                    let detail = joined(&errors);
-                    return Err((
-                        FailureKind::Verify,
-                        format!("verify after `roll_module_full_rescan`: {detail}"),
-                    ));
-                }
-            }
-            let incr_stats = incr_stats.unwrap_or_default();
-            if incr_stats.rescued + full_stats.rescued > 0 {
-                return diverge(
-                    "engine panicked during the incremental cross-check (rescued)".into(),
-                );
-            }
-            if print_module(&m) != print_module(&full) {
-                return diverge("incremental engine output differs from the full rescan".into());
-            }
-            if incr_stats != full_stats {
-                return diverge(format!(
-                    "incremental stats differ from full rescan: {} vs {}",
-                    incr_stats, full_stats
                 ));
             }
             Ok(m)

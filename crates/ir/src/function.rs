@@ -454,35 +454,6 @@ impl Function {
         self.revision = src.revision;
     }
 
-    /// Blocks the open speculation window may have changed: every saved
-    /// pre-existing block, the old and current blocks of every saved
-    /// instruction, and all blocks added since the snapshot. A superset of
-    /// the truly changed blocks (sorted, deduplicated); the caller filters
-    /// with a content compare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no window is open.
-    pub fn speculated_blocks(&self) -> Vec<BlockId> {
-        let j = self
-            .journal
-            .as_deref()
-            .expect("speculated_blocks without an open snapshot");
-        let mut set: Vec<u32> = j.saved_blocks.iter().map(|(idx, _)| *idx).collect();
-        for (idx, block, _) in &j.saved_placements {
-            set.push(block.0);
-            set.push(self.insts[*idx as usize].block.0);
-        }
-        for (idx, data) in &j.saved_payloads {
-            set.push(data.block.0);
-            set.push(self.insts[*idx as usize].block.0);
-        }
-        set.extend(j.base_blocks as u32..self.blocks.len() as u32);
-        set.sort_unstable();
-        set.dedup();
-        set.into_iter().map(BlockId).collect()
-    }
-
     /// Catches a clone up with constants `src` interned since the clone was
     /// taken. Outside of interning the two must still be clones (same
     /// revision, same instruction arena); afterwards they are clones again.
@@ -1488,30 +1459,6 @@ mod tests {
         f.remove_inst(i);
         let _ = f.commit(token);
         assert_ne!(f.revision(), r0);
-    }
-
-    #[test]
-    fn speculated_blocks_cover_touched_and_new_blocks() {
-        let (types, mut f, i, _v) = speculation_sample();
-        let entry = f.entry_block();
-        let other = f.add_block("other");
-
-        let token = f.snapshot();
-        f.remove_inst(i);
-        let nb = f.add_block("spec");
-        let (ni, _) = f.create_inst(InstData {
-            opcode: Opcode::Add,
-            ty: types.i32(),
-            operands: vec![f.param(0), f.param(1)],
-            block: nb,
-            extra: crate::inst::InstExtra::None,
-        });
-        f.append_inst(nb, ni);
-        let touched = f.speculated_blocks();
-        assert!(touched.contains(&entry));
-        assert!(touched.contains(&nb));
-        assert!(!touched.contains(&other), "untouched block reported");
-        f.rollback(token);
     }
 
     #[test]

@@ -149,16 +149,14 @@ fn address_bytes(module: &Module, func: &Function, ptr: ValueId, folded: &HashSe
 
 /// Function-wide context instruction selection needs beyond one block's
 /// content: the set of folded geps and the layout position of every block
-/// (for jump sizing). Both are derivable from the function alone, so a
-/// caller re-selecting a single block (see [`crate::sketch`]) can rebuild
-/// this without re-selecting the rest.
-pub(crate) struct SelectCx {
-    pub(crate) folded: HashSet<InstId>,
-    pub(crate) block_pos: HashMap<BlockId, usize>,
+/// (for jump sizing).
+struct SelectCx {
+    folded: HashSet<InstId>,
+    block_pos: HashMap<BlockId, usize>,
 }
 
 /// Builds the cross-block selection context for `func`.
-pub(crate) fn select_context(module: &Module, func: &Function) -> SelectCx {
+fn select_context(module: &Module, func: &Function) -> SelectCx {
     SelectCx {
         folded: folded_geps(module, func),
         block_pos: func.block_ids().enumerate().map(|(i, b)| (b, i)).collect(),
@@ -168,7 +166,7 @@ pub(crate) fn select_context(module: &Module, func: &Function) -> SelectCx {
 /// Selects machine instructions for one block at layout position `bpos`.
 /// Returns the selected block and whether it forces a stack frame (allocas).
 /// Defined values are classified into `reg_class` as a side effect.
-pub(crate) fn select_block(
+fn select_block(
     module: &Module,
     func: &Function,
     cx: &SelectCx,

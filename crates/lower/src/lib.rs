@@ -27,9 +27,7 @@
 pub mod isel;
 pub mod measure;
 pub mod regalloc;
-pub mod sketch;
 
 pub use isel::{select_function, MachineFunction, RegClass};
 pub use measure::{measure_function, measure_function_id, measure_module, ObjectSizes};
 pub use regalloc::{allocate, AllocResult};
-pub use sketch::SizeSketch;

@@ -30,11 +30,11 @@ pub struct AllocResult {
 
 /// A live interval over the flat instruction index space.
 #[derive(Debug, Clone)]
-pub(crate) struct Interval {
-    pub(crate) start: usize,
-    pub(crate) end: usize,
-    pub(crate) uses: u32,
-    pub(crate) class: RegClass,
+struct Interval {
+    start: usize,
+    end: usize,
+    uses: u32,
+    class: RegClass,
 }
 
 /// Computes spill cost for one machine function.
@@ -89,10 +89,9 @@ pub fn allocate(mf: &MachineFunction) -> AllocResult {
 }
 
 /// Linear scan over the intervals, charging spill bytes whenever a class
-/// exceeds its budget. Shared by [`allocate`] and the incremental
-/// [`crate::sketch`] recombiner — both must produce identical results, so
-/// the interval list must arrive in first-event order.
-pub(crate) fn spill_scan(mut ivs: Vec<Interval>) -> AllocResult {
+/// exceeds its budget. Intervals are visited in order of their first
+/// event.
+fn spill_scan(mut ivs: Vec<Interval>) -> AllocResult {
     ivs.sort_by_key(|iv| iv.start);
 
     let mut result = AllocResult::default();

@@ -352,9 +352,6 @@ impl ModulePass for RolagPass {
         for (stage, ns) in stats.timings.rows() {
             cx.note(format!("  stage {stage:<9} {ns:>12} ns"));
         }
-        for (counter, n) in stats.cache.rows() {
-            cx.note(format!("  cache {counter:<20} {n:>10}"));
-        }
         if stats.search.explored > 0 {
             for (counter, n) in stats.search.rows() {
                 cx.note(format!("  search {counter:<19} {n:>10}"));

@@ -23,8 +23,6 @@
 //!   (`rolag-opt --jobs`, `rolag-serve`, the corpus driver) runs it.
 //! * [`roll_module`] is the serial reference the driver must match byte for
 //!   byte, stats included.
-//! * [`roll_module_full_rescan`] is the non-incremental reference the
-//!   incremental engine must match.
 //! * [`search_function_audited`] runs the beam search on one function and
 //!   captures every validator reject for dynamic cross-checking.
 //!
@@ -68,7 +66,6 @@
 pub mod align;
 pub mod codegen;
 pub mod driver;
-mod incremental;
 pub mod memo;
 pub mod options;
 pub mod pass;
@@ -86,8 +83,8 @@ pub use align::{
 pub use driver::{roll_module_par, DriverOptions, DriverReport, Workers};
 pub use memo::{store_key, MemoStore, MemoStoreStats, StoreEntry};
 pub use options::{RolagOptions, SearchConfig};
-pub use pass::{roll_module, roll_module_full_rescan};
+pub use pass::roll_module;
 pub use schedule::Schedule;
 pub use search::{search_function_audited, RejectedSpeculation, SearchAudit};
-pub use seeds::{candidate_variants, collect_block_candidates, collect_candidates, Candidate};
+pub use seeds::{candidate_variants, collect_candidates, Candidate};
 pub use stats::{FixpointCacheStats, NodeKindCounts, RolagStats, SearchStats, StageTimings};

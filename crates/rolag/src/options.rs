@@ -128,8 +128,7 @@ pub struct RolagOptions {
     /// Use the `rolag-lower` binary-size simulator (isel + regalloc spill
     /// sizing) instead of the cheap TTI-style estimate when judging
     /// profitability. Closes the estimate/measurement gap of §V-A at the
-    /// price of re-lowering changed blocks; the incremental engine keeps a
-    /// per-block regalloc sketch so unchanged blocks are never re-selected.
+    /// price of lowering the whole function for every open window.
     pub measured_cost: bool,
     /// Alignment-search strategy (greedy, or validator-gated beam search
     /// over alternative seed groupings). Part of the options fingerprint:

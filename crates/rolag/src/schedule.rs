@@ -124,9 +124,9 @@ impl ScheduleCache {
 
     /// The use map and the instruction positions of `func` at its current
     /// revision, computed on first request and shared with
-    /// [`ScheduleCache::analyze`]: the incremental engine lends them to
-    /// seed collection and code generation, so a sweep builds one of each
-    /// for every block it scans and every candidate it schedules and rolls.
+    /// [`ScheduleCache::analyze`]: the engine lends them to seed collection
+    /// and code generation, so a sweep builds one of each for all the
+    /// candidates it collects, schedules and rolls.
     ///
     /// Read them only for values and instructions that existed at that
     /// revision. Constants interned by graph builds since then are not in

@@ -20,9 +20,9 @@
 //!    the globals it appended, and its node-kind counts (ties broken by
 //!    enumeration order; profitable candidates beyond `k` are beam prunes
 //!    and are never cloned, so trial memory is bounded by `k`).
-//! 3. **Roll out** each trial from its captured state: the full-rescan
-//!    greedy policy with up to `d` commits, then score the end state
-//!    (`d = 0` means roll out to the dry fixpoint).
+//! 3. **Roll out** each trial from its captured state: the greedy policy
+//!    with up to `d` commits, then score the end state (`d = 0` means roll
+//!    out to the dry fixpoint).
 //! 4. **Install** the trial with the best rollout score as the working
 //!    function, with its globals re-added in order.
 //!
@@ -52,7 +52,7 @@ use rolag_ir::{Effects, FuncId, Function, GlobalData, GlobalId, Module};
 
 use crate::options::{RolagOptions, SearchConfig};
 use crate::pass::{greedy, roll_function_with};
-use crate::seeds::{candidate_variants, collect_candidates};
+use crate::seeds::candidate_variants;
 use crate::speculate::{fresh_function_size, rollback_globals, timed, Speculator, Verdict};
 use crate::stats::{NodeKindCounts, RolagStats, StageTimings};
 
@@ -212,7 +212,7 @@ fn beam_roll(
 
     loop {
         let candidates = timed(&mut stats.timings.seeds_ns, || {
-            let base = collect_candidates(module, &spec.work, opts);
+            let base = spec.candidates(module, opts);
             let mut all = Vec::with_capacity(base.len() * 2);
             for c in base {
                 let variants = candidate_variants(module, &spec.work, &c, opts);
@@ -305,12 +305,12 @@ fn beam_roll(
     stats
 }
 
-/// Scores a trial by continuing from its captured state with the
-/// full-rescan greedy policy, up to `depth` commits (`depth == 0`: to the
-/// dry fixpoint). Returns the end-state size (text plus all rodata added
-/// since the trial's pre-state, the trial's own included). All rollout
-/// globals are popped before returning; rollouts add only their timings to
-/// the outcome stats.
+/// Scores a trial by continuing from its captured state with the greedy
+/// policy, up to `depth` commits (`depth == 0`: to the dry fixpoint).
+/// Returns the end-state size (text plus all rodata added since the
+/// trial's pre-state, the trial's own included). All rollout globals are
+/// popped before returning; rollouts add only their timings to the outcome
+/// stats.
 fn rollout_score(
     module: &mut Module,
     trial: &Trial,
@@ -327,15 +327,7 @@ fn rollout_score(
     let mut sim = Speculator::new(id, trial.func.clone());
     let mut scratch = RolagStats::default();
     let max_commits = if depth == 0 { usize::MAX } else { depth };
-    greedy(
-        module,
-        &mut sim,
-        opts,
-        effects,
-        None,
-        max_commits,
-        &mut scratch,
-    );
+    greedy(module, &mut sim, opts, effects, max_commits, &mut scratch);
     let score = scratch.size_after + added_rodata(module, base_globals);
     rollback_globals(module, base_globals);
     *timings += scratch.timings;

@@ -7,8 +7,8 @@
 //!
 //! Reduction roots, single-use tree nodes and value-chain links are read
 //! from a [`UseMap`] the caller passes in, one per function revision: the
-//! incremental engine lends the map its `ScheduleCache` keeps for the
-//! sweep, and [`collect_candidates`] computes one per call. Collection does
+//! engine lends the map its `ScheduleCache` keeps for the sweep, and
+//! [`collect_candidates`] computes one per call. Collection does
 //! not test whether a group can align. Reduction trees whose leaves never
 //! match are still proposed, and `build_candidate_graph` refuses them at its
 //! root gate before building any graph.
@@ -27,10 +27,9 @@ use crate::options::RolagOptions;
 /// One rolling candidate for the alignment-graph builder.
 ///
 /// Candidates are structural values over stable arena ids, so they are
-/// hashable and comparable: the incremental fixpoint engine uses them
-/// directly as memoization keys (a candidate re-collected from an unchanged
-/// block compares equal to its previous incarnation).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// comparable: the beam search drops a variant equal to one it already
+/// enumerated.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Candidate {
     /// One or more seed groups (more than one = a joint candidate whose
     /// groups alternate in the block). Each inner vector holds one seed
@@ -185,30 +184,13 @@ pub fn collect_candidates(module: &Module, func: &Function, opts: &RolagOptions)
     out
 }
 
-/// Collects the candidates of one block into a fresh vector — the unit of
-/// caching for the incremental fixpoint engine ([`collect_candidates`] is
-/// exactly the per-block lists concatenated in block order).
+/// Collects rolling candidates inside one block, appending to `out`.
 ///
 /// `uses` and `positions` index `func` at its current revision, such as
 /// the pair [`ScheduleCache::indexes`](crate::schedule::ScheduleCache::indexes)
 /// lends. The use map may predate constants interned since (graph builds
 /// intern without bumping the revision): collection only asks about
 /// instruction results, which all existed when the map was computed.
-pub fn collect_block_candidates(
-    module: &Module,
-    func: &Function,
-    uses: &UseMap,
-    positions: &InstPositions,
-    block: BlockId,
-    opts: &RolagOptions,
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    collect_in_block(module, func, uses, positions, block, opts, &mut out);
-    out
-}
-
-/// Collects rolling candidates inside one block, appending to `out`.
-/// `uses` and `positions` are as for [`collect_block_candidates`].
 pub fn collect_in_block(
     module: &Module,
     func: &Function,

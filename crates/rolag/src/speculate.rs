@@ -7,9 +7,8 @@
 //! A candidate that survives comes back as an open [`Window`]: its rewrite
 //! is live in [`Speculator::work`] and its globals in the module until the
 //! policy prices it and either commits or rolls it back. The greedy policy
-//! and its full-rescan reference ([`crate::pass`]) and the beam policy
-//! ([`crate::search`]) differ only in which candidates they try, how they
-//! price a window, and what they keep.
+//! ([`crate::pass`]) and the beam policy ([`crate::search`]) differ only in
+//! which candidates they try and what they keep.
 
 use std::time::Instant;
 
@@ -24,7 +23,7 @@ use crate::codegen::{self, RollOutcome};
 use crate::options::RolagOptions;
 use crate::schedule::ScheduleCache;
 use crate::search::{RejectedSpeculation, SearchAudit};
-use crate::seeds::Candidate;
+use crate::seeds::{collect_in_block, Candidate};
 use crate::stats::{NodeKindCounts, RolagStats};
 
 /// Runs `f`, adding its wall-clock to `slot`.
@@ -102,25 +101,31 @@ pub(crate) enum Verdict {
     Open(Window),
 }
 
-/// One function's speculation state: the working function, the shadow that
-/// holds its pre-candidate state, and the scheduling cache of its current
-/// revision.
+/// One function's speculation state: the working function, the
+/// validator's copy of its pre-candidate state, and the scheduling cache of
+/// its current revision.
+///
+/// Every candidate of one speculator must run under the same
+/// `RolagOptions::validate`: the shadow is kept in step only while it is
+/// set.
 pub(crate) struct Speculator {
     id: FuncId,
     /// The function being rolled; committed rewrites accumulate here.
     pub work: Function,
-    /// A clone of `work`'s pre-candidate state once a candidate reached
-    /// codegen: the validator's reference, and the old side of change
-    /// tracking and size deltas. Materialized lazily, so functions whose
+    /// Under `RolagOptions::validate` only: a clone of `work`'s
+    /// pre-candidate state once a candidate reached codegen, the
+    /// validator's reference. Materialized lazily, so functions whose
     /// candidates never pass the cheap gates stay clone-free.
     shadow: Option<Function>,
     /// The last commit's log, replayed onto the shadow by the next
     /// candidate that reaches codegen; a function whose fixpoint ends after
-    /// a commit never pays for the sync.
+    /// a commit never pays for the sync. Stashed only while a shadow
+    /// exists.
     pending: Option<SpeculationLog>,
-    /// Block dependences and the use map of `work`'s current revision,
-    /// shared by the scheduling analysis and seed collection.
-    pub sched: ScheduleCache,
+    /// Block dependences, the use map and the instruction positions of
+    /// `work`'s current revision, shared by seed collection, the scheduling
+    /// analysis and code generation.
+    sched: ScheduleCache,
 }
 
 impl Speculator {
@@ -135,12 +140,19 @@ impl Speculator {
         }
     }
 
-    /// The pre-candidate state. Valid while a window is open and, after a
-    /// commit, until the next speculation.
-    pub fn shadow(&self) -> &Function {
-        self.shadow
-            .as_ref()
-            .expect("the shadow is materialized by the first open window")
+    /// The rolling candidates of every block of `work`, in block order,
+    /// collected over the use map and positions the scheduling cache holds
+    /// for the current revision. That map may predate constants interned
+    /// since (graph builds intern without bumping the revision); collection
+    /// only asks about instruction results, which all existed when it was
+    /// computed.
+    pub fn candidates(&mut self, module: &Module, opts: &RolagOptions) -> Vec<Candidate> {
+        let (uses, positions) = self.sched.indexes(&self.work);
+        let mut out = Vec::new();
+        for block in self.work.block_ids() {
+            collect_in_block(module, &self.work, uses, positions, block, opts, &mut out);
+        }
+        out
     }
 
     /// Runs one candidate through graph → schedule → codegen → validate →
@@ -173,19 +185,21 @@ impl Speculator {
             return Verdict::Schedule;
         };
 
-        // Catch the shadow up so it is an exact clone when the window
-        // opens: a stashed commit log brings over the commit's touches and
-        // everything interned since (apply_log copies the whole appended
-        // value tail), otherwise only the interned constants are missing.
-        // Rejects roll `work` back in full, so one pending log always
-        // bridges the gap.
-        let pending = self.pending.take();
-        match self.shadow.as_mut() {
-            Some(s) => match pending {
-                Some(log) => s.apply_log(&self.work, &log),
-                None => s.absorb_interned_values(&self.work),
-            },
-            None => self.shadow = Some(self.work.clone()),
+        // Catch the validator's shadow up so it is an exact clone when the
+        // window opens: a stashed commit log brings over the commit's
+        // touches and everything interned since (apply_log copies the whole
+        // appended value tail), otherwise only the interned constants are
+        // missing. Rejects roll `work` back in full, so one pending log
+        // always bridges the gap.
+        if opts.validate {
+            let pending = self.pending.take();
+            match self.shadow.as_mut() {
+                Some(s) => match pending {
+                    Some(log) => s.apply_log(&self.work, &log),
+                    None => s.absorb_interned_values(&self.work),
+                },
+                None => self.shadow = Some(self.work.clone()),
+            }
         }
 
         let base_globals = module.num_globals();
@@ -254,11 +268,14 @@ impl Speculator {
         })
     }
 
-    /// Keeps the window's rewrite. The shadow still holds the pre-candidate
-    /// state (the old side of the commit's dirty closure) and catches up
-    /// from the stashed log at the next candidate that reaches codegen.
+    /// Keeps the window's rewrite. A validator's shadow still holds the
+    /// pre-candidate state and catches up from the stashed log at the next
+    /// candidate that reaches codegen.
     pub fn commit(&mut self, window: Window) {
-        self.pending = Some(self.work.commit(window.token));
+        let log = self.work.commit(window.token);
+        if self.shadow.is_some() {
+            self.pending = Some(log);
+        }
     }
 
     /// Discards the window's rewrite: the function and the globals return

@@ -91,16 +91,14 @@ pub struct StageTimings {
     pub codegen_ns: u64,
     /// Per-rewrite translation validation (`rolag-tv`), when enabled.
     pub tv_ns: u64,
-    /// Cost-model size lookups and delta sums (profitability decisions).
-    /// Every `BlockSizeCache` / size-sketch query the engine issues is
-    /// inside this window — sweep-baseline walks included — so the stage
-    /// breakdown attributes *all* size-model time here.
+    /// Cost-model sizing (profitability decisions): every whole-function
+    /// size the engine computes, the function's starting size included.
     pub cost_ns: u64,
     /// Post-roll simplify + DCE cleanup.
     pub cleanup_ns: u64,
-    /// Incremental change tracking: structural block diffs, affected-set
-    /// and dirty-closure computation, and cache invalidation after a
-    /// commit. Zero on the full-rescan reference engine.
+    /// Always 0: the stage of the retired incremental engine's change
+    /// tracking. Kept so readers of the `rolag.track_s` metric still build;
+    /// left out of [`total_ns`](Self::total_ns) and [`rows`](Self::rows).
     pub track_ns: u64,
 }
 
@@ -114,7 +112,6 @@ impl StageTimings {
             + self.tv_ns
             + self.cost_ns
             + self.cleanup_ns
-            + self.track_ns
     }
 
     /// `(stage, nanoseconds)` rows in pipeline order, for CSV dumps.
@@ -127,7 +124,6 @@ impl StageTimings {
             ("tv", self.tv_ns),
             ("cost", self.cost_ns),
             ("cleanup", self.cleanup_ns),
-            ("track", self.track_ns),
         ]
     }
 }
@@ -141,84 +137,33 @@ impl AddAssign for StageTimings {
         self.tv_ns += rhs.tv_ns;
         self.cost_ns += rhs.cost_ns;
         self.cleanup_ns += rhs.cleanup_ns;
-        self.track_ns += rhs.track_ns;
     }
 }
 
-/// Cache-effectiveness counters of the incremental fixpoint engine.
-///
-/// Like [`StageTimings`], these are observability data, not results: the
-/// full-rescan reference engine never touches the caches, so the counters
-/// are carried inside [`RolagStats`] but excluded from its [`PartialEq`].
+/// Always-zero counters of the retired incremental fixpoint engine's
+/// per-block caches. The greedy engine keeps no cache across sweeps, so
+/// nothing writes them; they stay because the benchmark harness reads
+/// them by name (`rolag.cand_blocks_*`, `rolag.size_blocks_*`,
+/// `rolag.memo_*`). Excluded from [`RolagStats`]'s [`PartialEq`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FixpointCacheStats {
-    /// Blocks whose candidate list was served from the per-block cache.
+    /// Always 0.
     pub cand_blocks_reused: u64,
-    /// Blocks whose candidate list was (re)collected with `collect_in_block`.
+    /// Always 0.
     pub cand_blocks_scanned: u64,
-    /// Block size estimates served from the per-block size cache.
+    /// Always 0.
     pub size_blocks_reused: u64,
-    /// Block size estimates computed fresh.
+    /// Always 0.
     pub size_blocks_computed: u64,
-    /// Candidate attempts skipped by replaying a memoized reject verdict.
+    /// Always 0.
     pub memo_hits: u64,
-    /// Candidate attempts actually executed (memo misses, including the
-    /// attempts that end up committing).
+    /// Always 0.
     pub memo_misses: u64,
-}
-
-impl FixpointCacheStats {
-    /// Fraction of per-block candidate lookups served from cache.
-    pub fn candidate_hit_rate(&self) -> f64 {
-        ratio(self.cand_blocks_reused, self.cand_blocks_scanned)
-    }
-
-    /// Fraction of block-size lookups served from cache.
-    pub fn size_hit_rate(&self) -> f64 {
-        ratio(self.size_blocks_reused, self.size_blocks_computed)
-    }
-
-    /// Fraction of candidate attempts skipped via verdict memoization.
-    pub fn memo_hit_rate(&self) -> f64 {
-        ratio(self.memo_hits, self.memo_misses)
-    }
-
-    /// `(counter, value)` rows for CSV dumps.
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("cand_blocks_reused", self.cand_blocks_reused),
-            ("cand_blocks_scanned", self.cand_blocks_scanned),
-            ("size_blocks_reused", self.size_blocks_reused),
-            ("size_blocks_computed", self.size_blocks_computed),
-            ("memo_hits", self.memo_hits),
-            ("memo_misses", self.memo_misses),
-        ]
-    }
-}
-
-fn ratio(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        return 0.0;
-    }
-    hits as f64 / total as f64
-}
-
-impl AddAssign for FixpointCacheStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.cand_blocks_reused += rhs.cand_blocks_reused;
-        self.cand_blocks_scanned += rhs.cand_blocks_scanned;
-        self.size_blocks_reused += rhs.size_blocks_reused;
-        self.size_blocks_computed += rhs.size_blocks_computed;
-        self.memo_hits += rhs.memo_hits;
-        self.memo_misses += rhs.memo_misses;
-    }
 }
 
 /// Counters of the beam-search engine (`rolag::search`).
 ///
-/// Like [`StageTimings`] and [`FixpointCacheStats`], these are
-/// observability data, not results: the greedy engine never explores
+/// Like [`StageTimings`], these are observability data, not results: the greedy engine never explores
 /// alternatives, and a width-1 beam delegates to greedy wholesale, so the
 /// counters are carried inside [`RolagStats`] but excluded from its
 /// [`PartialEq`] (beam:1 must be stats-identical to greedy).
@@ -289,7 +234,7 @@ pub struct RolagStats {
     pub rescued: u64,
     /// Per-stage wall-clock breakdown (excluded from equality).
     pub timings: StageTimings,
-    /// Incremental-engine cache counters (excluded from equality).
+    /// Retired cache counters, always 0 (excluded from equality).
     pub cache: FixpointCacheStats,
     /// Beam-search counters (excluded from equality; all-zero under the
     /// greedy engine and under width-1 beams, which delegate to greedy).
@@ -340,7 +285,6 @@ impl AddAssign for RolagStats {
         self.size_after += rhs.size_after;
         self.rescued += rhs.rescued;
         self.timings += rhs.timings;
-        self.cache += rhs.cache;
         self.search += rhs.search;
     }
 }
@@ -433,11 +377,11 @@ mod tests {
             tv_ns: 7,
             cost_ns: 5,
             cleanup_ns: 6,
-            track_ns: 8,
+            ..Default::default()
         };
-        assert_eq!(t.total_ns(), 36);
+        assert_eq!(t.total_ns(), 28);
         let rows = t.rows();
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 7);
         assert_eq!(rows.iter().map(|&(_, v)| v).sum::<u64>(), t.total_ns());
     }
 
@@ -485,18 +429,6 @@ mod tests {
         assert_eq!(a.tv_rejected, 4);
         assert_eq!(a.rows().len(), 4);
         assert_eq!(a.rows()[0], ("explored", 5));
-    }
-
-    #[test]
-    fn cache_rates_and_rows() {
-        let c = FixpointCacheStats {
-            memo_hits: 3,
-            memo_misses: 1,
-            ..Default::default()
-        };
-        assert!((c.memo_hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(c.candidate_hit_rate(), 0.0);
-        assert_eq!(c.rows().len(), 6);
     }
 
     #[test]

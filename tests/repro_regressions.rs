@@ -6,7 +6,7 @@
 //! regression names the broken invariant instead of a generic
 //! divergence.
 
-use rolag::{roll_module, roll_module_full_rescan, RolagOptions};
+use rolag::{roll_module, RolagOptions, RolagStats};
 use rolag_ir::interp::{ExecError, IValue, Interpreter};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
@@ -52,15 +52,14 @@ fn mismatch_lanes_attempt_agrees_across_engines_and_validates() {
     // The off-pattern lane (99 at index 3) forces the constant-mismatch
     // path: the speculative rewrite builds a `rolag.cdata` lookup table,
     // which the cost model then rejects as unprofitable on this
-    // six-store module. The repro pins that both engines walk that path
-    // to the same verdict — and, with validation on, that the
-    // translation validator proves the speculative table rewrite before
-    // the cost model discards it.
+    // six-store module. The repro pins that the engine walks that path to
+    // the same verdict with and without validation — and, with validation
+    // on, that the translation validator proves the speculative table
+    // rewrite before the cost model discards it.
     let module = load("rolag-mismatch-lanes.rir");
-    let opts = RolagOptions::validated();
 
-    let mut incremental = module.clone();
-    let stats = roll_module(&mut incremental, &opts);
+    let mut validated = module.clone();
+    let stats = roll_module(&mut validated, &RolagOptions::validated());
     assert_eq!(stats.attempted, 1, "{stats}");
     assert_eq!(stats.rejected_profit, 1, "{stats}");
     assert_eq!(stats.rolled, 0, "{stats}");
@@ -70,19 +69,23 @@ fn mismatch_lanes_attempt_agrees_across_engines_and_validates() {
     );
     assert_eq!(stats.tv_rejected, 0, "{stats}");
     assert_eq!(
-        print_module(&incremental),
+        print_module(&validated),
         print_module(&module),
         "a rejected attempt must leave the module untouched"
     );
 
-    let mut full = module.clone();
-    let full_stats = roll_module_full_rescan(&mut full, &opts);
+    let mut plain = module.clone();
+    let plain_stats = roll_module(&mut plain, &RolagOptions::default());
     assert_eq!(
-        print_module(&full),
+        print_module(&plain),
         print_module(&module),
-        "full rescan must reach the same (unchanged) module"
+        "the unvalidated roll must reach the same (unchanged) module"
     );
-    assert_eq!(stats, full_stats, "engine statistics must agree");
+    let unproven = RolagStats {
+        tv_validated: 0,
+        ..stats
+    };
+    assert_eq!(unproven, plain_stats, "validation must only add the proof");
 }
 
 #[test]

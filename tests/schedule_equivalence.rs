@@ -7,18 +7,19 @@
 //! memory conflicts up in a pair set built from the pairwise
 //! `rolag_analysis::conflicts` test, materializes every dependent
 //! (external, external) pair, and iterates those pairs to a fixpoint. The
-//! test drives the full-rescan fixpoint by hand, so it sees every candidate
+//! test drives the greedy fixpoint by hand, so it sees every candidate
 //! graph that reaches scheduling in every sweep, and asserts that the
 //! oracle, `schedule::analyze`, and a sweep-long `ScheduleCache` return the
 //! same `Option<Schedule>` (same `before`/`after` order, same graph set).
-//! The hand-driven fixpoint must also print the same module as
-//! `roll_module_full_rescan`, which proves it visited the engine's states.
+//! The hand-driven fixpoint, which clones the function for every candidate
+//! instead of speculating on a journal, must also print the same module as
+//! `roll_module`, which proves it visited the engine's states.
 
 use std::collections::{HashMap, HashSet};
 
 use rolag::align::NodeKind;
 use rolag::schedule::{Schedule, ScheduleCache};
-use rolag::{build_candidate_graph, collect_candidates, roll_module_full_rescan, AlignGraph};
+use rolag::{build_candidate_graph, collect_candidates, roll_module, AlignGraph};
 use rolag::{codegen, RolagOptions};
 use rolag_analysis::depgraph::{conflicts, mem_access, PosSet};
 use rolag_ir::printer::print_module;
@@ -298,13 +299,13 @@ struct Tally {
     rolled: usize,
 }
 
-/// Rolls `module` with a hand-driven copy of the full-rescan fixpoint under
-/// the default options, checking every scheduling verdict on the way, and
-/// asserts the result prints exactly as `roll_module_full_rescan`'s.
+/// Rolls `module` with a hand-driven copy of the greedy fixpoint under the
+/// default options, checking every scheduling verdict on the way, and
+/// asserts the result prints exactly as `roll_module`'s.
 fn check_module(module: &Module, label: &str, tally: &mut Tally) {
     let opts = RolagOptions::default();
     let mut reference = module.clone();
-    roll_module_full_rescan(&mut reference, &opts);
+    roll_module(&mut reference, &opts);
 
     let mut m = module.clone();
     let effects = effects_table(&m);

@@ -6,8 +6,8 @@
 //! must never change what the pass produces.
 
 use rolag::{
-    roll_module, roll_module_full_rescan, search_function_audited, RejectedSpeculation,
-    RolagOptions, SearchAudit,
+    roll_module, search_function_audited, RejectedSpeculation, RolagOptions, RolagStats,
+    SearchAudit,
 };
 use rolag_difftest::{args_for, compare_behaviour, generate_module};
 use rolag_ir::parser::parse_module;
@@ -66,25 +66,34 @@ fn generator_corpus_has_zero_static_false_rejects() {
 }
 
 #[test]
-fn validated_incremental_engine_matches_full_rescan() {
-    // The tv counters are part of RolagStats equality, so this pins the
-    // incremental engine's memo replay to the full rescan's re-validation
-    // behaviour (including tv_validated on unprofitable replays).
-    let opts = RolagOptions::validated();
+fn validated_roll_matches_unvalidated_roll() {
+    // The engine keeps the validator's copy of the pre-candidate state only
+    // under validation. Turning it on must change nothing but the proof
+    // count, and every window the engine opened, committed or priced out,
+    // must have been proven: tv_validated = rolled + rejected_profit.
     for i in 0..64 {
         let module = generate_module(1, i);
-        let mut incr = module.clone();
-        let incr_stats = roll_module(&mut incr, &opts);
-        let mut full = module.clone();
-        let full_stats = roll_module_full_rescan(&mut full, &opts);
+        let mut plain = module.clone();
+        let plain_stats = roll_module(&mut plain, &RolagOptions::default());
+        let mut validated = module.clone();
+        let stats = roll_module(&mut validated, &RolagOptions::validated());
         assert_eq!(
-            print_module(&incr),
-            print_module(&full),
-            "module (1,{i}): engines diverge under validation"
+            print_module(&validated),
+            print_module(&plain),
+            "module (1,{i}): validation changed the produced module"
         );
         assert_eq!(
-            incr_stats, full_stats,
-            "module (1,{i}): engine stats diverge under validation"
+            stats.tv_validated,
+            stats.rolled + stats.rejected_profit,
+            "module (1,{i}): an opened window went unproven: {stats}"
+        );
+        let unproven = RolagStats {
+            tv_validated: 0,
+            ..stats
+        };
+        assert_eq!(
+            unproven, plain_stats,
+            "module (1,{i}): validation changed an outcome counter"
         );
     }
 }
