@@ -119,7 +119,7 @@ pub(crate) fn greedy(
 /// statistics: the serial reference the parallel driver
 /// ([`roll_module_par`](crate::roll_module_par)) must match. The
 /// call-effects table is computed once and shared across all functions,
-/// and each function runs under [`rescue_panics`], copied once before its
+/// and each function runs under `rescue_panics`, copied once before its
 /// roll as the pristine body a panic restores.
 pub fn roll_module(module: &mut Module, opts: &RolagOptions) -> RolagStats {
     let effects = effects_table(module);
