@@ -64,6 +64,9 @@
 //!   --verify-only              parse + verify, print diagnostics, exit
 //!   --dump-align               print each candidate's alignment graph in
 //!                              Graphviz dot syntax instead of transforming
+//!                              (a graph the engine refuses while building
+//!                              it is preceded by a `// refused while
+//!                              built: ...` line)
 //! ```
 //!
 //! Exit status: 0 on success, 1 on usage/parse/verify errors, 2 when
@@ -81,7 +84,7 @@ use rolag_frontend::{emit::emit_llvm, FrontendKind, Skip};
 use rolag_ir::interp::{check_equivalence, IValue, Interpreter};
 use rolag_ir::printer::print_module;
 use rolag_ir::verify::verify_module;
-use rolag_ir::{encode_module, Module};
+use rolag_ir::{encode_module, Function, Module, ValueId};
 use rolag_lower::measure_module;
 use rolag_passes::{
     AnalysisManager, PassContext, PassManager, PassManagerOptions, PassOutcome, PassRegistry,
@@ -410,7 +413,9 @@ fn serve_client(socket: &str, text: &str, options: &str) -> Result<(String, Stri
 }
 
 /// Builds and prints the alignment graph of every rolling candidate in the
-/// module, as Graphviz `dot`.
+/// module, as Graphviz `dot`. The graphs are built in full; one that claims
+/// one of its own loop inputs, which the engine refuses while building it,
+/// is preceded by a comment naming the input and its claim.
 fn dump_alignment_graphs(module: &Module) {
     let opts = RolagOptions::with_extensions();
     for id in module.func_ids() {
@@ -424,29 +429,36 @@ fn dump_alignment_graphs(module: &Module) {
             let lanes = cand.lanes();
             let mut builder =
                 rolag::GraphBuilder::new(module, &mut attempt, cand.block(), &opts, lanes);
-            let built = match cand {
-                rolag::Candidate::Seeds { groups, .. } => {
-                    groups.iter().all(|g| builder.build_seed_root(g).is_some())
-                }
-                rolag::Candidate::Reduction {
-                    opcode,
-                    internal,
-                    leaves,
-                    carry,
-                    ty,
-                    ..
-                } => builder
-                    .build_reduction_root(*opcode, internal.clone(), leaves, *carry, *ty)
-                    .is_some(),
-            };
-            if !built {
+            if !builder.build_roots(cand) {
                 continue;
             }
             let graph = builder.finish();
             println!("// @{} candidate {k} ({lanes} lanes)", func.name);
+            if let Some(input) = graph.claimed_loop_input(&attempt) {
+                println!(
+                    "// refused while built: loop input {} is claimed by node {} lane {}",
+                    printed_result(module, &attempt, input.value),
+                    input.node.index(),
+                    input.lane
+                );
+            }
             print!("{}", graph.to_dot());
         }
     }
+}
+
+/// The printed name (`%N`) of the instruction result `v`, numbered as the
+/// printer numbers it: parameters first, then every non-void result in
+/// block layout order.
+fn printed_result(module: &Module, func: &Function, v: ValueId) -> String {
+    let void = module.types.void();
+    let earlier = func
+        .block_ids()
+        .flat_map(|b| func.block(b).insts.iter().copied())
+        .take_while(|&i| func.inst_result(i) != v)
+        .filter(|&i| func.inst(i).ty != void)
+        .count();
+    format!("%{}", func.params().len() + earlier)
 }
 
 /// Synthesizes deterministic arguments for an entry point: integers get

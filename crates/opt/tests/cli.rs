@@ -311,3 +311,36 @@ fn dump_align_prints_dot_graphs() {
     assert!(stdout.contains("match:store"));
     assert!(stdout.contains("seq "));
 }
+
+#[test]
+fn dump_align_marks_a_graph_that_claims_its_own_loop_input() {
+    // Both stores write %g0: the stored values form an identical node that
+    // passes %g0 into the loop, while the pointer group claims %g0 as lane
+    // 0 of its gep node, so the engine refuses the graph while building it.
+    let text = r#"
+module "refuse"
+global @a : [8 x ptr] = zero
+func @f() -> void {
+entry:
+  %g0 = gep ptr, @a, i64 0
+  store %g0, %g0
+  %g1 = gep ptr, @a, i64 1
+  store %g0, %g1
+  ret
+}
+"#;
+    let (stdout, stderr, code) = run(&["--dump-align", "-"], text);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains(
+            "// @f candidate 0 (2 lanes)\n\
+             // refused while built: loop input %0 is claimed by node 2 lane 0\n\
+             digraph align {\n"
+        ),
+        "{stdout}"
+    );
+    // A graph the engine keeps carries no such line.
+    let (stdout, _, code) = run(&["--dump-align", "-"], SAMPLE);
+    assert_eq!(code, Some(0));
+    assert!(!stdout.contains("refused while built"), "{stdout}");
+}

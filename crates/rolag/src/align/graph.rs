@@ -1,7 +1,7 @@
 //! Alignment-graph data structures (§IV-B, Fig. 7).
 
 use rolag_ir::fxhash::{FxHashMap, FxHashSet};
-use rolag_ir::{InstId, Opcode, TypeId, ValueId};
+use rolag_ir::{Function, InstId, Opcode, TypeId, ValueId};
 
 use crate::stats::NodeKindCounts;
 
@@ -96,6 +96,34 @@ pub struct AlignNode {
     pub children: Vec<NodeId>,
 }
 
+impl AlignNode {
+    /// The values this node passes into the rolled loop from outside it:
+    /// every lane of a `Mismatch` (loaded from an array inside the loop), the
+    /// one value of an `Identical`, a `Recurrence`'s initial value and a
+    /// `Reduction`'s carry. Other kinds pass nothing in.
+    pub fn loop_inputs(&self) -> &[ValueId] {
+        match &self.kind {
+            NodeKind::Mismatch => &self.lanes,
+            NodeKind::Identical => &self.lanes[..1],
+            NodeKind::Recurrence { init, .. } => std::slice::from_ref(init),
+            NodeKind::Reduction { carry: Some(v), .. } => std::slice::from_ref(v),
+            _ => &[],
+        }
+    }
+}
+
+/// A loop input that the graph itself rolls away (see
+/// [`AlignGraph::claimed_loop_input`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClaimedLoopInput {
+    /// The value a node passes into the loop.
+    pub value: ValueId,
+    /// The node that claims the value's instruction.
+    pub node: NodeId,
+    /// The claiming lane.
+    pub lane: usize,
+}
+
 /// The alignment graph: a DAG over groups of values, with one or more roots
 /// (several roots = the joint-node case of §IV-C6, emitted in order).
 #[derive(Debug, Clone)]
@@ -164,6 +192,27 @@ impl AlignGraph {
             }
         }
         set
+    }
+
+    /// The first loop input (in node order, then input order) whose
+    /// instruction a node claims, if any. Such a graph can never be
+    /// scheduled: the value would have to exist before the loop that
+    /// computes it. The scheduler refuses it, and the graph builder refuses
+    /// to finish it inside `build_candidate_graph`.
+    ///
+    /// Reduction-tree instructions, the other instructions a graph rolls
+    /// away, are never loop inputs. A loop input is an operand of a claimed
+    /// instruction under the tree's leaves (or the carry, an operand of the
+    /// tree), so if it were the tree's root the tree would use itself, and
+    /// if it were another tree instruction, that single-use instruction
+    /// would have a second use, which the scheduler refuses on its own.
+    pub fn claimed_loop_input(&self, func: &Function) -> Option<ClaimedLoopInput> {
+        self.node_ids()
+            .flat_map(|id| self.node(id).loop_inputs())
+            .find_map(|&value| {
+                let (node, lane) = self.claim_of(func.value(value).as_inst()?)?;
+                Some(ClaimedLoopInput { value, node, lane })
+            })
     }
 
     /// Deterministic emission order: post-order under each root, roots in

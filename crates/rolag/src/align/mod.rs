@@ -4,4 +4,4 @@ mod build;
 mod graph;
 
 pub use build::{build_candidate_graph, GraphBuilder};
-pub use graph::{AlignGraph, AlignNode, DotInfo, NodeId, NodeKind};
+pub use graph::{AlignGraph, AlignNode, ClaimedLoopInput, DotInfo, NodeId, NodeKind};

@@ -14,10 +14,13 @@
 //!   must be available in the preheader (in particular, they must not
 //!   themselves be rolled away).
 //!
-//! Every set the placement needs is found by walking the direct SSA edges
-//! and memory conflict rows of [`BlockDeps`] from the graph, so a candidate
-//! costs the instructions and rows those walks reach, plus one pass over
-//! the block to list the placement (see DESIGN.md, *Scheduling analysis*).
+//! The checks that read only the graph, the use map and the instruction
+//! positions run first, so a graph they refuse never needs its block's
+//! [`BlockDeps`]. Every set the placement needs is then found by walking
+//! the direct SSA edges and memory conflict rows of [`BlockDeps`] from the
+//! graph, so a candidate costs the instructions and rows those walks reach,
+//! plus one pass over the block to list the placement (see DESIGN.md,
+//! *Scheduling analysis*).
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -56,8 +59,17 @@ pub fn analyze(
     if graph_insts.is_empty() {
         return None;
     }
-    let deps = BlockDeps::compute(module, func, block);
-    analyze_with(func, graph, graph_insts, &deps, &func.compute_uses())
+    let positions = Arc::new(InstPositions::compute(func));
+    let placed = check_graph(
+        func,
+        block,
+        graph,
+        &graph_insts,
+        &positions,
+        &func.compute_uses(),
+    )?;
+    let deps = BlockDeps::compute_with(module, func, block, positions);
+    analyze_with(graph, graph_insts, placed, &deps)
 }
 
 /// The inputs of [`analyze`] that depend only on the function state, kept
@@ -96,6 +108,11 @@ impl ScheduleCache {
             return None;
         }
         self.sync(func);
+        let positions = self
+            .positions
+            .get_or_insert_with(|| Arc::new(InstPositions::compute(func)));
+        let uses = self.uses.get_or_insert_with(|| func.compute_uses());
+        let placed = check_graph(func, block, graph, &graph_insts, positions, uses)?;
         let deps = match self.deps.entry(block) {
             Entry::Occupied(hit) => {
                 let deps = hit.into_mut();
@@ -106,20 +123,14 @@ impl ScheduleCache {
                 );
                 deps
             }
-            Entry::Vacant(miss) => {
-                let positions = self
-                    .positions
-                    .get_or_insert_with(|| Arc::new(InstPositions::compute(func)));
-                miss.insert(BlockDeps::compute_with(
-                    module,
-                    func,
-                    block,
-                    Arc::clone(positions),
-                ))
-            }
+            Entry::Vacant(miss) => miss.insert(BlockDeps::compute_with(
+                module,
+                func,
+                block,
+                Arc::clone(positions),
+            )),
         };
-        let uses = self.uses.get_or_insert_with(|| func.compute_uses());
-        analyze_with(func, graph, graph_insts, deps, uses)
+        analyze_with(graph, graph_insts, placed, deps)
     }
 
     /// The use map and the instruction positions of `func` at its current
@@ -152,44 +163,42 @@ impl ScheduleCache {
     }
 }
 
-/// The analysis proper, over precomputed dependences and uses.
-fn analyze_with(
-    func: &Function,
-    graph: &AlignGraph,
-    graph_insts: FxHashSet<InstId>,
-    deps: &BlockDeps,
-    uses: &UseMap,
-) -> Option<Schedule> {
-    let n = deps.len();
+/// Where the graph's instructions sit in the block, as
+/// [`check_graph`] found them.
+struct Placed {
+    /// The graph's positions, as a set over the block.
+    in_graph: PosSet,
+    /// The same positions, in `graph_insts` order.
+    graph_pos: Vec<usize>,
+}
 
+/// The refusals that read only the graph, the use map and the instruction
+/// positions, run before the block's dependences are looked up: every
+/// graph instruction sits in `block`, no loop input is rolled away, intra-
+/// graph uses are lane-consistent and reduction internals are single-use.
+fn check_graph(
+    func: &Function,
+    block: BlockId,
+    graph: &AlignGraph,
+    graph_insts: &FxHashSet<InstId>,
+    positions: &InstPositions,
+    uses: &UseMap,
+) -> Option<Placed> {
     // Sanity: every graph instruction is in this block.
-    let mut in_graph = PosSet::new(n);
+    let mut in_graph = PosSet::new(func.block(block).insts.len());
     let mut graph_pos = Vec::with_capacity(graph_insts.len());
-    for &g in &graph_insts {
-        let p = deps.position(g)?;
+    for &g in graph_insts {
+        let p = positions.in_block(g, block)?;
         in_graph.insert(p);
         graph_pos.push(p);
     }
 
     // --- availability of loop inputs ---------------------------------------
-    // Values feeding the loop from outside (mismatch lanes, identical lanes,
-    // recurrence inits) must not be instructions we are deleting.
-    for node in graph.node_ids() {
-        let data = graph.node(node);
-        let feeds: &[rolag_ir::ValueId] = match &data.kind {
-            NodeKind::Mismatch => &data.lanes,
-            NodeKind::Identical => &data.lanes[..1],
-            NodeKind::Recurrence { init, .. } => std::slice::from_ref(init),
-            NodeKind::Reduction { carry: Some(v), .. } => std::slice::from_ref(v),
-            _ => continue,
-        };
-        for &v in feeds {
-            if let Some(inst) = func.value(v).as_inst() {
-                if graph_insts.contains(&inst) {
-                    return None;
-                }
-            }
-        }
+    // Values feeding the loop from outside must not be instructions we are
+    // deleting. `build_candidate_graph` refuses such graphs while building
+    // them; this guards every other caller.
+    if graph.claimed_loop_input(func).is_some() {
+        return None;
     }
 
     // --- lane-consistency of intra-graph uses -------------------------------
@@ -240,6 +249,25 @@ fn analyze_with(
             }
         }
     }
+    Some(Placed {
+        in_graph,
+        graph_pos,
+    })
+}
+
+/// The analysis proper, over the block's dependences, for a graph
+/// [`check_graph`] let through.
+fn analyze_with(
+    graph: &AlignGraph,
+    graph_insts: FxHashSet<InstId>,
+    placed: Placed,
+    deps: &BlockDeps,
+) -> Option<Schedule> {
+    let n = deps.len();
+    let Placed {
+        in_graph,
+        graph_pos,
+    } = placed;
 
     // --- memory order inside the graph --------------------------------------
     // New execution order: iterations (lanes) outermost, emission order of

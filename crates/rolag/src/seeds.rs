@@ -11,7 +11,11 @@
 //! [`collect_candidates`] computes one per call. Collection does
 //! not test whether a group can align. Reduction trees whose leaves never
 //! match are still proposed, and `build_candidate_graph` refuses them at its
-//! root gate before building any graph.
+//! root gate before building any graph. Nor does it test whether a group's
+//! graph would pass one of its own instructions into the loop (a mismatch
+//! lane, an identical value, a recurrence init or a reduction carry that a
+//! node also claims); `build_candidate_graph` refuses those while building,
+//! the moment the pair appears.
 
 use std::collections::BTreeMap;
 

@@ -93,7 +93,10 @@ pub(crate) struct Window {
 /// counted (`rejected_schedule`, `tv_rejected`) and rolled back.
 pub(crate) enum Verdict {
     /// The graph build, the scheduling analysis or the code generator
-    /// refused the candidate.
+    /// refused the candidate. The build refuses at its root gate, or while
+    /// building when the graph claims one of its own loop inputs (a graph
+    /// the scheduler would refuse, so the block's dependences are never
+    /// computed for it).
     Schedule,
     /// The translation validator refused to prove the rewrite.
     Validator,
@@ -167,9 +170,11 @@ impl Speculator {
         audit: Option<&mut SearchAudit>,
     ) -> Verdict {
         let block = cand.block();
-        // Graph builds intern synthetic constants into `work` — inert, and
-        // deliberately persistent across rejected candidates (memo replay
-        // relies on it).
+        // Graph builds intern synthetic constants into `work` before the
+        // window's snapshot, so they stay across rejected candidates. That
+        // is harmless: the printer shows constants by content, interning
+        // never bumps the revision, and the validator's shadow absorbs them
+        // below.
         let graph = timed(&mut stats.timings.align_ns, || {
             build_candidate_graph(module, &mut self.work, cand, opts)
         });
