@@ -10,7 +10,9 @@
 
 use std::sync::Arc;
 
-use rolag_ir::{BlockId, Effects, Function, InstExtra, InstId, Module, Opcode, ValueDef, ValueId};
+use rolag_ir::{
+    BlockId, Effects, Function, InlineList, InstExtra, InstId, Module, Opcode, ValueDef, ValueId,
+};
 
 use crate::alias::{may_alias, ranges_may_alias, resolve_pointer, PtrInfo};
 
@@ -80,17 +82,19 @@ pub fn conflicts(module: &Module, func: &Function, a: InstId, b: InstId) -> bool
     }
 }
 
-/// Compact bit set over instruction positions.
+/// Compact bit set over instruction positions. Its words sit inline for
+/// blocks of up to 192 positions, so the per-access conflict rows of such a
+/// block allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PosSet {
-    words: Vec<u64>,
+    words: InlineList<u64>,
 }
 
 impl PosSet {
     /// Empty set sized for `n` positions.
     pub fn new(n: usize) -> Self {
         PosSet {
-            words: vec![0; n.div_ceil(64)],
+            words: std::iter::repeat_n(0, n.div_ceil(64)).collect(),
         }
     }
     /// Inserts position `i`.

@@ -12,7 +12,7 @@ use std::collections::{HashMap, HashSet};
 
 use rolag_ir::inst::{FloatPredicate, InstData, InstExtra, IntPredicate, Opcode};
 use rolag_ir::types::TypeId;
-use rolag_ir::{BlockId, Function, Module, ValueId};
+use rolag_ir::{BlockId, Function, InlineList, Module, Operands, ValueId};
 
 use super::lexer::Tok;
 use super::{at_type_start, parse_type, Cursor, FnHeader, SkipErr};
@@ -982,7 +982,7 @@ fn build(
                     InstExtra::Call { callee }
                 }
                 Opcode::Phi => {
-                    let mut incoming = Vec::new();
+                    let mut incoming = InlineList::with_capacity(inst.labels.len());
                     for l in &inst.labels {
                         incoming.push(lookup_block(l, inst.line, inst.col)?);
                     }
@@ -1015,7 +1015,7 @@ fn build(
             let (id, value) = func.create_inst(InstData {
                 opcode: inst.opcode,
                 ty,
-                operands: Vec::new(),
+                operands: Operands::new(),
                 block: bb,
                 extra,
             });
@@ -1038,7 +1038,7 @@ fn build(
     // Second sweep: resolve operands, interning constants in flat
     // operand order (value-table order matches the native parser's).
     for (id, inst) in created.into_iter().zip(&flat) {
-        let mut operands = Vec::with_capacity(inst.operands.len());
+        let mut operands = Operands::with_capacity(inst.operands.len());
         for op in &inst.operands {
             let v = match op {
                 LOperand::Local(name) => *locals.get(name).ok_or_else(|| {

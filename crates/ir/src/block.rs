@@ -2,8 +2,9 @@
 
 use crate::inst::InstId;
 
-/// Index of a basic block in its function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Index of a basic block in its function. The default is block 0; it
+/// fills the unused slots of an [`InlineList`](crate::InlineList).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub(crate) u32);
 
 impl BlockId {

@@ -7,7 +7,7 @@
 
 use crate::block::BlockId;
 use crate::function::Function;
-use crate::inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, Opcode};
+use crate::inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, Opcode, Operands};
 use crate::module::Module;
 use crate::types::{TypeId, TypeStore};
 use crate::value::{FuncId, GlobalId, ValueId};
@@ -60,7 +60,7 @@ impl<'a> Builder<'a> {
         &mut self,
         opcode: Opcode,
         ty: TypeId,
-        operands: Vec<ValueId>,
+        operands: Operands,
         extra: InstExtra,
     ) -> ValueId {
         let block = self.current();
@@ -122,7 +122,7 @@ impl<'a> Builder<'a> {
     pub fn binop(&mut self, opcode: Opcode, a: ValueId, b: ValueId) -> ValueId {
         debug_assert!(opcode.is_binop(), "{opcode:?} is not a binop");
         let ty = self.func.value_ty(a, self.types);
-        self.emit(opcode, ty, vec![a, b], InstExtra::None)
+        self.emit(opcode, ty, [a, b].into(), InstExtra::None)
     }
 
     /// `add`
@@ -185,25 +185,25 @@ impl<'a> Builder<'a> {
     /// Integer comparison producing `i1`.
     pub fn icmp(&mut self, pred: IntPredicate, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.types.i1();
-        self.emit(Opcode::Icmp, ty, vec![a, b], InstExtra::Icmp(pred))
+        self.emit(Opcode::Icmp, ty, [a, b].into(), InstExtra::Icmp(pred))
     }
 
     /// Floating comparison producing `i1`.
     pub fn fcmp(&mut self, pred: FloatPredicate, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.types.i1();
-        self.emit(Opcode::Fcmp, ty, vec![a, b], InstExtra::Fcmp(pred))
+        self.emit(Opcode::Fcmp, ty, [a, b].into(), InstExtra::Fcmp(pred))
     }
 
     /// `select cond, a, b`
     pub fn select(&mut self, cond: ValueId, a: ValueId, b: ValueId) -> ValueId {
         let ty = self.func.value_ty(a, self.types);
-        self.emit(Opcode::Select, ty, vec![cond, a, b], InstExtra::None)
+        self.emit(Opcode::Select, ty, [cond, a, b].into(), InstExtra::None)
     }
 
     /// Cast `v` to `ty` with the given cast opcode.
     pub fn cast(&mut self, opcode: Opcode, v: ValueId, ty: TypeId) -> ValueId {
         debug_assert!(opcode.is_cast(), "{opcode:?} is not a cast");
-        self.emit(opcode, ty, vec![v], InstExtra::None)
+        self.emit(opcode, ty, [v].into(), InstExtra::None)
     }
 
     /// `zext`
@@ -238,20 +238,21 @@ impl<'a> Builder<'a> {
 
     /// Typed load from `ptr`.
     pub fn load(&mut self, ty: TypeId, ptr: ValueId) -> ValueId {
-        self.emit(Opcode::Load, ty, vec![ptr], InstExtra::None)
+        self.emit(Opcode::Load, ty, [ptr].into(), InstExtra::None)
     }
 
     /// Store `value` to `ptr`.
     pub fn store(&mut self, value: ValueId, ptr: ValueId) -> ValueId {
         let ty = self.types.void();
-        self.emit(Opcode::Store, ty, vec![value, ptr], InstExtra::None)
+        self.emit(Opcode::Store, ty, [value, ptr].into(), InstExtra::None)
     }
 
     /// `gep elem_ty, base, indices...` — the first index scales by
     /// `size_of(elem_ty)`, later indices navigate into aggregates.
     pub fn gep(&mut self, elem_ty: TypeId, base: ValueId, indices: &[ValueId]) -> ValueId {
         let ty = self.types.ptr();
-        let mut operands = vec![base];
+        let mut operands = Operands::with_capacity(1 + indices.len());
+        operands.push(base);
         operands.extend_from_slice(indices);
         self.emit(Opcode::Gep, ty, operands, InstExtra::Gep { elem_ty })
     }
@@ -263,7 +264,7 @@ impl<'a> Builder<'a> {
         self.emit(
             Opcode::Call,
             ret_ty,
-            args.to_vec(),
+            args.into(),
             InstExtra::Call { callee },
         )
     }
@@ -278,7 +279,7 @@ impl<'a> Builder<'a> {
     /// Unconditional branch.
     pub fn br(&mut self, dest: BlockId) -> ValueId {
         let ty = self.types.void();
-        self.emit(Opcode::Br, ty, vec![], InstExtra::Br { dest })
+        self.emit(Opcode::Br, ty, Operands::new(), InstExtra::Br { dest })
     }
 
     /// Conditional branch on `cond`.
@@ -287,7 +288,7 @@ impl<'a> Builder<'a> {
         self.emit(
             Opcode::CondBr,
             ty,
-            vec![cond],
+            [cond].into(),
             InstExtra::CondBr {
                 then_dest,
                 else_dest,
@@ -309,7 +310,7 @@ impl<'a> Builder<'a> {
     /// `unreachable`
     pub fn unreachable(&mut self) -> ValueId {
         let ty = self.types.void();
-        self.emit(Opcode::Unreachable, ty, vec![], InstExtra::None)
+        self.emit(Opcode::Unreachable, ty, Operands::new(), InstExtra::None)
     }
 }
 

@@ -67,7 +67,7 @@ pub fn run_dce_with(
         }
         removed_total += dead.len();
     }
-    removed_total + remove_unreachable_blocks(func, types.void())
+    removed_total + remove_unreachable_blocks(func, types.void()).dropped
 }
 
 /// Removes dead instructions from one function. Returns how many were
@@ -76,11 +76,29 @@ pub fn run_dce_on(module: &Module, func: &mut Function) -> usize {
     run_dce_with(func, &module.types, &|callee| module.func(callee).effects)
 }
 
+/// What [`remove_unreachable_blocks`] dropped, and the work it took to
+/// find it. The work counts are exact, so a test can bound how they grow
+/// with the function where a timing would depend on the machine's load.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnreachableRemoval {
+    /// Instructions dropped with the dead blocks.
+    pub dropped: usize,
+    /// Blocks visited by the reachability walk, the sealing pass and the
+    /// phi pass.
+    pub blocks_visited: u64,
+    /// Phis whose incoming blocks were checked against the sealed ones.
+    pub phis_scanned: u64,
+}
+
 /// Removes blocks unreachable from the entry (sealing their ids with
-/// `unreachable`). Returns how many instructions were dropped.
-pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::TypeId) -> usize {
+/// `unreachable`).
+pub fn remove_unreachable_blocks(
+    func: &mut Function,
+    void_ty: crate::types::TypeId,
+) -> UnreachableRemoval {
+    let mut out = UnreachableRemoval::default();
     if func.num_blocks() == 0 {
-        return 0;
+        return out;
     }
     let mut reachable = vec![false; func.num_blocks()];
     let mut work = vec![func.entry_block()];
@@ -88,6 +106,7 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
         if std::mem::replace(&mut reachable[b.index()], true) {
             continue;
         }
+        out.blocks_visited += 1;
         for s in func.successors(b) {
             work.push(s);
         }
@@ -96,10 +115,10 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
     // follow that order), then prune the phi incomings that named a block
     // sealed here in one pass over the blocks: linear in the function, not
     // one pass over it per dead block.
-    let mut dropped = 0;
     let blocks: Vec<BlockId> = func.block_ids().collect();
     let mut sealed_now = vec![false; blocks.len()];
     for &b in &blocks {
+        out.blocks_visited += 1;
         if reachable[b.index()] {
             continue;
         }
@@ -110,14 +129,14 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
         if insts.len() == 1 && func.inst(insts[0]).opcode == Opcode::Unreachable {
             continue;
         }
-        dropped += insts.len();
+        out.dropped += insts.len();
         func.detach_block(b);
         // Keep the block well formed: it still exists (ids are stable) but
         // is sealed off with `unreachable`, contributing no code or edges.
         let (seal, _) = func.create_inst(crate::inst::InstData {
             opcode: Opcode::Unreachable,
             ty: void_ty,
-            operands: Vec::new(),
+            operands: crate::inst::Operands::new(),
             block: b,
             extra: InstExtra::None,
         });
@@ -125,13 +144,17 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
         sealed_now[b.index()] = true;
     }
     if !sealed_now.contains(&true) {
-        return dropped;
+        return out;
     }
     for &b in &blocks {
+        out.blocks_visited += 1;
         for k in 0..func.block(b).insts.len() {
             let i = func.block(b).insts[k];
             let names_sealed = match &func.inst(i).extra {
-                InstExtra::Phi { incoming } => incoming.iter().any(|p| sealed_now[p.index()]),
+                InstExtra::Phi { incoming } => {
+                    out.phis_scanned += 1;
+                    incoming.iter().any(|p| sealed_now[p.index()])
+                }
                 _ => false,
             };
             if !names_sealed {
@@ -152,7 +175,7 @@ pub fn remove_unreachable_blocks(func: &mut Function, void_ty: crate::types::Typ
             }
         }
     }
-    dropped
+    out
 }
 
 /// Runs DCE over every definition in the module. Returns the number of

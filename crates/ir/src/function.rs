@@ -13,6 +13,7 @@ fn next_revision() -> u64 {
 }
 
 use crate::block::{BlockData, BlockId};
+use crate::inline_list::InlineList;
 use crate::inst::{InstData, InstExtra, InstId, Opcode};
 use crate::types::{TypeId, TypeStore};
 use crate::value::{ConstKey, FuncId, GlobalId, ValueDef, ValueId};
@@ -988,10 +989,10 @@ impl Function {
     }
 
     /// CFG successors of `block`.
-    pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, block: BlockId) -> InlineList<BlockId> {
         match self.terminator(block) {
             Some(t) => self.inst(t).successors(),
-            None => Vec::new(),
+            None => InlineList::new(),
         }
     }
 
@@ -1158,7 +1159,7 @@ mod tests {
         let (i, v) = f.create_inst(InstData {
             opcode: Opcode::Add,
             ty: types.i32(),
-            operands: vec![a, b],
+            operands: [a, b].into(),
             block: bb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1183,7 +1184,7 @@ mod tests {
         let (i, v1) = f.create_inst(InstData {
             opcode: Opcode::Add,
             ty: types.i32(),
-            operands: vec![a, b],
+            operands: [a, b].into(),
             block: bb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1206,7 +1207,7 @@ mod tests {
         let (i, _) = f.create_inst(InstData {
             opcode: Opcode::Call,
             ty: types.i32(),
-            operands: vec![c, ga],
+            operands: [c, ga].into(),
             block: bb,
             extra: crate::inst::InstExtra::Call { callee },
         });
@@ -1267,7 +1268,7 @@ mod tests {
         let (i, v) = f.create_inst(InstData {
             opcode: Opcode::Add,
             ty: types.i32(),
-            operands: vec![f.param(0), f.param(1)],
+            operands: [f.param(0), f.param(1)].into(),
             block: bb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1301,7 +1302,7 @@ mod tests {
         let (i, v) = f.create_inst(InstData {
             opcode: Opcode::Add,
             ty: types.i32(),
-            operands: vec![f.param(0), f.param(1)],
+            operands: [f.param(0), f.param(1)].into(),
             block: bb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1339,7 +1340,7 @@ mod tests {
         let (ni, nv) = f.create_inst(InstData {
             opcode: Opcode::Mul,
             ty: types.i32(),
-            operands: vec![f.param(0), c],
+            operands: [f.param(0), c].into(),
             block: nb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1366,7 +1367,7 @@ mod tests {
         let (w, _) = f.create_inst(InstData {
             opcode: Opcode::Mul,
             ty: types.i32(),
-            operands: vec![v, v],
+            operands: [v, v].into(),
             block: entry,
             extra: crate::inst::InstExtra::None,
         });
@@ -1375,7 +1376,7 @@ mod tests {
         let (x, _) = f.create_inst(InstData {
             opcode: Opcode::Sub,
             ty: types.i32(),
-            operands: vec![v, f.param(0)],
+            operands: [v, f.param(0)].into(),
             block: other,
             extra: crate::inst::InstExtra::None,
         });
@@ -1395,7 +1396,7 @@ mod tests {
         f.replace_uses(uses.of(v), v, c);
         assert!(f.block(entry).insts.is_empty());
         assert!(!f.is_live(i) && !f.is_live(w));
-        assert_eq!(f.inst(w).operands, vec![v, v], "detached users keep theirs");
+        assert_eq!(f.inst(w).operands, [v, v], "detached users keep theirs");
         assert_eq!(f.inst(x).operands[0], c);
         assert_eq!(f.inst(w).operands, reference.inst(w).operands);
         assert_eq!(f.inst(x).operands, reference.inst(x).operands);
@@ -1421,7 +1422,7 @@ mod tests {
         let (ni, _nv) = f.create_inst(InstData {
             opcode: Opcode::Sub,
             ty: types.i32(),
-            operands: vec![f.param(0), c],
+            operands: [f.param(0), c].into(),
             block: nb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1494,7 +1495,7 @@ mod tests {
         let (i1, v1) = f.create_inst(InstData {
             opcode: Opcode::Add,
             ty: types.i32(),
-            operands: vec![a, a],
+            operands: [a, a].into(),
             block: bb,
             extra: crate::inst::InstExtra::None,
         });
@@ -1502,7 +1503,7 @@ mod tests {
         let (i2, _) = f.create_inst(InstData {
             opcode: Opcode::Mul,
             ty: types.i32(),
-            operands: vec![v1, a],
+            operands: [v1, a].into(),
             block: bb,
             extra: crate::inst::InstExtra::None,
         });

@@ -1,6 +1,7 @@
 //! Instructions.
 
 use crate::block::BlockId;
+use crate::inline_list::InlineList;
 use crate::types::TypeId;
 use crate::value::{FuncId, ValueId};
 
@@ -385,7 +386,7 @@ pub enum InstExtra {
     /// Direct call to a module function (operands are the arguments).
     Call { callee: FuncId },
     /// `phi` incoming blocks, parallel to the operand list.
-    Phi { incoming: Vec<BlockId> },
+    Phi { incoming: InlineList<BlockId> },
     /// Unconditional branch target.
     Br { dest: BlockId },
     /// Conditional branch targets (operand 0 is the `i1` condition).
@@ -397,6 +398,9 @@ pub enum InstExtra {
     Alloca { elem_ty: TypeId },
 }
 
+/// An instruction's operand list.
+pub type Operands = InlineList<ValueId>;
+
 /// An instruction: opcode, result type, operands, and payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstData {
@@ -404,8 +408,8 @@ pub struct InstData {
     pub opcode: Opcode,
     /// Result type; `void` for stores, branches, etc.
     pub ty: TypeId,
-    /// SSA operands.
-    pub operands: Vec<ValueId>,
+    /// SSA operands, inline up to three (see [`InlineList`]).
+    pub operands: Operands,
     /// Block the instruction currently belongs to.
     pub block: BlockId,
     /// Opcode-specific payload.
@@ -414,14 +418,14 @@ pub struct InstData {
 
 impl InstData {
     /// Successor blocks, for terminators.
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> InlineList<BlockId> {
         match &self.extra {
-            InstExtra::Br { dest } => vec![*dest],
+            InstExtra::Br { dest } => [*dest].into(),
             InstExtra::CondBr {
                 then_dest,
                 else_dest,
-            } => vec![*then_dest, *else_dest],
-            _ => Vec::new(),
+            } => [*then_dest, *else_dest].into(),
+            _ => InlineList::new(),
         }
     }
 

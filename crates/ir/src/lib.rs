@@ -55,6 +55,7 @@ pub mod filecheck;
 pub mod fold;
 pub mod function;
 pub mod fxhash;
+pub mod inline_list;
 pub mod inst;
 pub mod interp;
 pub mod module;
@@ -68,7 +69,10 @@ pub mod verify;
 pub use block::{BlockData, BlockId};
 pub use builder::{Builder, FuncBuilder};
 pub use function::{Effects, Function, SnapshotToken, SpeculationLog, UseMap};
-pub use inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, NeutralElement, Opcode};
+pub use inline_list::InlineList;
+pub use inst::{
+    FloatPredicate, InstData, InstExtra, InstId, IntPredicate, NeutralElement, Opcode, Operands,
+};
 pub use module::{GlobalData, GlobalInit, Module};
 pub use serialization::{decode_module, encode_module, DecodeError};
 pub use types::{TypeId, TypeKind, TypeStore};

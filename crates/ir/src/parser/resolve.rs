@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use super::{BodyAst, Error, ExtraAst, InstAst, Name, OperandAst, Result};
 use crate::block::{BlockData, BlockId};
 use crate::function::{Effects, Function};
-use crate::inst::{InstData, InstExtra, InstId, Opcode};
+use crate::inst::{InstData, InstExtra, InstId, Opcode, Operands};
 use crate::module::Module;
 use crate::types::TypeId;
 use crate::value::{ConstKey, FuncId, ValueDef, ValueId};
@@ -227,7 +227,7 @@ impl<'a> Resolver<'a> {
                 body.insts.push(InstData {
                     opcode: inst.opcode,
                     ty: inst.ty,
-                    operands: Vec::new(),
+                    operands: Operands::new(),
                     block: BlockId::from_index(b),
                     extra,
                 });
@@ -258,7 +258,7 @@ impl<'a> Resolver<'a> {
         self.refs.clear();
         for (k, (inst, data)) in ast.insts.iter().zip(&mut body.insts).enumerate() {
             let (lo, hi) = inst.operands;
-            let mut operands = Vec::with_capacity((hi - lo) as usize);
+            let operands = &mut data.operands;
             for (j, op) in ast.operands[lo as usize..hi as usize].iter().enumerate() {
                 let next = ValueId::from_index(values.len());
                 let (key, def) = match *op {
@@ -302,7 +302,6 @@ impl<'a> Resolver<'a> {
                 }
                 operands.push(v);
             }
-            data.operands = operands;
         }
         Ok(())
     }

@@ -38,7 +38,8 @@ use std::collections::HashMap;
 
 use crate::block::{BlockData, BlockId};
 use crate::function::{Effects, Function};
-use crate::inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, Opcode};
+use crate::inline_list::InlineList;
+use crate::inst::{FloatPredicate, InstData, InstExtra, InstId, IntPredicate, Opcode, Operands};
 use crate::module::{GlobalData, GlobalInit, Module};
 use crate::parser::MAX_TYPE_DEPTH;
 use crate::types::{TypeId, TypeKind, TypeStore};
@@ -646,7 +647,7 @@ fn decode_inst(
         .ok_or(DecodeError::BadTag("opcode", op))?;
     let ty = type_id(c, lim.num_types)?;
     let n = c.count(1)?;
-    let mut operands = Vec::with_capacity(n);
+    let mut operands = Operands::with_capacity(n);
     for _ in 0..n {
         let v = c.u32()? as usize;
         if v >= num_values {
@@ -687,7 +688,7 @@ fn decode_inst(
         }
         5 => {
             let n = c.count(1)?;
-            let mut incoming = Vec::with_capacity(n);
+            let mut incoming = InlineList::with_capacity(n);
             for _ in 0..n {
                 incoming.push(block_id(c, num_blocks)?);
             }

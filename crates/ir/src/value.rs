@@ -7,8 +7,9 @@
 use crate::inst::InstId;
 use crate::types::TypeId;
 
-/// Index of a value in its function's value table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Index of a value in its function's value table. The default is value
+/// 0; it fills the unused slots of an [`InlineList`](crate::InlineList).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueId(pub(crate) u32);
 
 impl ValueId {

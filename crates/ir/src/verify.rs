@@ -379,7 +379,7 @@ mod tests {
             let (i, v) = b.func.create_inst(InstData {
                 opcode: Opcode::Add,
                 ty: b.types.i32(),
-                operands: vec![a, b64],
+                operands: [a, b64].into(),
                 block: b.current(),
                 extra: InstExtra::None,
             });

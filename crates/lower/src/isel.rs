@@ -18,7 +18,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rolag_ir::{BlockId, Function, InstExtra, InstId, Module, Opcode, TypeKind, ValueDef, ValueId};
+use rolag_ir::{
+    BlockId, Function, InstExtra, InstId, Module, Opcode, Operands, TypeKind, ValueDef, ValueId,
+};
 
 /// Register class of a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,7 +40,7 @@ pub struct MachineInst {
     /// Value defined, if any.
     pub def: Option<ValueId>,
     /// Values read.
-    pub uses: Vec<ValueId>,
+    pub uses: Operands,
     /// Short mnemonic (debugging / tests).
     pub mnemonic: &'static str,
 }
@@ -193,7 +195,7 @@ fn select_block(
         for (pos, &i) in ir_insts.iter().enumerate() {
             let data = func.inst(i);
             let result = func.inst_result(i);
-            let mut reg_uses: Vec<ValueId> = data
+            let mut reg_uses: Operands = data
                 .operands
                 .iter()
                 .copied()

@@ -239,7 +239,7 @@ impl AlignGraph {
             return; // visited, or a recurrence back-edge
         }
         on_path[n.index()] = true;
-        for &c in &self.node(n).children.clone() {
+        for &c in &self.node(n).children {
             self.post_order(c, visited, on_path, order);
         }
         on_path[n.index()] = false;

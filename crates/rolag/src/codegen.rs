@@ -9,7 +9,7 @@
 
 use rolag_ir::{
     BlockId, Builder, Function, GlobalData, GlobalId, GlobalInit, InstData, InstExtra, InstId,
-    IntPredicate, Module, Opcode, TypeId, UseMap, ValueDef, ValueId,
+    IntPredicate, Module, Opcode, Operands, TypeId, UseMap, ValueDef, ValueId,
 };
 
 use crate::align::{AlignGraph, NodeId, NodeKind};
@@ -411,11 +411,11 @@ fn emit_node(
             let opcode = *opcode;
             let lane0 = b.func.value(data.lanes[0]).as_inst()?;
             let proto = b.func.inst(lane0).clone();
-            let operands: Vec<ValueId> = data
+            let operands = data
                 .children
                 .iter()
                 .map(|c| emitted[c.index()])
-                .collect::<Option<Vec<_>>>()?;
+                .collect::<Option<Operands>>()?;
             let (_, v) = b.emit_raw(InstData {
                 opcode,
                 ty: proto.ty,

@@ -13,7 +13,9 @@
 use std::collections::HashMap;
 
 use rolag_analysis::alias::may_alias;
-use rolag_ir::{BlockId, Effects, Function, InstExtra, InstId, Module, Opcode, TypeId, ValueId};
+use rolag_ir::{
+    BlockId, Effects, Function, InstExtra, InstId, Module, Opcode, Operands, TypeId, ValueId,
+};
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum ExtraKey {
@@ -27,7 +29,7 @@ enum ExtraKey {
 struct ExprKey {
     opcode: Opcode,
     ty: TypeId,
-    operands: Vec<ValueId>,
+    operands: Operands,
     extra: ExtraKey,
 }
 

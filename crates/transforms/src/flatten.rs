@@ -20,7 +20,7 @@
 
 use rolag_analysis::dom::DomTree;
 use rolag_analysis::loops::{find_loops, trip_count};
-use rolag_ir::{Function, InstExtra, InstId, Module, Opcode, ValueId};
+use rolag_ir::{Function, InlineList, InstExtra, InstId, Module, Opcode, Operands, ValueId};
 
 /// Result of one flattening attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +236,7 @@ fn try_flatten(
     let (new_br, _) = func.create_inst(rolag_ir::InstData {
         opcode: Opcode::Br,
         ty: module.types.void(),
-        operands: vec![],
+        operands: Operands::new(),
         block: e,
         extra: InstExtra::Br { dest: exit_block },
     });
@@ -247,7 +247,7 @@ fn try_flatten(
         let InstExtra::Phi { incoming } = &data.extra else {
             continue;
         };
-        let keep: Vec<ValueId> = incoming
+        let keep: Operands = incoming
             .iter()
             .zip(&data.operands)
             .filter(|(&inb, _)| inb != e)
@@ -263,8 +263,8 @@ fn try_flatten(
             let InstExtra::Phi { incoming } = &mut data.extra else {
                 continue;
             };
-            let mut ops = Vec::new();
-            let mut inc = Vec::new();
+            let mut ops = Operands::new();
+            let mut inc = InlineList::new();
             for (k, &inb) in incoming.iter().enumerate() {
                 if inb != e {
                     inc.push(inb);

@@ -11,7 +11,9 @@ use std::collections::HashMap;
 
 use rolag_analysis::dom::DomTree;
 use rolag_analysis::loops::{find_loops, trip_count, Loop, TripCount};
-use rolag_ir::{Function, InstData, InstExtra, InstId, Module, Opcode, TypeStore, ValueId};
+use rolag_ir::{
+    Function, InstData, InstExtra, InstId, Module, Opcode, Operands, TypeStore, ValueId,
+};
 
 /// Result of attempting to unroll one loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,7 +179,7 @@ fn apply_unroll(
         let (iv_k_inst, iv_k) = func.create_inst(InstData {
             opcode: Opcode::Add,
             ty: iv_ty,
-            operands: vec![iv.phi_value, offset],
+            operands: [iv.phi_value, offset].into(),
             block: header,
             extra: InstExtra::None,
         });
@@ -187,7 +189,7 @@ fn apply_unroll(
         // Clone the body in order.
         for &i in &body {
             let data = func.inst(i).clone();
-            let operands: Vec<ValueId> = data
+            let operands: Operands = data
                 .operands
                 .iter()
                 .map(|op| *new_map.get(op).unwrap_or(op))
@@ -211,7 +213,7 @@ fn apply_unroll(
     let (latch_add, latch_v) = func.create_inst(InstData {
         opcode: Opcode::Add,
         ty: iv_ty,
-        operands: vec![iv.phi_value, big_step],
+        operands: [iv.phi_value, big_step].into(),
         block: header,
         extra: InstExtra::None,
     });

@@ -17,13 +17,13 @@ use std::hash::BuildHasher;
 use rolag_ir::fold::{eval_icmp, eval_int_binop, normalize_int};
 use rolag_ir::fxhash::{FxBuildHasher, FxHashMap};
 use rolag_ir::{
-    FloatPredicate, FuncId, GlobalId, InstId, IntPredicate, NeutralElement, Opcode, TypeId,
-    TypeStore, ValueId,
+    FloatPredicate, FuncId, GlobalId, InlineList, InstId, IntPredicate, NeutralElement, Opcode,
+    TypeId, TypeStore, ValueId,
 };
 
 /// Handle to an interned [`Expr`]. Equal ids mean structurally equal
 /// expressions after normalization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(u32);
 
 impl ExprId {
@@ -91,7 +91,7 @@ pub enum Expr {
         extra: ExtraKey,
         /// Operand expressions, in instruction order (commutative binary
         /// operations are stored with sorted operands).
-        args: Vec<ExprId>,
+        args: InlineList<ExprId>,
     },
     /// A flattened associative-commutative chain: `opcode` applied to the
     /// whole (sorted) argument list, with constants folded and neutral
@@ -104,7 +104,7 @@ pub enum Expr {
         /// Result (and operand) type.
         ty: TypeId,
         /// At least two non-neutral, sorted operand expressions.
-        args: Vec<ExprId>,
+        args: InlineList<ExprId>,
     },
 }
 
@@ -166,7 +166,7 @@ impl ExprArena {
         opcode: Opcode,
         ty: TypeId,
         extra: ExtraKey,
-        mut args: Vec<ExprId>,
+        mut args: InlineList<ExprId>,
     ) -> ExprId {
         // Integer constant folding.
         if opcode.is_int_binop() && args.len() == 2 {
@@ -244,10 +244,10 @@ impl ExprArena {
         types: &TypeStore,
         opcode: Opcode,
         ty: TypeId,
-        parts: Vec<ExprId>,
+        parts: InlineList<ExprId>,
     ) -> ExprId {
         let mut stack = parts;
-        let mut flat: Vec<ExprId> = Vec::new();
+        let mut flat: InlineList<ExprId> = InlineList::new();
         let mut acc: Option<i64> = None;
         while let Some(p) = stack.pop() {
             match self.get(p) {
@@ -356,7 +356,7 @@ mod tests {
         let i32t = types.i32();
         let x = a.int(&types, i32t, 7);
         let y = a.int(&types, i32t, 5);
-        let s = a.op(&types, Opcode::Add, i32t, ExtraKey::None, vec![x, y]);
+        let s = a.op(&types, Opcode::Add, i32t, ExtraKey::None, [x, y].into());
         assert_eq!(
             a.get(s),
             &Expr::Int {
@@ -367,7 +367,7 @@ mod tests {
         // i32 wrap-around normalizes.
         let big = a.int(&types, i32t, i64::from(i32::MAX));
         let one = a.int(&types, i32t, 1);
-        let w = a.op(&types, Opcode::Add, i32t, ExtraKey::None, vec![big, one]);
+        let w = a.op(&types, Opcode::Add, i32t, ExtraKey::None, [big, one].into());
         assert_eq!(
             a.get(w),
             &Expr::Int {
@@ -383,12 +383,12 @@ mod tests {
         let i32t = types.i32();
         let p = a.intern(Expr::Orig(ValueId::from_index(3)));
         let q = a.intern(Expr::Orig(ValueId::from_index(9)));
-        let pq = a.op(&types, Opcode::Mul, i32t, ExtraKey::None, vec![p, q]);
-        let qp = a.op(&types, Opcode::Mul, i32t, ExtraKey::None, vec![q, p]);
+        let pq = a.op(&types, Opcode::Mul, i32t, ExtraKey::None, [p, q].into());
+        let qp = a.op(&types, Opcode::Mul, i32t, ExtraKey::None, [q, p].into());
         assert_eq!(pq, qp);
         // Subtraction is not commutative.
-        let s1 = a.op(&types, Opcode::Sub, i32t, ExtraKey::None, vec![p, q]);
-        let s2 = a.op(&types, Opcode::Sub, i32t, ExtraKey::None, vec![q, p]);
+        let s1 = a.op(&types, Opcode::Sub, i32t, ExtraKey::None, [p, q].into());
+        let s2 = a.op(&types, Opcode::Sub, i32t, ExtraKey::None, [q, p].into());
         assert_ne!(s1, s2);
     }
 
@@ -400,8 +400,9 @@ mod tests {
         let vs: Vec<ExprId> = (0..4)
             .map(|i| a.intern(Expr::Orig(ValueId::from_index(i))))
             .collect();
-        let add =
-            |a: &mut ExprArena, x, y| a.op(&types, Opcode::Add, i32t, ExtraKey::None, vec![x, y]);
+        let add = |a: &mut ExprArena, x, y| {
+            a.op(&types, Opcode::Add, i32t, ExtraKey::None, [x, y].into())
+        };
         let t1 = {
             let l = add(&mut a, vs[0], vs[1]);
             let r = add(&mut a, vs[2], vs[3]);
@@ -430,28 +431,28 @@ mod tests {
         let one = a.int(&types, i32t, 1);
         let ones = a.int(&types, i32t, -1);
         assert_eq!(
-            a.op(&types, Opcode::Add, i32t, ExtraKey::None, vec![x, zero]),
+            a.op(&types, Opcode::Add, i32t, ExtraKey::None, [x, zero].into()),
             x
         );
         assert_eq!(
-            a.op(&types, Opcode::Sub, i32t, ExtraKey::None, vec![x, zero]),
+            a.op(&types, Opcode::Sub, i32t, ExtraKey::None, [x, zero].into()),
             x
         );
         assert_eq!(
-            a.op(&types, Opcode::Mul, i32t, ExtraKey::None, vec![one, x]),
+            a.op(&types, Opcode::Mul, i32t, ExtraKey::None, [one, x].into()),
             x
         );
         assert_eq!(
-            a.op(&types, Opcode::And, i32t, ExtraKey::None, vec![x, ones]),
+            a.op(&types, Opcode::And, i32t, ExtraKey::None, [x, ones].into()),
             x
         );
         assert_eq!(
-            a.op(&types, Opcode::Shl, i32t, ExtraKey::None, vec![x, zero]),
+            a.op(&types, Opcode::Shl, i32t, ExtraKey::None, [x, zero].into()),
             x
         );
         // But `0 - x` is not `x`.
         assert_ne!(
-            a.op(&types, Opcode::Sub, i32t, ExtraKey::None, vec![zero, x]),
+            a.op(&types, Opcode::Sub, i32t, ExtraKey::None, [zero, x].into()),
             x
         );
     }
@@ -468,7 +469,7 @@ mod tests {
             Opcode::Gep,
             types.ptr(),
             ExtraKey::Gep(i32t),
-            vec![base, zero],
+            [base, zero].into(),
         );
         assert_eq!(g, base);
         let two = a.int(&types, i64t, 2);
@@ -477,7 +478,7 @@ mod tests {
             Opcode::Gep,
             types.ptr(),
             ExtraKey::Gep(i32t),
-            vec![base, two],
+            [base, two].into(),
         );
         assert_ne!(g2, base);
     }
@@ -496,17 +497,29 @@ mod tests {
                 Opcode::FAdd,
                 f64t,
                 ExtraKey::None,
-                vec![vs[0], vs[1]],
+                [vs[0], vs[1]].into(),
             );
-            let t1 = a.op(&types, Opcode::FAdd, f64t, ExtraKey::None, vec![l, vs[2]]);
+            let t1 = a.op(
+                &types,
+                Opcode::FAdd,
+                f64t,
+                ExtraKey::None,
+                [l, vs[2]].into(),
+            );
             let r = a.op(
                 &types,
                 Opcode::FAdd,
                 f64t,
                 ExtraKey::None,
-                vec![vs[1], vs[2]],
+                [vs[1], vs[2]].into(),
             );
-            let t2 = a.op(&types, Opcode::FAdd, f64t, ExtraKey::None, vec![vs[0], r]);
+            let t2 = a.op(
+                &types,
+                Opcode::FAdd,
+                f64t,
+                ExtraKey::None,
+                [vs[0], r].into(),
+            );
             t1 == t2
         };
         assert!(!mk(false), "strict floats must not reassociate");
@@ -526,13 +539,13 @@ mod tests {
             Opcode::Icmp,
             i1t,
             ExtraKey::Icmp(IntPredicate::Ult),
-            vec![three, five],
+            [three, five].into(),
         );
         match a.get(lt) {
             Expr::Int { value, .. } => assert_ne!(*value, 0),
             e => panic!("icmp did not fold: {e:?}"),
         }
-        let t = a.op(&types, Opcode::Trunc, i32t, ExtraKey::None, vec![five]);
+        let t = a.op(&types, Opcode::Trunc, i32t, ExtraKey::None, [five].into());
         assert_eq!(a.get(t), &Expr::Int { ty: i32t, value: 5 });
     }
 }

@@ -37,8 +37,8 @@
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{
-    BlockId, Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, TypeId, ValueDef,
-    ValueId,
+    BlockId, Function, GlobalInit, InlineList, InstData, InstExtra, InstId, Module, Opcode, TypeId,
+    ValueDef, ValueId,
 };
 
 use crate::expr::{Expr, ExprArena, ExprId, ExtraKey};
@@ -457,7 +457,7 @@ impl<'a> Validator<'a> {
                 op.mnemonic()
             ))),
             _ => {
-                let mut args = Vec::with_capacity(d.operands.len());
+                let mut args = InlineList::with_capacity(d.operands.len());
                 for &v in &d.operands {
                     args.push(self.rolled_expr(v, phase)?);
                 }
@@ -551,7 +551,7 @@ impl<'a> Validator<'a> {
     fn match_effect(&mut self, i: InstId, d: &InstData, lane: usize) -> Result<(), TvError> {
         let orig = self.orig;
         let rextra = extra_key(&d.extra)?;
-        let mut rargs = Vec::with_capacity(d.operands.len());
+        let mut rargs = InlineList::with_capacity(d.operands.len());
         for &v in &d.operands {
             rargs.push(self.rolled_expr(v, Phase::Loop)?);
         }
@@ -640,7 +640,7 @@ impl<'a> Validator<'a> {
                         )))
                     }
                     _ => {
-                        let mut args = Vec::with_capacity(d.operands.len());
+                        let mut args = InlineList::with_capacity(d.operands.len());
                         for &op in &d.operands {
                             args.push(self.orig_expr(op)?);
                         }

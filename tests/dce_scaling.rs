@@ -74,6 +74,33 @@ fn orphan_blocks_are_removed_in_linear_time() {
             (m.take_func(f), m.types.void(), (16_000 / n) as u32)
         })
         .collect();
+
+    // Blocks visited plus phis scanned by one removal. The count is exact,
+    // so unlike the timing below it holds in every build and under load.
+    let work: Vec<u64> = funcs
+        .iter_mut()
+        .zip(sizes)
+        .map(|((f, void, _), n)| {
+            let window = f.snapshot();
+            let removal = remove_unreachable_blocks(f, *void);
+            f.rollback(window);
+            assert_eq!(removal.dropped, n, "every orphan's branch is dropped");
+            removal.blocks_visited + removal.phis_scanned
+        })
+        .collect();
+    eprintln!("removal work per orphan count {sizes:?}: {work:?}");
+    for k in 1..sizes.len() {
+        let growth = work[k] as f64 / work[k - 1] as f64;
+        assert!(
+            growth <= 2.05,
+            "removing {} orphans took {} steps, {growth:.2}x the {} of {} orphans",
+            sizes[k],
+            work[k],
+            work[k - 1],
+            sizes[k - 1]
+        );
+    }
+
     let times = removal_times(&mut funcs);
     eprintln!("removal time per orphan count {sizes:?}: {times:?}");
     for k in 1..sizes.len() {

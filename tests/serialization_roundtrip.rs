@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::serialization::{decode_module, encode_module};
+use rolag_ir::{InstExtra, Opcode};
 
 /// Every `.rir` under the repo's corpus directories, sorted.
 fn corpus() -> Vec<PathBuf> {
@@ -75,5 +76,50 @@ fn truncated_corpus_bytes_never_panic() {
                 path.display()
             );
         }
+    }
+}
+
+/// The one golden whose instructions outgrow the three operands (and phi
+/// incoming blocks) an instruction keeps inline: its spilled lists must
+/// encode, decode and print like the inline ones, before and after rolling.
+#[test]
+fn spilled_operand_lists_roundtrip() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("tests/lit/roll-wide-operands.rir"))
+        .expect("golden readable");
+    let parsed = parse_module(&text).expect("golden parses");
+    let mut rolled = parsed.clone();
+    let stats = rolag::roll_module(&mut rolled, &rolag::RolagOptions::default());
+    assert_eq!(stats.rolled, 1, "the wide calls roll");
+    for module in [parsed, rolled] {
+        let f = module.func(module.func_by_name("wide").expect("@wide"));
+        let insts: Vec<_> = f
+            .block_ids()
+            .flat_map(|b| f.block(b).insts.clone())
+            .collect();
+        let spilled_calls = insts
+            .iter()
+            .filter(|&&i| f.inst(i).opcode == Opcode::Call && f.inst(i).operands.spilled())
+            .count();
+        let phis: Vec<(usize, bool)> = insts
+            .iter()
+            .filter_map(|&i| match &f.inst(i).extra {
+                InstExtra::Phi { incoming } if incoming.len() > 2 => {
+                    Some((incoming.len(), incoming.spilled()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(spilled_calls >= 1, "no spilled call");
+        assert_eq!(phis, [(3, false), (4, true)]);
+
+        let bytes = encode_module(&module);
+        let decoded = decode_module(&bytes).expect("decodes");
+        assert_eq!(print_module(&decoded), print_module(&module));
+        let g = decoded.func(decoded.func_by_name("wide").expect("@wide"));
+        for &i in &insts {
+            assert_eq!(g.inst(i), f.inst(i), "instruction {i:?} after decode");
+        }
+        assert_eq!(encode_module(&decoded), bytes, "re-encode is byte-stable");
     }
 }
