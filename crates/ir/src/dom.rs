@@ -37,7 +37,7 @@ impl DomTree {
     ///
     /// Panics if the function has no blocks.
     pub fn compute(func: &Function) -> Self {
-        Self::build(func, false)
+        Self::build(func, false, &mut 0)
     }
 
     /// The dominator forest the verifier checks SSA dominance against: the
@@ -46,11 +46,15 @@ impl DomTree {
     /// is then the path-based relation from those roots: a block reached
     /// from two roots is dominated only by itself and what dominates it on
     /// every path. Blocks on a cycle no root reaches stay in no tree.
-    pub(crate) fn forest(func: &Function) -> Self {
-        Self::build(func, true)
+    /// Adds to `visited` the blocks its walks visit: each block the
+    /// depth-first walks reach, each block of each fixpoint round and each
+    /// step up the tree while intersecting, and each block numbered in
+    /// preorder.
+    pub(crate) fn forest(func: &Function, visited: &mut u64) -> Self {
+        Self::build(func, true, visited)
     }
 
-    fn build(func: &Function, forest: bool) -> Self {
+    fn build(func: &Function, forest: bool, visited: &mut u64) -> Self {
         let n = func.num_blocks();
         let entry = func.entry_block().index();
         let mut succ_start = Vec::with_capacity(n + 1);
@@ -92,6 +96,7 @@ impl DomTree {
                 }
             }
         }
+        *visited += post.len() as u64;
 
         // Cooper–Harvey–Kennedy over a virtual root (index `n`, reverse
         // postorder number 0) whose successors are the roots.
@@ -109,6 +114,7 @@ impl DomTree {
         let mut changed = true;
         while changed {
             changed = false;
+            *visited += post.len() as u64;
             for &b in post.iter().rev() {
                 if roots[tree[b]] == b {
                     continue;
@@ -124,7 +130,7 @@ impl DomTree {
                     new_idom = if new_idom == NONE {
                         p
                     } else {
-                        intersect(&idom, &rpo_number, p, new_idom)
+                        intersect(&idom, &rpo_number, p, new_idom, visited)
                     };
                 }
                 if new_idom != NONE && idom[b] != new_idom {
@@ -165,6 +171,7 @@ impl DomTree {
                 }
             }
         }
+        *visited += u64::from(counter);
         DomTree { idom, pre, last }
     }
 
@@ -210,13 +217,23 @@ fn adjacency(
     (start, list)
 }
 
-fn intersect(idom: &[usize], rpo_number: &[usize], mut a: usize, mut b: usize) -> usize {
+/// The nearest common dominator of `a` and `b`, adding each step up the
+/// tree to `visited`.
+fn intersect(
+    idom: &[usize],
+    rpo_number: &[usize],
+    mut a: usize,
+    mut b: usize,
+    visited: &mut u64,
+) -> usize {
     while a != b {
         while rpo_number[a] > rpo_number[b] {
             a = idom[a];
+            *visited += 1;
         }
         while rpo_number[b] > rpo_number[a] {
             b = idom[b];
+            *visited += 1;
         }
     }
     a
@@ -317,7 +334,7 @@ spin:
         );
         let b = |name: &str| f.block_by_name(name).unwrap();
         let tree = DomTree::compute(&f);
-        let forest = DomTree::forest(&f);
+        let forest = DomTree::forest(&f, &mut 0);
         for dom in [&tree, &forest] {
             assert!(dom.dominates(b("entry"), b("join")));
             assert!(!dom.dominates(b("orphan"), b("join")));

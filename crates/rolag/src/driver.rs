@@ -63,10 +63,12 @@
 //! # Per-module fixed costs
 //!
 //! A lone definition without a store has nothing to share a key with, so
-//! it is not keyed at all. And when only one worker would run (one
-//! definition to roll, or one [`Workers::Scoped`] worker), the fan-outs run
-//! on the calling thread ([`rolag_par::par_map_with`]); a persistent
-//! [`Workers::Pool`] always runs its tasks on its own threads.
+//! it is not keyed, and nothing is gained by rolling it in a context of
+//! its own: it is rolled in place on the calling thread, by the serial
+//! pass's own step, whatever the workers. Otherwise, when only one worker
+//! would run (one definition to roll, or one [`Workers::Scoped`] worker),
+//! the fan-outs run on the calling thread ([`rolag_par::par_map_with`]);
+//! a persistent [`Workers::Pool`] always runs its tasks on its own threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,7 +81,7 @@ use rolag_transforms::effects_table;
 
 use crate::memo::{key_hash, ClosureKeys, MemoStore, StoreEntry, TypeMaps};
 use crate::options::RolagOptions;
-use crate::pass::{rescue_panics, roll_function_with};
+use crate::pass::{rescue_panics, roll_function_with, roll_in_place};
 use crate::stats::RolagStats;
 
 /// Where the driver's workers come from: exactly one source per run.
@@ -164,7 +166,8 @@ pub struct DriverReport {
     /// `0` without one).
     pub store_misses: u64,
     /// Workers the roll fan-out started: `0` when nothing needed rolling
-    /// (no definitions, or the store served every group).
+    /// (no definitions, or the store served every group), `1` for a lone
+    /// definition rolled in place.
     pub jobs: usize,
     /// End-to-end wall-clock of the driver, in nanoseconds.
     pub wall_ns: u64,
@@ -210,40 +213,51 @@ pub fn roll_module_par(
         .filter(|&id| !module.func(id).is_declaration)
         .collect();
     let effects = effects_table(module);
-    let shared: &Module = module;
     let (workers, store) = (driver.workers, driver.store);
 
-    // One closure key per definition, with its store hash when a store is
-    // attached; a lone definition without a store has nothing to share a
-    // key with and is not keyed.
-    let mut keys: Vec<String> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    if ids.len() > 1 || store.is_some() {
-        let keyer = ClosureKeys::new(opts);
-        (keys, hashes) = workers
-            .map_with(
-                &ids,
-                || (),
-                |(), _, &id| {
-                    let key = keyer.key(shared, id);
-                    let hash = if store.is_some() { key_hash(&key) } else { 0 };
-                    (key, hash)
-                },
-            )
-            .0
-            .into_iter()
-            .unzip();
+    // A lone definition without a store shares nothing with anything, so
+    // it is rolled in place on the calling thread, as the serial pass
+    // rolls it: no context, seed copy, capture or replay. The report reads
+    // as a one-worker roll of it would, `changed` by capture's rule.
+    if let ([fid], None) = (ids.as_slice(), store) {
+        let globals_before = module.num_globals();
+        let stats = roll_in_place(module, *fid, opts, &effects);
+        return DriverReport {
+            stats,
+            functions: 1,
+            unique: 1,
+            changed: usize::from(stats.rolled > 0 || module.num_globals() != globals_before),
+            jobs: 1,
+            wall_ns: start.elapsed().as_nanos() as u64,
+            ..Default::default()
+        };
     }
+
+    let shared: &Module = module;
+
+    // One closure key per definition, with its store hash when a store is
+    // attached.
+    let keyer = ClosureKeys::new(opts);
+    let (mut keys, hashes): (Vec<String>, Vec<u64>) = workers
+        .map_with(
+            &ids,
+            || (),
+            |(), _, &id| {
+                let key = keyer.key(shared, id);
+                let hash = if store.is_some() { key_hash(&key) } else { 0 };
+                (key, hash)
+            },
+        )
+        .0
+        .into_iter()
+        .unzip();
     // Group equal keys: definition `i` belongs to group `group[i]`, whose
     // representative — its lowest function id — is definition `reps[g]`.
     let mut group: Vec<usize> = Vec::with_capacity(ids.len());
     let mut reps: Vec<usize> = Vec::new();
     let mut by_key: HashMap<&str, usize> = HashMap::new();
-    for i in 0..ids.len() {
-        let g = match keys.get(i) {
-            Some(key) => *by_key.entry(key).or_insert(reps.len()),
-            None => reps.len(),
-        };
+    for (i, key) in keys.iter().enumerate() {
+        let g = *by_key.entry(key).or_insert(reps.len());
         if g == reps.len() {
             reps.push(i);
         }
@@ -477,6 +491,72 @@ mod tests {
                 assert_eq!(print_panicking(&par), print_panicking(&original), "{at}");
                 assert_eq!(par.num_globals(), serial.num_globals(), "{at}");
             }
+        }
+    }
+
+    /// A lone definition without a store rolls in place under every worker
+    /// source, a panicking roll and one that mints a constant array alike:
+    /// bytes and stats equal the serial pass's, and the report reads as a
+    /// one-worker roll through a context of its own did — one function,
+    /// one group, no hits, `changed` when the roll committed or minted a
+    /// global, no store traffic, one worker. The module's declaration is
+    /// not a definition. With a store, the lone definition is keyed and
+    /// looked up as before.
+    #[test]
+    fn lone_definition_rolls_in_place_like_serial() {
+        use crate::pass::INJECTED_PANIC;
+        let opts = RolagOptions::default();
+        let pool = WorkerPool::new(2);
+        for (name, rolled, changed) in [(INJECTED_PANIC, 0, 0), ("mints", 1, 1)] {
+            let text = format!(
+                "module \"lone\"\nglobal @a : [16 x i32] = zero\ndeclare @ext() -> void\n\
+                 func @{name}() -> void {{\nentry:\n{}  ret\n}}\n",
+                irregular_body(4)
+            );
+            let original = rolag_ir::parser::parse_module(&text).unwrap();
+            let mut serial = original.clone();
+            let serial_stats = roll_module(&mut serial, &opts);
+            assert_eq!(serial_stats.rolled, rolled, "@{name}");
+            assert_eq!(serial_stats.rescued, 1 - rolled, "@{name}");
+            assert_eq!(
+                serial.num_globals() - original.num_globals(),
+                changed,
+                "@{name}: a committed roll leaves its constant array"
+            );
+            let expected = print_module(&serial);
+            for workers in [Workers::Scoped(1), Workers::Scoped(2), Workers::Pool(&pool)] {
+                let mut par = original.clone();
+                let driver = DriverOptions {
+                    workers,
+                    store: None,
+                };
+                let report = roll_module_par(&mut par, &opts, &driver);
+                assert_eq!(print_module(&par), expected, "@{name}");
+                assert_eq!(report.stats, serial_stats, "@{name}");
+                assert_eq!(
+                    (
+                        report.functions,
+                        report.unique,
+                        report.cache_hits,
+                        report.changed,
+                        report.store_hits,
+                        report.store_misses,
+                        report.jobs
+                    ),
+                    (1, 1, 0, changed, 0, 0, 1),
+                    "@{name}"
+                );
+            }
+            let store = MemoStore::new(64);
+            let mut par = original.clone();
+            let driver = DriverOptions {
+                workers: Workers::Scoped(2),
+                store: Some(&store),
+            };
+            let report = roll_module_par(&mut par, &opts, &driver);
+            assert_eq!(print_module(&par), expected, "@{name} with a store");
+            assert_eq!((report.store_hits, report.store_misses), (0, 1));
+            assert_eq!(store.len(), 1, "the lone definition was keyed");
         }
     }
 

@@ -119,22 +119,34 @@ pub(crate) fn greedy(
 /// statistics: the serial reference the parallel driver
 /// ([`roll_module_par`](crate::roll_module_par)) must match. The
 /// call-effects table is computed once and shared across all functions,
-/// and each function runs under `rescue_panics`, copied once before its
-/// roll as the pristine body a panic restores.
+/// and each function is rolled in place by `roll_in_place`.
 pub fn roll_module(module: &mut Module, opts: &RolagOptions) -> RolagStats {
     let effects = effects_table(module);
     let ids: Vec<FuncId> = module.func_ids().collect();
     let mut total = RolagStats::default();
     for id in ids {
-        let pristine = module.func(id).clone();
-        total += rescue_panics(
-            module,
-            id,
-            move || pristine,
-            |m| roll_function_with(m, id, opts, &effects),
-        );
+        total += roll_in_place(module, id, opts, &effects);
     }
     total
+}
+
+/// Rolls function `id` where it stands, under `rescue_panics`, with one
+/// copy of its body taken first as the pristine body a panic restores:
+/// the serial pass's step per function, and the module driver's for a
+/// lone definition without a store.
+pub(crate) fn roll_in_place(
+    module: &mut Module,
+    id: FuncId,
+    opts: &RolagOptions,
+    effects: &[Effects],
+) -> RolagStats {
+    let pristine = module.func(id).clone();
+    rescue_panics(
+        module,
+        id,
+        move || pristine,
+        |m| roll_function_with(m, id, opts, effects),
+    )
 }
 
 /// Runs `engine` on function `id` with per-function panic isolation: if the

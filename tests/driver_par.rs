@@ -4,14 +4,16 @@
 //! pass for every worker count — and cached results must stay
 //! behaviourally equivalent under the interpreter.
 
-use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions};
+use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions, Workers};
 use rolag_ir::interp::{check_equivalence, IValue, Interpreter};
 use rolag_ir::printer::print_module;
 use rolag_ir::verify::verify_module;
 use rolag_ir::Module;
+use rolag_par::WorkerPool;
 use rolag_prng::{check::run_cases, ChaCha8Rng, Rng, SeedableRng};
 use rolag_suites::angha::{build_pattern, PatternKind};
-use rolag_suites::tsvc::build_suite_module;
+use rolag_suites::tsvc::{all_kernels, build_kernel_module, build_suite_module};
+use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 
 /// Rolls `module` serially and through the driver at several worker counts,
 /// asserting byte-identical output and equal stats each time.
@@ -66,6 +68,59 @@ fn default_args(module: &Module, entry: &str) -> Vec<IValue> {
 #[test]
 fn driver_matches_serial_on_tsvc_suite() {
     assert_parallel_matches_serial(&build_suite_module());
+}
+
+/// Each unrolled TSVC kernel is a module with one definition, which the
+/// driver rolls in place without a store: under every worker source the
+/// bytes and stats equal the serial pass's, and the report reads as a
+/// one-worker roll through a context did (`changed` when the roll
+/// committed or minted a global).
+#[test]
+fn lone_tsvc_definitions_match_serial_under_every_worker_source() {
+    let opts = RolagOptions::default();
+    let pool = WorkerPool::new(2);
+    let (mut rolled, mut kernels) = (0, 0);
+    for spec in all_kernels() {
+        kernels += 1;
+        let mut module = build_kernel_module(&spec);
+        unroll_module(&mut module, 8);
+        cse_module(&mut module);
+        cleanup_module(&mut module);
+        let mut serial = module.clone();
+        let serial_stats = roll_module(&mut serial, &opts);
+        let serial_text = print_module(&serial);
+        let changed =
+            usize::from(serial_stats.rolled > 0 || serial.num_globals() != module.num_globals());
+        rolled += changed;
+        for workers in [Workers::Scoped(1), Workers::Scoped(2), Workers::Pool(&pool)] {
+            let mut par = module.clone();
+            let driver = DriverOptions {
+                workers,
+                store: None,
+            };
+            let report = roll_module_par(&mut par, &opts, &driver);
+            assert_eq!(print_module(&par), serial_text, "{}", spec.name);
+            assert_eq!(report.stats, serial_stats, "{}", spec.name);
+            assert_eq!(
+                (
+                    report.functions,
+                    report.unique,
+                    report.cache_hits,
+                    report.changed,
+                    report.store_hits,
+                    report.store_misses,
+                    report.jobs
+                ),
+                (1, 1, 0, changed, 0, 0, 1),
+                "{}",
+                spec.name
+            );
+        }
+    }
+    assert!(
+        rolled > 0 && rolled < kernels,
+        "{rolled} of {kernels} kernels rolled: both reports must occur"
+    );
 }
 
 /// A multi-function AnghaBench-like module mixing every pattern family.

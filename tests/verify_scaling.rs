@@ -4,13 +4,15 @@
 //! so verifying a long chain of blocks must not cost the square of its
 //! length. The chain here is the worst case for per-block dominator sets:
 //! every block is dominated by all the blocks before it, and the last one
-//! uses a value defined in the entry.
+//! uses a value defined in the entry. The verifier's own count of blocks
+//! visited and dominance queries is bounded first, in every build; then
+//! the wall clock.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use rolag_ir::parser::parse_module;
-use rolag_ir::verify::verify_module;
+use rolag_ir::verify::{verify_module, verify_module_counted};
 use rolag_ir::Module;
 
 /// A function of `blocks` blocks in a straight line.
@@ -60,6 +62,30 @@ fn block_chain_verifies_in_linear_time() {
         .iter()
         .map(|&n| (chain(n), (16_000 / n) as u32))
         .collect();
+
+    // Blocks visited plus dominance queries. The count is exact, so unlike
+    // the timing below it holds in every build and under load.
+    let work: Vec<u64> = modules
+        .iter()
+        .map(|(m, _)| {
+            let (result, work) = verify_module_counted(m);
+            result.expect("the chain verifies");
+            work.blocks_visited + work.dominance_queries
+        })
+        .collect();
+    eprintln!("verify work per chain length {sizes:?}: {work:?}");
+    for k in 1..sizes.len() {
+        let growth = work[k] as f64 / work[k - 1] as f64;
+        assert!(
+            growth <= 2.05,
+            "verifying {} blocks took {} steps, {growth:.2}x the {} of {} blocks",
+            sizes[k],
+            work[k],
+            work[k - 1],
+            sizes[k - 1]
+        );
+    }
+
     let times = verify_times(&modules);
     eprintln!("verify time per chain length {sizes:?}: {times:?}");
     for k in 1..sizes.len() {
