@@ -12,32 +12,38 @@ use rolag_ir::printer::print_module;
 use rolag_ir::Module;
 use rolag_passes::{
     AnalysisManager, PassContext, PassManager, PassManagerOptions, PassRegistry, PipelineSpec,
-    TargetKind,
+    RunReport, TargetKind,
 };
 use rolag_reroll::reroll_module;
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
 use rolag_transforms::{cleanup_module, cse_module, flatten_module, unroll_module};
 
-fn repro_modules() -> Vec<(String, Module)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/repros");
+/// Every `.rir` file of a checked-in directory, parsed, in name order.
+fn rir_modules(dir: &str) -> Vec<(String, Module)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
     let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .expect("tests/repros exists")
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "rir"))
         .collect();
     paths.sort();
-    assert!(paths.len() >= 4, "repro corpus went missing");
     paths
         .into_iter()
         .map(|p| {
             let name = p.file_name().unwrap().to_string_lossy().into_owned();
             let text = std::fs::read_to_string(&p).unwrap();
-            (name, parse_module(&text).expect("repro parses"))
+            (name, parse_module(&text).expect("checked-in module parses"))
         })
         .collect()
 }
 
-fn run_managed(module: &mut Module, spec: &str) {
+fn repro_modules() -> Vec<(String, Module)> {
+    let modules = rir_modules("tests/repros");
+    assert!(modules.len() >= 4, "repro corpus went missing");
+    modules
+}
+
+fn run_managed(module: &mut Module, spec: &str) -> RunReport {
     let mut pm = PassManager::with_options(PassManagerOptions {
         verify_each: true,
         print_changed: false,
@@ -46,7 +52,7 @@ fn run_managed(module: &mut Module, spec: &str) {
     let mut am = AnalysisManager::new();
     let mut cx = PassContext::new(TargetKind::default());
     pm.run(module, &mut am, &mut cx)
-        .unwrap_or_else(|e| panic!("`{spec}` failed verification after `{}`", e.pass));
+        .unwrap_or_else(|e| panic!("`{spec}` failed verification after `{}`", e.pass))
 }
 
 // ---------------------------------------------------------------- parsing
@@ -181,6 +187,216 @@ fn managed_pipelines_match_direct_calls_on_the_repro_corpus() {
         }
     }
 }
+
+/// The pinned result of one pipeline over one corpus: FNV-1a-64 digests
+/// of the printed modules and of every pass's stat lines, each fed in
+/// corpus order.
+#[derive(Debug, PartialEq, Eq)]
+struct PipelinePin {
+    spec: &'static str,
+    corpus: &'static str,
+    module_digest: u64,
+    lines_digest: u64,
+}
+
+fn fnv1a(digest: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Pins the managed pipelines' output bytes and stat lines: the five
+/// specs above, `flatten` alone and `cse,cleanup,cse`, over the repro
+/// corpus, all 151 TSVC kernels and `examples/ir`. Unlike the
+/// direct-call comparison, this holds the manager to fixed bytes, so it
+/// still means something once a port calls the very `*_module` function
+/// the comparison would run. A rolag pass notes no lines (its stat lines
+/// are rendered from its records, timings included), so its outcome adds
+/// nothing to the lines digest.
+///
+/// To regenerate after an intended behaviour change, run
+/// `cargo test --test pipeline_spec managed_pipelines_are_pinned -- --nocapture`
+/// and paste the printed table over `PIPELINE_PINS`.
+#[test]
+fn managed_pipelines_are_pinned() {
+    const SPECS: [&str; 7] = [
+        "unroll<8>,cse,cleanup,rolag,flatten,cleanup",
+        "rolag",
+        "unroll<4>,cse,cleanup,rolag,flatten,cleanup",
+        "reroll,cleanup",
+        "unroll<2>,cse,rolag",
+        "flatten",
+        "cse,cleanup,cse",
+    ];
+    let tsvc: Vec<(String, Module)> = all_kernels()
+        .into_iter()
+        .map(|spec| (format!("tsvc.{}", spec.name), build_kernel_module(&spec)))
+        .collect();
+    assert_eq!(tsvc.len(), 151, "TSVC suite changed size");
+    let corpora: [(&'static str, Vec<(String, Module)>); 3] = [
+        ("repros", repro_modules()),
+        ("tsvc", tsvc),
+        ("examples", rir_modules("examples/ir")),
+    ];
+    let mut actual = Vec::new();
+    for spec in SPECS {
+        for (corpus, modules) in &corpora {
+            let mut module_digest = 0xcbf2_9ce4_8422_2325;
+            let mut lines_digest = 0xcbf2_9ce4_8422_2325;
+            for (_, module) in modules {
+                let mut m = module.clone();
+                let report = run_managed(&mut m, spec);
+                fnv1a(&mut module_digest, print_module(&m).as_bytes());
+                for line in report.outcomes.iter().flat_map(|o| &o.lines) {
+                    fnv1a(&mut lines_digest, line.as_bytes());
+                    fnv1a(&mut lines_digest, b"\n");
+                }
+            }
+            actual.push(PipelinePin {
+                spec,
+                corpus,
+                module_digest,
+                lines_digest,
+            });
+        }
+    }
+    println!("const PIPELINE_PINS: &[PipelinePin] = &{actual:#?};");
+    assert_eq!(
+        actual.as_slice(),
+        PIPELINE_PINS,
+        "managed pipeline output or stat lines moved"
+    );
+}
+
+const PIPELINE_PINS: &[PipelinePin] = &[
+    PipelinePin {
+        spec: "unroll<8>,cse,cleanup,rolag,flatten,cleanup",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 920582211185582899,
+    },
+    PipelinePin {
+        spec: "unroll<8>,cse,cleanup,rolag,flatten,cleanup",
+        corpus: "tsvc",
+        module_digest: 9222237614522478926,
+        lines_digest: 13540565317739525748,
+    },
+    PipelinePin {
+        spec: "unroll<8>,cse,cleanup,rolag,flatten,cleanup",
+        corpus: "examples",
+        module_digest: 2993321559750984547,
+        lines_digest: 7647461442144612250,
+    },
+    PipelinePin {
+        spec: "rolag",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 14695981039346656037,
+    },
+    PipelinePin {
+        spec: "rolag",
+        corpus: "tsvc",
+        module_digest: 1516952121783671608,
+        lines_digest: 14695981039346656037,
+    },
+    PipelinePin {
+        spec: "rolag",
+        corpus: "examples",
+        module_digest: 9134491332406968760,
+        lines_digest: 14695981039346656037,
+    },
+    PipelinePin {
+        spec: "unroll<4>,cse,cleanup,rolag,flatten,cleanup",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 8698281104618619535,
+    },
+    PipelinePin {
+        spec: "unroll<4>,cse,cleanup,rolag,flatten,cleanup",
+        corpus: "tsvc",
+        module_digest: 16092688348311465515,
+        lines_digest: 15648911922075663567,
+    },
+    PipelinePin {
+        spec: "unroll<4>,cse,cleanup,rolag,flatten,cleanup",
+        corpus: "examples",
+        module_digest: 2993321559750984547,
+        lines_digest: 16325298073463676462,
+    },
+    PipelinePin {
+        spec: "reroll,cleanup",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 17521809029004305570,
+    },
+    PipelinePin {
+        spec: "reroll,cleanup",
+        corpus: "tsvc",
+        module_digest: 6700067033760383108,
+        lines_digest: 7605405541675330725,
+    },
+    PipelinePin {
+        spec: "reroll,cleanup",
+        corpus: "examples",
+        module_digest: 7316034026432373409,
+        lines_digest: 14035322033049549994,
+    },
+    PipelinePin {
+        spec: "unroll<2>,cse,rolag",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 13136053477584790113,
+    },
+    PipelinePin {
+        spec: "unroll<2>,cse,rolag",
+        corpus: "tsvc",
+        module_digest: 3424557496390972965,
+        lines_digest: 9574050479821022879,
+    },
+    PipelinePin {
+        spec: "unroll<2>,cse,rolag",
+        corpus: "examples",
+        module_digest: 15387786206791076995,
+        lines_digest: 7899085810545432980,
+    },
+    PipelinePin {
+        spec: "flatten",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 2757927485647510301,
+    },
+    PipelinePin {
+        spec: "flatten",
+        corpus: "tsvc",
+        module_digest: 6700067033760383108,
+        lines_digest: 9733664656420276493,
+    },
+    PipelinePin {
+        spec: "flatten",
+        corpus: "examples",
+        module_digest: 7316034026432373409,
+        lines_digest: 17774978770666553541,
+    },
+    PipelinePin {
+        spec: "cse,cleanup,cse",
+        corpus: "repros",
+        module_digest: 174479602294278541,
+        lines_digest: 653922738794701485,
+    },
+    PipelinePin {
+        spec: "cse,cleanup,cse",
+        corpus: "tsvc",
+        module_digest: 16758708968903062255,
+        lines_digest: 4328455607751677293,
+    },
+    PipelinePin {
+        spec: "cse,cleanup,cse",
+        corpus: "examples",
+        module_digest: 7316034026432373409,
+        lines_digest: 17572061824457881413,
+    },
+];
 
 /// The registry's legacy rolag names and the preset each one aliases.
 const ALIAS_ROWS: [(&str, &str); 3] = [
