@@ -11,10 +11,9 @@
 
 use rolag::RolagStats;
 use rolag_bench::parallel::par_map;
-use rolag_bench::pipelines::{run_pipeline, run_pipeline_with};
+use rolag_bench::pipelines::run_pipeline;
 use rolag_bench::report::write_csv;
 use rolag_lower::measure_module;
-use rolag_passes::AnalysisManager;
 use rolag_suites::tsvc::{all_kernels, build_kernel_module, KernelSpec};
 
 struct OrderRow {
@@ -45,13 +44,11 @@ fn eval(spec: &KernelSpec) -> OrderRow {
     let mut a = unrolled.clone();
     let stats_a = rolag_stats(&run_pipeline(&mut a, "rolag,cse,cleanup"));
 
-    // Variant B (the paper's order): CSE+cleanup, then RoLAG. The
-    // analysis manager is shared across the measurement break.
+    // Variant B (the paper's order): CSE+cleanup, then RoLAG.
     let mut b = unrolled.clone();
-    let mut am = AnalysisManager::new();
-    run_pipeline_with(&mut b, "cse,cleanup", &mut am, None);
+    run_pipeline(&mut b, "cse,cleanup");
     let base = measure_module(&b).code_footprint();
-    let stats_b = rolag_stats(&run_pipeline_with(&mut b, "rolag,cleanup", &mut am, None));
+    let stats_b = rolag_stats(&run_pipeline(&mut b, "rolag,cleanup"));
 
     let pct = |m: &rolag_ir::Module| {
         let after = measure_module(m).code_footprint();

@@ -35,8 +35,8 @@
 //!   --target <x86-64|thumb2>   cost-model target for profitability
 //!   --measure                  print measured section sizes before/after
 //!   --stats                    print pass statistics (per-stage timings,
-//!                              fixpoint cache counters, driver cache
-//!                              counters, and analysis-cache hit rates)
+//!                              fixpoint cache counters, and driver cache
+//!                              counters)
 //!   --jobs <N>                 run rolag through the parallel memoizing
 //!                              driver with N workers (0 = all cores)
 //!   --search <strategy>        alignment search strategy for every rolag
@@ -644,10 +644,6 @@ fn main() -> ExitCode {
     if cli.stats {
         for outcome in &report.outcomes {
             print_outcome_stats(outcome);
-        }
-        eprintln!("analysis: {}", report.cache);
-        for (counter, n) in report.cache.rows() {
-            eprintln!("  analysis {counter:<17} {n:>10}");
         }
         eprintln!("  frontend skipped        {:>10}", skips.len());
         let mut reasons: std::collections::BTreeMap<&str, u64> = Default::default();

@@ -282,14 +282,42 @@ fn list_passes_prints_the_registry_table() {
 }
 
 #[test]
-fn stats_reports_analysis_cache_counters() {
+fn stats_prints_each_pass_stat_line_and_no_analysis_rows() {
     let (_, stderr, code) = run(
         &["--passes", "cleanup,cse,cleanup", "--stats", "--quiet", "-"],
         SAMPLE,
     );
     assert_eq!(code, Some(0), "{stderr}");
-    assert!(stderr.contains("analysis:"), "{stderr}");
-    assert!(stderr.contains("effects_hits"), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(
+        lines[..3],
+        [
+            "cleanup: 0 instructions simplified/removed",
+            "cse: 0 instructions removed",
+            "cleanup: 0 instructions simplified/removed",
+        ],
+        "{stderr}"
+    );
+    assert!(!stderr.contains("analysis"), "{stderr}");
+}
+
+#[test]
+fn print_changed_dumps_only_the_passes_that_changed_the_module() {
+    let (_, stderr, code) = run(
+        &["--passes", "cleanup,rolag", "--print-changed", "-"],
+        SAMPLE,
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(
+        lines[..3],
+        [
+            "*** pass 0 `cleanup` made no changes ***",
+            "*** IR after pass 1 `rolag` ***",
+            "module \"cli\"",
+        ],
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -5,24 +5,21 @@
 //! harnesses — runs transforms through this crate instead of hand-rolled
 //! dispatch.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * **Pass traits + manager** ([`manager`]) — [`ModulePass`] /
-//!   [`FunctionPass`] with LLVM-style [`PreservedAnalyses`] contracts, a
-//!   [`PassManager`] that can verify between passes and track per-pass
-//!   wall time and IR changes.
-//! * **Cached analyses** ([`analysis`]) — an [`AnalysisManager`] caching
-//!   dominators, loop forests, and the call-effects table, keyed by each
-//!   function's structural
-//!   revision counter so stale results can never be served.
+//! * **Pass trait + manager** ([`manager`]) — every pass is a
+//!   [`ModulePass`]; a [`PassManager`] runs them in order, can verify
+//!   between passes, and tracks per-pass wall time and IR changes.
+//!   Passes compute the analyses they use, so nothing is cached between
+//!   passes. The [`AnalysisManager`] ([`analysis`]) holds nothing; it is
+//!   kept so [`PassManager::run`]'s signature stays as drivers call it.
 //! * **Registry + textual pipelines** ([`registry`], [`spec`]) —
 //!   `"unroll<4>,cleanup,rolag,flatten,cleanup"` parses into a pipeline
 //!   with compiler-style diagnostics on bad specs; the registry also
 //!   generates the `rolag-opt` help text so docs cannot drift.
 //!
-//! The ported passes ([`ports`]) wrap the legacy `*_module` entry points
-//! (or replicate their iteration order exactly), so running a pipeline
-//! here is byte-identical to the drivers it replaced.
+//! The ported passes ([`ports`]) call the `*_module` entry points, so
+//! running a pipeline here is byte-identical to calling them directly.
 //!
 //! ```
 //! use rolag_ir::parser::parse_module;
@@ -38,6 +35,7 @@
 //! let mut cx = PassContext::new(TargetKind::X86_64);
 //! let report = pm.run(&mut module, &mut am, &mut cx).unwrap();
 //! assert_eq!(report.outcomes.len(), 2);
+//! assert_eq!(report.outcomes[0].lines, ["cleanup: 1 instructions simplified/removed"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -48,10 +46,9 @@ pub mod ports;
 pub mod registry;
 pub mod spec;
 
-pub use analysis::{AnalysisCacheStats, AnalysisKind, AnalysisManager, PreservedAnalyses};
+pub use analysis::AnalysisManager;
 pub use manager::{
-    structural_hash, ForEach, FuncResult, FunctionPass, ModulePass, PassContext, PassError,
-    PassManager, PassManagerOptions, PassOutcome, RunReport,
+    ModulePass, PassContext, PassError, PassManager, PassManagerOptions, PassOutcome, RunReport,
 };
 pub use ports::{CleanupPass, CsePass, FlattenPass, RerollPass, RolagPass, UnrollPass};
 pub use registry::{PassInfo, PassRegistry};

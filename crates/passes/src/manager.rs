@@ -1,34 +1,24 @@
-//! Pass traits, the pass manager, and its run reports.
+//! The pass trait, the pass manager, and its run reports.
 //!
-//! Two granularities, mirroring LLVM's design:
+//! Every pass is a [`ModulePass`]: it runs over the whole module and
+//! computes whatever analyses it needs itself. The [`PassManager`] runs
+//! the passes in order, times each one, and (optionally) verifies the
+//! module between passes and records which passes changed it.
 //!
-//! * [`ModulePass`] — runs over the whole module and reports what it
-//!   preserved. Whole-module transforms (rolag, unroll) implement this
-//!   directly.
-//! * [`FunctionPass`] — runs over one definition at a time. The
-//!   [`ForEach`] adapter lifts it to a [`ModulePass`] by iterating
-//!   definitions in id order, applying each function's
-//!   [`PreservedAnalyses`] contract to that function's cache entries
-//!   alone, and aggregating a change count for the pass's summary line.
-//!
-//! The [`PassManager`] threads one [`AnalysisManager`] through the whole
-//! pipeline, applies each pass's preservation contract after it runs, and
-//! (optionally) verifies the module between passes. Passes never print:
-//! human-readable output goes through [`PassContext::note`] or a record
-//! ([`PassContext::record_rolag`]) and is handed back in the
-//! [`PassOutcome`], so drivers decide what reaches stderr.
+//! Passes never print: human-readable output goes through
+//! [`PassContext::note`] or a record ([`PassContext::record_rolag`]) and
+//! is handed back in the [`PassOutcome`], so drivers decide what reaches
+//! stderr.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use rolag::{DriverReport, RolagStats};
 use rolag_analysis::TargetKind;
 use rolag_ir::printer::print_module;
 use rolag_ir::verify::verify_module;
-use rolag_ir::{FuncId, Module};
+use rolag_ir::Module;
 
-use crate::analysis::{AnalysisCacheStats, AnalysisKind, AnalysisManager, PreservedAnalyses};
+use crate::analysis::AnalysisManager;
 
 /// Shared state handed to every pass: target configuration plus the
 /// note/stat sinks the manager drains into the pass's [`PassOutcome`].
@@ -97,93 +87,8 @@ impl PassContext {
 pub trait ModulePass {
     /// Display name, e.g. `unroll<4>`.
     fn name(&self) -> String;
-    /// Runs the pass and reports which cached analyses it kept valid.
-    fn run(
-        &self,
-        module: &mut Module,
-        am: &mut AnalysisManager,
-        cx: &mut PassContext,
-    ) -> PreservedAnalyses;
-}
-
-/// What one [`FunctionPass`] application reports back.
-pub struct FuncResult {
-    /// Analyses still valid for this function (and any other state the
-    /// pass touched).
-    pub preserved: PreservedAnalyses,
-    /// Units of change (instructions removed, loops transformed, …) —
-    /// summed across functions and handed to
-    /// [`FunctionPass::summarize`].
-    pub changed: u64,
-}
-
-/// A transform over one function definition at a time.
-pub trait FunctionPass {
-    /// Display name.
-    fn name(&self) -> String;
-    /// Transforms the definition `id`. Declarations are never passed in.
-    fn run_on_function(
-        &self,
-        module: &mut Module,
-        id: FuncId,
-        am: &mut AnalysisManager,
-        cx: &mut PassContext,
-    ) -> FuncResult;
-    /// Emits the pass's module-level summary line from the aggregated
-    /// change count. Default: no output.
-    fn summarize(&self, changed: u64, cx: &mut PassContext) {
-        let _ = (changed, cx);
-    }
-}
-
-/// Lifts a [`FunctionPass`] to a [`ModulePass`]: definitions in id order,
-/// each function's preserved set applied to its own cache entries via
-/// [`AnalysisManager::invalidate_function`] (so one changed function does
-/// not drop its neighbours' cached analyses), change counts summed into
-/// one summary.
-pub struct ForEach<P>(pub P);
-
-impl<P: FunctionPass> ModulePass for ForEach<P> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn run(
-        &self,
-        module: &mut Module,
-        am: &mut AnalysisManager,
-        cx: &mut PassContext,
-    ) -> PreservedAnalyses {
-        let ids: Vec<FuncId> = module.func_ids().collect();
-        let mut effects_preserved = true;
-        let mut changed = 0u64;
-        for id in ids {
-            if module.func(id).is_declaration {
-                continue;
-            }
-            let result = self.0.run_on_function(module, id, am, cx);
-            // A function pass only mutates the definition it was handed,
-            // so its contract binds that function alone: apply it right
-            // here, per function, instead of intersecting into one
-            // module-wide set. One changed function must not flush its
-            // neighbours' caches.
-            am.invalidate_function(module, id, &result.preserved);
-            effects_preserved &= result.preserved.preserves(AnalysisKind::EffectsTable);
-            changed += result.changed;
-        }
-        self.0.summarize(changed, cx);
-        // Per-function kinds are settled above, so report them preserved —
-        // the manager's module-wide sweep must not drop the entries that
-        // survived. The effects table is module-wide: it survives only if
-        // every function's run preserved it.
-        let mut preserved = PreservedAnalyses::none()
-            .preserve(AnalysisKind::Dominators)
-            .preserve(AnalysisKind::Loops);
-        if effects_preserved {
-            preserved = preserved.preserve(AnalysisKind::EffectsTable);
-        }
-        preserved
-    }
+    /// Runs the pass. Stat lines and records go through `cx`.
+    fn run(&self, module: &mut Module, cx: &mut PassContext);
 }
 
 /// Manager knobs.
@@ -192,8 +97,9 @@ pub struct PassManagerOptions {
     /// Verify the module after every pass; a failure aborts the pipeline
     /// with a [`PassError`] naming the offending pass.
     pub verify_each: bool,
-    /// Track whether each pass changed the module (by structural hash of
-    /// the printed IR) and capture the post-pass IR text when it did.
+    /// Track whether each pass changed the module (by comparing the
+    /// printed IR before and after it) and capture the post-pass IR text
+    /// when it did.
     pub print_changed: bool,
 }
 
@@ -226,9 +132,6 @@ pub struct PassOutcome {
 pub struct RunReport {
     /// One entry per executed pass, in order.
     pub outcomes: Vec<PassOutcome>,
-    /// Snapshot of the analysis manager's cumulative hit/miss counters
-    /// after the run.
-    pub cache: AnalysisCacheStats,
 }
 
 /// A pipeline aborted by inter-pass verification.
@@ -246,15 +149,7 @@ pub struct PassError {
     pub completed: Vec<PassOutcome>,
 }
 
-/// Hash of the printed module text — the same structural identity the
-/// differential oracle uses for byte-equality checks.
-pub fn structural_hash(module: &Module) -> u64 {
-    let mut h = DefaultHasher::new();
-    print_module(module).hash(&mut h);
-    h.finish()
-}
-
-/// An ordered pipeline of module passes sharing one analysis manager.
+/// An ordered pipeline of module passes.
 #[derive(Default)]
 pub struct PassManager {
     passes: Vec<Box<dyn ModulePass>>,
@@ -296,32 +191,29 @@ impl PassManager {
         self.passes.is_empty()
     }
 
-    /// Runs the pipeline over `module`. After each pass the analysis
-    /// manager applies the pass's preservation contract; under
-    /// `verify_each` the module is verified and a failure aborts with
-    /// [`PassError`].
+    /// Runs the pipeline over `module`. Under `verify_each` the module is
+    /// verified after each pass and a failure aborts with [`PassError`].
+    /// The [`AnalysisManager`] holds nothing; it stays in the signature
+    /// for the drivers that pass one.
     pub fn run(
         &self,
         module: &mut Module,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
         cx: &mut PassContext,
     ) -> Result<RunReport, PassError> {
         let mut outcomes = Vec::with_capacity(self.passes.len());
         for (index, pass) in self.passes.iter().enumerate() {
-            let before_hash = self.options.print_changed.then(|| structural_hash(module));
+            let before = self.options.print_changed.then(|| print_module(module));
             let start = Instant::now();
-            let preserved = pass.run(module, am, cx);
+            pass.run(module, cx);
             let wall_ns = start.elapsed().as_nanos();
-            am.invalidate(module, &preserved);
 
             let (lines, rolag, driver) = cx.drain();
             let mut changed = None;
             let mut ir_after = None;
-            if let Some(before) = before_hash {
+            if let Some(before) = before {
                 let text = print_module(module);
-                let mut h = DefaultHasher::new();
-                text.hash(&mut h);
-                let is_changed = h.finish() != before;
+                let is_changed = text != before;
                 changed = Some(is_changed);
                 if is_changed {
                     ir_after = Some(text);
@@ -348,9 +240,6 @@ impl PassManager {
                 }
             }
         }
-        Ok(RunReport {
-            outcomes,
-            cache: am.stats,
-        })
+        Ok(RunReport { outcomes })
     }
 }

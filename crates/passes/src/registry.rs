@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use rolag::RolagOptions;
 
-use crate::manager::{ForEach, ModulePass};
+use crate::manager::ModulePass;
 use crate::ports::{CleanupPass, CsePass, FlattenPass, RerollPass, RolagPass, UnrollPass};
 use crate::spec::{PipelineSpec, SpecError};
 
@@ -169,25 +169,25 @@ impl PassRegistry {
                     name: "cse",
                     param: None,
                     summary: "local common-subexpression elimination",
-                    build: simple!("cse", ForEach(CsePass)),
+                    build: simple!("cse", CsePass),
                 },
                 PassInfo {
                     name: "cleanup",
                     param: None,
                     summary: "constant folding + DCE to a fixed point",
-                    build: simple!("cleanup", ForEach(CleanupPass::new())),
+                    build: simple!("cleanup", CleanupPass::new()),
                 },
                 PassInfo {
                     name: "simplify",
                     param: None,
                     summary: "alias of cleanup (legacy -simplify flag)",
-                    build: simple!("simplify", ForEach(CleanupPass::aliased("simplify"))),
+                    build: simple!("simplify", CleanupPass::aliased("simplify")),
                 },
                 PassInfo {
                     name: "dce",
                     param: None,
                     summary: "alias of cleanup (legacy -dce flag)",
-                    build: simple!("dce", ForEach(CleanupPass::aliased("dce"))),
+                    build: simple!("dce", CleanupPass::aliased("dce")),
                 },
                 PassInfo {
                     name: "flatten",

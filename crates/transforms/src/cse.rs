@@ -60,7 +60,7 @@ fn key_of(func: &Function, inst: InstId) -> Option<ExprKey> {
 }
 
 /// Runs CSE over one block. Returns the number of instructions removed.
-pub fn cse_block(module: &Module, func: &mut Function, block: BlockId) -> usize {
+fn cse_block(module: &Module, func: &mut Function, block: BlockId) -> usize {
     let mut exprs: HashMap<ExprKey, ValueId> = HashMap::new();
     // Available loads: (ptr, ty) -> value, invalidated by clobbers.
     let mut loads: HashMap<(ValueId, TypeId), ValueId> = HashMap::new();

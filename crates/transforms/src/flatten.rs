@@ -31,12 +31,10 @@ pub enum FlattenOutcome {
     NotApplicable,
 }
 
-/// One flattening step against a caller-supplied loop forest (e.g. served
-/// from a pass manager's analysis cache): tries every candidate nest pair
-/// in the same order as [`flatten_function`] and rewrites the first match.
-/// Returns `true` when a nest was flattened — the forest is then stale and
-/// must be recomputed before the next step.
-pub fn flatten_step(module: &Module, func: &mut Function, loops: &[rolag_analysis::Loop]) -> bool {
+/// One flattening step: tries every candidate nest pair of `loops` and
+/// rewrites the first match. Returns `true` when a nest was flattened —
+/// the forest is then stale and must be recomputed before the next step.
+fn flatten_step(module: &Module, func: &mut Function, loops: &[rolag_analysis::Loop]) -> bool {
     // Candidate inner loops: single-block, nested inside a 3-block outer
     // loop.
     for inner in loops.iter().filter(|l| l.is_single_block()) {

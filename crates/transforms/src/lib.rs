@@ -44,7 +44,7 @@ pub mod flatten;
 pub mod pipeline;
 pub mod unroll;
 
-pub use cse::{cse_block, cse_module};
-pub use flatten::{flatten_function, flatten_module, flatten_step, FlattenOutcome};
+pub use cse::cse_module;
+pub use flatten::{flatten_function, flatten_module, FlattenOutcome};
 pub use pipeline::{cleanup_function, cleanup_in_place, cleanup_module, effects_table};
-pub use unroll::{unroll_loops_in_function, unroll_loops_with, unroll_module, UnrollOutcome};
+pub use unroll::{unroll_loops_in_function, unroll_module, UnrollOutcome};

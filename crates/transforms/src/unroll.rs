@@ -31,37 +31,22 @@ pub enum UnrollOutcome {
     IndivisibleTripCount,
 }
 
-/// Unrolls every eligible single-block loop of `func` by `factor`.
-/// Returns one outcome per detected loop.
+/// Unrolls every eligible single-block loop of `func` by `factor`, each
+/// against the pre-pass `module_snapshot`. Returns one outcome per
+/// detected loop.
 pub fn unroll_loops_in_function(
     module_types: &mut TypeStore,
     module_snapshot: &Module,
     func: &mut Function,
     factor: u32,
 ) -> Vec<UnrollOutcome> {
+    assert!(factor >= 2, "unroll factor must be at least 2");
     let dom = DomTree::compute(func);
     let loops = find_loops(func, &dom);
-    unroll_loops_with(module_types, module_snapshot, func, factor, &loops)
-}
-
-/// [`unroll_loops_in_function`] with the natural-loop analysis supplied by
-/// the caller (e.g. served from a pass manager's analysis cache). `loops`
-/// must describe `func` in its current state; each loop is unrolled
-/// against that pre-pass snapshot, exactly as the self-analyzing variant
-/// does.
-pub fn unroll_loops_with(
-    module_types: &mut TypeStore,
-    module_snapshot: &Module,
-    func: &mut Function,
-    factor: u32,
-    loops: &[Loop],
-) -> Vec<UnrollOutcome> {
-    assert!(factor >= 2, "unroll factor must be at least 2");
-    let mut outcomes = Vec::new();
-    for lp in loops {
-        outcomes.push(unroll_one(module_types, module_snapshot, func, lp, factor));
-    }
-    outcomes
+    loops
+        .iter()
+        .map(|lp| unroll_one(module_types, module_snapshot, func, lp, factor))
+        .collect()
 }
 
 /// Unrolls every eligible loop in every function of `module`.
