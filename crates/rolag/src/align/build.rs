@@ -7,12 +7,15 @@
 //! the node lane that will regenerate them, which prevents one instruction
 //! from being rolled into two different iterations.
 
-use rolag_ir::fxhash::FxHashSet;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
+
+use rolag_ir::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use rolag_ir::{
     BlockId, Function, InstExtra, InstId, Module, NeutralElement, Opcode, TypeId, ValueDef, ValueId,
 };
 
-use crate::align::graph::{AlignGraph, AlignNode, NodeId, NodeKind};
+use crate::align::graph::{AlignGraph, NodeId, NodeKind};
 use crate::options::RolagOptions;
 use crate::seeds::Candidate;
 
@@ -66,7 +69,38 @@ struct LoopInputs {
     refused: bool,
 }
 
+/// End of a memo chain in [`GraphBuilder::memo_next`].
+const NO_NODE: NodeId = NodeId(u32::MAX);
+
+/// Nodes a builder makes room for up front; most candidate graphs of the
+/// benchmark corpora fit.
+const NODES_HINT: usize = 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Set by the collision test: every lane group hashes to one value, so
+    /// every memo lookup walks one chain and must still find exactly its
+    /// own group.
+    static COLLIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The memo's hash of a lane group.
+fn group_hash(group: &[ValueId]) -> u64 {
+    #[cfg(test)]
+    if COLLIDE.with(std::cell::Cell::get) {
+        return 0;
+    }
+    let mut h = FxHasher::default();
+    group.hash(&mut h);
+    h.finish()
+}
+
 /// Builds an [`AlignGraph`] for groups of seed values inside one block.
+///
+/// The groups being built live on one stack (`groups`): a node pushes its
+/// operand groups, builds each as a range of the stack and pops them, so a
+/// group is copied once, into the graph's lane arena, when it becomes a
+/// node. The memo hash-conses groups against that arena.
 pub struct GraphBuilder<'a> {
     module: &'a Module,
     /// Mutated only to intern constants (synthetic zeros / neutral
@@ -78,6 +112,19 @@ pub struct GraphBuilder<'a> {
     /// Armed only by [`build_candidate_graph`]: the loop-input refusal.
     /// Unarmed builders build every graph in full.
     inputs: Option<LoopInputs>,
+    /// Group hash -> the newest memoized node whose lanes hash to it.
+    memo: FxHashMap<u64, NodeId>,
+    /// Per node: the next older memoized node with the same group hash, or
+    /// [`NO_NODE`]. A lookup walks the chain comparing lanes, so a hash
+    /// collision never merges two groups.
+    memo_next: Vec<NodeId>,
+    /// The stack of groups under construction.
+    groups: Vec<ValueId>,
+    /// Per lane of the group a neutral node kind classifies: the lane's
+    /// instruction where the kind takes one from that lane.
+    lane_insts: Vec<Option<InstId>>,
+    /// Opcode frequencies of the group `try_binop_neutral` classifies.
+    op_counts: Vec<(Opcode, usize)>,
 }
 
 impl<'a> GraphBuilder<'a> {
@@ -96,7 +143,26 @@ impl<'a> GraphBuilder<'a> {
             opts,
             graph: AlignGraph::new(lanes),
             inputs: None,
+            memo: FxHashMap::default(),
+            memo_next: Vec::new(),
+            groups: Vec::new(),
+            lane_insts: Vec::new(),
+            op_counts: Vec::new(),
         }
+    }
+
+    /// Makes room for a graph of [`NODES_HINT`] nodes before the first
+    /// root is built, so a refusal at the root gate allocates nothing.
+    fn reserve(&mut self) {
+        if self.graph.num_nodes() > 0 {
+            return;
+        }
+        let lanes = self.graph.lanes;
+        self.graph.reserve(NODES_HINT);
+        self.memo.reserve(NODES_HINT);
+        self.memo_next.reserve(NODES_HINT);
+        self.groups.reserve(lanes * 8);
+        self.lane_insts.reserve(lanes);
     }
 
     /// Whether the armed loop-input refusal has fired. A refused builder
@@ -106,11 +172,12 @@ impl<'a> GraphBuilder<'a> {
         self.inputs.as_ref().is_some_and(|inputs| inputs.refused)
     }
 
-    /// Adds `node` to the graph and, when armed, records the instructions
-    /// it passes into the loop, refusing the build if a node already
-    /// claims one of them.
-    fn add_node(&mut self, node: AlignNode) -> NodeId {
-        let id = self.graph.add_node(node);
+    /// Adds a node whose lanes are the stacked group `lanes` and, when
+    /// armed, records the instructions it passes into the loop, refusing
+    /// the build if a node already claims one of them.
+    fn add_node(&mut self, kind: NodeKind, lanes: Range<usize>, children: &[NodeId]) -> NodeId {
+        let id = self.graph.add_node(kind, &self.groups[lanes], children);
+        self.memo_next.push(NO_NODE);
         if let Some(inputs) = self.inputs.as_mut() {
             for &v in self.graph.node(id).loop_inputs() {
                 if let Some(inst) = self.func.value(v).as_inst() {
@@ -120,6 +187,24 @@ impl<'a> GraphBuilder<'a> {
             }
         }
         id
+    }
+
+    /// The memoized node whose lanes are the stacked group `group`.
+    fn memo_lookup(&self, hash: u64, group: Range<usize>) -> Option<NodeId> {
+        let group = &self.groups[group];
+        let mut at = *self.memo.get(&hash)?;
+        while at != NO_NODE {
+            if self.graph.node(at).lanes() == group {
+                return Some(at);
+            }
+            at = self.memo_next[at.index()];
+        }
+        None
+    }
+
+    /// Memoizes `node` under its group's hash.
+    fn memoize(&mut self, hash: u64, node: NodeId) {
+        self.memo_next[node.index()] = self.memo.insert(hash, node).unwrap_or(NO_NODE);
     }
 
     /// Claims `inst` for `lane` of `node` and, when armed, refuses the build
@@ -134,6 +219,13 @@ impl<'a> GraphBuilder<'a> {
     /// Consumes the builder, returning the graph.
     pub fn finish(self) -> AlignGraph {
         self.graph
+    }
+
+    /// Pushes `group` onto the group stack and returns its range.
+    fn push_group(&mut self, group: &[ValueId]) -> Range<usize> {
+        let start = self.groups.len();
+        self.groups.extend_from_slice(group);
+        start..self.groups.len()
     }
 
     /// Whether `group` can become a `Match` node as the first root of an
@@ -151,7 +243,7 @@ impl<'a> GraphBuilder<'a> {
             self.graph.node_ids().next().is_none(),
             "the root gate is exact only for the first root"
         );
-        self.match_gate(group).is_some()
+        self.match_gate(group)
     }
 
     /// Builds every root of `cand` in order, as [`build_candidate_graph`]
@@ -183,11 +275,14 @@ impl<'a> GraphBuilder<'a> {
     /// align).
     pub fn build_seed_root(&mut self, group: &[ValueId]) -> Option<NodeId> {
         assert_eq!(group.len(), self.graph.lanes, "seed group lane mismatch");
-        let id = self.build_group(group, None);
+        self.reserve();
+        let r = self.push_group(group);
+        let id = self.build_group(r.clone());
+        self.groups.truncate(r.start);
         if self.refused() {
             return None;
         }
-        match self.graph.node(id).kind {
+        match self.graph.node(id).kind() {
             NodeKind::Match { .. } => {
                 self.graph.roots.push(id);
                 Some(id)
@@ -211,21 +306,25 @@ impl<'a> GraphBuilder<'a> {
         if !self.opts.enable_reductions {
             return None;
         }
-        let child = self.build_group(leaves, None);
+        self.reserve();
+        let r = self.push_group(leaves);
+        let child = self.build_group(r.clone());
         // A reduction is only useful if its leaves align into real code.
-        if self.refused() || !matches!(self.graph.node(child).kind, NodeKind::Match { .. }) {
+        if self.refused() || !matches!(self.graph.node(child).kind(), NodeKind::Match { .. }) {
+            self.groups.truncate(r.start);
             return None;
         }
-        let node = self.add_node(AlignNode {
-            kind: NodeKind::Reduction {
+        let node = self.add_node(
+            NodeKind::Reduction {
                 opcode,
                 internal,
                 carry,
                 ty,
             },
-            lanes: leaves.to_vec(),
-            children: vec![child],
-        });
+            r.clone(),
+            &[child],
+        );
+        self.groups.truncate(r.start);
         if self.refused() {
             return None;
         }
@@ -233,29 +332,34 @@ impl<'a> GraphBuilder<'a> {
         Some(node)
     }
 
-    /// Classifies and builds the node for one group of values.
-    fn build_group(&mut self, group: &[ValueId], parent: Option<NodeId>) -> NodeId {
+    /// Classifies and builds the node for the stacked group `r`.
+    fn build_group(&mut self, r: Range<usize>) -> NodeId {
         if self.refused() {
             return NodeId(self.graph.num_nodes() as u32 - 1);
         }
-        if let Some(&id) = self.graph.memo.get(group) {
+        let hash = group_hash(&self.groups[r.clone()]);
+        if let Some(id) = self.memo_lookup(hash, r.clone()) {
             return id;
         }
 
         // 1. Identical values in every lane: loop-invariant.
+        let group = &self.groups[r.clone()];
         if group.iter().all(|&v| v == group[0]) {
-            return self.leaf(group, NodeKind::Identical);
+            return self.leaf(r, hash, NodeKind::Identical);
         }
 
         // 2. Integer-constant groups: sequence or mismatch (§IV-C1).
-        if let Some(consts) = self.as_const_ints(group) {
+        if let Some(ty) = self.const_int_type(group) {
             if self.opts.enable_sequences {
-                if let Some((start, step)) = arithmetic_progression(&consts) {
-                    let ty = self.func.value_ty(group[0], &self.module.types);
-                    return self.leaf(group, NodeKind::Sequence { start, step, ty });
+                let values = group.iter().map(|&v| match self.func.value(v) {
+                    ValueDef::ConstInt { value, .. } => *value,
+                    _ => unreachable!("checked by const_int_type"),
+                });
+                if let Some((start, step)) = arithmetic_progression(values) {
+                    return self.leaf(r, hash, NodeKind::Sequence { start, step, ty });
                 }
             }
-            return self.leaf(group, NodeKind::Mismatch);
+            return self.leaf(r, hash, NodeKind::Mismatch);
         }
 
         // 3. Chained dependence (§IV-C4): the group is a one-lane-shifted
@@ -264,73 +368,61 @@ impl<'a> GraphBuilder<'a> {
         //    feeding a select chain reaches the same shifted group from a
         //    sibling, so the search covers the whole graph).
         if self.opts.enable_recurrences {
-            let _ = parent;
             let target = self.graph.node_ids().find(|&t| {
                 let tn = self.graph.node(t);
                 matches!(
-                    tn.kind,
+                    tn.kind(),
                     NodeKind::Match { .. }
                         | NodeKind::GepNeutral { .. }
                         | NodeKind::BinOpNeutral { .. }
-                ) && tn.lanes.len() == group.len()
-                    && (1..group.len()).all(|k| group[k] == tn.lanes[k - 1])
+                ) && tn.lanes().len() == group.len()
+                    && (1..group.len()).all(|k| group[k] == tn.lanes()[k - 1])
             });
             if let Some(target) = target {
-                let node = self.add_node(AlignNode {
-                    kind: NodeKind::Recurrence {
-                        init: group[0],
-                        target,
-                    },
-                    lanes: group.to_vec(),
-                    children: vec![target],
-                });
-                self.graph.memo.insert(group.to_vec(), node);
+                let init = group[0];
+                let node = self.add_node(NodeKind::Recurrence { init, target }, r, &[target]);
+                self.memoize(hash, node);
                 return node;
             }
         }
 
         // 4. Exactly matching instructions.
-        if let Some(node) = self.try_match(group) {
+        if let Some(node) = self.try_match(r.clone(), hash) {
             return node;
         }
 
         // 5. Neutral pointer operations (§IV-C2).
         if self.opts.enable_gep_neutral {
-            if let Some(node) = self.try_gep_neutral(group) {
+            if let Some(node) = self.try_gep_neutral(r.clone(), hash) {
                 return node;
             }
         }
 
         // 6. Neutral elements of binary operations (§IV-C3).
         if self.opts.enable_binop_neutral {
-            if let Some(node) = self.try_binop_neutral(group) {
+            if let Some(node) = self.try_binop_neutral(r.clone(), hash) {
                 return node;
             }
         }
 
         // 7. Give up: a mismatching node.
-        self.leaf(group, NodeKind::Mismatch)
+        self.leaf(r, hash, NodeKind::Mismatch)
     }
 
-    fn leaf(&mut self, group: &[ValueId], kind: NodeKind) -> NodeId {
-        let node = self.add_node(AlignNode {
-            kind,
-            lanes: group.to_vec(),
-            children: Vec::new(),
-        });
-        self.graph.memo.insert(group.to_vec(), node);
+    fn leaf(&mut self, group: Range<usize>, hash: u64, kind: NodeKind) -> NodeId {
+        let node = self.add_node(kind, group, &[]);
+        self.memoize(hash, node);
         node
     }
 
-    fn as_const_ints(&self, group: &[ValueId]) -> Option<Vec<i64>> {
+    /// The common type of `group` when every lane is an integer constant
+    /// of the first lane's type.
+    fn const_int_type(&self, group: &[ValueId]) -> Option<TypeId> {
         let ty0 = self.func.value_ty(group[0], &self.module.types);
         group
             .iter()
-            .map(|&v| match self.func.value(v) {
-                ValueDef::ConstInt { ty, value } if *ty == ty0 => Some(*value),
-                _ => None,
-            })
-            .collect()
+            .all(|&v| matches!(self.func.value(v), ValueDef::ConstInt { ty, .. } if *ty == ty0))
+            .then_some(ty0)
     }
 
     /// Instruction lane eligible for rolling: a non-phi, non-terminator,
@@ -353,95 +445,118 @@ impl<'a> GraphBuilder<'a> {
         Some(inst)
     }
 
-    /// The lanes' instructions when `group` is made of distinct rollable
-    /// instructions that agree on opcode, type, operand count, extras and
-    /// operand types; `None` otherwise.
-    fn match_gate(&self, group: &[ValueId]) -> Option<Vec<InstId>> {
-        let insts: Vec<InstId> = group
-            .iter()
-            .map(|&v| self.rollable_inst(v))
-            .collect::<Option<Vec<_>>>()?;
-        // Lanes must be distinct instructions.
-        for i in 0..insts.len() {
-            for j in i + 1..insts.len() {
-                if insts[i] == insts[j] {
-                    return None;
-                }
+    /// Whether `group` is made of distinct rollable instructions that
+    /// agree on opcode, type, operand count, extras and operand types.
+    fn match_gate(&self, group: &[ValueId]) -> bool {
+        let Some(first) = self.rollable_inst(group[0]) else {
+            return false;
+        };
+        let first = self.func.inst(first);
+        for (k, &v) in group.iter().enumerate().skip(1) {
+            let Some(inst) = self.rollable_inst(v) else {
+                return false;
+            };
+            // Lanes must be distinct instructions.
+            if group[..k]
+                .iter()
+                .any(|&u| self.func.value(u).as_inst() == Some(inst))
+            {
+                return false;
             }
-        }
-        let first = self.func.inst(insts[0]);
-        for &i in &insts[1..] {
-            let data = self.func.inst(i);
+            let data = self.func.inst(inst);
             if data.opcode != first.opcode
                 || data.ty != first.ty
                 || data.operands.len() != first.operands.len()
                 || !extras_compatible(&first.extra, &data.extra)
             {
-                return None;
+                return false;
             }
             for (a, b) in first.operands.iter().zip(&data.operands) {
                 let ta = self.func.value_ty(*a, &self.module.types);
                 let tb = self.func.value_ty(*b, &self.module.types);
                 if ta != tb {
-                    return None;
+                    return false;
                 }
             }
         }
-        Some(insts)
+        true
     }
 
-    fn try_match(&mut self, group: &[ValueId]) -> Option<NodeId> {
-        let insts = self.match_gate(group)?;
-        let opcode = self.func.inst(insts[0]).opcode;
+    /// The instruction of lane `k` of the stacked group `r`, which
+    /// [`GraphBuilder::match_gate`] let through.
+    fn matched_inst(&self, r: &Range<usize>, k: usize) -> InstId {
+        self.func
+            .value(self.groups[r.start + k])
+            .as_inst()
+            .expect("the match gate admits instruction lanes only")
+    }
+
+    fn try_match(&mut self, r: Range<usize>, hash: u64) -> Option<NodeId> {
+        if !self.match_gate(&self.groups[r.clone()]) {
+            return None;
+        }
+        let lanes = r.len();
+        let first = self.func.inst(self.matched_inst(&r, 0));
+        let (opcode, nops) = (first.opcode, first.operands.len());
 
         // Create the node first so claims and recurrence detection can see
         // it while the children are built.
-        let node = self.add_node(AlignNode {
-            kind: NodeKind::Match { opcode },
-            lanes: group.to_vec(),
-            children: Vec::new(),
-        });
-        self.graph.memo.insert(group.to_vec(), node);
-        for (lane, &i) in insts.iter().enumerate() {
-            self.claim(i, node, lane);
+        let node = self.add_node(NodeKind::Match { opcode }, r.clone(), &[]);
+        self.memoize(hash, node);
+        for lane in 0..lanes {
+            let inst = self.matched_inst(&r, lane);
+            self.claim(inst, node, lane);
         }
         if self.refused() {
             return Some(node);
         }
 
-        let operand_groups = self.operand_groups(&insts, opcode);
-        for og in operand_groups {
-            let child = self.build_group(&og, Some(node));
-            self.graph.node_mut(node).children.push(child);
-        }
+        let base = self.push_operand_groups(&r, opcode, nops);
+        self.build_children(node, base, nops, lanes);
         Some(node)
     }
 
-    /// Groups the operands of matched instructions by position, reordering
-    /// commutative operands to maximize similarity (§IV-C3).
-    fn operand_groups(&self, insts: &[InstId], opcode: Opcode) -> Vec<Vec<ValueId>> {
-        let nops = self.func.inst(insts[0]).operands.len();
-        let mut groups: Vec<Vec<ValueId>> = vec![Vec::with_capacity(insts.len()); nops];
+    /// Builds the `count` groups of `lanes` values stacked from `base` as
+    /// the children of `node`, in order, and pops them.
+    fn build_children(&mut self, node: NodeId, base: usize, count: usize, lanes: usize) {
+        self.graph.reserve_children(node, count);
+        for k in 0..count {
+            let start = base + k * lanes;
+            let child = self.build_group(start..start + lanes);
+            self.graph.set_child(node, k, child);
+        }
+        self.groups.truncate(base);
+    }
+
+    /// Stacks the operands of the matched instructions of the stacked
+    /// group `r`, one group per operand position, reordering commutative
+    /// operands to maximize similarity (§IV-C3); returns where the groups
+    /// start.
+    fn push_operand_groups(&mut self, r: &Range<usize>, opcode: Opcode, nops: usize) -> usize {
+        let lanes = r.len();
+        let base = self.groups.len();
+        self.groups
+            .resize(base + nops * lanes, ValueId::from_index(0));
         let reorder = self.opts.enable_commutative && opcode.is_commutative() && nops == 2;
-        for (lane, &i) in insts.iter().enumerate() {
-            let ops = &self.func.inst(i).operands;
+        for lane in 0..lanes {
+            let ops = &self.func.inst(self.matched_inst(r, lane)).operands;
             if reorder && lane > 0 {
                 let (a, b) = (ops[0], ops[1]);
-                let ref_a = groups[0][0];
-                let ref_b = groups[1][0];
+                let ref_a = self.groups[base];
+                let ref_b = self.groups[base + lanes];
                 let keep = self.similarity(a, ref_a) + self.similarity(b, ref_b);
                 let swap = self.similarity(b, ref_a) + self.similarity(a, ref_b);
                 if swap > keep {
-                    groups[0].push(b);
-                    groups[1].push(a);
+                    self.groups[base + lane] = b;
+                    self.groups[base + lanes + lane] = a;
                     continue;
                 }
             }
             for (k, &op) in ops.iter().enumerate() {
-                groups[k].push(op);
+                self.groups[base + k * lanes + lane] = op;
             }
         }
-        groups
+        base
     }
 
     /// Cheap shape-similarity score used by commutative reordering.
@@ -465,18 +580,15 @@ impl<'a> GraphBuilder<'a> {
 
     /// Neutral pointer operations: a mix of `gep base, idx` lanes and bare
     /// `base` lanes becomes one `gep` whose index group gets a synthetic 0
-    /// for the bare lanes (§IV-C2, Fig. 9).
-    fn try_gep_neutral(&mut self, group: &[ValueId]) -> Option<NodeId> {
-        #[derive(Clone, Copy)]
-        enum Lane {
-            Gep(InstId),
-            Base,
-        }
-        let mut lanes = Vec::with_capacity(group.len());
+    /// for the bare lanes (§IV-C2, Fig. 9). In `lane_insts`, a gep lane
+    /// holds its instruction and a bare lane `None`.
+    fn try_gep_neutral(&mut self, r: Range<usize>, hash: u64) -> Option<NodeId> {
+        self.lane_insts.clear();
         let mut base: Option<ValueId> = None;
         let mut elem_ty: Option<TypeId> = None;
         let mut gep_count = 0usize;
-        for &v in group {
+        for k in r.clone() {
+            let v = self.groups[k];
             if let Some(inst) = self.rollable_inst(v) {
                 let data = self.func.inst(inst);
                 if data.opcode == Opcode::Gep && data.operands.len() == 2 {
@@ -489,7 +601,7 @@ impl<'a> GraphBuilder<'a> {
                     if *base.get_or_insert(data.operands[0]) != data.operands[0] {
                         return None;
                     }
-                    lanes.push(Lane::Gep(inst));
+                    self.lane_insts.push(Some(inst));
                     gep_count += 1;
                     continue;
                 }
@@ -501,7 +613,7 @@ impl<'a> GraphBuilder<'a> {
                     base = Some(v);
                 }
             }
-            lanes.push(Lane::Base);
+            self.lane_insts.push(None);
         }
         let base = base?;
         let elem_ty = elem_ty?;
@@ -510,132 +622,118 @@ impl<'a> GraphBuilder<'a> {
         }
         // Bare lanes must actually be the base (re-check first lanes seen
         // before the base was pinned by a gep).
-        for (lane, &v) in lanes.iter().zip(group) {
-            if matches!(lane, Lane::Base) && v != base {
+        for (lane, &v) in self.lane_insts.iter().zip(&self.groups[r.clone()]) {
+            if lane.is_none() && v != base {
                 return None;
             }
         }
         // All gep index operands must share one integer type.
         let mut idx_ty: Option<TypeId> = None;
-        for l in &lanes {
-            if let Lane::Gep(i) = l {
-                let t = self
-                    .func
-                    .value_ty(self.func.inst(*i).operands[1], &self.module.types);
-                if *idx_ty.get_or_insert(t) != t {
-                    return None;
-                }
+        for &i in self.lane_insts.iter().flatten() {
+            let t = self
+                .func
+                .value_ty(self.func.inst(i).operands[1], &self.module.types);
+            if *idx_ty.get_or_insert(t) != t {
+                return None;
             }
         }
         let idx_ty = idx_ty?;
 
-        let node = self.add_node(AlignNode {
-            kind: NodeKind::GepNeutral { elem_ty },
-            lanes: group.to_vec(),
-            children: Vec::new(),
-        });
-        self.graph.memo.insert(group.to_vec(), node);
-        for (k, l) in lanes.iter().enumerate() {
-            if let Lane::Gep(i) = l {
-                self.claim(*i, node, k);
+        let lanes = r.len();
+        let node = self.add_node(NodeKind::GepNeutral { elem_ty }, r, &[]);
+        self.memoize(hash, node);
+        for k in 0..lanes {
+            if let Some(i) = self.lane_insts[k] {
+                self.claim(i, node, k);
             }
         }
         if self.refused() {
             return Some(node);
         }
         let zero = self.func.const_int(idx_ty, 0);
-        let base_group: Vec<ValueId> = vec![base; group.len()];
-        let idx_group: Vec<ValueId> = lanes
-            .iter()
-            .map(|l| match l {
-                Lane::Gep(i) => self.func.inst(*i).operands[1],
-                Lane::Base => zero,
-            })
-            .collect();
-        let base_child = self.build_group(&base_group, Some(node));
-        let idx_child = self.build_group(&idx_group, Some(node));
-        self.graph.node_mut(node).children = vec![base_child, idx_child];
+        let stacked = self.groups.len();
+        self.groups.extend(std::iter::repeat_n(base, lanes));
+        for k in 0..lanes {
+            let idx = match self.lane_insts[k] {
+                Some(i) => self.func.inst(i).operands[1],
+                None => zero,
+            };
+            self.groups.push(idx);
+        }
+        self.build_children(node, stacked, 2, lanes);
         Some(node)
     }
 
     /// Neutral elements of binary operations: the most frequent binop
     /// becomes the node's operation; other lanes are padded as
-    /// `value ⊕ neutral` (§IV-C3).
-    fn try_binop_neutral(&mut self, group: &[ValueId]) -> Option<NodeId> {
+    /// `value ⊕ neutral` (§IV-C3). In `lane_insts`, a lane of that
+    /// operation holds its instruction and any other lane `None`.
+    fn try_binop_neutral(&mut self, r: Range<usize>, hash: u64) -> Option<NodeId> {
         // Find the most frequent eligible opcode among instruction lanes.
-        let mut counts: Vec<(Opcode, usize)> = Vec::new();
-        for &v in group {
-            if let Some(inst) = self.rollable_inst(v) {
+        self.op_counts.clear();
+        for k in r.clone() {
+            if let Some(inst) = self.rollable_inst(self.groups[k]) {
                 let op = self.func.inst(inst).opcode;
                 if op.is_binop() && op.neutral_element().is_some() {
-                    match counts.iter_mut().find(|(o, _)| *o == op) {
+                    match self.op_counts.iter_mut().find(|(o, _)| *o == op) {
                         Some((_, c)) => *c += 1,
-                        None => counts.push((op, 1)),
+                        None => self.op_counts.push((op, 1)),
                     }
                 }
             }
         }
-        let (opcode, count) = counts.into_iter().max_by_key(|&(_, c)| c)?;
-        if count < 2 || count == group.len() {
+        let (opcode, count) = self.op_counts.iter().copied().max_by_key(|&(_, c)| c)?;
+        let lanes = r.len();
+        if count < 2 || count == lanes {
             // All-same-opcode groups were already rejected by `try_match`
             // for structural reasons; padding cannot help them.
             return None;
         }
-        let ty = self.func.value_ty(group[0], &self.module.types);
+        let ty = self.func.value_ty(self.groups[r.start], &self.module.types);
         // Every lane must produce the same type as the operation.
-        for &v in group {
+        for &v in &self.groups[r.clone()] {
             if self.func.value_ty(v, &self.module.types) != ty {
                 return None;
             }
         }
         let neutral = self.neutral_const(opcode, ty)?;
 
-        #[derive(Clone, Copy)]
-        enum Lane {
-            Op(InstId),
-            Other,
+        self.lane_insts.clear();
+        for k in r.clone() {
+            let op = match self.rollable_inst(self.groups[k]) {
+                Some(i) if self.func.inst(i).opcode == opcode => Some(i),
+                _ => None,
+            };
+            self.lane_insts.push(op);
         }
-        let lanes: Vec<Lane> = group
-            .iter()
-            .map(|&v| match self.rollable_inst(v) {
-                Some(i) if self.func.inst(i).opcode == opcode => Lane::Op(i),
-                _ => Lane::Other,
-            })
-            .collect();
 
-        let node = self.add_node(AlignNode {
-            kind: NodeKind::BinOpNeutral { opcode, ty },
-            lanes: group.to_vec(),
-            children: Vec::new(),
-        });
-        self.graph.memo.insert(group.to_vec(), node);
-        for (k, l) in lanes.iter().enumerate() {
-            if let Lane::Op(i) = l {
-                self.claim(*i, node, k);
+        let first = r.start;
+        let node = self.add_node(NodeKind::BinOpNeutral { opcode, ty }, r, &[]);
+        self.memoize(hash, node);
+        for k in 0..lanes {
+            if let Some(i) = self.lane_insts[k] {
+                self.claim(i, node, k);
             }
         }
         if self.refused() {
             return Some(node);
         }
-        let lhs: Vec<ValueId> = lanes
-            .iter()
-            .zip(group)
-            .map(|(l, &v)| match l {
-                Lane::Op(i) => self.func.inst(*i).operands[0],
-                Lane::Other => v,
-            })
-            .collect();
-        let rhs: Vec<ValueId> = lanes
-            .iter()
-            .zip(group)
-            .map(|(l, _)| match l {
-                Lane::Op(i) => self.func.inst(*i).operands[1],
-                Lane::Other => neutral,
-            })
-            .collect();
-        let lhs_child = self.build_group(&lhs, Some(node));
-        let rhs_child = self.build_group(&rhs, Some(node));
-        self.graph.node_mut(node).children = vec![lhs_child, rhs_child];
+        let stacked = self.groups.len();
+        for k in 0..lanes {
+            let lhs = match self.lane_insts[k] {
+                Some(i) => self.func.inst(i).operands[0],
+                None => self.groups[first + k],
+            };
+            self.groups.push(lhs);
+        }
+        for k in 0..lanes {
+            let rhs = match self.lane_insts[k] {
+                Some(i) => self.func.inst(i).operands[1],
+                None => neutral,
+            };
+            self.groups.push(rhs);
+        }
+        self.build_children(node, stacked, 2, lanes);
         Some(node)
     }
 
@@ -664,20 +762,21 @@ fn extras_compatible(a: &InstExtra, b: &InstExtra) -> bool {
 }
 
 /// Detects `S_i = S_0 + i*(S_1 - S_0)` with a non-zero common difference.
-fn arithmetic_progression(consts: &[i64]) -> Option<(i64, i64)> {
-    if consts.len() < 2 {
-        return None;
-    }
-    let step = consts[1].checked_sub(consts[0])?;
+fn arithmetic_progression(consts: impl IntoIterator<Item = i64>) -> Option<(i64, i64)> {
+    let mut consts = consts.into_iter();
+    let (first, second) = (consts.next()?, consts.next()?);
+    let step = second.checked_sub(first)?;
     if step == 0 {
         return None;
     }
-    for w in consts.windows(2) {
-        if w[1].checked_sub(w[0])? != step {
+    let mut prev = second;
+    for c in consts {
+        if c.checked_sub(prev)? != step {
             return None;
         }
+        prev = c;
     }
-    Some((consts[0], step))
+    Some((first, step))
 }
 
 #[cfg(test)]
@@ -727,7 +826,7 @@ entry:
         assert_eq!(kinds.mismatching, 1, "the 5,1,0 constants");
         assert_eq!(kinds.sequence, 1, "the 0,1,2 indices");
         assert_eq!(kinds.identical, 1, "the base pointer");
-        assert_eq!(g.graph_insts().len(), 6);
+        assert_eq!(g.graph_insts().count(), 6);
     }
 
     #[test]
@@ -768,7 +867,7 @@ entry:
         assert_eq!(claim.value, func.inst_result(func.block(block).insts[0]));
         assert_eq!(claim.lane, 0);
         assert_eq!(
-            graph.node(claim.node).kind,
+            *graph.node(claim.node).kind(),
             NodeKind::Match {
                 opcode: Opcode::Gep
             }
@@ -784,10 +883,10 @@ entry:
 
     #[test]
     fn arithmetic_progression_detection() {
-        assert_eq!(arithmetic_progression(&[0, 16, 32, 48, 64]), Some((0, 16)));
-        assert_eq!(arithmetic_progression(&[5, 4, 3, 2]), Some((5, -1)));
-        assert_eq!(arithmetic_progression(&[1, 2, 4]), None);
-        assert_eq!(arithmetic_progression(&[7, 7, 7]), None);
+        assert_eq!(arithmetic_progression([0, 16, 32, 48, 64]), Some((0, 16)));
+        assert_eq!(arithmetic_progression([5, 4, 3, 2]), Some((5, -1)));
+        assert_eq!(arithmetic_progression([1, 2, 4]), None);
+        assert_eq!(arithmetic_progression([7, 7, 7]), None);
     }
 
     #[test]
@@ -905,5 +1004,89 @@ entry:
         assert_eq!(kinds.sequence, 0);
         // Indices 0,1 and constants 5,6 both degrade to mismatches.
         assert_eq!(kinds.mismatching, 2);
+    }
+
+    /// Everything a graph holds, read through its public accessors, so two
+    /// builds compare node for node.
+    fn layout(graph: &AlignGraph) -> impl PartialEq + std::fmt::Debug {
+        let nodes: Vec<_> = graph
+            .node_ids()
+            .map(|id| {
+                let n = graph.node(id);
+                (n.kind().clone(), n.lanes().to_vec(), n.children().to_vec())
+            })
+            .collect();
+        let mut claims: Vec<_> = graph.claimed.iter().map(|(&i, &c)| (i, c)).collect();
+        claims.sort_unstable();
+        (graph.lanes, nodes, graph.roots.clone(), claims)
+    }
+
+    /// With every lane group hashed to one value, each memo lookup walks
+    /// one chain of every memoized node, and must still find exactly the
+    /// node of its own group: every candidate graph of the unrolled TSVC
+    /// kernels and of 128 AnghaBench-like modules, built in full and as the
+    /// engine builds it, comes out node for node as with the real hash.
+    #[test]
+    fn memo_collisions_build_identical_graphs() {
+        use rolag_suites::angha::{stream, AnghaConfig};
+        use rolag_suites::tsvc::{all_kernels, build_kernel_module};
+        use rolag_transforms::{cleanup_module, cse_module, unroll_module};
+
+        let tsvc = all_kernels().into_iter().map(|spec| {
+            let mut m = build_kernel_module(&spec);
+            unroll_module(&mut m, 8);
+            cse_module(&mut m);
+            cleanup_module(&mut m);
+            m
+        });
+        let angha = stream(&AnghaConfig {
+            seed: 0x0a17_4a90,
+            functions: 128,
+        })
+        .map(|(_, _, m)| m);
+        let opts = RolagOptions::default();
+        let build = |m: &Module, f: &Function, cand: &Candidate, collide: bool| {
+            COLLIDE.with(|c| c.set(collide));
+            let mut work = f.clone();
+            let mut b = GraphBuilder::new(m, &mut work, cand.block(), &opts, cand.lanes());
+            let built = b.build_roots(cand);
+            let full = layout(&b.finish());
+            let mut work = f.clone();
+            let armed = build_candidate_graph(m, &mut work, cand, &opts).map(|g| layout(&g));
+            COLLIDE.with(|c| c.set(false));
+            (built, full, armed)
+        };
+        let (mut graphs, mut shared) = (0, 0);
+        for m in tsvc.chain(angha) {
+            for id in m.func_ids() {
+                let f = m.func(id);
+                if f.is_declaration {
+                    continue;
+                }
+                for cand in crate::seeds::collect_candidates(&m, f, &opts) {
+                    let real = build(&m, f, &cand, false);
+                    let collided = build(&m, f, &cand, true);
+                    assert_eq!(real, collided, "@{} {cand:?}", f.name);
+                    graphs += 1;
+                    let mut work = f.clone();
+                    let mut b = GraphBuilder::new(&m, &mut work, cand.block(), &opts, cand.lanes());
+                    b.build_roots(&cand);
+                    let g = b.finish();
+                    let mut children: Vec<NodeId> = g
+                        .node_ids()
+                        .flat_map(|id| g.node(id).children().to_vec())
+                        .collect();
+                    let edges = children.len();
+                    children.sort_unstable();
+                    children.dedup();
+                    shared += usize::from(children.len() < edges);
+                }
+            }
+        }
+        assert!(graphs > 1000, "{graphs} candidates");
+        assert!(
+            shared > 50,
+            "only {shared} graphs share a node: the memo went unused"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Alignment-graph data structures (§IV-B, Fig. 7).
 
-use rolag_ir::fxhash::{FxHashMap, FxHashSet};
+use rolag_ir::fxhash::FxHashMap;
 use rolag_ir::{Function, InstId, Opcode, TypeId, ValueId};
 
 use crate::stats::NodeKindCounts;
@@ -84,26 +84,39 @@ pub struct DotInfo {
     pub verdict: Option<String>,
 }
 
-/// One alignment-graph node: a classification, the per-lane values it
-/// represents, and its operand children.
-#[derive(Debug, Clone)]
-pub struct AlignNode {
-    /// Node classification.
-    pub kind: NodeKind,
-    /// One value per lane (per rolled-loop iteration).
-    pub lanes: Vec<ValueId>,
-    /// Child node per operand position (meaning depends on `kind`).
-    pub children: Vec<NodeId>,
+/// One alignment-graph node, borrowed from its [`AlignGraph`]: a
+/// classification, the per-lane values it represents, and its operand
+/// children. The lanes and children are slices of the graph's arenas.
+#[derive(Debug, Clone, Copy)]
+pub struct AlignNode<'g> {
+    kind: &'g NodeKind,
+    lanes: &'g [ValueId],
+    children: &'g [NodeId],
 }
 
-impl AlignNode {
+impl<'g> AlignNode<'g> {
+    /// Node classification.
+    pub fn kind(&self) -> &'g NodeKind {
+        self.kind
+    }
+
+    /// One value per lane (per rolled-loop iteration).
+    pub fn lanes(&self) -> &'g [ValueId] {
+        self.lanes
+    }
+
+    /// Child node per operand position (meaning depends on the kind).
+    pub fn children(&self) -> &'g [NodeId] {
+        self.children
+    }
+
     /// The values this node passes into the rolled loop from outside it:
     /// every lane of a `Mismatch` (loaded from an array inside the loop), the
     /// one value of an `Identical`, a `Recurrence`'s initial value and a
     /// `Reduction`'s carry. Other kinds pass nothing in.
-    pub fn loop_inputs(&self) -> &[ValueId] {
-        match &self.kind {
-            NodeKind::Mismatch => &self.lanes,
+    pub fn loop_inputs(&self) -> &'g [ValueId] {
+        match self.kind {
+            NodeKind::Mismatch => self.lanes,
             NodeKind::Identical => &self.lanes[..1],
             NodeKind::Recurrence { init, .. } => std::slice::from_ref(init),
             NodeKind::Reduction { carry: Some(v), .. } => std::slice::from_ref(v),
@@ -124,19 +137,37 @@ pub struct ClaimedLoopInput {
     pub lane: usize,
 }
 
+/// A node as the graph stores it: its kind and the ranges its lanes and
+/// children occupy in the graph's arenas.
+#[derive(Debug, Clone)]
+struct NodeData {
+    kind: NodeKind,
+    lanes: (u32, u32),
+    children: (u32, u32),
+}
+
 /// The alignment graph: a DAG over groups of values, with one or more roots
 /// (several roots = the joint-node case of §IV-C6, emitted in order).
+///
+/// Every node's lanes live in one graph-wide value arena and its children
+/// in one node arena, so a graph costs its allocator a few arena doublings,
+/// however many nodes it has (see DESIGN.md, *Alignment-graph layout*).
 #[derive(Debug, Clone)]
 pub struct AlignGraph {
     /// Number of lanes = iterations of the rolled loop.
     pub lanes: usize,
-    nodes: Vec<AlignNode>,
+    nodes: Vec<NodeData>,
+    lane_arena: Vec<ValueId>,
+    child_arena: Vec<NodeId>,
     /// Roots in emission order.
     pub roots: Vec<NodeId>,
-    pub(crate) memo: FxHashMap<Vec<ValueId>, NodeId>,
     /// Instructions claimed by a node lane: inst -> (node, lane index).
     pub(crate) claimed: FxHashMap<InstId, (NodeId, usize)>,
 }
+
+/// A child slot reserved by [`AlignGraph::reserve_children`] and not yet
+/// filled.
+const UNFILLED: NodeId = NodeId(u32::MAX);
 
 impl AlignGraph {
     /// Creates an empty graph with the given lane count.
@@ -144,27 +175,62 @@ impl AlignGraph {
         AlignGraph {
             lanes,
             nodes: Vec::new(),
+            lane_arena: Vec::new(),
+            child_arena: Vec::new(),
             roots: Vec::new(),
-            memo: FxHashMap::default(),
             claimed: FxHashMap::default(),
         }
     }
 
-    /// Adds a node and returns its id.
-    pub fn add_node(&mut self, node: AlignNode) -> NodeId {
+    /// Makes room for about `nodes` more nodes of [`AlignGraph::lanes`]
+    /// lanes and two children each, and half as many claims as lanes.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        self.nodes.reserve(nodes);
+        self.lane_arena.reserve(nodes * self.lanes);
+        self.child_arena.reserve(nodes * 2);
+        self.claimed.reserve(nodes * self.lanes / 2);
+    }
+
+    /// Adds a node with copies of `lanes` and `children` and returns its
+    /// id.
+    pub fn add_node(&mut self, kind: NodeKind, lanes: &[ValueId], children: &[NodeId]) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
+        let lane_start = self.lane_arena.len() as u32;
+        self.lane_arena.extend_from_slice(lanes);
+        let child_start = self.child_arena.len() as u32;
+        self.child_arena.extend_from_slice(children);
+        self.nodes.push(NodeData {
+            kind,
+            lanes: (lane_start, self.lane_arena.len() as u32),
+            children: (child_start, self.child_arena.len() as u32),
+        });
         id
     }
 
-    /// The node with id `id`.
-    pub fn node(&self, id: NodeId) -> &AlignNode {
-        &self.nodes[id.index()]
+    /// Gives `node`, which has no children yet, `count` child slots at the
+    /// end of the child arena, to be filled in order by
+    /// [`AlignGraph::set_child`] while other nodes are added.
+    pub(crate) fn reserve_children(&mut self, node: NodeId, count: usize) {
+        let start = self.child_arena.len() as u32;
+        self.child_arena
+            .resize(self.child_arena.len() + count, UNFILLED);
+        self.nodes[node.index()].children = (start, self.child_arena.len() as u32);
     }
 
-    /// Mutable access to the node with id `id`.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut AlignNode {
-        &mut self.nodes[id.index()]
+    /// Fills child slot `k` of `node`.
+    pub(crate) fn set_child(&mut self, node: NodeId, k: usize, child: NodeId) {
+        let (start, _) = self.nodes[node.index()].children;
+        self.child_arena[start as usize + k] = child;
+    }
+
+    /// The node with id `id`.
+    pub fn node(&self, id: NodeId) -> AlignNode<'_> {
+        let n = &self.nodes[id.index()];
+        AlignNode {
+            kind: &n.kind,
+            lanes: &self.lane_arena[n.lanes.0 as usize..n.lanes.1 as usize],
+            children: &self.child_arena[n.children.0 as usize..n.children.1 as usize],
+        }
     }
 
     /// Number of nodes.
@@ -182,16 +248,17 @@ impl AlignGraph {
         self.claimed.get(&inst).copied()
     }
 
-    /// The set of instructions the rolled loop replaces (claimed lanes plus
-    /// reduction-tree internals).
-    pub fn graph_insts(&self) -> FxHashSet<InstId> {
-        let mut set: FxHashSet<InstId> = self.claimed.keys().copied().collect();
-        for n in &self.nodes {
-            if let NodeKind::Reduction { internal, .. } = &n.kind {
-                set.extend(internal.iter().copied());
-            }
-        }
-        set
+    /// The instructions the rolled loop replaces: the claimed lanes, then
+    /// the reduction-tree internals. An instruction is listed once.
+    pub fn graph_insts(&self) -> impl Iterator<Item = InstId> + '_ {
+        let internals = self.nodes.iter().flat_map(|n| match &n.kind {
+            NodeKind::Reduction { internal, .. } => internal.as_slice(),
+            _ => &[],
+        });
+        self.claimed
+            .keys()
+            .copied()
+            .chain(internals.copied().filter(|i| !self.claimed.contains_key(i)))
     }
 
     /// The first loop input (in node order, then input order) whose
@@ -216,34 +283,27 @@ impl AlignGraph {
     }
 
     /// Deterministic emission order: post-order under each root, roots in
-    /// sequence. Shared by the scheduler (to validate memory order) and the
-    /// code generator (to emit the loop body).
+    /// sequence. The scheduler computes it once per graph it lets through
+    /// and hands it to the code generator with the
+    /// [`Schedule`](crate::schedule::Schedule).
     pub fn emission_order(&self) -> Vec<NodeId> {
-        let mut order = Vec::new();
-        let mut visited = vec![false; self.nodes.len()];
-        let mut on_path = vec![false; self.nodes.len()];
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut state = vec![Visit::New; self.nodes.len()];
         for &r in &self.roots {
-            self.post_order(r, &mut visited, &mut on_path, &mut order);
+            self.post_order(r, &mut state, &mut order);
         }
         order
     }
 
-    fn post_order(
-        &self,
-        n: NodeId,
-        visited: &mut [bool],
-        on_path: &mut [bool],
-        order: &mut Vec<NodeId>,
-    ) {
-        if visited[n.index()] || on_path[n.index()] {
+    fn post_order(&self, n: NodeId, state: &mut [Visit], order: &mut Vec<NodeId>) {
+        if state[n.index()] != Visit::New {
             return; // visited, or a recurrence back-edge
         }
-        on_path[n.index()] = true;
-        for &c in &self.node(n).children {
-            self.post_order(c, visited, on_path, order);
+        state[n.index()] = Visit::OnPath;
+        for &c in self.node(n).children() {
+            self.post_order(c, state, order);
         }
-        on_path[n.index()] = false;
-        visited[n.index()] = true;
+        state[n.index()] = Visit::Done;
         order.push(n);
     }
 
@@ -278,7 +338,7 @@ impl AlignGraph {
         }
         for id in self.node_ids() {
             let n = self.node(id);
-            let label = match &n.kind {
+            let label = match n.kind() {
                 NodeKind::Match { opcode } => format!("match:{}", opcode.mnemonic()),
                 NodeKind::Identical => "identical".to_string(),
                 NodeKind::Mismatch => "mismatch".to_string(),
@@ -294,7 +354,7 @@ impl AlignGraph {
                     format!("reduce:{}", opcode.mnemonic())
                 }
             };
-            let shape = match &n.kind {
+            let shape = match n.kind() {
                 NodeKind::Match { .. } => "box",
                 NodeKind::Mismatch => "octagon",
                 _ => "ellipse",
@@ -304,11 +364,11 @@ impl AlignGraph {
                 "  n{} [label=\"{} x{}\", shape={}];",
                 id.index(),
                 label,
-                n.lanes.len(),
+                n.lanes().len(),
                 shape
             );
-            for &c in &n.children {
-                let style = if matches!(n.kind, NodeKind::Recurrence { .. }) {
+            for &c in n.children() {
+                let style = if matches!(n.kind(), NodeKind::Recurrence { .. }) {
                     " [style=dashed]"
                 } else {
                     ""
@@ -327,7 +387,7 @@ impl AlignGraph {
     pub fn count_kinds(&self) -> NodeKindCounts {
         let mut c = NodeKindCounts::default();
         for n in &self.nodes {
-            match &n.kind {
+            match n.kind {
                 NodeKind::Match { .. } => c.matching += 1,
                 NodeKind::Identical => c.identical += 1,
                 NodeKind::Mismatch => c.mismatching += 1,
@@ -342,30 +402,30 @@ impl AlignGraph {
     }
 }
 
+/// Where [`AlignGraph::emission_order`]'s walk stands with a node.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Visit {
+    New,
+    OnPath,
+    Done,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn leaf(kind: NodeKind) -> AlignNode {
-        AlignNode {
-            kind,
-            lanes: Vec::new(),
-            children: Vec::new(),
-        }
-    }
-
     #[test]
     fn emission_order_is_post_order() {
         let mut g = AlignGraph::new(2);
-        let a = g.add_node(leaf(NodeKind::Identical));
-        let b = g.add_node(leaf(NodeKind::Mismatch));
-        let root = g.add_node(AlignNode {
-            kind: NodeKind::Match {
+        let a = g.add_node(NodeKind::Identical, &[], &[]);
+        let b = g.add_node(NodeKind::Mismatch, &[], &[]);
+        let root = g.add_node(
+            NodeKind::Match {
                 opcode: Opcode::Add,
             },
-            lanes: Vec::new(),
-            children: vec![a, b],
-        });
+            &[],
+            &[a, b],
+        );
         g.roots.push(root);
         assert_eq!(g.emission_order(), vec![a, b, root]);
     }
@@ -373,21 +433,21 @@ mod tests {
     #[test]
     fn shared_children_emitted_once() {
         let mut g = AlignGraph::new(2);
-        let shared = g.add_node(leaf(NodeKind::Identical));
-        let l = g.add_node(AlignNode {
-            kind: NodeKind::Match {
+        let shared = g.add_node(NodeKind::Identical, &[], &[]);
+        let l = g.add_node(
+            NodeKind::Match {
                 opcode: Opcode::Add,
             },
-            lanes: Vec::new(),
-            children: vec![shared],
-        });
-        let r = g.add_node(AlignNode {
-            kind: NodeKind::Match {
+            &[],
+            &[shared],
+        );
+        let r = g.add_node(
+            NodeKind::Match {
                 opcode: Opcode::Mul,
             },
-            lanes: Vec::new(),
-            children: vec![shared],
-        });
+            &[],
+            &[shared],
+        );
         g.roots.extend([l, r]);
         assert_eq!(g.emission_order(), vec![shared, l, r]);
     }
@@ -397,21 +457,21 @@ mod tests {
         let mut g = AlignGraph::new(3);
         // root -> rec -> root (cycle through the recurrence back edge).
         let root_placeholder = NodeId(1);
-        let rec = g.add_node(AlignNode {
-            kind: NodeKind::Recurrence {
+        let rec = g.add_node(
+            NodeKind::Recurrence {
                 init: rolag_ir::ValueId::from_index(0),
                 target: root_placeholder,
             },
-            lanes: Vec::new(),
-            children: vec![root_placeholder],
-        });
-        let root = g.add_node(AlignNode {
-            kind: NodeKind::Match {
+            &[],
+            &[root_placeholder],
+        );
+        let root = g.add_node(
+            NodeKind::Match {
                 opcode: Opcode::Call,
             },
-            lanes: Vec::new(),
-            children: vec![rec],
-        });
+            &[],
+            &[rec],
+        );
         assert_eq!(root, root_placeholder);
         g.roots.push(root);
         assert_eq!(g.emission_order(), vec![rec, root]);
@@ -420,18 +480,22 @@ mod tests {
     #[test]
     fn dot_output_contains_every_node_and_edge() {
         let mut g = AlignGraph::new(3);
-        let seq = g.add_node(leaf(NodeKind::Sequence {
-            start: 0,
-            step: 4,
-            ty: rolag_ir::TypeStore::new().i64(),
-        }));
-        let root = g.add_node(AlignNode {
-            kind: NodeKind::Match {
+        let seq = g.add_node(
+            NodeKind::Sequence {
+                start: 0,
+                step: 4,
+                ty: rolag_ir::TypeStore::new().i64(),
+            },
+            &[],
+            &[],
+        );
+        let root = g.add_node(
+            NodeKind::Match {
                 opcode: Opcode::Store,
             },
-            lanes: Vec::new(),
-            children: vec![seq],
-        });
+            &[],
+            &[seq],
+        );
         g.roots.push(root);
         let dot = g.to_dot();
         assert!(dot.starts_with("digraph align"));
@@ -449,52 +513,52 @@ mod tests {
         let types = rolag_ir::TypeStore::new();
         let i32t = types.i32();
         let mut g = AlignGraph::new(4);
-        let seq = g.add_node(leaf(NodeKind::Sequence {
-            start: 2,
-            step: 3,
-            ty: i32t,
-        }));
-        let ident = g.add_node(leaf(NodeKind::Identical));
-        let mis = g.add_node(leaf(NodeKind::Mismatch));
-        let gep = g.add_node(AlignNode {
-            kind: NodeKind::GepNeutral { elem_ty: i32t },
-            lanes: Vec::new(),
-            children: vec![seq],
-        });
-        let neutral = g.add_node(AlignNode {
-            kind: NodeKind::BinOpNeutral {
+        let seq = g.add_node(
+            NodeKind::Sequence {
+                start: 2,
+                step: 3,
+                ty: i32t,
+            },
+            &[],
+            &[],
+        );
+        let ident = g.add_node(NodeKind::Identical, &[], &[]);
+        let mis = g.add_node(NodeKind::Mismatch, &[], &[]);
+        let gep = g.add_node(NodeKind::GepNeutral { elem_ty: i32t }, &[], &[seq]);
+        let neutral = g.add_node(
+            NodeKind::BinOpNeutral {
                 opcode: Opcode::Add,
                 ty: i32t,
             },
-            lanes: Vec::new(),
-            children: vec![ident],
-        });
-        let red = g.add_node(AlignNode {
-            kind: NodeKind::Reduction {
+            &[],
+            &[ident],
+        );
+        let red = g.add_node(
+            NodeKind::Reduction {
                 opcode: Opcode::Add,
                 internal: Vec::new(),
                 carry: None,
                 ty: i32t,
             },
-            lanes: Vec::new(),
-            children: vec![mis],
-        });
+            &[],
+            &[mis],
+        );
         let root_placeholder = NodeId(7);
-        let rec = g.add_node(AlignNode {
-            kind: NodeKind::Recurrence {
+        let rec = g.add_node(
+            NodeKind::Recurrence {
                 init: rolag_ir::ValueId::from_index(0),
                 target: root_placeholder,
             },
-            lanes: Vec::new(),
-            children: vec![root_placeholder],
-        });
-        let root = g.add_node(AlignNode {
-            kind: NodeKind::Match {
+            &[],
+            &[root_placeholder],
+        );
+        let root = g.add_node(
+            NodeKind::Match {
                 opcode: Opcode::Store,
             },
-            lanes: Vec::new(),
-            children: vec![gep, neutral, red, rec],
-        });
+            &[],
+            &[gep, neutral, red, rec],
+        );
         assert_eq!(root, root_placeholder);
         g.roots.push(root);
 
@@ -542,13 +606,17 @@ digraph align {
     #[test]
     fn kind_counting() {
         let mut g = AlignGraph::new(2);
-        g.add_node(leaf(NodeKind::Identical));
-        g.add_node(leaf(NodeKind::Mismatch));
-        g.add_node(leaf(NodeKind::Sequence {
-            start: 0,
-            step: 1,
-            ty: rolag_ir::TypeStore::new().i32(),
-        }));
+        g.add_node(NodeKind::Identical, &[], &[]);
+        g.add_node(NodeKind::Mismatch, &[], &[]);
+        g.add_node(
+            NodeKind::Sequence {
+                start: 0,
+                step: 1,
+                ty: rolag_ir::TypeStore::new().i32(),
+            },
+            &[],
+            &[],
+        );
         let c = g.count_kinds();
         assert_eq!(c.identical, 1);
         assert_eq!(c.mismatching, 1);

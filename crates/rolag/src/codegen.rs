@@ -12,6 +12,8 @@ use rolag_ir::{
     IntPredicate, Module, Opcode, Operands, TypeId, UseMap, ValueDef, ValueId,
 };
 
+use rolag_analysis::depgraph::InstPositions;
+
 use crate::align::{AlignGraph, NodeId, NodeKind};
 use crate::schedule::Schedule;
 
@@ -42,11 +44,14 @@ enum MismatchLowering {
 /// graph contains shapes the generator cannot lower, e.g. mismatching lanes
 /// of differing types.
 ///
-/// `uses` is the use map of `func` as it was scheduled, such as the one
+/// `uses` and `positions` are the use map and the instruction positions of
+/// `func` as it was scheduled, such as the pair
 /// [`ScheduleCache::indexes`](crate::schedule::ScheduleCache::indexes)
-/// lends: the generator finds the surviving users of rolled values in it
-/// and rewrites them there, so its work follows the block and the rolled
-/// values' uses rather than the whole function.
+/// lends: the generator finds the surviving users of rolled values in the
+/// map, tells them from the graph's own instructions by their block
+/// positions ([`Schedule::in_graph`]) and rewrites them there, so its work
+/// follows the block and the rolled values' uses rather than the whole
+/// function. The loop body follows [`Schedule::emission`].
 pub fn generate(
     module: &mut Module,
     func: &mut Function,
@@ -54,6 +59,7 @@ pub fn generate(
     graph: &AlignGraph,
     schedule: &Schedule,
     uses: &UseMap,
+    positions: &InstPositions,
 ) -> Option<RollOutcome> {
     let lanes = graph.lanes as i64;
 
@@ -62,10 +68,10 @@ pub fn generate(
     // integer mismatches become global constant arrays.
     let mut const_plans: Vec<(NodeId, TypeId, Vec<i64>)> = Vec::new();
     for node in graph.node_ids() {
-        if !matches!(graph.node(node).kind, NodeKind::Mismatch) {
+        if !matches!(graph.node(node).kind(), NodeKind::Mismatch) {
             continue;
         }
-        let lanes_v = &graph.node(node).lanes;
+        let lanes_v = graph.node(node).lanes();
         let ty = func.value_ty(lanes_v[0], &module.types);
         if lanes_v
             .iter()
@@ -117,17 +123,18 @@ pub fn generate(
     let mut ext_map: Vec<Option<Vec<usize>>> = vec![None; num_nodes];
     for (&inst, &(node, lane)) in &graph.claimed {
         let result = func.inst_result(inst);
-        let has_ext = uses
-            .of(result)
-            .iter()
-            .any(|&(user, _)| !schedule.graph_insts.contains(&user));
+        let has_ext = uses.of(result).iter().any(|&(user, _)| {
+            !positions
+                .in_block(user, block)
+                .is_some_and(|p| schedule.in_graph.contains(p))
+        });
         if has_ext {
             ext_map[node.index()].get_or_insert_default().push(lane);
         }
     }
     // Reduction roots always escape through their final accumulator.
     for node in graph.node_ids() {
-        if let NodeKind::Reduction { .. } = graph.node(node).kind {
+        if let NodeKind::Reduction { .. } = graph.node(node).kind() {
             ext_map[node.index()].get_or_insert_default();
         }
     }
@@ -157,11 +164,12 @@ pub fn generate(
     let mut b = Builder::on(func, &mut module.types);
     b.switch_to(block);
     for node in graph.node_ids() {
-        if lowering[node.index()].is_some() || !matches!(graph.node(node).kind, NodeKind::Mismatch)
+        if lowering[node.index()].is_some()
+            || !matches!(graph.node(node).kind(), NodeKind::Mismatch)
         {
             continue;
         }
-        let values = graph.node(node).lanes.clone();
+        let values = graph.node(node).lanes();
         let ty = b.func.value_ty(values[0], b.types);
         let count = b.iconst(types_i64, lanes);
         let arr = b.alloca(ty, Some(count));
@@ -179,7 +187,7 @@ pub fn generate(
         if !needs_array {
             continue;
         }
-        let node_ty = b.func.value_ty(graph.node(*node).lanes[0], b.types);
+        let node_ty = b.func.value_ty(graph.node(*node).lanes()[0], b.types);
         let count = b.iconst(types_i64, lanes);
         let arr = b.alloca(node_ty, Some(count));
         out_arrays[node.index()] = Some((arr, node_ty));
@@ -194,9 +202,8 @@ pub fn generate(
     // Pre-create recurrence and reduction phis (phis must head the block).
     let mut node_phi: Vec<Option<ValueId>> = vec![None; num_nodes];
     for node in graph.node_ids() {
-        match &graph.node(node).kind {
+        match *graph.node(node).kind() {
             NodeKind::Recurrence { init, .. } => {
-                let init = *init;
                 let ty = b.func.value_ty(init, b.types);
                 let phi = b.phi(ty, &[(init, block), (init, loop_block)]);
                 node_phi[node.index()] = Some(phi);
@@ -204,7 +211,6 @@ pub fn generate(
             NodeKind::Reduction {
                 opcode, ty, carry, ..
             } => {
-                let (opcode, ty, carry) = (*opcode, *ty, *carry);
                 let init = match carry {
                     Some(v) => v,
                     None => neutral_value(&mut b, opcode, ty)?,
@@ -219,7 +225,7 @@ pub fn generate(
     // ---- loop body -----------------------------------------------------------
     let mut emitted: Vec<Option<ValueId>> = vec![None; num_nodes];
     let mut phi_patches: Vec<(ValueId, ValueId)> = Vec::new(); // (phi, loop value)
-    for node in graph.emission_order() {
+    for &node in &schedule.emission {
         let value = emit_node(
             &mut b,
             graph,
@@ -235,7 +241,7 @@ pub fn generate(
     // Patch recurrence phis with their target's in-loop value; reductions
     // were patched during emission.
     for node in graph.node_ids() {
-        if let NodeKind::Recurrence { target, .. } = graph.node(node).kind {
+        if let NodeKind::Recurrence { target, .. } = *graph.node(node).kind() {
             let phi = node_phi[node.index()]?;
             let target_value = emitted[target.index()]?;
             phi_patches.push((phi, target_value));
@@ -272,7 +278,7 @@ pub fn generate(
         let node = *node;
         let node_data = graph.node(node);
         // Reduction: the escaped value is the accumulator's final value.
-        if let NodeKind::Reduction { internal, .. } = &node_data.kind {
+        if let NodeKind::Reduction { internal, .. } = node_data.kind() {
             let root_value = b.func.inst_result(internal[0]);
             replacements.push((root_value, emitted[node.index()]?));
             continue;
@@ -327,7 +333,7 @@ pub fn generate(
 
 /// The value a node's lane `k` had in the original code.
 fn lane_value(graph: &AlignGraph, node: NodeId, k: usize) -> Option<ValueId> {
-    graph.node(node).lanes.get(k).copied()
+    graph.node(node).lanes().get(k).copied()
 }
 
 fn neutral_value(b: &mut Builder<'_>, opcode: Opcode, ty: TypeId) -> Option<ValueId> {
@@ -369,8 +375,8 @@ fn emit_node(
     phi_patches: &mut Vec<(ValueId, ValueId)>,
 ) -> Option<ValueId> {
     let data = graph.node(node);
-    match &data.kind {
-        NodeKind::Identical => Some(data.lanes[0]),
+    match data.kind() {
+        NodeKind::Identical => Some(data.lanes()[0]),
         NodeKind::Sequence { start, step, ty } => {
             let (start, step, ty) = (*start, *step, *ty);
             let iv_t = cast_iv(b, iv, ty)?;
@@ -394,7 +400,7 @@ fn emit_node(
             Some(val)
         }
         NodeKind::Mismatch => {
-            let ty = b.func.value_ty(data.lanes[0], b.types);
+            let ty = b.func.value_ty(data.lanes()[0], b.types);
             match lowering[node.index()]? {
                 MismatchLowering::Const(gid) => {
                     let base = b.global(gid);
@@ -409,10 +415,10 @@ fn emit_node(
         }
         NodeKind::Match { opcode } => {
             let opcode = *opcode;
-            let lane0 = b.func.value(data.lanes[0]).as_inst()?;
+            let lane0 = b.func.value(data.lanes()[0]).as_inst()?;
             let proto = b.func.inst(lane0).clone();
             let operands = data
-                .children
+                .children()
                 .iter()
                 .map(|c| emitted[c.index()])
                 .collect::<Option<Operands>>()?;
@@ -427,21 +433,21 @@ fn emit_node(
         }
         NodeKind::GepNeutral { elem_ty } => {
             let elem_ty = *elem_ty;
-            let base = emitted[data.children[0].index()]?;
-            let idx = emitted[data.children[1].index()]?;
+            let base = emitted[data.children()[0].index()]?;
+            let idx = emitted[data.children()[1].index()]?;
             Some(b.gep(elem_ty, base, &[idx]))
         }
         NodeKind::BinOpNeutral { opcode, .. } => {
             let opcode = *opcode;
-            let lhs = emitted[data.children[0].index()]?;
-            let rhs = emitted[data.children[1].index()]?;
+            let lhs = emitted[data.children()[0].index()]?;
+            let rhs = emitted[data.children()[1].index()]?;
             Some(b.binop(opcode, lhs, rhs))
         }
         NodeKind::Recurrence { .. } => node_phi[node.index()],
         NodeKind::Reduction { opcode, .. } => {
             let opcode = *opcode;
             let acc = node_phi[node.index()]?;
-            let leaf = emitted[data.children[0].index()]?;
+            let leaf = emitted[data.children()[0].index()]?;
             let new = b.binop(opcode, acc, leaf);
             phi_patches.push((acc, new));
             Some(new)

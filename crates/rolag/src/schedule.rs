@@ -29,7 +29,7 @@ use rolag_analysis::depgraph::{BlockDeps, InstPositions, PosSet};
 use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{BlockId, Function, InstId, Module, UseMap};
 
-use crate::align::{AlignGraph, NodeKind};
+use crate::align::{AlignGraph, NodeId, NodeKind};
 
 /// A valid placement produced by the analysis.
 #[derive(Debug, Clone)]
@@ -39,8 +39,12 @@ pub struct Schedule {
     /// Instructions that move to the exit block, in original order (the
     /// original terminator is last).
     pub after: Vec<InstId>,
-    /// The instructions the rolled loop replaces.
-    pub graph_insts: FxHashSet<InstId>,
+    /// The instructions the rolled loop replaces, as positions in the
+    /// block.
+    pub in_graph: PosSet,
+    /// The graph's [`emission order`](AlignGraph::emission_order),
+    /// computed once by the analysis and followed by the code generator.
+    pub emission: Vec<NodeId>,
 }
 
 /// Runs the scheduling analysis. Returns `None` when the rearrangement
@@ -55,21 +59,11 @@ pub fn analyze(
     block: BlockId,
     graph: &AlignGraph,
 ) -> Option<Schedule> {
-    let graph_insts = graph.graph_insts();
-    if graph_insts.is_empty() {
-        return None;
-    }
     let positions = Arc::new(InstPositions::compute(func));
-    let placed = check_graph(
-        func,
-        block,
-        graph,
-        &graph_insts,
-        &positions,
-        &func.compute_uses(),
-    )?;
+    let placed = place(func, block, graph, &positions)?;
+    check_graph(func, graph, &func.compute_uses())?;
     let deps = BlockDeps::compute_with(module, func, block, positions);
-    analyze_with(graph, graph_insts, placed, &deps)
+    analyze_with(graph, placed, &deps)
 }
 
 /// The inputs of [`analyze`] that depend only on the function state, kept
@@ -103,16 +97,13 @@ impl ScheduleCache {
         block: BlockId,
         graph: &AlignGraph,
     ) -> Option<Schedule> {
-        let graph_insts = graph.graph_insts();
-        if graph_insts.is_empty() {
-            return None;
-        }
         self.sync(func);
         let positions = self
             .positions
             .get_or_insert_with(|| Arc::new(InstPositions::compute(func)));
+        let placed = place(func, block, graph, positions)?;
         let uses = self.uses.get_or_insert_with(|| func.compute_uses());
-        let placed = check_graph(func, block, graph, &graph_insts, positions, uses)?;
+        check_graph(func, graph, uses)?;
         let deps = match self.deps.entry(block) {
             Entry::Occupied(hit) => {
                 let deps = hit.into_mut();
@@ -130,7 +121,7 @@ impl ScheduleCache {
                 Arc::clone(positions),
             )),
         };
-        analyze_with(graph, graph_insts, placed, deps)
+        analyze_with(graph, placed, deps)
     }
 
     /// The use map and the instruction positions of `func` at its current
@@ -152,6 +143,17 @@ impl ScheduleCache {
         (uses, positions)
     }
 
+    /// The dependences of `block` that [`ScheduleCache::analyze`] computed
+    /// for `func`'s revision, if it did. The translation validator reads
+    /// the scheduled block's entry for the pre-rewrite state, which has the
+    /// revision the cache still holds while the rewrite's window is open.
+    pub fn block_deps(&self, func: &Function, block: BlockId) -> Option<&BlockDeps> {
+        if self.revision != Some(func.revision()) {
+            return None;
+        }
+        self.deps.get(&block)
+    }
+
     /// Drops every entry computed at another revision of `func`.
     fn sync(&mut self, func: &Function) {
         if self.revision != Some(func.revision()) {
@@ -163,36 +165,44 @@ impl ScheduleCache {
     }
 }
 
-/// Where the graph's instructions sit in the block, as
-/// [`check_graph`] found them.
+/// Where the graph's instructions sit in the block, as [`place`] found
+/// them.
 struct Placed {
     /// The graph's positions, as a set over the block.
     in_graph: PosSet,
-    /// The same positions, in `graph_insts` order.
+    /// The same positions, each once, in [`AlignGraph::graph_insts`] order.
     graph_pos: Vec<usize>,
 }
 
-/// The refusals that read only the graph, the use map and the instruction
-/// positions, run before the block's dependences are looked up: every
-/// graph instruction sits in `block`, no loop input is rolled away, intra-
-/// graph uses are lane-consistent and reduction internals are single-use.
-fn check_graph(
+/// The graph's instructions as positions in `block`: `None` when the graph
+/// rolls nothing or one of its instructions sits in another block.
+fn place(
     func: &Function,
     block: BlockId,
     graph: &AlignGraph,
-    graph_insts: &FxHashSet<InstId>,
     positions: &InstPositions,
-    uses: &UseMap,
 ) -> Option<Placed> {
-    // Sanity: every graph instruction is in this block.
     let mut in_graph = PosSet::new(func.block(block).insts.len());
-    let mut graph_pos = Vec::with_capacity(graph_insts.len());
-    for &g in graph_insts {
+    let mut graph_pos = Vec::with_capacity(graph.claimed.len());
+    for g in graph.graph_insts() {
         let p = positions.in_block(g, block)?;
-        in_graph.insert(p);
-        graph_pos.push(p);
+        if in_graph.insert_new(p) {
+            graph_pos.push(p);
+        }
     }
+    if graph_pos.is_empty() {
+        return None;
+    }
+    Some(Placed {
+        in_graph,
+        graph_pos,
+    })
+}
 
+/// The refusals that read only the graph and the use map, run before the
+/// block's dependences are looked up: no loop input is rolled away, intra-
+/// graph uses are lane-consistent and reduction internals are single-use.
+fn check_graph(func: &Function, graph: &AlignGraph, uses: &UseMap) -> Option<()> {
     // --- availability of loop inputs ---------------------------------------
     // Values feeding the loop from outside must not be instructions we are
     // deleting. `build_candidate_graph` refuses such graphs while building
@@ -209,14 +219,13 @@ fn check_graph(
     // (target-of-recurrence, consumer-of-recurrence) pairs: a use of the
     // target's lane k by the consumer's lane k+1 flows through the
     // recurrence phi and is legal.
-    let mut shift_ok: FxHashSet<(crate::align::NodeId, crate::align::NodeId)> =
-        FxHashSet::default();
+    let mut shift_ok: FxHashSet<(NodeId, NodeId)> = FxHashSet::default();
     for rec in graph.node_ids() {
-        let NodeKind::Recurrence { target, .. } = graph.node(rec).kind else {
+        let &NodeKind::Recurrence { target, .. } = graph.node(rec).kind() else {
             continue;
         };
         for user in graph.node_ids() {
-            if graph.node(user).children.contains(&rec) {
+            if graph.node(user).children().contains(&rec) {
                 shift_ok.insert((target, user));
             }
         }
@@ -240,7 +249,7 @@ fn check_graph(
     // Reduction internals: all their intermediate values must stay inside
     // the tree (guaranteed single-use at collection) — double-check.
     for node in graph.node_ids() {
-        if let NodeKind::Reduction { internal, .. } = &graph.node(node).kind {
+        if let NodeKind::Reduction { internal, .. } = graph.node(node).kind() {
             for &i in &internal[1..] {
                 let result = func.inst_result(i);
                 if uses.count(result) != 1 {
@@ -249,20 +258,12 @@ fn check_graph(
             }
         }
     }
-    Some(Placed {
-        in_graph,
-        graph_pos,
-    })
+    Some(())
 }
 
 /// The analysis proper, over the block's dependences, for a graph
-/// [`check_graph`] let through.
-fn analyze_with(
-    graph: &AlignGraph,
-    graph_insts: FxHashSet<InstId>,
-    placed: Placed,
-    deps: &BlockDeps,
-) -> Option<Schedule> {
+/// [`place`] and [`check_graph`] let through.
+fn analyze_with(graph: &AlignGraph, placed: Placed, deps: &BlockDeps) -> Option<Schedule> {
     let n = deps.len();
     let Placed {
         in_graph,
@@ -373,7 +374,8 @@ fn analyze_with(
     Some(Schedule {
         before: placed_before,
         after: placed_after,
-        graph_insts,
+        in_graph,
+        emission,
     })
 }
 
@@ -472,7 +474,7 @@ mod tests {
         let mut b = GraphBuilder::new(&module, &mut func, block, &opts, seeds.len());
         b.build_seed_root(&seeds)?;
         let graph = b.finish();
-        let ginsts = graph.graph_insts().len();
+        let ginsts = graph.graph_insts().count();
         analyze(&module, &func, block, &graph).map(|s| (s, ginsts))
     }
 

@@ -209,9 +209,17 @@ impl Speculator {
 
         let base_globals = module.num_globals();
         let token = self.work.snapshot();
-        let (uses, _) = self.sched.indexes(&self.work);
+        let (uses, positions) = self.sched.indexes(&self.work);
         let outcome = timed(&mut stats.timings.codegen_ns, || {
-            codegen::generate(module, &mut self.work, block, &graph, &sched, uses)
+            codegen::generate(
+                module,
+                &mut self.work,
+                block,
+                &graph,
+                &sched,
+                uses,
+                positions,
+            )
         });
         let Some(outcome) = outcome else {
             self.work.rollback(token);
@@ -224,10 +232,18 @@ impl Speculator {
         // validator sees exactly what codegen emitted.
         if opts.validate {
             let shadow = self.shadow.as_ref().expect("materialized above");
+            // The shadow has the revision the block was scheduled at, so
+            // the scheduler's dependences for it are still cached.
+            let deps = self
+                .sched
+                .block_deps(shadow, block)
+                .expect("the scheduler computed the block's dependences at this revision");
             let hints = rewrite_hints(&graph, block, &outcome, base_globals, opts);
             let verdict = timed(&mut stats.timings.tv_ns, || {
-                rolag_tv::validate_rewrite(module, shadow, &self.work, &hints)
+                rolag_tv::validate_rewrite(module, shadow, &self.work, &hints, deps)
             });
+            #[cfg(test)]
+            tv_parity::record(module, shadow, &self.work, &hints, &verdict);
             if let Err(why) = verdict {
                 stats.tv_rejected += 1;
                 if let Some(audit) = audit {
@@ -296,5 +312,50 @@ impl Speculator {
         self.work = func;
         self.shadow = None;
         self.pending = None;
+    }
+}
+
+/// A test probe for the validator's dependences: while
+/// [`tv_parity::capture`] runs, every validation the speculation core makes
+/// is repeated against block dependences computed afresh, and both
+/// verdicts are kept.
+#[cfg(test)]
+pub(crate) mod tv_parity {
+    use std::cell::RefCell;
+
+    use rolag_analysis::depgraph::BlockDeps;
+    use rolag_ir::{Function, Module};
+    use rolag_tv::{RewriteHints, TvError};
+
+    /// A validation's verdict with the scheduler's dependences, then with
+    /// fresh ones.
+    pub(crate) type Verdicts = (Result<(), TvError>, Result<(), TvError>);
+
+    thread_local! {
+        static LOG: RefCell<Option<Vec<Verdicts>>> = const { RefCell::new(None) };
+    }
+
+    /// Runs `f`, returning the verdict pairs of every validation it made
+    /// on this thread.
+    pub(crate) fn capture(f: impl FnOnce()) -> Vec<Verdicts> {
+        LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+        f();
+        LOG.with(|log| log.borrow_mut().take()).unwrap_or_default()
+    }
+
+    pub(super) fn record(
+        module: &Module,
+        orig: &Function,
+        rolled: &Function,
+        hints: &RewriteHints,
+        shared: &Result<(), TvError>,
+    ) {
+        LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                let deps = BlockDeps::compute(module, orig, hints.block);
+                let fresh = rolag_tv::validate_rewrite(module, orig, rolled, hints, &deps);
+                log.push((shared.clone(), fresh));
+            }
+        });
     }
 }

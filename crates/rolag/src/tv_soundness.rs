@@ -8,19 +8,28 @@
 //! in §V-C (reductions among them), plus one fixture whose
 //! stores conflict and whose rewrite reads a constant table. Run it with
 //! `cargo test --release -p rolag --lib tv_soundness`.
+//!
+//! The validator reads the candidate block's dependences from the
+//! scheduler. The parity test here checks, on these rewrites and their
+//! planted edits and on every validation the engine makes under `beam:4`
+//! on TSVC and under `validated` on 128 AnghaBench-like functions, that
+//! those dependences give the verdict a fresh `BlockDeps::compute` gives.
 
+use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::parser::parse_module;
 use rolag_ir::{Function, GlobalId, GlobalInit, InstId, Module, Opcode, ValueDef};
+use rolag_suites::angha::{stream, AnghaConfig};
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
 use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 use rolag_tv::{validate_rewrite, RewriteHints, TvError};
 
 use crate::align::build_candidate_graph;
 use crate::codegen;
-use crate::options::RolagOptions;
-use crate::schedule;
+use crate::options::{RolagOptions, SearchConfig};
+use crate::pass::roll_module;
+use crate::schedule::ScheduleCache;
 use crate::seeds::{collect_candidates, Candidate};
-use crate::speculate::rewrite_hints;
+use crate::speculate::{rewrite_hints, tv_parity};
 
 /// Two interleaved store runs through parameters that may alias, so every
 /// `%p` store conflicts with every `%q` store. The `%p` values follow no
@@ -50,6 +59,9 @@ struct Rewrite {
     orig: Function,
     rolled: Function,
     hints: RewriteHints,
+    /// The candidate block's dependences in `orig`, as the scheduler
+    /// computed them.
+    deps: BlockDeps,
     new_globals: Vec<GlobalId>,
     reduction: bool,
     /// Whether the loop body's first two stores may write the same memory.
@@ -58,7 +70,19 @@ struct Rewrite {
 
 impl Rewrite {
     fn validate(&self) -> Result<(), TvError> {
-        validate_rewrite(&self.module, &self.orig, &self.rolled, &self.hints)
+        validate_rewrite(
+            &self.module,
+            &self.orig,
+            &self.rolled,
+            &self.hints,
+            &self.deps,
+        )
+    }
+
+    /// [`Rewrite::validate`] with the block's dependences computed afresh.
+    fn validate_fresh(&self) -> Result<(), TvError> {
+        let deps = BlockDeps::compute(&self.module, &self.orig, self.hints.block);
+        validate_rewrite(&self.module, &self.orig, &self.rolled, &self.hints, &deps)
     }
 
     /// The claimed load, store and call originals, in block order, with
@@ -91,20 +115,26 @@ fn rewrites(what: &str, module: &Module, stores_conflict: bool) -> Vec<Rewrite> 
             let Some(graph) = build_candidate_graph(&m, &mut rolled, cand, &opts) else {
                 continue;
             };
-            let Some(sched) = schedule::analyze(&m, &rolled, block, &graph) else {
+            let mut cache = ScheduleCache::default();
+            let Some(sched) = cache.analyze(&m, &rolled, block, &graph) else {
                 continue;
             };
             let orig = rolled.clone();
+            let deps = cache
+                .block_deps(&orig, block)
+                .expect("the scheduler computed them")
+                .clone();
             let base_globals = m.num_globals();
-            let uses = orig.compute_uses();
+            let (uses, positions) = cache.indexes(&orig);
             let Some(outcome) =
-                codegen::generate(&mut m, &mut rolled, block, &graph, &sched, &uses)
+                codegen::generate(&mut m, &mut rolled, block, &graph, &sched, uses, positions)
             else {
                 continue;
             };
             out.push(Rewrite {
                 what: format!("{what} @{} candidate {k}", func.name),
                 hints: rewrite_hints(&graph, block, &outcome, base_globals, &opts),
+                deps,
                 new_globals: outcome.new_globals,
                 reduction: matches!(cand, Candidate::Reduction { .. }),
                 stores_conflict,
@@ -201,21 +231,32 @@ type Mutation = (
     &'static [&'static str],
 );
 
-#[test]
-fn validator_refuses_planted_wrong_rewrites() {
-    let mut corpus = Vec::new();
-    for spec in &all_kernels() {
-        let mut module = build_kernel_module(spec);
+/// The TSVC kernels, unrolled x8, CSE'd and cleaned up, as the `tsvc` and
+/// `tsvc-beam4` benchmark workloads feed them.
+fn unrolled_tsvc() -> impl Iterator<Item = (&'static str, Module)> {
+    all_kernels().into_iter().map(|spec| {
+        let mut module = build_kernel_module(&spec);
         unroll_module(&mut module, 8);
         cse_module(&mut module);
         cleanup_module(&mut module);
-        corpus.extend(rewrites(&format!("tsvc.{}", spec.name), &module, false));
+        (spec.name, module)
+    })
+}
+
+/// Every rewrite of the TSVC kernels and of the aliasing fixture.
+fn corpus() -> Vec<Rewrite> {
+    let mut corpus = Vec::new();
+    for (name, module) in unrolled_tsvc() {
+        corpus.extend(rewrites(&format!("tsvc.{name}"), &module, false));
     }
     let aliasing = rewrites("aliasing", &parse_module(&aliasing_stores()).unwrap(), true);
     assert!(!aliasing.is_empty(), "the aliasing fixture must roll");
     corpus.extend(aliasing);
+    corpus
+}
 
-    let mutations: [Mutation; 6] = [
+fn mutations() -> [Mutation; 6] {
+    [
         ("swapped lanes", swap_effect_lanes, &["effect-mismatch"]),
         (
             "lane past the last",
@@ -238,7 +279,13 @@ fn validator_refuses_planted_wrong_rewrites() {
             &["structure"],
         ),
         ("swapped stores", swap_conflicting_stores, &["memory-order"]),
-    ];
+    ]
+}
+
+#[test]
+fn validator_refuses_planted_wrong_rewrites() {
+    let corpus = corpus();
+    let mutations = mutations();
     // Refusals per mutation, so that no planted edit passes vacuously.
     let mut refused = [0usize; 6];
     for rw in &corpus {
@@ -268,4 +315,65 @@ fn validator_refuses_planted_wrong_rewrites() {
         refused.iter().all(|&n| n >= 1),
         "every mutation must be planted at least once: {refused:?}"
     );
+}
+
+/// The scheduler's dependences give every validation the verdict that
+/// dependences computed afresh give: on the sweep's rewrites and each of
+/// their planted edits, on every speculation `beam:4` validates on the
+/// TSVC kernels, and on every one the `validated` preset validates on 128
+/// AnghaBench-like functions.
+#[test]
+fn tv_soundness_shared_dependences_match_a_fresh_compute() {
+    let mut checked = 0usize;
+    for rw in &corpus() {
+        assert_eq!(rw.validate(), rw.validate_fresh(), "{}", rw.what);
+        for (name, mutate, _) in mutations() {
+            if let Some(mutated) = mutate(rw) {
+                let what = format!("{}: {name}", rw.what);
+                assert_eq!(mutated.validate(), mutated.validate_fresh(), "{what}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 100, "{checked} planted edits");
+
+    let beam4 = RolagOptions {
+        search: SearchConfig::Beam {
+            width: 4,
+            depth: SearchConfig::DEFAULT_DEPTH,
+        },
+        ..RolagOptions::default()
+    };
+    let tsvc = tv_parity::capture(|| {
+        for (_, mut module) in unrolled_tsvc() {
+            roll_module(&mut module, &beam4);
+        }
+    });
+    let angha = tv_parity::capture(|| {
+        let config = AnghaConfig {
+            seed: 0x0a17_4a90,
+            functions: 128,
+        };
+        for (_, _, mut module) in stream(&config) {
+            roll_module(&mut module, &RolagOptions::validated());
+        }
+    });
+    for (what, verdicts) in [("tsvc beam:4", &tsvc), ("angha128 validated", &angha)] {
+        let rejected = verdicts
+            .iter()
+            .filter(|(shared, _)| shared.is_err())
+            .count();
+        println!(
+            "tv parity: {what}: {} validations, {rejected} rejected",
+            verdicts.len()
+        );
+        assert!(
+            verdicts.len() > 100,
+            "{what}: {} validations",
+            verdicts.len()
+        );
+        for (k, (shared, fresh)) in verdicts.iter().enumerate() {
+            assert_eq!(shared, fresh, "{what}: validation {k}");
+        }
+    }
 }

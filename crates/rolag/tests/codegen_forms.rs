@@ -98,8 +98,17 @@ fn pointer_mismatches_become_stack_arrays() {
 
     let sched = rolag::schedule::analyze(&original, &attempt, block, &graph).expect("schedules");
     let uses = attempt.compute_uses();
-    rolag::codegen::generate(&mut rolled, &mut attempt, block, &graph, &sched, &uses)
-        .expect("generates");
+    let positions = rolag_analysis::depgraph::InstPositions::compute(&attempt);
+    rolag::codegen::generate(
+        &mut rolled,
+        &mut attempt,
+        block,
+        &graph,
+        &sched,
+        &uses,
+        &positions,
+    )
+    .expect("generates");
     rolled.replace_func(fid, attempt);
     rolag_ir::verify::verify_module(&rolled).expect("verifies");
 

@@ -24,7 +24,7 @@ use rolag_ir::{Function, InlineList, InstExtra, InstId, Module, Opcode, Operands
 
 /// Result of one flattening attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlattenOutcome {
+enum FlattenOutcome {
     /// The nest was flattened.
     Flattened,
     /// The shape did not match.
@@ -52,7 +52,7 @@ fn flatten_step(module: &Module, func: &mut Function, loops: &[rolag_analysis::L
 
 /// Flattens every matching two-level nest in `func`. Returns the number of
 /// nests flattened.
-pub fn flatten_function(module: &Module, func: &mut Function) -> usize {
+fn flatten_function(module: &Module, func: &mut Function) -> usize {
     let mut count = 0;
     loop {
         let dom = DomTree::compute(func);

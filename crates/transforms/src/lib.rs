@@ -45,6 +45,6 @@ pub mod pipeline;
 pub mod unroll;
 
 pub use cse::cse_module;
-pub use flatten::{flatten_function, flatten_module, FlattenOutcome};
-pub use pipeline::{cleanup_function, cleanup_in_place, cleanup_module, effects_table};
+pub use flatten::flatten_module;
+pub use pipeline::{cleanup_in_place, cleanup_module, effects_table};
 pub use unroll::{unroll_loops_in_function, unroll_module, UnrollOutcome};

@@ -19,9 +19,9 @@ pub fn effects_table(module: &Module) -> Vec<Effects> {
 /// using a pre-computed [`effects_table`]. Returns the total number of
 /// instructions rewritten or removed.
 ///
-/// This is the borrow-friendly core shared by [`cleanup_function`],
-/// [`cleanup_module`], and the RoLAG pass's post-roll cleanup (which holds
-/// the function outside the module while speculating).
+/// This is the borrow-friendly core shared by [`cleanup_module`] and the
+/// RoLAG pass's post-roll cleanup (which holds the function outside the
+/// module while speculating).
 pub fn cleanup_in_place(func: &mut Function, types: &mut TypeStore, effects: &[Effects]) -> usize {
     let mut total = 0;
     loop {
@@ -37,17 +37,7 @@ pub fn cleanup_in_place(func: &mut Function, types: &mut TypeStore, effects: &[E
     total
 }
 
-/// Simplifies and DCEs one function until nothing changes. Returns the
-/// total number of instructions rewritten or removed.
-pub fn cleanup_function(module: &mut Module, id: FuncId) -> usize {
-    // Snapshot call effects up front so DCE does not need the module while
-    // the function is mutably borrowed.
-    let effects = effects_table(module);
-    let (func, types) = module.func_and_types_mut(id);
-    cleanup_in_place(func, types, &effects)
-}
-
-/// Runs [`cleanup_function`] over every definition in the module. The call
+/// Runs [`cleanup_in_place`] over every definition in the module. The call
 /// effects table is computed once, so this is linear in module size.
 pub fn cleanup_module(module: &mut Module) -> usize {
     let effects = effects_table(module);
@@ -83,7 +73,7 @@ entry:
 "#;
         let mut m = parse_module(text).unwrap();
         let id = m.func_by_name("f").unwrap();
-        cleanup_function(&mut m, id);
+        assert_eq!(cleanup_module(&mut m), 4);
         // %1,%2 fold away, %3 becomes %p0, %4 is dead.
         let f = m.func(id);
         assert_eq!(f.num_live_insts(), 1);

@@ -26,9 +26,10 @@
 pub mod expr;
 mod sim;
 
-use std::collections::HashMap;
 use std::fmt;
 
+use rolag_analysis::depgraph::BlockDeps;
+use rolag_ir::fxhash::FxHashMap;
 use rolag_ir::{BlockId, Function, InstId, Module};
 
 /// The abstractions the simulation relation is allowed to match modulo —
@@ -63,7 +64,7 @@ pub struct RewriteHints {
     pub fast_math: bool,
     /// For every original instruction the alignment graph claimed, the
     /// lane it was assigned to.
-    pub claimed_lanes: HashMap<InstId, usize>,
+    pub claimed_lanes: FxHashMap<InstId, usize>,
 }
 
 /// Why a rewrite failed to validate.
@@ -120,6 +121,13 @@ impl std::error::Error for TvError {}
 /// its types, globals (including freshly added lookup tables), and
 /// function effect annotations are consulted.
 ///
+/// `deps` are the dependences of the candidate block in `orig`, which the
+/// memory-order obligation checks the rolled order against: what
+/// `BlockDeps::compute(module, orig, hints.block)` returns. The rolling
+/// engine passes the ones its scheduler computed for the same state, so a
+/// validation computes none; a caller without them computes them. Debug
+/// builds assert that they equal a fresh compute.
+///
 /// Returns `Ok(())` when the rolled code provably simulates the original
 /// region modulo [`ABSTRACTIONS`], and a [`TvError`] describing the first
 /// failed obligation otherwise.
@@ -128,6 +136,12 @@ pub fn validate_rewrite(
     orig: &Function,
     rolled: &Function,
     hints: &RewriteHints,
+    deps: &BlockDeps,
 ) -> Result<(), TvError> {
-    sim::Validator::new(module, orig, rolled, hints).run()
+    debug_assert!(
+        hints.block.index() >= orig.num_blocks()
+            || *deps == BlockDeps::compute(module, orig, hints.block),
+        "supplied block dependences differ from a fresh compute"
+    );
+    sim::Validator::new(module, orig, rolled, hints, deps).run()
 }

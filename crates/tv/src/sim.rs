@@ -76,6 +76,8 @@ pub(crate) struct Validator<'a> {
     orig: &'a Function,
     rolled: &'a Function,
     hints: &'a RewriteHints,
+    /// The candidate block's dependences in `orig`.
+    deps: &'a BlockDeps,
     arena: ExprArena,
     /// Original-block instructions the rewrite deleted (rolled away).
     region: FxHashSet<InstId>,
@@ -103,12 +105,14 @@ impl<'a> Validator<'a> {
         orig: &'a Function,
         rolled: &'a Function,
         hints: &'a RewriteHints,
+        deps: &'a BlockDeps,
     ) -> Self {
         Validator {
             module,
             orig,
             rolled,
             hints,
+            deps,
             arena: ExprArena::new(hints.fast_math),
             region: FxHashSet::default(),
             orig_block_insts: &[],
@@ -777,34 +781,41 @@ impl<'a> Validator<'a> {
 
     // --------------------------------------------------------- memory order
 
+    /// Checks every conflicting pair `(a, b)`, `a` before `b` in the
+    /// block, in the order of `a` then `b`, so the first violation reported
+    /// is the first in block order.
     fn check_memory_order(&self, pre_surv: &[InstId], exit_surv: &[InstId]) -> Result<(), TvError> {
-        let deps = BlockDeps::compute(self.module, self.orig, self.hints.block);
-        let conflicts = deps.mem_conflicts();
-        if conflicts.is_empty() {
-            return Ok(());
-        }
-        let pos: FxHashMap<InstId, usize> = pre_surv
-            .iter()
-            .chain(self.match_order.iter())
-            .chain(exit_surv.iter())
-            .enumerate()
-            .map(|(k, &i)| (i, k))
-            .collect();
-        for (a, b) in conflicts {
-            let (ia, ib) = (deps.insts[a], deps.insts[b]);
-            let (Some(&pa), Some(&pb)) = (pos.get(&ia), pos.get(&ib)) else {
-                return Err(TvError::MemoryOrder(format!(
-                    "conflicting memory operations {}/{} missing from the rolled order",
-                    ia.index(),
-                    ib.index()
-                )));
+        let deps = self.deps;
+        let mut rolled_order: Option<FxHashMap<InstId, usize>> = None;
+        for a in 0..deps.len() {
+            let Some(row) = deps.conflict_row(a) else {
+                continue;
             };
-            if pa >= pb {
-                return Err(TvError::MemoryOrder(format!(
-                    "memory operations {} and {} reordered against a dependence",
-                    ia.index(),
-                    ib.index()
-                )));
+            for b in row.iter().filter(|&b| b > a) {
+                let pos = rolled_order.get_or_insert_with(|| {
+                    pre_surv
+                        .iter()
+                        .chain(self.match_order.iter())
+                        .chain(exit_surv.iter())
+                        .enumerate()
+                        .map(|(k, &i)| (i, k))
+                        .collect()
+                });
+                let (ia, ib) = (deps.insts[a], deps.insts[b]);
+                let (Some(&pa), Some(&pb)) = (pos.get(&ia), pos.get(&ib)) else {
+                    return Err(TvError::MemoryOrder(format!(
+                        "conflicting memory operations {}/{} missing from the rolled order",
+                        ia.index(),
+                        ib.index()
+                    )));
+                };
+                if pa >= pb {
+                    return Err(TvError::MemoryOrder(format!(
+                        "memory operations {} and {} reordered against a dependence",
+                        ia.index(),
+                        ib.index()
+                    )));
+                }
             }
         }
         Ok(())
@@ -831,8 +842,8 @@ fn extra_key(extra: &InstExtra) -> Result<ExtraKey, TvError> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
-
+    use rolag_analysis::depgraph::BlockDeps;
+    use rolag_ir::fxhash::FxHashMap;
     use rolag_ir::parser::parse_module;
 
     use crate::{validate_rewrite, RewriteHints, TvError};
@@ -863,11 +874,12 @@ mod tests {
             exit_block: rolled.add_block("rolag.exit"),
             first_new_global: module.num_globals(),
             fast_math: false,
-            claimed_lanes: HashMap::new(),
+            claimed_lanes: FxHashMap::default(),
         };
+        let deps = BlockDeps::compute(&module, orig, block);
         for _ in 0..16 {
             assert_eq!(
-                validate_rewrite(&module, orig, &rolled, &hints),
+                validate_rewrite(&module, orig, &rolled, &hints, &deps),
                 Err(TvError::Unsupported(
                     "rewrite deleted a phi it cannot re-express".into()
                 ))

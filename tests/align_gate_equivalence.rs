@@ -95,7 +95,7 @@ fn same_schedule(a: &Option<Schedule>, b: &Option<Schedule>) -> bool {
     match (a, b) {
         (None, None) => true,
         (Some(a), Some(b)) => {
-            a.before == b.before && a.after == b.after && a.graph_insts == b.graph_insts
+            a.before == b.before && a.after == b.after && a.in_graph == b.in_graph
         }
         _ => false,
     }

@@ -8,7 +8,10 @@
 //! pays per module, function, block and global; a speculation window pays
 //! for its journal, whose lists grow by doubling. An initializer list
 //! costs its parse one buffer, and a module with one definition costs the
-//! module driver no more than the serial pass. A global allocator here
+//! module driver no more than the serial pass. An alignment graph keeps
+//! its nodes' lanes and children in graph-wide arenas, so building one
+//! costs a fixed number of allocations plus arena doublings, not a count
+//! per node. A global allocator here
 //! counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) per thread,
 //! the bytes they ask for and the largest one, so tests running beside each
 //! other do not see each other's counts.
@@ -17,7 +20,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
 
-use rolag::{roll_module, roll_module_par, DriverOptions, RolagOptions};
+use rolag::{
+    build_candidate_graph, collect_candidates, roll_module, roll_module_par, AlignGraph,
+    DriverOptions, GraphBuilder, RolagOptions,
+};
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::{Function, InstData, Module, Opcode};
@@ -314,4 +320,82 @@ fn a_lone_definition_costs_the_driver_no_more_than_the_serial_pass() {
             "{name}: the driver made {in_driver} allocations, the serial pass {in_serial}"
         );
     }
+}
+
+/// What a graph build may ask the allocator for: each of its arenas,
+/// maps and scratch buffers once (about a dozen, and two to spare), and each of the eight
+/// that grow with the graph once more per doubling of its node count past
+/// eight nodes.
+const GRAPH_FIXED: u64 = 14;
+const GRAPH_PER_DOUBLING: u64 = 8;
+
+fn graph_bound(graph: &AlignGraph) -> u64 {
+    let doublings = usize::BITS - (graph.num_nodes() / 8).leading_zeros();
+    GRAPH_FIXED + GRAPH_PER_DOUBLING * u64::from(doublings)
+}
+
+/// Builds every candidate graph of every definition of the unrolled TSVC
+/// kernels and of 128 AnghaBench-like modules, each in full (an unarmed
+/// builder) and as the engine builds it (`build_candidate_graph`, which
+/// stops early on a refusal), and bounds the allocations of each build by
+/// a constant plus doublings of the full graph's size.
+#[test]
+fn candidate_graphs_allocate_per_graph_not_per_node() {
+    let opts = RolagOptions::default();
+    let angha = stream(&AnghaConfig {
+        seed: 0x0a17_4a90,
+        functions: 128,
+    })
+    .map(|(name, _, m)| (name, m));
+    let modules = unrolled_tsvc()
+        .map(|(name, m)| (name.to_string(), m))
+        .chain(angha);
+    let (mut graphs, mut nodes, mut allocs, mut worst) = (0u64, 0u64, 0u64, 0f64);
+    for (name, m) in modules {
+        for f in definitions(&m) {
+            for cand in collect_candidates(&m, f, &opts) {
+                if cand.lanes() < opts.min_lanes {
+                    continue;
+                }
+                let what = format!("{name}/{} {cand:?}", f.name);
+                let mut work = f.clone();
+                let (full, n_full) = allocations(|| {
+                    let mut b = GraphBuilder::new(&m, &mut work, cand.block(), &opts, cand.lanes());
+                    b.build_roots(&cand);
+                    b.finish()
+                });
+                let bound = graph_bound(&full);
+                assert!(
+                    n_full <= bound,
+                    "{what}: a full build of {} nodes made {n_full} allocations (bound {bound})",
+                    full.num_nodes()
+                );
+                let mut work = f.clone();
+                let (armed, n_armed) =
+                    allocations(|| build_candidate_graph(&m, &mut work, &cand, &opts));
+                assert!(
+                    n_armed <= bound,
+                    "{what}: the engine's build of a graph of {} nodes made {n_armed} \
+                     allocations (bound {bound})",
+                    full.num_nodes()
+                );
+                if let Some(graph) = armed {
+                    graphs += 1;
+                    nodes += graph.num_nodes() as u64;
+                    allocs += n_armed;
+                    worst = worst.max(n_armed as f64 / bound as f64);
+                }
+                drop(full);
+            }
+        }
+    }
+    println!(
+        "candidate graphs: {graphs} built, {nodes} nodes, {allocs} allocations; \
+         worst build at {:.0}% of its bound",
+        worst * 100.0
+    );
+    assert!(
+        graphs > 300 && nodes > 3000,
+        "{graphs} graphs, {nodes} nodes"
+    );
 }

@@ -109,7 +109,7 @@ fn oracle(
     block: BlockId,
     graph: &AlignGraph,
 ) -> Option<Schedule> {
-    let graph_insts = graph.graph_insts();
+    let graph_insts: HashSet<InstId> = graph.graph_insts().collect();
     if graph_insts.is_empty() {
         return None;
     }
@@ -125,9 +125,9 @@ fn oracle(
 
     for node in graph.node_ids() {
         let data = graph.node(node);
-        let feeds: Vec<ValueId> = match &data.kind {
-            NodeKind::Mismatch => data.lanes.clone(),
-            NodeKind::Identical => vec![data.lanes[0]],
+        let feeds: Vec<ValueId> = match data.kind() {
+            NodeKind::Mismatch => data.lanes().to_vec(),
+            NodeKind::Identical => vec![data.lanes()[0]],
             NodeKind::Recurrence { init, .. } => vec![*init],
             NodeKind::Reduction { carry: Some(v), .. } => vec![*v],
             _ => continue,
@@ -143,11 +143,11 @@ fn oracle(
 
     let mut shift_ok = HashSet::new();
     for rec in graph.node_ids() {
-        let NodeKind::Recurrence { target, .. } = graph.node(rec).kind else {
+        let NodeKind::Recurrence { target, .. } = *graph.node(rec).kind() else {
             continue;
         };
         for user in graph.node_ids() {
-            if graph.node(user).children.contains(&rec) {
+            if graph.node(user).children().contains(&rec) {
                 shift_ok.insert((target, user));
             }
         }
@@ -171,7 +171,7 @@ fn oracle(
         }
     }
     for node in graph.node_ids() {
-        if let NodeKind::Reduction { internal, .. } = &graph.node(node).kind {
+        if let NodeKind::Reduction { internal, .. } = graph.node(node).kind() {
             for &i in &internal[1..] {
                 if uses.count(func.inst_result(i)) != 1 {
                     return None;
@@ -273,10 +273,15 @@ fn oracle(
             _ => after.push(deps.insts[p]),
         }
     }
+    let mut graph_positions = PosSet::new(n);
+    for p in (0..n).filter(|&p| in_graph[p]) {
+        graph_positions.insert(p);
+    }
     Some(Schedule {
         before,
         after,
-        graph_insts,
+        in_graph: graph_positions,
+        emission: graph.emission_order(),
     })
 }
 
@@ -286,7 +291,8 @@ fn assert_same(label: &str, got: &Option<Schedule>, want: &Option<Schedule>) {
         (Some(g), Some(w)) => {
             assert_eq!(g.before, w.before, "{label}: `before` differs");
             assert_eq!(g.after, w.after, "{label}: `after` differs");
-            assert_eq!(g.graph_insts, w.graph_insts, "{label}: graph set differs");
+            assert_eq!(g.in_graph, w.in_graph, "{label}: graph set differs");
+            assert_eq!(g.emission, w.emission, "{label}: emission order differs");
         }
         _ => panic!(
             "{label}: verdicts differ (got {}, oracle {})",
@@ -360,9 +366,9 @@ fn check_module(module: &Module, label: &str, tally: &mut Tally) {
                 tally.scheduled += 1;
                 let before_globals = m.num_globals();
                 let mut attempt = work.clone();
-                let (uses, _) = cache.indexes(&work);
+                let (uses, positions) = cache.indexes(&work);
                 let Some(outcome) =
-                    codegen::generate(&mut m, &mut attempt, block, &graph, &sched, uses)
+                    codegen::generate(&mut m, &mut attempt, block, &graph, &sched, uses, positions)
                 else {
                     pop_globals(&mut m, before_globals);
                     continue;
