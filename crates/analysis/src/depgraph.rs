@@ -162,6 +162,28 @@ impl PosSet {
                 (both != 0).then(|| w * 64 + 63 - both.leading_zeros() as usize)
             })
     }
+    /// Iterates set positions at or above `start` in ascending order,
+    /// skipping the words below it.
+    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
+        let first = start / 64;
+        let words = self.words.get(first..).unwrap_or(&[]);
+        words.iter().enumerate().flat_map(move |(k, &bits)| {
+            let mut rest = if k == 0 {
+                bits & (!0u64 << (start % 64))
+            } else {
+                bits
+            };
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some((first + k) * 64 + b)
+            })
+        })
+    }
+
     /// Iterates set positions in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &bits)| {
@@ -656,5 +678,10 @@ entry:
         assert!(t.intersects(&s) && !PosSet::new(130).intersects(&s));
         assert_eq!(t.first_common(&s), Some(0));
         assert_eq!(t.last_common(&s), Some(129));
+        for start in [0, 1, 5, 63, 64, 65, 129, 130, 200] {
+            let tail: Vec<usize> = t.iter_from(start).collect();
+            let want: Vec<usize> = t.iter().filter(|&p| p >= start).collect();
+            assert_eq!(tail, want, "from {start}");
+        }
     }
 }

@@ -26,6 +26,8 @@
 pub mod expr;
 mod sim;
 
+pub use sim::TvScratch;
+
 use std::fmt;
 
 use rolag_analysis::depgraph::BlockDeps;
@@ -128,6 +130,12 @@ impl std::error::Error for TvError {}
 /// validation computes none; a caller without them computes them. Debug
 /// builds assert that they equal a fresh compute.
 ///
+/// `scratch` holds the validation's working state. A caller that validates
+/// many rewrites keeps one and passes it to each, so a validation reuses
+/// the tables and buffers of the ones before it; a one-off validation
+/// passes `&mut TvScratch::default()`. The verdict does not depend on what
+/// the scratch held before.
+///
 /// Returns `Ok(())` when the rolled code provably simulates the original
 /// region modulo [`ABSTRACTIONS`], and a [`TvError`] describing the first
 /// failed obligation otherwise.
@@ -137,11 +145,12 @@ pub fn validate_rewrite(
     rolled: &Function,
     hints: &RewriteHints,
     deps: &BlockDeps,
+    scratch: &mut TvScratch,
 ) -> Result<(), TvError> {
     debug_assert!(
         hints.block.index() >= orig.num_blocks()
             || *deps == BlockDeps::compute(module, orig, hints.block),
         "supplied block dependences differ from a fresh compute"
     );
-    sim::Validator::new(module, orig, rolled, hints, deps).run()
+    sim::Validator::new(module, orig, rolled, hints, deps, scratch).run()
 }

@@ -11,7 +11,9 @@
 //! module driver no more than the serial pass. An alignment graph keeps
 //! its nodes' lanes and children in graph-wide arenas, so building one
 //! costs a fixed number of allocations plus arena doublings, not a count
-//! per node. A global allocator here
+//! per node. A translation validation reuses its speculator's scratch, so
+//! once that scratch has seen the function it allocates nothing, however
+//! many lanes or instructions the rewrite has. A global allocator here
 //! counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) per thread,
 //! the bytes they ask for and the largest one, so tests running beside each
 //! other do not see each other's counts.
@@ -20,10 +22,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
 
+use rolag::codegen;
+use rolag::schedule::ScheduleCache;
 use rolag::{
-    build_candidate_graph, collect_candidates, roll_module, roll_module_par, AlignGraph,
-    DriverOptions, GraphBuilder, RolagOptions,
+    build_candidate_graph, candidate_variants, collect_candidates, roll_module, roll_module_par,
+    AlignGraph, DriverOptions, GraphBuilder, RolagOptions,
 };
+use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
 use rolag_ir::{Function, InstData, Module, Opcode};
@@ -31,6 +36,7 @@ use rolag_suites::angha::{stream, AnghaConfig};
 use rolag_suites::programs::{build_program, TABLE1};
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
 use rolag_transforms::{cleanup_module, cse_module, unroll_module};
+use rolag_tv::{validate_rewrite, RewriteHints, TvScratch};
 
 // Three operands and three phi incoming blocks fit inline in the 24 bytes
 // each `Vec` header took before, so an instruction still fills one 64-byte
@@ -102,9 +108,14 @@ fn allocated_bytes<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// The unrolled TSVC kernels of the `tsvc` benchmark workload (§V-C), one
 /// module each.
 fn unrolled_tsvc() -> impl Iterator<Item = (&'static str, Module)> {
-    all_kernels().into_iter().map(|spec| {
+    tsvc_unrolled_by(8)
+}
+
+/// The TSVC kernels unrolled `factor` times, CSE'd and cleaned up.
+fn tsvc_unrolled_by(factor: u32) -> impl Iterator<Item = (&'static str, Module)> {
+    all_kernels().into_iter().map(move |spec| {
         let mut m = build_kernel_module(&spec);
-        unroll_module(&mut m, 8);
+        unroll_module(&mut m, factor);
         cse_module(&mut m);
         cleanup_module(&mut m);
         (spec.name, m)
@@ -398,4 +409,148 @@ fn candidate_graphs_allocate_per_graph_not_per_node() {
         graphs > 300 && nodes > 3000,
         "{graphs} graphs, {nodes} nodes"
     );
+}
+
+/// One rolling rewrite with everything the validator is handed, as the
+/// speculation core hands it over.
+struct Rewrite {
+    module: Module,
+    orig: Function,
+    rolled: Function,
+    hints: RewriteHints,
+    deps: BlockDeps,
+}
+
+impl Rewrite {
+    fn validate(&self, scratch: &mut TvScratch) -> bool {
+        validate_rewrite(
+            &self.module,
+            &self.orig,
+            &self.rolled,
+            &self.hints,
+            &self.deps,
+            scratch,
+        )
+        .is_ok()
+    }
+}
+
+/// The rewrites a `beam:4` step speculates on `f`: every base candidate
+/// and every beam variant of it, each generated from `f` as it is.
+fn beam_rewrites(m: &Module, f: &Function, opts: &RolagOptions) -> Vec<Rewrite> {
+    let mut out = Vec::new();
+    for base in collect_candidates(m, f, opts) {
+        let variants = candidate_variants(m, f, &base, opts);
+        for cand in std::iter::once(base).chain(variants) {
+            if cand.lanes() < opts.min_lanes {
+                continue;
+            }
+            let (mut module, mut rolled, block) = (m.clone(), f.clone(), cand.block());
+            let Some(graph) = build_candidate_graph(&module, &mut rolled, &cand, opts) else {
+                continue;
+            };
+            let mut cache = ScheduleCache::default();
+            let Some(sched) = cache.analyze(&module, &rolled, block, &graph) else {
+                continue;
+            };
+            let orig = rolled.clone();
+            let deps = cache
+                .block_deps(&orig, block)
+                .expect("the scheduler computed the block's dependences")
+                .clone();
+            let first_new_global = module.num_globals();
+            let (uses, positions) = cache.indexes(&orig);
+            let generated = codegen::generate(
+                &mut module,
+                &mut rolled,
+                block,
+                &graph,
+                &sched,
+                uses,
+                positions,
+            );
+            let Some(outcome) = generated else {
+                continue;
+            };
+            let hints = RewriteHints {
+                lanes: graph.lanes,
+                block,
+                loop_block: outcome.loop_block,
+                exit_block: outcome.exit_block,
+                first_new_global,
+                fast_math: opts.fast_math,
+                claimed_lanes: graph
+                    .graph_insts()
+                    .filter_map(|i| Some((i, graph.claim_of(i)?.1)))
+                    .collect(),
+            };
+            out.push(Rewrite {
+                module,
+                orig,
+                rolled,
+                hints,
+                deps,
+            });
+        }
+    }
+    out
+}
+
+/// What one validation may ask the allocator for once its speculator's
+/// scratch has validated the function's rewrites before.
+const WARM_VALIDATION: u64 = 0;
+
+/// The TSVC kernels unrolled ×4, ×8 and ×16, so that lane counts and block
+/// sizes vary; for each definition, one scratch (as its speculator owns
+/// one) first validates every rewrite a `beam:4` step speculates, then
+/// validates them again, and each validation of the second round is
+/// bounded by a constant.
+#[test]
+fn warm_validations_allocate_a_constant_whatever_the_rewrite() {
+    let opts = RolagOptions::default();
+    let (mut validations, mut allocs, mut lanes, mut insts) = (0u64, 0u64, Vec::new(), 0usize);
+    for factor in [4, 8, 16] {
+        for (name, m) in tsvc_unrolled_by(factor) {
+            for f in definitions(&m) {
+                let rewrites = beam_rewrites(&m, f, &opts);
+                let mut scratch = TvScratch::new();
+                for rw in &rewrites {
+                    assert!(rw.validate(&mut scratch), "{name}/{}: x{factor}", f.name);
+                }
+                for rw in &rewrites {
+                    // Debug builds also check the supplied dependences
+                    // against a fresh compute, whose allocations are its own.
+                    let check = if cfg!(debug_assertions) {
+                        allocations(|| BlockDeps::compute(&rw.module, &rw.orig, rw.hints.block)).1
+                    } else {
+                        0
+                    };
+                    let (ok, n) = allocations(|| rw.validate(&mut scratch));
+                    assert!(ok);
+                    let bound = WARM_VALIDATION + check;
+                    assert!(
+                        n <= bound,
+                        "{name}/{} x{factor}: a warm validation of {} lanes over a block of \
+                         {} instructions made {n} allocations (bound {bound})",
+                        f.name,
+                        rw.hints.lanes,
+                        rw.deps.len()
+                    );
+                    let n = n.saturating_sub(check);
+                    validations += 1;
+                    allocs += n;
+                    lanes.push(rw.hints.lanes);
+                    insts = insts.max(rw.deps.len());
+                }
+            }
+        }
+    }
+    lanes.sort_unstable();
+    lanes.dedup();
+    println!(
+        "warm validations: {validations} made {allocs} allocations; lane counts {lanes:?}, \
+         blocks of up to {insts} instructions"
+    );
+    assert!(validations > 1000, "{validations} validations");
+    assert!(lanes.len() >= 3, "lane counts {lanes:?}");
 }
