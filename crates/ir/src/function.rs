@@ -1,5 +1,6 @@
 //! Functions: arenas of values, instructions, and blocks.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -101,7 +102,7 @@ pub struct Function {
 /// window is fully described by the base arena lengths plus the *first
 /// touched* state of every pre-existing instruction and block the window
 /// mutated, and the constant keys it interned.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Journal {
     /// Revision at `snapshot()`, restored by `rollback` (the restored
     /// arenas are bit-identical to that revision's, and the global counter
@@ -149,18 +150,122 @@ pub struct SnapshotToken {
     revision: u64,
 }
 
-/// What a committed speculation window changed, in arena terms. Lets a
-/// clone that still holds the pre-window state catch up in O(touched) via
-/// [`Function::apply_log`], instead of re-cloning the whole function.
-#[derive(Debug, Clone)]
-pub struct SpeculationLog {
-    base_values: usize,
-    base_insts: usize,
-    base_blocks: usize,
-    /// Pre-existing instructions the window touched (sorted).
-    touched_insts: Vec<u32>,
-    /// Pre-existing blocks the window touched (sorted).
-    touched_blocks: Vec<u32>,
+/// A read-only view of a function as its speculation window opened
+/// ([`Function::pre_window`]). Below the window's base arena lengths, an
+/// instruction body or a block reads the journal's first-touch copy if
+/// there is one, and the arena otherwise; nothing past the base lengths
+/// exists, and the accessors panic on it. With no window open, the view
+/// reads the function as it is. An untouched entry costs at most one
+/// bitmap test, a touched one a binary search of an index the view builds
+/// once, in O(touched).
+#[derive(Debug)]
+pub struct PreWindow<'a> {
+    func: &'a Function,
+    journal: Option<&'a Journal>,
+    revision: u64,
+    /// The arenas, cut to the window's base lengths.
+    values: &'a [ValueDef],
+    insts: &'a [InstData],
+    inst_results: &'a [ValueId],
+    blocks: &'a [BlockData],
+    /// The journal's first-touch bits and saved copies (sorted by index)
+    /// of instruction bodies and of blocks; empty with no window open.
+    payload_bits: &'a [u64],
+    saved_payloads: Vec<(u32, &'a InstData)>,
+    block_bits: &'a [u64],
+    saved_blocks: Vec<(u32, &'a BlockData)>,
+}
+
+/// Sets bit `idx` of `bits`, returning whether this is its first touch.
+fn first_touch_bit(bits: &mut [u64], idx: usize) -> bool {
+    let (word, bit) = (&mut bits[idx / 64], 1 << (idx % 64));
+    let first = *word & bit == 0;
+    *word |= bit;
+    first
+}
+
+/// `saved`'s entries by index, for [`first_touch`].
+fn first_touch_index<T>(saved: &[(u32, T)]) -> Vec<(u32, &T)> {
+    let mut index: Vec<_> = saved.iter().map(|(idx, data)| (*idx, data)).collect();
+    index.sort_unstable_by_key(|&(idx, _)| idx);
+    index
+}
+
+/// The saved copy of entry `idx` when `bits` marks it touched.
+fn first_touch<'a, T>(bits: &[u64], index: &[(u32, &'a T)], idx: usize) -> Option<&'a T> {
+    if index.is_empty() || bits[idx / 64] & (1 << (idx % 64)) == 0 {
+        return None;
+    }
+    let k = index
+        .binary_search_by_key(&(idx as u32), |&(i, _)| i)
+        .expect("a journaled entry has a saved copy");
+    Some(index[k].1)
+}
+
+impl<'a> PreWindow<'a> {
+    /// The revision at `snapshot()`, whose cached analyses describe this.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
+    /// Number of value slots.
+    pub fn num_values(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Number of instruction slots.
+    pub fn num_insts(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// Number of blocks.
+    pub fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Definition of value `v`. Values are never rewritten, only appended.
+    pub fn value(&self, v: ValueId) -> &'a ValueDef {
+        &self.values[v.index()]
+    }
+
+    /// The SSA value produced by instruction `i`.
+    pub fn inst_result(&self, i: InstId) -> ValueId {
+        self.inst_results[i.index()]
+    }
+
+    /// The pre-window body of instruction `i`: opcode, type, operands and
+    /// `extra`, but not placement. A placement-only touch leaves the
+    /// arena's `block` field moved, and a body saved after a move carries
+    /// it; read placement from the blocks' instruction lists.
+    pub fn inst(&self, i: InstId) -> &'a InstData {
+        let arena = &self.insts[i.index()];
+        first_touch(self.payload_bits, &self.saved_payloads, i.index()).unwrap_or(arena)
+    }
+
+    /// Data of block `b`.
+    pub fn block(&self, b: BlockId) -> &'a BlockData {
+        let arena = &self.blocks[b.index()];
+        first_touch(self.block_bits, &self.saved_blocks, b.index()).unwrap_or(arena)
+    }
+
+    /// Block ids in layout order.
+    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> {
+        (0..self.blocks.len() as u32).map(BlockId)
+    }
+
+    /// The pre-window state as a function: the function itself with no
+    /// window open, else an O(function) clone with the window rolled back.
+    pub fn to_function(&self) -> Cow<'a, Function> {
+        let Some(j) = self.journal else {
+            return Cow::Borrowed(self.func);
+        };
+        let mut f = self.func.clone();
+        f.journal = Some(Box::new(j.clone()));
+        f.rollback(SnapshotToken {
+            revision: j.base_revision,
+        });
+        Cow::Owned(f)
+    }
 }
 
 impl Clone for Function {
@@ -364,9 +469,7 @@ impl Function {
         self.revision = j.base_revision;
     }
 
-    /// Keeps the speculation window's mutations and closes it, returning a
-    /// [`SpeculationLog`] describing the touched arena entries (for
-    /// [`Function::apply_log`] on a pre-window clone).
+    /// Keeps the speculation window's mutations and closes it.
     ///
     /// The revision is left bumped exactly when observable state changed:
     /// if every journaled entry still equals its saved copy and no
@@ -378,7 +481,7 @@ impl Function {
     /// # Panics
     ///
     /// Panics if no window is open or `token` is not the window's token.
-    pub fn commit(&mut self, token: SnapshotToken) -> SpeculationLog {
+    pub fn commit(&mut self, token: SnapshotToken) {
         let j = self
             .journal
             .take()
@@ -398,78 +501,27 @@ impl Function {
         if !changed {
             self.revision = j.base_revision;
         }
-        let mut touched_insts: Vec<u32> = j
-            .saved_placements
-            .iter()
-            .map(|(idx, ..)| *idx)
-            .chain(j.saved_payloads.iter().map(|(idx, _)| *idx))
-            .collect();
-        touched_insts.sort_unstable();
-        touched_insts.dedup();
-        let mut touched_blocks: Vec<u32> = j.saved_blocks.iter().map(|(idx, _)| *idx).collect();
-        touched_blocks.sort_unstable();
-        SpeculationLog {
-            base_values: j.base_values,
-            base_insts: j.base_insts,
-            base_blocks: j.base_blocks,
-            touched_insts,
-            touched_blocks,
-        }
     }
 
-    /// Brings a clone holding the pre-window state up to the committed
-    /// state in O(touched): copies the touched pre-existing entries from
-    /// `src`, appends the new arena tail, re-interns the new constants, and
-    /// adopts `src`'s revision. After this, `self` and `src` are clones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` has an open window or its arena lengths do not
-    /// match the log's snapshot lengths (i.e. it is not a pre-window clone).
-    pub fn apply_log(&mut self, src: &Function, log: &SpeculationLog) {
-        assert!(self.journal.is_none(), "apply_log during open snapshot");
-        assert_eq!(self.values.len(), log.base_values, "not a pre-window clone");
-        assert_eq!(self.insts.len(), log.base_insts, "not a pre-window clone");
-        assert_eq!(self.blocks.len(), log.base_blocks, "not a pre-window clone");
-        for &idx in &log.touched_insts {
-            self.insts[idx as usize] = src.insts[idx as usize].clone();
-            self.live[idx as usize] = src.live[idx as usize];
-        }
-        for &idx in &log.touched_blocks {
-            self.blocks[idx as usize] = src.blocks[idx as usize].clone();
-        }
-        self.values
-            .extend(src.values[log.base_values..].iter().cloned());
-        self.insts
-            .extend(src.insts[log.base_insts..].iter().cloned());
-        self.inst_results
-            .extend_from_slice(&src.inst_results[log.base_insts..]);
-        self.live.extend_from_slice(&src.live[log.base_insts..]);
-        self.blocks
-            .extend(src.blocks[log.base_blocks..].iter().cloned());
-        for idx in log.base_values..self.values.len() {
-            if let Some(key) = self.values[idx].const_key() {
-                self.const_map.insert(key, ValueId(idx as u32));
-            }
-        }
-        self.revision = src.revision;
-    }
-
-    /// Catches a clone up with constants `src` interned since the clone was
-    /// taken. Outside of interning the two must still be clones (same
-    /// revision, same instruction arena); afterwards they are clones again.
-    /// Interning never counts as a structural change, so no revision moves.
-    pub fn absorb_interned_values(&mut self, src: &Function) {
-        debug_assert_eq!(self.revision, src.revision, "not clones");
-        assert_eq!(self.insts.len(), src.insts.len(), "not clones");
-        assert!(self.values.len() <= src.values.len());
-        for idx in self.values.len()..src.values.len() {
-            let def = src.values[idx].clone();
-            let key = def
-                .const_key()
-                .expect("absorb_interned_values: appended value is not an interned constant");
-            self.const_map.insert(key, ValueId(idx as u32));
-            self.values.push(def);
+    /// A read-only view of the state at `snapshot()`, or now with no window.
+    pub fn pre_window(&self) -> PreWindow<'_> {
+        let j = self.journal.as_deref();
+        let (values, insts, blocks) = j.map_or(
+            (self.values.len(), self.insts.len(), self.blocks.len()),
+            |j| (j.base_values, j.base_insts, j.base_blocks),
+        );
+        PreWindow {
+            func: self,
+            journal: j,
+            revision: j.map_or(self.revision, |j| j.base_revision),
+            values: &self.values[..values],
+            insts: &self.insts[..insts],
+            inst_results: &self.inst_results[..insts],
+            blocks: &self.blocks[..blocks],
+            payload_bits: j.map_or(&[][..], |j| &j.payload_bits[..]),
+            saved_payloads: j.map_or_else(Vec::new, |j| first_touch_index(&j.saved_payloads)),
+            block_bits: j.map_or(&[][..], |j| &j.block_saved_bits[..]),
+            saved_blocks: j.map_or_else(Vec::new, |j| first_touch_index(&j.saved_blocks)),
         }
     }
 
@@ -564,14 +616,9 @@ impl Function {
     /// save on the codegen teardown/rebuild path.
     fn journal_save_placement(&mut self, idx: usize) {
         if let Some(j) = self.journal.as_deref_mut() {
-            if idx < j.base_insts {
-                let bit = 1u64 << (idx % 64);
-                let word = &mut j.placement_bits[idx / 64];
-                if *word & bit == 0 {
-                    *word |= bit;
-                    j.saved_placements
-                        .push((idx as u32, self.insts[idx].block, self.live[idx]));
-                }
+            if idx < j.base_insts && first_touch_bit(&mut j.placement_bits, idx) {
+                j.saved_placements
+                    .push((idx as u32, self.insts[idx].block, self.live[idx]));
             }
         }
     }
@@ -581,13 +628,8 @@ impl Function {
     /// instruction body.
     fn journal_save_payload(&mut self, idx: usize) {
         if let Some(j) = self.journal.as_deref_mut() {
-            if idx < j.base_insts {
-                let bit = 1u64 << (idx % 64);
-                let word = &mut j.payload_bits[idx / 64];
-                if *word & bit == 0 {
-                    *word |= bit;
-                    j.saved_payloads.push((idx as u32, self.insts[idx].clone()));
-                }
+            if idx < j.base_insts && first_touch_bit(&mut j.payload_bits, idx) {
+                j.saved_payloads.push((idx as u32, self.insts[idx].clone()));
             }
         }
     }
@@ -596,13 +638,8 @@ impl Function {
     /// new blocks are covered by arena truncation).
     fn journal_save_block(&mut self, idx: usize) {
         if let Some(j) = self.journal.as_deref_mut() {
-            if idx < j.base_blocks {
-                let bit = 1u64 << (idx % 64);
-                let word = &mut j.block_saved_bits[idx / 64];
-                if *word & bit == 0 {
-                    *word |= bit;
-                    j.saved_blocks.push((idx as u32, self.blocks[idx].clone()));
-                }
+            if idx < j.base_blocks && first_touch_bit(&mut j.block_saved_bits, idx) {
+                j.saved_blocks.push((idx as u32, self.blocks[idx].clone()));
             }
         }
     }
@@ -1332,11 +1369,37 @@ mod tests {
         )
     }
 
+    /// Asserts that `view` reads `f` on every accessor. Placement is
+    /// compared through the block lists: [`PreWindow::inst`] does not
+    /// promise the `block` field.
+    fn assert_view_reads(view: &PreWindow, f: &Function) {
+        assert_eq!(view.revision(), f.revision());
+        assert_eq!(view.num_values(), f.num_values());
+        assert_eq!(view.num_insts(), f.num_insts());
+        assert!(view.block_ids().eq(f.block_ids()));
+        for b in f.block_ids() {
+            assert_eq!(view.block(b), f.block(b));
+        }
+        for v in (0..f.num_values()).map(|k| ValueId(k as u32)) {
+            assert_eq!(view.value(v), f.value(v));
+        }
+        for i in (0..f.num_insts()).map(|k| InstId(k as u32)) {
+            assert_eq!(view.inst_result(i), f.inst_result(i));
+            let body = InstData {
+                block: f.inst(i).block,
+                ..view.inst(i).clone()
+            };
+            assert_eq!(&body, f.inst(i));
+        }
+    }
+
     #[test]
     fn rollback_restores_the_exact_presnapshot_state() {
         let (types, mut f, i, v) = speculation_sample();
         let before_const = f.const_int(types.i32(), 1); // pre-existing intern
         let before = fingerprint(&f);
+        assert_view_reads(&f.pre_window(), &f);
+        let pre_window = f.clone();
 
         let token = f.snapshot();
         assert!(f.in_speculation());
@@ -1347,6 +1410,10 @@ mod tests {
         let nb = f.add_block("spec");
         let c = f.const_int(types.i32(), 42);
         assert_ne!(c, before_const);
+        // Move `i`, then rewrite its body: the saved body carries the
+        // moved `block` field.
+        f.append_inst(nb, i);
+        f.inst_mut(i).operands[1] = c;
         let (ni, nv) = f.create_inst(InstData {
             opcode: Opcode::Mul,
             ty: types.i32(),
@@ -1359,6 +1426,7 @@ mod tests {
         f.inst_mut(ni).operands[0] = f.param(1);
         f.block_mut(bb).name = "renamed".into();
         assert_ne!(f.revision(), before.0);
+        assert_view_reads(&f.pre_window(), &pre_window);
 
         f.rollback(token);
         assert!(!f.in_speculation());
@@ -1419,35 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_keeps_changes_and_apply_log_syncs_a_clone() {
-        let (types, mut f, i, _v) = speculation_sample();
-        let mut shadow = f.clone();
-        let r0 = f.revision();
-
-        let token = f.snapshot();
-        let bb = f.entry_block();
-        f.remove_inst(i);
-        let nb = f.add_block("spec");
-        let c = f.const_int(types.i32(), 7);
-        let (ni, _nv) = f.create_inst(InstData {
-            opcode: Opcode::Sub,
-            ty: types.i32(),
-            operands: [f.param(0), c].into(),
-            block: nb,
-            extra: crate::inst::InstExtra::None,
-        });
-        f.append_inst(nb, ni);
-        let _ = bb;
-        let log = f.commit(token);
-        assert_ne!(f.revision(), r0, "observable change must keep the bump");
-
-        shadow.apply_log(&f, &log);
-        assert_eq!(fingerprint(&shadow), fingerprint(&f));
-        // The clone's interning map learned the committed constant.
-        assert_eq!(shadow.const_int(types.i32(), 7), c);
-    }
-
-    #[test]
     fn commit_of_a_noop_window_restores_the_base_revision() {
         let (types, mut f, i, _v) = speculation_sample();
         let r0 = f.revision();
@@ -1461,27 +1500,14 @@ mod tests {
         f.insert_inst(bb, pos, i);
         // Interning alone is also not an observable structural change.
         let _ = f.const_int(types.i32(), 99);
-        let log = f.commit(token);
+        f.commit(token);
         assert_eq!(f.revision(), r0, "no-op window must restore the revision");
-        assert!(log.touched_insts.contains(&(i.index() as u32)));
 
         // A window that does change state keeps its bumped revision.
         let token = f.snapshot();
         f.remove_inst(i);
-        let _ = f.commit(token);
-        assert_ne!(f.revision(), r0);
-    }
-
-    #[test]
-    fn absorb_interned_values_catches_a_clone_up() {
-        let (types, mut f, _i, _v) = speculation_sample();
-        let mut shadow = f.clone();
-        let a = f.const_int(types.i64(), 5);
-        let b = f.undef(types.i32());
-        shadow.absorb_interned_values(&f);
-        assert_eq!(shadow.num_values(), f.num_values());
-        assert_eq!(shadow.const_int(types.i64(), 5), a);
-        assert_eq!(shadow.undef(types.i32()), b);
+        f.commit(token);
+        assert_ne!(f.revision(), r0, "observable change must keep the bump");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod verify;
 
 pub use block::{BlockData, BlockId};
 pub use builder::{Builder, FuncBuilder};
-pub use function::{Effects, Function, SnapshotToken, SpeculationLog, UseMap};
+pub use function::{Effects, Function, PreWindow, SnapshotToken, UseMap};
 pub use inline_list::InlineList;
 pub use inst::{
     FloatPredicate, InstData, InstExtra, InstId, IntPredicate, NeutralElement, Opcode, Operands,

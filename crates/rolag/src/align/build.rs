@@ -30,8 +30,9 @@ use crate::seeds::Candidate;
 ///   before anything is built; most reduction candidates fail there,
 ///   without a graph.
 /// * The loop-input refusal: the build stops the moment one instruction is
-///   both passed into the loop by some node ([`AlignNode::loop_inputs`])
-///   and claimed by a node. The builder never removes a node, changes a
+///   both passed into the loop by some node
+///   ([`AlignNode::loop_inputs`](super::AlignNode::loop_inputs)) and
+///   claimed by a node. The builder never removes a node, changes a
 ///   node's kind or drops a claim, so the full graph would hold the same
 ///   pair, and [`AlignGraph::claimed_loop_input`] would make the scheduler
 ///   refuse it. Stopping here skips the rest of the graph and the block's

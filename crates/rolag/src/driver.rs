@@ -18,11 +18,10 @@
 //! captures each roll as a [`StoreEntry`] in the context's id spaces,
 //! moving the rolled body out again; a panicking roll is restored from the
 //! shared module. The engine moves the body too, rather than cloning it,
-//! so a rolled definition is copied three times on its way to the output:
-//! the seed copy, the speculator's shadow of the pre-candidate state
-//! (taken once a candidate reaches codegen), and the replay copy. The
-//! driver then replays an entry onto every definition serially, in
-//! function-id order (`StoreEntry::replay`, the one splice path):
+//! so a rolled definition is copied twice on its way to the output: the
+//! seed copy and the replay copy. The driver then replays an entry onto
+//! every definition serially, in function-id order (`StoreEntry::replay`,
+//! the one splice path):
 //!
 //! * **Globals.** Constant arrays minted by codegen get worker-local names.
 //!   Replay renames each one through [`Module::fresh_global_name`] against

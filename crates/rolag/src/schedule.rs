@@ -144,11 +144,11 @@ impl ScheduleCache {
     }
 
     /// The dependences of `block` that [`ScheduleCache::analyze`] computed
-    /// for `func`'s revision, if it did. The translation validator reads
-    /// the scheduled block's entry for the pre-rewrite state, which has the
-    /// revision the cache still holds while the rewrite's window is open.
-    pub fn block_deps(&self, func: &Function, block: BlockId) -> Option<&BlockDeps> {
-        if self.revision != Some(func.revision()) {
+    /// at `revision`, if it did. The translation validator reads them at
+    /// the revision of the rewrite's [`Function::pre_window`], which the
+    /// cache still holds while the window is open.
+    pub fn block_deps(&self, revision: u64, block: BlockId) -> Option<&BlockDeps> {
+        if self.revision != Some(revision) {
             return None;
         }
         self.deps.get(&block)

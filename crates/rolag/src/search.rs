@@ -309,7 +309,7 @@ fn beam_roll(
         for g in winner.globals {
             module.add_global(g);
         }
-        spec.install(winner.func);
+        spec.work = winner.func;
         stats.rolled += 1;
         stats.nodes += winner.kinds;
         old_size = timed(&mut stats.timings.cost_ns, || {

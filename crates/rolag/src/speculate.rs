@@ -2,7 +2,9 @@
 //! (Fig. 5): build the alignment graph, schedule it, generate the rolled
 //! loop, validate the rewrite (when `RolagOptions::validate` asks), and
 //! clean it up — all in place on the working function under a
-//! [`rolag_ir::Function::snapshot`] journal, never on a clone.
+//! [`rolag_ir::Function::snapshot`] journal, never on a clone. The
+//! validator reads the pre-candidate state through the same journal
+//! ([`rolag_ir::Function::pre_window`]).
 //!
 //! A candidate that survives comes back as an open [`Window`]: its rewrite
 //! is live in [`Speculator::work`] and its globals in the module until the
@@ -12,9 +14,7 @@
 
 use std::time::Instant;
 
-use rolag_ir::{
-    BlockId, Effects, FuncId, Function, GlobalId, Module, SnapshotToken, SpeculationLog,
-};
+use rolag_ir::{BlockId, Effects, FuncId, Function, GlobalId, Module, SnapshotToken};
 use rolag_transforms::cleanup_in_place;
 use rolag_tv::{RewriteHints, TvScratch};
 
@@ -105,26 +105,13 @@ pub(crate) enum Verdict {
 }
 
 /// One function's speculation state: the working function, the
-/// validator's copy of its pre-candidate state and its scratch, and the
-/// scheduling cache of its current revision.
-///
-/// Every candidate of one speculator must run under the same
-/// `RolagOptions::validate`: the shadow is kept in step only while it is
-/// set.
+/// validator's scratch, and the scheduling cache of its current revision.
+/// The validator reads the pre-candidate state through the open window's
+/// journal, so no copy of it is kept.
 pub(crate) struct Speculator {
     id: FuncId,
     /// The function being rolled; committed rewrites accumulate here.
     pub work: Function,
-    /// Under `RolagOptions::validate` only: a clone of `work`'s
-    /// pre-candidate state once a candidate reached codegen, the
-    /// validator's reference. Materialized lazily, so functions whose
-    /// candidates never pass the cheap gates stay clone-free.
-    shadow: Option<Function>,
-    /// The last commit's log, replayed onto the shadow by the next
-    /// candidate that reaches codegen; a function whose fixpoint ends after
-    /// a commit never pays for the sync. Stashed only while a shadow
-    /// exists.
-    pending: Option<SpeculationLog>,
     /// Block dependences, the use map and the instruction positions of
     /// `work`'s current revision, shared by seed collection, the scheduling
     /// analysis and code generation.
@@ -146,8 +133,6 @@ impl Speculator {
         Speculator {
             id,
             work,
-            shadow: None,
-            pending: None,
             sched: ScheduleCache::default(),
             tv,
         }
@@ -183,8 +168,8 @@ impl Speculator {
         // Graph builds intern synthetic constants into `work` before the
         // window's snapshot, so they stay across rejected candidates. That
         // is harmless: the printer shows constants by content, interning
-        // never bumps the revision, and the validator's shadow absorbs them
-        // below.
+        // never bumps the revision, and the window's pre-window view, which
+        // the validator reads, holds them.
         let graph = timed(&mut stats.timings.align_ns, || {
             build_candidate_graph(module, &mut self.work, cand, opts)
         });
@@ -200,23 +185,8 @@ impl Speculator {
             return Verdict::Schedule;
         };
 
-        // Catch the validator's shadow up so it is an exact clone when the
-        // window opens: a stashed commit log brings over the commit's
-        // touches and everything interned since (apply_log copies the whole
-        // appended value tail), otherwise only the interned constants are
-        // missing. Rejects roll `work` back in full, so one pending log
-        // always bridges the gap.
-        if opts.validate {
-            let pending = self.pending.take();
-            match self.shadow.as_mut() {
-                Some(s) => match pending {
-                    Some(log) => s.apply_log(&self.work, &log),
-                    None => s.absorb_interned_values(&self.work),
-                },
-                None => self.shadow = Some(self.work.clone()),
-            }
-        }
-
+        #[cfg(test)]
+        let reference = tv_parity::reference(&self.work);
         let base_globals = module.num_globals();
         let token = self.work.snapshot();
         let (uses, positions) = self.sched.indexes(&self.work);
@@ -241,40 +211,43 @@ impl Speculator {
         // Validation runs on the raw generated code, before cleanup, so the
         // validator sees exactly what codegen emitted.
         if opts.validate {
-            let shadow = self.shadow.as_ref().expect("materialized above");
-            // The shadow has the revision the block was scheduled at, so
-            // the scheduler's dependences for it are still cached.
-            let deps = self
-                .sched
-                .block_deps(shadow, block)
-                .expect("the scheduler computed the block's dependences at this revision");
             let hints = rewrite_hints(&graph, block, &outcome, base_globals, opts);
             let verdict = timed(&mut stats.timings.tv_ns, || {
-                rolag_tv::validate_rewrite(module, shadow, &self.work, &hints, deps, &mut self.tv)
+                let orig = self.work.pre_window();
+                // The view has the revision the block was scheduled at, so
+                // the scheduler's dependences for it are still cached.
+                let deps = self
+                    .sched
+                    .block_deps(orig.revision(), block)
+                    .expect("the scheduler computed the block's dependences at this revision");
+                rolag_tv::validate_rewrite(module, orig, &self.work, &hints, deps, &mut self.tv)
             });
             #[cfg(test)]
-            tv_parity::record(module, shadow, &self.work, &hints, &verdict);
+            tv_parity::record(module, &self.work, reference, &hints, &verdict);
             if let Err(why) = verdict {
                 stats.tv_rejected += 1;
                 if let Some(audit) = audit {
-                    // Print while the speculative globals are still live,
-                    // so the rejected rewrite can be interpreted.
-                    let mut before = module.clone();
-                    before.replace_func(self.id, shadow.clone());
-                    let mut after = module.clone();
-                    after.replace_func(self.id, self.work.clone());
+                    // Print the rewrite, then the function it replaced,
+                    // while the speculative globals are still live, so the
+                    // rejected rewrite can be interpreted.
                     let info = DotInfo {
                         score: Some(fresh_function_size(module, &self.work, opts)),
                         verdict: Some(why.to_string()),
                     };
+                    let mut shown = module.clone();
+                    shown.replace_func(self.id, self.work.clone());
+                    let after = rolag_ir::printer::print_module(&shown);
+                    self.work.rollback(token);
+                    shown.replace_func(self.id, self.work.clone());
                     audit.rejects.push(RejectedSpeculation {
-                        func: shadow.name.clone(),
-                        before: rolag_ir::printer::print_module(&before),
-                        after: rolag_ir::printer::print_module(&after),
+                        func: self.work.name.clone(),
+                        before: rolag_ir::printer::print_module(&shown),
+                        after,
                         dot: graph.to_dot_with(&info),
                     });
+                } else {
+                    self.work.rollback(token);
                 }
-                self.work.rollback(token);
                 rollback_globals(module, base_globals);
                 return Verdict::Validator;
             }
@@ -299,14 +272,9 @@ impl Speculator {
         })
     }
 
-    /// Keeps the window's rewrite. A validator's shadow still holds the
-    /// pre-candidate state and catches up from the stashed log at the next
-    /// candidate that reaches codegen.
+    /// Keeps the window's rewrite.
     pub fn commit(&mut self, window: Window) {
-        let log = self.work.commit(window.token);
-        if self.shadow.is_some() {
-            self.pending = Some(log);
-        }
+        self.work.commit(window.token);
     }
 
     /// Discards the window's rewrite: the function and the globals return
@@ -315,30 +283,26 @@ impl Speculator {
         self.work.rollback(window.token);
         rollback_globals(module, window.base_globals);
     }
-
-    /// Replaces the working function with `func`, e.g. a beam winner
-    /// captured from an open window, and drops the stale shadow.
-    pub fn install(&mut self, func: Function) {
-        self.work = func;
-        self.shadow = None;
-        self.pending = None;
-    }
 }
 
-/// A test probe for the validator's dependences and scratch: while
-/// [`tv_parity::capture`] runs, every validation the speculation core makes
-/// is repeated against block dependences computed afresh, in a fresh
-/// scratch, and both verdicts are kept.
+/// A test probe for the validator's inputs: while [`tv_parity::capture`]
+/// runs, the speculator clones `work` just before each window opens, and
+/// each validation the speculation core makes is checked against that
+/// clone. The window's pre-window view must read the clone on every
+/// accessor, and the validation is repeated against the clone, with block
+/// dependences computed afresh and in a fresh scratch. Both verdicts are
+/// kept.
 #[cfg(test)]
 pub(crate) mod tv_parity {
     use std::cell::RefCell;
 
     use rolag_analysis::depgraph::BlockDeps;
-    use rolag_ir::{Function, Module};
+    use rolag_ir::{Function, InstData, InstId, Module, PreWindow, ValueId};
     use rolag_tv::{RewriteHints, TvError, TvScratch};
 
-    /// A validation's verdict with the scheduler's dependences and the
-    /// speculator's scratch, then with fresh ones.
+    /// A validation's verdict against the window's view, with the
+    /// scheduler's dependences and the speculator's scratch, then against
+    /// the pre-window clone, with fresh ones.
     pub(crate) type Verdicts = (Result<(), TvError>, Result<(), TvError>);
 
     thread_local! {
@@ -353,26 +317,60 @@ pub(crate) mod tv_parity {
         LOG.with(|log| log.borrow_mut().take()).unwrap_or_default()
     }
 
+    /// A clone of `work` as its window is about to open, while capturing.
+    pub(super) fn reference(work: &Function) -> Option<Function> {
+        LOG.with(|log| log.borrow().is_some()).then(|| work.clone())
+    }
+
+    /// Asserts that `view` reads `f` on every accessor the validator
+    /// uses. Placement is compared through the block lists:
+    /// [`PreWindow::inst`] does not promise the `block` field.
+    fn assert_view_reads(view: &PreWindow, f: &Function) {
+        assert_eq!(view.revision(), f.revision());
+        assert_eq!(view.num_values(), f.num_values());
+        assert_eq!(view.num_insts(), f.num_insts());
+        assert!(view.block_ids().eq(f.block_ids()), "{}: blocks", f.name);
+        for b in f.block_ids() {
+            assert_eq!(view.block(b), f.block(b), "{}", f.name);
+        }
+        for v in (0..f.num_values()).map(ValueId::from_index) {
+            assert_eq!(view.value(v), f.value(v), "{}", f.name);
+        }
+        for i in (0..f.num_insts()).map(InstId::from_index) {
+            assert_eq!(view.inst_result(i), f.inst_result(i), "{}", f.name);
+            let body = InstData {
+                block: f.inst(i).block,
+                ..view.inst(i).clone()
+            };
+            assert_eq!(&body, f.inst(i), "{}", f.name);
+        }
+    }
+
     pub(super) fn record(
         module: &Module,
-        orig: &Function,
         rolled: &Function,
+        reference: Option<Function>,
         hints: &RewriteHints,
         shared: &Result<(), TvError>,
     ) {
+        let Some(orig) = reference else {
+            return;
+        };
+        assert_view_reads(&rolled.pre_window(), &orig);
+        let deps = BlockDeps::compute(module, &orig, hints.block);
+        let fresh = rolag_tv::validate_rewrite(
+            module,
+            orig.pre_window(),
+            rolled,
+            hints,
+            &deps,
+            &mut TvScratch::default(),
+        );
         LOG.with(|log| {
-            if let Some(log) = log.borrow_mut().as_mut() {
-                let deps = BlockDeps::compute(module, orig, hints.block);
-                let fresh = rolag_tv::validate_rewrite(
-                    module,
-                    orig,
-                    rolled,
-                    hints,
-                    &deps,
-                    &mut TvScratch::default(),
-                );
-                log.push((shared.clone(), fresh));
-            }
+            let mut log = log.borrow_mut();
+            log.as_mut()
+                .expect("capturing")
+                .push((shared.clone(), fresh));
         });
     }
 }

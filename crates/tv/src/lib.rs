@@ -32,7 +32,7 @@ use std::fmt;
 
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::fxhash::FxHashMap;
-use rolag_ir::{BlockId, Function, InstId, Module};
+use rolag_ir::{BlockId, Function, InstId, Module, PreWindow};
 
 /// The abstractions the simulation relation is allowed to match modulo —
 /// one entry per special alignment-node family the paper introduces.
@@ -116,12 +116,12 @@ impl std::error::Error for TvError {}
 
 /// Statically validates one rolling rewrite.
 ///
-/// `orig` is the function as it was before the rewrite; `rolled` is the
-/// same function with one candidate block rolled (before any cleanup
-/// pass), sharing instruction and value ids with `orig` for everything
-/// that survived. `module` is the module the rolled function lives in —
-/// its types, globals (including freshly added lookup tables), and
-/// function effect annotations are consulted.
+/// `orig` is the function as it was before the rewrite, read through a
+/// [`Function::pre_window`]; `rolled` is the same function with one
+/// candidate block rolled (before any cleanup pass), sharing ids with
+/// `orig` for everything that survived. `module` is the module the rolled
+/// function lives in — its types, globals (including freshly added lookup
+/// tables), and function effect annotations are consulted.
 ///
 /// `deps` are the dependences of the candidate block in `orig`, which the
 /// memory-order obligation checks the rolled order against: what
@@ -141,7 +141,7 @@ impl std::error::Error for TvError {}
 /// failed obligation otherwise.
 pub fn validate_rewrite(
     module: &Module,
-    orig: &Function,
+    orig: PreWindow<'_>,
     rolled: &Function,
     hints: &RewriteHints,
     deps: &BlockDeps,
@@ -149,8 +149,8 @@ pub fn validate_rewrite(
 ) -> Result<(), TvError> {
     debug_assert!(
         hints.block.index() >= orig.num_blocks()
-            || *deps == BlockDeps::compute(module, orig, hints.block),
+            || *deps == BlockDeps::compute(module, &orig.to_function(), hints.block),
         "supplied block dependences differ from a fresh compute"
     );
-    sim::Validator::new(module, orig, rolled, hints, deps, scratch).run()
+    sim::Validator::new(module, &orig, rolled, hints, deps, scratch).run()
 }

@@ -46,7 +46,8 @@
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{
-    Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, TypeId, ValueDef, ValueId,
+    Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, PreWindow, TypeId, ValueDef,
+    ValueId,
 };
 
 use crate::expr::{Expr, ExprArena, ExprId, ExtraKey};
@@ -182,7 +183,7 @@ impl TvScratch {
     }
 
     /// Empties the scratch for a validation of `rolled` against `orig`.
-    fn start(&mut self, orig: &Function, rolled: &Function, hints: &RewriteHints) {
+    fn start(&mut self, orig: &PreWindow, rolled: &Function, hints: &RewriteHints) {
         self.arena.reset(hints.fast_math);
         self.bindings.start(rolled.num_values());
         self.orig_memo.start(orig.num_values());
@@ -203,7 +204,7 @@ impl TvScratch {
 
 pub(crate) struct Validator<'a> {
     module: &'a Module,
-    orig: &'a Function,
+    orig: &'a PreWindow<'a>,
     rolled: &'a Function,
     hints: &'a RewriteHints,
     /// The candidate block's dependences in `orig`.
@@ -220,7 +221,7 @@ pub(crate) struct Validator<'a> {
 impl<'a> Validator<'a> {
     pub(crate) fn new(
         module: &'a Module,
-        orig: &'a Function,
+        orig: &'a PreWindow<'a>,
         rolled: &'a Function,
         hints: &'a RewriteHints,
         deps: &'a BlockDeps,
@@ -1068,7 +1069,14 @@ mod tests {
         let mut scratch = TvScratch::new();
         for _ in 0..16 {
             assert_eq!(
-                validate_rewrite(&module, orig, &rolled, &hints, &deps, &mut scratch),
+                validate_rewrite(
+                    &module,
+                    orig.pre_window(),
+                    &rolled,
+                    &hints,
+                    &deps,
+                    &mut scratch
+                ),
                 Err(TvError::Unsupported(
                     "rewrite deleted a phi it cannot re-express".into()
                 ))

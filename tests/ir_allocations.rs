@@ -13,10 +13,13 @@
 //! costs a fixed number of allocations plus arena doublings, not a count
 //! per node. A translation validation reuses its speculator's scratch, so
 //! once that scratch has seen the function it allocates nothing, however
-//! many lanes or instructions the rewrite has. A global allocator here
-//! counts allocation calls (`alloc`, `alloc_zeroed`, `realloc`) per thread,
-//! the bytes they ask for and the largest one, so tests running beside each
-//! other do not see each other's counts.
+//! many lanes or instructions the rewrite has, and a validated roll reads
+//! the pre-candidate state through the speculation journal, so it costs at
+//! most a constant, plus a constant per validation, more than an
+//! unvalidated one. A global allocator here counts allocation calls
+//! (`alloc`, `alloc_zeroed`, `realloc`) per thread, the bytes they ask for
+//! and the largest one, so tests running beside each other do not see each
+//! other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -333,6 +336,73 @@ fn a_lone_definition_costs_the_driver_no_more_than_the_serial_pass() {
     }
 }
 
+/// What a `validated` roll may allocate beyond its `default` roll: the
+/// validator's scratch, sized at a function's first validation (its tables
+/// and buffers, grown by doubling to the rewrite's size), and per
+/// validation the rewrite's hints and the pre-window view's index.
+const VALIDATED_FIXED: u64 = 66;
+const VALIDATED_PER_VALIDATION: u64 = 8;
+
+/// One function of `blocks` blocks in a chain, whose entry block stores the
+/// sequence 0, 1, ..., 7 through `%p`: a run that rolls.
+fn store_run_then_blocks(blocks: usize) -> Module {
+    let mut text = String::from("module \"t\"\nfunc @f(ptr %p) -> void {\nentry:\n");
+    for k in 0..8 {
+        text.push_str(&format!(
+            "  %p{k} = gep i32, %p, i64 {k}\n  store i32 {k}, %p{k}\n"
+        ));
+    }
+    for b in 1..blocks {
+        text.push_str(&format!("  br b{b}\nb{b}:\n"));
+    }
+    text.push_str("  ret\n}\n");
+    parse_module(&text).unwrap()
+}
+
+/// The validator reads the pre-candidate state through the speculation
+/// journal, so validating copies no function: for each unrolled TSVC kernel
+/// and for a function of 200 blocks, a `validated` roll allocates at most a
+/// constant, plus a constant per validation, more than its `default` roll.
+/// A copy of the pre-candidate state would cost `CLONE_FIXED` allocations
+/// plus `CLONE_PER_BLOCK` per block, and more to keep it in step after each
+/// commit. Debug builds also check each validation's dependences against a
+/// fresh compute on a pre-window clone, so the bound is asserted in release
+/// builds only.
+#[test]
+fn validated_rolls_allocate_a_constant_per_validation_more_than_default_rolls() {
+    let (default, validated) = (RolagOptions::default(), RolagOptions::validated());
+    let (mut rolls, mut validations, mut worst) = (0, 0, 0f64);
+    let modules = unrolled_tsvc()
+        .map(|(name, m)| (name.to_string(), m))
+        .chain([("200 blocks".to_string(), store_run_then_blocks(200))]);
+    for (name, m) in modules {
+        let mut plain = m.clone();
+        let (_, n_default) = allocations(|| roll_module(&mut plain, &default));
+        let mut checked = m.clone();
+        let (stats, n_validated) = allocations(|| roll_module(&mut checked, &validated));
+        let k = stats.tv_validated + stats.tv_rejected;
+        if k == 0 {
+            continue;
+        }
+        let extra = n_validated.saturating_sub(n_default);
+        let bound = VALIDATED_FIXED + VALIDATED_PER_VALIDATION * k;
+        assert!(
+            cfg!(debug_assertions) || extra <= bound,
+            "{name}: {k} validations made a validated roll allocate {n_validated} times, \
+             {extra} more than the default roll's {n_default} (bound {bound})"
+        );
+        rolls += 1;
+        validations += k;
+        worst = worst.max(extra as f64 / bound as f64);
+    }
+    println!(
+        "validated rolls: {rolls} rolls, {validations} validations; worst roll at {:.0}% \
+         of its bound",
+        worst * 100.0
+    );
+    assert!(rolls > 80, "{rolls} rolls validated a rewrite");
+}
+
 /// What a graph build may ask the allocator for: each of its arenas,
 /// maps and scratch buffers once (about a dozen, and two to spare), and each of the eight
 /// that grow with the graph once more per doubling of its node count past
@@ -425,7 +495,7 @@ impl Rewrite {
     fn validate(&self, scratch: &mut TvScratch) -> bool {
         validate_rewrite(
             &self.module,
-            &self.orig,
+            self.orig.pre_window(),
             &self.rolled,
             &self.hints,
             &self.deps,
@@ -455,7 +525,7 @@ fn beam_rewrites(m: &Module, f: &Function, opts: &RolagOptions) -> Vec<Rewrite> 
             };
             let orig = rolled.clone();
             let deps = cache
-                .block_deps(&orig, block)
+                .block_deps(orig.revision(), block)
                 .expect("the scheduler computed the block's dependences")
                 .clone();
             let first_new_global = module.num_globals();
