@@ -33,6 +33,17 @@ pub struct GlobalData {
     pub is_const: bool,
 }
 
+impl GlobalData {
+    /// Byte size of the global's initialized contents, its type read in
+    /// `types`.
+    pub fn size(&self, types: &TypeStore) -> u64 {
+        match &self.init {
+            GlobalInit::Bytes(b) => b.len() as u64,
+            _ => types.size_of(self.ty),
+        }
+    }
+}
+
 /// A module: type store, globals, and functions.
 #[derive(Debug, Clone)]
 pub struct Module {
@@ -162,7 +173,7 @@ impl Module {
     /// A copy of the module without function bodies: the types, globals
     /// and name maps, and a [`Function::stub`] in every function slot. It
     /// is the context an intraprocedural pass reads while it transforms
-    /// one body, which the caller moves in with [`Module::replace_func`].
+    /// one body held outside the module.
     pub fn without_bodies(&self) -> Module {
         Module {
             name: self.name.clone(),
@@ -220,30 +231,9 @@ impl Module {
         self.globals.len()
     }
 
-    /// Removes the most recently added global. Used to roll back
-    /// speculatively created constant arrays when a transformation is
-    /// discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not the last global.
-    pub fn pop_global(&mut self, id: GlobalId) {
-        assert_eq!(
-            id.index() + 1,
-            self.globals.len(),
-            "pop_global must remove the last global"
-        );
-        let g = self.globals.pop().expect("non-empty globals");
-        self.global_map.remove(&g.name);
-    }
-
     /// Byte size of a global's initialized contents.
     pub fn global_size(&self, id: GlobalId) -> u64 {
-        let g = self.global(id);
-        match &g.init {
-            GlobalInit::Bytes(b) => b.len() as u64,
-            _ => self.types.size_of(g.ty),
-        }
+        self.global(id).size(&self.types)
     }
 }
 

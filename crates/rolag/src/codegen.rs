@@ -2,14 +2,15 @@
 //!
 //! Splits the target block into preheader / loop / exit, emits one copy of
 //! every alignment-graph node inside the loop, materializes mismatching
-//! nodes as arrays (global constant arrays in `.rodata`, or stack arrays
-//! filled in the preheader), lowers recurrences and reductions to phis, and
-//! routes externally used values through exit-side arrays (or directly, when
-//! only the final iteration's value escapes).
+//! nodes as arrays (constant tables, returned in [`RollOutcome::tables`]
+//! rather than added to the module, or stack arrays filled in the
+//! preheader), lowers recurrences and reductions to phis, and routes
+//! externally used values through exit-side arrays (or directly, when only
+//! the final iteration's value escapes).
 
 use rolag_ir::{
     BlockId, Builder, Function, GlobalData, GlobalId, GlobalInit, InstData, InstExtra, InstId,
-    IntPredicate, Module, Opcode, Operands, TypeId, UseMap, ValueDef, ValueId,
+    IntPredicate, Opcode, Operands, TypeId, TypeStore, UseMap, ValueDef, ValueId,
 };
 
 use rolag_analysis::depgraph::InstPositions;
@@ -26,9 +27,10 @@ pub struct RollOutcome {
     pub loop_block: BlockId,
     /// The exit block holding the block's original tail.
     pub exit_block: BlockId,
-    /// Constant-data globals created for mismatching nodes. The caller pops
-    /// them from the module if it discards this attempt.
-    pub new_globals: Vec<GlobalId>,
+    /// Constant-data tables created for mismatching nodes, in order, each
+    /// named with the bare prefix `rolag.cdata`; table `k` has id
+    /// `first_table + k`, and whoever keeps the rewrite adds them so.
+    pub tables: Vec<GlobalData>,
 }
 
 #[derive(Clone, Copy)]
@@ -52,8 +54,10 @@ enum MismatchLowering {
 /// positions ([`Schedule::in_graph`]) and rewrites them there, so its work
 /// follows the block and the rolled values' uses rather than the whole
 /// function. The loop body follows [`Schedule::emission`].
+#[allow(clippy::too_many_arguments)]
 pub fn generate(
-    module: &mut Module,
+    types: &mut TypeStore,
+    first_table: usize,
     func: &mut Function,
     block: BlockId,
     graph: &AlignGraph,
@@ -72,14 +76,11 @@ pub fn generate(
             continue;
         }
         let lanes_v = graph.node(node).lanes();
-        let ty = func.value_ty(lanes_v[0], &module.types);
-        if lanes_v
-            .iter()
-            .any(|&v| func.value_ty(v, &module.types) != ty)
-        {
+        let ty = func.value_ty(lanes_v[0], types);
+        if lanes_v.iter().any(|&v| func.value_ty(v, types) != ty) {
             return None;
         }
-        if module.types.size_of(ty) == 0 {
+        if types.size_of(ty) == 0 {
             return None;
         }
         let consts: Option<Vec<i64>> = lanes_v
@@ -90,29 +91,27 @@ pub fn generate(
             })
             .collect();
         if let Some(values) = consts {
-            if module.types.is_int(ty) {
+            if types.is_int(ty) {
                 const_plans.push((node, ty, values));
             }
         }
     }
-    let mut new_globals = Vec::new();
+    let mut tables = Vec::new();
     // Per-node maps are indexed by node id: a graph has few nodes, and
     // every map below has an entry for a good share of them.
     let num_nodes = graph.num_nodes();
     let mut lowering: Vec<Option<MismatchLowering>> = vec![None; num_nodes];
     for (node, ty, values) in const_plans {
-        let name = module.fresh_global_name("rolag.cdata");
-        let arr_ty = module.types.array(ty, values.len() as u64);
-        let gid = module.add_global(GlobalData {
-            name,
-            ty: arr_ty,
+        let gid = GlobalId::from_index(first_table + tables.len());
+        tables.push(GlobalData {
+            name: "rolag.cdata".into(),
+            ty: types.array(ty, values.len() as u64),
             init: GlobalInit::Ints {
                 elem_ty: ty,
                 values,
             },
             is_const: true,
         });
-        new_globals.push(gid);
         lowering[node.index()] = Some(MismatchLowering::Const(gid));
     }
 
@@ -156,12 +155,10 @@ pub fn generate(
         func.append_inst(block, i);
     }
 
-    let types_i64 = module.types.i64();
-    let types_i1 = module.types.i1();
-    let _ = types_i1;
+    let types_i64 = types.i64();
 
     // ---- preheader: mismatch stack arrays & external-use arrays ------------
-    let mut b = Builder::on(func, &mut module.types);
+    let mut b = Builder::on(func, types);
     b.switch_to(block);
     for node in graph.node_ids() {
         if lowering[node.index()].is_some()
@@ -327,7 +324,7 @@ pub fn generate(
         preheader: block,
         loop_block,
         exit_block,
-        new_globals,
+        tables,
     })
 }
 

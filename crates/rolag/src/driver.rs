@@ -10,23 +10,24 @@
 //! # How determinism is preserved
 //!
 //! The pass only reads the module for *shared context*: the type store,
-//! globals, function signatures, and call effects. It never inspects the
-//! body of any function other than the one being rolled. Each worker
-//! therefore holds a body-less context of the module
-//! ([`Module::without_bodies`]: types, globals, name maps and a signature
-//! stub per function), seeds it with one copy of each body it rolls, and
-//! captures each roll as a [`StoreEntry`] in the context's id spaces,
-//! moving the rolled body out again; a panicking roll is restored from the
-//! shared module. The engine moves the body too, rather than cloning it,
-//! so a rolled definition is copied twice on its way to the output: the
-//! seed copy and the replay copy. The driver then replays an entry onto
-//! every definition serially, in function-id order (`StoreEntry::replay`,
-//! the one splice path):
+//! globals, function signatures, and call effects; it never inspects the
+//! body of any function but the one being rolled, and it writes only
+//! interned types. Each worker therefore holds a body-less context of the
+//! module ([`Module::without_bodies`]: types, globals, name maps and a
+//! signature stub per function), hands the engine a copy of each body it
+//! rolls, and captures each roll (a body plus the constant tables it
+//! minted) as a [`StoreEntry`] in the context's id spaces; the context
+//! never gains a global or a body. A rolled definition is copied twice on
+//! its way to the output: the engine's copy and the replay copy. The
+//! driver then replays an entry onto every definition serially, in
+//! function-id order (`StoreEntry::replay`, which splices like the serial
+//! pass):
 //!
-//! * **Globals.** Constant arrays minted by codegen get worker-local names.
-//!   Replay renames each one through [`Module::fresh_global_name`] against
-//!   the *merged* module, which walks functions in the same order as the
-//!   serial pass — reproducing the serial names exactly.
+//! * **Globals.** Codegen's constant tables carry the bare prefix
+//!   `rolag.cdata`. Replay names each one through
+//!   [`Module::fresh_global_name`] against the *merged* module, which walks
+//!   functions in the same order as the serial pass — reproducing the
+//!   serial names exactly.
 //! * **Types.** Replay absorbs each worker's type store once per run via
 //!   [`TypeStore::absorb`](rolag_ir::TypeStore::absorb) and remaps bodies.
 //!   Interned type *ids* may differ from a serial run, but ids are never
@@ -80,7 +81,7 @@ use rolag_transforms::effects_table;
 
 use crate::memo::{key_hash, ClosureKeys, MemoStore, StoreEntry, TypeMaps};
 use crate::options::RolagOptions;
-use crate::pass::{rescue_panics, roll_function_with, roll_in_place};
+use crate::pass::{rescue_panics, roll_function, roll_in_place};
 use crate::stats::RolagStats;
 
 /// Where the driver's workers come from: exactly one source per run.
@@ -216,7 +217,7 @@ pub fn roll_module_par(
 
     // A lone definition without a store shares nothing with anything, so
     // it is rolled in place on the calling thread, as the serial pass
-    // rolls it: no context, seed copy, capture or replay. The report reads
+    // rolls it: no context, capture or replay. The report reads
     // as a one-worker roll of it would, `changed` by capture's rule.
     if let ([fid], None) = (ids.as_slice(), store) {
         let globals_before = module.num_globals();
@@ -275,10 +276,9 @@ pub fn roll_module_par(
     let to_roll: Vec<usize> = (0..reps.len()).filter(|&g| !from_store[g]).collect();
 
     // Roll one representative per missed group. Each worker holds a
-    // body-less context of the module and seeds it with one copy of the
-    // body it rolls; capture moves the rolled body back out, so a worker
-    // never holds a body it is not rolling. A panicking roll is restored
-    // from the shared module. Dynamic scheduling decides *which* worker
+    // body-less context of the module and hands the engine a copy of the
+    // shared body; capture keeps the rolled body, so a worker never holds a
+    // body it is not rolling. Dynamic scheduling decides *which* worker
     // rolls *what*, but every result is independent of that choice.
     let worker_tag = AtomicUsize::new(0);
     let (captures, contexts) = workers.map_with(
@@ -291,16 +291,9 @@ pub fn roll_module_par(
         },
         |(worker, ctx), _, &g| {
             let fid = ids[reps[g]];
-            let pristine = shared.func(fid);
-            let first_new = ctx.num_globals();
-            ctx.replace_func(fid, pristine.clone());
-            let stats = rescue_panics(
-                ctx,
-                fid,
-                || pristine.clone(),
-                |m| roll_function_with(m, fid, opts, &effects),
-            );
-            (*worker, StoreEntry::capture(ctx, fid, first_new, stats))
+            let body = shared.func(fid).clone();
+            let roll = rescue_panics(|| roll_function(ctx, fid, body, opts, &effects));
+            (*worker, StoreEntry::capture(ctx, fid, roll))
         },
     );
     // A worker's type store is final after its last roll: every entry the

@@ -57,6 +57,8 @@ use rolag_ir::{
 };
 
 use crate::options::RolagOptions;
+use crate::pass::rescued;
+use crate::speculate::Rolled;
 use crate::stats::RolagStats;
 
 /// Globals and functions a function's value/instruction arenas reference.
@@ -124,21 +126,6 @@ fn normalize_own_name(printed: &str, name: &str) -> String {
     }
     out.push_str(rest);
     out
-}
-
-/// `prefix` such that `fresh_global_name(prefix)` can reproduce `name`:
-/// the name with a trailing `.<digits>` counter stripped.
-fn name_prefix(name: &str) -> &str {
-    match name.rfind('.') {
-        Some(pos)
-            if pos > 0
-                && !name[pos + 1..].is_empty()
-                && name[pos + 1..].chars().all(|c| c.is_ascii_digit()) =>
-        {
-            &name[..pos]
-        }
-        _ => name,
-    }
 }
 
 /// Builds closure keys under one [`RolagOptions`], whose fingerprint is
@@ -215,10 +202,12 @@ pub struct RolledBody {
     types: Arc<TypeStore>,
     /// Pre-existing globals the body references: donor id → name. The key
     /// guarantees a hit's module defines each name identically.
-    base_globals: Vec<(GlobalId, String)>,
-    /// Globals the roll minted, in minting order (name reproduction
-    /// depends on the order): donor id plus full data.
-    new_globals: Vec<(GlobalId, GlobalData)>,
+    module_globals: Vec<(GlobalId, String)>,
+    /// The donor id of `tables[0]`.
+    first_table: usize,
+    /// The constant tables the roll minted, in minting order (name
+    /// reproduction depends on the order), named with their bare prefix.
+    tables: Vec<GlobalData>,
     /// Referenced functions other than itself: donor id → name.
     callees: Vec<(FuncId, String)>,
     /// The donor id of the function itself (self-calls re-target to the
@@ -259,48 +248,41 @@ impl TypeMaps {
 }
 
 impl StoreEntry {
-    /// Captures the roll a driver worker just ran on `id` inside its
-    /// body-less context, moving the rolled body out of the context (its
-    /// stub stays behind) and trimming its arenas, so an entry holds no
-    /// more than a fresh copy would. Globals from index `first_new` on are
-    /// the ones the roll minted, in minting order. The body keeps the
-    /// worker's type ids, and the worker's type store grows until its last
-    /// roll, so the returned closure finishes the entry once it is given
-    /// that store.
+    /// Captures `roll`, the roll a driver worker just ran on `id` against
+    /// its body-less context `module` (`None` for a roll that panicked and
+    /// was rescued), trimming the body's arenas, so an entry holds no
+    /// more than a fresh copy would. The body keeps the worker's type ids,
+    /// and the worker's type store grows until its last roll, so the
+    /// returned closure finishes the entry once it is given that store.
     pub(crate) fn capture(
-        module: &mut Module,
+        module: &Module,
         id: FuncId,
-        first_new: usize,
-        stats: RolagStats,
+        roll: Option<Rolled>,
     ) -> impl FnOnce(&Arc<TypeStore>) -> StoreEntry + Send {
-        let func = module.take_func(id);
-        let rolled = stats.rolled > 0 || module.num_globals() != first_new;
-        let parts = rolled.then(|| {
-            let mut func = func;
-            func.shrink_to_fit();
-            let (globals, funcs) = referenced_symbols(&func);
-            let base_globals: Vec<_> = globals
+        let stats = roll.as_ref().map_or_else(rescued, |rolled| rolled.stats);
+        let changed = roll.filter(|r| r.stats.rolled > 0 || !r.tables.is_empty());
+        let parts = changed.map(|mut rolled| {
+            rolled.func.shrink_to_fit();
+            let (globals, funcs) = referenced_symbols(&rolled.func);
+            let module_globals: Vec<_> = globals
                 .into_iter()
-                .filter(|g| g.index() < first_new)
+                .filter(|g| g.index() < rolled.first_table)
                 .map(|g| (g, module.global(g).name.clone()))
-                .collect();
-            let new_globals: Vec<_> = (first_new..module.num_globals())
-                .map(GlobalId::from_index)
-                .map(|g| (g, module.global(g).clone()))
                 .collect();
             let callees: Vec<_> = funcs
                 .into_iter()
                 .filter(|&f| f != id)
                 .map(|f| (f, module.func(f).name.clone()))
                 .collect();
-            (func, base_globals, new_globals, callees)
+            (rolled, module_globals, callees)
         });
         move |types| StoreEntry {
-            body: parts.map(|(func, base_globals, new_globals, callees)| RolledBody {
-                func,
+            body: parts.map(|(rolled, module_globals, callees)| RolledBody {
+                func: rolled.func,
                 types: Arc::clone(types),
-                base_globals,
-                new_globals,
+                module_globals,
+                first_table: rolled.first_table,
+                tables: rolled.tables,
                 callees,
                 self_id: id,
             }),
@@ -309,11 +291,12 @@ impl StoreEntry {
     }
 
     /// Replays this entry onto function `id` of `module`, which must have
-    /// matched the entry's closure key. Mints fresh constant-array names
-    /// against `module` in donor order, so replaying in function-id order
-    /// is byte-identical to a cold roll of the module. `type_maps` carries
-    /// the donor stores already absorbed into `module`. Returns `true` when
-    /// a body was spliced (`false` = no-change entry).
+    /// matched the entry's closure key, and splices it as the serial pass
+    /// does: fresh constant-table names are minted against `module` in
+    /// donor order, so replaying in function-id order is byte-identical to
+    /// a cold roll of the module. `type_maps` carries the donor stores
+    /// already absorbed into `module`. Returns `true` when a body was
+    /// spliced (`false` = no-change entry).
     pub(crate) fn replay(&self, module: &mut Module, id: FuncId, type_maps: &mut TypeMaps) -> bool {
         let Some(body) = &self.body else {
             return false;
@@ -322,19 +305,20 @@ impl StoreEntry {
         let mut func = body.func.clone();
 
         let mut global_map: FxHashMap<GlobalId, GlobalId> = FxHashMap::default();
-        for (donor, name) in &body.base_globals {
+        for (donor, name) in &body.module_globals {
             let target = module
                 .global_by_name(name)
                 .expect("closure key guarantees every referenced global");
             global_map.insert(*donor, target);
         }
-        for (donor, data) in &body.new_globals {
-            let mut data = data.clone();
+        let first_table = module.num_globals();
+        let mut tables = body.tables.clone();
+        for (k, table) in tables.iter_mut().enumerate() {
             if let Some(map) = type_map {
-                data.ty = map[data.ty.index()];
+                table.ty = map[table.ty.index()];
             }
-            data.name = module.fresh_global_name(name_prefix(&data.name));
-            global_map.insert(*donor, module.add_global(data));
+            let (donor, target) = (body.first_table + k, first_table + k);
+            global_map.insert(GlobalId::from_index(donor), GlobalId::from_index(target));
         }
         let mut func_map: FxHashMap<FuncId, FuncId> = FxHashMap::default();
         func_map.insert(body.self_id, id);
@@ -359,7 +343,13 @@ impl StoreEntry {
         let target = module.func(id);
         func.name = target.name.clone();
         func.effects = target.effects;
-        module.replace_func(id, func);
+        Rolled {
+            func,
+            first_table,
+            tables,
+            stats: self.stats,
+        }
+        .splice(module, id);
         true
     }
 }
@@ -813,14 +803,6 @@ mod tests {
         assert!(n.contains("@f2"), "prefix symbol must survive");
         assert!(n.contains("@\u{1}self"), "own tokens replaced");
         assert!(!n.contains("call @f("), "own call site normalized");
-    }
-
-    #[test]
-    fn name_prefix_strips_counters() {
-        assert_eq!(name_prefix("rolag.cdata.17"), "rolag.cdata");
-        assert_eq!(name_prefix("rolag.cdata"), "rolag.cdata");
-        assert_eq!(name_prefix("plain"), "plain");
-        assert_eq!(name_prefix("dotted.name"), "dotted.name");
     }
 
     /// Same canonical body, different context: the closure key must keep

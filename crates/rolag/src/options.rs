@@ -107,11 +107,6 @@ pub struct RolagOptions {
     pub enable_reductions: bool,
     /// Joint alignment of alternating seed groups (§IV-C6).
     pub enable_joint: bool,
-    /// Mismatching nodes (handled through arrays). Disabling restricts the
-    /// graph to exact matches.
-    pub enable_mismatch: bool,
-    /// Run simplify+DCE on functions changed by the pass.
-    pub cleanup: bool,
     /// Statically validate every generated rewrite with the `rolag-tv`
     /// translation validator before the cost model may commit it; rewrites
     /// that fail to validate are rejected and counted in
@@ -148,8 +143,6 @@ impl Default for RolagOptions {
             enable_recurrences: true,
             enable_reductions: true,
             enable_joint: true,
-            enable_mismatch: true,
-            cleanup: true,
             validate: false,
             enable_value_chains: false,
             target: TargetKind::default(),
@@ -263,7 +256,6 @@ mod tests {
     fn ablation_disables_special_nodes_only() {
         let o = RolagOptions::no_special_nodes();
         assert!(!o.enable_sequences && !o.enable_recurrences);
-        assert!(o.cleanup);
         assert_eq!(o.min_lanes, 2);
     }
 

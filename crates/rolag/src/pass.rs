@@ -17,38 +17,37 @@ use rolag_ir::{Effects, FuncId, Function, Module};
 use rolag_transforms::effects_table;
 
 use crate::options::RolagOptions;
-use crate::speculate::{fresh_function_size, rollback_globals, timed, Speculator, Verdict};
+use crate::speculate::{fresh_function_size, timed, Rolled, Speculator, Verdict};
 use crate::stats::RolagStats;
 
-/// Runs RoLAG on one function using a pre-computed call-effects table
-/// (compute it once per module with [`rolag_transforms::effects_table`];
-/// rolling never changes a function's effects annotation).
+/// Rolls `body`, the body of function `id`, using a pre-computed
+/// call-effects table (compute it once per module with
+/// [`rolag_transforms::effects_table`]; rolling never changes a function's
+/// effects annotation). The module is read for signatures and written only
+/// to intern types: the roll comes back as a value to splice.
 ///
 /// Beams of width >= 2 run the beam policy instead; `beam:1` stays here,
 /// which makes it byte- and stats-identical to greedy by construction.
-pub(crate) fn roll_function_with(
+pub(crate) fn roll_function(
     module: &mut Module,
     id: FuncId,
+    body: Function,
     opts: &RolagOptions,
     effects: &[Effects],
-) -> RolagStats {
+) -> Rolled {
     if opts.search.is_beam() {
-        return crate::search::search_function(module, id, opts, effects, None);
+        return crate::search::search_function(module, id, body, opts, effects, None);
     }
     let mut stats = RolagStats::default();
-    if module.func(id).is_declaration {
-        return stats;
+    let mut spec = Speculator::new(id, body);
+    if !spec.work.is_declaration {
+        greedy(module, &mut spec, opts, effects, usize::MAX, &mut stats);
     }
-    // The body moves into the speculator; its signature stub stays behind
-    // for the callers and self-calls the engine reads.
-    let mut spec = Speculator::new(id, module.take_func(id));
-    greedy(module, &mut spec, opts, effects, usize::MAX, &mut stats);
-    module.replace_func(id, spec.work);
-    stats
+    spec.finish(module, stats)
 }
 
 /// In test builds, the greedy engine panics on a function of this name at
-/// its first open window, after codegen minted the window's globals: the
+/// its first open window, after codegen minted the window's tables: the
 /// injection point of the panic-rescue tests.
 #[cfg(test)]
 pub(crate) const INJECTED_PANIC: &str = "rolag_test_injected_panic";
@@ -93,7 +92,7 @@ pub(crate) fn greedy(
                 fresh_function_size(module, &spec.work, opts) + rodata
             });
             if new_size >= old_size {
-                spec.rollback(module, window);
+                spec.rollback(window);
                 stats.rejected_profit += 1;
             } else {
                 stats.rolled += 1;
@@ -119,7 +118,8 @@ pub(crate) fn greedy(
 /// statistics: the serial reference the parallel driver
 /// ([`roll_module_par`](crate::roll_module_par)) must match. The
 /// call-effects table is computed once and shared across all functions,
-/// and each function is rolled in place by `roll_in_place`.
+/// and each function is rolled and spliced by `roll_in_place` before the
+/// next one rolls.
 pub fn roll_module(module: &mut Module, opts: &RolagOptions) -> RolagStats {
     let effects = effects_table(module);
     let ids: Vec<FuncId> = module.func_ids().collect();
@@ -130,50 +130,38 @@ pub fn roll_module(module: &mut Module, opts: &RolagOptions) -> RolagStats {
     total
 }
 
-/// Rolls function `id` where it stands, under `rescue_panics`, with one
-/// copy of its body taken first as the pristine body a panic restores:
-/// the serial pass's step per function, and the module driver's for a
-/// lone definition without a store.
+/// Rolls a copy of function `id`'s body under `rescue_panics` and splices
+/// the roll: the serial pass's step per function, and the module driver's
+/// for a lone definition without a store.
 pub(crate) fn roll_in_place(
     module: &mut Module,
     id: FuncId,
     opts: &RolagOptions,
     effects: &[Effects],
 ) -> RolagStats {
-    let pristine = module.func(id).clone();
-    rescue_panics(
-        module,
-        id,
-        move || pristine,
-        |m| roll_function_with(m, id, opts, effects),
-    )
+    let body = module.func(id).clone();
+    match rescue_panics(|| roll_function(module, id, body, opts, effects)) {
+        Some(rolled) => rolled.splice(module, id),
+        None => rescued(),
+    }
 }
 
-/// Runs `engine` on function `id` with per-function panic isolation: if the
-/// engine panics, the module is restored to its pre-call state (function
-/// `id` set back to the body `pristine` yields, speculative globals rolled
-/// back) and the returned stats count one `rescued` function. One
-/// pathological function thus degrades into a skipped roll instead of
-/// killing the whole module run. The engine moves the body out of the
-/// module while it rolls, so the pristine copy is the caller's: the module
-/// driver's is the shared input module, the serial loop's a clone.
-pub(crate) fn rescue_panics(
-    module: &mut Module,
-    id: FuncId,
-    pristine: impl FnOnce() -> Function,
-    engine: impl FnOnce(&mut Module) -> RolagStats,
-) -> RolagStats {
-    let globals_before = module.num_globals();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine(module))) {
-        Ok(stats) => stats,
-        Err(_) => {
-            rollback_globals(module, globals_before);
-            module.replace_func(id, pristine());
-            RolagStats {
-                rescued: 1,
-                ..Default::default()
-            }
-        }
+/// Runs `engine`, one function's roll, with per-function panic isolation:
+/// a panicking roll comes back as `None`, counted by [`rescued`]. The
+/// engine writes nothing to the module but interned types, so a rescued
+/// function and the globals stay as they were. One pathological function
+/// thus degrades into a skipped roll instead of killing the whole module
+/// run.
+pub(crate) fn rescue_panics(engine: impl FnOnce() -> Rolled) -> Option<Rolled> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(engine)).ok()
+}
+
+/// The statistics of a roll [`rescue_panics`] caught: one `rescued`
+/// function.
+pub(crate) fn rescued() -> RolagStats {
+    RolagStats {
+        rescued: 1,
+        ..Default::default()
     }
 }
 
@@ -312,45 +300,60 @@ entry:
         assert!(shown.contains("tv 1 validated / 0 rejected"), "{shown}");
     }
 
-    /// A panicking engine must leave the module byte-identical — including
-    /// rolling back any globals it speculatively added — and report the
-    /// function as rescued rather than unwinding.
+    /// A window that mints a constant table leaves the module's globals
+    /// alone, rolled back or committed: the table lives in the speculator
+    /// until the roll is spliced, and splicing names it as the serial pass
+    /// does.
     #[test]
-    fn rescue_panics_restores_the_module() {
-        let text = r#"
-module "t"
-global @a : [4 x i32] = zero
-func @f() -> void {
-entry:
-  ret
-}
-"#;
-        let mut module = parse_module(text).unwrap();
-        let id = module.func_ids().next().unwrap();
-        let before = rolag_ir::printer::print_module(&module);
-        let pristine = module.func(id).clone();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let stats = rescue_panics(
-            &mut module,
-            id,
-            move || pristine,
-            |m| {
-                // Like the engine, move the body out before panicking.
-                drop(m.take_func(id));
-                let word = m.types.int(32);
-                m.add_global(rolag_ir::GlobalData {
-                    name: "speculative".into(),
-                    ty: word,
-                    init: rolag_ir::GlobalInit::Zero,
-                    is_const: true,
-                });
-                panic!("boom");
-            },
+    fn tables_reach_the_module_only_at_splice() {
+        let mut text = String::from(
+            "module \"t\"\nglobal @a : [16 x i32] = zero\nglobal @rolag.cdata.2 : i32 = zero\n\
+             func @f() -> void {\nentry:\n",
         );
-        std::panic::set_hook(hook);
-        assert_eq!(stats.rescued, 1);
-        assert_eq!(stats.rolled, 0);
-        assert_eq!(rolag_ir::printer::print_module(&module), before);
+        for (i, v) in [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3]
+            .iter()
+            .enumerate()
+        {
+            text.push_str(&format!("  %g{i} = gep i32, @a, i64 {i}\n"));
+            text.push_str(&format!("  store i32 {v}, %g{i}\n"));
+        }
+        text.push_str("  ret\n}\n");
+        let mut serial = parse_module(&text).unwrap();
+        let serial_stats = roll_module(&mut serial, &RolagOptions::default());
+        assert_eq!(serial_stats.rolled, 1, "the fixture must roll");
+
+        let mut module = parse_module(&text).unwrap();
+        let opts = RolagOptions::default();
+        let effects = effects_table(&module);
+        let id = module.func_by_name("f").unwrap();
+        let mut spec = Speculator::new(id, module.func(id).clone());
+        let cand = spec.candidates(&module, &opts).remove(0);
+        let mut stats = RolagStats::default();
+        for commit in [false, true] {
+            let Verdict::Open(window) =
+                spec.speculate(&mut module, &cand, &opts, &effects, &mut stats, None)
+            else {
+                panic!("the candidate must open a window");
+            };
+            assert_eq!(spec.tables.len(), 1, "the window minted one table");
+            assert_eq!(spec.tables[0].name, "rolag.cdata");
+            if commit {
+                stats.rolled += 1;
+                spec.commit(window);
+            } else {
+                spec.rollback(window);
+                assert!(spec.tables.is_empty(), "rollback drops the table");
+            }
+            assert_eq!(module.num_globals(), 2, "commit={commit}");
+        }
+        spec.finish(&module, stats).splice(&mut module, id);
+        assert_eq!(module.num_globals(), 3);
+        let table = module.global(rolag_ir::GlobalId::from_index(2));
+        // The name counts from the module's global count, past `rolag.cdata.2`.
+        assert_eq!(table.name, "rolag.cdata.3");
+        assert_eq!(
+            rolag_ir::printer::print_module(&module),
+            rolag_ir::printer::print_module(&serial)
+        );
     }
 }

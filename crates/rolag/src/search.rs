@@ -20,15 +20,16 @@
 //!    (no clone per candidate), validated, and score the survivor with
 //!    the cost model (`new text size + added rodata`).
 //! 2. **Capture** the `k` best profitable candidates as trials while their
-//!    speculation window is still open: the validated, cleaned-up function,
-//!    the globals it appended, and its node-kind counts (ties broken by
-//!    enumeration order; profitable candidates beyond `k` are beam prunes
-//!    and are never cloned, so trial memory is bounded by `k`).
-//! 3. **Roll out** each trial from its captured state: the greedy policy
-//!    with up to `d` commits, then score the end state (`d = 0` means roll
-//!    out to the dry fixpoint).
-//! 4. **Install** the trial with the best rollout score as the working
-//!    function, with its globals re-added in order.
+//!    speculation window is still open: the validated, cleaned-up function
+//!    and the speculator's constant tables, the window's included, plus its
+//!    node-kind counts (ties broken by enumeration order; profitable
+//!    candidates beyond `k` are beam prunes and are never cloned, so trial
+//!    memory is bounded by `k`).
+//! 3. **Roll out** each trial from a copy of its captured state: the
+//!    greedy policy with up to `d` commits, then score the end state
+//!    (`d = 0` means roll out to the dry fixpoint).
+//! 4. **Install** the trial with the best rollout score: its function and
+//!    tables become the speculator's.
 //!
 //! So every candidate runs graph → schedule → codegen → validator →
 //! cleanup at most once per pre-state, and a beam winner's committed
@@ -49,19 +50,22 @@
 //! part of the memo-store options fingerprint).
 //!
 //! **Monotonicity against greedy is enforced by construction**: the
-//! function-level driver runs the greedy engine first, then the beam, and
-//! adopts the beam result only when it is strictly smaller under the
-//! lowered-size measurement ([`rolag_lower::measure_function`], plus added
-//! rodata as a tie-break). A beam can therefore explore aggressively and
-//! still never regress a function (`tests/search_conformance.rs`).
+//! function-level driver runs the greedy engine and the beam on two
+//! speculators from the same body, and adopts the beam's roll only when it
+//! is strictly smaller under the lowered-size measurement
+//! ([`rolag_lower::measure_function`], plus added rodata as a tie-break);
+//! otherwise the greedy roll is returned. Neither writes a global, so
+//! nothing is rewound between them. A beam can therefore explore
+//! aggressively and still never regress a function
+//! (`tests/search_conformance.rs`).
 
-use rolag_ir::{Effects, FuncId, Function, GlobalData, GlobalId, Module};
+use rolag_ir::{Effects, FuncId, Function, GlobalData, Module};
 use rolag_tv::TvScratch;
 
 use crate::options::{RolagOptions, SearchConfig};
-use crate::pass::{greedy, roll_function_with};
+use crate::pass::{greedy, roll_function};
 use crate::seeds::candidate_variants;
-use crate::speculate::{fresh_function_size, rollback_globals, timed, Speculator, Verdict};
+use crate::speculate::{fresh_function_size, table_bytes, timed, Rolled, Speculator, Verdict};
 use crate::stats::{NodeKindCounts, RolagStats, StageTimings};
 
 /// One beam-explored speculation the translation validator refused,
@@ -77,7 +81,8 @@ pub struct RejectedSpeculation {
     pub before: String,
     /// The module printed with the rejected speculative rewrite in place
     /// (raw codegen output, pre-cleanup — exactly what the validator saw),
-    /// with the speculation's globals still live.
+    /// with the speculator's tables, the rejected rewrite's included,
+    /// spliced. `before` is printed with the same tables.
     pub after: String,
     /// The candidate's alignment graph in Graphviz `dot` syntax, annotated
     /// with the speculation's measured score and the validator's verdict
@@ -86,7 +91,7 @@ pub struct RejectedSpeculation {
 }
 
 /// Collects every TV-rejected beam speculation for offline auditing. Only
-/// the audited entry point pays the capture cost (two module clones and
+/// the audited entry point pays the capture cost (a module clone and two
 /// prints per reject); the production engine skips it entirely.
 #[derive(Default)]
 pub struct SearchAudit {
@@ -106,105 +111,81 @@ pub fn search_function_audited(
     effects: &[Effects],
     audit: &mut SearchAudit,
 ) -> RolagStats {
-    search_function(module, id, opts, effects, Some(audit))
+    let body = module.func(id).clone();
+    search_function(module, id, body, opts, effects, Some(audit)).splice(module, id)
 }
 
-/// The beam search on one function; greedy options delegate to the greedy
-/// engine.
+/// The beam search on `body`, the body of function `id`; greedy options
+/// delegate to the greedy engine.
 pub(crate) fn search_function(
     module: &mut Module,
     id: FuncId,
+    body: Function,
     opts: &RolagOptions,
     effects: &[Effects],
     audit: Option<&mut SearchAudit>,
-) -> RolagStats {
+) -> Rolled {
     let SearchConfig::Beam { width, depth } = opts.search else {
-        return roll_function_with(module, id, opts, effects);
+        return roll_function(module, id, body, opts, effects);
     };
-    if module.func(id).is_declaration {
-        return RolagStats::default();
-    }
-
-    let orig = module.func(id).clone();
-    let base_globals = module.num_globals();
-
-    // Greedy trial first: its result is the floor the beam must beat.
     let greedy_opts = RolagOptions {
         search: SearchConfig::Greedy,
         ..opts.clone()
     };
-    let greedy_stats = roll_function_with(module, id, &greedy_opts, effects);
-    let greedy_func = module.func(id).clone();
-    let greedy_text = rolag_lower::measure_function(module, &greedy_func) as u64;
-    let greedy_rodata = added_rodata(module, base_globals);
-    let greedy_globals: Vec<GlobalData> = (base_globals..module.num_globals())
-        .map(|i| module.global(GlobalId::from_index(i)).clone())
-        .collect();
+    if body.is_declaration {
+        return roll_function(module, id, body, &greedy_opts, effects);
+    }
 
-    // Rewind to the original and run the beam from the same start state, so
-    // both trials mint identical fresh-global names deterministically.
-    rollback_globals(module, base_globals);
-    module.replace_func(id, orig);
+    // Greedy first: its roll is the floor the beam must beat. Both start
+    // from the same body and module, so their tables take the same ids.
+    let floor = roll_function(module, id, body.clone(), &greedy_opts, effects);
+    let greedy_text = rolag_lower::measure_function(module, &floor.func) as u64;
+    let beam = beam_roll(module, id, body, opts, effects, width, depth, audit);
+    let beam_text = rolag_lower::measure_function(module, &beam.func) as u64;
 
-    let mut beam_stats = beam_roll(module, id, opts, effects, width, depth, audit);
-    let beam_text = rolag_lower::measure_function(module, module.func(id)) as u64;
-    let beam_rodata = added_rodata(module, base_globals);
-
-    // Adopt the beam result only when strictly smaller: first on measured
+    // Adopt the beam's roll only when strictly smaller: first on measured
     // text bytes (the per-function monotonicity the conformance suite
     // pins), then on added rodata as the tie-break.
+    let (greedy_rodata, beam_rodata) = (
+        table_bytes(&module.types, &floor.tables),
+        table_bytes(&module.types, &beam.tables),
+    );
     let adopt =
         beam_text < greedy_text || (beam_text == greedy_text && beam_rodata < greedy_rodata);
-    if adopt {
-        beam_stats.search.adopted += 1;
-        beam_stats.timings += greedy_stats.timings;
-        return beam_stats;
-    }
-    // Reinstall the greedy result. Globals are positional and append-only,
-    // so popping the beam's and re-adding the greedy trial's captured
-    // `GlobalData` in order reproduces the greedy ids and names exactly.
-    rollback_globals(module, base_globals);
-    for g in greedy_globals {
-        module.add_global(g);
-    }
-    module.replace_func(id, greedy_func);
-    let mut out = greedy_stats;
-    out.search = beam_stats.search;
-    out.search.adopted = 0;
-    out.timings += beam_stats.timings;
+    // The returned roll carries the beam's search counters and both
+    // engines' timings.
+    let search = beam.stats.search;
+    let (mut out, other) = if adopt { (beam, floor) } else { (floor, beam) };
+    out.stats.search = search;
+    out.stats.search.adopted = u64::from(adopt);
+    out.stats.timings += other.stats.timings;
     out
 }
 
-/// Sum of `global_size` over the globals appended past `base`.
-fn added_rodata(module: &Module, base: usize) -> u64 {
-    (base..module.num_globals())
-        .map(|i| module.global_size(GlobalId::from_index(i)))
-        .sum()
-}
-
 /// A profitable, validated speculation captured for rollout scoring and,
-/// if it wins, for installation: the cleaned-up function and the globals
-/// it appended, exactly as the validator and the cost model saw them.
+/// if it wins, for installation: the cleaned-up function and the beam
+/// speculator's tables, the window's included, exactly as the validator
+/// and the cost model saw them.
 struct Trial {
     func: Function,
-    /// Globals the candidate appended, in id order. Globals are positional,
-    /// so re-adding them on the same base reproduces their ids and names.
-    globals: Vec<GlobalData>,
+    tables: Vec<GlobalData>,
     kinds: NodeKindCounts,
     /// Speculated size (`new text + added rodata`); the shortlist key.
     new_size: u64,
 }
 
-/// The beam fixpoint over one function.
+/// The beam fixpoint over `body`.
+#[allow(clippy::too_many_arguments)]
 fn beam_roll(
     module: &mut Module,
     id: FuncId,
+    body: Function,
     opts: &RolagOptions,
     effects: &[Effects],
     width: usize,
     depth: usize,
     mut audit: Option<&mut SearchAudit>,
-) -> RolagStats {
+) -> Rolled {
     // The validator gate is unconditional in the beam: aggressive variants
     // ride on proofs, not on enumeration conservatism.
     let opts = &RolagOptions {
@@ -212,7 +193,7 @@ fn beam_roll(
         ..opts.clone()
     };
     let mut stats = RolagStats::default();
-    let mut spec = Speculator::new(id, module.func(id).clone());
+    let mut spec = Speculator::new(id, body);
     stats.size_before = timed(&mut stats.timings.cost_ns, || {
         fresh_function_size(module, &spec.work, opts)
     });
@@ -265,12 +246,9 @@ fn beam_roll(
                 profitable += 1;
                 let at = trials.partition_point(|t| t.new_size <= new_size);
                 if at < width {
-                    let globals = (window.base_globals..module.num_globals())
-                        .map(|i| module.global(GlobalId::from_index(i)).clone())
-                        .collect();
                     let trial = Trial {
                         func: spec.work.clone(),
-                        globals,
+                        tables: spec.tables.clone(),
                         kinds: window.kinds,
                         new_size,
                     };
@@ -278,7 +256,7 @@ fn beam_roll(
                     trials.truncate(width);
                 }
             }
-            spec.rollback(module, window);
+            spec.rollback(window);
         }
         if trials.is_empty() {
             break;
@@ -286,11 +264,13 @@ fn beam_roll(
         stats.search.pruned += profitable.saturating_sub(width) as u64;
 
         // Phase 3: rollout-score each trial.
+        let committed = spec.tables.len();
         let mut best: Option<(usize, u64)> = None;
         for (i, trial) in trials.iter().enumerate() {
             let score = rollout_score(
                 module,
                 trial,
+                committed,
                 id,
                 opts,
                 effects,
@@ -306,10 +286,8 @@ fn beam_roll(
         // Phase 4: install the winner's validated state.
         let (best_idx, _) = best.expect("non-empty shortlist always scores");
         let winner = trials.swap_remove(best_idx);
-        for g in winner.globals {
-            module.add_global(g);
-        }
         spec.work = winner.func;
+        spec.tables = winner.tables;
         stats.rolled += 1;
         stats.nodes += winner.kinds;
         old_size = timed(&mut stats.timings.cost_ns, || {
@@ -318,21 +296,21 @@ fn beam_roll(
     }
 
     stats.size_after = old_size;
-    module.replace_func(id, spec.work);
-    stats
+    spec.finish(module, stats)
 }
 
-/// Scores a trial by continuing from its captured state with the greedy
-/// policy, up to `depth` commits (`depth == 0`: to the dry fixpoint).
-/// Returns the end-state size (text plus all rodata added since the
-/// trial's pre-state, the trial's own included). All rollout globals are
-/// popped before returning; rollouts add only their timings to the outcome
-/// stats. The rollout validates in `tv`, the beam speculator's scratch,
-/// and hands it back.
+/// Scores a trial by continuing from a copy of its captured state with the
+/// greedy policy, up to `depth` commits (`depth == 0`: to the dry
+/// fixpoint). Returns the end-state size: text plus the rodata of every
+/// table past the beam speculator's `committed` ones, the trial's own and
+/// the rollout's. Rollouts add only their timings to the outcome stats.
+/// The rollout validates in `tv`, the beam speculator's scratch, and hands
+/// it back.
 #[allow(clippy::too_many_arguments)]
 fn rollout_score(
     module: &mut Module,
     trial: &Trial,
+    committed: usize,
     id: FuncId,
     opts: &RolagOptions,
     effects: &[Effects],
@@ -340,19 +318,14 @@ fn rollout_score(
     tv: &mut TvScratch,
     timings: &mut StageTimings,
 ) -> u64 {
-    let base_globals = module.num_globals();
-    for g in &trial.globals {
-        module.add_global(g.clone());
-    }
-    let mut sim = Speculator::with_tv(id, trial.func.clone(), std::mem::take(tv));
+    let (func, tables) = (trial.func.clone(), trial.tables.clone());
+    let mut sim = Speculator::resume(id, func, tables, std::mem::take(tv));
     let mut scratch = RolagStats::default();
     let max_commits = if depth == 0 { usize::MAX } else { depth };
     greedy(module, &mut sim, opts, effects, max_commits, &mut scratch);
     *tv = sim.tv;
-    let score = scratch.size_after + added_rodata(module, base_globals);
-    rollback_globals(module, base_globals);
     *timings += scratch.timings;
-    score
+    scratch.size_after + table_bytes(&module.types, &sim.tables[committed..])
 }
 
 #[cfg(test)]

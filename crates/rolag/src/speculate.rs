@@ -7,14 +7,16 @@
 //! ([`rolag_ir::Function::pre_window`]).
 //!
 //! A candidate that survives comes back as an open [`Window`]: its rewrite
-//! is live in [`Speculator::work`] and its globals in the module until the
-//! policy prices it and either commits or rolls it back. The greedy policy
-//! ([`crate::pass`]) and the beam policy ([`crate::search`]) differ only in
-//! which candidates they try and what they keep.
+//! is live in [`Speculator::work`] and its constant tables in
+//! [`Speculator::tables`] until the policy prices it and either commits or
+//! rolls it back. The greedy policy ([`crate::pass`]) and the beam policy
+//! ([`crate::search`]) differ only in which candidates they try and what
+//! they keep. Only interned types reach the module before a finished roll,
+//! a [`Rolled`], is spliced, so nothing rewinds the module's globals.
 
 use std::time::Instant;
 
-use rolag_ir::{BlockId, Effects, FuncId, Function, GlobalId, Module, SnapshotToken};
+use rolag_ir::{BlockId, Effects, FuncId, Function, GlobalData, Module, SnapshotToken, TypeStore};
 use rolag_transforms::cleanup_in_place;
 use rolag_tv::{RewriteHints, TvScratch};
 
@@ -44,20 +46,49 @@ pub(crate) fn fresh_function_size(module: &Module, work: &Function, opts: &Rolag
     }
 }
 
-/// Pops every global past the first `keep`.
-pub(crate) fn rollback_globals(module: &mut Module, keep: usize) {
-    while module.num_globals() > keep {
-        module.pop_global(GlobalId::from_index(module.num_globals() - 1));
+/// The `.rodata` bytes of `tables`.
+pub(crate) fn table_bytes(types: &TypeStore, tables: &[GlobalData]) -> u64 {
+    tables.iter().map(|t| t.size(types)).sum()
+}
+
+/// A function's roll as a value: the rolled body, the constant tables its
+/// committed rewrites minted (in minting order, bare-named `rolag.cdata`),
+/// and the roll's statistics.
+pub(crate) struct Rolled {
+    pub func: Function,
+    /// The id the body gives `tables[0]`: the module's global count when
+    /// the roll ran.
+    pub first_table: usize,
+    pub tables: Vec<GlobalData>,
+    pub stats: RolagStats,
+}
+
+impl Rolled {
+    /// Writes the roll into `module` as function `id`, returning its
+    /// statistics: appends the tables in order, each named through
+    /// [`Module::fresh_global_name`], then replaces the body.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless table `k` gets id `first_table + k`, as the body uses.
+    pub fn splice(self, module: &mut Module, id: FuncId) -> RolagStats {
+        for (k, mut table) in self.tables.into_iter().enumerate() {
+            table.name = module.fresh_global_name(&table.name);
+            let gid = module.add_global(table);
+            assert_eq!(gid.index(), self.first_table + k, "a table's id moved");
+        }
+        module.replace_func(id, self.func);
+        self.stats
     }
 }
 
 /// What the validator is told about the rewrite codegen made of `block`
-/// from `graph`; `base_globals` is the module's global count before it.
+/// from `graph`; its tables start at id `first_new_global`.
 pub(crate) fn rewrite_hints(
     graph: &AlignGraph,
     block: BlockId,
     outcome: &RollOutcome,
-    base_globals: usize,
+    first_new_global: usize,
     opts: &RolagOptions,
 ) -> RewriteHints {
     RewriteHints {
@@ -65,7 +96,7 @@ pub(crate) fn rewrite_hints(
         block,
         loop_block: outcome.loop_block,
         exit_block: outcome.exit_block,
-        first_new_global: base_globals,
+        first_new_global,
         fast_math: opts.fast_math,
         claimed_lanes: graph
             .claimed
@@ -76,13 +107,13 @@ pub(crate) fn rewrite_hints(
 }
 
 /// An open speculation window: the candidate's validated, cleaned-up
-/// rewrite is live in the working function and its globals in the module
-/// until the window is committed or rolled back.
+/// rewrite is live in the working function and its tables at the end of
+/// the speculator's until the window is committed or rolled back.
 #[must_use]
 pub(crate) struct Window {
     token: SnapshotToken,
-    /// The module's global count before the rewrite appended its own.
-    pub base_globals: usize,
+    /// How many tables the speculator held before the rewrite's own.
+    tables: usize,
     /// Node-kind counts of the candidate's alignment graph.
     pub kinds: NodeKindCounts,
     /// Constant data the rewrite added to `.rodata`.
@@ -104,14 +135,17 @@ pub(crate) enum Verdict {
     Open(Window),
 }
 
-/// One function's speculation state: the working function, the
-/// validator's scratch, and the scheduling cache of its current revision.
-/// The validator reads the pre-candidate state through the open window's
-/// journal, so no copy of it is kept.
+/// One function's speculation state: the working function, the tables its
+/// rewrites minted, the validator's scratch, and the scheduling cache of
+/// its current revision. The validator reads the pre-candidate state
+/// through the open window's journal, so no copy of it is kept.
 pub(crate) struct Speculator {
     id: FuncId,
     /// The function being rolled; committed rewrites accumulate here.
     pub work: Function,
+    /// The constant tables of the rewrites in `work`, the open window's
+    /// last; table `k` has id `module.num_globals() + k`.
+    pub tables: Vec<GlobalData>,
     /// Block dependences, the use map and the instruction positions of
     /// `work`'s current revision, shared by seed collection, the scheduling
     /// analysis and code generation.
@@ -124,17 +158,28 @@ pub(crate) struct Speculator {
 impl Speculator {
     /// A speculator over `work`, the current body of function `id`.
     pub fn new(id: FuncId, work: Function) -> Self {
-        Self::with_tv(id, work, TvScratch::default())
+        Self::resume(id, work, Vec::new(), TvScratch::default())
     }
 
-    /// [`Speculator::new`], validating in `tv`: a scratch another
-    /// speculator used, whose tables are already sized for the function.
-    pub fn with_tv(id: FuncId, work: Function, tv: TvScratch) -> Self {
+    /// A speculator over `work` and the `tables` its rewrites minted,
+    /// validating in `tv`: a scratch another speculator used.
+    pub fn resume(id: FuncId, work: Function, tables: Vec<GlobalData>, tv: TvScratch) -> Self {
         Speculator {
             id,
             work,
+            tables,
             sched: ScheduleCache::default(),
             tv,
+        }
+    }
+
+    /// The roll as it stands, with `stats`.
+    pub fn finish(self, module: &Module, stats: RolagStats) -> Rolled {
+        Rolled {
+            func: self.work,
+            first_table: module.num_globals(),
+            tables: self.tables,
+            stats,
         }
     }
 
@@ -187,12 +232,14 @@ impl Speculator {
 
         #[cfg(test)]
         let reference = tv_parity::reference(&self.work);
-        let base_globals = module.num_globals();
+        let held = self.tables.len();
+        let first_table = module.num_globals() + held;
         let token = self.work.snapshot();
         let (uses, positions) = self.sched.indexes(&self.work);
         let outcome = timed(&mut stats.timings.codegen_ns, || {
             codegen::generate(
-                module,
+                &mut module.types,
+                first_table,
                 &mut self.work,
                 block,
                 &graph,
@@ -203,7 +250,6 @@ impl Speculator {
         });
         let Some(outcome) = outcome else {
             self.work.rollback(token);
-            rollback_globals(module, base_globals);
             stats.rejected_schedule += 1;
             return Verdict::Schedule;
         };
@@ -211,7 +257,8 @@ impl Speculator {
         // Validation runs on the raw generated code, before cleanup, so the
         // validator sees exactly what codegen emitted.
         if opts.validate {
-            let hints = rewrite_hints(&graph, block, &outcome, base_globals, opts);
+            let hints = rewrite_hints(&graph, block, &outcome, first_table, opts);
+            let tables = &outcome.tables;
             let verdict = timed(&mut stats.timings.tv_ns, || {
                 let orig = self.work.pre_window();
                 // The view has the revision the block was scheduled at, so
@@ -220,22 +267,29 @@ impl Speculator {
                     .sched
                     .block_deps(orig.revision(), block)
                     .expect("the scheduler computed the block's dependences at this revision");
-                rolag_tv::validate_rewrite(module, orig, &self.work, &hints, deps, &mut self.tv)
+                let (tv, work) = (&mut self.tv, &self.work);
+                rolag_tv::validate_rewrite(module, tables, orig, work, &hints, deps, tv)
             });
             #[cfg(test)]
-            tv_parity::record(module, &self.work, reference, &hints, &verdict);
+            tv_parity::record(module, tables, &self.work, reference, &hints, &verdict);
             if let Err(why) = verdict {
                 stats.tv_rejected += 1;
                 if let Some(audit) = audit {
                     // Print the rewrite, then the function it replaced,
-                    // while the speculative globals are still live, so the
+                    // with every table of the speculator spliced, so the
                     // rejected rewrite can be interpreted.
                     let info = DotInfo {
                         score: Some(fresh_function_size(module, &self.work, opts)),
                         verdict: Some(why.to_string()),
                     };
                     let mut shown = module.clone();
-                    shown.replace_func(self.id, self.work.clone());
+                    Rolled {
+                        func: self.work.clone(),
+                        first_table: module.num_globals(),
+                        tables: self.tables.iter().chain(tables).cloned().collect(),
+                        stats: RolagStats::default(),
+                    }
+                    .splice(&mut shown, self.id);
                     let after = rolag_ir::printer::print_module(&shown);
                     self.work.rollback(token);
                     shown.replace_func(self.id, self.work.clone());
@@ -248,25 +302,19 @@ impl Speculator {
                 } else {
                     self.work.rollback(token);
                 }
-                rollback_globals(module, base_globals);
                 return Verdict::Validator;
             }
             stats.tv_validated += 1;
         }
 
-        if opts.cleanup {
-            timed(&mut stats.timings.cleanup_ns, || {
-                cleanup_in_place(&mut self.work, &mut module.types, effects)
-            });
-        }
-        let rodata = outcome
-            .new_globals
-            .iter()
-            .map(|&g| module.global_size(g))
-            .sum();
+        timed(&mut stats.timings.cleanup_ns, || {
+            cleanup_in_place(&mut self.work, &mut module.types, effects)
+        });
+        let rodata = table_bytes(&module.types, &outcome.tables);
+        self.tables.extend(outcome.tables);
         Verdict::Open(Window {
             token,
-            base_globals,
+            tables: held,
             kinds: graph.count_kinds(),
             rodata,
         })
@@ -277,11 +325,11 @@ impl Speculator {
         self.work.commit(window.token);
     }
 
-    /// Discards the window's rewrite: the function and the globals return
+    /// Discards the window's rewrite: the function and the tables return
     /// to the pre-speculation state (up to inert interned constants).
-    pub fn rollback(&mut self, module: &mut Module, window: Window) {
+    pub fn rollback(&mut self, window: Window) {
         self.work.rollback(window.token);
-        rollback_globals(module, window.base_globals);
+        self.tables.truncate(window.tables);
     }
 }
 
@@ -297,7 +345,7 @@ pub(crate) mod tv_parity {
     use std::cell::RefCell;
 
     use rolag_analysis::depgraph::BlockDeps;
-    use rolag_ir::{Function, InstData, InstId, Module, PreWindow, ValueId};
+    use rolag_ir::{Function, GlobalData, InstData, InstId, Module, PreWindow, ValueId};
     use rolag_tv::{RewriteHints, TvError, TvScratch};
 
     /// A validation's verdict against the window's view, with the
@@ -348,6 +396,7 @@ pub(crate) mod tv_parity {
 
     pub(super) fn record(
         module: &Module,
+        tables: &[GlobalData],
         rolled: &Function,
         reference: Option<Function>,
         hints: &RewriteHints,
@@ -360,6 +409,7 @@ pub(crate) mod tv_parity {
         let deps = BlockDeps::compute(module, &orig, hints.block);
         let fresh = rolag_tv::validate_rewrite(
             module,
+            tables,
             orig.pre_window(),
             rolled,
             hints,

@@ -24,7 +24,7 @@
 
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::parser::parse_module;
-use rolag_ir::{Function, GlobalId, GlobalInit, InstId, Module, Opcode, ValueDef};
+use rolag_ir::{Function, GlobalData, GlobalInit, InstId, Module, Opcode, ValueDef};
 use rolag_suites::angha::{stream, AnghaConfig};
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
 use rolag_transforms::{cleanup_module, cse_module, unroll_module};
@@ -61,15 +61,16 @@ fn aliasing_stores() -> String {
 #[derive(Clone)]
 struct Rewrite {
     what: String,
-    /// The module with the rewrite's constant tables added.
     module: Module,
+    /// The constant tables the rewrite created, from id
+    /// `hints.first_new_global` on.
+    tables: Vec<GlobalData>,
     orig: Function,
     rolled: Function,
     hints: RewriteHints,
     /// The candidate block's dependences in `orig`, as the scheduler
     /// computed them.
     deps: BlockDeps,
-    new_globals: Vec<GlobalId>,
     reduction: bool,
     /// Whether the loop body's first two stores may write the same memory.
     stores_conflict: bool,
@@ -85,6 +86,7 @@ impl Rewrite {
     fn validate_in(&self, scratch: &mut TvScratch) -> Result<(), TvError> {
         validate_rewrite(
             &self.module,
+            &self.tables,
             self.orig.pre_window(),
             &self.rolled,
             &self.hints,
@@ -99,6 +101,7 @@ impl Rewrite {
         let scratch = &mut TvScratch::default();
         validate_rewrite(
             &self.module,
+            &self.tables,
             self.orig.pre_window(),
             &self.rolled,
             &self.hints,
@@ -146,18 +149,25 @@ fn rewrites(what: &str, module: &Module, stores_conflict: bool) -> Vec<Rewrite> 
                 .block_deps(orig.revision(), block)
                 .expect("the scheduler computed them")
                 .clone();
-            let base_globals = m.num_globals();
+            let first_new_global = m.num_globals();
             let (uses, positions) = cache.indexes(&orig);
-            let Some(outcome) =
-                codegen::generate(&mut m, &mut rolled, block, &graph, &sched, uses, positions)
-            else {
+            let Some(outcome) = codegen::generate(
+                &mut m.types,
+                first_new_global,
+                &mut rolled,
+                block,
+                &graph,
+                &sched,
+                uses,
+                positions,
+            ) else {
                 continue;
             };
             out.push(Rewrite {
                 what: format!("{what} @{} candidate {k}", func.name),
-                hints: rewrite_hints(&graph, block, &outcome, base_globals, &opts),
+                hints: rewrite_hints(&graph, block, &outcome, first_new_global, &opts),
                 deps,
-                new_globals: outcome.new_globals,
+                tables: outcome.tables,
                 reduction: matches!(cand, Candidate::Reduction { .. }),
                 stores_conflict,
                 module: m,
@@ -195,22 +205,12 @@ fn claim_past_last_lane(rw: &Rewrite) -> Option<Rewrite> {
 /// Flips the low bit of the first entry of the rewrite's first constant
 /// table.
 fn corrupt_table(rw: &Rewrite) -> Option<Rewrite> {
-    let &first = rw.new_globals.first()?;
+    rw.tables.first()?;
     let mut m = rw.clone();
-    let mut tail = Vec::new();
-    while m.module.num_globals() > first.index() {
-        let g = GlobalId::from_index(m.module.num_globals() - 1);
-        tail.push(m.module.global(g).clone());
-        m.module.pop_global(g);
-    }
-    let table = tail.last_mut().expect("the table was popped");
-    let GlobalInit::Ints { values, .. } = &mut table.init else {
+    let GlobalInit::Ints { values, .. } = &mut m.tables[0].init else {
         panic!("{}: rolag.cdata holds integers", rw.what);
     };
     values[0] ^= 1;
-    for g in tail.into_iter().rev() {
-        m.module.add_global(g);
-    }
     Some(m)
 }
 

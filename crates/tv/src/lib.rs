@@ -32,7 +32,7 @@ use std::fmt;
 
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::fxhash::FxHashMap;
-use rolag_ir::{BlockId, Function, InstId, Module, PreWindow};
+use rolag_ir::{BlockId, Function, GlobalData, InstId, Module, PreWindow};
 
 /// The abstractions the simulation relation is allowed to match modulo —
 /// one entry per special alignment-node family the paper introduces.
@@ -59,8 +59,8 @@ pub struct RewriteHints {
     pub loop_block: BlockId,
     /// The generated exit block.
     pub exit_block: BlockId,
-    /// Number of module globals before the rewrite; globals at or past
-    /// this index are constant lookup tables the rewrite created.
+    /// The id of the first lookup table the rewrite created: table `k` of
+    /// the slice [`validate_rewrite`] is handed has id `first_new_global + k`.
     pub first_new_global: usize,
     /// Whether float reassociation (fast-math) was licensed.
     pub fast_math: bool,
@@ -120,8 +120,9 @@ impl std::error::Error for TvError {}
 /// [`Function::pre_window`]; `rolled` is the same function with one
 /// candidate block rolled (before any cleanup pass), sharing ids with
 /// `orig` for everything that survived. `module` is the module the rolled
-/// function lives in — its types, globals (including freshly added lookup
-/// tables), and function effect annotations are consulted.
+/// function lives in — its types, globals, and function effect annotations
+/// are consulted — and `tables` the lookup tables the rewrite created,
+/// which the module does not hold: a load past them is refused.
 ///
 /// `deps` are the dependences of the candidate block in `orig`, which the
 /// memory-order obligation checks the rolled order against: what
@@ -141,6 +142,7 @@ impl std::error::Error for TvError {}
 /// failed obligation otherwise.
 pub fn validate_rewrite(
     module: &Module,
+    tables: &[GlobalData],
     orig: PreWindow<'_>,
     rolled: &Function,
     hints: &RewriteHints,
@@ -152,5 +154,5 @@ pub fn validate_rewrite(
             || *deps == BlockDeps::compute(module, &orig.to_function(), hints.block),
         "supplied block dependences differ from a fresh compute"
     );
-    sim::Validator::new(module, &orig, rolled, hints, deps, scratch).run()
+    sim::Validator::new(module, tables, &orig, rolled, hints, deps, scratch).run()
 }

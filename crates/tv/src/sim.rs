@@ -46,8 +46,8 @@
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::fxhash::{FxHashMap, FxHashSet};
 use rolag_ir::{
-    Function, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, PreWindow, TypeId, ValueDef,
-    ValueId,
+    Function, GlobalData, GlobalInit, InstData, InstExtra, InstId, Module, Opcode, PreWindow,
+    TypeId, ValueDef, ValueId,
 };
 
 use crate::expr::{Expr, ExprArena, ExprId, ExtraKey};
@@ -204,6 +204,8 @@ impl TvScratch {
 
 pub(crate) struct Validator<'a> {
     module: &'a Module,
+    /// The lookup tables the rewrite created, from `hints.first_new_global`.
+    tables: &'a [GlobalData],
     orig: &'a PreWindow<'a>,
     rolled: &'a Function,
     hints: &'a RewriteHints,
@@ -221,6 +223,7 @@ pub(crate) struct Validator<'a> {
 impl<'a> Validator<'a> {
     pub(crate) fn new(
         module: &'a Module,
+        tables: &'a [GlobalData],
         orig: &'a PreWindow<'a>,
         rolled: &'a Function,
         hints: &'a RewriteHints,
@@ -230,6 +233,7 @@ impl<'a> Validator<'a> {
         scratch.start(orig, rolled, hints);
         Validator {
             module,
+            tables,
             orig,
             rolled,
             hints,
@@ -664,7 +668,7 @@ impl<'a> Validator<'a> {
                 )),
             };
         }
-        if self.hints.first_new_global >= self.module.num_globals() {
+        if self.tables.is_empty() {
             // The rewrite created no lookup table to read.
             return Ok(None);
         }
@@ -684,10 +688,12 @@ impl<'a> Validator<'a> {
             }
             _ => return Ok(None),
         };
-        if base.index() < self.hints.first_new_global {
+        let Some(table) = base.index().checked_sub(self.hints.first_new_global) else {
             return Ok(None);
-        }
-        let data = self.module.global(base);
+        };
+        let data = self.tables.get(table).ok_or_else(|| {
+            TvError::Structure("load from a generated global the rewrite did not create".into())
+        })?;
         let GlobalInit::Ints { elem_ty, values } = &data.init else {
             return Err(TvError::Unsupported(
                 "generated global without constant integer data".into(),
@@ -1071,6 +1077,7 @@ mod tests {
             assert_eq!(
                 validate_rewrite(
                     &module,
+                    &[],
                     orig.pre_window(),
                     &rolled,
                     &hints,

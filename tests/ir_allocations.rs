@@ -34,7 +34,7 @@ use rolag::{
 use rolag_analysis::depgraph::BlockDeps;
 use rolag_ir::parser::parse_module;
 use rolag_ir::printer::print_module;
-use rolag_ir::{Function, InstData, Module, Opcode};
+use rolag_ir::{Function, GlobalData, InstData, Module, Opcode};
 use rolag_suites::angha::{stream, AnghaConfig};
 use rolag_suites::programs::{build_program, TABLE1};
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
@@ -485,6 +485,7 @@ fn candidate_graphs_allocate_per_graph_not_per_node() {
 /// speculation core hands it over.
 struct Rewrite {
     module: Module,
+    tables: Vec<GlobalData>,
     orig: Function,
     rolled: Function,
     hints: RewriteHints,
@@ -495,6 +496,7 @@ impl Rewrite {
     fn validate(&self, scratch: &mut TvScratch) -> bool {
         validate_rewrite(
             &self.module,
+            &self.tables,
             self.orig.pre_window(),
             &self.rolled,
             &self.hints,
@@ -531,7 +533,8 @@ fn beam_rewrites(m: &Module, f: &Function, opts: &RolagOptions) -> Vec<Rewrite> 
             let first_new_global = module.num_globals();
             let (uses, positions) = cache.indexes(&orig);
             let generated = codegen::generate(
-                &mut module,
+                &mut module.types,
+                first_new_global,
                 &mut rolled,
                 block,
                 &graph,
@@ -556,6 +559,7 @@ fn beam_rewrites(m: &Module, f: &Function, opts: &RolagOptions) -> Vec<Rewrite> 
             };
             out.push(Rewrite {
                 module,
+                tables: outcome.tables,
                 orig,
                 rolled,
                 hints,

@@ -28,7 +28,7 @@ use rolag::{build_candidate_graph, collect_candidates, roll_module, AlignGraph, 
 use rolag::{codegen, RolagOptions};
 use rolag_analysis::depgraph::{conflicts, mem_access, PosSet};
 use rolag_ir::printer::print_module;
-use rolag_ir::{BlockId, Function, GlobalId, InstId, Module, Opcode, ValueDef, ValueId};
+use rolag_ir::{BlockId, Function, GlobalData, InstId, Module, Opcode, ValueDef, ValueId};
 use rolag_suites::angha::{stream, AnghaConfig};
 use rolag_suites::planted::big_block;
 use rolag_suites::tsvc::{all_kernels, build_kernel_module};
@@ -328,6 +328,8 @@ fn check_module(module: &Module, label: &str, tally: &mut Tally) {
             continue;
         }
         let mut work = m.func(id).clone();
+        // The committed rewrites' constant tables, spliced after the roll.
+        let mut tables: Vec<GlobalData> = Vec::new();
         let mut cache = ScheduleCache::default();
         loop {
             let old_size = opts.target.function_estimate(&m, &work) as u64;
@@ -364,31 +366,39 @@ fn check_module(module: &Module, label: &str, tally: &mut Tally) {
                     continue;
                 };
                 tally.scheduled += 1;
-                let before_globals = m.num_globals();
                 let mut attempt = work.clone();
                 let (uses, positions) = cache.indexes(&work);
-                let Some(outcome) =
-                    codegen::generate(&mut m, &mut attempt, block, &graph, &sched, uses, positions)
-                else {
-                    pop_globals(&mut m, before_globals);
+                let first_table = m.num_globals() + tables.len();
+                let Some(outcome) = codegen::generate(
+                    &mut m.types,
+                    first_table,
+                    &mut attempt,
+                    block,
+                    &graph,
+                    &sched,
+                    uses,
+                    positions,
+                ) else {
                     continue;
                 };
-                if opts.cleanup {
-                    cleanup_in_place(&mut attempt, &mut m.types, &effects);
-                }
-                let rodata: u64 = outcome.new_globals.iter().map(|&g| m.global_size(g)).sum();
+                cleanup_in_place(&mut attempt, &mut m.types, &effects);
+                let rodata: u64 = outcome.tables.iter().map(|t| t.size(&m.types)).sum();
                 let new_size = opts.target.function_estimate(&m, &attempt) as u64 + rodata;
                 if new_size < old_size {
                     work = attempt;
+                    tables.extend(outcome.tables);
                     committed = true;
                     tally.rolled += 1;
                     break;
                 }
-                pop_globals(&mut m, before_globals);
             }
             if !committed {
                 break;
             }
+        }
+        for mut table in tables {
+            table.name = m.fresh_global_name(&table.name);
+            m.add_global(table);
         }
         m.replace_func(id, work);
     }
@@ -397,12 +407,6 @@ fn check_module(module: &Module, label: &str, tally: &mut Tally) {
         print_module(&reference),
         "{label}: the hand-driven fixpoint left the engine's path"
     );
-}
-
-fn pop_globals(m: &mut Module, keep: usize) {
-    while m.num_globals() > keep {
-        m.pop_global(GlobalId::from_index(m.num_globals() - 1));
-    }
 }
 
 #[test]
