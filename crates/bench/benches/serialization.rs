@@ -1,6 +1,8 @@
 //! Module load-time benchmark: the compact binary format
 //! (`rolag_ir::serialization`) against the textual parser on the TSVC
-//! suite and a large synthetic program, plus the textual printer that
+//! suite as one module, on the 151 unrolled TSVC kernels as one module
+//! each (as the `tsvc` end-to-end workload loads them, so per-module set-up
+//! shows), and on a large synthetic program, plus the textual printer that
 //! every memo key, store key and emitted module goes through.
 //!
 //! Besides the min/median/mean table this bench writes
@@ -9,6 +11,7 @@
 //! metrics (total bytes and bytes per function for each format).
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::path::Path;
 
 use rolag_bench::harness::{BenchGroup, Measurement};
@@ -17,11 +20,27 @@ use rolag_ir::printer::print_module;
 use rolag_ir::serialization::{decode_module, encode_module};
 use rolag_ir::Module;
 use rolag_suites::programs::{build_program, ProgramSpec};
-use rolag_suites::tsvc::build_suite_module;
+use rolag_suites::tsvc::{all_kernels, build_kernel_module, build_suite_module};
+use rolag_transforms::{cleanup_module, cse_module, unroll_module};
 
+/// Modules loaded one after another as one benchmark run.
 struct Corpus {
     label: &'static str,
-    module: Module,
+    modules: Vec<Module>,
+}
+
+/// The TSVC kernels unrolled x8, CSE'd and cleaned up, one module each.
+fn tsvc_modules() -> Vec<Module> {
+    all_kernels()
+        .iter()
+        .map(|spec| {
+            let mut m = build_kernel_module(spec);
+            unroll_module(&mut m, 8);
+            cse_module(&mut m);
+            cleanup_module(&mut m);
+            m
+        })
+        .collect()
 }
 
 fn corpus() -> Vec<Corpus> {
@@ -35,11 +54,15 @@ fn corpus() -> Vec<Corpus> {
     vec![
         Corpus {
             label: "tsvc",
-            module: build_suite_module(),
+            modules: vec![build_suite_module()],
+        },
+        Corpus {
+            label: "tsvc_modules",
+            modules: tsvc_modules(),
         },
         Corpus {
             label: "program64kb",
-            module: build_program(&spec, 7, 1.0),
+            modules: vec![build_program(&spec, 7, 1.0)],
         },
     ]
 }
@@ -63,45 +86,58 @@ fn main() {
     let mut sizes = Vec::new();
 
     for c in &inputs {
-        let text = print_module(&c.module);
-        let bytes = encode_module(&c.module);
-        let funcs = c.module.num_funcs().max(1);
-        sizes.push((
-            c.label,
-            text.len(),
-            bytes.len(),
-            text.len() / funcs,
-            bytes.len() / funcs,
-        ));
+        let texts: Vec<String> = c.modules.iter().map(print_module).collect();
+        let bytes: Vec<Vec<u8>> = c.modules.iter().map(encode_module).collect();
+        let (text_b, bin_b) = (
+            texts.iter().map(String::len).sum::<usize>(),
+            bytes.iter().map(Vec::len).sum::<usize>(),
+        );
+        let funcs = c
+            .modules
+            .iter()
+            .map(Module::num_funcs)
+            .sum::<usize>()
+            .max(1);
+        sizes.push((c.label, text_b, bin_b, text_b / funcs, bin_b / funcs));
 
         // Round-trip sanity: a bench over a broken codec or parser is
         // worthless.
-        let decoded = decode_module(&bytes).expect("bench corpus decodes");
-        assert_eq!(
-            print_module(&decoded),
-            text,
-            "binary round-trip diverged on {}",
-            c.label
-        );
-        let parsed = parse_module(&text).expect("bench corpus parses");
-        assert_eq!(
-            print_module(&parsed),
-            text,
-            "text round-trip diverged on {}",
-            c.label
-        );
+        for (text, bytes) in texts.iter().zip(&bytes) {
+            let decoded = decode_module(bytes).expect("bench corpus decodes");
+            assert_eq!(
+                &print_module(&decoded),
+                text,
+                "binary round-trip diverged on {}",
+                c.label
+            );
+            let parsed = parse_module(text).expect("bench corpus parses");
+            assert_eq!(
+                &print_module(&parsed),
+                text,
+                "text round-trip diverged on {}",
+                c.label
+            );
+        }
 
         group.bench(&format!("parse_text_{}", c.label), || {
-            parse_module(&text).expect("parses")
+            for text in &texts {
+                black_box(parse_module(text).expect("parses"));
+            }
         });
         group.bench(&format!("print_text_{}", c.label), || {
-            print_module(&c.module)
+            for m in &c.modules {
+                black_box(print_module(m));
+            }
         });
         group.bench(&format!("decode_binary_{}", c.label), || {
-            decode_module(&bytes).expect("decodes")
+            for bytes in &bytes {
+                black_box(decode_module(bytes).expect("decodes"));
+            }
         });
         group.bench(&format!("encode_binary_{}", c.label), || {
-            encode_module(&c.module)
+            for m in &c.modules {
+                black_box(encode_module(m));
+            }
         });
     }
     let results = group.finish();

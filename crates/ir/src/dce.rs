@@ -7,16 +7,16 @@
 use crate::block::BlockId;
 use crate::fold::normalize_int;
 use crate::function::{Effects, Function};
-use crate::inst::{InstExtra, Opcode};
+use crate::inst::{InstExtra, InstId, Opcode};
 use crate::module::Module;
 use crate::types::TypeStore;
-use crate::value::FuncId;
+use crate::value::{FuncId, ValueDef};
 
 /// Whether an instruction must be kept even when its result is unused.
 fn is_root(
     func: &Function,
     types: &TypeStore,
-    inst: crate::inst::InstId,
+    inst: InstId,
     callee_effects: &dyn Fn(FuncId) -> Effects,
 ) -> bool {
     let data = func.inst(inst);
@@ -45,29 +45,51 @@ fn is_root(
 
 /// Removes dead instructions from one function, resolving call effects
 /// through `callee_effects`. Returns how many were removed.
+///
+/// Uses are counted once over the live instructions. A worklist then
+/// removes each unused non-root instruction and takes one use off each of
+/// its operands; an operand's instruction whose count reaches zero joins
+/// the worklist. This reaches the fixpoint that removing every unused
+/// instruction and recounting until none is left reaches, with one count
+/// instead of one per round: a dead cycle (phis naming each other) keeps
+/// its counts above zero and stays, as it does there.
 pub fn run_dce_with(
     func: &mut Function,
     types: &TypeStore,
     callee_effects: &dyn Fn(FuncId) -> Effects,
 ) -> usize {
-    let mut removed_total = 0;
-    loop {
-        let uses = func.compute_uses();
-        let dead: Vec<_> = func
-            .live_insts()
-            .filter(|&i| {
-                !is_root(func, types, i, callee_effects) && uses.count(func.inst_result(i)) == 0
-            })
-            .collect();
-        if dead.is_empty() {
-            break;
+    let mut uses = vec![0u32; func.num_values()];
+    for i in func.live_insts() {
+        for &op in &func.inst(i).operands {
+            uses[op.index()] += 1;
         }
-        for i in &dead {
-            func.remove_inst(*i);
-        }
-        removed_total += dead.len();
     }
-    removed_total + remove_unreachable_blocks(func, types.void()).dropped
+    let dead = |func: &Function, uses: &[u32], i: InstId| {
+        uses[func.inst_result(i).index()] == 0 && !is_root(func, types, i, callee_effects)
+    };
+    let mut work: Vec<InstId> = func
+        .live_insts()
+        .filter(|&i| dead(func, &uses, i))
+        .collect();
+    let mut removed = 0;
+    while let Some(i) = work.pop() {
+        let operands = func.inst(i).operands.clone();
+        func.remove_inst(i);
+        removed += 1;
+        for op in operands {
+            let count = &mut uses[op.index()];
+            *count -= 1;
+            if *count > 0 {
+                continue;
+            }
+            if let ValueDef::Inst(def) = *func.value(op) {
+                if func.is_live(def) && dead(func, &uses, def) {
+                    work.push(def);
+                }
+            }
+        }
+    }
+    removed + remove_unreachable_blocks(func, types.void()).dropped
 }
 
 /// Removes dead instructions from one function. Returns how many were

@@ -115,6 +115,39 @@ impl Module {
         id
     }
 
+    /// Adds a global whose name the caller has checked is not taken, as
+    /// [`Module::add_global`] does but hashing the name once.
+    pub(crate) fn add_new_global(&mut self, global: GlobalData) -> GlobalId {
+        let id = GlobalId(self.globals.len() as u32);
+        let previous = self.global_map.insert(global.name.clone(), id);
+        debug_assert!(previous.is_none(), "duplicate global {}", global.name);
+        self.globals.push(global);
+        id
+    }
+
+    /// Registers `name` as the next function's name before the function
+    /// exists, so that the text parser can resolve calls that point
+    /// forwards. Until the caller has pushed one function per registered
+    /// name, in the same order, with [`Module::push_registered_func`], the
+    /// module must not be used otherwise.
+    pub(crate) fn register_func_name(&mut self, name: String) -> FuncId {
+        let id = FuncId(self.func_map.len() as u32);
+        let previous = self.func_map.insert(name, id);
+        debug_assert!(previous.is_none(), "duplicate function");
+        id
+    }
+
+    /// Pushes the function whose name [`Module::register_func_name`]
+    /// registered next.
+    pub(crate) fn push_registered_func(&mut self, func: Function) {
+        debug_assert_eq!(
+            self.func_map.get(&func.name),
+            Some(&FuncId(self.funcs.len() as u32)),
+            "functions pushed out of registration order"
+        );
+        self.funcs.push(func);
+    }
+
     /// Adds a zero-initialized mutable global of the given type.
     pub fn add_zero_global(&mut self, name: impl Into<String>, ty: TypeId) -> GlobalId {
         self.add_global(GlobalData {

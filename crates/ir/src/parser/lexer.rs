@@ -10,6 +10,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use super::resolve::decimal;
 use super::Error;
 
 /// A lexical token borrowing from the input.
@@ -17,8 +18,12 @@ use super::Error;
 pub(super) enum Tok<'a> {
     /// Bare identifier (keywords, opcodes, labels, type names).
     Ident(&'a str),
-    /// `%name` local value reference.
+    /// `%name` local value reference, in any spelling but the two below.
     Local(Cow<'a, str>),
+    /// `%N`: `N` in decimal without leading zeros, nine digits at most.
+    LocalNum(u32),
+    /// `%pN`, `N` as in [`Tok::LocalNum`].
+    LocalParam(u32),
     /// `@name` global/function reference.
     Global(Cow<'a, str>),
     /// Integer literal (possibly negative).
@@ -51,6 +56,8 @@ impl fmt::Display for Tok<'_> {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
             Tok::Local(s) => write!(f, "%{s}"),
+            Tok::LocalNum(n) => write!(f, "%{n}"),
+            Tok::LocalParam(n) => write!(f, "%p{n}"),
             Tok::Global(s) => write!(f, "@{s}"),
             Tok::Int(v) => write!(f, "{v}"),
             Tok::Float(v) => write!(f, "{v}"),
@@ -120,6 +127,20 @@ pub(super) fn position(input: &str, offset: usize) -> (u32, u32) {
     (line as u32, col as u32)
 }
 
+/// The token for `%name`: the printer's own spellings `%N` and `%pN` read
+/// as numbers, so that neither the name tables nor anything else scans
+/// their digits again.
+fn local(name: Cow<'_, str>) -> Tok<'_> {
+    let b = name.as_bytes();
+    match b.first() {
+        Some(b'0'..=b'9') => decimal(&name).map_or(Tok::Local(name), Tok::LocalNum),
+        Some(b'p') if b.get(1).is_some_and(u8::is_ascii_digit) => {
+            decimal(&name[1..]).map_or(Tok::Local(name), Tok::LocalParam)
+        }
+        _ => Tok::Local(name),
+    }
+}
+
 /// On-demand tokenizer over `&'a str`. Consecutive newlines collapse
 /// into one [`Tok::Newline`] (and leading ones vanish); `//` and `;`
 /// comments run to end of line (the latter is the LLVM-style spelling
@@ -138,6 +159,11 @@ impl<'a> Lexer<'a> {
             pos: 0,
             at_line_start: true,
         }
+    }
+
+    /// The length of the input in bytes.
+    pub(super) fn input_len(&self) -> usize {
+        self.input.len()
     }
 
     fn byte(&self, i: usize) -> Option<u8> {
@@ -167,6 +193,9 @@ impl<'a> Lexer<'a> {
                 }
                 b' ' | b'\t' | b'\r' | 0x0b | 0x0c => {
                     self.pos += 1;
+                    while bytes.get(self.pos) == Some(&b' ') {
+                        self.pos += 1;
+                    }
                     continue;
                 }
                 b'/' if self.byte(start + 1) == Some(b'/') => {
@@ -196,16 +225,20 @@ impl<'a> Lexer<'a> {
                     self.at_line_start = false;
                     return Ok((tok, start));
                 }
-                b'%' | b'@' => {
+                b'%' => {
+                    self.pos += 1;
+                    let tok = match self.printed_local() {
+                        Some(tok) => tok,
+                        None => local(self.symbol('%')?),
+                    };
+                    self.at_line_start = false;
+                    return Ok((tok, start));
+                }
+                b'@' => {
                     self.pos += 1;
                     let name = self.symbol(b as char)?;
                     self.at_line_start = false;
-                    let tok = if b == b'%' {
-                        Tok::Local(name)
-                    } else {
-                        Tok::Global(name)
-                    };
-                    return Ok((tok, start));
+                    return Ok((Tok::Global(name), start));
                 }
                 b'"' => {
                     self.pos += 1;
@@ -248,6 +281,37 @@ impl<'a> Lexer<'a> {
             .position(|&b| !is_ident_continue(b))
             .unwrap_or(rest.len());
         &self.input[start..self.pos]
+    }
+
+    /// The local name after a `%` when it is spelled `N` or `pN` as the
+    /// printer spells it, read in one scan of its digits; `None`, with the
+    /// cursor unmoved, for any other spelling, which [`local`] then reads.
+    fn printed_local(&mut self) -> Option<Tok<'a>> {
+        let bytes = self.input.as_bytes();
+        let param = bytes.get(self.pos) == Some(&b'p');
+        let digits = self.pos + usize::from(param);
+        let mut i = digits;
+        let mut n: u32 = 0;
+        while let Some(&b) = bytes.get(i).filter(|b| b.is_ascii_digit()) {
+            if i - digits == 9 {
+                return None;
+            }
+            n = n * 10 + u32::from(b - b'0');
+            i += 1;
+        }
+        let len = i - digits;
+        if len == 0 || (len > 1 && bytes[digits] == b'0') {
+            return None;
+        }
+        if bytes.get(i).is_some_and(|&b| is_ident_continue(b)) {
+            return None;
+        }
+        self.pos = i;
+        Some(if param {
+            Tok::LocalParam(n)
+        } else {
+            Tok::LocalNum(n)
+        })
     }
 
     /// Lexes a symbol name after `@`/`%`: bare identifier or quoted string.
@@ -496,14 +560,33 @@ mod tests {
         assert_eq!(
             toks("%5 = add i32 %p0, i32 -1"),
             vec![
-                Tok::Local(b("5")),
+                Tok::LocalNum(5),
                 Tok::Eq,
                 Tok::Ident("add"),
                 Tok::Ident("i32"),
-                Tok::Local(b("p0")),
+                Tok::LocalParam(0),
                 Tok::Comma,
                 Tok::Ident("i32"),
                 Tok::Int(-1),
+                Tok::Eof,
+            ]
+        );
+    }
+
+    #[test]
+    fn printed_local_names_lex_as_numbers() {
+        assert_eq!(
+            toks(r#"%0 %p7 %"12" %01 %p01 %p %px %1234567890 %x5"#),
+            vec![
+                Tok::LocalNum(0),
+                Tok::LocalParam(7),
+                Tok::LocalNum(12),
+                Tok::Local(b("01")),
+                Tok::Local(b("p01")),
+                Tok::Local(b("p")),
+                Tok::Local(b("px")),
+                Tok::Local(b("1234567890")),
+                Tok::Local(b("x5")),
                 Tok::Eof,
             ]
         );

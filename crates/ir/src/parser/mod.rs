@@ -1,27 +1,25 @@
 //! Parser for the textual IR format produced by [`crate::printer`].
 //!
-//! # Streaming, in two phases
+//! # Streaming, in one pass
 //!
 //! The lexer (`parser/lexer.rs`) hands out one borrowed token at a time;
 //! the parser keeps the current token plus, only where a block label may
 //! start, a second one. No token vector and no owned name is built:
-//! identifiers and unquoted `%`/`@` names are slices of the input.
+//! identifiers and unquoted `%`/`@` names are slices of the input, and the
+//! printer's own local spellings (`%7`, `%p0`) are read as numbers.
 //!
-//! * **Phase 1** reads the module, interning types and globals into the
-//!   [`Module`] as they are read. Each definition's body goes into a
-//!   borrowed AST — a `Vec` of instructions whose operands and branch
-//!   labels are ranges into two more arrays — that is emptied and reused
-//!   for the next definition, so it stays the size of one function.
-//! * **Phase 2** (`parser/resolve.rs`) builds a definition as soon as
-//!   phase 1 has read its closing brace, while its AST is still in cache:
-//!   it lays out the instructions in block order, resolves their operands
-//!   in instruction order, and fills the function's constant map on the
-//!   way (the function keeps that map; nothing rebuilds it). Locals and
-//!   labels in the printer's own spellings (`%7`, `%p0`) resolve through
-//!   dense per-function tables; any other spelling goes through a hash
-//!   map. Callees and `@name` operands may point forwards, so they are
-//!   resolved once the whole module is read, after every function name is
-//!   registered.
+//! Types and globals are interned into the [`Module`] as they are read.
+//! Each instruction of a definition is built into the definition's arenas
+//! while its line is read (`parser/resolve.rs`): what it names above
+//! resolves at once, and a use before its definition, a label further
+//! down and the ids of constants, which follow every instruction result,
+//! are recorded as fixups and patched when the body's closing brace is
+//! read. The function keeps the constant map the body fills; nothing
+//! rebuilds it. Locals and labels in the printer's own spellings resolve
+//! through dense per-function tables; any other spelling goes through a
+//! hash map. Callees and `@name` operands may point forwards, so they are
+//! resolved once the whole module is read, after every function name is
+//! registered.
 //!
 //! # Same module, same errors
 //!
@@ -29,7 +27,7 @@
 //! walks arenas in id order and its decisions, statistics and output
 //! bytes follow from it; `tests/parser_pinned.rs` digests the RLIR
 //! encoding (an arena dump) of parsed corpora. Everything that interns
-//! does so in a fixed order — types while phase 1 reads them, then per
+//! does so in a fixed order — types as they are read, then per
 //! function the parameters, the instruction results in block order, and
 //! the constants and global/function addresses in operand order — so a
 //! given text always yields the same type, value, instruction and
@@ -41,9 +39,9 @@
 //! and every syntax error beats every resolution error. Of those, the
 //! first in module order is reported: all function-name clashes first,
 //! then each function's errors in the order a function-at-a-time build
-//! meets them. Positions are byte offsets while parsing and turn into a
-//! 1-based line and a column in characters only when an error is
-//! reported.
+//! meets them, whatever order the one pass finds them in. Positions are
+//! byte offsets while parsing and turn into a 1-based line and a column
+//! in characters only when an error is reported.
 
 mod lexer;
 mod resolve;
@@ -53,13 +51,16 @@ pub(crate) use lexer::{is_bare_label, is_plain_symbol};
 use std::borrow::Cow;
 use std::fmt;
 
+use crate::block::BlockId;
 use crate::function::Effects;
-use crate::inst::{FloatPredicate, IntPredicate, Opcode};
+use crate::inline_list::InlineList;
+use crate::inst::{FloatPredicate, InstData, InstExtra, IntPredicate, Opcode, Operands};
 use crate::module::{GlobalData, GlobalInit, Module};
 use crate::types::{TypeId, TypeKind};
+use crate::value::{ConstKey, ValueDef};
 
 use lexer::{Lexer, Tok};
-use resolve::{FuncDef, Resolver};
+use resolve::{Builder, FuncDef, Key};
 
 /// How deeply array and struct types may nest.
 pub const MAX_TYPE_DEPTH: usize = 256;
@@ -137,68 +138,15 @@ type Result<T> = std::result::Result<T, Error>;
 /// unresolved references.
 pub fn parse_module(input: &str) -> std::result::Result<Module, ParseError> {
     let mut parser = Parser::new(input);
-    let funcs = match parser.module() {
-        Ok(funcs) => funcs,
-        Err(e) => return Err(parser.first_lex_error(e).located(input)),
-    };
-    resolve::link(parser.module, funcs).map_err(|e| e.located(input))
+    if let Err(e) = parser.module() {
+        return Err(parser.first_lex_error(e).located(input));
+    }
+    resolve::link(parser.module, parser.funcs, &parser.builder).map_err(|e| e.located(input))
 }
 
 /// A name as written after `%`/`@` or as a label: a slice of the input
 /// unless decoding escapes forced a copy.
 type Name<'a> = Cow<'a, str>;
-
-#[derive(Debug)]
-enum OperandAst<'a> {
-    Local(Name<'a>),
-    CInt(TypeId, i64),
-    CFloat(TypeId, f64),
-    /// Bit-exact float constant (`0x...` spelling).
-    CFloatBits(TypeId, u64),
-    Ref(Name<'a>),
-    Undef(TypeId),
-}
-
-/// Opcode payload as far as phase 1 can know it.
-#[derive(Debug)]
-enum ExtraAst<'a> {
-    None,
-    Icmp(IntPredicate),
-    Fcmp(FloatPredicate),
-    /// `gep`/`alloca` element type.
-    ElemTy(TypeId),
-    Callee(Name<'a>),
-}
-
-/// A `start..end` range into one of the arrays of a `BodyAst`.
-type Span = (u32, u32);
-
-#[derive(Debug)]
-struct InstAst<'a> {
-    offset: usize,
-    result: Option<Name<'a>>,
-    opcode: Opcode,
-    ty: TypeId,
-    extra: ExtraAst<'a>,
-    /// Into the body's operand array.
-    operands: Span,
-    /// Into the body's label array: phi incoming blocks, branch
-    /// targets.
-    labels: Span,
-}
-
-/// The AST of the definition being read: the parameter names, each
-/// block's label and the end of its instructions, and the instructions,
-/// whose operands and labels are ranges into the last two arrays. Cleared
-/// and refilled for each definition.
-#[derive(Debug, Default)]
-struct BodyAst<'a> {
-    param_names: Vec<Name<'a>>,
-    blocks: Vec<(Name<'a>, u32)>,
-    insts: Vec<InstAst<'a>>,
-    operands: Vec<OperandAst<'a>>,
-    labels: Vec<Name<'a>>,
-}
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
@@ -208,12 +156,13 @@ struct Parser<'a> {
     /// The token after `tok`, once something peeked at it.
     ahead: Option<(Tok<'a>, usize)>,
     module: Module,
-    body: BodyAst<'a>,
-    resolver: Resolver<'a>,
-}
-
-fn span(start: usize, end: usize) -> Span {
-    (start as u32, end as u32)
+    builder: Builder<'a>,
+    /// Every function read so far, in module order.
+    funcs: Vec<FuncDef<'a>>,
+    /// The index of the instruction being read, and the byte offset it
+    /// starts at.
+    inst: u32,
+    inst_offset: usize,
 }
 
 /// The width `digits` spells after the `i` of an integer type name, as
@@ -241,8 +190,10 @@ impl<'a> Parser<'a> {
             offset: 0,
             ahead: None,
             module: Module::new(""),
-            body: BodyAst::default(),
-            resolver: Resolver::default(),
+            builder: Builder::new(input.len()),
+            funcs: Vec::new(),
+            inst: 0,
+            inst_offset: 0,
         }
     }
 
@@ -272,7 +223,7 @@ impl<'a> Parser<'a> {
         Ok(&self.ahead.as_ref().expect("just filled").0)
     }
 
-    /// Picks the error to report for a failed phase 1: `e` unless the rest
+    /// Picks the error to report for a failed read: `e` unless the rest
     /// of the input holds a lex error, which outranks it.
     fn first_lex_error(&mut self, e: Error) -> Error {
         if e.0.lex {
@@ -331,6 +282,17 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes the current token, a `%` name the caller has matched, and
+    /// returns its key.
+    fn take_local(&mut self) -> Result<Key<'a>> {
+        Ok(match self.bump()? {
+            Tok::LocalNum(n) => Key::Num(n),
+            Tok::LocalParam(n) => Key::Param(n),
+            Tok::Local(s) => Key::Name(s),
+            other => unreachable!("no local in {other}"),
+        })
+    }
+
     fn expect_global(&mut self) -> Result<Name<'a>> {
         match self.tok {
             Tok::Global(_) => self.take_text(),
@@ -338,9 +300,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_local(&mut self) -> Result<Name<'a>> {
+    fn expect_local(&mut self) -> Result<Key<'a>> {
         match self.tok {
-            Tok::Local(_) => self.take_text(),
+            Tok::Local(_) | Tok::LocalNum(_) | Tok::LocalParam(_) => self.take_local(),
             ref other => self.err(format!("expected %name, found {other}")),
         }
     }
@@ -413,10 +375,15 @@ impl<'a> Parser<'a> {
                 self.advance()?;
                 let types = &self.module.types;
                 match s.as_bytes() {
-                    b"void" => Ok(types.void()),
-                    b"ptr" => Ok(types.ptr()),
-                    b"float" => Ok(types.float()),
+                    b"i64" => Ok(types.i64()),
+                    b"i32" => Ok(types.i32()),
                     b"double" => Ok(types.double()),
+                    b"ptr" => Ok(types.ptr()),
+                    b"void" => Ok(types.void()),
+                    b"float" => Ok(types.float()),
+                    b"i1" => Ok(types.i1()),
+                    b"i8" => Ok(types.i8()),
+                    b"i16" => Ok(types.i16()),
                     [b'i', digits @ ..] => {
                         let Some(width) = int_width(digits) else {
                             return self.err(format!("bad type name {s}"));
@@ -465,55 +432,64 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_operand(&mut self) -> Result<OperandAst<'a>> {
-        match self.tok {
-            Tok::Local(_) => Ok(OperandAst::Local(self.take_text()?)),
-            Tok::Global(_) => Ok(OperandAst::Ref(self.take_text()?)),
+    /// Operand `ops.len()` of the instruction being read, resolved as far
+    /// as the builder can at once, pushed onto `ops`.
+    fn operand(&mut self, ops: &mut Operands) -> Result<()> {
+        let (k, offset, slot) = (self.inst, self.inst_offset, ops.len() as u32);
+        let v = match self.tok {
+            Tok::Local(_) | Tok::LocalNum(_) | Tok::LocalParam(_) => {
+                let key = self.take_local()?;
+                self.builder.local(key, k, slot, offset)
+            }
+            Tok::Global(_) => {
+                let name = self.take_text()?;
+                self.builder.global(name, k, slot, offset)
+            }
             _ if self.at_type_start() => {
                 let ty = self.parse_type()?;
                 let is_float = self.module.types.is_float(ty);
-                let operand = match self.tok {
-                    Tok::Int(v) if is_float => OperandAst::CFloat(ty, v as f64),
-                    Tok::Int(v) => OperandAst::CInt(ty, v),
-                    Tok::Float(v) => OperandAst::CFloat(ty, v),
-                    Tok::HexBits(bits) if is_float => OperandAst::CFloatBits(ty, bits),
-                    Tok::HexBits(bits) => OperandAst::CInt(ty, bits as i64),
-                    Tok::Ident("undef") => OperandAst::Undef(ty),
+                let (key, def) = match self.tok {
+                    Tok::Int(v) if is_float => float_const(ty, (v as f64).to_bits()),
+                    Tok::Int(value) => (ConstKey::Int(ty, value), ValueDef::ConstInt { ty, value }),
+                    Tok::Float(v) => float_const(ty, v.to_bits()),
+                    Tok::HexBits(bits) if is_float => float_const(ty, bits),
+                    Tok::HexBits(bits) => {
+                        let value = bits as i64;
+                        (ConstKey::Int(ty, value), ValueDef::ConstInt { ty, value })
+                    }
+                    Tok::Ident("undef") => (ConstKey::Undef(ty), ValueDef::Undef(ty)),
                     ref other => {
                         return self.err(format!("expected constant after type, found {other}"))
                     }
                 };
                 self.advance()?;
-                Ok(operand)
+                self.builder.constant(key, def, k, slot)
             }
-            ref other => self.err(format!("expected operand, found {other}")),
-        }
-    }
-
-    /// Parses an operand into the body's operand array.
-    fn push_operand(&mut self) -> Result<()> {
-        let operand = self.parse_operand()?;
-        self.body.operands.push(operand);
+            ref other => return self.err(format!("expected operand, found {other}")),
+        };
+        ops.push(v);
         Ok(())
     }
 
-    /// `a, b` into the body's operand array.
-    fn push_operand_pair(&mut self) -> Result<()> {
-        self.push_operand()?;
+    /// `a, b` onto `ops`.
+    fn operand_pair(&mut self, ops: &mut Operands) -> Result<()> {
+        self.operand(ops)?;
         self.expect(&Tok::Comma)?;
-        self.push_operand()
+        self.operand(ops)
     }
 
-    fn push_label(&mut self) -> Result<()> {
-        let label = self.expect_label()?;
-        self.body.labels.push(label);
-        Ok(())
+    /// A label the instruction being read names, as its label `slot`.
+    fn label(&mut self, slot: usize) -> Result<BlockId> {
+        let name = self.expect_label()?;
+        Ok(self
+            .builder
+            .label(name, self.inst, slot as u32, self.inst_offset))
     }
 
-    /// Phase 1: the whole module. Globals and types go straight into
-    /// `self.module`; each definition's body is built as soon as it is
-    /// read, and functions come back as headers with their bodies.
-    fn module(&mut self) -> Result<Vec<FuncDef<'a>>> {
+    /// The whole module. Globals and types go straight into `self.module`;
+    /// each definition is built as it is read, and functions are kept as
+    /// headers with their bodies for [`resolve::link`].
+    fn module(&mut self) -> Result<()> {
         self.advance()?;
         self.skip_newlines()?;
         if self.tok != Tok::Ident("module") {
@@ -529,30 +505,29 @@ impl<'a> Parser<'a> {
         self.module.name = name.into_owned();
         self.expect_end_of_stmt()?;
 
-        let mut funcs = Vec::new();
         loop {
             self.skip_newlines()?;
             match self.tok {
-                Tok::Eof => break,
+                Tok::Eof => return Ok(()),
                 Tok::Ident(kw @ ("global" | "const")) => {
                     self.advance()?;
                     self.parse_global(kw == "const")?;
                 }
                 Tok::Ident("declare") => {
                     self.advance()?;
-                    funcs.push(self.parse_func_header(true)?);
+                    let def = self.parse_func_header(true)?;
+                    self.funcs.push(def);
                 }
                 Tok::Ident("func") => {
                     self.advance()?;
                     let mut def = self.parse_func_header(false)?;
                     self.parse_func_body()?;
-                    def.body = Some(self.resolver.body(&self.body, &def.param_tys, def.offset));
-                    funcs.push(def);
+                    def.body = Some(self.builder.finish_body(&def.param_tys));
+                    self.funcs.push(def);
                 }
                 ref other => return self.err(format!("expected top-level item, found {other}")),
             }
         }
-        Ok(funcs)
     }
 
     fn parse_global(&mut self, is_const: bool) -> Result<()> {
@@ -595,7 +570,7 @@ impl<'a> Parser<'a> {
             },
             other => return self.err(format!("unknown global initializer {other}")),
         };
-        self.module.add_global(GlobalData {
+        self.module.add_new_global(GlobalData {
             name: name.into_owned(),
             ty,
             init,
@@ -650,26 +625,26 @@ impl<'a> Parser<'a> {
         Ok(values)
     }
 
-    /// A function header; its parameter names go to `self.body`.
+    /// A function header; its parameter names are bound in the builder.
     fn parse_func_header(&mut self, is_decl: bool) -> Result<FuncDef<'a>> {
         let offset = self.offset;
+        self.builder
+            .begin_func(offset, self.lexer.input_len() - offset);
         let name = self.expect_global()?;
         self.expect(&Tok::LParen)?;
         let mut param_tys = Vec::new();
-        self.body.param_names.clear();
         if !self.at(&Tok::RParen) {
             loop {
                 let ty = self.parse_type()?;
                 let param_offset = self.offset;
                 let pname = self.expect_local()?;
-                if self.body.param_names.contains(&pname) {
+                if !self.builder.bind_param(pname.clone()) {
                     return Err(Error::at(
                         param_offset,
                         format!("parameter %{pname} defined twice"),
                     ));
                 }
                 param_tys.push(ty);
-                self.body.param_names.push(pname);
                 if !self.eat(&Tok::Comma)? {
                     break;
                 }
@@ -703,20 +678,17 @@ impl<'a> Parser<'a> {
         Ok(matches!(self.tok, Tok::Ident(_) | Tok::Str(_)) && matches!(self.peek2()?, Tok::Colon))
     }
 
-    /// A definition's body, into `self.body`.
+    /// A definition's body, into the builder.
     fn parse_func_body(&mut self) -> Result<()> {
         self.expect(&Tok::LBrace)?;
-        let body = &mut self.body;
-        body.blocks.clear();
-        body.insts.clear();
-        body.operands.clear();
-        body.labels.clear();
+        self.builder.begin_body();
         loop {
             self.skip_newlines()?;
             if self.eat(&Tok::RBrace)? {
                 return self.expect_end_of_stmt();
             }
             let label = self.expect_label()?;
+            self.builder.begin_block(label);
             self.expect(&Tok::Colon)?;
             self.expect_end_of_stmt()?;
             loop {
@@ -725,35 +697,32 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 let inst = self.parse_inst()?;
-                self.body.insts.push(inst);
+                self.builder.push_inst(inst);
             }
-            let end = self.body.insts.len() as u32;
-            self.body.blocks.push((label, end));
         }
     }
 
-    fn parse_inst(&mut self) -> Result<InstAst<'a>> {
+    fn parse_inst(&mut self) -> Result<InstData> {
         let offset = self.offset;
-        let result = match self.tok {
-            Tok::Local(_) => {
-                let name = self.take_text()?;
-                self.expect(&Tok::Eq)?;
-                Some(name)
-            }
-            _ => None,
-        };
+        let k = self.builder.next_inst();
+        (self.inst, self.inst_offset) = (k, offset);
+        if let Tok::Local(_) | Tok::LocalNum(_) | Tok::LocalParam(_) = self.tok {
+            let key = self.take_local()?;
+            self.expect(&Tok::Eq)?;
+            self.builder.bind_result(key, k, offset);
+        }
         let mnemonic = self.expect_ident()?;
         let Some(opcode) = Opcode::from_mnemonic(mnemonic) else {
             return Err(Error::at(offset, format!("unknown opcode {mnemonic}")));
         };
-        let (operands, labels) = (self.body.operands.len(), self.body.labels.len());
         let types = &self.module.types;
         let (void, i1, ptr) = (types.void(), types.i1(), types.ptr());
-        let mut extra = ExtraAst::None;
+        let mut ops = Operands::new();
+        let mut extra = InstExtra::None;
         let ty = match opcode {
             op if op.is_binop() => {
                 let ty = self.parse_type()?;
-                self.push_operand_pair()?;
+                self.operand_pair(&mut ops)?;
                 ty
             }
             Opcode::Icmp => {
@@ -761,8 +730,8 @@ impl<'a> Parser<'a> {
                 let Some(pred) = IntPredicate::from_mnemonic(p) else {
                     return Err(Error::at(offset, format!("unknown icmp predicate {p}")));
                 };
-                extra = ExtraAst::Icmp(pred);
-                self.push_operand_pair()?;
+                extra = InstExtra::Icmp(pred);
+                self.operand_pair(&mut ops)?;
                 i1
             }
             Opcode::Fcmp => {
@@ -770,57 +739,62 @@ impl<'a> Parser<'a> {
                 let Some(pred) = FloatPredicate::from_mnemonic(p) else {
                     return Err(Error::at(offset, format!("unknown fcmp predicate {p}")));
                 };
-                extra = ExtraAst::Fcmp(pred);
-                self.push_operand_pair()?;
+                extra = InstExtra::Fcmp(pred);
+                self.operand_pair(&mut ops)?;
                 i1
             }
             Opcode::Select => {
                 let ty = self.parse_type()?;
-                self.push_operand()?;
+                self.operand(&mut ops)?;
                 for _ in 0..2 {
                     self.expect(&Tok::Comma)?;
-                    self.push_operand()?;
+                    self.operand(&mut ops)?;
                 }
                 ty
             }
             op if op.is_cast() => {
                 let ty = self.parse_type()?;
-                self.push_operand()?;
+                self.operand(&mut ops)?;
                 ty
             }
             Opcode::Alloca => {
-                extra = ExtraAst::ElemTy(self.parse_type()?);
+                extra = InstExtra::Alloca {
+                    elem_ty: self.parse_type()?,
+                };
                 if self.eat(&Tok::Comma)? {
-                    self.push_operand()?;
+                    self.operand(&mut ops)?;
                 }
                 ptr
             }
             Opcode::Load => {
                 let ty = self.parse_type()?;
                 self.expect(&Tok::Comma)?;
-                self.push_operand()?;
+                self.operand(&mut ops)?;
                 ty
             }
             Opcode::Store => {
-                self.push_operand_pair()?;
+                self.operand_pair(&mut ops)?;
                 void
             }
             Opcode::Gep => {
-                extra = ExtraAst::ElemTy(self.parse_type()?);
+                extra = InstExtra::Gep {
+                    elem_ty: self.parse_type()?,
+                };
                 self.expect(&Tok::Comma)?;
-                self.push_operand()?;
+                self.operand(&mut ops)?;
                 while self.eat(&Tok::Comma)? {
-                    self.push_operand()?;
+                    self.operand(&mut ops)?;
                 }
                 ptr
             }
             Opcode::Call => {
                 let ty = self.parse_type()?;
-                extra = ExtraAst::Callee(self.expect_global()?);
+                let callee = self.expect_global()?;
+                extra = self.builder.callee(callee, k, offset);
                 self.expect(&Tok::LParen)?;
                 if !self.at(&Tok::RParen) {
                     loop {
-                        self.push_operand()?;
+                        self.operand(&mut ops)?;
                         if !self.eat(&Tok::Comma)? {
                             break;
                         }
@@ -831,33 +805,41 @@ impl<'a> Parser<'a> {
             }
             Opcode::Phi => {
                 let ty = self.parse_type()?;
+                let mut incoming = InlineList::new();
                 loop {
                     self.expect(&Tok::LBracket)?;
-                    self.push_operand()?;
+                    self.operand(&mut ops)?;
                     self.expect(&Tok::Comma)?;
-                    self.push_label()?;
+                    incoming.push(self.label(incoming.len())?);
                     self.expect(&Tok::RBracket)?;
                     if !self.eat(&Tok::Comma)? {
                         break;
                     }
                 }
+                extra = InstExtra::Phi { incoming };
                 ty
             }
             Opcode::Br => {
-                self.push_label()?;
+                extra = InstExtra::Br {
+                    dest: self.label(0)?,
+                };
                 void
             }
             Opcode::CondBr => {
-                self.push_operand()?;
+                self.operand(&mut ops)?;
                 self.expect(&Tok::Comma)?;
-                self.push_label()?;
+                let then_dest = self.label(0)?;
                 self.expect(&Tok::Comma)?;
-                self.push_label()?;
+                let else_dest = self.label(1)?;
+                extra = InstExtra::CondBr {
+                    then_dest,
+                    else_dest,
+                };
                 void
             }
             Opcode::Ret => {
                 if !matches!(self.tok, Tok::Newline | Tok::Eof | Tok::RBrace) {
-                    self.push_operand()?;
+                    self.operand(&mut ops)?;
                 }
                 void
             }
@@ -865,16 +847,19 @@ impl<'a> Parser<'a> {
             other => return self.err(format!("cannot parse opcode {other:?}")),
         };
         self.expect_end_of_stmt()?;
-        Ok(InstAst {
-            offset,
-            result,
+        Ok(InstData {
             opcode,
             ty,
+            operands: ops,
+            block: self.builder.current_block(),
             extra,
-            operands: span(operands, self.body.operands.len()),
-            labels: span(labels, self.body.labels.len()),
         })
     }
+}
+
+/// The key and value of a float constant of type `ty`.
+fn float_const(ty: TypeId, bits: u64) -> (ConstKey, ValueDef) {
+    (ConstKey::Float(ty, bits), ValueDef::ConstFloat { ty, bits })
 }
 
 #[cfg(test)]

@@ -1,45 +1,166 @@
-//! Phase 2: turns each definition's borrowed AST into arenas, then links
-//! the module.
+//! Builds each definition into its arenas while the parser reads it, then
+//! links the module.
 //!
-//! Phase 1 hands a definition to [`Resolver::body`] as soon as it has read
-//! the closing brace, while the AST is still in cache, and then reuses the
-//! AST buffers for the next definition. A body is built in two sweeps: the
-//! first creates every instruction (operands still empty) in block order,
-//! binding result names, so that a use may precede its definition (phis);
-//! the second resolves operands in instruction order, interning constants
-//! as it meets them into the map the function keeps.
+//! The parser hands every instruction to a [`Builder`] as soon as its line
+//! is read, and the builder writes it straight into the definition's
+//! instruction arena, resolving what it can at once: a local or a label
+//! already defined, a constant already interned. What it cannot resolve
+//! yet it records as a fixup and patches when the parser reads the body's
+//! closing brace:
+//! - a local used before its definition (a phi naming a latch value);
+//! - a label of a block further down;
+//! - a constant or an `@name` operand, whose value id follows every
+//!   instruction result, so it is known only once the instructions are
+//!   counted.
 //!
 //! A callee or an `@name` operand may name a function or global defined
-//! further down, so those wait for [`link`], which runs once phase 1 has
-//! read the whole module. An `@name` operand still takes its value slot at
-//! first use, keyed by the name: a name stands for one global or one
-//! function, so this gives the slots that keying by id would. `link`
-//! registers every function name, then resolves each body's pending names
-//! and fills in their slots and callees.
+//! further down, so those wait for [`link`], which runs once the whole
+//! module is read. An `@name` operand still takes its value slot at first
+//! use, keyed by the name: a name stands for one global or one function,
+//! so this gives the slots that keying by id would. `link` registers every
+//! function name, then resolves each body's pending names and fills in
+//! their slots and callees.
 //!
-//! Errors keep the order a function-at-a-time build met them in: a body
-//! records only its first error together with its place in that order
-//! ([`Order`]), and `link` reports it unless an unresolved name comes
-//! first.
+//! Errors keep the order a function-at-a-time build meets them in, whatever
+//! order one pass finds them in: a body keeps only its first error by its
+//! place in that order ([`Order`]), and `link` reports it unless an
+//! unresolved name comes first.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Range;
 
-use super::{BodyAst, Error, ExtraAst, InstAst, Name, OperandAst, Result};
+use super::{Error, Name, Result};
 use crate::block::{BlockData, BlockId};
 use crate::function::{Effects, Function};
-use crate::inst::{InstData, InstExtra, InstId, Opcode, Operands};
+use crate::inst::{InstData, InstExtra, InstId};
 use crate::module::Module;
 use crate::types::TypeId;
 use crate::value::{ConstKey, FuncId, ValueDef, ValueId};
 
 /// Where in a body's build an error falls: duplicate labels first
-/// (`(0, 0, 0)`), then the first sweep (`(1, instruction, 0)` for a label
-/// or callee, `(1, instruction, 1)` for a result bound twice), then the
-/// second (`(2, instruction, operand)`).
+/// (`(0, 0, 0)`), then per instruction its labels and callee
+/// (`(1, instruction, 0)`) and its result bound twice
+/// (`(1, instruction, 1)`), then per instruction its operands
+/// (`(2, instruction, operand)`).
 type Order = (u8, u32, u32);
 
+/// A local's or a label's name. The printer's own spellings, `%N` and
+/// `%pN` with `N` in decimal without leading zeros (nine digits at most),
+/// are read as numbers once, by the lexer; so are labels spelled `"N"`.
+/// `%01` stays a [`Key::Name`], distinct from `%1`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(super) enum Key<'a> {
+    Num(u32),
+    Param(u32),
+    Name(Name<'a>),
+}
+
+impl fmt::Display for Key<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Key::Num(n) => write!(f, "{n}"),
+            Key::Param(n) => write!(f, "p{n}"),
+            Key::Name(s) => f.write_str(s),
+        }
+    }
+}
+
+/// `n` when `s` spells it in decimal without leading zeros (and is short
+/// enough not to overflow).
+pub(super) fn decimal(s: &str) -> Option<u32> {
+    let b = s.as_bytes();
+    let canonical = !b.is_empty() && b.len() <= 9 && (b[0] != b'0' || b.len() == 1);
+    if !canonical || !b.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    Some(b.iter().fold(0, |n, &d| n * 10 + u32::from(d - b'0')))
+}
+
+/// A label's key: `"N"` as a number, any other spelling as a name.
+pub(super) fn label_key<'a>(name: &Name<'a>) -> Key<'a> {
+    match name.as_bytes().first() {
+        Some(b'0'..=b'9') => decimal(name).map_or_else(|| Key::Name(name.clone()), Key::Num),
+        _ => Key::Name(name.clone()),
+    }
+}
+
+/// An unbound dense slot.
+const UNBOUND: (u32, u32) = (0, u32::MAX);
+
+/// The names of one function's locals or blocks. A numbered key below the
+/// table's limit indexes a dense table; any other key goes through a hash
+/// map. The limit is fixed per function, so a key always finds its own
+/// binding, and it is the length of the text left where the function
+/// starts: a printed function's numbers stay below it, and a hostile
+/// number cannot size the dense tables past the text that holds it. A
+/// dense slot holds the function's stamp beside its id, so starting a
+/// function clears nothing.
+#[derive(Default)]
+struct NameTable<'a> {
+    stamp: u32,
+    limit: usize,
+    /// `Key::Num(n)` at `n`, as `(stamp, id)`.
+    num: Vec<(u32, u32)>,
+    /// `Key::Param(n)` at `n`.
+    param: Vec<(u32, u32)>,
+    other: HashMap<Key<'a>, u32>,
+}
+
+impl<'a> NameTable<'a> {
+    fn reset(&mut self, limit: usize) {
+        self.stamp = match self.stamp.checked_add(1) {
+            Some(stamp) => stamp,
+            None => {
+                self.num.clear();
+                self.param.clear();
+                1
+            }
+        };
+        self.limit = limit;
+        self.other.clear();
+    }
+
+    /// The dense table and slot of `key`, if it has one.
+    fn dense(&mut self, key: &Key<'_>) -> Option<(&mut Vec<(u32, u32)>, usize)> {
+        let (table, n) = match *key {
+            Key::Num(n) => (&mut self.num, n as usize),
+            Key::Param(n) => (&mut self.param, n as usize),
+            Key::Name(_) => return None,
+        };
+        (n < self.limit).then_some((table, n))
+    }
+
+    fn get(&mut self, key: &Key<'_>) -> Option<u32> {
+        let stamp = self.stamp;
+        match self.dense(key) {
+            Some((table, n)) => match table.get(n) {
+                Some(&(s, id)) if s == stamp => Some(id),
+                _ => None,
+            },
+            None => self.other.get(key).copied(),
+        }
+    }
+
+    /// Binds `key` to `id`; false when it was already bound.
+    fn bind(&mut self, key: Key<'a>, id: u32) -> bool {
+        let (stamp, limit) = (self.stamp, self.limit);
+        let Some((table, n)) = self.dense(&key) else {
+            return self.other.insert(key, id).is_none();
+        };
+        if n >= table.len() {
+            // Grow by doubling from 64 slots, never past the limit.
+            let len = (n + 1).max(2 * table.len()).max(64).min(limit);
+            table.resize(len, UNBOUND);
+        }
+        let fresh = table[n].0 != stamp;
+        table[n] = (stamp, id);
+        fresh
+    }
+}
+
 /// A name a body could not resolve on its own.
-struct Pending<'a> {
+pub(super) struct Pending<'a> {
     /// The value slot (an `@name` operand) or instruction (a callee) the
     /// name fills in.
     index: u32,
@@ -48,203 +169,304 @@ struct Pending<'a> {
     order: Order,
 }
 
+/// A local used before its definition: operand `slot` of instruction
+/// `inst`.
+struct LocalFixup<'a> {
+    inst: u32,
+    slot: u32,
+    key: Key<'a>,
+    offset: usize,
+}
+
+/// A label of a block not yet read: incoming block `slot` of a phi, or
+/// target `slot` (then, else) of a branch.
+struct LabelFixup<'a> {
+    inst: u32,
+    slot: u32,
+    key: Key<'a>,
+    offset: usize,
+}
+
 /// One definition's arenas, with callees and `@name` operands not yet
 /// resolved.
-pub(super) struct Body<'a> {
+pub(super) struct Body {
     values: Vec<ValueDef>,
     consts: HashMap<ConstKey, ValueId>,
     insts: Vec<InstData>,
     blocks: Vec<BlockData>,
-    /// The first use of each `@name` operand, in the second sweep's order.
-    refs: Vec<Pending<'a>>,
-    /// Every call, in the first sweep's order.
-    callees: Vec<Pending<'a>>,
-    /// The first error the build met, which stopped it.
+    /// The first use of each `@name` operand, in operand order: a range of
+    /// the builder's `refs`.
+    refs: Range<usize>,
+    /// Every call, in instruction order: a range of the builder's
+    /// `callees`.
+    callees: Range<usize>,
+    /// The first error of the build in [`Order`].
     error: Option<(Order, Error)>,
-}
-
-/// An empty [`NameTable`] slot.
-const UNBOUND: u32 = u32::MAX;
-
-/// `n` when `s` spells it in decimal without leading zeros (and is short
-/// enough not to overflow).
-fn decimal(s: &str) -> Option<usize> {
-    let b = s.as_bytes();
-    let canonical = !b.is_empty() && b.len() <= 9 && (b[0] != b'0' || b.len() == 1);
-    if !canonical || !b.iter().all(u8::is_ascii_digit) {
-        return None;
-    }
-    Some(b.iter().fold(0, |n, &d| n * 10 + usize::from(d - b'0')))
-}
-
-/// Where a name lives in a [`NameTable`].
-enum Slot {
-    Dense(usize),
-    Prefixed(usize),
-    Other,
-}
-
-/// The names of one function's locals or blocks. The printer's own
-/// spellings index dense tables directly — `N` (decimal, no leading
-/// zero) into `dense`, `pN` into `prefixed` — as long as `N` is below the
-/// table's size; every other spelling goes through `other`. A name's
-/// slot depends only on its spelling and the table sizes, so `%01` and
-/// `%1` stay distinct names, and a name always finds its own binding.
-#[derive(Default)]
-struct NameTable<'a> {
-    dense: Vec<u32>,
-    prefixed: Vec<u32>,
-    other: HashMap<Name<'a>, u32>,
-}
-
-impl<'a> NameTable<'a> {
-    fn reset(&mut self, dense: usize, prefixed: usize) {
-        self.dense.clear();
-        self.dense.resize(dense, UNBOUND);
-        self.prefixed.clear();
-        self.prefixed.resize(prefixed, UNBOUND);
-        self.other.clear();
-    }
-
-    fn slot(&self, name: &str) -> Slot {
-        if let Some(n) = decimal(name) {
-            if n < self.dense.len() {
-                return Slot::Dense(n);
-            }
-        } else if let Some(n) = name.strip_prefix('p').and_then(decimal) {
-            if n < self.prefixed.len() {
-                return Slot::Prefixed(n);
-            }
-        }
-        Slot::Other
-    }
-
-    fn get(&self, name: &str) -> Option<u32> {
-        let id = match self.slot(name) {
-            Slot::Dense(n) => self.dense[n],
-            Slot::Prefixed(n) => self.prefixed[n],
-            Slot::Other => return self.other.get(name).copied(),
-        };
-        (id != UNBOUND).then_some(id)
-    }
-
-    /// Binds `name` to `id`; false when it was already bound.
-    fn bind(&mut self, name: &Name<'a>, id: u32) -> bool {
-        let cell = match self.slot(name) {
-            Slot::Dense(n) => &mut self.dense[n],
-            Slot::Prefixed(n) => &mut self.prefixed[n],
-            Slot::Other => return self.other.insert(name.clone(), id).is_none(),
-        };
-        let fresh = *cell == UNBOUND;
-        *cell = id;
-        fresh
-    }
-}
-
-/// Body-building state, reused from one definition to the next.
-#[derive(Default)]
-pub(super) struct Resolver<'a> {
-    locals: NameTable<'a>,
-    blocks: NameTable<'a>,
-    /// The value slot of each `@name` operand of the current body.
-    refs: HashMap<Name<'a>, ValueId>,
 }
 
 /// Stands in for an `@name` operand's value until [`link`] resolves it.
 const UNRESOLVED: ValueDef = ValueDef::Undef(TypeId(u32::MAX));
 
-impl<'a> Resolver<'a> {
-    /// Builds the definition in `ast` (whose header starts at byte
-    /// `offset`) straight into value, instruction and block arenas, laid
-    /// out as `Function::new` plus `create_inst` / `append_inst` /
-    /// `const_*` calls in the same order would lay them out: parameters,
-    /// then one result slot per instruction in block order, then constants
-    /// in first-use order.
-    pub(super) fn body(
-        &mut self,
-        ast: &BodyAst<'a>,
-        param_tys: &[TypeId],
-        offset: usize,
-    ) -> Body<'a> {
-        let mut body = Body {
-            values: Vec::new(),
+/// Stands in for an operand or label a fixup patches.
+const PLACEHOLDER: u32 = u32::MAX;
+
+/// Body-building state. The scratch arenas and tables are reused from one
+/// definition to the next; the pending names of every body accumulate for
+/// [`link`].
+pub(super) struct Builder<'a> {
+    locals: NameTable<'a>,
+    blocks: NameTable<'a>,
+    /// The byte offset of the definition's header.
+    offset: usize,
+    params: usize,
+    insts: Vec<InstData>,
+    block_list: Vec<BlockData>,
+    /// The instruction that starts the block being read.
+    block_start: usize,
+    /// Constants and `@name` slots in first-use order; their ids follow
+    /// the instruction results.
+    late: Vec<ValueDef>,
+    /// The index into `late` of each constant of the body being read.
+    consts: HashMap<ConstKey, ValueId>,
+    /// The index into `late` of each `@name` operand.
+    ref_slots: HashMap<Name<'a>, u32>,
+    /// Operands that hold an index into `late`, as `(inst, slot)`.
+    late_uses: Vec<(u32, u32)>,
+    local_fixups: Vec<LocalFixup<'a>>,
+    label_fixups: Vec<LabelFixup<'a>>,
+    error: Option<(Order, Error)>,
+    refs: Vec<Pending<'a>>,
+    callees: Vec<Pending<'a>>,
+    refs_start: usize,
+    callees_start: usize,
+}
+
+impl<'a> Builder<'a> {
+    /// A builder for a text of `len` bytes. The instruction scratch is
+    /// reserved for a function of about the text's size in lines, up to a
+    /// cap, so that it rarely grows; it holds one function at a time.
+    pub(super) fn new(len: usize) -> Self {
+        let insts = (len / 24).clamp(16, 4096);
+        Builder {
+            locals: NameTable::default(),
+            blocks: NameTable::default(),
+            offset: 0,
+            params: 0,
+            insts: Vec::with_capacity(insts),
+            block_list: Vec::with_capacity(8),
+            block_start: 0,
+            late: Vec::with_capacity(insts / 4),
             consts: HashMap::new(),
-            insts: Vec::with_capacity(ast.insts.len()),
-            blocks: Vec::with_capacity(ast.blocks.len()),
+            ref_slots: HashMap::new(),
+            late_uses: Vec::with_capacity(insts),
+            local_fixups: Vec::new(),
+            label_fixups: Vec::new(),
+            error: None,
             refs: Vec::new(),
             callees: Vec::new(),
-            error: None,
-        };
-        if let Err(error) = self.build(ast, param_tys, offset, &mut body) {
-            body.error = Some(error);
+            refs_start: 0,
+            callees_start: 0,
         }
-        body
     }
 
-    fn build(
-        &mut self,
-        ast: &BodyAst<'a>,
-        param_tys: &[TypeId],
-        offset: usize,
-        body: &mut Body<'a>,
-    ) -> std::result::Result<(), (Order, Error)> {
+    /// Starts a function whose header begins at byte `offset` with `rest`
+    /// bytes of text left from there.
+    pub(super) fn begin_func(&mut self, offset: usize, rest: usize) {
+        self.offset = offset;
+        self.params = 0;
+        self.locals.reset(rest);
+    }
+
+    /// Binds parameter `key`; false when the name is taken.
+    pub(super) fn bind_param(&mut self, key: Key<'a>) -> bool {
+        let index = self.params as u32;
+        self.params += 1;
+        self.locals.bind(key, index)
+    }
+
+    /// Starts the body of the function just begun.
+    pub(super) fn begin_body(&mut self) {
+        self.blocks.reset(self.locals.limit);
+        self.insts.clear();
+        self.block_list.clear();
+        self.block_start = 0;
+        self.late.clear();
+        self.consts.clear();
+        self.ref_slots.clear();
+        self.late_uses.clear();
+        self.local_fixups.clear();
+        self.label_fixups.clear();
+        self.error = None;
+        self.refs_start = self.refs.len();
+        self.callees_start = self.callees.len();
+    }
+
+    /// Keeps `error` if it comes before the first one so far.
+    fn fail(&mut self, order: Order, error: Error) {
+        if self.error.as_ref().is_none_or(|(at, _)| order < *at) {
+            self.error = Some((order, error));
+        }
+    }
+
+    /// The index the next instruction gets.
+    pub(super) fn next_inst(&self) -> u32 {
+        self.insts.len() as u32
+    }
+
+    /// The block the next instruction goes into.
+    pub(super) fn current_block(&self) -> BlockId {
+        BlockId::from_index(self.block_list.len().saturating_sub(1))
+    }
+
+    /// Closes the block being read, if any.
+    fn end_block(&mut self) {
+        if let Some(block) = self.block_list.last_mut() {
+            block.insts = (self.block_start..self.insts.len())
+                .map(InstId::from_index)
+                .collect();
+            self.block_start = self.insts.len();
+        }
+    }
+
+    /// Starts a block labelled `name`.
+    pub(super) fn begin_block(&mut self, name: Name<'a>) {
+        self.end_block();
+        let index = self.block_list.len() as u32;
+        if !self.blocks.bind(label_key(&name), index) {
+            let error = Error::at(self.offset, format!("duplicate block label {name}"));
+            self.fail((0, 0, 0), error);
+        }
+        self.block_list.push(BlockData::new(name.as_ref()));
+    }
+
+    /// Binds the result of instruction `k`, read at `offset`.
+    pub(super) fn bind_result(&mut self, key: Key<'a>, k: u32, offset: usize) {
+        let id = self.params as u32 + k;
+        if !self.locals.bind(key.clone(), id) {
+            self.fail(
+                (1, k, 1),
+                Error::at(offset, format!("value %{key} defined twice")),
+            );
+        }
+    }
+
+    /// Operand `slot` of instruction `k`: the local `key`.
+    pub(super) fn local(&mut self, key: Key<'a>, k: u32, slot: u32, offset: usize) -> ValueId {
+        if let Some(v) = self.locals.get(&key) {
+            return ValueId(v);
+        }
+        self.local_fixups.push(LocalFixup {
+            inst: k,
+            slot,
+            key,
+            offset,
+        });
+        ValueId(PLACEHOLDER)
+    }
+
+    /// Operand `slot` of instruction `k`: the constant `def`.
+    pub(super) fn constant(&mut self, key: ConstKey, def: ValueDef, k: u32, slot: u32) -> ValueId {
+        self.late_uses.push((k, slot));
+        let next = ValueId(self.late.len() as u32);
+        let v = *self.consts.entry(key).or_insert(next);
+        if v == next {
+            self.late.push(def);
+        }
+        v
+    }
+
+    /// Operand `slot` of instruction `k`: the address of `@name`.
+    pub(super) fn global(&mut self, name: Name<'a>, k: u32, slot: u32, offset: usize) -> ValueId {
+        self.late_uses.push((k, slot));
+        let next = self.late.len() as u32;
+        let v = *self.ref_slots.entry(name.clone()).or_insert(next);
+        if v == next {
+            self.late.push(UNRESOLVED);
+            self.refs.push(Pending {
+                index: v,
+                name,
+                offset,
+                order: (2, k, slot),
+            });
+        }
+        ValueId(v)
+    }
+
+    /// Label `slot` of instruction `k`: the block labelled `name`.
+    pub(super) fn label(&mut self, name: Name<'a>, k: u32, slot: u32, offset: usize) -> BlockId {
+        let key = label_key(&name);
+        if let Some(b) = self.blocks.get(&key) {
+            return BlockId(b);
+        }
+        self.label_fixups.push(LabelFixup {
+            inst: k,
+            slot,
+            key,
+            offset,
+        });
+        BlockId(PLACEHOLDER)
+    }
+
+    /// The callee `@name` of instruction `k`, left to [`link`].
+    pub(super) fn callee(&mut self, name: Name<'a>, k: u32, offset: usize) -> InstExtra {
+        self.callees.push(Pending {
+            index: k,
+            name,
+            offset,
+            order: (1, k, 0),
+        });
+        InstExtra::Call {
+            callee: FuncId(u32::MAX),
+        }
+    }
+
+    pub(super) fn push_inst(&mut self, inst: InstData) {
+        self.insts.push(inst);
+    }
+
+    /// Patches the fixups of the body just read and hands out its arenas,
+    /// laid out as `Function::new` plus `create_inst` / `append_inst` /
+    /// `const_*` calls in the same order would lay them out: parameters,
+    /// then one result slot per instruction in block order, then constants
+    /// and `@name` slots in first-use order.
+    pub(super) fn finish_body(&mut self, param_tys: &[TypeId]) -> Body {
+        self.end_block();
         let params = param_tys.len();
-        let count = ast.insts.len();
-        // Printed results are numbered after the parameters, so
-        // `params + count` covers every printer-canonical `%N`.
-        self.locals.reset(params + count, params);
-        for (i, name) in ast.param_names.iter().enumerate() {
-            self.locals.bind(name, i as u32);
+        let count = self.insts.len();
+        let base = (params + count) as u32;
+        for &(k, slot) in &self.late_uses {
+            self.insts[k as usize].operands[slot as usize].0 += base;
         }
-        // Imported LLVM labels count arguments, values and blocks alike.
-        self.blocks.reset(ast.blocks.len() + count + params, 0);
-        for (label, _) in &ast.blocks {
-            if !self.blocks.bind(label, body.blocks.len() as u32) {
-                let error = Error::at(offset, format!("duplicate block label {label}"));
-                return Err(((0, 0, 0), error));
-            }
-            body.blocks.push(BlockData::new(label.as_ref()));
+        for r in &mut self.refs[self.refs_start..] {
+            r.index += base;
         }
-
-        // First sweep: every instruction's payload and result name, so
-        // that forward value references (e.g. phis) resolve. Instruction
-        // `k` defines value `params + k`.
-        let mut start = 0;
-        for (b, &(_, end)) in ast.blocks.iter().enumerate() {
-            let end = end as usize;
-            body.blocks[b].insts = (start..end).map(InstId::from_index).collect();
-            for inst in &ast.insts[start..end] {
-                let k = body.insts.len() as u32;
-                let extra = self
-                    .extra(ast, inst, k, &mut body.callees)
-                    .map_err(|e| ((1, k, 0), e))?;
-                if let Some(name) = &inst.result {
-                    if !self.locals.bind(name, params as u32 + k) {
-                        let error = Error::at(inst.offset, format!("value %{name} defined twice"));
-                        return Err(((1, k, 1), error));
-                    }
+        for fix in std::mem::take(&mut self.local_fixups) {
+            match self.locals.get(&fix.key) {
+                Some(v) => self.insts[fix.inst as usize].operands[fix.slot as usize] = ValueId(v),
+                None => {
+                    let error = Error::at(fix.offset, format!("unknown value %{}", fix.key));
+                    self.fail((2, fix.inst, fix.slot), error);
                 }
-                body.insts.push(InstData {
-                    opcode: inst.opcode,
-                    ty: inst.ty,
-                    operands: Operands::new(),
-                    block: BlockId::from_index(b),
-                    extra,
-                });
             }
-            start = end;
         }
-
-        // Second sweep: resolve operands in instruction order, interning
-        // constants as they first appear.
-        let values = &mut body.values;
-        // Each operand that is not a local may intern one more value.
-        let interned = ast
-            .operands
-            .iter()
-            .filter(|op| !matches!(op, OperandAst::Local(_)))
-            .count();
-        values.reserve_exact(params + count + interned);
+        for fix in std::mem::take(&mut self.label_fixups) {
+            let Some(b) = self.blocks.get(&fix.key) else {
+                let error = Error::at(fix.offset, format!("unknown block label {}", fix.key));
+                self.fail((1, fix.inst, 0), error);
+                continue;
+            };
+            let b = BlockId(b);
+            match &mut self.insts[fix.inst as usize].extra {
+                InstExtra::Phi { incoming } => incoming[fix.slot as usize] = b,
+                InstExtra::Br { dest } => *dest = b,
+                InstExtra::CondBr {
+                    then_dest,
+                    else_dest,
+                } => *(if fix.slot == 0 { then_dest } else { else_dest }) = b,
+                other => unreachable!("no label in {other:?}"),
+            }
+        }
+        let mut values = Vec::with_capacity(params + count + self.late.len());
         values.extend(
             param_tys
                 .iter()
@@ -255,122 +477,47 @@ impl<'a> Resolver<'a> {
                 }),
         );
         values.extend((0..count).map(|k| ValueDef::Inst(InstId::from_index(k))));
-        self.refs.clear();
-        for (k, (inst, data)) in ast.insts.iter().zip(&mut body.insts).enumerate() {
-            let (lo, hi) = inst.operands;
-            let operands = &mut data.operands;
-            for (j, op) in ast.operands[lo as usize..hi as usize].iter().enumerate() {
-                let next = ValueId::from_index(values.len());
-                let (key, def) = match *op {
-                    OperandAst::Local(ref name) => {
-                        let Some(v) = self.locals.get(name) else {
-                            let error = Error::at(inst.offset, format!("unknown value %{name}"));
-                            return Err(((2, k as u32, j as u32), error));
-                        };
-                        operands.push(ValueId::from_index(v as usize));
-                        continue;
-                    }
-                    OperandAst::Ref(ref name) => {
-                        let v = *self.refs.entry(name.clone()).or_insert(next);
-                        if v == next {
-                            values.push(UNRESOLVED);
-                            body.refs.push(Pending {
-                                index: v.0,
-                                name: name.clone(),
-                                offset: inst.offset,
-                                order: (2, k as u32, j as u32),
-                            });
-                        }
-                        operands.push(v);
-                        continue;
-                    }
-                    OperandAst::CInt(ty, value) => {
-                        (ConstKey::Int(ty, value), ValueDef::ConstInt { ty, value })
-                    }
-                    OperandAst::CFloat(ty, v) => {
-                        let bits = v.to_bits();
-                        (ConstKey::Float(ty, bits), ValueDef::ConstFloat { ty, bits })
-                    }
-                    OperandAst::CFloatBits(ty, bits) => {
-                        (ConstKey::Float(ty, bits), ValueDef::ConstFloat { ty, bits })
-                    }
-                    OperandAst::Undef(ty) => (ConstKey::Undef(ty), ValueDef::Undef(ty)),
-                };
-                let v = *body.consts.entry(key).or_insert(next);
-                if v == next {
-                    values.push(def);
-                }
-                operands.push(v);
+        // The function's constant map, sized once: the scratch map of
+        // the body keeps its capacity for the next one.
+        let mut consts = HashMap::with_capacity(self.late.len());
+        for (i, def) in self.late.iter().enumerate() {
+            if *def != UNRESOLVED {
+                let key = def.const_key().expect("a constant");
+                consts.insert(key, ValueId(base + i as u32));
             }
         }
-        Ok(())
-    }
-
-    /// The opcode payload of `inst`, the `k`th instruction, resolving its
-    /// labels; a callee is left to [`link`] through `callees`.
-    fn extra(
-        &self,
-        ast: &BodyAst<'a>,
-        inst: &InstAst<'a>,
-        k: u32,
-        callees: &mut Vec<Pending<'a>>,
-    ) -> Result<InstExtra> {
-        let label = |i: u32| -> Result<BlockId> {
-            let name = &ast.labels[i as usize];
-            match self.blocks.get(name) {
-                Some(b) => Ok(BlockId::from_index(b as usize)),
-                None => Err(Error::at(
-                    inst.offset,
-                    format!("unknown block label {name}"),
-                )),
-            }
-        };
-        let (lo, hi) = inst.labels;
-        Ok(match (&inst.extra, inst.opcode) {
-            (ExtraAst::Icmp(p), _) => InstExtra::Icmp(*p),
-            (ExtraAst::Fcmp(p), _) => InstExtra::Fcmp(*p),
-            (ExtraAst::ElemTy(elem_ty), Opcode::Gep) => InstExtra::Gep { elem_ty: *elem_ty },
-            (ExtraAst::ElemTy(elem_ty), _) => InstExtra::Alloca { elem_ty: *elem_ty },
-            (ExtraAst::Callee(name), _) => {
-                callees.push(Pending {
-                    index: k,
-                    name: name.clone(),
-                    offset: inst.offset,
-                    order: (1, k, 0),
-                });
-                InstExtra::Call {
-                    callee: FuncId(u32::MAX),
-                }
-            }
-            (ExtraAst::None, Opcode::Phi) => InstExtra::Phi {
-                incoming: (lo..hi).map(label).collect::<Result<_>>()?,
-            },
-            (ExtraAst::None, Opcode::Br) => InstExtra::Br { dest: label(lo)? },
-            (ExtraAst::None, Opcode::CondBr) => InstExtra::CondBr {
-                then_dest: label(lo)?,
-                else_dest: label(lo + 1)?,
-            },
-            (ExtraAst::None, _) => InstExtra::None,
-        })
+        values.append(&mut self.late);
+        Body {
+            values,
+            consts,
+            insts: self.insts.drain(..).collect(),
+            blocks: self.block_list.drain(..).collect(),
+            refs: self.refs_start..self.refs.len(),
+            callees: self.callees_start..self.callees.len(),
+            error: self.error.take(),
+        }
     }
 }
 
-/// A function as phase 1 read it: its header, and its body when it is a
-/// definition.
+/// A function as the parser read it: its header, and its body when it is
+/// a definition.
 pub(super) struct FuncDef<'a> {
     pub(super) offset: usize,
     pub(super) name: Name<'a>,
     pub(super) param_tys: Vec<TypeId>,
     pub(super) ret_ty: TypeId,
     pub(super) effects: Effects,
-    pub(super) body: Option<Body<'a>>,
+    pub(super) body: Option<Body>,
 }
 
-/// Registers every function of `funcs` in `module` (so calls and `@f`
-/// operands may point forwards), then resolves each body's pending names
-/// and puts the definitions in place.
-pub(super) fn link(mut module: Module, funcs: Vec<FuncDef<'_>>) -> Result<Module> {
-    let mut ids = Vec::with_capacity(funcs.len());
+/// Registers the name of every function of `funcs` in `module` (so calls
+/// and `@f` operands may point forwards), then resolves each body's
+/// pending names and adds the functions in order.
+pub(super) fn link(
+    mut module: Module,
+    funcs: Vec<FuncDef<'_>>,
+    builder: &Builder<'_>,
+) -> Result<Module> {
     for def in &funcs {
         if module.func_by_name(&def.name).is_some() {
             return Err(Error::at(
@@ -384,30 +531,26 @@ pub(super) fn link(mut module: Module, funcs: Vec<FuncDef<'_>>) -> Result<Module
                 format!("@{} defined as both a global and a function", def.name),
             ));
         }
-        // A definition's stub only holds its name until `finish` replaces
-        // it, so it needs no parameters.
-        let param_tys = match def.body {
-            None => def.param_tys.clone(),
-            Some(_) => Vec::new(),
-        };
-        let decl = Function::declare(def.name.as_ref(), param_tys, def.ret_ty, def.effects);
-        ids.push(module.add_func(decl));
+        module.register_func_name(def.name.to_string());
     }
-    for (def, id) in funcs.into_iter().zip(ids) {
-        if let Some(body) = def.body {
-            let func = body.finish(&module, def.name.into_owned(), def.param_tys, def.ret_ty)?;
-            module.replace_func(id, func);
-        }
+    for def in funcs {
+        let name = def.name.into_owned();
+        let func = match def.body {
+            None => Function::declare(name, def.param_tys, def.ret_ty, def.effects),
+            Some(body) => body.finish(&module, builder, name, def.param_tys, def.ret_ty)?,
+        };
+        module.push_registered_func(func);
     }
     Ok(module)
 }
 
-impl Body<'_> {
+impl Body {
     /// Resolves the pending names against `module` and assembles the
     /// function, or returns the first error in build order.
     fn finish(
         mut self,
         module: &Module,
+        builder: &Builder<'_>,
         name: String,
         param_tys: Vec<TypeId>,
         ret_ty: TypeId,
@@ -416,7 +559,7 @@ impl Body<'_> {
         let before = |order: Order, first: &Option<(Order, Error)>| {
             first.as_ref().is_none_or(|(at, _)| order < *at)
         };
-        for call in &self.callees {
+        for call in &builder.callees[self.callees.clone()] {
             if !before(call.order, &first) {
                 break;
             }
@@ -427,7 +570,7 @@ impl Body<'_> {
             };
             self.insts[call.index as usize].extra = InstExtra::Call { callee };
         }
-        for r in &self.refs {
+        for r in &builder.refs[self.refs.clone()] {
             if !before(r.order, &first) {
                 break;
             }

@@ -43,6 +43,19 @@ pub enum TypeKind {
     Func { ret: TypeId, params: Vec<TypeId> },
 }
 
+/// The scalar types every store starts with, at these ids.
+const PRELUDE: [TypeKind; 9] = [
+    TypeKind::Void,
+    TypeKind::Int(1),
+    TypeKind::Int(8),
+    TypeKind::Int(16),
+    TypeKind::Int(32),
+    TypeKind::Int(64),
+    TypeKind::Float,
+    TypeKind::Double,
+    TypeKind::Ptr,
+];
+
 /// Interner for [`TypeKind`]s.
 ///
 /// Commonly used types are pre-interned and available through cheap accessor
@@ -71,36 +84,48 @@ impl Default for TypeStore {
 }
 
 impl TypeStore {
-    /// Creates a store with the common scalar types pre-interned.
+    /// Creates a store with the common scalar types pre-interned. They
+    /// take fixed ids and stay out of the hash map ([`TypeStore::intern`]
+    /// finds them by kind), so a new store hashes nothing and allocates
+    /// twice until it meets another type.
     pub fn new() -> Self {
-        let mut store = TypeStore {
-            kinds: Vec::new(),
-            depths: Vec::new(),
+        TypeStore {
+            kinds: PRELUDE.to_vec(),
+            depths: vec![0; PRELUDE.len()],
             map: HashMap::new(),
             void: TypeId(0),
-            i1: TypeId(0),
-            i8: TypeId(0),
-            i16: TypeId(0),
-            i32: TypeId(0),
-            i64: TypeId(0),
-            float: TypeId(0),
-            double: TypeId(0),
-            ptr: TypeId(0),
-        };
-        store.void = store.intern(TypeKind::Void);
-        store.i1 = store.intern(TypeKind::Int(1));
-        store.i8 = store.intern(TypeKind::Int(8));
-        store.i16 = store.intern(TypeKind::Int(16));
-        store.i32 = store.intern(TypeKind::Int(32));
-        store.i64 = store.intern(TypeKind::Int(64));
-        store.float = store.intern(TypeKind::Float);
-        store.double = store.intern(TypeKind::Double);
-        store.ptr = store.intern(TypeKind::Ptr);
-        store
+            i1: TypeId(1),
+            i8: TypeId(2),
+            i16: TypeId(3),
+            i32: TypeId(4),
+            i64: TypeId(5),
+            float: TypeId(6),
+            double: TypeId(7),
+            ptr: TypeId(8),
+        }
+    }
+
+    /// The id of `kind` when it is one of the [`PRELUDE`] types.
+    fn prelude_id(kind: &TypeKind) -> Option<TypeId> {
+        Some(TypeId(match kind {
+            TypeKind::Void => 0,
+            TypeKind::Int(1) => 1,
+            TypeKind::Int(8) => 2,
+            TypeKind::Int(16) => 3,
+            TypeKind::Int(32) => 4,
+            TypeKind::Int(64) => 5,
+            TypeKind::Float => 6,
+            TypeKind::Double => 7,
+            TypeKind::Ptr => 8,
+            _ => return None,
+        }))
     }
 
     /// Interns `kind`, returning the canonical [`TypeId`] for it.
     pub fn intern(&mut self, kind: TypeKind) -> TypeId {
+        if let Some(id) = Self::prelude_id(&kind) {
+            return id;
+        }
         if let Some(&id) = self.map.get(&kind) {
             return id;
         }

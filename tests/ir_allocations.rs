@@ -241,6 +241,44 @@ fn speculation_windows_allocate_nothing_per_touched_instruction() {
     );
 }
 
+/// How many allocations more than the RLIR decoder a parse of an unrolled
+/// TSVC module may make: the parser's scratch, about one allocation each
+/// (the instruction, block, constant, use and fixup buffers, the dense
+/// name table, the label, constant and `@name` maps, the pending-name
+/// lists and the list of functions).
+const PARSE_OVER_DECODE: u64 = 12;
+
+/// A text parse builds each instruction straight into its function's
+/// arenas, as the decoder does: per unrolled TSVC module it allocates at
+/// most a constant more than decoding the same module from RLIR.
+#[test]
+fn parsing_a_module_allocates_a_constant_more_than_decoding_it() {
+    let (mut modules, mut parse_total, mut decode_total, mut worst) = (0u64, 0, 0, 0);
+    for (name, m) in unrolled_tsvc() {
+        let text = print_module(&m);
+        let bytes = rolag_ir::encode_module(&m);
+        let (parsed, parse) = allocations(|| parse_module(&text));
+        parsed.unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (decoded, decode) = allocations(|| rolag_ir::decode_module(&bytes));
+        decoded.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            parse <= decode + PARSE_OVER_DECODE,
+            "{name}: parsing made {parse} allocations, decoding {decode} (bound {})",
+            decode + PARSE_OVER_DECODE
+        );
+        modules += 1;
+        parse_total += parse;
+        decode_total += decode;
+        worst = worst.max(parse.saturating_sub(decode));
+    }
+    println!(
+        "parse vs decode: {:.1} vs {:.1} allocations per module; at most {worst} more",
+        parse_total as f64 / modules as f64,
+        decode_total as f64 / modules as f64
+    );
+    assert!(modules > 150, "{modules} modules");
+}
+
 /// `text` with every `ints` and `bytes` initializer spelled `zero`, and
 /// how many there were.
 fn zero_initializers(text: &str) -> (String, usize) {
