@@ -273,11 +273,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Consumes the current token, a `%`/`@` name or a string the caller
-    /// has matched, and returns its text.
+    /// Consumes the current token, an `@` name or a string the caller has
+    /// matched, and returns its text.
     fn take_text(&mut self) -> Result<Name<'a>> {
         match self.bump()? {
-            Tok::Local(s) | Tok::Global(s) | Tok::Str(s) => Ok(s),
+            Tok::Global(s) | Tok::Str(s) => Ok(s),
             other => unreachable!("no text in {other}"),
         }
     }
