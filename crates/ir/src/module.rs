@@ -1,6 +1,7 @@
 //! Modules: collections of functions and global variables plus the type
 //! store.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::function::{Effects, Function};
@@ -104,23 +105,11 @@ impl Module {
     ///
     /// Panics if a global with the same name already exists.
     pub fn add_global(&mut self, global: GlobalData) -> GlobalId {
-        assert!(
-            !self.global_map.contains_key(&global.name),
-            "duplicate global {}",
-            global.name
-        );
         let id = GlobalId(self.globals.len() as u32);
-        self.global_map.insert(global.name.clone(), id);
-        self.globals.push(global);
-        id
-    }
-
-    /// Adds a global whose name the caller has checked is not taken, as
-    /// [`Module::add_global`] does but hashing the name once.
-    pub(crate) fn add_new_global(&mut self, global: GlobalData) -> GlobalId {
-        let id = GlobalId(self.globals.len() as u32);
-        let previous = self.global_map.insert(global.name.clone(), id);
-        debug_assert!(previous.is_none(), "duplicate global {}", global.name);
+        match self.global_map.entry(global.name.clone()) {
+            Entry::Occupied(_) => panic!("duplicate global {}", global.name),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
         self.globals.push(global);
         id
     }

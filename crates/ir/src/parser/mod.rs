@@ -570,7 +570,7 @@ impl<'a> Parser<'a> {
             },
             other => return self.err(format!("unknown global initializer {other}")),
         };
-        self.module.add_new_global(GlobalData {
+        self.module.add_global(GlobalData {
             name: name.into_owned(),
             ty,
             init,

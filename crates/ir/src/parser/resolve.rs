@@ -88,14 +88,20 @@ pub(super) fn label_key<'a>(name: &Name<'a>) -> Key<'a> {
 /// An unbound dense slot.
 const UNBOUND: (u32, u32) = (0, u32::MAX);
 
+/// The bytes of a dense slot, and the bytes of text left per slot a
+/// function's dense tables may take.
+const SLOT_BYTES: usize = std::mem::size_of::<(u32, u32)>();
+
 /// The names of one function's locals or blocks. A numbered key below the
 /// table's limit indexes a dense table; any other key goes through a hash
 /// map. The limit is fixed per function, so a key always finds its own
-/// binding, and it is the length of the text left where the function
-/// starts: a printed function's numbers stay below it, and a hostile
-/// number cannot size the dense tables past the text that holds it. A
-/// dense slot holds the function's stamp beside its id, so starting a
-/// function clears nothing.
+/// binding, and it is an eighth of the text left where the function
+/// starts ([`SLOT_BYTES`]): every number the printer writes counts a
+/// parameter, a result line or an imported block, none printed in fewer
+/// than eight bytes, so a printed function's numbers stay below it, and a
+/// hostile number cannot size a dense table past the bytes of the text
+/// that holds it. A dense slot holds the function's stamp beside its id,
+/// so starting a function clears nothing.
 #[derive(Default)]
 struct NameTable<'a> {
     stamp: u32,
@@ -242,11 +248,16 @@ pub(super) struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    /// A builder for a text of `len` bytes. The instruction scratch is
-    /// reserved for a function of about the text's size in lines, up to a
-    /// cap, so that it rarely grows; it holds one function at a time.
+    /// A builder for a text of `len` bytes. The scratch holds one
+    /// function at a time and is reserved from the text's length so that
+    /// it rarely grows. On the unrolled TSVC kernels, 1,000 angha functions
+    /// and Table I at scale 0.1, a module's largest function has at least
+    /// 30 bytes of the module's text per instruction, at most 0.95
+    /// constants and `@name` slots and 1.6 operands naming them per
+    /// instruction, and at most five blocks. The cap keeps a large module
+    /// from reserving more than a large function needs.
     pub(super) fn new(len: usize) -> Self {
-        let insts = (len / 24).clamp(16, 4096);
+        let insts = (len / 30).clamp(16, 4096);
         Builder {
             locals: NameTable::default(),
             blocks: NameTable::default(),
@@ -255,10 +266,10 @@ impl<'a> Builder<'a> {
             insts: Vec::with_capacity(insts),
             block_list: Vec::with_capacity(8),
             block_start: 0,
-            late: Vec::with_capacity(insts / 4),
+            late: Vec::with_capacity(insts),
             consts: HashMap::new(),
             ref_slots: HashMap::new(),
-            late_uses: Vec::with_capacity(insts),
+            late_uses: Vec::with_capacity(2 * insts),
             local_fixups: Vec::new(),
             label_fixups: Vec::new(),
             error: None,
@@ -274,7 +285,7 @@ impl<'a> Builder<'a> {
     pub(super) fn begin_func(&mut self, offset: usize, rest: usize) {
         self.offset = offset;
         self.params = 0;
-        self.locals.reset(rest);
+        self.locals.reset(rest / SLOT_BYTES);
     }
 
     /// Binds parameter `key`; false when the name is taken.

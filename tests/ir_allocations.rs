@@ -5,7 +5,8 @@
 //! three, see `rolag_ir::inline_list`), so none of these steps may call
 //! the allocator once per instruction: a cloned or dropped function pays
 //! for its arenas and, per block, its label and instruction list; a parse
-//! pays per module, function, block and global; a speculation window pays
+//! pays per module, function, block and global, and a large local number
+//! sizes no name table past the text left; a speculation window pays
 //! for its journal, whose lists grow by doubling. An initializer list
 //! costs its parse one buffer, and a module with one definition costs the
 //! module driver no more than the serial pass. An alignment graph keeps
@@ -354,6 +355,40 @@ fn a_hostile_array_length_reserves_nothing() {
         "parsing {} bytes of text asked the allocator for {bytes} bytes",
         text.len()
     );
+}
+
+/// A number a local or label is named by sizes its dense table by no
+/// more than the text left where its function starts: a short function
+/// naming a large `%pN`, `%N` and label `"N"` above a long module tail
+/// costs its parse at most a byte per byte of text for each of the three
+/// tables over the same text spelled with small numbers.
+#[test]
+fn a_large_local_number_reserves_no_more_than_the_text_left() {
+    let module = |n: usize| {
+        let mut text = format!(
+            "module \"m\"\nfunc @f(i32 %p{n}) -> i32 {{\n\"{n}\":\n  \
+             %{n} = add i32 %p{n}, i32 1\n  ret %{n}\n}}\n"
+        );
+        for k in 0..8000 {
+            writeln!(text, "global @z{k} : [1 x i64] = zero").unwrap();
+        }
+        text
+    };
+    let (parsed, plain) = allocated_bytes(|| parse_module(&module(0)));
+    parsed.expect("the small-number module parses");
+    let len = module(0).len();
+    // Just under an eighth of the text, the dense tables' limit, then
+    // past it and past the whole text.
+    for n in [len / 8 - 100, len / 2, 999_000] {
+        let text = module(n);
+        let (parsed, bytes) = allocated_bytes(|| parse_module(&text));
+        parsed.unwrap_or_else(|e| panic!("%{n}: {e}"));
+        assert!(
+            bytes <= plain + 3 * text.len(),
+            "%{n}: parsing {} bytes of text asked for {bytes} bytes, {plain} with small numbers",
+            text.len()
+        );
+    }
 }
 
 /// A module with one definition and no store is rolled in place by the
